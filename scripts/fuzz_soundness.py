@@ -4,7 +4,9 @@
 Each seeded program is enumerated exhaustively, its executions re-validated
 by the independent axiom checker, analyzed, and compared: oracle-violated
 assertions must not be proved, final register values must be covered, and
-exit posets must abstract the observed modification orders.
+exit posets must abstract the observed modification orders.  An exception
+(a divergence, say) is reported with its seed like an unsound result, and
+the run goes on; the exit code is 1 when any seed failed.
 
     python3 scripts/fuzz_soundness.py [N_PROGRAMS] [START_SEED]
 """
@@ -25,11 +27,17 @@ def main(argv) -> int:
     failures = 0
     for seed in range(start, start + count):
         program = random_program(seed)
-        execs = enumerate_executions(program)
-        for e in execs[:25]:
-            validate_execution(program, e)
-        result = tmai(program)
-        report = check_soundness(program, result, execs=execs)
+        try:
+            execs = enumerate_executions(program)
+            for e in execs[:25]:
+                validate_execution(program, e)
+            result = tmai(program)
+            report = check_soundness(program, result, execs=execs)
+        except Exception as exc:  # a finding like any other: report it, keep going
+            failures += 1
+            print(f"seed {seed}: {type(exc).__name__}: {exc}")
+            print(to_source(program))
+            continue
         if not report.ok:
             failures += 1
             print(f"seed {seed}: UNSOUND")
@@ -37,7 +45,7 @@ def main(argv) -> int:
                 print(f"  {problem}")
             print(to_source(program))
     elapsed = time.perf_counter() - t0
-    print(f"{count} programs, {failures} soundness failures, {elapsed:.1f}s")
+    print(f"{count} programs, {failures} failures, {elapsed:.1f}s")
     return 1 if failures else 0
 
 

@@ -2,7 +2,8 @@
 against expected verdicts, or enumerate oracle outcomes.
 
 Exit codes: 0 all assertions proved, 1 some possibly violated, 2 parse or
-semantic error, 3 internal error (divergence, budget, soundness failure).
+semantic error, 3 internal error (divergence, budget, soundness failure, or
+any other uncaught exception).
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import engine, interference, oracle
+from . import engine, oracle
 from .litmus import ParseError, SemanticError, parse, unroll
-from .posets import TooLarge
-from .transfer import AnalysisError, TransferConfig
+from .transfer import TransferConfig
 
 EXIT_PROVED = 0
 EXIT_VIOLATED = 1
@@ -173,8 +173,7 @@ def main(argv=None) -> int:
     except (ParseError, SemanticError) as exc:
         print(f"ramosaic: {path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (engine.Divergence, interference.CombinationBudgetExceeded,
-            AnalysisError, oracle.SoundnessViolation, TooLarge) as exc:
+    except Exception as exc:  # divergence, budget, soundness failure, or a defect
         print(f"ramosaic: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:

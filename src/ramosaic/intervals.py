@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .litmus import And, BinOp, BoolExpr, BoolLit, Cmp, IntExpr, Lit, Name, Or
+from .litmus import And, BinOp, BoolExpr, BoolLit, Cmp, IntExpr, Lit, Name, Or, expr_names
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -152,23 +152,25 @@ def mem_join(a: Memory, b: Memory) -> Memory:
     return out
 
 
-def mem_equal(a: Memory, b: Memory) -> bool:
-    return a == b
-
-
 class NameEnv:
-    """Resolves bare identifiers to memory keys for one thread's expressions."""
+    """Resolves bare identifiers to memory keys for one thread's expressions,
+    or, with thread None, for the postcondition, whose names are resolved
+    once when the environment is built."""
 
     def __init__(self, program, thread: Optional[str]):
         self.program = program
         self.thread = thread
         self.shared = set(program.shared_names())
+        self.post_keys = {}
+        if thread is None and program.postcondition is not None:
+            self.post_keys = {ident: program.resolve_postcondition_name(ident)
+                              for ident in expr_names(program.postcondition)}
 
     def key(self, ident: str) -> str:
         if ident in self.shared:
             return ident
         if self.thread is None:
-            return self.program.resolve_postcondition_name(ident)
+            return self.post_keys[ident]
         return self.program.register_key(self.thread, ident)
 
 
@@ -279,7 +281,3 @@ def refine(mem: Memory, cond: BoolExpr, env: NameEnv) -> Optional[Memory]:
     if isinstance(cond, Cmp):
         return _refine_cmp(mem, cond, env)
     raise TypeError(cond)
-
-
-def satisfiable(mem: Memory, cond: BoolExpr, env: NameEnv) -> bool:
-    return refine(mem, cond, env) is not None

@@ -811,9 +811,6 @@ class Cfg:
             raise UnknownLabel(label)
         return frozenset(self.preds[label])
 
-    def labels_of_thread(self, tname: str):
-        return self.rpo[tname]
-
     def reaches(self, a: Label, b: Label) -> bool:
         """True iff b is reachable from a along CFG edges (strict)."""
         return b in self._reach_sets()[a]
@@ -913,17 +910,22 @@ def build_cfg(p: Program) -> Cfg:
         exits[t.name] = exit_l
 
     for t in p.threads:
+        # Post-order depth-first search with an explicit stack, so that a
+        # long thread does not exhaust the interpreter's recursion limit.
         order: list = []
-        seen: set = set()
-
-        def dfs(lbl: Label):
-            seen.add(lbl)
-            for nxt in succs[lbl]:
+        entry = entries[t.name]
+        seen = {entry}
+        stack = [(entry, iter(succs[entry]))]
+        while stack:
+            lbl, pending = stack[-1]
+            for nxt in pending:
                 if nxt not in seen:
-                    dfs(nxt)
-            order.append(lbl)
-
-        dfs(entries[t.name])
+                    seen.add(nxt)
+                    stack.append((nxt, iter(succs[nxt])))
+                    break
+            else:
+                stack.pop()
+                order.append(lbl)
         rpo[t.name] = tuple(reversed(order))
 
     return Cfg(p, nodes,

@@ -81,18 +81,15 @@ def _eval_bool(e: BoolExpr, regs: Dict[str, int]) -> bool:
 
 
 def _thread_paths(cfg: Cfg, tname: str) -> List[Tuple[Label, ...]]:
+    """Every entry-to-exit path of a loop-free thread, in depth-first order."""
     out: List[Tuple[Label, ...]] = []
-
-    def dfs(lbl: Label, acc: list):
-        acc.append(lbl)
-        succs = cfg.succs[lbl]
+    stack = [(cfg.entries[tname],)]
+    while stack:
+        path = stack.pop()
+        succs = cfg.succs[path[-1]]
         if not succs:
-            out.append(tuple(acc))
-        for nxt in succs:
-            dfs(nxt, acc)
-        acc.pop()
-
-    dfs(cfg.entries[tname], [])
+            out.append(path)
+        stack.extend(path + (nxt,) for nxt in reversed(succs))
     return out
 
 

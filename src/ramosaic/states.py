@@ -220,9 +220,5 @@ class StateSet:
         return "\n".join(lines)
 
 
-def states_at(ss: StateSet, label: Label) -> tuple:
-    return ss.at(label)
-
-
 def equal_sets(a: StateSet, b: StateSet) -> bool:
     return a == b

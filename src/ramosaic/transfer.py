@@ -17,8 +17,9 @@ from typing import Dict, Optional
 
 from . import intervals, posets
 from .intervals import Interval, NameEnv, eval_expr, exclude_value, refine, val_join, val_meet
-from .litmus import (AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
-                     LoadInst, LockInst, Nop, Program, Store, UnlockInst)
+from .litmus import (And, AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
+                     LoadInst, LockInst, Nop, Program, Store, UnlockInst,
+                     expr_names, negate)
 from .interference import CTX
 from .posets import Event, MoPoset, SbIndex
 from .states import AbstractState, StateSet
@@ -57,6 +58,9 @@ class AnalysisContext:
         self.tc = tc
         self.sb = SbIndex.from_cfg(cfg)
         self.envs = {t.name: NameEnv(program, t.name) for t in program.threads}
+        self.registers = {t.name: tuple(program.register_key(t.name, r)
+                                        for r in program.thread_registers(t.name))
+                          for t in program.threads}
         self.events: Dict[Label, Event] = {}
         for lbl, instr in cfg.nodes.items():
             tname = cfg.thread_of[lbl]
@@ -119,8 +123,8 @@ class AnalysisContext:
     def initial_state(self, tname: str, at: Label) -> AbstractState:
         mo = {v: posets.TOP for v in self.po_keys()}
         mem = {n: intervals.singleton(v) for n, v in self.program.shared}
-        for r in self.program.thread_registers(tname):
-            mem[self.program.register_key(tname, r)] = intervals.singleton(0)
+        for key in self.registers[tname]:
+            mem[key] = intervals.singleton(0)
         return AbstractState.make(at, mo, mem)
 
 
@@ -173,6 +177,14 @@ def _retarget(s: AbstractState, lbl: Label) -> AbstractState:
     return AbstractState(lbl, s.mo, s.mem)
 
 
+def _published(state: AbstractState, ev: Event) -> bool:
+    """The state, at the label of the write ev, published that write: its
+    poset for the variable holds ev or a loop-bumped instance of it.  A
+    failed cas leaves the poset as it was, so its states publish nothing."""
+    return any(e.label == ev.label and e.thread == ev.thread and e.instance >= ev.instance
+               for e in state.po(ev.var).events)
+
+
 def _load_bases(ctx, s, interfs, global_ss, var):
     """Yield (base state, loaded interval) per interference choice."""
     for src in interfs:
@@ -180,7 +192,10 @@ def _load_bases(ctx, s, interfs, global_ss, var):
             yield s, s.val(var)
         else:
             ev = ctx.events[src]
+            cas = isinstance(ctx.cfg.nodes[src], Cas)
             for src_state in global_ss.at(src):
+                if cas and not _published(src_state, ev):
+                    continue
                 r = apply_interference(ctx, s, src_state, ev)
                 if r is not None:
                     yield r, src_state.val(var)
@@ -378,7 +393,6 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
 
 def check_assert(states, cond, env: NameEnv) -> Verdict:
     """Proved iff the negated condition is infeasible in every state."""
-    from .litmus import negate
     neg = negate(cond)
     witnesses = []
     for s in states:
@@ -387,23 +401,80 @@ def check_assert(states, cond, env: NameEnv) -> Verdict:
     return Verdict(not witnesses, tuple(witnesses))
 
 
+def _conjuncts(b) -> list:
+    """The operands of b's top-level And chain, left to right."""
+    out, stack = [], [b]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, And):
+            stack += (c.right, c.left)
+        else:
+            out.append(c)
+    return out
+
+
+def _components(key_sets, owner) -> list:
+    """Group conjuncts, given as the sets of register keys they name, into
+    components of threads that share a conjunct; a conjunct that names no
+    register is a component of its own.  Returns [(threads, conjunct
+    indices in their original order)]."""
+    parent: Dict[str, str] = {}
+
+    def find(t: str) -> str:
+        while parent.setdefault(t, t) != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for keys in key_sets:
+        threads = [owner[k] for k in keys]
+        for t in threads[1:]:
+            parent[find(t)] = find(threads[0])
+    groups: dict = {}
+    for i, keys in enumerate(key_sets):
+        root = find(owner[next(iter(keys))]) if keys else i
+        groups.setdefault(root, []).append(i)
+    return [(sorted({owner[k] for i in idx for k in key_sets[i]}), idx)
+            for idx in groups.values()]
+
+
 def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
-    """Evaluate the postcondition over every combination of per-thread exit
-    states; it may only mention registers, which are disjoint across threads."""
-    program = ctx.program
-    env = NameEnv(program, None)
-    from .litmus import negate
-    neg = negate(cond)
-    per_thread = []
-    for t in program.threads:
-        sts = ss.at(ctx.cfg.exits[t.name])
-        regs = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
-        per_thread.append([{k: s.val(k) for k in regs} for s in sts] or [{}])
-    witnesses = []
-    for combo in itertools.product(*per_thread):
-        mem: Dict[str, Interval] = {}
-        for part in combo:
-            mem.update(part)
-        if refine(mem, neg, env) is not None:
-            witnesses.append(tuple(sorted((k, str(v)) for k, v in mem.items())))
-    return Verdict(not witnesses, tuple(witnesses))
+    """Evaluate the postcondition over the combinations of per-thread exit
+    states, one component of threads at a time.
+
+    The postcondition may only mention registers, which are disjoint across
+    threads.  `refine` on a conjunct of the negated postcondition reads and
+    writes only the keys that conjunct names, so conjuncts that share no
+    thread cannot affect each other: the negation is feasible iff each
+    component of threads linked by shared conjuncts has a combination of
+    their exit states, projected onto the named registers, that satisfies
+    the component's conjuncts in order.  A thread without exit states
+    leaves no complete execution, so the postcondition is proved.
+    """
+    env = NameEnv(ctx.program, None)
+    exits = {t: ss.at(ctx.cfg.exits[t]) for t in ctx.registers}
+    if not all(exits.values()):
+        return Verdict(True)
+    owner = {k: t for t, keys in ctx.registers.items() for k in keys}
+    conjuncts = _conjuncts(negate(cond))
+    key_sets = [{env.key(i) for i in expr_names(c)} for c in conjuncts]
+    witness: Dict[str, Interval] = {}
+    for threads, idx in _components(key_sets, owner):
+        named = set().union(*(key_sets[i] for i in idx))
+        options = []
+        for t in threads:
+            keys = [k for k in ctx.registers[t] if k in named]
+            options.append(list(dict.fromkeys(tuple((k, s.val(k)) for k in keys)
+                                              for s in exits[t])))
+        for combo in itertools.product(*options):
+            mem: Optional[dict] = dict(itertools.chain.from_iterable(combo))
+            for i in idx:
+                mem = refine(mem, conjuncts[i], env)
+                if mem is None:
+                    break
+            if mem is not None:
+                witness.update(itertools.chain.from_iterable(combo))
+                break
+        else:
+            return Verdict(True)
+    return Verdict(False, (tuple(sorted((k, str(v)) for k, v in witness.items())),))

@@ -114,3 +114,16 @@ def test_console_scripts_installed():
                              str(BENCH_DIR / "mp.lit")],
                             capture_output=True, text=True)
     assert result.returncode == 0
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    from ramosaic import engine
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(engine, "tmai", boom)
+    code, _, err = run_cli([BENCH_DIR / "mp.lit"], capsys)
+    assert code == 3
+    assert "RuntimeError: boom" in err
+    assert len(err.strip().splitlines()) == 1

@@ -6,6 +6,8 @@ import pytest
 from ramosaic.engine import Divergence, analyze_with_combinations, seq_ai, tmai
 from ramosaic.interference import get_interfs
 from ramosaic.litmus import Label, build_cfg, parse, unroll
+from ramosaic.oracle import check_soundness, enumerate_executions
+from ramosaic.randprog import random_program
 from ramosaic.states import StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
@@ -173,3 +175,20 @@ thread t {
     p = unroll(parse(src), 1)
     r = tmai(p)
     assert r.verdicts[str(Label("z"))].proved
+
+
+def test_failed_cas_publishes_no_write():
+    # Seed 1503 diverged when failed-cas states fed loads as if they wrote.
+    program = random_program(1503)
+    r = tmai(program)
+    assert r.iterations_total <= 5
+    assert check_soundness(program, r).ok
+
+
+def test_failed_cas_source_was_a_false_positive():
+    program = random_program(72)
+    r = tmai(program)
+    assert r.verdicts["final"].proved
+    execs = enumerate_executions(program)
+    assert execs and not any(e.violations for e in execs)
+    assert check_soundness(program, r, execs=execs).ok

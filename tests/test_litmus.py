@@ -186,3 +186,15 @@ def test_cas_and_fadd_parse():
     a, b = list(walk_simple(p.threads[0].body))
     assert isinstance(a, Cas) and isinstance(b, LoadInst) is False
     assert b.addend.value == -1
+
+
+def test_long_thread_cfg_is_not_recursive():
+    from ramosaic.oracle import _thread_paths
+
+    n = 1200
+    body = " ".join(f"s{i}: store x {i % 3};" for i in range(n))
+    cfg = build_cfg(parse(f"vars x = 0;\nthread t {{ {body} }}\n"))
+    assert len(cfg.rpo["t"]) == n + 2
+    assert cfg.rpo["t"][0] == cfg.entries["t"] and cfg.rpo["t"][-1] == cfg.exits["t"]
+    (path,) = _thread_paths(cfg, "t")
+    assert path == cfg.rpo["t"]
