@@ -6,7 +6,9 @@ by the independent axiom checker, analyzed, and compared: oracle-violated
 assertions must not be proved, final register values must be covered, and
 exit posets must abstract the observed modification orders.  An exception
 (a divergence, say) is reported with its seed like an unsound result, and
-the run goes on; the exit code is 1 when any seed failed.
+the run goes on; the exit code is 1 when any seed failed.  The summary line
+gives the seconds spent in each phase: enumerate, validate, analyze and
+soundness.
 
     python3 scripts/fuzz_soundness.py [N_PROGRAMS] [START_SEED]
 """
@@ -24,15 +26,24 @@ def main(argv) -> int:
     count = int(argv[1]) if len(argv) > 1 else 200
     start = int(argv[2]) if len(argv) > 2 else 0
     t0 = time.perf_counter()
+    phases = dict.fromkeys(("enumerate", "validate", "analyze", "soundness"), 0.0)
+
+    def timed(phase, fn, *args, **kwargs):
+        t = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            phases[phase] += time.perf_counter() - t
+
     failures = 0
     for seed in range(start, start + count):
         program = random_program(seed)
         try:
-            execs = enumerate_executions(program)
+            execs = timed("enumerate", enumerate_executions, program)
             for e in execs[:25]:
-                validate_execution(program, e)
-            result = tmai(program)
-            report = check_soundness(program, result, execs=execs)
+                timed("validate", validate_execution, program, e)
+            result = timed("analyze", tmai, program)
+            report = timed("soundness", check_soundness, program, result, execs=execs)
         except Exception as exc:  # a finding like any other: report it, keep going
             failures += 1
             print(f"seed {seed}: {type(exc).__name__}: {exc}")
@@ -45,7 +56,8 @@ def main(argv) -> int:
                 print(f"  {problem}")
             print(to_source(program))
     elapsed = time.perf_counter() - t0
-    print(f"{count} programs, {failures} failures, {elapsed:.1f}s")
+    breakdown = ", ".join(f"{phase} {secs:.1f}s" for phase, secs in phases.items())
+    print(f"{count} programs, {failures} failures, {elapsed:.1f}s ({breakdown})")
     return 1 if failures else 0
 
 

@@ -6,6 +6,7 @@ feasible interference combination instead of per-load.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -69,9 +70,12 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
     entry = cfg.entries[tname]
     local: Dict[Label, list] = {entry: [ctx.initial_state(tname, entry)]}
     visits: Dict[Label, int] = {}
+    # the pending labels, popped in RPO order: a heap of RPO indices and
+    # a set for membership
     pending = set(rpo) - {entry}
-    while pending:
-        lbl = min(pending, key=index.__getitem__)
+    heap = sorted(index[lbl] for lbl in pending)
+    while heap:
+        lbl = rpo[heapq.heappop(heap)]
         pending.discard(lbl)
         pre_states = []
         for p in cfg.preds[lbl]:
@@ -88,7 +92,10 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
                 widened.add(lbl)
         if new != local.get(lbl, []):
             local[lbl] = new
-            pending.update(cfg.succs[lbl])
+            for nxt in cfg.succs[lbl]:
+                if nxt not in pending:
+                    pending.add(nxt)
+                    heapq.heappush(heap, index[nxt])
     local.pop(entry, None)
     return local
 

@@ -813,21 +813,29 @@ class Cfg:
 
     def reaches(self, a: Label, b: Label) -> bool:
         """True iff b is reachable from a along CFG edges (strict)."""
-        return b in self._reach_sets()[a]
+        return b in self.reachable(a)
+
+    def reachable(self, a: Label) -> frozenset:
+        """The labels reachable from a along CFG edges (strict)."""
+        return self._reach_sets()[a]
 
     def _reach_sets(self) -> dict:
         if not hasattr(self, "_reach_cache"):
-            cache = {}
-            for lbl in self.nodes:
-                seen: set = set()
-                stack = list(self.succs.get(lbl, ()))
-                while stack:
-                    cur = stack.pop()
-                    if cur in seen:
-                        continue
-                    seen.add(cur)
-                    stack.extend(self.succs.get(cur, ()))
-                cache[lbl] = frozenset(seen)
+            # Union the successors' sets in reverse RPO.  Reverse RPO puts
+            # the successors first on a loop-free CFG, so one pass settles
+            # it; with loops, passes repeat until no set grows.
+            order = [lbl for rpo in self.rpo.values() for lbl in reversed(rpo)]
+            cache = dict.fromkeys(self.nodes, frozenset())
+            grew = True
+            while grew:
+                grew = False
+                for lbl in order:
+                    reach = cache[lbl]
+                    for s in self.succs[lbl]:
+                        reach = reach.union(cache[s], (s,))
+                    if len(reach) > len(cache[lbl]):
+                        cache[lbl] = reach
+                        grew = bool(self.loop_headers)
             self._reach_cache = cache
         return self._reach_cache
 

@@ -21,7 +21,9 @@ violation witnesses.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -37,7 +39,7 @@ class SoundnessViolation(AssertionError):
 
 @dataclass(frozen=True)
 class Execution:
-    order: Tuple[Label, ...]  # all executed nodes, one valid topological order
+    order: Tuple[Label, ...]  # all executed nodes, the label-least topological order
     rf: Tuple[Tuple[Label, Optional[Label]], ...]  # read label -> write label or None (init)
     mo: Tuple[Tuple[str, Tuple[Event, ...]], ...]  # var -> loset over writes (init excluded)
     cs_order: Tuple[Tuple[str, Tuple[Label, ...]], ...]  # mutex -> lock labels in order
@@ -55,6 +57,13 @@ class Execution:
         return dict(self.registers)
 
 
+_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_READS = (LoadInst, Cas, Fadd)
+_WRITES = (Store, Cas, Fadd)
+_MEMORY = (Store, LoadInst, Cas, Fadd, LockInst, UnlockInst)
+
+
 def _eval_int(e, regs: Dict[str, int]) -> int:
     if isinstance(e, Lit):
         return e.value
@@ -70,9 +79,7 @@ def _eval_bool(e: BoolExpr, regs: Dict[str, int]) -> bool:
     if isinstance(e, BoolLit):
         return e.value
     if isinstance(e, Cmp):
-        l, r = _eval_int(e.left, regs), _eval_int(e.right, regs)
-        return {"==": l == r, "!=": l != r, "<": l < r,
-                "<=": l <= r, ">": l > r, ">=": l >= r}[e.op]
+        return _CMP[e.op](_eval_int(e.left, regs), _eval_int(e.right, regs))
     if isinstance(e, And):
         return _eval_bool(e.left, regs) and _eval_bool(e.right, regs)
     if isinstance(e, Or):
@@ -93,308 +100,301 @@ def _thread_paths(cfg: Cfg, tname: str) -> List[Tuple[Label, ...]]:
     return out
 
 
-def _reach(edges: Dict[Label, set], nodes) -> Dict[Label, frozenset]:
-    out = {}
-    for a in nodes:
-        seen: set = set()
-        stack = list(edges.get(a, ()))
-        while stack:
-            b = stack.pop()
-            if b not in seen:
-                seen.add(b)
-                stack.extend(edges.get(b, ()))
-        out[a] = frozenset(seen)
-    return out
+def _count_memory_events(cfg: Cfg) -> int:
+    return sum(1 for i in cfg.nodes.values() if isinstance(i, _MEMORY))
 
 
-def _acyclic_rf_assignments(reads, rf_candidates, static_edges):
-    """Depth-first choice of one source per read, pruning as soon as an added
-    reads-from edge closes a cycle."""
-    edges: Dict[Label, set] = {a: set(bs) for a, bs in static_edges.items()}
+def count_memory_events(program: Program) -> int:
+    return _count_memory_events(build_cfg(program))
 
-    def reaches(a: Label, b: Label) -> bool:
-        seen = set()
-        stack = [a]
-        while stack:
-            cur = stack.pop()
-            if cur == b:
+
+# --------------------------------------------------------------------------
+# The enumeration kernel.  Within one combination of per-thread paths the
+# nodes are numbered 0..n-1 in sorted label order, so that integer order is
+# label order; edges are successor lists and happens-before rows are int
+# bitmasks.  Labels and events come back only when an execution is emitted.
+# --------------------------------------------------------------------------
+
+def _topological_order(succ: List[List[int]]) -> Optional[List[int]]:
+    """Kahn's algorithm, always taking the smallest ready node: the
+    lexicographically least topological order, or None on a cycle."""
+    n = len(succ)
+    indeg = [0] * n
+    for bs in succ:
+        for b in bs:
+            indeg[b] += 1
+    ready = [a for a in range(n) if not indeg[a]]  # ascending, so a heap
+    order: List[int] = []
+    while ready:
+        a = heapq.heappop(ready)
+        order.append(a)
+        for b in succ[a]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                heapq.heappush(ready, b)
+    return order if len(order) == n else None
+
+
+def _hb_masks(order: List[int], succ: List[List[int]]) -> List[int]:
+    """Strict reachability as bitmask rows, one reverse-topological pass."""
+    masks = [0] * len(succ)
+    for a in reversed(order):
+        m = 0
+        for b in succ[a]:
+            m |= 1 << b | masks[b]
+        masks[a] = m
+    return masks
+
+
+def _reaches(succ: List[List[int]], a: int, b: int) -> bool:
+    seen = 1 << a
+    stack = [a]
+    while stack:
+        for c in succ[stack.pop()]:
+            if c == b:
                 return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(edges.get(cur, ()))
-        return False
+            if not seen >> c & 1:
+                seen |= 1 << c
+                stack.append(c)
+    return False
 
-    rf: Dict[Label, Optional[Label]] = {}
+
+def _acyclic_rf_assignments(reads, rf_candidates, succ, rf):
+    """Depth-first choice of one source per read (None: the initial value),
+    pruning as soon as an added reads-from edge would close a cycle.
+
+    Yields once per complete choice, with the choice in `rf` and its edges
+    appended to `succ`; both are undone when the search resumes."""
 
     def assign(i: int):
         if i == len(reads):
-            yield dict(rf)
+            yield
             return
         r = reads[i]
         for w in rf_candidates[i]:
             if w is None:
                 rf[r] = None
                 yield from assign(i + 1)
-                continue
-            if reaches(r, w):
-                continue  # the new edge w->r would close a cycle
-            edges.setdefault(w, set()).add(r)
-            rf[r] = w
-            yield from assign(i + 1)
-            edges[w].discard(r)
-        rf.pop(r, None)
+            elif not _reaches(succ, r, w):
+                succ[w].append(r)
+                rf[r] = w
+                yield from assign(i + 1)
+                succ[w].pop()
 
     yield from assign(0)
 
 
-def _toposort(nodes, edges: Dict[Label, set]) -> Optional[List[Label]]:
-    indeg = {n: 0 for n in nodes}
-    for a, bs in edges.items():
-        for b in bs:
-            indeg[b] += 1
-    ready = sorted([n for n, d in indeg.items() if d == 0])
-    order: List[Label] = []
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for b in sorted(edges.get(n, ())):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        ready.sort()
-    return order if len(order) == len(nodes) else None
+class _Tables:
+    """Per-program data the kernel reads for every path combination."""
 
-
-def count_memory_events(program: Program) -> int:
-    cfg = build_cfg(program)
-    return sum(1 for i in cfg.nodes.values()
-               if isinstance(i, (Store, LoadInst, Cas, Fadd, LockInst, UnlockInst)))
+    def __init__(self, program: Program, cfg: Cfg):
+        self.cfg = cfg
+        self.events: Dict[Label, Event] = {}
+        for lbl, instr in cfg.nodes.items():
+            if isinstance(instr, Store):
+                self.events[lbl] = Event(lbl.name, lbl.instance, cfg.thread_of[lbl],
+                                         "store", instr.var)
+            elif isinstance(instr, (Cas, Fadd)):
+                self.events[lbl] = Event(lbl.name, lbl.instance, cfg.thread_of[lbl],
+                                         "rmw", instr.var)
+        self.thread_index = {t.name: i for i, t in enumerate(program.threads)}
+        self.n_threads = len(program.threads)
+        slots = {program.register_key(t.name, r): (self.thread_index[t.name], r)
+                 for t in program.threads for r in program.thread_registers(t.name)}
+        self.register_slots = sorted(slots.items())
+        self.init = dict(program.shared)
+        self.postcondition = program.postcondition
 
 
 def enumerate_executions(program: Program, guard: int = 14) -> Tuple[Execution, ...]:
+    """Every consistent execution, in a fixed, deterministic order.
+
+    The order nests, outermost first: combinations of per-thread paths
+    (each thread's paths depth-first, threads in program order); mutex
+    serializations (permutations of each mutex's sections, mutexes by
+    name); reads-from choices (depth-first over the reads in thread and
+    program order, the initial value first, then the writes in that same
+    order); modification orders (lexicographic in label order, variables by
+    name).  Each execution's `order` is its label-least topological order."""
     cfg = build_cfg(program)
     if cfg.loop_headers:
         raise ValueError("oracle requires a loop-free program; unroll first")
-    n_events = count_memory_events(program)
+    n_events = _count_memory_events(cfg)
     if n_events > guard:
         raise TooLarge(f"{n_events} shared-memory events exceed oracle guard {guard}")
 
-    events: Dict[Label, Event] = {}
-    for lbl, instr in cfg.nodes.items():
-        tname = cfg.thread_of[lbl]
-        if isinstance(instr, Store):
-            events[lbl] = Event(lbl.name, lbl.instance, tname, "store", instr.var)
-        elif isinstance(instr, (Cas, Fadd)):
-            events[lbl] = Event(lbl.name, lbl.instance, tname, "rmw", instr.var)
-
+    tables = _Tables(program, cfg)
     results: List[Execution] = []
-    seen: set = set()
     paths_per_thread = [_thread_paths(cfg, t.name) for t in program.threads]
     for combo in itertools.product(*paths_per_thread):
-        nodes: List[Label] = [lbl for path in combo for lbl in path]
-        pos_in_thread = {lbl: i for path in combo for i, lbl in enumerate(path)}
-        thread_edges: Dict[Label, set] = {}
-        for path in combo:
-            for a, b in zip(path, path[1:]):
-                thread_edges.setdefault(a, set()).add(b)
-
-        reads = [lbl for lbl in nodes
-                 if isinstance(cfg.nodes[lbl], (LoadInst, Cas, Fadd))]
-        maybe_writes: Dict[str, List[Label]] = {}
-        for lbl in nodes:
-            instr = cfg.nodes[lbl]
-            if isinstance(instr, (Store, Cas, Fadd)):
-                maybe_writes.setdefault(instr.var, []).append(lbl)
-
-        def read_var(lbl: Label) -> str:
-            return cfg.nodes[lbl].var
-
-        rf_candidates = []
-        for r in reads:
-            cands: List[Optional[Label]] = [None]
-            for w in maybe_writes.get(read_var(r), ()):
-                if w == r:
-                    continue
-                if cfg.thread_of[w] == cfg.thread_of[r] and pos_in_thread[w] > pos_in_thread[r]:
-                    continue  # reading a program-order-later own write is a cycle
-                cands.append(w)
-            rf_candidates.append(cands)
-
-        cs_by_mutex: Dict[str, List[Tuple[Label, Optional[Label]]]] = {}
-        for path in combo:
-            open_locks: Dict[str, Label] = {}
-            for lbl in path:
-                instr = cfg.nodes[lbl]
-                if isinstance(instr, LockInst):
-                    open_locks[instr.mutex] = lbl
-                    cs_by_mutex.setdefault(instr.mutex, []).append((lbl, None))
-                elif isinstance(instr, UnlockInst):
-                    held = open_locks.pop(instr.mutex, None)
-                    if held is None:
-                        continue  # malformed path; values phase never reaches it anyway
-                    css = cs_by_mutex[instr.mutex]
-                    for i, (l, u) in enumerate(css):
-                        if l == held:
-                            css[i] = (l, lbl)
-
-        def cs_orders(css):
-            for perm in itertools.permutations(css):
-                if any(u is None for _, u in perm[:-1]):
-                    continue  # a never-released section can only be last
-                yield perm
-
-        mutex_names = sorted(cs_by_mutex)
-        for cs_combo in itertools.product(*(cs_orders(cs_by_mutex[m]) for m in mutex_names)):
-            sync_edges: Dict[Label, set] = {}
-            for perm in cs_combo:
-                for (l1, u1), (l2, _) in zip(perm, perm[1:]):
-                    sync_edges.setdefault(u1, set()).add(l2)
-
-            static_edges: Dict[Label, set] = {a: set(bs) for a, bs in thread_edges.items()}
-            for u, ls in sync_edges.items():
-                static_edges.setdefault(u, set()).update(ls)
-            if _toposort(nodes, static_edges) is None:
-                continue
-
-            for rf in _acyclic_rf_assignments(reads, rf_candidates, static_edges):
-                edges: Dict[Label, set] = {a: set(bs) for a, bs in static_edges.items()}
-                for r, w in rf.items():
-                    if w is not None:
-                        edges.setdefault(w, set()).add(r)
-                topo = _toposort(nodes, edges)
-                if topo is None:
-                    continue
-
-                exe = _evaluate_candidate(program, cfg, topo, rf, events)
-                if exe is None:
-                    continue
-                regs, read_vals, write_vals, write_ok, violations = exe
-
-                # a read must take its value from an actual write
-                if any(w is not None and not write_ok[w] for w in rf.values()):
-                    continue
-
-                hb = _reach(edges, nodes)
-                actual_writes: Dict[str, List[Label]] = {}
-                for lbl in nodes:
-                    if lbl in events and write_ok[lbl]:
-                        actual_writes.setdefault(events[lbl].var, []).append(lbl)
-                var_reads = {var: [r for r in reads if read_var(r) == var]
-                             for var in set(read_var(r) for r in reads) | set(actual_writes)}
-                valid_mos: List[List[Tuple[str, Tuple[Label, ...]]]] = []
-                ok = True
-                for var in sorted(var_reads):
-                    perms = _coherent_orders(actual_writes.get(var, ()), hb, rf,
-                                             var_reads[var], cfg, write_ok)
-                    if not perms:
-                        ok = False
-                        break
-                    if actual_writes.get(var):
-                        valid_mos.append([(var, perm) for perm in perms])
-                if not ok:
-                    continue
-                for mo_combo in itertools.product(*valid_mos) if valid_mos else [()]:
-                    mo = tuple((var, tuple(events[l] for l in perm))
-                               for var, perm in mo_combo)
-                    exe_obj = Execution(
-                        order=tuple(topo),
-                        rf=tuple(sorted(rf.items())),
-                        mo=mo,
-                        cs_order=tuple((m, tuple(l for l, _ in perm))
-                                       for m, perm in zip(mutex_names, cs_combo)),
-                        read_values=tuple(sorted(read_vals.items())),
-                        registers=tuple(sorted(regs.items())),
-                        violations=tuple(sorted(violations)),
-                    )
-                    if exe_obj not in seen:
-                        seen.add(exe_obj)
-                        results.append(exe_obj)
+        results.extend(_combo_executions(tables, combo))
     return tuple(results)
 
 
-def _run_values(cfg, topo, thread_regs, src_value, read_vals, write_vals,
-                write_ok, violations):
-    for lbl in topo:
-        instr = cfg.nodes[lbl]
-        tname = cfg.thread_of[lbl]
-        tr = thread_regs[tname]
+def _combo_executions(tables: _Tables, combo):
+    """The executions along one combination of per-thread paths."""
+    cfg = tables.cfg
+    labels = sorted((lbl for path in combo for lbl in path),
+                    key=lambda l: (l.name, l.instance))
+    ids = {lbl: i for i, lbl in enumerate(labels)}
+    instrs = [cfg.nodes[lbl] for lbl in labels]
+    tids = [tables.thread_index[cfg.thread_of[lbl]] for lbl in labels]
+    events = [tables.events.get(lbl) for lbl in labels]
+    paths = [[ids[lbl] for lbl in path] for path in combo]
+    nodes = [i for path in paths for i in path]  # thread by thread, in program order
+    pos_in_thread = {i: k for path in paths for k, i in enumerate(path)}
+    thread_succ: List[List[int]] = [[] for _ in labels]
+    for path in paths:
+        for a, b in zip(path, path[1:]):
+            thread_succ[a].append(b)
+
+    reads = [i for i in nodes if isinstance(instrs[i], _READS)]
+    sorted_reads = sorted(reads)
+    maybe_writes: Dict[str, List[int]] = {}
+    for i in nodes:
+        if isinstance(instrs[i], _WRITES):
+            maybe_writes.setdefault(instrs[i].var, []).append(i)
+    reads_of: Dict[str, List[int]] = {}
+    for r in reads:
+        reads_of.setdefault(instrs[r].var, []).append(r)
+
+    rf_candidates = []
+    for r in reads:
+        cands: List[Optional[int]] = [None]
+        for w in maybe_writes.get(instrs[r].var, ()):
+            if w == r:
+                continue
+            if tids[w] == tids[r] and pos_in_thread[w] > pos_in_thread[r]:
+                continue  # reading a program-order-later own write is a cycle
+            cands.append(w)
+        rf_candidates.append(cands)
+
+    cs_by_mutex: Dict[str, List[Tuple[int, Optional[int]]]] = {}
+    for path in paths:
+        open_locks: Dict[str, int] = {}
+        for i in path:
+            instr = instrs[i]
+            if isinstance(instr, LockInst):
+                open_locks[instr.mutex] = i
+                cs_by_mutex.setdefault(instr.mutex, []).append((i, None))
+            elif isinstance(instr, UnlockInst):
+                held = open_locks.pop(instr.mutex, None)
+                if held is None:
+                    continue  # malformed path; values phase never reaches it anyway
+                css = cs_by_mutex[instr.mutex]
+                for k, (l, u) in enumerate(css):
+                    if l == held:
+                        css[k] = (l, i)
+
+    def cs_orders(css):
+        for perm in itertools.permutations(css):
+            if any(u is None for _, u in perm[:-1]):
+                continue  # a never-released section can only be last
+            yield perm
+
+    mutex_names = sorted(cs_by_mutex)
+    rf: List[Optional[int]] = [None] * len(labels)
+    for cs_combo in itertools.product(*(cs_orders(cs_by_mutex[m]) for m in mutex_names)):
+        succ = [list(bs) for bs in thread_succ]
+        for perm in cs_combo:
+            for (_, u1), (l2, _) in zip(perm, perm[1:]):
+                succ[u1].append(l2)
+        if _topological_order(succ) is None:
+            continue
+        cs_order = tuple((m, tuple(labels[l] for l, _ in perm))
+                         for m, perm in zip(mutex_names, cs_combo))
+
+        for _ in _acyclic_rf_assignments(reads, rf_candidates, succ, rf):
+            topo = _topological_order(succ)
+            if topo is None:
+                continue
+            run = _run_values(tables, topo, instrs, tids, labels, rf)
+            if run is None:
+                continue
+            regs, read_vals, written, violations = run
+
+            masks = _hb_masks(topo, succ)
+            # the writes that took effect; a variable is named by the string
+            # object of its first read, else of its first such write, so that
+            # equal executions also pickle to equal bytes
+            actual: Dict[str, List[int]] = {}
+            for candidates in maybe_writes.values():
+                ws = [w for w in candidates if w in written]
+                if ws:
+                    actual[instrs[ws[0]].var] = ws
+            valid_mos = []
+            for var in sorted(set(reads_of) | set(actual)):
+                writes = actual.get(var)
+                if not writes:
+                    continue
+                perms = _coherent_orders(writes, masks, rf, reads_of.get(var, ()),
+                                         instrs, written)
+                if not perms:
+                    break
+                valid_mos.append([(var, perm) for perm in perms])
+            else:
+                order = tuple(labels[i] for i in topo)
+                rf_t = tuple((labels[r], None if rf[r] is None else labels[rf[r]])
+                             for r in sorted_reads)
+                read_values = tuple((labels[r], read_vals[r]) for r in sorted_reads)
+                registers = tuple((key, regs[t].get(reg, 0))
+                                  for key, (t, reg) in tables.register_slots)
+                violations = tuple(sorted(violations))
+                for mo_combo in itertools.product(*valid_mos):
+                    mo = tuple((var, tuple(events[w] for w in perm))
+                               for var, perm in mo_combo)
+                    yield Execution(order, rf_t, mo, cs_order, read_values,
+                                    registers, violations)
+
+
+def _run_values(tables: _Tables, topo, instrs, tids, labels, rf):
+    """Concrete value phase along one topological order: per-thread
+    registers, read values, the values of the writes that took effect, and
+    the violated assertion sites; None when an assume or branch guard fails,
+    or a read takes its value from a cas that did not write."""
+    regs: List[Dict[str, int]] = [{} for _ in range(tables.n_threads)]
+    read_vals: Dict[int, int] = {}
+    written: Dict[int, int] = {}
+    violations: List[str] = []
+    for i in topo:
+        instr = instrs[i]
+        tr = regs[tids[i]]
         if isinstance(instr, Nop):
             continue
         if isinstance(instr, Assume):
             if not _eval_bool(instr.cond, tr):
-                raise _Infeasible
+                return None
         elif isinstance(instr, AssertInst):
             if not _eval_bool(instr.cond, tr):
-                violations.append(str(lbl))
+                violations.append(str(labels[i]))
         elif isinstance(instr, Assign):
             tr[instr.reg] = _eval_int(instr.value, tr)
         elif isinstance(instr, Store):
-            write_vals[lbl] = _eval_int(instr.value, tr)
-            write_ok[lbl] = True
-        elif isinstance(instr, LoadInst):
-            v = src_value(lbl, instr.var)
-            read_vals[lbl] = v
-            tr[instr.reg] = v
-        elif isinstance(instr, Cas):
-            v = src_value(lbl, instr.var)
-            read_vals[lbl] = v
-            tr[instr.reg] = v
-            if v == _eval_int(instr.expected, tr):
-                write_vals[lbl] = _eval_int(instr.new, tr)
-                write_ok[lbl] = True
+            written[i] = _eval_int(instr.value, tr)
+        elif isinstance(instr, _READS):
+            w = rf[i]
+            if w is None:
+                v = tables.init[instr.var]
+            elif w in written:
+                v = written[w]
             else:
-                write_ok[lbl] = False
-        elif isinstance(instr, Fadd):
-            v = src_value(lbl, instr.var)
-            read_vals[lbl] = v
+                return None  # reads from a cas that did not write
+            read_vals[i] = v
             tr[instr.reg] = v
-            write_vals[lbl] = v + _eval_int(instr.addend, tr)
-            write_ok[lbl] = True
-
-
-class _Infeasible(Exception):
-    pass
-
-
-def _evaluate_candidate(program, cfg, topo, rf, events):
-    """Concrete value phase along one topological order; None when an assume
-    or branch guard fails, or a read takes its value from a failed cas."""
-    init = dict(program.shared)
-    regs: Dict[str, int] = {}
-    thread_regs: Dict[str, Dict[str, int]] = {t.name: {} for t in program.threads}
-    read_vals: Dict[Label, int] = {}
-    write_vals: Dict[Label, int] = {}
-    write_ok: Dict[Label, bool] = {}
-    violations: List[str] = []
-
-    def src_value(lbl: Label, var: str) -> int:
-        w = rf[lbl]
-        if w is None:
-            return init[var]
-        if not write_ok.get(w):
-            raise _Infeasible  # reads from a cas that did not write
-        return write_vals[w]
-
-    try:
-        _run_values(cfg, topo, thread_regs, src_value, read_vals, write_vals,
-                    write_ok, violations)
-    except _Infeasible:
-        return None
-
-    for t in program.threads:
-        for r in program.thread_registers(t.name):
-            regs[program.register_key(t.name, r)] = thread_regs[t.name].get(r, 0)
-    if program.postcondition is not None:
-        flat = {}
-        for t in program.threads:
-            flat.update(thread_regs[t.name])
-        if not _eval_bool(program.postcondition, flat):
+            if isinstance(instr, Fadd):
+                written[i] = v + _eval_int(instr.addend, tr)
+            elif isinstance(instr, Cas) and v == _eval_int(instr.expected, tr):
+                written[i] = _eval_int(instr.new, tr)
+    if tables.postcondition is not None:
+        flat: Dict[str, int] = {}
+        for tr in regs:
+            flat.update(tr)
+        if not _eval_bool(tables.postcondition, flat):
             violations.append("final")
-    return regs, read_vals, write_vals, write_ok, violations
+    return regs, read_vals, written, violations
 
 
-def _coherent_orders(writes, hb, rf, var_reads, cfg, write_ok) -> List[Tuple[Label, ...]]:
+def _coherent_orders(writes, masks, rf, var_reads, instrs, written) -> List[Tuple[int, ...]]:
     """All coherent modification orders of one variable: linear extensions of
     happens-before over the writes (initial write implicitly first), pruned by
     the no-stale-read rule and rmw immediacy during construction.
@@ -402,39 +402,42 @@ def _coherent_orders(writes, hb, rf, var_reads, cfg, write_ok) -> List[Tuple[Lab
     Placing a write after the source of an already-seen read is only legal if
     it does not happen before that read; a successful rmw must be placed right
     after its source (first, when it reads the initial value)."""
-    # readers keyed by their source; None collects initial-value readers
-    readers: Dict[Optional[Label], List[Label]] = {None: []}
+    # reader bitmasks keyed by their source; None collects initial-value readers
+    readers: Dict[Optional[int], int] = {None: 0}
+    rmw_after: Dict[Optional[int], int] = {}
+    successful_rmws = 0
     for r in var_reads:
-        readers.setdefault(rf[r], []).append(r)
-    rmw_after: Dict[Optional[Label], Label] = {}
-    successful_rmws = set()
-    for r in var_reads:
-        if isinstance(cfg.nodes[r], (Cas, Fadd)) and write_ok.get(r):
-            successful_rmws.add(r)
+        readers[rf[r]] = readers.get(rf[r], 0) | 1 << r
+        if isinstance(instrs[r], (Cas, Fadd)) and r in written:
+            successful_rmws |= 1 << r
             rmw_after[rf[r]] = r
-    out: List[Tuple[Label, ...]] = []
+    candidates = sorted(writes)
+    # earlier[w]: the other writes that happen before w
+    earlier = {w: sum(1 << o for o in writes if o != w and masks[o] >> w & 1)
+               for w in writes}
+    out: List[Tuple[int, ...]] = []
 
-    def place(prefix: tuple, remaining: frozenset, exposed: tuple):
+    def place(prefix: tuple, remaining: int, exposed: int, last: Optional[int]):
         if not remaining:
             out.append(prefix)
             return
-        last = prefix[-1] if prefix else None
         # an rmw reading `last` must be the very next write; anything else
         # buries its source for good
         forced = rmw_after.get(last)
-        for w in sorted(remaining):
+        for w in candidates:
+            if not remaining >> w & 1:
+                continue
             if forced is not None and w != forced:
                 continue
-            if w in successful_rmws and rf[w] != last:
+            if successful_rmws >> w & 1 and rf[w] != last:
                 continue
-            if any(w in hb[o] for o in remaining if o != w):
+            if earlier[w] & remaining:
                 continue  # a remaining write happens before w
-            if any(r in hb[w] for r in exposed):
+            if masks[w] & exposed:
                 continue  # w would overwrite a value before it is read
-            place(prefix + (w,), remaining - {w}, exposed + tuple(readers.get(w, ())))
-        return
+            place(prefix + (w,), remaining & ~(1 << w), exposed | readers.get(w, 0), w)
 
-    place((), frozenset(writes), tuple(readers[None]))
+    place((), sum(1 << w for w in writes), readers[None], None)
     return out
 
 
@@ -448,30 +451,36 @@ def validate_execution(program: Program, e: Execution) -> None:
     cfg = build_cfg(program)
     n = len(e.order)
     idx = {lbl: i for i, lbl in enumerate(e.order)}
-    adj = [[False] * n for _ in range(n)]
+    rows = [0] * n  # rows[i] >> j & 1: node i happens before node j
+
+    def edge(a: Label, b: Label) -> None:
+        rows[idx[a]] |= 1 << idx[b]
+
     by_thread: Dict[str, List[Label]] = {}
     for lbl in e.order:
         by_thread.setdefault(cfg.thread_of[lbl], []).append(lbl)
     for seq in by_thread.values():
-        seq.sort(key=lambda l: e.order.index(l))
+        seq.sort(key=idx.__getitem__)
         for a, b in zip(seq, seq[1:]):
-            adj[idx[a]][idx[b]] = True
+            edge(a, b)
     for r, w in e.rf:
         if w is not None:
-            adj[idx[w]][idx[r]] = True
+            edge(w, r)
     for mutex, locks in e.cs_order:
         for l1, l2 in zip(locks, locks[1:]):
             u1 = _matching_unlock_on(e.order, cfg, l1, mutex)
             assert u1 is not None, "mid-order critical section never unlocks"
-            adj[idx[u1]][idx[l2]] = True
-    for k in range(n):
+            edge(u1, l2)
+    for k in range(n):  # Warshall's transitive closure over bit rows
+        bit, row_k = 1 << k, rows[k]
         for i in range(n):
-            if adj[i][k]:
-                for j in range(n):
-                    if adj[k][j]:
-                        adj[i][j] = True
+            if rows[i] & bit:
+                rows[i] |= row_k
     for i in range(n):
-        assert not adj[i][i], "happens-before is cyclic"
+        assert not rows[i] >> i & 1, "happens-before is cyclic"
+
+    def hb(a: Label, b: Label) -> bool:
+        return bool(rows[idx[a]] >> idx[b] & 1)
 
     mo = e.mo_map()
     rf = e.rf_map()
@@ -480,7 +489,7 @@ def validate_execution(program: Program, e: Execution) -> None:
         lbls = [Label(ev.label, ev.instance) for ev in loset]
         for a in lbls:
             for b in lbls:
-                if a != b and adj[idx[a]][idx[b]]:
+                if a != b and hb(a, b):
                     assert lpos[_ev(loset, a)] < lpos[_ev(loset, b)], \
                         "modification order contradicts happens-before"
     for r, w in rf.items():
@@ -489,12 +498,12 @@ def validate_execution(program: Program, e: Execution) -> None:
         if w is None:
             for ev in loset:
                 wl = Label(ev.label, ev.instance)
-                assert not adj[idx[wl]][idx[r]], "read of the initial value is stale"
+                assert not hb(wl, r), "read of the initial value is stale"
         else:
             wev = _ev(loset, w)
             for ev in loset[list(loset).index(wev) + 1:]:
                 wl = Label(ev.label, ev.instance)
-                assert not adj[idx[wl]][idx[r]], "stale read"
+                assert not hb(wl, r), "stale read"
     for var, loset in mo.items():
         for i, ev in enumerate(loset):
             lbl = Label(ev.label, ev.instance)

@@ -65,10 +65,11 @@ class SbIndex:
                 groups.setdefault((cfg.thread_of[lbl], instr.mutex), []).append(lbl)
         pairs = set()
         for labels in groups.values():
+            members = frozenset(labels)
             for a in labels:
-                for b in labels:
-                    if a != b and cfg.reaches(a, b):
-                        pairs.add(((a.name, a.instance), (b.name, b.instance)))
+                key = (a.name, a.instance)
+                pairs.update((key, (b.name, b.instance))
+                             for b in (cfg.reachable(a) & members) - {a})
         return cls(pairs)
 
 

@@ -16,9 +16,6 @@ from . import intervals, posets
 from .litmus import Label
 from .posets import MoPoset
 
-_KEY_CACHE: dict = {}
-_SIG_CACHE: dict = {}
-
 
 @dataclass(frozen=True)
 class AbstractState:
@@ -53,26 +50,30 @@ class AbstractState:
     def has_bottom_po(self) -> bool:
         return any(p.bottom for _, p in self.mo)
 
+    # sort_key() and critical_signature() are cached in the instance's
+    # __dict__, outside the dataclass fields, so == and hash ignore them and
+    # the caches live exactly as long as the state.
+
     def sort_key(self) -> tuple:
-        key = _KEY_CACHE.get(self)
+        key = self.__dict__.get("_sort_key")
         if key is None:
             key = (self.at,
                    tuple((v, p.bottom, tuple(sorted(p.events)),
                           tuple(sorted(p.pairs))) for v, p in self.mo),
                    tuple((k, iv.lo is None, iv.lo or 0, iv.hi is None, iv.hi or 0)
                          for k, iv in self.mem))
-            _KEY_CACHE[self] = key
+            object.__setattr__(self, "_sort_key", key)
         return key
 
     def critical_signature(self) -> tuple:
         """Per-variable lock/unlock/rmw events; poset joins must not drop
         these, since consistency checks read them as authoritative history."""
-        sig = _SIG_CACHE.get(self)
+        sig = self.__dict__.get("_critical_signature")
         if sig is None:
             sig = tuple(frozenset(e for e in p.events
                                   if e.kind in ("lock", "unlock", "rmw"))
                         for _, p in self.mo)
-            _SIG_CACHE[self] = sig
+            object.__setattr__(self, "_critical_signature", sig)
         return sig
 
     def fmt(self) -> str:

@@ -198,3 +198,49 @@ def test_long_thread_cfg_is_not_recursive():
     assert cfg.rpo["t"][0] == cfg.entries["t"] and cfg.rpo["t"][-1] == cfg.exits["t"]
     (path,) = _thread_paths(cfg, "t")
     assert path == cfg.rpo["t"]
+
+
+def _searched_reach(cfg, a):
+    seen, stack = set(), list(cfg.succs[a])
+    while stack:
+        b = stack.pop()
+        if b not in seen:
+            seen.add(b)
+            stack.extend(cfg.succs[b])
+    return seen
+
+
+def test_reachable_through_nested_loops_and_branches():
+    src = """
+vars x = 0;
+thread t {
+  while (r < 3) {
+    while (q < 2) { a: q = load x; if (q == 0) { b: store x 2; } }
+    c: r = r + 1;
+  }
+  d: store x 1;
+}
+thread u { e: store x 5; }
+"""
+    for p in (parse(src), unroll(parse(src), 2)):
+        cfg = build_cfg(p)
+        for a in cfg.nodes:
+            assert cfg.reachable(a) == _searched_reach(cfg, a)
+            assert all(cfg.reaches(a, b) == (b in cfg.reachable(a)) for b in cfg.nodes)
+
+
+def test_sb_index_from_cfg_pairs():
+    from ramosaic.posets import SbIndex
+
+    src = """
+vars x = 0;
+thread t {
+  while (r < 2) { a: store x 1; f: r = r + 1; }
+  if (r == 0) { b: store x 2; } else { c: store x 3; }
+  d: store x 4;
+}
+thread u { e: store x 5; }
+"""
+    sb = SbIndex.from_cfg(build_cfg(parse(src)))
+    ordered = {(x, y) for x in "abcde" for y in "abcde" if sb.strict((x, 1), (y, 1))}
+    assert ordered == {("a", "b"), ("a", "c"), ("a", "d"), ("b", "d"), ("c", "d")}

@@ -114,3 +114,38 @@ def test_dump_format():
     ss.merge(state(poset({A}), Interval(1, 2), singleton(0)))
     line = ss.dump()
     assert line == "l | x:{a.1} | t.r:[0,0] x:[1,2]"
+
+
+def _module_container_sizes(module) -> dict:
+    return {name: len(value) for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set))}
+
+
+def test_analyses_leave_no_process_wide_state_behind():
+    import re
+
+    from ramosaic import states
+    from ramosaic.engine import tmai
+    from ramosaic.litmus import parse
+
+    from conftest import BENCH_DIR
+
+    source = (BENCH_DIR / "peterson3.lit").read_text()
+
+    def renamed(suffix: str) -> str:
+        return re.sub(r"\b(q1|q2|q3|v|cs)\b", lambda m: m.group(1) + suffix, source)
+
+    first = tmai(parse(renamed("_a")))
+    before = _module_container_sizes(states)
+    second = tmai(parse(renamed("_b")))
+    assert _module_container_sizes(states) == before
+    assert first.states.total_states() == second.states.total_states() > 0
+
+
+def test_cached_keys_do_not_change_equality():
+    s = state(poset({A}), singleton(1), singleton(0))
+    t = state(poset({A}), singleton(1), singleton(0))
+    s.sort_key(), s.critical_signature()
+    assert s == t and hash(s) == hash(t)
+    assert s.sort_key() == t.sort_key()
+    assert s.critical_signature() == t.critical_signature()
