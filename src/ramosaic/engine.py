@@ -29,6 +29,8 @@ class AnalysisResult:
     iterations_total: int
     iterations_effective: int
     widened: frozenset
+    cfg: Cfg
+    sb: posets.SbIndex
 
     @property
     def all_proved(self) -> bool:
@@ -118,28 +120,30 @@ def _fixpoint(ctx: AnalysisContext, run_round, max_iterations: int) -> AnalysisR
     is not monotone and can in rare cases revisit an earlier value instead
     of settling (interacting merge chains).  Every merge output covers its
     inputs, so any revisited set already covers everything produced since;
-    a repeat is therefore a sound stopping point.
+    a repeat is therefore a sound stopping point.  Revisits are found by
+    the sets' fingerprints, which are equal exactly when the sets are.
     """
     sigma = StateSet()
     widened: set = set()
     rounds = 0
     effective = 0
+    fingerprint = sigma.fingerprint()
     seen: set = set()
     while True:
         if rounds >= max_iterations:
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         snapshot = sigma.copy()
-        seen.add(snapshot.dump())
+        seen.add(fingerprint)
         rounds += 1
         run_round(sigma, snapshot, widened)
         if equal_sets(sigma, snapshot):
             break
-        if sigma.dump() in seen:
-            effective += 1
-            break
         effective += 1
+        fingerprint = sigma.fingerprint()
+        if fingerprint in seen:
+            break
     return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
-                          frozenset(widened))
+                          frozenset(widened), ctx.cfg, ctx.sb)
 
 
 def tmai(program: Program, tc: TransferConfig = TransferConfig(),

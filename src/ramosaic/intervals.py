@@ -7,8 +7,7 @@ transfer functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .litmus import And, BinOp, BoolExpr, BoolLit, Cmp, IntExpr, Lit, Name, Or, expr_names
 
@@ -16,9 +15,12 @@ _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Interval:
-    """[lo, hi] with None meaning -inf / +inf; empty iff lo > hi (both finite)."""
+class Interval(NamedTuple):
+    """[lo, hi] with None meaning -inf / +inf; empty iff lo > hi (both finite).
+
+    A tuple, so hashing and equality run in C.  The domain's operations
+    return EMPTY for every empty result, so intervals that denote the same
+    set of integers are equal tuples."""
 
     lo: Optional[int]
     hi: Optional[int]
@@ -79,11 +81,18 @@ def _mk(lo, hi) -> Interval:
 
 
 def val_join(a: Interval, b: Interval) -> Interval:
-    if a.is_empty:
+    """The hull; an empty operand is the unit.  Bounds are read from the
+    tuple directly, since the merge joins every memory slot."""
+    alo, ahi = a
+    blo, bhi = b
+    if alo is not None and ahi is not None and alo > ahi:
         return _norm(b)
-    if b.is_empty:
-        return _norm(a)
-    return _mk(min(_lo(a), _lo(b)), max(_hi(a), _hi(b)))
+    if blo is not None and bhi is not None and blo > bhi:
+        return a
+    if a == b:
+        return a
+    return Interval(None if alo is None or blo is None else min(alo, blo),
+                    None if ahi is None or bhi is None else max(ahi, bhi))
 
 
 def val_meet(a: Interval, b: Interval) -> Interval:

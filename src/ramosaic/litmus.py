@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 
 class ParseError(Exception):
@@ -124,8 +124,14 @@ def expr_names(e) -> set[str]:
 # Labels and instructions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Label:
+class Label(NamedTuple):
+    """A statement label and its loop-instance number.
+
+    A tuple, so hashing, equality and ordering run in C; the order is the
+    field order, as `dataclass(order=True)` gave.  A Label also equals the
+    plain tuple `(name, instance)`, so containers keep to one of the two.
+    """
+
     name: str
     instance: int = 1
 

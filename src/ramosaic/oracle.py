@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .litmus import (AssertInst, Assign, Assume, BinOp, BoolExpr, BoolLit,
                      Cas, Cfg, Cmp, Fadd, Label, Lit, LoadInst, LockInst,
-                     Name, Nop, Program, Store, UnlockInst, And, Or, build_cfg)
+                     Name, Nop, Program, Store, UnlockInst, And, Or, build_cfg,
+                     walk_simple)
 from .posets import Event, LosetSet, SbIndex, TooLarge, alpha, beta_related, join, loset_set
 
 
@@ -447,8 +448,19 @@ def _coherent_orders(writes, masks, rf, var_reads, instrs, written) -> List[Tupl
 
 def validate_execution(program: Program, e: Execution) -> None:
     """Recheck the axioms from the definitions, independently of the
-    generator's incremental filters; raises AssertionError on failure."""
-    cfg = build_cfg(program)
+    generator's incremental filters; raises AssertionError on failure.
+
+    Thread and instruction of each label come from one walk of the
+    program's statements.  The CFG's synthetic nodes (entries, exits,
+    branch assumes) are not among them; they carry no memory access, so
+    leaving them out of program order keeps happens-before between the
+    statements as it is."""
+    thread_of: Dict[Label, str] = {}
+    nodes: Dict[Label, object] = {}
+    for t in program.threads:
+        for st in walk_simple(t.body):
+            thread_of[st.label] = t.name
+            nodes[st.label] = st
     n = len(e.order)
     idx = {lbl: i for i, lbl in enumerate(e.order)}
     rows = [0] * n  # rows[i] >> j & 1: node i happens before node j
@@ -458,7 +470,8 @@ def validate_execution(program: Program, e: Execution) -> None:
 
     by_thread: Dict[str, List[Label]] = {}
     for lbl in e.order:
-        by_thread.setdefault(cfg.thread_of[lbl], []).append(lbl)
+        if lbl in thread_of:
+            by_thread.setdefault(thread_of[lbl], []).append(lbl)
     for seq in by_thread.values():
         seq.sort(key=idx.__getitem__)
         for a, b in zip(seq, seq[1:]):
@@ -468,7 +481,7 @@ def validate_execution(program: Program, e: Execution) -> None:
             edge(w, r)
     for mutex, locks in e.cs_order:
         for l1, l2 in zip(locks, locks[1:]):
-            u1 = _matching_unlock_on(e.order, cfg, l1, mutex)
+            u1 = _matching_unlock_on(e.order, thread_of, nodes, l1, mutex)
             assert u1 is not None, "mid-order critical section never unlocks"
             edge(u1, l2)
     for k in range(n):  # Warshall's transitive closure over bit rows
@@ -493,7 +506,7 @@ def validate_execution(program: Program, e: Execution) -> None:
                     assert lpos[_ev(loset, a)] < lpos[_ev(loset, b)], \
                         "modification order contradicts happens-before"
     for r, w in rf.items():
-        var = cfg.nodes[r].var
+        var = nodes[r].var
         loset = mo.get(var, ())
         if w is None:
             for ev in loset:
@@ -516,15 +529,15 @@ def validate_execution(program: Program, e: Execution) -> None:
                         "rmw does not read its immediate predecessor"
 
 
-def _matching_unlock_on(order, cfg, lock_lbl, mutex) -> Optional[Label]:
-    tname = cfg.thread_of[lock_lbl]
+def _matching_unlock_on(order, thread_of, nodes, lock_lbl, mutex) -> Optional[Label]:
+    tname = thread_of[lock_lbl]
     after = False
     for lbl in order:
         if lbl == lock_lbl:
             after = True
             continue
-        if after and cfg.thread_of[lbl] == tname:
-            instr = cfg.nodes[lbl]
+        if after and thread_of.get(lbl) == tname:
+            instr = nodes[lbl]
             if isinstance(instr, UnlockInst) and instr.mutex == mutex:
                 return lbl
     return None
@@ -582,9 +595,10 @@ def check_soundness(program: Program, result, guard: int = 14,
     """Three checks against the enumerated ground truth: violated assertions
     must not be proved, reachable final register values must be covered, and
     the per-variable abstraction of the oracle's modification orders must be
-    below the analyzer's joined exit posets under the soundness relation."""
-    cfg = build_cfg(program)
-    sb = SbIndex.from_cfg(cfg)
+    below the analyzer's joined exit posets under the soundness relation.
+    The CFG and sb index come from the result when it carries them."""
+    cfg = getattr(result, "cfg", None) or build_cfg(program)
+    sb = getattr(result, "sb", None) or SbIndex.from_cfg(cfg)
     if execs is None:
         execs = enumerate_executions(program, guard)
     problems: List[str] = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
 from .litmus import Cas, Cfg, Fadd, LockInst, Store, UnlockInst
 
@@ -22,8 +22,10 @@ class TooLarge(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
+    """A write event.  A tuple, so hashing, equality and ordering run in C,
+    in field order, as `dataclass(order=True)` gave."""
+
     label: str
     instance: int
     thread: str
@@ -39,38 +41,43 @@ class Event:
 
 
 class SbIndex:
-    """Same-thread, same-variable sequenced-before pairs, label-keyed.
+    """Same-thread, same-variable sequenced-before, keyed by event key
+    `(label, instance)`: each key maps to the frozenset of keys sequenced
+    after it.
 
     Queries are reflexive; `strict` excludes equal keys.
     """
 
     def __init__(self, pairs: Iterable[tuple] = ()):
-        self._pairs = frozenset(pairs)
+        after: dict = {}
+        for a, b in pairs:
+            after.setdefault(a, set()).add(b)
+        self._after = {a: frozenset(bs) for a, bs in after.items()}
 
     def strict(self, a: tuple, b: tuple) -> bool:
-        return (a, b) in self._pairs
+        return b in self._after.get(a, ())
 
     def sb(self, a: tuple, b: tuple) -> bool:
-        return a == b or (a, b) in self._pairs
+        return a == b or b in self._after.get(a, ())
 
     @classmethod
     def from_cfg(cls, cfg: Cfg) -> "SbIndex":
+        """One frozenset per label: the members of its (thread, variable)
+        group that the label reaches, itself excluded."""
         groups: dict = {}
         for lbl, instr in cfg.nodes.items():
-            if isinstance(instr, Store):
-                groups.setdefault((cfg.thread_of[lbl], instr.var), []).append(lbl)
-            elif isinstance(instr, (Cas, Fadd)):
+            if isinstance(instr, (Store, Cas, Fadd)):
                 groups.setdefault((cfg.thread_of[lbl], instr.var), []).append(lbl)
             elif isinstance(instr, (LockInst, UnlockInst)):
                 groups.setdefault((cfg.thread_of[lbl], instr.mutex), []).append(lbl)
-        pairs = set()
+        out = cls()
         for labels in groups.values():
+            key_of = {lbl: (lbl.name, lbl.instance) for lbl in labels}
             members = frozenset(labels)
             for a in labels:
-                key = (a.name, a.instance)
-                pairs.update((key, (b.name, b.instance))
-                             for b in (cfg.reachable(a) & members) - {a})
-        return cls(pairs)
+                out._after[key_of[a]] = frozenset(
+                    key_of[b] for b in cfg.reachable(a) & members if b != a)
+        return out
 
 
 EMPTY_SB = SbIndex()
@@ -94,8 +101,11 @@ def _closure(pairs: FrozenSet[tuple]) -> FrozenSet[tuple]:
     return frozenset(closed)
 
 
-@dataclass(frozen=True)
-class MoPoset:
+class MoPoset(NamedTuple):
+    """A tuple, like Event, so the merge's and the memo's hashing and
+    equality run in C.  Its hash is that of the field tuple, as the frozen
+    dataclass's was, so sets of states keep their iteration order."""
+
     bottom: bool
     events: FrozenSet[Event]
     pairs: FrozenSet[tuple]  # (Event, Event), transitively closed
@@ -176,28 +186,25 @@ def consistent(p1: MoPoset, p2: MoPoset, sb: SbIndex = EMPTY_SB,
     if p1.bottom or p2.bottom:
         return False
     for pa, pb in ((p1, p2), (p2, p1)):
-        for a, b in pa.pairs:
-            if abstract:
-                for c, a2 in pb.pairs:
-                    if a2 == a and sb.sb(b.key, c.key):
-                        return False
-            elif (b, a) in pb.pairs:
-                return False
+        if abstract:
+            preds: dict = {}  # a -> the c with (c, a) in pb
+            for c, a in pb.pairs:
+                preds.setdefault(a, []).append(c)
+            for a, b in pa.pairs:
+                if any(sb.sb(b.key, c.key) for c in preds.get(a, ())):
+                    return False
+        elif any((b, a) in pb.pairs for a, b in pa.pairs):
+            return False
 
-    def critical(e: Event) -> bool:
-        return e.kind in ("lock", "unlock") or (rmw_critical and e.kind == "rmw")
-
-    def first_slot(e: Event) -> bool:
-        return not any(b == e for _, b in p1.pairs) and \
-            not any(b == e for _, b in p2.pairs)
-
-    c1 = [e for e in p1.events if critical(e) and first_slot(e)]
-    c2 = [e for e in p2.events if critical(e) and first_slot(e)]
-    for u1 in c1:
-        for u2 in c2:
-            if u1 != u2:
-                return False
-    return True
+    kinds = ("lock", "unlock", "rmw") if rmw_critical else ("lock", "unlock")
+    c1 = [e for e in p1.events if e.kind in kinds]
+    c2 = [e for e in p2.events if e.kind in kinds]
+    if not (c1 and c2):
+        return True
+    ordered = {b for _, b in p1.pairs} | {b for _, b in p2.pairs}
+    c1 = [e for e in c1 if e not in ordered]
+    c2 = [e for e in c2 if e not in ordered]
+    return all(u1 == u2 for u1 in c1 for u2 in c2)
 
 
 def valid_extension(p: MoPoset, st: Event, sb: SbIndex = EMPTY_SB,
@@ -260,7 +267,14 @@ def meet(p1: MoPoset, p2: MoPoset, sb: SbIndex = EMPTY_SB,
         return BOTTOM
     if not consistent(p1, p2, sb, abstract, rmw_critical):
         return BOTTOM
-    closed = _closure(p1.pairs | p2.pairs)
+    # both orders are stored closed, so when one contains the other the
+    # union is already closed
+    if p1.pairs <= p2.pairs:
+        closed = p2.pairs
+    elif p2.pairs <= p1.pairs:
+        closed = p1.pairs
+    else:
+        closed = _closure(p1.pairs | p2.pairs)
     if any(a == b for a, b in closed):
         return BOTTOM
     return MoPoset(False, p1.events | p2.events, closed)

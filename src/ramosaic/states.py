@@ -9,6 +9,7 @@ a label's set, so buckets keep hash indexes on each.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
@@ -28,6 +29,26 @@ class AbstractState:
         return AbstractState(at,
                              tuple(sorted(mo.items())),
                              tuple(sorted(mem.items())))
+
+    def slot_update(self, at: Label, mo: tuple = (), mem: tuple = ()) -> "AbstractState":
+        """This state at `at`, with the values at the given slots replaced:
+        `mo` and `mem` hold (slot, value) pairs, a slot being an index into
+        the sorted tuple.  Keys and their order stay as they are, so the
+        result equals what `make` builds from the updated maps, without the
+        dicts and the sorting."""
+        new_mo = self.mo
+        if mo:
+            new_mo = list(new_mo)
+            for i, value in mo:
+                new_mo[i] = (new_mo[i][0], value)
+            new_mo = tuple(new_mo)
+        new_mem = self.mem
+        if mem:
+            new_mem = list(new_mem)
+            for i, value in mem:
+                new_mem[i] = (new_mem[i][0], value)
+            new_mem = tuple(new_mem)
+        return AbstractState(at, new_mo, new_mem)
 
     def mo_map(self) -> Dict[str, MoPoset]:
         return dict(self.mo)
@@ -55,13 +76,13 @@ class AbstractState:
     # the caches live exactly as long as the state.
 
     def sort_key(self) -> tuple:
+        """Orders the states of one label's bucket.  They share the label
+        and differ in their poset maps, the bucket's unique key, so the
+        sorted events and pairs of each poset decide the order alone."""
         key = self.__dict__.get("_sort_key")
         if key is None:
-            key = (self.at,
-                   tuple((v, p.bottom, tuple(sorted(p.events)),
-                          tuple(sorted(p.pairs))) for v, p in self.mo),
-                   tuple((k, iv.lo is None, iv.lo or 0, iv.hi is None, iv.hi or 0)
-                         for k, iv in self.mem))
+            key = tuple((tuple(sorted(p.events)), tuple(sorted(p.pairs)))
+                        for _, p in self.mo)
             object.__setattr__(self, "_sort_key", key)
         return key
 
@@ -82,14 +103,20 @@ class AbstractState:
         return f"{self.at} | {pos} | {vals}"
 
 
+def _mo_item_join(x: tuple, y: tuple) -> tuple:
+    return x if x == y else (x[0], posets.join(x[1], y[1]))
+
+
+def _mem_item_join(x: tuple, y: tuple) -> tuple:
+    return x if x == y else (x[0], intervals.val_join(x[1], y[1]))
+
+
 def _mo_join(a: Tuple, b: Tuple) -> Tuple:
-    return tuple((v, posets.join(pa, pb))
-                 for (v, pa), (_, pb) in zip(a, b))
+    return tuple(map(_mo_item_join, a, b))
 
 
 def _mem_join(a: Tuple, b: Tuple) -> Tuple:
-    return tuple((k, intervals.val_join(va, vb))
-                 for (k, va), (_, vb) in zip(a, b))
+    return tuple(map(_mem_item_join, a, b))
 
 
 class StateBucket:
@@ -164,15 +191,6 @@ class StateBucket:
         return out
 
 
-def merge_state_list(states: list, s: AbstractState) -> None:
-    """List-based variant of the merge, for small collections in tests."""
-    bucket = StateBucket()
-    for e in states:
-        bucket.merge(e)
-    bucket.merge(s)
-    states[:] = bucket.states()
-
-
 class StateSet:
     """Map from label to its normal-form set of states."""
 
@@ -180,8 +198,11 @@ class StateSet:
         self._by_label: Dict[Label, StateBucket] = {}
 
     def merge(self, s: AbstractState) -> None:
-        self._by_label.setdefault(s.at, StateBucket()).merge(s)
-        if not self._by_label[s.at]:
+        bucket = self._by_label.get(s.at)
+        if bucket is None:
+            bucket = self._by_label[s.at] = StateBucket()
+        bucket.merge(s)
+        if not bucket:
             del self._by_label[s.at]
 
     def merge_all(self, states: Iterable[AbstractState]) -> None:
@@ -212,6 +233,13 @@ class StateSet:
         a = {k: v for k, v in self._by_label.items() if len(v)}
         b = {k: v for k, v in other._by_label.items() if len(v)}
         return a == b
+
+    def fingerprint(self) -> frozenset:
+        """The set's states.  States carry their label, so two sets have
+        equal fingerprints exactly when they hold the same states at every
+        label, which is when their dumps are equal."""
+        return frozenset(itertools.chain.from_iterable(
+            b._by_mo.values() for b in self._by_label.values()))
 
     def dump(self) -> str:
         lines = []

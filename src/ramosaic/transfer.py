@@ -50,7 +50,15 @@ class Verdict:
 
 
 class AnalysisContext:
-    """Per-program immutable analysis data: CFG, sb index, events, lock pairing."""
+    """Per-program immutable analysis data: CFG, sb index, events, lock
+    pairing, and the slot layouts of states.
+
+    Every state's poset map holds the poset keys (shared variables and
+    mutexes) in sorted order, and every memory of a thread its memory keys
+    (shared variables and the thread's registers) in sorted order.
+    `mo_slot[key]` and `mem_slot[thread][key]` are the indices into those
+    tuples, so transfers replace slots instead of rebuilding and sorting.
+    """
 
     def __init__(self, program: Program, cfg: Cfg, tc: TransferConfig):
         self.program = program
@@ -78,6 +86,14 @@ class AnalysisContext:
             if isinstance(instr, UnlockInst) and lbl not in self.matching_lock:
                 raise AnalysisError(f"unlock {lbl} has no matching lock of "
                                     f"{instr.mutex!r} before it")
+        self.mo_slot = {v: i for i, v in enumerate(sorted(self.po_keys()))}
+        self.mem_slot = {
+            t: {k: i for i, k in enumerate(sorted((*program.shared_names(), *regs)))}
+            for t, regs in self.registers.items()}
+        # per thread, (variable, memory slot, poset slot) of each shared variable
+        self.shared_slots = {
+            t: tuple((v, slots[v], self.mo_slot[v]) for v in program.shared_names())
+            for t, slots in self.mem_slot.items()}
         self._ai_memo: dict = {}
 
     def _match(self, from_kind, to_kind) -> Dict[Label, Label]:
@@ -141,11 +157,10 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
 def _apply_interference(ctx: AnalysisContext, target: AbstractState,
                         source: AbstractState, src_event: Event) -> Optional[AbstractState]:
     tc = ctx.tc
-    t_mo, s_mo = target.mo_map(), source.mo_map()
-    new_mo: Dict[str, MoPoset] = {}
-    for v in t_mo:
-        pt, ps = t_mo[v], s_mo[v]
-        if v == src_event.var:
+    var = src_event.var
+    new_mo = []
+    for (v, pt), (_, ps) in zip(target.mo, source.mo):
+        if v == var:
             appended = posets.append(pt, src_event, ctx.sb, tc.abstract_mo, tc.rmw_critical)
             if appended.bottom:
                 return None
@@ -154,23 +169,21 @@ def _apply_interference(ctx: AnalysisContext, target: AbstractState,
             met = posets.meet(pt, ps, ctx.sb, tc.abstract_mo, tc.rmw_critical)
         if met.bottom:
             return None
-        new_mo[v] = met
-    new_mem: Dict[str, Interval] = {}
-    s_mem = source.mem_map()
-    for k, iv in target.mem_map().items():
-        if k not in s_mo:  # a register of the target thread
-            new_mem[k] = iv
-            continue
-        pt, ps = t_mo[k], s_mo[k]
+        new_mo.append((v, met))
+    # Registers keep the target's values; shared variables go by the views.
+    thread_of = ctx.cfg.thread_of
+    src_slot = ctx.mem_slot[thread_of[source.at]]
+    new_mem = list(target.mem)
+    for v, i, j in ctx.shared_slots[thread_of[target.at]]:
+        pt, ps = target.mo[j][1], source.mo[j][1]
+        sv = source.mem[src_slot[v]][1]
         src_ahead = posets.less(ps, pt) and ps != pt
         tgt_ahead = posets.less(pt, ps) and ps != pt
-        if k == src_event.var or src_ahead:
-            new_mem[k] = s_mem[k]
-        elif tgt_ahead:
-            new_mem[k] = iv
-        else:
-            new_mem[k] = val_join(iv, s_mem[k])
-    return AbstractState.make(target.at, new_mo, new_mem)
+        if v == var or src_ahead:
+            new_mem[i] = (v, sv)
+        elif not tgt_ahead:
+            new_mem[i] = (v, val_join(new_mem[i][1], sv))
+    return AbstractState(target.at, tuple(new_mo), tuple(new_mem))
 
 
 def _retarget(s: AbstractState, lbl: Label) -> AbstractState:
@@ -187,18 +200,20 @@ def _published(state: AbstractState, ev: Event) -> bool:
 
 def _load_bases(ctx, s, interfs, global_ss, var):
     """Yield (base state, loaded interval) per interference choice."""
+    thread_of = ctx.cfg.thread_of
     for src in interfs:
         if src == CTX:
-            yield s, s.val(var)
+            yield s, s.mem[ctx.mem_slot[thread_of[s.at]][var]][1]
         else:
             ev = ctx.events[src]
             cas = isinstance(ctx.cfg.nodes[src], Cas)
+            src_slot = ctx.mem_slot[thread_of[src]][var]
             for src_state in global_ss.at(src):
                 if cas and not _published(src_state, ev):
                     continue
                 r = apply_interference(ctx, s, src_state, ev)
                 if r is not None:
-                    yield r, src_state.val(var)
+                    yield r, src_state.mem[src_slot][1]
 
 
 def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
@@ -212,49 +227,45 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
     if isinstance(instr, (Nop, AssertInst)):
         return [_retarget(s, lbl) for s in pre_states]
 
+    mem_slot = ctx.mem_slot[tname]
+
     if isinstance(instr, Assume):
         for s in pre_states:
             m = refine(s.mem_map(), instr.cond, env)
             if m is not None:
-                out.append(AbstractState.make(lbl, s.mo_map(), m))
+                # refine keeps the keys in the order of the sorted memory
+                out.append(AbstractState(lbl, s.mo, tuple(m.items())))
         return out
 
     if isinstance(instr, Assign):
-        key = ctx.program.register_key(tname, instr.reg)
+        k = mem_slot[ctx.program.register_key(tname, instr.reg)]
         for s in pre_states:
             val = eval_expr(instr.value, s.mem_map(), env)
             if val.is_empty:
                 continue
-            mem = s.mem_map()
-            mem[key] = val
-            out.append(AbstractState.make(lbl, s.mo_map(), mem))
+            out.append(s.slot_update(lbl, mem=((k, val),)))
         return out
 
     if isinstance(instr, Store):
         ev = ctx.event_at(lbl, bump)
+        i, j = ctx.mo_slot[instr.var], mem_slot[instr.var]
         for s in pre_states:
-            p = posets.append(s.po(instr.var), ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
+            p = posets.append(s.mo[i][1], ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
             if p.bottom:
                 continue
             val = eval_expr(instr.value, s.mem_map(), env)
             if val.is_empty:
                 continue
-            mo = s.mo_map()
-            mo[instr.var] = p
-            mem = s.mem_map()
-            mem[instr.var] = val
-            out.append(AbstractState.make(lbl, mo, mem))
+            out.append(s.slot_update(lbl, mo=((i, p),), mem=((j, val),)))
         return out
 
     if isinstance(instr, LoadInst):
-        key = ctx.program.register_key(tname, instr.reg)
+        j = mem_slot[instr.var]
+        k = mem_slot[ctx.program.register_key(tname, instr.reg)]
         interfs = interf_map.get(lbl, (CTX,))
         for s in pre_states:
             for base, loaded in _load_bases(ctx, s, interfs, global_ss, instr.var):
-                mem = base.mem_map()
-                mem[instr.var] = loaded
-                mem[key] = loaded
-                out.append(AbstractState.make(lbl, base.mo_map(), mem))
+                out.append(base.slot_update(lbl, mem=((j, loaded), (k, loaded))))
         return out
 
     if isinstance(instr, (Cas, Fadd)):
@@ -273,8 +284,10 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
     tname = ctx.cfg.thread_of[lbl]
     env = ctx.envs[tname]
     tc = ctx.tc
-    key = ctx.program.register_key(tname, instr.reg)
     var = instr.var
+    i = ctx.mo_slot[var]
+    j = ctx.mem_slot[tname][var]
+    k = ctx.mem_slot[tname][ctx.program.register_key(tname, instr.reg)]
     interfs = interf_map.get(lbl, (CTX,))
     out: list = []
     for s in pre_states:
@@ -285,29 +298,20 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
                 addend = eval_expr(instr.addend, base.mem_map(), env)
                 stored = intervals.add(loaded, addend)
                 ev = ctx.event_at(lbl, bump)
-                p = posets.append(base.po(var), ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
+                p = posets.append(base.mo[i][1], ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
                 if p.bottom or stored.is_empty:
                     continue
-                mo = base.mo_map()
-                mo[var] = p
-                mem = base.mem_map()
-                mem[var] = stored
-                mem[key] = loaded
-                out.append(AbstractState.make(lbl, mo, mem))
+                out.append(base.slot_update(lbl, mo=((i, p),), mem=((j, stored), (k, loaded))))
                 continue
             expected = eval_expr(instr.expected, base.mem_map(), env)
             succ = val_meet(loaded, expected)
             if not succ.is_empty:
                 stored = eval_expr(instr.new, base.mem_map(), env)
                 ev = ctx.event_at(lbl, bump)
-                p = posets.append(base.po(var), ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
+                p = posets.append(base.mo[i][1], ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
                 if not p.bottom and not stored.is_empty:
-                    mo = base.mo_map()
-                    mo[var] = p
-                    mem = base.mem_map()
-                    mem[var] = stored
-                    mem[key] = succ
-                    out.append(AbstractState.make(lbl, mo, mem))
+                    out.append(base.slot_update(lbl, mo=((i, p),),
+                                                mem=((j, stored), (k, succ))))
             certain_success = (loaded.is_singleton() and expected.is_singleton()
                                and loaded.lo == expected.lo)
             if not certain_success:
@@ -315,10 +319,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
                 if fail.is_empty:
                     continue
                 # a failed cas reads (and synchronizes) but publishes no event
-                mem = base.mem_map()
-                mem[var] = fail
-                mem[key] = fail
-                out.append(AbstractState.make(lbl, base.mo_map(), mem))
+                out.append(base.slot_update(lbl, mem=((j, fail), (k, fail))))
     return out
 
 
@@ -330,9 +331,10 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
     """Free the mutex first (apply the holding lock's unlock states), then
     consider re-orderings against every other thread's unlocks, then append."""
     mutex = instr.mutex
+    i = ctx.mo_slot[mutex]
     freed: list = []
     for s in pre_states:
-        holders = _ends_in_lock(s.po(mutex))
+        holders = _ends_in_lock(s.mo[i][1])
         if holders:
             for le in holders:
                 ul = ctx.matching_unlock.get(Label(le.label, le.instance))
@@ -357,15 +359,13 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
                 if r is not None:
                     candidates.append(r)
         for c in candidates:
-            pm = c.po(mutex)
+            pm = c.mo[i][1]
             if _ends_in_lock(pm):
                 continue
             p = posets.append(pm, ev, ctx.sb, ctx.tc.abstract_mo, ctx.tc.rmw_critical)
             if p.bottom:
                 continue
-            mo = c.mo_map()
-            mo[mutex] = p
-            out.append(AbstractState.make(lbl, mo, c.mem_map()))
+            out.append(c.slot_update(lbl, mo=((i, p),)))
     return out
 
 
@@ -378,16 +378,15 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
     lock_ev = ctx.events[lock_lbl]
     ev = ctx.event_at(lbl, bump)
     out: list = []
+    i = ctx.mo_slot[mutex]
     for s in pre_states:
-        pm = s.po(mutex)
+        pm = s.mo[i][1]
         if lock_ev not in pm.lasts():
             continue
         p = posets.append(pm, ev, ctx.sb, ctx.tc.abstract_mo, ctx.tc.rmw_critical)
         if p.bottom:
             continue
-        mo = s.mo_map()
-        mo[mutex] = p
-        out.append(AbstractState.make(lbl, mo, s.mem_map()))
+        out.append(s.slot_update(lbl, mo=((i, p),)))
     return out
 
 

@@ -5,11 +5,20 @@ from ramosaic import posets as P
 from ramosaic.intervals import Interval, singleton
 from ramosaic.litmus import Label
 from ramosaic.posets import Event, poset
-from ramosaic.states import AbstractState, StateSet, equal_sets, merge_state_list
+from ramosaic.states import AbstractState, StateBucket, StateSet, equal_sets
 
 A = Event("a", 1, "t1", "store", "x")
 B = Event("b", 1, "t2", "store", "x")
 L = Label("l")
+
+
+def merge_state_list(states: list, s: AbstractState) -> None:
+    """List-based variant of the merge, for small collections."""
+    bucket = StateBucket()
+    for e in states:
+        bucket.merge(e)
+    bucket.merge(s)
+    states[:] = bucket.states()
 
 
 def state(mo_x, x, r):
