@@ -170,7 +170,7 @@ def analyze_with_combinations(program: Program, tc: TransferConfig = TransferCon
     cfg = cfg or build_cfg(program)
     ctx = AnalysisContext(program, cfg, tc)
     interfs = interference.get_interfs(program, cfg)
-    combos = interference.feasible_combinations(program, cfg, prune=prune, cap=cap)
+    combos = interference.feasible_combinations(interfs, cfg, prune=prune, cap=cap)
 
     def run_round(sigma, snapshot, widened):
         for t in program.threads:

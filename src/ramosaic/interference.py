@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .litmus import (Cas, Cfg, Fadd, Label, LoadInst, LockInst, Program,
-                     Store, UnlockInst)
+from .litmus import Access, Cfg, Label, Program
 
 CTX = Label("%ctx")
 INIT_LABEL = Label("%init")
@@ -30,24 +29,20 @@ class CombinationBudgetExceeded(Exception):
 def get_interfs(program: Program, cfg: Cfg) -> Dict[str, Dict[Label, Tuple[Label, ...]]]:
     """ctx plus all other-thread writes of the variable, per load/rmw label;
     for lock labels, other threads' unlocks of the mutex."""
-    writes: Dict[str, list] = {}
-    unlocks: Dict[str, list] = {}
-    for lbl, instr in sorted(cfg.nodes.items()):
-        if isinstance(instr, (Store, Cas, Fadd)):
-            writes.setdefault(instr.var, []).append(lbl)
-        elif isinstance(instr, UnlockInst):
-            unlocks.setdefault(instr.mutex, []).append(lbl)
+    # Writes and unlocks publish to their location, loads and locks read
+    # from it; a variable and a mutex never share a name.
+    accesses = sorted(cfg.accesses.items())
+    published: Dict[str, list] = {}
+    for lbl, (kind, loc) in accesses:
+        if kind in ("store", "rmw", "unlock"):
+            published.setdefault(loc, []).append(lbl)
+    thread_of = cfg.thread_of
     out: Dict[str, Dict[Label, Tuple[Label, ...]]] = {t.name: {} for t in program.threads}
-    for lbl, instr in sorted(cfg.nodes.items()):
-        tname = cfg.thread_of[lbl]
-        if isinstance(instr, (LoadInst, Cas, Fadd)):
-            cands = [l for l in writes.get(instr.var, ())
-                     if cfg.thread_of[l] != tname]
-            out[tname][lbl] = (CTX, *cands)
-        elif isinstance(instr, LockInst):
-            cands = [l for l in unlocks.get(instr.mutex, ())
-                     if cfg.thread_of[l] != tname]
-            out[tname][lbl] = (CTX, *cands)
+    for lbl, (kind, loc) in accesses:
+        if kind in ("load", "rmw", "lock"):
+            tname = thread_of[lbl]
+            out[tname][lbl] = (CTX, *(l for l in published.get(loc, ())
+                                      if thread_of[l] != tname))
     return out
 
 
@@ -62,24 +57,20 @@ class PpoRelation:
         return a == b or b in self._succ.get(a, frozenset())
 
 
-def ppo_closure(program: Program, cfg: Cfg) -> PpoRelation:
-    succ: Dict[Label, set] = {INIT_LABEL: set()}
-    all_labels = list(cfg.nodes)
-    for lbl in all_labels:
-        succ[lbl] = set(l for l in all_labels
-                        if cfg.thread_of[l] == cfg.thread_of[lbl] and cfg.reaches(lbl, l))
-        succ[lbl].add(FINAL_LABEL)
-    for lbl in all_labels:
-        succ[INIT_LABEL].add(lbl)
-    succ[INIT_LABEL].add(FINAL_LABEL)
-    return PpoRelation({k: frozenset(v) for k, v in succ.items()})
+def ppo_closure(cfg: Cfg) -> PpoRelation:
+    """Each label's CFG reach set, which holds only labels of its thread,
+    plus the final block; the init block precedes every label."""
+    labels = tuple(cfg.nodes)
+    succ = {lbl: cfg.reachable(lbl) | {FINAL_LABEL} for lbl in labels}
+    succ[INIT_LABEL] = frozenset((*labels, FINAL_LABEL))
+    return PpoRelation(succ)
 
 
 def is_feasible(ic: Dict[Label, Label], ppo: PpoRelation,
-                var_of: Optional[Dict[Label, str]] = None) -> bool:
+                accesses: Dict[Label, Access]) -> bool:
     """False iff some rf pair rf(s',l') is derivable as not-reads-from: a
     distinct pair rf(s,l) exists with ppo(l,l') and ppo(s',s), where s and s'
-    write the same variable.
+    write the same variable (`accesses` is the CFG's access table).
 
     The variable side condition makes the staleness argument go through: s'
     before s in one thread's order puts s' before s in that variable's
@@ -93,38 +84,35 @@ def is_feasible(ic: Dict[Label, Label], ppo: PpoRelation,
         for s2, l2 in rf_pairs:
             if (s, l) == (s2, l2):
                 continue
-            if var_of is not None and var_of.get(s2) != var_of.get(s):
+            if accesses[s2].loc != accesses[s].loc:
                 continue
             if ppo.holds(l, l2) and ppo.holds(s2, s):
                 return False
     return True
 
 
-def write_vars(cfg: Cfg) -> Dict[Label, str]:
-    return {lbl: instr.var for lbl, instr in cfg.nodes.items()
-            if isinstance(instr, (Store, Cas, Fadd))}
-
-
-def feasible_combinations(program: Program, cfg: Cfg, prune: bool = True,
+def feasible_combinations(interfs: Dict[str, Dict[Label, Tuple[Label, ...]]], cfg: Cfg,
+                          prune: bool = True,
                           cap: int = 4096) -> Dict[str, Tuple[Dict[Label, Label], ...]]:
-    interfs = get_interfs(program, cfg)
-    ppo = ppo_closure(program, cfg)
-    var_of = write_vars(cfg)
+    """Per thread, the combinations of one source per load or rmw of the
+    interference maps `interfs` (as `get_interfs` builds them) that nrf does
+    not prune."""
+    ppo = ppo_closure(cfg)
     out: Dict[str, Tuple[Dict[Label, Label], ...]] = {}
-    for t in program.threads:
-        per_load = {lbl: cands for lbl, cands in sorted(interfs[t.name].items())
-                    if not isinstance(cfg.nodes[lbl], LockInst)}
+    for tname, per_thread in interfs.items():
+        per_load = {lbl: cands for lbl, cands in sorted(per_thread.items())
+                    if cfg.accesses[lbl].kind != "lock"}
         size = 1
         for cands in per_load.values():
             size *= len(cands)
         if size > cap:
             raise CombinationBudgetExceeded(
-                f"thread {t.name}: {size} interference combinations exceed cap {cap}")
+                f"thread {tname}: {size} interference combinations exceed cap {cap}")
         loads = list(per_load)
         combos = []
         for choice in itertools.product(*(per_load[l] for l in loads)):
             ic = dict(zip(loads, choice))
-            if not prune or is_feasible(ic, ppo, var_of):
+            if not prune or is_feasible(ic, ppo, cfg.accesses):
                 combos.append(ic)
-        out[t.name] = tuple(combos)
+        out[tname] = tuple(combos)
     return out

@@ -227,8 +227,28 @@ class While:
 
 Stmt = Union[Simple, If, While]
 
-WRITE_KINDS = (Store, Cas, Fadd)
-READ_KINDS = (LoadInst, Cas, Fadd)
+
+class Access(NamedTuple):
+    """What a memory-touching instruction does: its kind (store, rmw, load,
+    lock or unlock) and the shared variable or mutex it touches."""
+
+    kind: str
+    loc: str
+
+
+def _access(instr: Simple) -> Optional[Access]:
+    """The instruction's access, or None for one that touches no memory."""
+    if isinstance(instr, Store):
+        return Access("store", instr.var)
+    if isinstance(instr, (Cas, Fadd)):
+        return Access("rmw", instr.var)
+    if isinstance(instr, LoadInst):
+        return Access("load", instr.var)
+    if isinstance(instr, LockInst):
+        return Access("lock", instr.mutex)
+    if isinstance(instr, UnlockInst):
+        return Access("unlock", instr.mutex)
+    return None
 
 
 @dataclass(frozen=True)
@@ -256,9 +276,7 @@ class Program:
     def thread_registers(self, tname: str) -> tuple:
         for t in self.threads:
             if t.name == tname:
-                regs = sorted({i.reg for i in walk_simple(t.body)
-                               if isinstance(i, (LoadInst, Cas, Fadd, Assign))})
-                return tuple(regs)
+                return tuple(sorted(_registers(t.body)))
         raise KeyError(tname)
 
     def register_key(self, tname: str, reg: str) -> str:
@@ -285,6 +303,11 @@ def walk_simple(stmts) -> Iterator[Simple]:
             yield from walk_simple(st.body)
         else:
             yield st
+
+
+def _registers(body) -> set:
+    """The registers that the instructions of a thread body write."""
+    return {i.reg for i in walk_simple(body) if isinstance(i, (LoadInst, Cas, Fadd, Assign))}
 
 
 # --------------------------------------------------------------------------
@@ -624,8 +647,7 @@ def _check_semantics(p: Program):
         if t.name in tnames:
             raise SemanticError(f"duplicate thread {t.name!r}")
         tnames.add(t.name)
-        regs = {i.reg for i in walk_simple(t.body)
-                if isinstance(i, (LoadInst, Cas, Fadd, Assign))}
+        regs = _registers(t.body)
         clash = regs & (shared | mutexes)
         if clash:
             raise SemanticError(f"register {sorted(clash)[0]!r} in thread "
@@ -747,16 +769,14 @@ def to_source(p: Program) -> str:
 # Loop unrolling
 # --------------------------------------------------------------------------
 
-def unroll(p: Program, bound: int, residual: str = "negate") -> Program:
+def unroll(p: Program, bound: int) -> Program:
     """Replace every while by `bound` guarded copies plus a residual assume.
 
     Copied instructions get fresh instance-indexed labels; the residual is
-    assume(!cond), or assume(true) when residual="permissive".
+    assume(!cond).
     """
     if bound < 1:
         raise ValueError("unroll bound must be >= 1")
-    if residual not in ("negate", "permissive"):
-        raise ValueError("residual must be 'negate' or 'permissive'")
     counters: dict = {}
     synth = itertools.count(1)
 
@@ -777,15 +797,14 @@ def unroll(p: Program, bound: int, residual: str = "negate") -> Program:
                 inner = expand(st.body)
                 for _ in range(bound):
                     out.append(If(st.cond, tuple(relabel(s) for s in inner), ()))
-                cond = negate(st.cond) if residual == "negate" else BoolLit(True)
-                out.append(Assume(Label(f"%u{next(synth)}"), cond))
+                out.append(Assume(Label(f"%u{next(synth)}"), negate(st.cond)))
             elif isinstance(st, If):
                 out.append(If(st.cond, expand(st.then_body), expand(st.else_body)))
             else:
                 out.append(st)
         return tuple(out)
 
-    if not any(isinstance(s, While) for t in p.threads for s in _walk_structured(t.body)):
+    if not has_loops(p):
         return p
     threads = tuple(Thread(t.name, expand(t.body)) for t in p.threads)
     return Program(p.shared, p.mutexes, threads, p.postcondition)
@@ -810,16 +829,13 @@ class Cfg:
     entries: dict  # thread -> Label
     exits: dict  # thread -> Label
     rpo: dict  # thread -> tuple[Label, ...]
+    accesses: dict  # Label -> Access, for the nodes that touch memory
     loop_headers: frozenset = frozenset()
 
     def pre_labels(self, label: Label) -> frozenset:
         if label not in self.preds:
             raise UnknownLabel(label)
         return frozenset(self.preds[label])
-
-    def reaches(self, a: Label, b: Label) -> bool:
-        """True iff b is reachable from a along CFG edges (strict)."""
-        return b in self.reachable(a)
 
     def reachable(self, a: Label) -> frozenset:
         """The labels reachable from a along CFG edges (strict)."""
@@ -854,6 +870,7 @@ def build_cfg(p: Program) -> Cfg:
     entries: dict = {}
     exits: dict = {}
     rpo: dict = {}
+    accesses: dict = {}
     loop_headers: set = set()
     synth = itertools.count(1)
 
@@ -861,6 +878,9 @@ def build_cfg(p: Program) -> Cfg:
         if label in nodes:
             raise SemanticError(f"duplicate label {label}")
         nodes[label] = instr
+        access = _access(instr)
+        if access is not None:
+            accesses[label] = access
         preds.setdefault(label, [])
         succs.setdefault(label, [])
         thread_of[label] = tname
@@ -945,8 +965,4 @@ def build_cfg(p: Program) -> Cfg:
     return Cfg(p, nodes,
                {k: tuple(v) for k, v in preds.items()},
                {k: tuple(v) for k, v in succs.items()},
-               thread_of, entries, exits, rpo, frozenset(loop_headers))
-
-
-def pre_labels(p: Program, label: Label) -> frozenset:
-    return build_cfg(p).pre_labels(label)
+               thread_of, entries, exits, rpo, accesses, frozenset(loop_headers))

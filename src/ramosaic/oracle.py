@@ -610,17 +610,17 @@ def check_soundness(program: Program, result, guard: int = 14,
             problems.append(f"assertion {site} is violated by the oracle but "
                             f"the analyzer proves it")
 
+    exits = []  # (thread, register keys, exit states), for threads with registers
+    for t in program.threads:
+        keys = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
+        if keys:
+            exits.append((t.name, keys, result.states.at(cfg.exits[t.name])))
     for e in execs:
         regmap = e.register_map()
-        for t in program.threads:
-            keys = [program.register_key(t.name, r)
-                    for r in program.thread_registers(t.name)]
-            exit_states = result.states.at(cfg.exits[t.name])
-            if not keys:
-                continue
+        for tname, keys, exit_states in exits:
             if not any(all(regmap[k] in s.val(k) for k in keys) for s in exit_states):
                 problems.append(f"final registers {[(k, regmap[k]) for k in keys]} "
-                                f"of thread {t.name} are not covered at exit")
+                                f"of thread {tname} are not covered at exit")
                 break
 
     all_exit_states = [s for t in program.threads

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
-from .litmus import Cas, Cfg, Fadd, LockInst, Store, UnlockInst
+from .litmus import Cfg
 
 
 class TooLarge(Exception):
@@ -65,11 +65,9 @@ class SbIndex:
         """One frozenset per label: the members of its (thread, variable)
         group that the label reaches, itself excluded."""
         groups: dict = {}
-        for lbl, instr in cfg.nodes.items():
-            if isinstance(instr, (Store, Cas, Fadd)):
-                groups.setdefault((cfg.thread_of[lbl], instr.var), []).append(lbl)
-            elif isinstance(instr, (LockInst, UnlockInst)):
-                groups.setdefault((cfg.thread_of[lbl], instr.mutex), []).append(lbl)
+        for lbl, (kind, loc) in cfg.accesses.items():
+            if kind != "load":
+                groups.setdefault((cfg.thread_of[lbl], loc), []).append(lbl)
         out = cls()
         for labels in groups.values():
             key_of = {lbl: (lbl.name, lbl.instance) for lbl in labels}

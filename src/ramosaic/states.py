@@ -68,9 +68,6 @@ class AbstractState:
                 return v
         raise KeyError(key)
 
-    def has_bottom_po(self) -> bool:
-        return any(p.bottom for _, p in self.mo)
-
     # sort_key() and critical_signature() are cached in the instance's
     # __dict__, outside the dataclass fields, so == and hash ignore them and
     # the caches live exactly as long as the state.
@@ -137,8 +134,6 @@ class StateBucket:
         self._sorted = None
 
     def merge(self, s: AbstractState) -> None:
-        if s.has_bottom_po():
-            return
         cur = s
         while True:
             other = self._by_mo.get(cur.mo)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from . import intervals, posets
 from .intervals import Interval, NameEnv, eval_expr, exclude_value, refine, val_join, val_meet
@@ -49,6 +49,39 @@ class Verdict:
         return "Proved" if self.proved else "PossiblyViolated"
 
 
+def _pair_locks(cfg: Cfg) -> Tuple[Dict[Label, Label], Dict[Label, Label]]:
+    """Each unlock's matching lock and each lock's matching unlock: the
+    nearest same-mutex counterpart in CFG order within the thread, that is
+    the first candidate, in node order, with no other candidate between it
+    and the label."""
+    groups: Dict[tuple, tuple] = {}  # (thread, mutex) -> (locks, unlocks)
+    for lbl, (kind, loc) in cfg.accesses.items():
+        if kind in ("lock", "unlock"):
+            groups.setdefault((cfg.thread_of[lbl], loc), ([], []))[kind == "unlock"].append(lbl)
+    matching_lock: Dict[Label, Label] = {}
+    matching_unlock: Dict[Label, Label] = {}
+    # A lock's candidate unlock is blocked by another that reaches it, an
+    # unlock's candidate lock by another that it reaches.  The latest
+    # candidate lock is tried first as a blocker, so straight-line code costs
+    # one test per blocked lock.
+    for ls, us in groups.values():
+        reach = {lbl: cfg.reachable(lbl) for lbl in (*ls, *us)}
+        for lock in ls:
+            cands = list(filter(reach[lock].__contains__, us))
+            for c in cands:
+                if not any(c in reach[d] for d in cands if d != c):
+                    matching_unlock[lock] = c
+                    break
+        later = {l: reach[l].intersection(ls) - {l} for l in ls}
+        for unlock in us:
+            cands = [l for l in ls if unlock in reach[l]]
+            for c in cands:
+                if later[c].isdisjoint(reversed(cands)):
+                    matching_lock[unlock] = c
+                    break
+    return matching_lock, matching_unlock
+
+
 class AnalysisContext:
     """Per-program immutable analysis data: CFG, sb index, events, lock
     pairing, and the slot layouts of states.
@@ -69,23 +102,14 @@ class AnalysisContext:
         self.registers = {t.name: tuple(program.register_key(t.name, r)
                                         for r in program.thread_registers(t.name))
                           for t in program.threads}
-        self.events: Dict[Label, Event] = {}
-        for lbl, instr in cfg.nodes.items():
-            tname = cfg.thread_of[lbl]
-            if isinstance(instr, Store):
-                self.events[lbl] = Event(lbl.name, lbl.instance, tname, "store", instr.var)
-            elif isinstance(instr, (Cas, Fadd)):
-                self.events[lbl] = Event(lbl.name, lbl.instance, tname, "rmw", instr.var)
-            elif isinstance(instr, LockInst):
-                self.events[lbl] = Event(lbl.name, lbl.instance, tname, "lock", instr.mutex)
-            elif isinstance(instr, UnlockInst):
-                self.events[lbl] = Event(lbl.name, lbl.instance, tname, "unlock", instr.mutex)
-        self.matching_lock = self._match(UnlockInst, LockInst)
-        self.matching_unlock = self._match(LockInst, UnlockInst)
-        for lbl, instr in cfg.nodes.items():
-            if isinstance(instr, UnlockInst) and lbl not in self.matching_lock:
+        self.events: Dict[Label, Event] = {
+            lbl: Event(lbl.name, lbl.instance, cfg.thread_of[lbl], kind, loc)
+            for lbl, (kind, loc) in cfg.accesses.items() if kind != "load"}
+        self.matching_lock, self.matching_unlock = _pair_locks(cfg)
+        for lbl, (kind, loc) in cfg.accesses.items():
+            if kind == "unlock" and lbl not in self.matching_lock:
                 raise AnalysisError(f"unlock {lbl} has no matching lock of "
-                                    f"{instr.mutex!r} before it")
+                                    f"{loc!r} before it")
         self.mo_slot = {v: i for i, v in enumerate(sorted(self.po_keys()))}
         self.mem_slot = {
             t: {k: i for i, k in enumerate(sorted((*program.shared_names(), *regs)))}
@@ -95,37 +119,6 @@ class AnalysisContext:
             t: tuple((v, slots[v], self.mo_slot[v]) for v in program.shared_names())
             for t, slots in self.mem_slot.items()}
         self._ai_memo: dict = {}
-
-    def _match(self, from_kind, to_kind) -> Dict[Label, Label]:
-        """Nearest same-mutex counterpart in CFG order within the thread."""
-        out: Dict[Label, Label] = {}
-        nodes = self.cfg.nodes
-        for lbl, instr in nodes.items():
-            if not isinstance(instr, from_kind):
-                continue
-            mutex = instr.mutex
-            forward = from_kind is LockInst
-            cands = []
-            for other, oinstr in nodes.items():
-                if not isinstance(oinstr, to_kind) or oinstr.mutex != mutex:
-                    continue
-                if self.cfg.thread_of[other] != self.cfg.thread_of[lbl]:
-                    continue
-                reach = self.cfg.reaches(lbl, other) if forward else self.cfg.reaches(other, lbl)
-                if reach:
-                    cands.append(other)
-            nearest = None
-            for c in cands:
-                # nearest: no other candidate strictly between lbl and c
-                blocked = any((self.cfg.reaches(lbl, d) and self.cfg.reaches(d, c)) if forward
-                              else (self.cfg.reaches(c, d) and self.cfg.reaches(d, lbl))
-                              for d in cands if d != c)
-                if not blocked:
-                    nearest = c
-                    break
-            if nearest is not None:
-                out[lbl] = nearest
-        return out
 
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
         ev = self.events[lbl]

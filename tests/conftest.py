@@ -35,3 +35,60 @@ def mp_program():
 
 def corpus_files():
     return sorted(BENCH_DIR.glob("*.lit"))
+
+
+# The looped programs that the tests analyze, gathered for checks that run
+# over all of them.
+LOOPED_SOURCES = (
+    """
+vars x = 0;
+thread t {
+  while (r < 2) { a: store x 1; f: r = r + 1; }
+  if (r == 0) { b: store x 2; } else { c: store x 3; }
+  d: store x 4;
+}
+thread u { e: store x 5; }
+""",
+    """
+vars x = 0;
+thread t {
+  i0: r = 0;
+  while (r >= 0) {
+    s: store x r;
+    i1: r = r + 1;
+  }
+  f: store x -1;
+}
+thread u { c: q = load x; }
+""",
+    """
+vars x = 0;
+thread t {
+  i0: r = 0;
+  while (r < 50) { s: store x r; i1: r = r + 1; }
+  f: store x 99;
+}
+""",
+    """
+vars y = 0, d = 0;
+thread w { a: store d 7; b: store y 1; }
+thread t {
+  l0: r = load y;
+  while (r != 1) { l1: r = load y; }
+  g: q = load d;
+  z: assert(q == 7);
+}
+""",
+    """
+vars x = 0;
+thread t {
+  while (r < 3) {
+    while (q < 2) { a: q = load x; if (q == 0) { b: store x 2; } }
+    c: r = r + 1;
+  }
+  d: store x 1;
+}
+thread u { e: store x 5; }
+""",
+    "vars x = 0;\nthread t { i: r = 0; while (r < 1) { s: store x 1; } }",
+)

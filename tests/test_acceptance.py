@@ -12,8 +12,8 @@ import time
 
 from ramosaic import posets as P
 from ramosaic.engine import analyze_with_combinations, tmai
-from ramosaic.interference import (CTX, feasible_combinations, is_feasible,
-                                   ppo_closure, write_vars)
+from ramosaic.interference import (CTX, feasible_combinations, get_interfs,
+                                   is_feasible, ppo_closure)
 from ramosaic.litmus import Label, build_cfg, parse
 from ramosaic.oracle import (check_soundness, enumerate_executions,
                              losets_by_write_set, validate_execution)
@@ -199,13 +199,11 @@ def test_galois_and_abstraction():
 def test_feasibility_pruning():
     p = parse((BENCH_DIR / "why_ic.lit").read_text())
     cfg = build_cfg(p)
-    combos = feasible_combinations(p, cfg)
+    combos = feasible_combinations(get_interfs(p, cfg), cfg)
     assert {Label("c"): Label("b"), Label("d"): Label("a")} not in combos["t2"]
     r = analyze_with_combinations(p)
     assert r.verdicts["final"].proved
     # no oracle-realizable rf assignment is pruned on the in-guard corpus
-    ppo = ppo_closure(p, cfg)
-    var_of = write_vars(cfg)
     for f in sorted(BENCH_DIR.glob("*.lit")):
         prog = parse(f.read_text())
         pcfg = build_cfg(prog)
@@ -213,14 +211,13 @@ def test_feasibility_pruning():
             execs = enumerate_executions(prog)
         except Exception:
             continue
-        pppo = ppo_closure(prog, pcfg)
-        pvars = write_vars(pcfg)
+        pppo = ppo_closure(pcfg)
         for e in execs:
             for t in prog.threads:
                 rf = {l: (w if w is not None else CTX)
                       for l, w in e.rf if pcfg.thread_of[l] == t.name}
                 rf = _normalize_redundant(rf, pppo)
-                assert is_feasible(rf, pppo, pvars), (f.name, rf)
+                assert is_feasible(rf, pppo, pcfg.accesses), (f.name, rf)
 
 
 def _normalize_redundant(rf, ppo):

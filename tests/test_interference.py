@@ -6,7 +6,7 @@ import pytest
 from ramosaic.interference import (CTX, FINAL_LABEL, INIT_LABEL,
                                    CombinationBudgetExceeded,
                                    feasible_combinations, get_interfs,
-                                   is_feasible, ppo_closure, write_vars)
+                                   is_feasible, ppo_closure)
 from ramosaic.litmus import Label, build_cfg, parse
 from ramosaic.oracle import enumerate_executions
 
@@ -55,7 +55,7 @@ thread t2 { p2: lock m; q2: unlock m; }
 def test_ppo_reflexive_transitive():
     p = parse(MP_SRC)
     cfg = build_cfg(p)
-    ppo = ppo_closure(p, cfg)
+    ppo = ppo_closure(cfg)
     assert ppo.holds(Label("a"), Label("b"))
     assert ppo.holds(Label("a"), Label("a"))
     assert not ppo.holds(Label("b"), Label("a"))
@@ -73,21 +73,21 @@ def test_ppo_reflexive_transitive():
 def test_is_feasible_canonical_examples():
     p = parse(WHY_IC_SRC)
     cfg = build_cfg(p)
-    ppo = ppo_closure(p, cfg)
-    var_of = write_vars(cfg)
+    ppo = ppo_closure(cfg)
+    accesses = cfg.accesses
     # cross-thread staleness: d cannot read the older store once c read b
-    assert not is_feasible({Label("c"): Label("b"), Label("d"): Label("a")}, ppo, var_of)
+    assert not is_feasible({Label("c"): Label("b"), Label("d"): Label("a")}, ppo, accesses)
     # redundancy: both reads from the same source with ordered reads
-    assert not is_feasible({Label("c"): Label("a"), Label("d"): Label("a")}, ppo, var_of)
+    assert not is_feasible({Label("c"): Label("a"), Label("d"): Label("a")}, ppo, accesses)
     # all-ctx is trivially feasible
-    assert is_feasible({Label("c"): CTX, Label("d"): CTX}, ppo, var_of)
-    assert is_feasible({Label("c"): Label("b"), Label("d"): CTX}, ppo, var_of)
+    assert is_feasible({Label("c"): CTX, Label("d"): CTX}, ppo, accesses)
+    assert is_feasible({Label("c"): Label("b"), Label("d"): CTX}, ppo, accesses)
 
 
 def test_feasible_combinations_mp():
     p = parse(MP_SRC)
     cfg = build_cfg(p)
-    combos = feasible_combinations(p, cfg)
+    combos = feasible_combinations(get_interfs(p, cfg), cfg)
     # 2x2 product, all feasible under not-reads-from alone; the cross case
     # {c<-b, d<-a} is resolved at transfer time by the extension check
     assert len(combos["t2"]) == 4
@@ -98,12 +98,12 @@ def test_feasible_combinations_mp():
 def test_feasible_combinations_why_ic():
     p = parse(WHY_IC_SRC)
     cfg = build_cfg(p)
-    combos = feasible_combinations(p, cfg)
+    combos = feasible_combinations(get_interfs(p, cfg), cfg)
     assert combos["t1"] == ({},)  # no loads: the singleton empty combination
     t2 = combos["t2"]
     assert len(t2) == 6  # 9 total, 1 stale + 2 redundant pruned
     assert {Label("c"): Label("b"), Label("d"): Label("a")} not in t2
-    unpruned = feasible_combinations(p, cfg, prune=False)["t2"]
+    unpruned = feasible_combinations(get_interfs(p, cfg), cfg, prune=False)["t2"]
     assert len(unpruned) == 9
 
 
@@ -112,8 +112,9 @@ def test_combination_budget():
     writers = "\n".join(f"thread w{i} {{ s{i}: store x {i}; }}" for i in range(4))
     src = f"vars x = 0;\n{writers}\nthread t {{ {body} }}"
     p = parse(src)
+    cfg = build_cfg(p)
     with pytest.raises(CombinationBudgetExceeded):
-        feasible_combinations(p, build_cfg(p), cap=4096)
+        feasible_combinations(get_interfs(p, cfg), cfg, cap=4096)
 
 
 def _ctx_normalized(rf, ppo):
@@ -145,7 +146,7 @@ def test_pruning_never_loses_oracle_realizable_combinations():
             execs = enumerate_executions(p)
         except Exception:
             continue  # beyond the oracle guard
-        ppo = ppo_closure(p, cfg)
+        ppo = ppo_closure(cfg)
         for t in p.threads:
             tname = t.name
             for e in execs:
@@ -154,7 +155,7 @@ def test_pruning_never_loses_oracle_realizable_combinations():
                 if not rf:
                     continue
                 norm = _ctx_normalized(rf, ppo)
-                assert is_feasible(norm, ppo, write_vars(cfg)), \
+                assert is_feasible(norm, ppo, cfg.accesses), \
                     f"{f.name}: pruned realizable {rf}"
                 checked += 1
     assert checked > 50

@@ -21,17 +21,9 @@ from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import corpus_files
+from conftest import LOOPED_SOURCES, corpus_files
 
-LOOPED_SRC = """
-vars x = 0;
-thread t {
-  while (r < 2) { a: store x 1; f: r = r + 1; }
-  if (r == 0) { b: store x 2; } else { c: store x 3; }
-  d: store x 4;
-}
-thread u { e: store x 5; }
-"""
+LOOPED_SRC = LOOPED_SOURCES[0]
 
 
 def _corpus_programs():
@@ -255,7 +247,8 @@ def test_no_container_mixes_labels_and_plain_tuples(monkeypatch):
         result = tmai(p)
         cfg = result.cfg
         roots = [contexts[0], result, interference.get_interfs(p, cfg),
-                 interference.feasible_combinations(p, cfg, cap=10 ** 6)]
+                 interference.feasible_combinations(interference.get_interfs(p, cfg), cfg,
+                                                    cap=10 ** 6)]
         if not cfg.loop_headers:
             try:
                 roots.append(enumerate_executions(p))

@@ -2,8 +2,8 @@ import pytest
 
 from ramosaic.litmus import (Assume, Cas, If, Label, LoadInst, ParseError,
                              SemanticError, Store, UnknownLabel, While,
-                             build_cfg, has_loops, parse, pre_labels,
-                             to_source, unroll, walk_simple)
+                             build_cfg, has_loops, parse, to_source, unroll,
+                             walk_simple)
 
 from conftest import corpus_files
 
@@ -104,9 +104,7 @@ thread t {
 def test_unroll_residual_modes():
     src = "vars x = 0;\nthread t { i: r = 0; while (r < 2) { s: store x r; } }"
     negated = unroll(parse(src), 1)
-    permissive = unroll(parse(src), 1, residual="permissive")
     assert "assume (r >= 2)" in to_source(negated)
-    assert "assume (true)" in to_source(permissive)
 
 
 def test_unroll_nested_instances_increase():
@@ -129,7 +127,7 @@ thread t {
     assert len(s_instances) == 4 and len(set(s_instances)) == 4
     for a in cfg.nodes:
         for b in cfg.nodes:
-            if a.name == b.name and a != b and cfg.reaches(a, b):
+            if a.name == b.name and a != b and b in cfg.reachable(a):
                 assert a.instance < b.instance
 
 
@@ -150,13 +148,14 @@ thread t {
 
 
 def test_pre_labels_mp(mp_program):
-    assert pre_labels(mp_program, Label("d")) == frozenset({Label("c")})
-    assert pre_labels(mp_program, Label("a")) == frozenset({Label("t1.entry")})
+    cfg = build_cfg(mp_program)
+    assert cfg.pre_labels(Label("d")) == frozenset({Label("c")})
+    assert cfg.pre_labels(Label("a")) == frozenset({Label("t1.entry")})
 
 
 def test_pre_labels_unknown(mp_program):
     with pytest.raises(UnknownLabel):
-        pre_labels(mp_program, Label("zz"))
+        build_cfg(mp_program).pre_labels(Label("zz"))
 
 
 def test_pre_labels_join_point():
@@ -226,7 +225,6 @@ thread u { e: store x 5; }
         cfg = build_cfg(p)
         for a in cfg.nodes:
             assert cfg.reachable(a) == _searched_reach(cfg, a)
-            assert all(cfg.reaches(a, b) == (b in cfg.reachable(a)) for b in cfg.nodes)
 
 
 def test_sb_index_from_cfg_pairs():

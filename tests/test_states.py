@@ -2,10 +2,14 @@ import itertools
 import random
 
 from ramosaic import posets as P
+from ramosaic.engine import analyze_with_combinations, tmai
 from ramosaic.intervals import Interval, singleton
-from ramosaic.litmus import Label
+from ramosaic.litmus import Label, parse, unroll
 from ramosaic.posets import Event, poset
+from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateBucket, StateSet, equal_sets
+
+from conftest import LOOPED_SOURCES, corpus_files
 
 A = Event("a", 1, "t1", "store", "x")
 B = Event("b", 1, "t2", "store", "x")
@@ -59,10 +63,18 @@ def test_memory_rule_guarded_by_critical_events():
     assert len(ss.at(L)) == 2
 
 
-def test_bottom_states_dropped():
-    ss = StateSet()
-    ss.merge(state(P.BOTTOM, singleton(1), singleton(0)))
-    assert ss.at(L) == ()
+def test_no_fixpoint_state_has_a_bottom_poset():
+    """The merge keeps every state it is given, so no transfer may emit a
+    state whose poset for some variable or mutex is bottom."""
+    programs = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
+    programs += [random_program(seed) for seed in range(200)]
+    looped = [parse(src) for src in LOOPED_SOURCES]
+    runs = [tmai(p, max_iterations=100) for p in programs + looped]
+    runs += [analyze_with_combinations(p) for p in programs]
+    for r in runs:
+        for lbl in r.states.labels():
+            for s in r.states.at(lbl):
+                assert not any(po.bottom for _, po in s.mo), s.fmt()
 
 
 def test_merge_idempotent():

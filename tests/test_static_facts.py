@@ -1,0 +1,286 @@
+"""The analyzer's static facts (write events, the sequenced-before index,
+lock pairing, interference maps, program order and the feasible
+combinations) read the CFG's access table and reach sets.  Each must equal
+what the per-module `isinstance` scans and pairwise reachability tests
+computed before, which are kept here as the references."""
+
+import itertools
+import time
+from typing import Dict, Optional, Tuple
+
+import pytest
+
+from ramosaic.interference import (CTX, FINAL_LABEL, INIT_LABEL,
+                                   CombinationBudgetExceeded, PpoRelation,
+                                   feasible_combinations, get_interfs,
+                                   ppo_closure)
+from ramosaic.litmus import (Cas, Cfg, Fadd, Label, LoadInst, LockInst,
+                             Program, Store, UnlockInst, build_cfg, parse,
+                             unroll)
+from ramosaic.posets import Event, SbIndex
+from ramosaic.randprog import random_program
+from ramosaic.transfer import AnalysisContext, AnalysisError, TransferConfig, _pair_locks
+
+from conftest import LOOPED_SOURCES, corpus_files
+
+TWO_SECTIONS_IN_A_LOOP = """
+vars x = 0;
+locks m;
+thread t {
+  i: r = 0;
+  while (r < 2) {
+    l1: lock m; s1: store x 1; u1: unlock m;
+    l2: lock m; s2: store x 2; u2: unlock m;
+    f: r = r + 1;
+  }
+}
+thread u {
+  while (q < 2) { l3: lock m; s3: store x 3; u3: unlock m; g: q = q + 1; }
+}
+"""
+
+
+def sections_thread(n: int) -> Program:
+    body = " ".join(f"l{i}: lock m; s{i}: store x {i}; u{i}: unlock m;" for i in range(n))
+    return parse(f"vars x = 0;\nlocks m;\nthread t {{ {body} }}\n")
+
+
+# --------------------------------------------------------------------------
+# The references, as the analyzer computed them before the access table
+# --------------------------------------------------------------------------
+
+def _reaches(cfg: Cfg, a: Label, b: Label) -> bool:
+    """True iff b is reachable from a along CFG edges (strict)."""
+    return b in cfg.reachable(a)
+
+
+def _match(cfg: Cfg, from_kind, to_kind) -> Dict[Label, Label]:
+    """Nearest same-mutex counterpart in CFG order within the thread."""
+    out: Dict[Label, Label] = {}
+    nodes = cfg.nodes
+    for lbl, instr in nodes.items():
+        if not isinstance(instr, from_kind):
+            continue
+        mutex = instr.mutex
+        forward = from_kind is LockInst
+        cands = []
+        for other, oinstr in nodes.items():
+            if not isinstance(oinstr, to_kind) or oinstr.mutex != mutex:
+                continue
+            if cfg.thread_of[other] != cfg.thread_of[lbl]:
+                continue
+            reach = _reaches(cfg, lbl, other) if forward else _reaches(cfg, other, lbl)
+            if reach:
+                cands.append(other)
+        nearest = None
+        for c in cands:
+            # nearest: no other candidate strictly between lbl and c
+            blocked = any((_reaches(cfg, lbl, d) and _reaches(cfg, d, c)) if forward
+                          else (_reaches(cfg, c, d) and _reaches(cfg, d, lbl))
+                          for d in cands if d != c)
+            if not blocked:
+                nearest = c
+                break
+        if nearest is not None:
+            out[lbl] = nearest
+    return out
+
+
+def _ppo_closure(program: Program, cfg: Cfg) -> PpoRelation:
+    succ: Dict[Label, set] = {INIT_LABEL: set()}
+    all_labels = list(cfg.nodes)
+    for lbl in all_labels:
+        succ[lbl] = set(l for l in all_labels
+                        if cfg.thread_of[l] == cfg.thread_of[lbl] and _reaches(cfg, lbl, l))
+        succ[lbl].add(FINAL_LABEL)
+    for lbl in all_labels:
+        succ[INIT_LABEL].add(lbl)
+    succ[INIT_LABEL].add(FINAL_LABEL)
+    return PpoRelation({k: frozenset(v) for k, v in succ.items()})
+
+
+def _events(cfg: Cfg) -> Dict[Label, Event]:
+    events: Dict[Label, Event] = {}
+    for lbl, instr in cfg.nodes.items():
+        tname = cfg.thread_of[lbl]
+        if isinstance(instr, Store):
+            events[lbl] = Event(lbl.name, lbl.instance, tname, "store", instr.var)
+        elif isinstance(instr, (Cas, Fadd)):
+            events[lbl] = Event(lbl.name, lbl.instance, tname, "rmw", instr.var)
+        elif isinstance(instr, LockInst):
+            events[lbl] = Event(lbl.name, lbl.instance, tname, "lock", instr.mutex)
+        elif isinstance(instr, UnlockInst):
+            events[lbl] = Event(lbl.name, lbl.instance, tname, "unlock", instr.mutex)
+    return events
+
+
+def _sb_after(cfg: Cfg) -> dict:
+    groups: dict = {}
+    for lbl, instr in cfg.nodes.items():
+        if isinstance(instr, (Store, Cas, Fadd)):
+            groups.setdefault((cfg.thread_of[lbl], instr.var), []).append(lbl)
+        elif isinstance(instr, (LockInst, UnlockInst)):
+            groups.setdefault((cfg.thread_of[lbl], instr.mutex), []).append(lbl)
+    after = {}
+    for labels in groups.values():
+        key_of = {lbl: (lbl.name, lbl.instance) for lbl in labels}
+        members = frozenset(labels)
+        for a in labels:
+            after[key_of[a]] = frozenset(
+                key_of[b] for b in cfg.reachable(a) & members if b != a)
+    return after
+
+
+def _get_interfs(program: Program, cfg: Cfg) -> Dict[str, Dict[Label, Tuple[Label, ...]]]:
+    writes: Dict[str, list] = {}
+    unlocks: Dict[str, list] = {}
+    for lbl, instr in sorted(cfg.nodes.items()):
+        if isinstance(instr, (Store, Cas, Fadd)):
+            writes.setdefault(instr.var, []).append(lbl)
+        elif isinstance(instr, UnlockInst):
+            unlocks.setdefault(instr.mutex, []).append(lbl)
+    out: Dict[str, Dict[Label, Tuple[Label, ...]]] = {t.name: {} for t in program.threads}
+    for lbl, instr in sorted(cfg.nodes.items()):
+        tname = cfg.thread_of[lbl]
+        if isinstance(instr, (LoadInst, Cas, Fadd)):
+            cands = [l for l in writes.get(instr.var, ())
+                     if cfg.thread_of[l] != tname]
+            out[tname][lbl] = (CTX, *cands)
+        elif isinstance(instr, LockInst):
+            cands = [l for l in unlocks.get(instr.mutex, ())
+                     if cfg.thread_of[l] != tname]
+            out[tname][lbl] = (CTX, *cands)
+    return out
+
+
+def _is_feasible(ic: Dict[Label, Label], ppo: PpoRelation,
+                 var_of: Optional[Dict[Label, str]] = None) -> bool:
+    rf_pairs = [(s, l) for l, s in sorted(ic.items()) if s != CTX]
+    for s, l in rf_pairs:
+        for s2, l2 in rf_pairs:
+            if (s, l) == (s2, l2):
+                continue
+            if var_of is not None and var_of.get(s2) != var_of.get(s):
+                continue
+            if ppo.holds(l, l2) and ppo.holds(s2, s):
+                return False
+    return True
+
+
+def _write_vars(cfg: Cfg) -> Dict[Label, str]:
+    return {lbl: instr.var for lbl, instr in cfg.nodes.items()
+            if isinstance(instr, (Store, Cas, Fadd))}
+
+
+def _feasible_combinations(program: Program, cfg: Cfg, ppo: PpoRelation, prune: bool = True,
+                           cap: int = 4096) -> Dict[str, Tuple[Dict[Label, Label], ...]]:
+    interfs = _get_interfs(program, cfg)
+    var_of = _write_vars(cfg)
+    out: Dict[str, Tuple[Dict[Label, Label], ...]] = {}
+    for t in program.threads:
+        per_load = {lbl: cands for lbl, cands in sorted(interfs[t.name].items())
+                    if not isinstance(cfg.nodes[lbl], LockInst)}
+        size = 1
+        for cands in per_load.values():
+            size *= len(cands)
+        if size > cap:
+            raise CombinationBudgetExceeded(
+                f"thread {t.name}: {size} interference combinations exceed cap {cap}")
+        loads = list(per_load)
+        combos = []
+        for choice in itertools.product(*(per_load[l] for l in loads)):
+            ic = dict(zip(loads, choice))
+            if not prune or _is_feasible(ic, ppo, var_of):
+                combos.append(ic)
+        out[t.name] = tuple(combos)
+    return out
+
+
+# --------------------------------------------------------------------------
+# Equality over the corpus, random programs, loops and a long thread
+# --------------------------------------------------------------------------
+
+def _combinations_or_overflow(build):
+    try:
+        return build()
+    except CombinationBudgetExceeded as exc:
+        return str(exc)
+
+
+def _check(program: Program) -> None:
+    cfg = build_cfg(program)
+    matching_lock = _match(cfg, UnlockInst, LockInst)
+    matching_unlock = _match(cfg, LockInst, UnlockInst)
+    assert _pair_locks(cfg) == (matching_lock, matching_unlock)
+    ppo = _ppo_closure(program, cfg)
+    assert ppo_closure(cfg) == ppo
+    interfs = get_interfs(program, cfg)
+    assert interfs == _get_interfs(program, cfg)
+    for prune in (True, False):
+        assert (_combinations_or_overflow(
+                    lambda: feasible_combinations(interfs, cfg, prune=prune))
+                == _combinations_or_overflow(
+                    lambda: _feasible_combinations(program, cfg, ppo, prune=prune)))
+    assert SbIndex.from_cfg(cfg)._after == _sb_after(cfg)
+    if any(isinstance(i, UnlockInst) and lbl not in matching_lock
+           for lbl, i in cfg.nodes.items()):
+        with pytest.raises(AnalysisError):
+            AnalysisContext(program, cfg, TransferConfig())
+        return
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    assert list(ctx.events.items()) == list(_events(cfg).items())
+    assert (ctx.matching_lock, ctx.matching_unlock) == (matching_lock, matching_unlock)
+
+
+def test_static_facts_on_the_corpus():
+    for f in corpus_files():
+        program = parse(f.read_text())
+        _check(program)
+        _check(unroll(program, 2))
+
+
+def test_static_facts_on_random_programs():
+    for seed in range(200):
+        _check(random_program(seed))
+
+
+def test_static_facts_on_looped_programs():
+    for src in (*LOOPED_SOURCES, TWO_SECTIONS_IN_A_LOOP):
+        _check(parse(src))
+        _check(unroll(parse(src), 2))
+
+
+def test_static_facts_on_a_thread_of_300_sections():
+    _check(sections_thread(300))
+
+
+def test_two_sections_in_a_loop_pair_as_before():
+    """Inside t's loop each of its two sections reaches the other, so none
+    of their locks and unlocks has a nearest counterpart and the context
+    refuses the program; unrolled, each copy pairs within itself.  The one
+    section in u's loop reaches itself too, but no other candidate, so it
+    pairs."""
+    looped = parse(TWO_SECTIONS_IN_A_LOOP)
+    matching_lock, matching_unlock = _pair_locks(build_cfg(looped))
+    assert matching_lock == {Label("u3"): Label("l3")}
+    assert matching_unlock == {Label("l3"): Label("u3")}
+    with pytest.raises(AnalysisError):
+        AnalysisContext(looped, build_cfg(looped), TransferConfig())
+    unrolled = unroll(looped, 2)
+    matching_lock, _ = _pair_locks(build_cfg(unrolled))
+    for n in (1, 2):
+        assert matching_lock[Label("u1", n)] == Label("l1", n)
+        assert matching_lock[Label("u2", n)] == Label("l2", n)
+
+
+def test_lock_pairing_of_a_long_thread_is_not_cubic():
+    """300 sections in one thread: the context pairs every lock with its
+    own unlock, well inside the time the pairwise scan took."""
+    program = sections_thread(300)
+    cfg = build_cfg(program)
+    start = time.perf_counter()
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    elapsed = time.perf_counter() - start
+    assert all(ctx.matching_lock[Label(f"u{i}")] == Label(f"l{i}") for i in range(300))
+    assert all(ctx.matching_unlock[Label(f"l{i}")] == Label(f"u{i}") for i in range(300))
+    assert elapsed < 1.0
