@@ -37,27 +37,27 @@ class AnalysisResult:
         return all(v.proved for v in self.verdicts.values())
 
 
-def _collapse(states) -> Optional[AbstractState]:
+def _collapse(table: posets.PosetTable, states) -> Optional[AbstractState]:
     """Fold a state list into a single state (variable-wise poset join,
     memory hull); used only when widening at loop headers."""
     if not states:
         return None
     cur = states[0]
     for s in states[1:]:
-        mo = {v: posets.join(p, s.po(v)) for v, p in cur.mo}
+        mo = {v: table.join(p, s.po(v)) for v, p in cur.mo}
         mem = {k: intervals.val_join(iv, s.val(k)) for k, iv in cur.mem}
         cur = AbstractState.make(cur.at, mo, mem)
     return cur
 
 
-def _widen_states(old_states, new_states) -> list:
-    old = _collapse(old_states)
-    new = _collapse(new_states)
+def _widen_states(table: posets.PosetTable, old_states, new_states) -> list:
+    old = _collapse(table, old_states)
+    new = _collapse(table, new_states)
     if old is None:
         return list(new_states)
     if new is None:
         return list(old_states)
-    mo = {v: posets.widen(p, new.po(v)) for v, p in old.mo}
+    mo = {v: table.intern(posets.widen(p, new.po(v))) for v, p in old.mo}
     mem = {k: val_widen(iv, new.val(k)) for k, iv in old.mem}
     return [AbstractState.make(old.at, mo, mem)]
 
@@ -84,12 +84,12 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
             pre_states.extend(local.get(p, ()))
         visits[lbl] = visits.get(lbl, 0) + 1
         bump = visits[lbl] - 1 if lbl in cfg.loop_headers or visits[lbl] > 1 else 0
-        bucket = StateBucket()
+        bucket = StateBucket(ctx.posets)
         for s in transfer_node(ctx, lbl, pre_states, global_ss, interfs, bump=bump):
             bucket.merge(s)
         new = list(bucket.states())
         if lbl in cfg.loop_headers and visits[lbl] > ctx.tc.widening_threshold:
-            new = _widen_states(local.get(lbl, []), new)
+            new = _widen_states(ctx.posets, local.get(lbl, []), new)
             if widened is not None:
                 widened.add(lbl)
         if new != local.get(lbl, []):
@@ -123,7 +123,7 @@ def _fixpoint(ctx: AnalysisContext, run_round, max_iterations: int) -> AnalysisR
     a repeat is therefore a sound stopping point.  Revisits are found by
     the sets' fingerprints, which are equal exactly when the sets are.
     """
-    sigma = StateSet()
+    sigma = StateSet(ctx.posets)
     widened: set = set()
     rounds = 0
     effective = 0

@@ -6,7 +6,8 @@ and the empty poset is top.  Two operator sets are provided: the
 concrete-faithful one, and an upper-approximating one that forgets older
 same-thread stores of the variable (newest-store abstraction).  The module
 also hosts the abstraction/concretization pair bridging sets of total
-modification orders (losets) to posets.
+modification orders (losets) to posets, and `PosetTable`, through which an
+analysis interns its posets and memoizes the operators.
 """
 
 from __future__ import annotations
@@ -303,6 +304,87 @@ def widen(p1: MoPoset, p2: MoPoset) -> MoPoset:
     pairs = frozenset((a, b) for a, b in p1.pairs & p2.pairs
                       if a in kept and b in kept)
     return MoPoset(False, kept, pairs)
+
+
+class PosetTable:
+    """The posets of one analysis, hash-consed, with memoized operators.
+
+    Every poset the table returns is interned: equal posets are one object,
+    so tuples holding them compare by identity.  `append`, `meet`, `less`
+    and `join` run the module functions above once per distinct operands,
+    with the table's sb index and flags, and answer repeats from a dict.
+    `sort_key` and `lasts` are computed once per poset.
+
+    A table holds every poset it has seen, so it belongs to one analysis:
+    its `AnalysisContext` and the state sets built with it hold it, and it
+    goes when they do.
+    """
+
+    __slots__ = ("sb", "abstract", "rmw_critical", "_interned", "_append",
+                 "_meet", "_less", "_join", "_sort_key", "_lasts")
+
+    def __init__(self, sb: SbIndex = EMPTY_SB, abstract: bool = False,
+                 rmw_critical: bool = False):
+        self.sb = sb
+        self.abstract = abstract
+        self.rmw_critical = rmw_critical
+        self._interned = {BOTTOM: BOTTOM, TOP: TOP}
+        self._append: dict = {}
+        self._meet: dict = {}
+        self._less: dict = {}
+        self._join: dict = {}
+        self._sort_key: dict = {}
+        self._lasts: dict = {}
+
+    def intern(self, p: MoPoset) -> MoPoset:
+        return self._interned.setdefault(p, p)
+
+    # Misses call the operators through the module's globals, so a wrapper
+    # installed on the module attribute (as perfbench's tracer does) sees
+    # exactly the calls that do work.
+
+    def append(self, p: MoPoset, st: Event) -> MoPoset:
+        key = (p, st)
+        out = self._append.get(key)
+        if out is None:
+            out = self._append[key] = self.intern(
+                append(p, st, self.sb, self.abstract, self.rmw_critical))
+        return out
+
+    def meet(self, p1: MoPoset, p2: MoPoset) -> MoPoset:
+        key = (p1, p2)
+        out = self._meet.get(key)
+        if out is None:
+            out = self._meet[key] = self.intern(
+                meet(p1, p2, self.sb, self.abstract, self.rmw_critical))
+        return out
+
+    def less(self, p1: MoPoset, p2: MoPoset) -> bool:
+        key = (p1, p2)
+        out = self._less.get(key)
+        if out is None:
+            out = self._less[key] = less(p1, p2)
+        return out
+
+    def join(self, p1: MoPoset, p2: MoPoset) -> MoPoset:
+        key = (p1, p2)
+        out = self._join.get(key)
+        if out is None:
+            out = self._join[key] = self.intern(join(p1, p2))
+        return out
+
+    def sort_key(self, p: MoPoset) -> tuple:
+        """The poset's sorted events and sorted pairs."""
+        key = self._sort_key.get(p)
+        if key is None:
+            key = self._sort_key[p] = (tuple(sorted(p.events)), tuple(sorted(p.pairs)))
+        return key
+
+    def lasts(self, p: MoPoset) -> FrozenSet[Event]:
+        out = self._lasts.get(p)
+        if out is None:
+            out = self._lasts[p] = p.lasts()
+        return out
 
 
 def abs_alpha(p: MoPoset, sb: SbIndex, rmw_critical: bool = False) -> MoPoset:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from . import intervals, posets
 from .litmus import Label
@@ -72,14 +72,14 @@ class AbstractState:
     # __dict__, outside the dataclass fields, so == and hash ignore them and
     # the caches live exactly as long as the state.
 
-    def sort_key(self) -> tuple:
+    def sort_key(self, table: posets.PosetTable) -> tuple:
         """Orders the states of one label's bucket.  They share the label
         and differ in their poset maps, the bucket's unique key, so the
-        sorted events and pairs of each poset decide the order alone."""
+        sorted events and pairs of each poset decide the order alone; the
+        table sorts each distinct poset once."""
         key = self.__dict__.get("_sort_key")
         if key is None:
-            key = tuple((tuple(sorted(p.events)), tuple(sorted(p.pairs)))
-                        for _, p in self.mo)
+            key = tuple([table.sort_key(p) for _, p in self.mo])
             object.__setattr__(self, "_sort_key", key)
         return key
 
@@ -100,16 +100,13 @@ class AbstractState:
         return f"{self.at} | {pos} | {vals}"
 
 
-def _mo_item_join(x: tuple, y: tuple) -> tuple:
-    return x if x == y else (x[0], posets.join(x[1], y[1]))
-
-
 def _mem_item_join(x: tuple, y: tuple) -> tuple:
     return x if x == y else (x[0], intervals.val_join(x[1], y[1]))
 
 
-def _mo_join(a: Tuple, b: Tuple) -> Tuple:
-    return tuple(map(_mo_item_join, a, b))
+def _mo_join(table: posets.PosetTable, a: Tuple, b: Tuple) -> Tuple:
+    return tuple([x if x[1] is y[1] else (x[0], table.join(x[1], y[1]))
+                  for x, y in zip(a, b)])
 
 
 def _mem_join(a: Tuple, b: Tuple) -> Tuple:
@@ -126,9 +123,10 @@ class StateBucket:
     to the states sharing that memory with differing critical signatures.
     """
 
-    __slots__ = ("_by_mo", "_by_mem", "_sorted")
+    __slots__ = ("_table", "_by_mo", "_by_mem", "_sorted")
 
-    def __init__(self):
+    def __init__(self, table: posets.PosetTable):
+        self._table = table
         self._by_mo: dict = {}
         self._by_mem: dict = {}
         self._sorted = None
@@ -148,7 +146,7 @@ class StateBucket:
                     break
             if other is not None:
                 self._remove(other)
-                cur = AbstractState(cur.at, _mo_join(other.mo, cur.mo), cur.mem)
+                cur = AbstractState(cur.at, _mo_join(self._table, other.mo, cur.mo), cur.mem)
                 continue
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
@@ -165,8 +163,9 @@ class StateBucket:
 
     def states(self) -> tuple:
         if self._sorted is None:
+            table = self._table
             self._sorted = tuple(sorted(self._by_mo.values(),
-                                        key=AbstractState.sort_key))
+                                        key=lambda s: s.sort_key(table)))
         return self._sorted
 
     def __len__(self) -> int:
@@ -179,7 +178,7 @@ class StateBucket:
             self._by_mo[k] == other._by_mo[k] for k in self._by_mo)
 
     def copy(self) -> "StateBucket":
-        out = StateBucket()
+        out = StateBucket(self._table)
         out._by_mo = dict(self._by_mo)
         out._by_mem = {k: list(v) for k, v in self._by_mem.items()}
         out._sorted = self._sorted
@@ -187,15 +186,18 @@ class StateBucket:
 
 
 class StateSet:
-    """Map from label to its normal-form set of states."""
+    """Map from label to its normal-form set of states.  The buckets join
+    and order posets through `table`; a set made without one gets a table
+    of its own."""
 
-    def __init__(self):
+    def __init__(self, table: Optional[posets.PosetTable] = None):
+        self._table = table if table is not None else posets.PosetTable()
         self._by_label: Dict[Label, StateBucket] = {}
 
     def merge(self, s: AbstractState) -> None:
         bucket = self._by_label.get(s.at)
         if bucket is None:
-            bucket = self._by_label[s.at] = StateBucket()
+            bucket = self._by_label[s.at] = StateBucket(self._table)
         bucket.merge(s)
         if not bucket:
             del self._by_label[s.at]
@@ -212,7 +214,7 @@ class StateSet:
         return tuple(sorted(l for l, b in self._by_label.items() if len(b)))
 
     def copy(self) -> "StateSet":
-        out = StateSet()
+        out = StateSet(self._table)
         out._by_label = {k: v.copy() for k, v in self._by_label.items()}
         return out
 

@@ -83,8 +83,10 @@ def _pair_locks(cfg: Cfg) -> Tuple[Dict[Label, Label], Dict[Label, Label]]:
 
 
 class AnalysisContext:
-    """Per-program immutable analysis data: CFG, sb index, events, lock
-    pairing, and the slot layouts of states.
+    """Per-program analysis data: CFG, sb index, events, lock pairing, the
+    slot layouts of states, and the analysis's caches: the poset table that
+    every transfer and merge builds its posets through, and the
+    interference memo.
 
     Every state's poset map holds the poset keys (shared variables and
     mutexes) in sorted order, and every memory of a thread its memory keys
@@ -118,6 +120,7 @@ class AnalysisContext:
         self.shared_slots = {
             t: tuple((v, slots[v], self.mo_slot[v]) for v in program.shared_names())
             for t, slots in self.mem_slot.items()}
+        self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
         self._ai_memo: dict = {}
 
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
@@ -149,33 +152,37 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
 
 def _apply_interference(ctx: AnalysisContext, target: AbstractState,
                         source: AbstractState, src_event: Event) -> Optional[AbstractState]:
-    tc = ctx.tc
+    table = ctx.posets
     var = src_event.var
     new_mo = []
     for (v, pt), (_, ps) in zip(target.mo, source.mo):
         if v == var:
-            appended = posets.append(pt, src_event, ctx.sb, tc.abstract_mo, tc.rmw_critical)
-            if appended.bottom:
+            pt = table.append(pt, src_event)
+            if pt.bottom:
                 return None
-            met = posets.meet(appended, ps, ctx.sb, tc.abstract_mo, tc.rmw_critical)
-        else:
-            met = posets.meet(pt, ps, ctx.sb, tc.abstract_mo, tc.rmw_critical)
+        met = table.meet(pt, ps)
         if met.bottom:
             return None
         new_mo.append((v, met))
     # Registers keep the target's values; shared variables go by the views.
+    # One poset strictly below the other is `less` one way only; the same
+    # poset on both sides is neither view ahead.
     thread_of = ctx.cfg.thread_of
     src_slot = ctx.mem_slot[thread_of[source.at]]
     new_mem = list(target.mem)
     for v, i, j in ctx.shared_slots[thread_of[target.at]]:
-        pt, ps = target.mo[j][1], source.mo[j][1]
         sv = source.mem[src_slot[v]][1]
-        src_ahead = posets.less(ps, pt) and ps != pt
-        tgt_ahead = posets.less(pt, ps) and ps != pt
-        if v == var or src_ahead:
+        if v == var:
             new_mem[i] = (v, sv)
-        elif not tgt_ahead:
-            new_mem[i] = (v, val_join(new_mem[i][1], sv))
+            continue
+        pt, ps = target.mo[j][1], source.mo[j][1]
+        if pt is not ps:
+            src_below = table.less(ps, pt)
+            if src_below != table.less(pt, ps):
+                if src_below:  # the source's view is ahead
+                    new_mem[i] = (v, sv)
+                continue  # otherwise the target's is
+        new_mem[i] = (v, val_join(new_mem[i][1], sv))
     return AbstractState(target.at, tuple(new_mo), tuple(new_mem))
 
 
@@ -214,7 +221,6 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
     instr = ctx.cfg.nodes[lbl]
     tname = ctx.cfg.thread_of[lbl]
     env = ctx.envs[tname]
-    tc = ctx.tc
     out: list = []
 
     if isinstance(instr, (Nop, AssertInst)):
@@ -243,7 +249,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
         ev = ctx.event_at(lbl, bump)
         i, j = ctx.mo_slot[instr.var], mem_slot[instr.var]
         for s in pre_states:
-            p = posets.append(s.mo[i][1], ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
+            p = ctx.posets.append(s.mo[i][1], ev)
             if p.bottom:
                 continue
             val = eval_expr(instr.value, s.mem_map(), env)
@@ -276,7 +282,6 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
 def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> list:
     tname = ctx.cfg.thread_of[lbl]
     env = ctx.envs[tname]
-    tc = ctx.tc
     var = instr.var
     i = ctx.mo_slot[var]
     j = ctx.mem_slot[tname][var]
@@ -291,7 +296,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
                 addend = eval_expr(instr.addend, base.mem_map(), env)
                 stored = intervals.add(loaded, addend)
                 ev = ctx.event_at(lbl, bump)
-                p = posets.append(base.mo[i][1], ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
+                p = ctx.posets.append(base.mo[i][1], ev)
                 if p.bottom or stored.is_empty:
                     continue
                 out.append(base.slot_update(lbl, mo=((i, p),), mem=((j, stored), (k, loaded))))
@@ -301,7 +306,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
             if not succ.is_empty:
                 stored = eval_expr(instr.new, base.mem_map(), env)
                 ev = ctx.event_at(lbl, bump)
-                p = posets.append(base.mo[i][1], ev, ctx.sb, tc.abstract_mo, tc.rmw_critical)
+                p = ctx.posets.append(base.mo[i][1], ev)
                 if not p.bottom and not stored.is_empty:
                     out.append(base.slot_update(lbl, mo=((i, p),),
                                                 mem=((j, stored), (k, succ))))
@@ -316,8 +321,8 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
     return out
 
 
-def _ends_in_lock(p: MoPoset):
-    return [e for e in sorted(p.lasts()) if e.kind == "lock"]
+def _ends_in_lock(table: posets.PosetTable, p: MoPoset):
+    return [e for e in sorted(table.lasts(p)) if e.kind == "lock"]
 
 
 def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> list:
@@ -327,7 +332,7 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
     i = ctx.mo_slot[mutex]
     freed: list = []
     for s in pre_states:
-        holders = _ends_in_lock(s.mo[i][1])
+        holders = _ends_in_lock(ctx.posets, s.mo[i][1])
         if holders:
             for le in holders:
                 ul = ctx.matching_unlock.get(Label(le.label, le.instance))
@@ -353,9 +358,9 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
                     candidates.append(r)
         for c in candidates:
             pm = c.mo[i][1]
-            if _ends_in_lock(pm):
+            if _ends_in_lock(ctx.posets, pm):
                 continue
-            p = posets.append(pm, ev, ctx.sb, ctx.tc.abstract_mo, ctx.tc.rmw_critical)
+            p = ctx.posets.append(pm, ev)
             if p.bottom:
                 continue
             out.append(c.slot_update(lbl, mo=((i, p),)))
@@ -374,9 +379,9 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
     i = ctx.mo_slot[mutex]
     for s in pre_states:
         pm = s.mo[i][1]
-        if lock_ev not in pm.lasts():
+        if lock_ev not in ctx.posets.lasts(pm):
             continue
-        p = posets.append(pm, ev, ctx.sb, ctx.tc.abstract_mo, ctx.tc.rmw_critical)
+        p = ctx.posets.append(pm, ev)
         if p.bottom:
             continue
         out.append(s.slot_update(lbl, mo=((i, p),)))

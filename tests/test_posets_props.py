@@ -249,3 +249,58 @@ def test_beta_soundness_and_minimality():
         for q in rng.sample(candidates, 30):
             if beta_related(p, q, SB):
                 assert P.less(a, q), "forgetting abstraction is not minimal"
+
+
+MIXED_UNIVERSE = UNIVERSE + [Event("k", 1, "t1", "rmw", "x"), Event("m", 1, "t2", "rmw", "x"),
+                             Event("l", 1, "t1", "lock", "x"), Event("u", 1, "t1", "unlock", "x")]
+MIXED_SB = SbIndex({(a.key, b.key)
+                    for a in MIXED_UNIVERSE for b in MIXED_UNIVERSE
+                    if a.thread == b.thread and (a.label, a.instance) < (b.label, b.instance)})
+
+
+@st.composite
+def operand_strategy(draw):
+    """Bottom, top, or a poset over stores, rmws, a lock and an unlock."""
+    pick = draw(st.integers(0, 9))
+    if pick == 0:
+        return BOTTOM
+    if pick == 1:
+        return P.TOP
+    events = draw(st.lists(st.sampled_from(MIXED_UNIVERSE), max_size=5, unique=True))
+    pairs = {(a, b) for a, b in itertools.combinations(events, 2) if draw(st.booleans())}
+    built = poset(events, pairs)
+    return built if not built.bottom else poset(events)
+
+
+def _copy(p):
+    """An equal poset that shares no object with p."""
+    return P.MoPoset(p.bottom, frozenset(list(p.events)), frozenset(list(p.pairs)))
+
+
+@given(st.lists(operand_strategy(), min_size=1, max_size=6),
+       st.lists(st.sampled_from(MIXED_UNIVERSE), min_size=1, max_size=3),
+       st.booleans(), st.booleans())
+def test_poset_table_answers_as_the_operators(ops, evs, abstract, rmw_critical):
+    """Each memoized operator returns what the module function returns, on
+    first use and on a repeat, for operands that are equal copies of each
+    other as well; equal results come back as one object."""
+    table = P.PosetTable(MIXED_SB, abstract, rmw_critical)
+    flags = (MIXED_SB, abstract, rmw_critical)
+    ops = ops + [_copy(p) for p in ops]
+    results = []
+    for _ in range(2):
+        for p1, p2 in itertools.product(ops, repeat=2):
+            met, joined = table.meet(p1, p2), table.join(p1, p2)
+            assert met == P.meet(p1, p2, *flags)
+            assert joined == P.join(p1, p2)
+            assert table.less(p1, p2) == P.less(p1, p2)
+            results += [met, joined]
+        for p, ev in itertools.product(ops, evs):
+            appended = table.append(p, ev)
+            assert appended == P.append(p, ev, *flags)
+            results.append(appended)
+            assert table.lasts(p) == p.lasts()
+            assert table.sort_key(p) == (tuple(sorted(p.events)), tuple(sorted(p.pairs)))
+    canonical = {}
+    for r in results:
+        assert canonical.setdefault(r, r) is r
