@@ -2,6 +2,15 @@
 against the global state set until nothing changes, with assertions evaluated
 on the fixpoint.  A combination-based variant runs each thread once per
 feasible interference combination instead of per-load.
+
+Rounds reuse node results.  `AnalysisContext.node_memo` keeps, per label,
+bump and interference sources, the pre-states of the node's last visit,
+the (label, states) pairs its transfer read from the global set, and its
+merged states before widening.  A visit whose pre-states are equal and
+whose recorded reads give equal tuples now takes the merged states without
+running the transfer, as in demand-driven incremental computation
+(Hammer et al., "Adapton", PLDI'14).  The round that only confirms the
+fixpoint therefore runs no transfer.
 """
 
 from __future__ import annotations
@@ -62,6 +71,48 @@ def _widen_states(table: posets.PosetTable, old_states, new_states) -> list:
     return [AbstractState.make(old.at, mo, mem)]
 
 
+class _RecordedReads:
+    """The global state set as `transfer_node` sees it: `.at()` only, with
+    every read kept as a (label, states) pair."""
+
+    __slots__ = ("_ss", "reads")
+
+    def __init__(self, ss: StateSet):
+        self._ss = ss
+        self.reads: list = []
+
+    def at(self, label: Label) -> tuple:
+        states = self._ss.at(label)
+        self.reads.append((label, states))
+        return states
+
+
+def _reads_unchanged(ss: StateSet, reads: list) -> bool:
+    for label, old in reads:
+        now = ss.at(label)
+        if now is not old and now != old:
+            return False
+    return True
+
+
+def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: list,
+                 global_ss: StateSet, interfs: Dict[Label, tuple], bump: int) -> tuple:
+    """The merged states of one visit of `lbl`, before widening, taken from
+    the memo when the inputs are unchanged: the transfer is a function of
+    the pre-states, the global reads, the key and the context alone."""
+    key = (lbl, bump, interfs.get(lbl))
+    entry = ctx.node_memo.get(key)
+    if entry is not None and entry[0] == pre_states and _reads_unchanged(global_ss, entry[1]):
+        return entry[2]
+    reads = _RecordedReads(global_ss)
+    bucket = StateBucket(ctx.posets)
+    for s in transfer_node(ctx, lbl, pre_states, reads, interfs, bump=bump):
+        bucket.merge(s)
+    states = bucket.states()
+    ctx.node_memo[key] = (pre_states, reads.reads, states)
+    return states
+
+
 def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
            interfs: Dict[Label, tuple], widened: Optional[set] = None) -> Dict[Label, list]:
     """Worklist pass over one thread's CFG in reverse post-order, reading
@@ -83,11 +134,8 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
         for p in cfg.preds[lbl]:
             pre_states.extend(local.get(p, ()))
         visits[lbl] = visits.get(lbl, 0) + 1
-        bump = visits[lbl] - 1 if lbl in cfg.loop_headers or visits[lbl] > 1 else 0
-        bucket = StateBucket(ctx.posets)
-        for s in transfer_node(ctx, lbl, pre_states, global_ss, interfs, bump=bump):
-            bucket.merge(s)
-        new = list(bucket.states())
+        bump = visits[lbl] - 1
+        new = list(_node_states(ctx, lbl, pre_states, global_ss, interfs, bump))
         if lbl in cfg.loop_headers and visits[lbl] > ctx.tc.widening_threshold:
             new = _widen_states(ctx.posets, local.get(lbl, []), new)
             if widened is not None:

@@ -132,12 +132,20 @@ class StateBucket:
         self._sorted = None
 
     def merge(self, s: AbstractState) -> None:
+        """Join s into the bucket.  When the join gives back a state the
+        bucket holds, the bucket is left as it is, its cached `states()`
+        tuple included: re-inserting that state would rebuild the same
+        content, since no two states share a poset map or a memory and
+        critical signature."""
         cur = s
         while True:
             other = self._by_mo.get(cur.mo)
             if other is not None:
+                mem = _mem_join(other.mem, cur.mem)
+                if mem == other.mem:
+                    return
                 self._remove(other)
-                cur = AbstractState(cur.at, cur.mo, _mem_join(other.mem, cur.mem))
+                cur = AbstractState(cur.at, cur.mo, mem)
                 continue
             other = None
             for cand in self._by_mem.get(cur.mem, ()):
@@ -145,8 +153,11 @@ class StateBucket:
                     other = cand
                     break
             if other is not None:
+                mo = _mo_join(self._table, other.mo, cur.mo)
+                if mo == other.mo:
+                    return
                 self._remove(other)
-                cur = AbstractState(cur.at, _mo_join(self._table, other.mo, cur.mo), cur.mem)
+                cur = AbstractState(cur.at, mo, cur.mem)
                 continue
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
@@ -199,8 +210,6 @@ class StateSet:
         if bucket is None:
             bucket = self._by_label[s.at] = StateBucket(self._table)
         bucket.merge(s)
-        if not bucket:
-            del self._by_label[s.at]
 
     def merge_all(self, states: Iterable[AbstractState]) -> None:
         for s in states:

@@ -85,8 +85,8 @@ def _pair_locks(cfg: Cfg) -> Tuple[Dict[Label, Label], Dict[Label, Label]]:
 class AnalysisContext:
     """Per-program analysis data: CFG, sb index, events, lock pairing, the
     slot layouts of states, and the analysis's caches: the poset table that
-    every transfer and merge builds its posets through, and the
-    interference memo.
+    every transfer and merge builds its posets through, and the node memo
+    of `engine.seq_ai`.
 
     Every state's poset map holds the poset keys (shared variables and
     mutexes) in sorted order, and every memory of a thread its memory keys
@@ -121,7 +121,9 @@ class AnalysisContext:
             t: tuple((v, slots[v], self.mo_slot[v]) for v in program.shared_names())
             for t, slots in self.mem_slot.items()}
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
-        self._ai_memo: dict = {}
+        # (label, bump, interference sources) -> (pre-states, global reads,
+        # merged states) of the node's latest visit; see engine.seq_ai
+        self.node_memo: dict = {}
 
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
         ev = self.events[lbl]
@@ -142,16 +144,6 @@ class AnalysisContext:
 
 def apply_interference(ctx: AnalysisContext, target: AbstractState,
                        source: AbstractState, src_event: Event) -> Optional[AbstractState]:
-    memo_key = (target, source, src_event)
-    if memo_key in ctx._ai_memo:
-        return ctx._ai_memo[memo_key]
-    result = _apply_interference(ctx, target, source, src_event)
-    ctx._ai_memo[memo_key] = result
-    return result
-
-
-def _apply_interference(ctx: AnalysisContext, target: AbstractState,
-                        source: AbstractState, src_event: Event) -> Optional[AbstractState]:
     table = ctx.posets
     var = src_event.var
     new_mo = []

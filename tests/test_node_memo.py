@@ -1,0 +1,184 @@
+"""The node memo: a pass over a thread's CFG reuses a node's merged states
+from an earlier pass when its pre-states, its interference sources, its
+bump and every global read it made are unchanged, and the memo never
+changes what the analysis computes."""
+
+import pytest
+
+from ramosaic import engine, interference, transfer
+from ramosaic.engine import analyze_with_combinations, seq_ai, tmai
+from ramosaic.interference import CTX
+from ramosaic.litmus import Label, build_cfg, parse, unroll
+from ramosaic.randprog import random_program
+from ramosaic.states import StateSet
+from ramosaic.transfer import AnalysisContext, TransferConfig
+
+from conftest import LOOPED_SOURCES, MP_SRC, corpus_files, peterson
+
+# t2's load of x from s1 leaves its mutex order ending in t1's lock l1, so
+# the lock l2 frees the mutex with the states of l1's unlock u1.  t3's cas
+# succeeds on w1's y = 1 and fails on the initial y = 0.
+READS_SRC = """
+vars x = 0, y = 0;
+locks m;
+thread t1 { l1: lock m; s1: store x 1; u1: unlock m; w1: store y 1; }
+thread t2 { a: r = load x; l2: lock m; s2: store x 2; u2: unlock m; }
+thread t3 { c: q = cas y 1 2; }
+"""
+
+
+def _setup(src: str):
+    program = parse(src)
+    cfg = build_cfg(program)
+    return program, cfg, interference.get_interfs(program, cfg), tmai(program, cfg=cfg).states
+
+
+def _fresh_pass(program, cfg, tname, global_ss, interfs) -> dict:
+    return seq_ai(AnalysisContext(program, cfg, TransferConfig()), tname, global_ss, interfs)
+
+
+def test_confirming_round_recomputes_nothing(monkeypatch):
+    """Peterson-4's last round changes no label, so every node's inputs are
+    those of the round before and every node is a memo hit."""
+    passes: list = []  # per seq_ai call: [transfer_node calls, apply_interference calls]
+    real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
+    real_apply = transfer.apply_interference
+
+    def counted_seq_ai(*args, **kwargs):
+        passes.append([0, 0])
+        return real_seq_ai(*args, **kwargs)
+
+    def counted_transfer_node(*args, **kwargs):
+        passes[-1][0] += 1
+        return real_transfer_node(*args, **kwargs)
+
+    def counted_apply(*args, **kwargs):
+        passes[-1][1] += 1
+        return real_apply(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "seq_ai", counted_seq_ai)
+    monkeypatch.setattr(engine, "transfer_node", counted_transfer_node)
+    monkeypatch.setattr(transfer, "apply_interference", counted_apply)
+    program = parse(peterson(4))
+    result = tmai(program)
+    assert result.states.total_states() == 1520 and result.iterations_total == 4
+    n = len(program.threads)
+    assert len(passes) == 4 * n
+    rounds = [[sum(p[k] for p in passes[i:i + n]) for k in (0, 1)]
+              for i in range(0, len(passes), n)]
+    assert rounds[-1] == [0, 0], rounds
+    assert all(calls > 0 for calls, _ in rounds[:-1]), rounds
+
+
+class _CountingSet(StateSet):
+    """A state set that counts the reads of each label."""
+
+    def __init__(self, states: StateSet):
+        super().__init__()
+        self._by_label = states.copy()._by_label
+        self.reads: dict = {}
+
+    def at(self, label: Label) -> tuple:
+        self.reads[label] = self.reads.get(label, 0) + 1
+        return super().at(label)
+
+
+@pytest.mark.parametrize("tname, node, source", [("t2", "a", "s1"),   # a load
+                                                  ("t3", "c", "w1"),   # a cas
+                                                  ("t2", "l2", "u1")])  # lock freeing
+def test_changed_reads_recompute(tname, node, source):
+    """A pass against a set that lacks the source's states, then a pass of
+    the same context against the full set: the node's pre-states are equal
+    in both passes and only its reads differ, yet the second pass equals a
+    fresh context's."""
+    program, cfg, interfs, full = _setup(READS_SRC)
+    partial = StateSet()
+    for lbl in full.labels():
+        if lbl != Label(source):
+            partial.merge_all(full.at(lbl))
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    before = seq_ai(ctx, tname, partial, interfs[tname])
+    after = seq_ai(ctx, tname, full, interfs[tname])
+    assert after == _fresh_pass(program, cfg, tname, full, interfs[tname])
+    assert after[Label(node)] != before[Label(node)]
+    for pred in cfg.preds[Label(node)]:
+        assert after.get(pred) == before.get(pred)
+
+
+def test_cas_reads_both_outcomes_and_lock_frees_with_unlock_states():
+    """READS_SRC covers what the test above relies on: the cas both
+    succeeds and fails, and some pre-state of l2 holds t1's lock, so l2
+    reads u1 to free the mutex as well as for interference."""
+    program, cfg, interfs, full = _setup(READS_SRC)
+    assert len({s.val("t3.q") for s in full.at(Label("c"))}) == 2
+    counting = _CountingSet(full)
+    local = _fresh_pass(program, cfg, "t2", counting, interfs["t2"])
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    l1 = ctx.events[Label("l1")]
+    assert any(l1 in s.po("m").lasts() for s in local[Label("a")])
+    assert counting.reads[Label("u1")] >= 2
+
+
+def test_pinned_maps_keep_separate_entries():
+    """Two maps that pin the load d differently, to the initial value and
+    to a's store, give different results through one context, each equal
+    to a fresh context's."""
+    program, cfg, interfs, full = _setup(MP_SRC)
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    d = Label("d")
+    results = []
+    for chosen in ((CTX,), (Label("a"),)):
+        pinned = dict(interfs["t2"])
+        pinned[d] = chosen
+        got = seq_ai(ctx, "t2", full, pinned)
+        assert got == _fresh_pass(program, cfg, "t2", full, pinned)
+        results.append(got[d])
+    assert results[0] != results[1]
+
+
+def test_bump_is_part_of_the_key():
+    """The same store node with the same inputs at two loop visits appends
+    two different instances of its event."""
+    program = parse("vars x = 0;\nthread t { a: store x 1; }")
+    cfg = build_cfg(program)
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    pre = [ctx.initial_state("t", cfg.entries["t"])]
+    a = Label("a")
+    first = engine._node_states(ctx, a, pre, StateSet(), {}, 0)
+    second = engine._node_states(ctx, a, pre, StateSet(), {}, 1)
+    fresh = AnalysisContext(program, cfg, TransferConfig())
+    assert second == engine._node_states(fresh, a, pre, StateSet(), {}, 1)
+    assert first != second
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every visit recomputes its node."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _digest(programs) -> list:
+    out = []
+    for p in programs:
+        for run in (lambda: tmai(p, max_iterations=100),
+                    lambda: analyze_with_combinations(p, max_iterations=100)):
+            r = run()
+            out.append((r.states.dump(), sorted((k, str(v)) for k, v in r.verdicts.items()),
+                        r.iterations_total, sorted(map(str, r.widened))))
+    return out
+
+
+def test_memo_is_transparent(monkeypatch):
+    programs = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
+    programs += [random_program(seed) for seed in range(100)]
+    programs += [parse(src) for src in LOOPED_SOURCES]
+    with_memo = _digest(programs)
+    init = AnalysisContext.__init__
+
+    def forgetful_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.node_memo = _Forgetful()
+
+    monkeypatch.setattr(AnalysisContext, "__init__", forgetful_init)
+    assert _digest(programs) == with_memo

@@ -9,21 +9,7 @@ from ramosaic import posets
 from ramosaic.engine import tmai
 from ramosaic.litmus import parse
 
-
-def peterson(n: int) -> str:
-    """The unfenced N-thread filter lock, as benchmarks/peterson3.lit."""
-    decls = ", ".join([f"q{i} = 0" for i in range(1, n + 1)] + ["v = 0", "cs = 0"])
-    threads = []
-    for i in range(1, n + 1):
-        others = [j for j in range(1, n + 1) if j != i]
-        clear = " && ".join(f"rA{i}_{j} == 0" for j in others)
-        body = [f"a{i}: store q{i} 1;", f"b{i}: store v {i};"]
-        body += [f"c{i}_{j}: rA{i}_{j} = load q{j};" for j in others]
-        body += [f"e{i}: rV{i} = load v;", f"f{i}: assume(({clear}) || rV{i} != {i});",
-                 f"g{i}: store cs {i};", f"x{i}: rZ{i} = load cs;",
-                 f"h{i}: assert(rZ{i} == {i});"]
-        threads.append(f"thread t{i} {{ {' '.join(body)} }}")
-    return f"vars {decls};\n" + "\n".join(threads) + "\n"
+from conftest import peterson
 
 
 def lock_sections(n: int) -> str:

@@ -1,13 +1,16 @@
 import itertools
 import random
 
+from hypothesis import given, strategies as st
+
 from ramosaic import posets as P
 from ramosaic.engine import analyze_with_combinations, tmai
 from ramosaic.intervals import Interval, singleton
 from ramosaic.litmus import Label, parse, unroll
 from ramosaic.posets import Event, poset
 from ramosaic.randprog import random_program
-from ramosaic.states import AbstractState, StateBucket, StateSet, equal_sets
+from ramosaic.states import (AbstractState, StateBucket, StateSet, _mem_join, _mo_join,
+                             equal_sets)
 
 from conftest import LOOPED_SOURCES, corpus_files
 
@@ -128,6 +131,70 @@ def test_merge_state_list_matches_stateset():
         merge_state_list(lst, s)
         ss.merge(s)
     assert tuple(lst) == ss.at(L)
+
+
+class _BucketWithoutFastPath(StateBucket):
+    """The merge with no shortcut for covered states: every match is taken
+    out and the joined state put back in."""
+
+    __slots__ = ()
+
+    def merge(self, s: AbstractState) -> None:
+        cur = s
+        while True:
+            other = self._by_mo.get(cur.mo)
+            if other is not None:
+                self._remove(other)
+                cur = AbstractState(cur.at, cur.mo, _mem_join(other.mem, cur.mem))
+                continue
+            other = next((c for c in self._by_mem.get(cur.mem, ())
+                          if c.critical_signature() == cur.critical_signature()), None)
+            if other is not None:
+                self._remove(other)
+                cur = AbstractState(cur.at, _mo_join(self._table, other.mo, cur.mo), cur.mem)
+                continue
+            self._by_mo[cur.mo] = cur
+            self._by_mem.setdefault(cur.mem, []).append(cur)
+            self._sorted = None
+            return
+
+
+U = Event("u", 1, "t1", "rmw", "x")
+MERGE_POSETS = (P.TOP, poset({A}), poset({B}), poset({U}), P.chain(A, B), P.chain(B, A),
+                P.chain(U, B))
+
+
+@st.composite
+def merge_states(draw):
+    def interval():
+        lo = draw(st.integers(0, 3))
+        return Interval(lo, lo + draw(st.integers(0, 2)))
+    return state(draw(st.sampled_from(MERGE_POSETS)), interval(), interval())
+
+
+@given(st.lists(merge_states(), max_size=14))
+def test_merge_fast_path_matches_the_plain_merge(seq):
+    """After every merge the bucket holds what the plain merge holds, in the
+    same order; a merge that leaves the plain bucket's states as they were
+    keeps the fast bucket's states() tuple itself, and so does merging a
+    state the bucket holds or one with the same posets and a narrower
+    memory."""
+    table = P.PosetTable()
+    fast, plain = StateBucket(table), _BucketWithoutFastPath(table)
+    for s in seq:
+        fast_before, plain_before = fast.states(), plain.states()
+        fast.merge(s)
+        plain.merge(s)
+        assert fast.states() == plain.states()
+        if plain.states() == plain_before:
+            assert fast.states() is fast_before
+    for held in fast.states():
+        covered = (held, AbstractState(held.at, held.mo,
+                                       tuple((k, singleton(iv.lo)) for k, iv in held.mem)))
+        for s in covered:
+            before = fast.states()
+            fast.merge(s)
+            assert fast.states() is before
 
 
 def test_dump_format():
