@@ -53,9 +53,8 @@ def _collapse(table: posets.PosetTable, states) -> Optional[AbstractState]:
         return None
     cur = states[0]
     for s in states[1:]:
-        mo = {v: table.join(p, s.po(v)) for v, p in cur.mo}
-        mem = {k: intervals.val_join(iv, s.val(k)) for k, iv in cur.mem}
-        cur = AbstractState.make(cur.at, mo, mem)
+        cur = AbstractState(cur.at, tuple(map(table.join, cur.mo, s.mo)),
+                            tuple(map(intervals.val_join, cur.mem, s.mem)), cur.layout)
     return cur
 
 
@@ -66,9 +65,8 @@ def _widen_states(table: posets.PosetTable, old_states, new_states) -> list:
         return list(new_states)
     if new is None:
         return list(old_states)
-    mo = {v: table.intern(posets.widen(p, new.po(v))) for v, p in old.mo}
-    mem = {k: val_widen(iv, new.val(k)) for k, iv in old.mem}
-    return [AbstractState.make(old.at, mo, mem)]
+    mo = tuple([table.intern(posets.widen(p, q)) for p, q in zip(old.mo, new.mo)])
+    return [AbstractState(old.at, mo, tuple(map(val_widen, old.mem, new.mem)), old.layout)]
 
 
 class _RecordedReads:

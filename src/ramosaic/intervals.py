@@ -163,24 +163,20 @@ def mem_join(a: Memory, b: Memory) -> Memory:
 
 class NameEnv:
     """Resolves bare identifiers to memory keys for one thread's expressions,
-    or, with thread None, for the postcondition, whose names are resolved
-    once when the environment is built."""
+    or, with thread None, for the postcondition.  Every name is resolved
+    once, when the environment is built."""
 
     def __init__(self, program, thread: Optional[str]):
-        self.program = program
-        self.thread = thread
-        self.shared = set(program.shared_names())
-        self.post_keys = {}
-        if thread is None and program.postcondition is not None:
-            self.post_keys = {ident: program.resolve_postcondition_name(ident)
-                              for ident in expr_names(program.postcondition)}
+        self.keys = {v: v for v in program.shared_names()}
+        if thread is not None:
+            self.keys.update((r, program.register_key(thread, r))
+                             for r in program.thread_registers(thread))
+        elif program.postcondition is not None:
+            self.keys.update((ident, program.resolve_postcondition_name(ident))
+                             for ident in expr_names(program.postcondition))
 
     def key(self, ident: str) -> str:
-        if ident in self.shared:
-            return ident
-        if self.thread is None:
-            return self.post_keys[ident]
-        return self.program.register_key(self.thread, ident)
+        return self.keys[ident]
 
 
 def eval_expr(e: IntExpr, mem: Memory, env: NameEnv) -> Interval:

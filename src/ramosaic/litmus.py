@@ -40,10 +40,6 @@ class SemanticError(Exception):
     pass
 
 
-class UnknownLabel(KeyError):
-    pass
-
-
 # --------------------------------------------------------------------------
 # Expressions
 # --------------------------------------------------------------------------
@@ -266,12 +262,6 @@ class Program:
 
     def shared_names(self) -> tuple:
         return tuple(n for n, _ in self.shared)
-
-    def initial_value(self, var: str) -> int:
-        for n, v in self.shared:
-            if n == var:
-                return v
-        raise KeyError(var)
 
     def thread_registers(self, tname: str) -> tuple:
         for t in self.threads:
@@ -831,11 +821,6 @@ class Cfg:
     rpo: dict  # thread -> tuple[Label, ...]
     accesses: dict  # Label -> Access, for the nodes that touch memory
     loop_headers: frozenset = frozenset()
-
-    def pre_labels(self, label: Label) -> frozenset:
-        if label not in self.preds:
-            raise UnknownLabel(label)
-        return frozenset(self.preds[label])
 
     def reachable(self, a: Label) -> frozenset:
         """The labels reachable from a along CFG edges (strict)."""

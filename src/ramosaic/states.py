@@ -10,7 +10,7 @@ a label's set, so buckets keep hash indexes on each.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from . import intervals, posets
@@ -18,55 +18,74 @@ from .litmus import Label
 from .posets import MoPoset
 
 
+class Layout:
+    """The names behind the value tuples of one thread's states: the poset
+    keys (shared variables and mutexes) and the memory keys (shared
+    variables and the thread's registers), each sorted, with the index of
+    every key.  An analysis builds one per thread; its states point to it
+    and hold values only.  The shared variables are the keys of both kinds,
+    since registers and mutexes never share a name; `shared_slots` holds
+    (variable, memory slot, poset slot) for each."""
+
+    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "shared_slots")
+
+    def __init__(self, mo_keys, mem_keys):
+        self.mo_keys = tuple(sorted(mo_keys))
+        self.mem_keys = tuple(sorted(mem_keys))
+        self.mo_slot = {k: i for i, k in enumerate(self.mo_keys)}
+        self.mem_slot = {k: i for i, k in enumerate(self.mem_keys)}
+        self.shared_slots = tuple((k, i, self.mo_slot[k])
+                                  for i, k in enumerate(self.mem_keys) if k in self.mo_slot)
+
+
 @dataclass(frozen=True)
 class AbstractState:
     at: Label
-    mo: Tuple[Tuple[str, MoPoset], ...]  # sorted by variable name
-    mem: Tuple[Tuple[str, intervals.Interval], ...]  # sorted by key
+    mo: Tuple[MoPoset, ...]  # one poset per layout.mo_keys
+    mem: Tuple[intervals.Interval, ...]  # one interval per layout.mem_keys
+    # the states of one label share their thread's layout, so == and hash
+    # leave it out
+    layout: Layout = field(compare=False, repr=False)
 
     @staticmethod
-    def make(at: Label, mo: Dict[str, MoPoset], mem: Dict[str, intervals.Interval]) -> "AbstractState":
-        return AbstractState(at,
-                             tuple(sorted(mo.items())),
-                             tuple(sorted(mem.items())))
+    def make(at: Label, mo: Dict[str, MoPoset], mem: Dict[str, intervals.Interval],
+             layout: Optional[Layout] = None) -> "AbstractState":
+        """The state with the given maps, whose keys are the layout's; with
+        no layout given, one is built from the maps' keys."""
+        if layout is None:
+            layout = Layout(mo, mem)
+        return AbstractState(at, tuple([mo[k] for k in layout.mo_keys]),
+                             tuple([mem[k] for k in layout.mem_keys]), layout)
 
     def slot_update(self, at: Label, mo: tuple = (), mem: tuple = ()) -> "AbstractState":
         """This state at `at`, with the values at the given slots replaced:
         `mo` and `mem` hold (slot, value) pairs, a slot being an index into
-        the sorted tuple.  Keys and their order stay as they are, so the
-        result equals what `make` builds from the updated maps, without the
-        dicts and the sorting."""
+        the value tuple."""
         new_mo = self.mo
         if mo:
             new_mo = list(new_mo)
             for i, value in mo:
-                new_mo[i] = (new_mo[i][0], value)
+                new_mo[i] = value
             new_mo = tuple(new_mo)
         new_mem = self.mem
         if mem:
             new_mem = list(new_mem)
             for i, value in mem:
-                new_mem[i] = (new_mem[i][0], value)
+                new_mem[i] = value
             new_mem = tuple(new_mem)
-        return AbstractState(at, new_mo, new_mem)
+        return AbstractState(at, new_mo, new_mem, self.layout)
 
     def mo_map(self) -> Dict[str, MoPoset]:
-        return dict(self.mo)
+        return dict(zip(self.layout.mo_keys, self.mo))
 
     def mem_map(self) -> Dict[str, intervals.Interval]:
-        return dict(self.mem)
+        return dict(zip(self.layout.mem_keys, self.mem))
 
     def po(self, var: str) -> MoPoset:
-        for v, p in self.mo:
-            if v == var:
-                return p
-        raise KeyError(var)
+        return self.mo[self.layout.mo_slot[var]]
 
     def val(self, key: str) -> intervals.Interval:
-        for k, v in self.mem:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self.mem[self.layout.mem_slot[key]]
 
     # sort_key() and critical_signature() are cached in the instance's
     # __dict__, outside the dataclass fields, so == and hash ignore them and
@@ -79,7 +98,7 @@ class AbstractState:
         table sorts each distinct poset once."""
         key = self.__dict__.get("_sort_key")
         if key is None:
-            key = tuple([table.sort_key(p) for _, p in self.mo])
+            key = tuple([table.sort_key(p) for p in self.mo])
             object.__setattr__(self, "_sort_key", key)
         return key
 
@@ -90,27 +109,23 @@ class AbstractState:
         if sig is None:
             sig = tuple(frozenset(e for e in p.events
                                   if e.kind in ("lock", "unlock", "rmw"))
-                        for _, p in self.mo)
+                        for p in self.mo)
             object.__setattr__(self, "_critical_signature", sig)
         return sig
 
     def fmt(self) -> str:
-        pos = " ".join(f"{v}:{p}" for v, p in self.mo)
-        vals = " ".join(f"{k}:{iv}" for k, iv in self.mem)
+        layout = self.layout
+        pos = " ".join(f"{v}:{p}" for v, p in zip(layout.mo_keys, self.mo))
+        vals = " ".join(f"{k}:{iv}" for k, iv in zip(layout.mem_keys, self.mem))
         return f"{self.at} | {pos} | {vals}"
 
 
-def _mem_item_join(x: tuple, y: tuple) -> tuple:
-    return x if x == y else (x[0], intervals.val_join(x[1], y[1]))
-
-
 def _mo_join(table: posets.PosetTable, a: Tuple, b: Tuple) -> Tuple:
-    return tuple([x if x[1] is y[1] else (x[0], table.join(x[1], y[1]))
-                  for x, y in zip(a, b)])
+    return tuple([x if x is y else table.join(x, y) for x, y in zip(a, b)])
 
 
 def _mem_join(a: Tuple, b: Tuple) -> Tuple:
-    return tuple(map(_mem_item_join, a, b))
+    return tuple(map(intervals.val_join, a, b))
 
 
 class StateBucket:
@@ -129,7 +144,11 @@ class StateBucket:
         self._table = table
         self._by_mo: dict = {}
         self._by_mem: dict = {}
-        self._sorted = None
+        # a one-element list holding the `states()` tuple once computed; a
+        # copy shares it with the bucket it was copied from until one of
+        # them changes, so the sort is done once for both and an unchanged
+        # bucket gives the identical tuple in every later copy
+        self._sorted: list = [None]
 
     def merge(self, s: AbstractState) -> None:
         """Join s into the bucket.  When the join gives back a state the
@@ -141,11 +160,13 @@ class StateBucket:
         while True:
             other = self._by_mo.get(cur.mo)
             if other is not None:
+                if cur.mem == other.mem:
+                    return
                 mem = _mem_join(other.mem, cur.mem)
                 if mem == other.mem:
                     return
                 self._remove(other)
-                cur = AbstractState(cur.at, cur.mo, mem)
+                cur = AbstractState(cur.at, cur.mo, mem, cur.layout)
                 continue
             other = None
             for cand in self._by_mem.get(cur.mem, ()):
@@ -157,11 +178,11 @@ class StateBucket:
                 if mo == other.mo:
                     return
                 self._remove(other)
-                cur = AbstractState(cur.at, mo, cur.mem)
+                cur = AbstractState(cur.at, mo, cur.mem, cur.layout)
                 continue
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
-            self._sorted = None
+            self._sorted = [None]
             return
 
     def _remove(self, s: AbstractState) -> None:
@@ -170,14 +191,14 @@ class StateBucket:
         group.remove(s)
         if not group:
             del self._by_mem[s.mem]
-        self._sorted = None
+        self._sorted = [None]
 
     def states(self) -> tuple:
-        if self._sorted is None:
+        cell = self._sorted
+        if cell[0] is None:
             table = self._table
-            self._sorted = tuple(sorted(self._by_mo.values(),
-                                        key=lambda s: s.sort_key(table)))
-        return self._sorted
+            cell[0] = tuple(sorted(self._by_mo.values(), key=lambda s: s.sort_key(table)))
+        return cell[0]
 
     def __len__(self) -> int:
         return len(self._by_mo)

@@ -22,7 +22,7 @@ from .litmus import (And, AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
                      expr_names, negate)
 from .interference import CTX
 from .posets import Event, MoPoset, SbIndex
-from .states import AbstractState, StateSet
+from .states import AbstractState, Layout, StateSet
 
 
 class AnalysisError(Exception):
@@ -88,11 +88,9 @@ class AnalysisContext:
     every transfer and merge builds its posets through, and the node memo
     of `engine.seq_ai`.
 
-    Every state's poset map holds the poset keys (shared variables and
-    mutexes) in sorted order, and every memory of a thread its memory keys
-    (shared variables and the thread's registers) in sorted order.
-    `mo_slot[key]` and `mem_slot[thread][key]` are the indices into those
-    tuples, so transfers replace slots instead of rebuilding and sorting.
+    `layouts[thread]` names the slots of that thread's states, once for the
+    whole analysis, so transfers index value tuples instead of looking up
+    names in each state.
     """
 
     def __init__(self, program: Program, cfg: Cfg, tc: TransferConfig):
@@ -112,14 +110,8 @@ class AnalysisContext:
             if kind == "unlock" and lbl not in self.matching_lock:
                 raise AnalysisError(f"unlock {lbl} has no matching lock of "
                                     f"{loc!r} before it")
-        self.mo_slot = {v: i for i, v in enumerate(sorted(self.po_keys()))}
-        self.mem_slot = {
-            t: {k: i for i, k in enumerate(sorted((*program.shared_names(), *regs)))}
-            for t, regs in self.registers.items()}
-        # per thread, (variable, memory slot, poset slot) of each shared variable
-        self.shared_slots = {
-            t: tuple((v, slots[v], self.mo_slot[v]) for v in program.shared_names())
-            for t, slots in self.mem_slot.items()}
+        self.layouts = {t: Layout(self.po_keys(), (*program.shared_names(), *regs))
+                        for t, regs in self.registers.items()}
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
         # (label, bump, interference sources) -> (pre-states, global reads,
         # merged states) of the node's latest visit; see engine.seq_ai
@@ -139,47 +131,47 @@ class AnalysisContext:
         mem = {n: intervals.singleton(v) for n, v in self.program.shared}
         for key in self.registers[tname]:
             mem[key] = intervals.singleton(0)
-        return AbstractState.make(at, mo, mem)
+        return AbstractState.make(at, mo, mem, self.layouts[tname])
 
 
 def apply_interference(ctx: AnalysisContext, target: AbstractState,
                        source: AbstractState, src_event: Event) -> Optional[AbstractState]:
     table = ctx.posets
     var = src_event.var
+    k = target.layout.mo_slot[var]
     new_mo = []
-    for (v, pt), (_, ps) in zip(target.mo, source.mo):
-        if v == var:
+    for i, (pt, ps) in enumerate(zip(target.mo, source.mo)):
+        if i == k:
             pt = table.append(pt, src_event)
             if pt.bottom:
                 return None
         met = table.meet(pt, ps)
         if met.bottom:
             return None
-        new_mo.append((v, met))
+        new_mo.append(met)
     # Registers keep the target's values; shared variables go by the views.
     # One poset strictly below the other is `less` one way only; the same
     # poset on both sides is neither view ahead.
-    thread_of = ctx.cfg.thread_of
-    src_slot = ctx.mem_slot[thread_of[source.at]]
+    src_slot = source.layout.mem_slot
     new_mem = list(target.mem)
-    for v, i, j in ctx.shared_slots[thread_of[target.at]]:
-        sv = source.mem[src_slot[v]][1]
+    for v, i, j in target.layout.shared_slots:
+        sv = source.mem[src_slot[v]]
         if v == var:
-            new_mem[i] = (v, sv)
+            new_mem[i] = sv
             continue
-        pt, ps = target.mo[j][1], source.mo[j][1]
+        pt, ps = target.mo[j], source.mo[j]
         if pt is not ps:
             src_below = table.less(ps, pt)
             if src_below != table.less(pt, ps):
                 if src_below:  # the source's view is ahead
-                    new_mem[i] = (v, sv)
+                    new_mem[i] = sv
                 continue  # otherwise the target's is
-        new_mem[i] = (v, val_join(new_mem[i][1], sv))
-    return AbstractState(target.at, tuple(new_mo), tuple(new_mem))
+        new_mem[i] = val_join(new_mem[i], sv)
+    return AbstractState(target.at, tuple(new_mo), tuple(new_mem), target.layout)
 
 
 def _retarget(s: AbstractState, lbl: Label) -> AbstractState:
-    return AbstractState(lbl, s.mo, s.mem)
+    return AbstractState(lbl, s.mo, s.mem, s.layout)
 
 
 def _published(state: AbstractState, ev: Event) -> bool:
@@ -192,20 +184,19 @@ def _published(state: AbstractState, ev: Event) -> bool:
 
 def _load_bases(ctx, s, interfs, global_ss, var):
     """Yield (base state, loaded interval) per interference choice."""
-    thread_of = ctx.cfg.thread_of
     for src in interfs:
         if src == CTX:
-            yield s, s.mem[ctx.mem_slot[thread_of[s.at]][var]][1]
+            yield s, s.val(var)
         else:
             ev = ctx.events[src]
             cas = isinstance(ctx.cfg.nodes[src], Cas)
-            src_slot = ctx.mem_slot[thread_of[src]][var]
+            src_slot = ctx.layouts[ctx.cfg.thread_of[src]].mem_slot[var]
             for src_state in global_ss.at(src):
                 if cas and not _published(src_state, ev):
                     continue
                 r = apply_interference(ctx, s, src_state, ev)
                 if r is not None:
-                    yield r, src_state.mem[src_slot][1]
+                    yield r, src_state.mem[src_slot]
 
 
 def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
@@ -218,14 +209,15 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
     if isinstance(instr, (Nop, AssertInst)):
         return [_retarget(s, lbl) for s in pre_states]
 
-    mem_slot = ctx.mem_slot[tname]
+    layout = ctx.layouts[tname]
+    mem_slot = layout.mem_slot
 
     if isinstance(instr, Assume):
         for s in pre_states:
             m = refine(s.mem_map(), instr.cond, env)
             if m is not None:
-                # refine keeps the keys in the order of the sorted memory
-                out.append(AbstractState(lbl, s.mo, tuple(m.items())))
+                # refine keeps the keys in the order of the layout
+                out.append(AbstractState(lbl, s.mo, tuple(m.values()), layout))
         return out
 
     if isinstance(instr, Assign):
@@ -239,9 +231,9 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
 
     if isinstance(instr, Store):
         ev = ctx.event_at(lbl, bump)
-        i, j = ctx.mo_slot[instr.var], mem_slot[instr.var]
+        i, j = layout.mo_slot[instr.var], mem_slot[instr.var]
         for s in pre_states:
-            p = ctx.posets.append(s.mo[i][1], ev)
+            p = ctx.posets.append(s.mo[i], ev)
             if p.bottom:
                 continue
             val = eval_expr(instr.value, s.mem_map(), env)
@@ -275,9 +267,10 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
     tname = ctx.cfg.thread_of[lbl]
     env = ctx.envs[tname]
     var = instr.var
-    i = ctx.mo_slot[var]
-    j = ctx.mem_slot[tname][var]
-    k = ctx.mem_slot[tname][ctx.program.register_key(tname, instr.reg)]
+    layout = ctx.layouts[tname]
+    i = layout.mo_slot[var]
+    j = layout.mem_slot[var]
+    k = layout.mem_slot[ctx.program.register_key(tname, instr.reg)]
     interfs = interf_map.get(lbl, (CTX,))
     out: list = []
     for s in pre_states:
@@ -288,7 +281,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
                 addend = eval_expr(instr.addend, base.mem_map(), env)
                 stored = intervals.add(loaded, addend)
                 ev = ctx.event_at(lbl, bump)
-                p = ctx.posets.append(base.mo[i][1], ev)
+                p = ctx.posets.append(base.mo[i], ev)
                 if p.bottom or stored.is_empty:
                     continue
                 out.append(base.slot_update(lbl, mo=((i, p),), mem=((j, stored), (k, loaded))))
@@ -298,7 +291,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
             if not succ.is_empty:
                 stored = eval_expr(instr.new, base.mem_map(), env)
                 ev = ctx.event_at(lbl, bump)
-                p = ctx.posets.append(base.mo[i][1], ev)
+                p = ctx.posets.append(base.mo[i], ev)
                 if not p.bottom and not stored.is_empty:
                     out.append(base.slot_update(lbl, mo=((i, p),),
                                                 mem=((j, stored), (k, succ))))
@@ -321,10 +314,10 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
     """Free the mutex first (apply the holding lock's unlock states), then
     consider re-orderings against every other thread's unlocks, then append."""
     mutex = instr.mutex
-    i = ctx.mo_slot[mutex]
+    i = ctx.layouts[ctx.cfg.thread_of[lbl]].mo_slot[mutex]
     freed: list = []
     for s in pre_states:
-        holders = _ends_in_lock(ctx.posets, s.mo[i][1])
+        holders = _ends_in_lock(ctx.posets, s.mo[i])
         if holders:
             for le in holders:
                 ul = ctx.matching_unlock.get(Label(le.label, le.instance))
@@ -349,7 +342,7 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
                 if r is not None:
                     candidates.append(r)
         for c in candidates:
-            pm = c.mo[i][1]
+            pm = c.mo[i]
             if _ends_in_lock(ctx.posets, pm):
                 continue
             p = ctx.posets.append(pm, ev)
@@ -368,9 +361,9 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
     lock_ev = ctx.events[lock_lbl]
     ev = ctx.event_at(lbl, bump)
     out: list = []
-    i = ctx.mo_slot[mutex]
+    i = ctx.layouts[ctx.cfg.thread_of[lbl]].mo_slot[mutex]
     for s in pre_states:
-        pm = s.mo[i][1]
+        pm = s.mo[i]
         if lock_ev not in ctx.posets.lasts(pm):
             continue
         p = ctx.posets.append(pm, ev)

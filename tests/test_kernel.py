@@ -157,17 +157,19 @@ def test_slot_update_equals_make_from_updated_maps():
         states = [s for lbl in ss.labels() for s in ss.at(lbl)]
         for s in states:
             donor = rng.choice(states)  # same poset keys in every state
-            mo_up = tuple((i, donor.mo[i][1])
+            mo_up = tuple((i, donor.mo[i])
                           for i in rng.sample(range(len(s.mo)), rng.randint(0, len(s.mo))))
             mem_up = tuple((i, rng.choice(values))
                            for i in rng.sample(range(len(s.mem)), rng.randint(0, min(2, len(s.mem)))))
             mo, mem = s.mo_map(), s.mem_map()
             for i, p in mo_up:
-                mo[s.mo[i][0]] = p
+                mo[s.layout.mo_keys[i]] = p
             for i, iv in mem_up:
-                mem[s.mem[i][0]] = iv
+                mem[s.layout.mem_keys[i]] = iv
             at = rng.choice(ss.labels())
-            assert s.slot_update(at, mo=mo_up, mem=mem_up) == AbstractState.make(at, mo, mem)
+            updated = s.slot_update(at, mo=mo_up, mem=mem_up)
+            assert updated == AbstractState.make(at, mo, mem)
+            assert updated.layout is s.layout
             checked += 1
     assert checked > 1500
 
@@ -177,9 +179,15 @@ def test_context_slots_index_the_sorted_keys():
         p = random_program(seed)
         ctx = AnalysisContext(p, build_cfg(p), TransferConfig())
         for t in p.threads:
+            layout = ctx.layouts[t.name]
             s = ctx.initial_state(t.name, ctx.cfg.entries[t.name])
-            assert {k: i for i, (k, _) in enumerate(s.mo)} == ctx.mo_slot
-            assert {k: i for i, (k, _) in enumerate(s.mem)} == ctx.mem_slot[t.name]
+            assert s.layout is layout
+            assert list(s.mo_map()) == sorted(ctx.po_keys())
+            assert list(s.mem_map()) == sorted((*p.shared_names(), *ctx.registers[t.name]))
+            assert {k: i for i, k in enumerate(s.mo_map())} == layout.mo_slot
+            assert {k: i for i, k in enumerate(s.mem_map())} == layout.mem_slot
+            assert sorted(layout.shared_slots) == sorted(
+                (v, layout.mem_slot[v], layout.mo_slot[v]) for v in p.shared_names())
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from ramosaic.litmus import (Assume, Cas, If, Label, LoadInst, ParseError,
-                             SemanticError, Store, UnknownLabel, While,
+                             SemanticError, Store, While,
                              build_cfg, has_loops, parse, to_source, unroll,
                              walk_simple)
 
@@ -147,18 +147,13 @@ thread t {
     assert not has_loops(p)
 
 
-def test_pre_labels_mp(mp_program):
+def test_preds_mp(mp_program):
     cfg = build_cfg(mp_program)
-    assert cfg.pre_labels(Label("d")) == frozenset({Label("c")})
-    assert cfg.pre_labels(Label("a")) == frozenset({Label("t1.entry")})
+    assert set(cfg.preds[Label("d")]) == {Label("c")}
+    assert set(cfg.preds[Label("a")]) == {Label("t1.entry")}
 
 
-def test_pre_labels_unknown(mp_program):
-    with pytest.raises(UnknownLabel):
-        build_cfg(mp_program).pre_labels(Label("zz"))
-
-
-def test_pre_labels_join_point():
+def test_preds_join_point():
     src = """
 vars x = 0;
 thread t {
@@ -170,8 +165,8 @@ thread t {
     p = parse(src)
     cfg = build_cfg(p)
     (join,) = [l for l in cfg.nodes if l.name.endswith(".j")]
-    assert cfg.pre_labels(join) == frozenset({Label("a"), Label("b")})
-    assert cfg.pre_labels(Label("d")) == frozenset({join})
+    assert set(cfg.preds[join]) == {Label("a"), Label("b")}
+    assert set(cfg.preds[Label("d")]) == {join}
 
 
 def test_cfg_loop_headers():

@@ -70,6 +70,30 @@ def test_confirming_round_recomputes_nothing(monkeypatch):
     assert all(calls > 0 for calls, _ in rounds[:-1]), rounds
 
 
+def test_confirming_round_reads_the_identical_tuples(monkeypatch):
+    """A bucket that no merge changed gives its earlier `states()` tuple
+    itself in the next round's snapshot, so every read the confirming round
+    checks against the memo is an identity hit."""
+    passes: list = []  # per seq_ai call: one flag per read checked, True when identical
+    real_seq_ai, real_reads_unchanged = engine.seq_ai, engine._reads_unchanged
+
+    def counted_seq_ai(*args, **kwargs):
+        passes.append([])
+        return real_seq_ai(*args, **kwargs)
+
+    def counted_reads_unchanged(ss, reads):
+        passes[-1].extend(ss.at(label) is old for label, old in reads)
+        return real_reads_unchanged(ss, reads)
+
+    monkeypatch.setattr(engine, "seq_ai", counted_seq_ai)
+    monkeypatch.setattr(engine, "_reads_unchanged", counted_reads_unchanged)
+    program = parse(peterson(4))
+    result = tmai(program)
+    assert result.iterations_total == 4
+    last_round = [hit for p in passes[-len(program.threads):] for hit in p]
+    assert last_round and all(last_round), (sum(last_round), len(last_round))
+
+
 class _CountingSet(StateSet):
     """A state set that counts the reads of each label."""
 

@@ -25,7 +25,7 @@ def _assert_interned(result) -> None:
     canonical: dict = {}
     for lbl in result.states.labels():
         for s in result.states.at(lbl):
-            for _, p in s.mo:
+            for p in s.mo:
                 assert canonical.setdefault(p, p) is p
 
 

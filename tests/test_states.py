@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ramosaic import posets as P
@@ -11,6 +12,7 @@ from ramosaic.posets import Event, poset
 from ramosaic.randprog import random_program
 from ramosaic.states import (AbstractState, StateBucket, StateSet, _mem_join, _mo_join,
                              equal_sets)
+from ramosaic.transfer import AnalysisContext
 
 from conftest import LOOPED_SOURCES, corpus_files
 
@@ -66,18 +68,55 @@ def test_memory_rule_guarded_by_critical_events():
     assert len(ss.at(L)) == 2
 
 
-def test_no_fixpoint_state_has_a_bottom_poset():
-    """The merge keeps every state it is given, so no transfer may emit a
-    state whose poset for some variable or mutex is bottom."""
+@pytest.fixture(scope="module")
+def fixpoint_runs():
+    """(result, analysis context) of `tmai` over the corpus, `random_program(0..199)`
+    and the looped test programs, and of `analyze_with_combinations` over the
+    first two."""
+    contexts = []
+    init = AnalysisContext.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
+
     programs = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
     programs += [random_program(seed) for seed in range(200)]
     looped = [parse(src) for src in LOOPED_SOURCES]
-    runs = [tmai(p, max_iterations=100) for p in programs + looped]
-    runs += [analyze_with_combinations(p) for p in programs]
-    for r in runs:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AnalysisContext, "__init__", recording_init)
+        runs = [(tmai(p, max_iterations=100), contexts.pop()) for p in programs + looped]
+        runs += [(analyze_with_combinations(p), contexts.pop()) for p in programs]
+    return runs
+
+
+def test_no_fixpoint_state_has_a_bottom_poset(fixpoint_runs):
+    """The merge keeps every state it is given, so no transfer may emit a
+    state whose poset for some variable or mutex is bottom."""
+    for r, _ in fixpoint_runs:
         for lbl in r.states.labels():
             for s in r.states.at(lbl):
-                assert not any(po.bottom for _, po in s.mo), s.fmt()
+                assert not any(po.bottom for po in s.mo), s.fmt()
+
+
+def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
+    """Every state points to the one layout its analysis built for the
+    label's thread, and the names that `po`, `val` and `fmt` give its slots
+    are the sorted keys."""
+    for r, ctx in fixpoint_runs:
+        assert len(set(map(id, ctx.layouts.values()))) == len(ctx.program.threads)
+        mo_keys = sorted(ctx.po_keys())
+        for lbl in r.states.labels():
+            tname = r.cfg.thread_of[lbl]
+            layout = ctx.layouts[tname]
+            mem_keys = sorted((*ctx.program.shared_names(), *ctx.registers[tname]))
+            for s in r.states.at(lbl):
+                assert s.layout is layout
+                assert [s.po(v) for v in mo_keys] == list(s.mo)
+                assert [s.val(k) for k in mem_keys] == list(s.mem)
+                pos = " ".join(f"{v}:{s.po(v)}" for v in mo_keys)
+                vals = " ".join(f"{k}:{s.val(k)}" for k in mem_keys)
+                assert s.fmt() == f"{lbl} | {pos} | {vals}"
 
 
 def test_merge_idempotent():
@@ -145,17 +184,18 @@ class _BucketWithoutFastPath(StateBucket):
             other = self._by_mo.get(cur.mo)
             if other is not None:
                 self._remove(other)
-                cur = AbstractState(cur.at, cur.mo, _mem_join(other.mem, cur.mem))
+                cur = AbstractState(cur.at, cur.mo, _mem_join(other.mem, cur.mem), cur.layout)
                 continue
             other = next((c for c in self._by_mem.get(cur.mem, ())
                           if c.critical_signature() == cur.critical_signature()), None)
             if other is not None:
                 self._remove(other)
-                cur = AbstractState(cur.at, _mo_join(self._table, other.mo, cur.mo), cur.mem)
+                cur = AbstractState(cur.at, _mo_join(self._table, other.mo, cur.mo), cur.mem,
+                                    cur.layout)
                 continue
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
-            self._sorted = None
+            self._sorted = [None]
             return
 
 
@@ -190,7 +230,7 @@ def test_merge_fast_path_matches_the_plain_merge(seq):
             assert fast.states() is fast_before
     for held in fast.states():
         covered = (held, AbstractState(held.at, held.mo,
-                                       tuple((k, singleton(iv.lo)) for k, iv in held.mem)))
+                                       tuple(singleton(iv.lo) for iv in held.mem), held.layout))
         for s in covered:
             before = fast.states()
             fast.merge(s)

@@ -257,7 +257,7 @@ def test_rmw_critical_totality_on_fenced_corpus():
         r = tmai(parse((BENCH_DIR / name).read_text()))
         for lbl in r.states.labels():
             for s in r.states.at(lbl):
-                for _, po in s.mo:
+                for po in s.mo:
                     rmws = [e for e in po.events if e.kind == "rmw"]
                     for i, u1 in enumerate(rmws):
                         for u2 in rmws[i + 1:]:
