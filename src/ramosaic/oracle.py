@@ -147,40 +147,56 @@ def _hb_masks(order: List[int], succ: List[List[int]]) -> List[int]:
     return masks
 
 
-def _reaches(succ: List[List[int]], a: int, b: int) -> bool:
-    seen = 1 << a
+def _reach(adj: List[List[int]], a: int) -> int:
+    """The nodes reachable from `a` in one or more steps along `adj`, as a
+    bitmask."""
+    seen = 0
     stack = [a]
     while stack:
-        for c in succ[stack.pop()]:
-            if c == b:
-                return True
+        for c in adj[stack.pop()]:
             if not seen >> c & 1:
                 seen |= 1 << c
                 stack.append(c)
-    return False
+    return seen
 
 
-def _acyclic_rf_assignments(reads, rf_candidates, succ, rf):
-    """Depth-first choice of one source per read (None: the initial value),
-    pruning as soon as an added reads-from edge would close a cycle.
+def _acyclic_rf_assignments(reads, rf_candidates, overwriters, succ, pred, rf):
+    """Depth-first choice of one source per read (None: the initial value).
+
+    A choice is pruned when its reads-from edge would close a cycle, or when
+    the graph so far already makes it stale: a write of `overwriters[i]` (the
+    writes to the read's variable that always take effect: stores and fadds,
+    never a cas, which may fail) happens before the read and, for a write
+    source, after that source.  Edges are only ever added, so a pruned
+    choice has no coherent modification order in any completion, and the
+    choices that survive come out in the same order as without the prune.
+    An edge added later can still make an earlier choice stale;
+    `_stale_read` drops those complete choices.
 
     Yields once per complete choice, with the choice in `rf` and its edges
-    appended to `succ`; both are undone when the search resumes."""
+    appended to `succ` and `pred`; all are undone when the search resumes."""
 
     def assign(i: int):
         if i == len(reads):
             yield
             return
         r = reads[i]
+        after_r = _reach(succ, r)
+        hidden = _reach(pred, r) & overwriters[i]  # would hide an older source
         for w in rf_candidates[i]:
             if w is None:
+                if hidden:
+                    continue
                 rf[r] = None
                 yield from assign(i + 1)
-            elif not _reaches(succ, r, w):
+            elif not after_r >> w & 1 and not (hidden & ~(1 << w)
+                                               and _reach(succ, w) & hidden):
                 succ[w].append(r)
+                pred[r].append(w)
                 rf[r] = w
                 yield from assign(i + 1)
                 succ[w].pop()
+                pred[r].pop()
 
     yield from assign(0)
 
@@ -252,12 +268,17 @@ def _combo_executions(tables: _Tables, combo):
     reads = [i for i in nodes if isinstance(instrs[i], _READS)]
     sorted_reads = sorted(reads)
     maybe_writes: Dict[str, List[int]] = {}
+    always_writes: Dict[str, int] = {}  # var -> bitmask of its stores and fadds
     for i in nodes:
-        if isinstance(instrs[i], _WRITES):
-            maybe_writes.setdefault(instrs[i].var, []).append(i)
+        instr = instrs[i]
+        if isinstance(instr, _WRITES):
+            maybe_writes.setdefault(instr.var, []).append(i)
+            if not isinstance(instr, Cas):  # a failed cas writes nothing
+                always_writes[instr.var] = always_writes.get(instr.var, 0) | 1 << i
     reads_of: Dict[str, List[int]] = {}
     for r in reads:
         reads_of.setdefault(instrs[r].var, []).append(r)
+    overwriters = [always_writes.get(instrs[r].var, 0) for r in reads]
 
     rf_candidates = []
     for r in reads:
@@ -304,17 +325,21 @@ def _combo_executions(tables: _Tables, combo):
             continue
         cs_order = tuple((m, tuple(labels[l] for l, _ in perm))
                          for m, perm in zip(mutex_names, cs_combo))
+        pred: List[List[int]] = [[] for _ in labels]
+        for a, bs in enumerate(succ):
+            for b in bs:
+                pred[b].append(a)
 
-        for _ in _acyclic_rf_assignments(reads, rf_candidates, succ, rf):
-            topo = _topological_order(succ)
-            if topo is None:
-                continue
+        for _ in _acyclic_rf_assignments(reads, rf_candidates, overwriters, succ, pred, rf):
+            topo = _topological_order(succ)  # acyclic: the search closes no cycle
+            masks = _hb_masks(topo, succ)
+            if _stale_read(reads, overwriters, rf, masks):
+                continue  # made stale by an edge added after its choice
             run = _run_values(tables, topo, instrs, tids, labels, rf)
             if run is None:
                 continue
             regs, read_vals, written, violations = run
 
-            masks = _hb_masks(topo, succ)
             # the writes that took effect; a variable is named by the string
             # object of its first read, else of its first such write, so that
             # equal executions also pickle to equal bytes
@@ -346,6 +371,20 @@ def _combo_executions(tables: _Tables, combo):
                                for var, perm in mo_combo)
                     yield Execution(order, rf_t, mo, cs_order, read_values,
                                     registers, violations)
+
+
+def _stale_read(reads, overwriters, rf, masks) -> bool:
+    """Whether happens-before (as `masks` rows) puts a write of some read's
+    `overwriters` after that read's source and before the read."""
+    for r, ws in zip(reads, overwriters):
+        w = rf[r]
+        while ws:
+            low = ws & -ws
+            ws ^= low
+            s = low.bit_length() - 1
+            if s != w and masks[s] >> r & 1 and (w is None or masks[w] >> s & 1):
+                return True
+    return False
 
 
 def _run_values(tables: _Tables, topo, instrs, tids, labels, rf):

@@ -1,13 +1,18 @@
 """The integer-indexed enumeration kernel against the reference enumerator,
-and the independent validator against tampered executions."""
+its stale-read prune, the oracle over the whole corpus, and the independent
+validator against tampered executions."""
 
 import pickle
 from dataclasses import replace
 
 import pytest
 
-from ramosaic.litmus import Label, parse, unroll
-from ramosaic.oracle import enumerate_executions, validate_execution
+from ramosaic import oracle
+from ramosaic.cli import expected_verdict
+from ramosaic.engine import tmai
+from ramosaic.litmus import (Fadd, Label, LockInst, Store, UnlockInst, parse,
+                             unroll)
+from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.posets import TooLarge
 from ramosaic.randprog import random_program
 
@@ -84,6 +89,127 @@ thread t3 { d: r3 = load x; }
     for e in failed:  # a failed cas is no write: in no order, read by no one
         assert [ev.label for ev in e.mo_map()["x"]] == ["a"]
         assert Label("b") not in e.rf_map().values()
+
+
+# --------------------------------------------------------------------------
+# The search prunes reads-from choices that happens-before already makes
+# stale; the output must not change
+# --------------------------------------------------------------------------
+
+def _sources(execs, read: str):
+    return {e.rf_map()[Label(read)] for e in execs}
+
+
+def test_failed_cas_between_source_and_read_does_not_prune():
+    src = """
+vars x = 0;
+thread t1 { a: store x 1; b: r1 = cas x 2 7; c: r2 = load x; }
+thread t2 { d: store x 2; }
+"""
+    execs = _assert_same(parse(src))
+    # b reads a and fails, so it hides nothing: c may still read a
+    assert any(e.rf_map()[Label("b")] == Label("a") and e.rf_map()[Label("c")] == Label("a")
+               for e in execs)
+
+
+def test_fadd_overwrites_before_the_read():
+    src = """
+vars x = 0;
+thread t1 { a: store x 1; b: r1 = fadd x 1; c: r2 = load x; }
+thread t2 { d: store x 5; }
+"""
+    execs = _assert_same(parse(src))
+    assert _sources(execs, "c") == {Label("b"), Label("d")}
+
+
+def test_lock_handoff_makes_a_read_stale():
+    src = """
+vars x = 0;
+locks m;
+thread t1 { a: store x 1; l1: lock m; a2: store x 2; u1: unlock m; }
+thread t2 { l2: lock m; b: r = load x; u2: unlock m; }
+"""
+    execs = _assert_same(parse(src))
+    t1_first = [e for e in execs if e.cs_order == (("m", (Label("l1"), Label("l2"))),)]
+    t2_first = [e for e in execs if e.cs_order == (("m", (Label("l2"), Label("l1"))),)]
+    assert _sources(t1_first, "b") == {Label("a2")}  # u1 -> l2 hides a and the init
+    assert _sources(t2_first, "b") == {None, Label("a")}
+
+
+def test_initial_value_read_after_own_store():
+    src = """
+vars x = 0;
+thread t1 { a: store x 1; b: r = load x; }
+thread t2 { c: store x 2; }
+"""
+    execs = _assert_same(parse(src))
+    assert _sources(execs, "b") == {Label("a"), Label("c")}
+
+
+def _stale_reads(topo, instrs, tids, rf):
+    """The reads of a complete reads-from choice that happens-before alone
+    makes stale, rebuilt from the topological order: program order, the
+    unlock-to-next-lock edges of each mutex in that order, and reads-from."""
+    edges = {i: [] for i in topo}
+    last_of_thread = {}
+    last_unlock = {}
+    for i in topo:
+        instr = instrs[i]
+        if tids[i] in last_of_thread:
+            edges[last_of_thread[tids[i]]].append(i)
+        last_of_thread[tids[i]] = i
+        if isinstance(instr, LockInst) and instr.mutex in last_unlock:
+            edges[last_unlock[instr.mutex]].append(i)
+        elif isinstance(instr, UnlockInst):
+            last_unlock[instr.mutex] = i
+        if isinstance(instr, oracle._READS) and rf[i] is not None:
+            edges[rf[i]].append(i)
+    after = {}  # node -> the nodes it happens before
+    for i in reversed(topo):
+        after[i] = set().union(*({j} | after[j] for j in edges[i]))
+    stale = []
+    for r in topo:
+        if not isinstance(instrs[r], oracle._READS):
+            continue
+        w = rf[r]
+        for s in topo:
+            if (s != w and isinstance(instrs[s], (Store, Fadd))
+                    and instrs[s].var == instrs[r].var and r in after[s]
+                    and (w is None or s in after[w])):
+                stale.append(r)
+    return stale
+
+
+def test_search_yields_no_choice_stale_by_happens_before(monkeypatch):
+    run_values = oracle._run_values
+    checked = []
+
+    def checking(tables, topo, instrs, tids, labels, rf):
+        assert not _stale_reads(topo, instrs, tids, rf)
+        checked.append(topo)
+        return run_values(tables, topo, instrs, tids, labels, rf)
+
+    monkeypatch.setattr(oracle, "_run_values", checking)
+    for seed in range(200):
+        enumerate_executions(random_program(seed))
+    assert len(checked) > 1000
+
+
+# --------------------------------------------------------------------------
+# Ground truth for the whole corpus, beyond the default guard
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.stem)
+def test_corpus_ground_truth(path):
+    program = unroll(parse(path.read_text()), 2)
+    execs = enumerate_executions(program, guard=40)
+    assert execs
+    check_soundness(program, tmai(program), execs=execs).raise_if_unsound()
+    if any(e.violations for e in execs):
+        assert expected_verdict(path) == "violated"
+    sizes = {"peterson3": 9720, "co_2p2w_15": 1}
+    if path.stem in sizes:
+        assert len(execs) == sizes[path.stem]
 
 
 # --------------------------------------------------------------------------
