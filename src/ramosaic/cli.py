@@ -133,14 +133,22 @@ def bench(directory: Path, args) -> int:
     return EXIT_VIOLATED if mismatches else EXIT_PROVED
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ramosaic",
                                  description="Thread-modular analyzer for "
                                              "release-acquire litmus programs")
     ap.add_argument("path", help="litmus file, or a directory to benchmark")
-    ap.add_argument("--unroll", type=int, default=2, metavar="N",
+    ap.add_argument("--unroll", type=positive_int, default=2, metavar="N",
                     help="loop unrolling bound (default 2)")
-    ap.add_argument("--widen-after", type=int, default=3, metavar="N",
+    ap.add_argument("--widen-after", type=positive_int, default=3, metavar="N",
                     help="widen loop heads after N visits (default 3)")
     ap.add_argument("--mode", choices=["per-load", "combinations"],
                     default="per-load")
@@ -152,7 +160,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--rmw-critical", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="treat rmw events as critical (default on)")
-    ap.add_argument("--max-iterations", type=int, default=1000)
+    ap.add_argument("--max-iterations", type=positive_int, default=1000)
     ap.add_argument("--dump-states", action="store_true")
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--oracle-check", action="store_true",
@@ -196,8 +204,8 @@ def oracle_main(argv=None) -> int:
     ap.add_argument("path")
     ap.add_argument("--outcomes", action="store_true",
                     help="print the sorted set of final register valuations")
-    ap.add_argument("--unroll", type=int, default=2)
-    ap.add_argument("--guard", type=int, default=14)
+    ap.add_argument("--unroll", type=positive_int, default=2)
+    ap.add_argument("--guard", type=positive_int, default=14)
     args = ap.parse_args(argv)
     path = Path(args.path)
     if not path.exists():

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 from . import interference, intervals, posets
 from .intervals import val_widen
 from .litmus import AssertInst, Cfg, Label, Program, build_cfg
-from .states import AbstractState, StateBucket, StateSet, equal_sets
+from .states import AbstractState, StateBucket, StateSet
 from .transfer import (AnalysisContext, TransferConfig, Verdict, check_assert,
                        check_final_assert, transfer_node)
 
@@ -53,7 +53,7 @@ def _collapse(table: posets.PosetTable, states) -> Optional[AbstractState]:
         return None
     cur = states[0]
     for s in states[1:]:
-        cur = AbstractState(cur.at, tuple(map(table.join, cur.mo, s.mo)),
+        cur = AbstractState(tuple(map(table.join, cur.mo, s.mo)),
                             tuple(map(intervals.val_join, cur.mem, s.mem)), cur.layout)
     return cur
 
@@ -66,7 +66,7 @@ def _widen_states(table: posets.PosetTable, old_states, new_states) -> list:
     if new is None:
         return list(old_states)
     mo = tuple([table.intern(posets.widen(p, q)) for p, q in zip(old.mo, new.mo)])
-    return [AbstractState(old.at, mo, tuple(map(val_widen, old.mem, new.mem)), old.layout)]
+    return [AbstractState(mo, tuple(map(val_widen, old.mem, new.mem)), old.layout)]
 
 
 class _RecordedReads:
@@ -119,7 +119,7 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
     rpo = cfg.rpo[tname]
     index = {lbl: i for i, lbl in enumerate(rpo)}
     entry = cfg.entries[tname]
-    local: Dict[Label, list] = {entry: [ctx.initial_state(tname, entry)]}
+    local: Dict[Label, list] = {entry: [ctx.initial_state(tname)]}
     visits: Dict[Label, int] = {}
     # the pending labels, popped in RPO order: a heap of RPO indices and
     # a set for membership
@@ -166,8 +166,9 @@ def _fixpoint(ctx: AnalysisContext, run_round, max_iterations: int) -> AnalysisR
     is not monotone and can in rare cases revisit an earlier value instead
     of settling (interacting merge chains).  Every merge output covers its
     inputs, so any revisited set already covers everything produced since;
-    a repeat is therefore a sound stopping point.  Revisits are found by
-    the sets' fingerprints, which are equal exactly when the sets are.
+    a repeat is therefore a sound stopping point.  A round that changes
+    nothing and a revisit are both found by the sets' fingerprints, which
+    are equal exactly when the sets are.
     """
     sigma = StateSet(ctx.posets)
     widened: set = set()
@@ -182,12 +183,13 @@ def _fixpoint(ctx: AnalysisContext, run_round, max_iterations: int) -> AnalysisR
         seen.add(fingerprint)
         rounds += 1
         run_round(sigma, snapshot, widened)
-        if equal_sets(sigma, snapshot):
+        new = sigma.fingerprint()
+        if new == fingerprint:
             break
         effective += 1
-        fingerprint = sigma.fingerprint()
-        if fingerprint in seen:
+        if new in seen:
             break
+        fingerprint = new
     return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
                           frozenset(widened), ctx.cfg, ctx.sb)
 
@@ -202,7 +204,7 @@ def tmai(program: Program, tc: TransferConfig = TransferConfig(),
         for t in program.threads:
             local = seq_ai(ctx, t.name, snapshot, interfs[t.name], widened)
             for lbl in sorted(local):
-                sigma.merge_all(local[lbl])
+                sigma.merge_all(lbl, local[lbl])
 
     return _fixpoint(ctx, run_round, max_iterations)
 
@@ -227,6 +229,6 @@ def analyze_with_combinations(program: Program, tc: TransferConfig = TransferCon
                     pinned[lbl] = (chosen,)
                 local = seq_ai(ctx, t.name, snapshot, pinned, widened)
                 for lbl in sorted(local):
-                    sigma.merge_all(local[lbl])
+                    sigma.merge_all(lbl, local[lbl])
 
     return _fixpoint(ctx, run_round, max_iterations)

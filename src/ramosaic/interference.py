@@ -1,25 +1,22 @@
 """Per-thread interference maps and feasibility pruning of interference
-combinations via the ppo/nrf rules.
+combinations via the nrf rule.
 
 A load's candidates are every other thread's writes of the same variable
 plus ctx, which stands for reading the propagated in-thread state.  A
 combination fixes one candidate per load of a thread; nrf rejects a
 combination when one of its reads-from pairs is provably stale or redundant
-given another pair and the reflexive-transitive per-thread order extended
-over the implicit create/join structure.
+given another pair and the reflexive-transitive per-thread order, that is
+CFG reachability.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .litmus import Access, Cfg, Label, Program
+from .litmus import Cfg, Label, Program
 
 CTX = Label("%ctx")
-INIT_LABEL = Label("%init")
-FINAL_LABEL = Label("%final")
 
 
 class CombinationBudgetExceeded(Exception):
@@ -46,31 +43,11 @@ def get_interfs(program: Program, cfg: Cfg) -> Dict[str, Dict[Label, Tuple[Label
     return out
 
 
-@dataclass(frozen=True)
-class PpoRelation:
-    """Reflexive-transitive order over labels, including the synthetic init
-    and final blocks."""
-
-    _succ: dict  # Label -> frozenset[Label]
-
-    def holds(self, a: Label, b: Label) -> bool:
-        return a == b or b in self._succ.get(a, frozenset())
-
-
-def ppo_closure(cfg: Cfg) -> PpoRelation:
-    """Each label's CFG reach set, which holds only labels of its thread,
-    plus the final block; the init block precedes every label."""
-    labels = tuple(cfg.nodes)
-    succ = {lbl: cfg.reachable(lbl) | {FINAL_LABEL} for lbl in labels}
-    succ[INIT_LABEL] = frozenset((*labels, FINAL_LABEL))
-    return PpoRelation(succ)
-
-
-def is_feasible(ic: Dict[Label, Label], ppo: PpoRelation,
-                accesses: Dict[Label, Access]) -> bool:
+def is_feasible(ic: Dict[Label, Label], cfg: Cfg) -> bool:
     """False iff some rf pair rf(s',l') is derivable as not-reads-from: a
     distinct pair rf(s,l) exists with ppo(l,l') and ppo(s',s), where s and s'
-    write the same variable (`accesses` is the CFG's access table).
+    write the same variable and ppo(a,b) is a == b or b reachable from a in
+    the CFG.
 
     The variable side condition makes the staleness argument go through: s'
     before s in one thread's order puts s' before s in that variable's
@@ -79,6 +56,7 @@ def is_feasible(ic: Dict[Label, Label], ppo: PpoRelation,
     different variables no such modification-order link exists, and the
     unconditional rule prunes consistent executions.
     """
+    accesses = cfg.accesses
     rf_pairs = [(s, l) for l, s in sorted(ic.items()) if s != CTX]
     for s, l in rf_pairs:
         for s2, l2 in rf_pairs:
@@ -86,7 +64,8 @@ def is_feasible(ic: Dict[Label, Label], ppo: PpoRelation,
                 continue
             if accesses[s2].loc != accesses[s].loc:
                 continue
-            if ppo.holds(l, l2) and ppo.holds(s2, s):
+            if ((l == l2 or l2 in cfg.reachable(l))
+                    and (s2 == s or s in cfg.reachable(s2))):
                 return False
     return True
 
@@ -97,7 +76,6 @@ def feasible_combinations(interfs: Dict[str, Dict[Label, Tuple[Label, ...]]], cf
     """Per thread, the combinations of one source per load or rmw of the
     interference maps `interfs` (as `get_interfs` builds them) that nrf does
     not prune."""
-    ppo = ppo_closure(cfg)
     out: Dict[str, Tuple[Dict[Label, Label], ...]] = {}
     for tname, per_thread in interfs.items():
         per_load = {lbl: cands for lbl, cands in sorted(per_thread.items())
@@ -112,7 +90,7 @@ def feasible_combinations(interfs: Dict[str, Dict[Label, Tuple[Label, ...]]], cf
         combos = []
         for choice in itertools.product(*(per_load[l] for l in loads)):
             ic = dict(zip(loads, choice))
-            if not prune or is_feasible(ic, ppo, cfg.accesses):
+            if not prune or is_feasible(ic, cfg):
                 combos.append(ic)
         out[tname] = tuple(combos)
     return out

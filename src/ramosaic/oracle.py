@@ -62,7 +62,6 @@ _CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _READS = (LoadInst, Cas, Fadd)
 _WRITES = (Store, Cas, Fadd)
-_MEMORY = (Store, LoadInst, Cas, Fadd, LockInst, UnlockInst)
 
 
 def _eval_int(e, regs: Dict[str, int]) -> int:
@@ -101,12 +100,8 @@ def _thread_paths(cfg: Cfg, tname: str) -> List[Tuple[Label, ...]]:
     return out
 
 
-def _count_memory_events(cfg: Cfg) -> int:
-    return sum(1 for i in cfg.nodes.values() if isinstance(i, _MEMORY))
-
-
 def count_memory_events(program: Program) -> int:
-    return _count_memory_events(build_cfg(program))
+    return len(build_cfg(program).accesses)
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +231,7 @@ def enumerate_executions(program: Program, guard: int = 14) -> Tuple[Execution, 
     cfg = build_cfg(program)
     if cfg.loop_headers:
         raise ValueError("oracle requires a loop-free program; unroll first")
-    n_events = _count_memory_events(cfg)
+    n_events = len(cfg.accesses)
     if n_events > guard:
         raise TooLarge(f"{n_events} shared-memory events exceed oracle guard {guard}")
 

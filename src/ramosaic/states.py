@@ -1,7 +1,10 @@
-"""Program states (label, per-variable posets, interval memory) and the
+"""Program states (per-variable posets, interval memory) and the
 instruction-wise merge that keeps per-label state sets in normal form:
 two states at a label collapse when their poset maps agree (memories join)
 or their memories agree (posets join variable-wise).
+
+A state holds values only.  Its label is where it is stored: the key of
+its bucket in a `StateSet`, so one state object may sit at several labels.
 
 The normal form makes both the poset map and the memory a unique key within
 a label's set, so buckets keep hash indexes on each.
@@ -9,7 +12,6 @@ a label's set, so buckets keep hash indexes on each.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -40,7 +42,6 @@ class Layout:
 
 @dataclass(frozen=True)
 class AbstractState:
-    at: Label
     mo: Tuple[MoPoset, ...]  # one poset per layout.mo_keys
     mem: Tuple[intervals.Interval, ...]  # one interval per layout.mem_keys
     # the states of one label share their thread's layout, so == and hash
@@ -48,17 +49,17 @@ class AbstractState:
     layout: Layout = field(compare=False, repr=False)
 
     @staticmethod
-    def make(at: Label, mo: Dict[str, MoPoset], mem: Dict[str, intervals.Interval],
+    def make(mo: Dict[str, MoPoset], mem: Dict[str, intervals.Interval],
              layout: Optional[Layout] = None) -> "AbstractState":
         """The state with the given maps, whose keys are the layout's; with
         no layout given, one is built from the maps' keys."""
         if layout is None:
             layout = Layout(mo, mem)
-        return AbstractState(at, tuple([mo[k] for k in layout.mo_keys]),
+        return AbstractState(tuple([mo[k] for k in layout.mo_keys]),
                              tuple([mem[k] for k in layout.mem_keys]), layout)
 
-    def slot_update(self, at: Label, mo: tuple = (), mem: tuple = ()) -> "AbstractState":
-        """This state at `at`, with the values at the given slots replaced:
+    def slot_update(self, mo: tuple = (), mem: tuple = ()) -> "AbstractState":
+        """This state with the values at the given slots replaced:
         `mo` and `mem` hold (slot, value) pairs, a slot being an index into
         the value tuple."""
         new_mo = self.mo
@@ -73,7 +74,7 @@ class AbstractState:
             for i, value in mem:
                 new_mem[i] = value
             new_mem = tuple(new_mem)
-        return AbstractState(at, new_mo, new_mem, self.layout)
+        return AbstractState(new_mo, new_mem, self.layout)
 
     def mo_map(self) -> Dict[str, MoPoset]:
         return dict(zip(self.layout.mo_keys, self.mo))
@@ -92,10 +93,10 @@ class AbstractState:
     # the caches live exactly as long as the state.
 
     def sort_key(self, table: posets.PosetTable) -> tuple:
-        """Orders the states of one label's bucket.  They share the label
-        and differ in their poset maps, the bucket's unique key, so the
-        sorted events and pairs of each poset decide the order alone; the
-        table sorts each distinct poset once."""
+        """Orders the states of one label's bucket.  They differ in their
+        poset maps, the bucket's unique key, so the sorted events and pairs
+        of each poset decide the order alone; the table sorts each distinct
+        poset once."""
         key = self.__dict__.get("_sort_key")
         if key is None:
             key = tuple([table.sort_key(p) for p in self.mo])
@@ -117,7 +118,7 @@ class AbstractState:
         layout = self.layout
         pos = " ".join(f"{v}:{p}" for v, p in zip(layout.mo_keys, self.mo))
         vals = " ".join(f"{k}:{iv}" for k, iv in zip(layout.mem_keys, self.mem))
-        return f"{self.at} | {pos} | {vals}"
+        return f"{pos} | {vals}"
 
 
 def _mo_join(table: posets.PosetTable, a: Tuple, b: Tuple) -> Tuple:
@@ -166,7 +167,7 @@ class StateBucket:
                 if mem == other.mem:
                     return
                 self._remove(other)
-                cur = AbstractState(cur.at, cur.mo, mem, cur.layout)
+                cur = AbstractState(cur.mo, mem, cur.layout)
                 continue
             other = None
             for cand in self._by_mem.get(cur.mem, ()):
@@ -178,7 +179,7 @@ class StateBucket:
                 if mo == other.mo:
                     return
                 self._remove(other)
-                cur = AbstractState(cur.at, mo, cur.mem, cur.layout)
+                cur = AbstractState(mo, cur.mem, cur.layout)
                 continue
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
@@ -203,12 +204,6 @@ class StateBucket:
     def __len__(self) -> int:
         return len(self._by_mo)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateBucket):
-            return NotImplemented
-        return self._by_mo.keys() == other._by_mo.keys() and all(
-            self._by_mo[k] == other._by_mo[k] for k in self._by_mo)
-
     def copy(self) -> "StateBucket":
         out = StateBucket(self._table)
         out._by_mo = dict(self._by_mo)
@@ -226,15 +221,12 @@ class StateSet:
         self._table = table if table is not None else posets.PosetTable()
         self._by_label: Dict[Label, StateBucket] = {}
 
-    def merge(self, s: AbstractState) -> None:
-        bucket = self._by_label.get(s.at)
+    def merge_all(self, label: Label, states: Iterable[AbstractState]) -> None:
+        bucket = self._by_label.get(label)
         if bucket is None:
-            bucket = self._by_label[s.at] = StateBucket(self._table)
-        bucket.merge(s)
-
-    def merge_all(self, states: Iterable[AbstractState]) -> None:
+            bucket = self._by_label[label] = StateBucket(self._table)
         for s in states:
-            self.merge(s)
+            bucket.merge(s)
 
     def at(self, label: Label) -> tuple:
         bucket = self._by_label.get(label)
@@ -254,27 +246,17 @@ class StateSet:
     def counts(self) -> Dict[str, int]:
         return {str(lbl): len(self._by_label[lbl]) for lbl in self.labels()}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateSet):
-            return NotImplemented
-        a = {k: v for k, v in self._by_label.items() if len(v)}
-        b = {k: v for k, v in other._by_label.items() if len(v)}
-        return a == b
-
     def fingerprint(self) -> frozenset:
-        """The set's states.  States carry their label, so two sets have
-        equal fingerprints exactly when they hold the same states at every
-        label, which is when their dumps are equal."""
-        return frozenset(itertools.chain.from_iterable(
-            b._by_mo.values() for b in self._by_label.values()))
+        """The set's (label, state) pairs.  One state may sit at several
+        labels, so each is paired with the label it is stored at: two sets
+        have equal fingerprints exactly when they hold the same states at
+        every label, which is when their dumps are equal."""
+        return frozenset([(lbl, s) for lbl, b in self._by_label.items()
+                          for s in b._by_mo.values()])
 
     def dump(self) -> str:
         lines = []
         for lbl in self.labels():
             for s in self.at(lbl):
-                lines.append(s.fmt())
+                lines.append(f"{lbl} | {s.fmt()}")
         return "\n".join(lines)
-
-
-def equal_sets(a: StateSet, b: StateSet) -> bool:
-    return a == b

@@ -126,12 +126,12 @@ class AnalysisContext:
     def po_keys(self) -> tuple:
         return tuple(self.program.shared_names()) + tuple(self.program.mutexes)
 
-    def initial_state(self, tname: str, at: Label) -> AbstractState:
+    def initial_state(self, tname: str) -> AbstractState:
         mo = {v: posets.TOP for v in self.po_keys()}
         mem = {n: intervals.singleton(v) for n, v in self.program.shared}
         for key in self.registers[tname]:
             mem[key] = intervals.singleton(0)
-        return AbstractState.make(at, mo, mem, self.layouts[tname])
+        return AbstractState.make(mo, mem, self.layouts[tname])
 
 
 def apply_interference(ctx: AnalysisContext, target: AbstractState,
@@ -167,11 +167,7 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
                     new_mem[i] = sv
                 continue  # otherwise the target's is
         new_mem[i] = val_join(new_mem[i], sv)
-    return AbstractState(target.at, tuple(new_mo), tuple(new_mem), target.layout)
-
-
-def _retarget(s: AbstractState, lbl: Label) -> AbstractState:
-    return AbstractState(lbl, s.mo, s.mem, s.layout)
+    return AbstractState(tuple(new_mo), tuple(new_mem), target.layout)
 
 
 def _published(state: AbstractState, ev: Event) -> bool:
@@ -207,7 +203,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
     out: list = []
 
     if isinstance(instr, (Nop, AssertInst)):
-        return [_retarget(s, lbl) for s in pre_states]
+        return list(pre_states)
 
     layout = ctx.layouts[tname]
     mem_slot = layout.mem_slot
@@ -217,7 +213,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
             m = refine(s.mem_map(), instr.cond, env)
             if m is not None:
                 # refine keeps the keys in the order of the layout
-                out.append(AbstractState(lbl, s.mo, tuple(m.values()), layout))
+                out.append(AbstractState(s.mo, tuple(m.values()), layout))
         return out
 
     if isinstance(instr, Assign):
@@ -226,7 +222,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
             val = eval_expr(instr.value, s.mem_map(), env)
             if val.is_empty:
                 continue
-            out.append(s.slot_update(lbl, mem=((k, val),)))
+            out.append(s.slot_update(mem=((k, val),)))
         return out
 
     if isinstance(instr, Store):
@@ -239,7 +235,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
             val = eval_expr(instr.value, s.mem_map(), env)
             if val.is_empty:
                 continue
-            out.append(s.slot_update(lbl, mo=((i, p),), mem=((j, val),)))
+            out.append(s.slot_update(mo=((i, p),), mem=((j, val),)))
         return out
 
     if isinstance(instr, LoadInst):
@@ -248,7 +244,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
         interfs = interf_map.get(lbl, (CTX,))
         for s in pre_states:
             for base, loaded in _load_bases(ctx, s, interfs, global_ss, instr.var):
-                out.append(base.slot_update(lbl, mem=((j, loaded), (k, loaded))))
+                out.append(base.slot_update(mem=((j, loaded), (k, loaded))))
         return out
 
     if isinstance(instr, (Cas, Fadd)):
@@ -284,7 +280,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
                 p = ctx.posets.append(base.mo[i], ev)
                 if p.bottom or stored.is_empty:
                     continue
-                out.append(base.slot_update(lbl, mo=((i, p),), mem=((j, stored), (k, loaded))))
+                out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, loaded))))
                 continue
             expected = eval_expr(instr.expected, base.mem_map(), env)
             succ = val_meet(loaded, expected)
@@ -293,8 +289,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
                 ev = ctx.event_at(lbl, bump)
                 p = ctx.posets.append(base.mo[i], ev)
                 if not p.bottom and not stored.is_empty:
-                    out.append(base.slot_update(lbl, mo=((i, p),),
-                                                mem=((j, stored), (k, succ))))
+                    out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, succ))))
             certain_success = (loaded.is_singleton() and expected.is_singleton()
                                and loaded.lo == expected.lo)
             if not certain_success:
@@ -302,7 +297,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
                 if fail.is_empty:
                     continue
                 # a failed cas reads (and synchronizes) but publishes no event
-                out.append(base.slot_update(lbl, mem=((j, fail), (k, fail))))
+                out.append(base.slot_update(mem=((j, fail), (k, fail))))
     return out
 
 
@@ -348,7 +343,7 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
             p = ctx.posets.append(pm, ev)
             if p.bottom:
                 continue
-            out.append(c.slot_update(lbl, mo=((i, p),)))
+            out.append(c.slot_update(mo=((i, p),)))
     return out
 
 
@@ -369,7 +364,7 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
         p = ctx.posets.append(pm, ev)
         if p.bottom:
             continue
-        out.append(s.slot_update(lbl, mo=((i, p),)))
+        out.append(s.slot_update(mo=((i, p),)))
     return out
 
 

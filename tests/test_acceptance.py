@@ -12,8 +12,7 @@ import time
 
 from ramosaic import posets as P
 from ramosaic.engine import analyze_with_combinations, tmai
-from ramosaic.interference import (CTX, feasible_combinations, get_interfs,
-                                   is_feasible, ppo_closure)
+from ramosaic.interference import CTX, feasible_combinations, get_interfs, is_feasible
 from ramosaic.litmus import Label, build_cfg, parse
 from ramosaic.oracle import (check_soundness, enumerate_executions,
                              losets_by_write_set, validate_execution)
@@ -211,16 +210,15 @@ def test_feasibility_pruning():
             execs = enumerate_executions(prog)
         except Exception:
             continue
-        pppo = ppo_closure(pcfg)
         for e in execs:
             for t in prog.threads:
                 rf = {l: (w if w is not None else CTX)
                       for l, w in e.rf if pcfg.thread_of[l] == t.name}
-                rf = _normalize_redundant(rf, pppo)
-                assert is_feasible(rf, pppo, pcfg.accesses), (f.name, rf)
+                rf = _normalize_redundant(rf, pcfg)
+                assert is_feasible(rf, pcfg), (f.name, rf)
 
 
-def _normalize_redundant(rf, ppo):
+def _normalize_redundant(rf, cfg):
     out = dict(rf)
     changed = True
     while changed:
@@ -229,7 +227,7 @@ def _normalize_redundant(rf, ppo):
             if s1 == CTX:
                 continue
             for l2, s2 in out.items():
-                if l1 != l2 and s1 == s2 and ppo.holds(l1, l2) and out[l2] != CTX:
+                if l1 != l2 and s1 == s2 and l2 in cfg.reachable(l1) and out[l2] != CTX:
                     out[l2] = CTX
                     changed = True
     return out

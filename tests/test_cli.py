@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ramosaic.cli import main, oracle_main
 
 from conftest import BENCH_DIR
@@ -107,6 +109,25 @@ def test_oracle_main_outcomes(capsys):
     out = capsys.readouterr().out
     assert "violated: final" in out
     assert code == 1
+
+
+@pytest.mark.parametrize("entry, flag, value", [
+    (main, "--unroll", "0"),
+    (main, "--unroll", "-1"),
+    (main, "--widen-after", "0"),
+    (main, "--max-iterations", "0"),
+    (oracle_main, "--unroll", "0"),
+    (oracle_main, "--guard", "0"),
+    (oracle_main, "--guard", "-3"),
+])
+def test_flag_below_one_exits_two(entry, flag, value, capsys):
+    """An out-of-range flag value is an input error, rejected before any
+    analysis."""
+    with pytest.raises(SystemExit) as exc:
+        entry([str(BENCH_DIR / "mp.lit"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got {value}" in err
 
 
 def test_console_scripts_installed():

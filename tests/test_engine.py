@@ -48,7 +48,7 @@ def test_seq_ai_thread2_against_thread1(mp_program):
     sigma = StateSet()
     for t in mp_program.threads:
         for lbl, states in sorted(seq_ai(ctx, t.name, StateSet(), interfs[t.name]).items()):
-            sigma.merge_all(states)
+            sigma.merge_all(lbl, states)
     local = seq_ai(ctx, "t2", sigma, interfs["t2"])
     r1r2 = {(str(s.val("t2.r1")), str(s.val("t2.r2"))) for s in local[Label("d")]}
     assert ("[1,1]", "[1,1]") in r1r2

@@ -3,10 +3,9 @@ not-reads-from pruning of interference combinations."""
 
 import pytest
 
-from ramosaic.interference import (CTX, FINAL_LABEL, INIT_LABEL,
-                                   CombinationBudgetExceeded,
+from ramosaic.interference import (CTX, CombinationBudgetExceeded,
                                    feasible_combinations, get_interfs,
-                                   is_feasible, ppo_closure)
+                                   is_feasible)
 from ramosaic.litmus import Label, build_cfg, parse
 from ramosaic.oracle import enumerate_executions
 
@@ -52,36 +51,36 @@ thread t2 { p2: lock m; q2: unlock m; }
     assert im["t2"][Label("p2")] == (CTX, Label("q1"))
 
 
+def _ppo(cfg, a, b) -> bool:
+    """The reflexive-transitive program order that nrf uses."""
+    return a == b or b in cfg.reachable(a)
+
+
 def test_ppo_reflexive_transitive():
     p = parse(MP_SRC)
     cfg = build_cfg(p)
-    ppo = ppo_closure(cfg)
-    assert ppo.holds(Label("a"), Label("b"))
-    assert ppo.holds(Label("a"), Label("a"))
-    assert not ppo.holds(Label("b"), Label("a"))
-    assert ppo.holds(INIT_LABEL, Label("d"))
-    assert ppo.holds(Label("d"), FINAL_LABEL)
-    assert ppo.holds(INIT_LABEL, FINAL_LABEL)
+    assert _ppo(cfg, Label("a"), Label("b"))
+    assert _ppo(cfg, Label("a"), Label("a"))
+    assert not _ppo(cfg, Label("b"), Label("a"))
+    assert not _ppo(cfg, Label("a"), Label("d"))  # another thread
     labels = list(cfg.nodes)
     for x in labels:
         for y in labels:
             for z in labels:
-                if ppo.holds(x, y) and ppo.holds(y, z):
-                    assert ppo.holds(x, z)
+                if _ppo(cfg, x, y) and _ppo(cfg, y, z):
+                    assert _ppo(cfg, x, z)
 
 
 def test_is_feasible_canonical_examples():
     p = parse(WHY_IC_SRC)
     cfg = build_cfg(p)
-    ppo = ppo_closure(cfg)
-    accesses = cfg.accesses
     # cross-thread staleness: d cannot read the older store once c read b
-    assert not is_feasible({Label("c"): Label("b"), Label("d"): Label("a")}, ppo, accesses)
+    assert not is_feasible({Label("c"): Label("b"), Label("d"): Label("a")}, cfg)
     # redundancy: both reads from the same source with ordered reads
-    assert not is_feasible({Label("c"): Label("a"), Label("d"): Label("a")}, ppo, accesses)
+    assert not is_feasible({Label("c"): Label("a"), Label("d"): Label("a")}, cfg)
     # all-ctx is trivially feasible
-    assert is_feasible({Label("c"): CTX, Label("d"): CTX}, ppo, accesses)
-    assert is_feasible({Label("c"): Label("b"), Label("d"): CTX}, ppo, accesses)
+    assert is_feasible({Label("c"): CTX, Label("d"): CTX}, cfg)
+    assert is_feasible({Label("c"): Label("b"), Label("d"): CTX}, cfg)
 
 
 def test_feasible_combinations_mp():
@@ -117,7 +116,7 @@ def test_combination_budget():
         feasible_combinations(get_interfs(p, cfg), cfg, cap=4096)
 
 
-def _ctx_normalized(rf, ppo):
+def _ctx_normalized(rf, cfg):
     """Replace redundant later reads of an already-read source by ctx; the
     pruned redundant combinations are state-equivalent to this form."""
     out = dict(rf)
@@ -128,7 +127,7 @@ def _ctx_normalized(rf, ppo):
             if s1 == CTX:
                 continue
             for l2, s2 in out.items():
-                if l1 != l2 and s1 == s2 and ppo.holds(l1, l2):
+                if l1 != l2 and s1 == s2 and _ppo(cfg, l1, l2):
                     out[l2] = CTX
                     changed = True
     return out
@@ -146,7 +145,6 @@ def test_pruning_never_loses_oracle_realizable_combinations():
             execs = enumerate_executions(p)
         except Exception:
             continue  # beyond the oracle guard
-        ppo = ppo_closure(cfg)
         for t in p.threads:
             tname = t.name
             for e in execs:
@@ -154,8 +152,8 @@ def test_pruning_never_loses_oracle_realizable_combinations():
                       for l, w in e.rf if cfg.thread_of[l] == tname}
                 if not rf:
                     continue
-                norm = _ctx_normalized(rf, ppo)
-                assert is_feasible(norm, ppo, cfg.accesses), \
+                norm = _ctx_normalized(rf, cfg)
+                assert is_feasible(norm, cfg), \
                     f"{f.name}: pruned realizable {rf}"
                 checked += 1
     assert checked > 50

@@ -166,9 +166,8 @@ def test_slot_update_equals_make_from_updated_maps():
                 mo[s.layout.mo_keys[i]] = p
             for i, iv in mem_up:
                 mem[s.layout.mem_keys[i]] = iv
-            at = rng.choice(ss.labels())
-            updated = s.slot_update(at, mo=mo_up, mem=mem_up)
-            assert updated == AbstractState.make(at, mo, mem)
+            updated = s.slot_update(mo=mo_up, mem=mem_up)
+            assert updated == AbstractState.make(mo, mem)
             assert updated.layout is s.layout
             checked += 1
     assert checked > 1500
@@ -180,7 +179,7 @@ def test_context_slots_index_the_sorted_keys():
         ctx = AnalysisContext(p, build_cfg(p), TransferConfig())
         for t in p.threads:
             layout = ctx.layouts[t.name]
-            s = ctx.initial_state(t.name, ctx.cfg.entries[t.name])
+            s = ctx.initial_state(t.name)
             assert s.layout is layout
             assert list(s.mo_map()) == sorted(ctx.po_keys())
             assert list(s.mem_map()) == sorted((*p.shared_names(), *ctx.registers[t.name]))

@@ -119,7 +119,7 @@ def test_changed_reads_recompute(tname, node, source):
     partial = StateSet()
     for lbl in full.labels():
         if lbl != Label(source):
-            partial.merge_all(full.at(lbl))
+            partial.merge_all(lbl, full.at(lbl))
     ctx = AnalysisContext(program, cfg, TransferConfig())
     before = seq_ai(ctx, tname, partial, interfs[tname])
     after = seq_ai(ctx, tname, full, interfs[tname])
@@ -166,7 +166,7 @@ def test_bump_is_part_of_the_key():
     program = parse("vars x = 0;\nthread t { a: store x 1; }")
     cfg = build_cfg(program)
     ctx = AnalysisContext(program, cfg, TransferConfig())
-    pre = [ctx.initial_state("t", cfg.entries["t"])]
+    pre = [ctx.initial_state("t")]
     a = Label("a")
     first = engine._node_states(ctx, a, pre, StateSet(), {}, 0)
     second = engine._node_states(ctx, a, pre, StateSet(), {}, 1)

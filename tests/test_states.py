@@ -10,8 +10,7 @@ from ramosaic.intervals import Interval, singleton
 from ramosaic.litmus import Label, parse, unroll
 from ramosaic.posets import Event, poset
 from ramosaic.randprog import random_program
-from ramosaic.states import (AbstractState, StateBucket, StateSet, _mem_join, _mo_join,
-                             equal_sets)
+from ramosaic.states import AbstractState, StateBucket, StateSet, _mem_join, _mo_join
 from ramosaic.transfer import AnalysisContext
 
 from conftest import LOOPED_SOURCES, corpus_files
@@ -31,20 +30,20 @@ def merge_state_list(states: list, s: AbstractState) -> None:
 
 
 def state(mo_x, x, r):
-    return AbstractState.make(L, {"x": mo_x}, {"x": x, "t.r": r})
+    return AbstractState.make({"x": mo_x}, {"x": x, "t.r": r})
 
 
 def test_insert_into_empty():
     ss = StateSet()
     s = state(P.TOP, singleton(0), singleton(0))
-    ss.merge(s)
+    ss.merge_all(L, [s])
     assert ss.at(L) == (s,)
 
 
 def test_same_mo_joins_memory():
     ss = StateSet()
-    ss.merge(state(poset({A}), singleton(1), singleton(0)))
-    ss.merge(state(poset({A}), singleton(2), singleton(0)))
+    ss.merge_all(L, [state(poset({A}), singleton(1), singleton(0))])
+    ss.merge_all(L, [state(poset({A}), singleton(2), singleton(0))])
     (merged,) = ss.at(L)
     assert merged.val("x") == Interval(1, 2)
     assert merged.po("x") == poset({A})
@@ -52,8 +51,8 @@ def test_same_mo_joins_memory():
 
 def test_same_memory_joins_posets():
     ss = StateSet()
-    ss.merge(state(poset({A}), singleton(1), singleton(0)))
-    ss.merge(state(poset({B}), singleton(1), singleton(0)))
+    ss.merge_all(L, [state(poset({A}), singleton(1), singleton(0))])
+    ss.merge_all(L, [state(poset({B}), singleton(1), singleton(0))])
     (merged,) = ss.at(L)
     assert merged.po("x") == P.TOP  # intersection of disjoint event sets
 
@@ -63,8 +62,8 @@ def test_memory_rule_guarded_by_critical_events():
     joining would erase history the consistency checks rely on."""
     u = Event("u", 1, "t1", "rmw", "x")
     ss = StateSet()
-    ss.merge(state(poset({u}), singleton(1), singleton(0)))
-    ss.merge(state(poset({B}), singleton(1), singleton(0)))
+    ss.merge_all(L, [state(poset({u}), singleton(1), singleton(0))])
+    ss.merge_all(L, [state(poset({B}), singleton(1), singleton(0))])
     assert len(ss.at(L)) == 2
 
 
@@ -101,11 +100,12 @@ def test_no_fixpoint_state_has_a_bottom_poset(fixpoint_runs):
 
 def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
     """Every state points to the one layout its analysis built for the
-    label's thread, and the names that `po`, `val` and `fmt` give its slots
-    are the sorted keys."""
+    label's thread, the names that `po`, `val` and `fmt` give its slots
+    are the sorted keys, and `dump` puts the label in front."""
     for r, ctx in fixpoint_runs:
         assert len(set(map(id, ctx.layouts.values()))) == len(ctx.program.threads)
         mo_keys = sorted(ctx.po_keys())
+        lines = []
         for lbl in r.states.labels():
             tname = r.cfg.thread_of[lbl]
             layout = ctx.layouts[tname]
@@ -116,17 +116,19 @@ def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
                 assert [s.val(k) for k in mem_keys] == list(s.mem)
                 pos = " ".join(f"{v}:{s.po(v)}" for v in mo_keys)
                 vals = " ".join(f"{k}:{s.val(k)}" for k in mem_keys)
-                assert s.fmt() == f"{lbl} | {pos} | {vals}"
+                assert s.fmt() == f"{pos} | {vals}"
+                lines.append(f"{lbl} | {pos} | {vals}")
+        assert r.states.dump() == "\n".join(lines)
 
 
 def test_merge_idempotent():
     s1 = state(poset({A}), singleton(1), singleton(0))
     s2 = state(poset({B}), singleton(2), singleton(2))
     once = StateSet()
-    once.merge_all([s1, s2])
+    once.merge_all(L, [s1, s2])
     twice = StateSet()
-    twice.merge_all([s1, s2, s1, s2])
-    assert equal_sets(once, twice)
+    twice.merge_all(L, [s1, s2, s1, s2])
+    assert once.fingerprint() == twice.fingerprint()
 
 
 def test_merge_insert_order_independent():
@@ -140,23 +142,40 @@ def test_merge_insert_order_independent():
     reference = None
     for perm in itertools.permutations(states):
         ss = StateSet()
-        ss.merge_all(perm)
+        ss.merge_all(L, perm)
         if reference is None:
             reference = ss
         else:
-            assert equal_sets(ss, reference)
+            assert ss.fingerprint() == reference.fingerprint()
 
 
 def test_equal_sets():
     a, b = StateSet(), StateSet()
-    assert equal_sets(a, b)
-    a.merge(state(P.TOP, singleton(0), singleton(0)))
-    assert not equal_sets(a, b)
-    b.merge(state(P.TOP, singleton(0), singleton(0)))
-    assert equal_sets(a, b)
+    assert a.fingerprint() == b.fingerprint()
+    a.merge_all(L, [state(P.TOP, singleton(0), singleton(0))])
+    assert a.fingerprint() != b.fingerprint()
+    b.merge_all(L, [state(P.TOP, singleton(0), singleton(0))])
+    assert a.fingerprint() == b.fingerprint()
     b2 = StateSet()
-    b2.merge(state(P.TOP, Interval(0, 1), singleton(0)))
-    assert not equal_sets(a, b2)
+    b2.merge_all(L, [state(P.TOP, Interval(0, 1), singleton(0))])
+    assert a.fingerprint() != b2.fingerprint()
+    b3 = StateSet()
+    b3.merge_all(Label("m"), [state(P.TOP, singleton(0), singleton(0))])
+    assert a.fingerprint() != b3.fingerprint()
+
+
+def test_one_state_at_two_labels():
+    """A state holds no label, so one object can sit at two labels; the
+    fingerprint and the dump tell that apart from the state at one."""
+    s = state(poset({A}), Interval(1, 2), singleton(0))
+    one, two = StateSet(), StateSet()
+    one.merge_all(L, [s])
+    two.merge_all(L, [s])
+    two.merge_all(Label("m"), [s])
+    assert two.at(L)[0] is two.at(Label("m"))[0] is s
+    assert one.fingerprint() != two.fingerprint()
+    assert one.dump() != two.dump()
+    assert two.dump() == "l | x:{a.1} | t.r:[0,0] x:[1,2]\nm | x:{a.1} | t.r:[0,0] x:[1,2]"
 
 
 def test_merge_state_list_matches_stateset():
@@ -168,7 +187,7 @@ def test_merge_state_list_matches_stateset():
     ss = StateSet()
     for s in pool:
         merge_state_list(lst, s)
-        ss.merge(s)
+        ss.merge_all(L, [s])
     assert tuple(lst) == ss.at(L)
 
 
@@ -184,14 +203,13 @@ class _BucketWithoutFastPath(StateBucket):
             other = self._by_mo.get(cur.mo)
             if other is not None:
                 self._remove(other)
-                cur = AbstractState(cur.at, cur.mo, _mem_join(other.mem, cur.mem), cur.layout)
+                cur = AbstractState(cur.mo, _mem_join(other.mem, cur.mem), cur.layout)
                 continue
             other = next((c for c in self._by_mem.get(cur.mem, ())
                           if c.critical_signature() == cur.critical_signature()), None)
             if other is not None:
                 self._remove(other)
-                cur = AbstractState(cur.at, _mo_join(self._table, other.mo, cur.mo), cur.mem,
-                                    cur.layout)
+                cur = AbstractState(_mo_join(self._table, other.mo, cur.mo), cur.mem, cur.layout)
                 continue
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
@@ -229,8 +247,8 @@ def test_merge_fast_path_matches_the_plain_merge(seq):
         if plain.states() == plain_before:
             assert fast.states() is fast_before
     for held in fast.states():
-        covered = (held, AbstractState(held.at, held.mo,
-                                       tuple(singleton(iv.lo) for iv in held.mem), held.layout))
+        covered = (held, AbstractState(held.mo, tuple(singleton(iv.lo) for iv in held.mem),
+                                       held.layout))
         for s in covered:
             before = fast.states()
             fast.merge(s)
@@ -239,7 +257,7 @@ def test_merge_fast_path_matches_the_plain_merge(seq):
 
 def test_dump_format():
     ss = StateSet()
-    ss.merge(state(poset({A}), Interval(1, 2), singleton(0)))
+    ss.merge_all(L, [state(poset({A}), Interval(1, 2), singleton(0))])
     line = ss.dump()
     assert line == "l | x:{a.1} | t.r:[0,0] x:[1,2]"
 

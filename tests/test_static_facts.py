@@ -1,6 +1,6 @@
 """The analyzer's static facts (write events, the sequenced-before index,
-lock pairing, interference maps, program order and the feasible
-combinations) read the CFG's access table and reach sets.  Each must equal
+lock pairing, interference maps and the feasible combinations) read the
+CFG's access table and reach sets.  Each must equal
 what the per-module `isinstance` scans and pairwise reachability tests
 computed before, which are kept here as the references."""
 
@@ -10,10 +10,8 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from ramosaic.interference import (CTX, FINAL_LABEL, INIT_LABEL,
-                                   CombinationBudgetExceeded, PpoRelation,
-                                   feasible_combinations, get_interfs,
-                                   ppo_closure)
+from ramosaic.interference import (CTX, CombinationBudgetExceeded,
+                                   feasible_combinations, get_interfs)
 from ramosaic.litmus import (Cas, Cfg, Fadd, Label, LoadInst, LockInst,
                              Program, Store, UnlockInst, build_cfg, parse,
                              unroll)
@@ -86,17 +84,17 @@ def _match(cfg: Cfg, from_kind, to_kind) -> Dict[Label, Label]:
     return out
 
 
-def _ppo_closure(program: Program, cfg: Cfg) -> PpoRelation:
-    succ: Dict[Label, set] = {INIT_LABEL: set()}
+def _ppo_closure(cfg: Cfg) -> Dict[Label, frozenset]:
+    """Each label's same-thread successors in program order, by a pairwise
+    reach test."""
     all_labels = list(cfg.nodes)
-    for lbl in all_labels:
-        succ[lbl] = set(l for l in all_labels
-                        if cfg.thread_of[l] == cfg.thread_of[lbl] and _reaches(cfg, lbl, l))
-        succ[lbl].add(FINAL_LABEL)
-    for lbl in all_labels:
-        succ[INIT_LABEL].add(lbl)
-    succ[INIT_LABEL].add(FINAL_LABEL)
-    return PpoRelation({k: frozenset(v) for k, v in succ.items()})
+    return {lbl: frozenset(l for l in all_labels
+                           if cfg.thread_of[l] == cfg.thread_of[lbl] and _reaches(cfg, lbl, l))
+            for lbl in all_labels}
+
+
+def _ppo_holds(ppo: Dict[Label, frozenset], a: Label, b: Label) -> bool:
+    return a == b or b in ppo[a]
 
 
 def _events(cfg: Cfg) -> Dict[Label, Event]:
@@ -153,7 +151,7 @@ def _get_interfs(program: Program, cfg: Cfg) -> Dict[str, Dict[Label, Tuple[Labe
     return out
 
 
-def _is_feasible(ic: Dict[Label, Label], ppo: PpoRelation,
+def _is_feasible(ic: Dict[Label, Label], ppo: Dict[Label, frozenset],
                  var_of: Optional[Dict[Label, str]] = None) -> bool:
     rf_pairs = [(s, l) for l, s in sorted(ic.items()) if s != CTX]
     for s, l in rf_pairs:
@@ -162,7 +160,7 @@ def _is_feasible(ic: Dict[Label, Label], ppo: PpoRelation,
                 continue
             if var_of is not None and var_of.get(s2) != var_of.get(s):
                 continue
-            if ppo.holds(l, l2) and ppo.holds(s2, s):
+            if _ppo_holds(ppo, l, l2) and _ppo_holds(ppo, s2, s):
                 return False
     return True
 
@@ -172,7 +170,8 @@ def _write_vars(cfg: Cfg) -> Dict[Label, str]:
             if isinstance(instr, (Store, Cas, Fadd))}
 
 
-def _feasible_combinations(program: Program, cfg: Cfg, ppo: PpoRelation, prune: bool = True,
+def _feasible_combinations(program: Program, cfg: Cfg, ppo: Dict[Label, frozenset],
+                           prune: bool = True,
                            cap: int = 4096) -> Dict[str, Tuple[Dict[Label, Label], ...]]:
     interfs = _get_interfs(program, cfg)
     var_of = _write_vars(cfg)
@@ -212,8 +211,7 @@ def _check(program: Program) -> None:
     matching_lock = _match(cfg, UnlockInst, LockInst)
     matching_unlock = _match(cfg, LockInst, UnlockInst)
     assert _pair_locks(cfg) == (matching_lock, matching_unlock)
-    ppo = _ppo_closure(program, cfg)
-    assert ppo_closure(cfg) == ppo
+    ppo = _ppo_closure(cfg)
     interfs = get_interfs(program, cfg)
     assert interfs == _get_interfs(program, cfg)
     for prune in (True, False):

@@ -27,7 +27,7 @@ def _run(src, **tc_kw):
 
 def test_store_transfer_mp_first():
     p, cfg, ctx = _ctx_for(MP_SRC)
-    init = ctx.initial_state("t1", cfg.entries["t1"])
+    init = ctx.initial_state("t1")
     (out,) = transfer_node(ctx, Label("a"), [init], StateSet(), {})
     assert str(out.po("x")) == "{a.1}"
     assert out.po("y") == P.TOP
@@ -47,7 +47,7 @@ def test_second_store_forgets_older_in_abstract_mode():
 def test_apply_interference_mp():
     p, cfg, ctx = _ctx_for(MP_SRC)
     r = tmai(p)
-    target = ctx.initial_state("t2", cfg.entries["t2"])
+    target = ctx.initial_state("t2")
     (source,) = r.states.at(Label("b"))
     out = apply_interference(ctx, target, source, ctx.events[Label("b")])
     assert str(out.po("x")) == "{a.1}"
@@ -192,8 +192,8 @@ thread t2 { w: store y 1; }
     ea = Event("a", 1, "t1", "store", "x")
     eb = Event("b", 1, "t1", "store", "x")
     mem = {"x": singleton(0), "y": singleton(0)}
-    target = AbstractState.make(Label("z"), {"x": chain(ea, eb), "y": P.TOP}, mem)
-    source = AbstractState.make(Label("w"), {"x": chain(eb, ea), "y": P.TOP},
+    target = AbstractState.make({"x": chain(ea, eb), "y": P.TOP}, mem)
+    source = AbstractState.make({"x": chain(eb, ea), "y": P.TOP},
                                 {"x": singleton(0), "y": singleton(1)})
     assert apply_interference(ctx, target, source, ctx.events[Label("w")]) is None
 
