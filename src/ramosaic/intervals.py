@@ -207,22 +207,24 @@ def exclude_value(iv: Interval, k: int) -> Interval:
     return iv
 
 
+# Possible-satisfaction check of each comparison on the evaluated intervals.
+_SATISFIABLE = {
+    "==": lambda lv, rv: not val_meet(lv, rv).is_empty,
+    "!=": lambda lv, rv: not (lv.is_singleton() and rv.is_singleton() and lv.lo == rv.lo),
+    "<": lambda lv, rv: _lo(lv) < _hi(rv),
+    "<=": lambda lv, rv: _lo(lv) <= _hi(rv),
+    ">": lambda lv, rv: _hi(lv) > _lo(rv),
+    ">=": lambda lv, rv: _hi(lv) >= _lo(rv),
+}
+
+
 def _refine_cmp(mem: Memory, cond: Cmp, env: NameEnv) -> Optional[Memory]:
     lv = eval_expr(cond.left, mem, env)
     rv = eval_expr(cond.right, mem, env)
     if lv.is_empty or rv.is_empty:
         return None
     op = cond.op
-    # Possible-satisfaction check on the evaluated intervals.
-    sat = {
-        "==": not val_meet(lv, rv).is_empty,
-        "!=": not (lv.is_singleton() and rv.is_singleton() and lv.lo == rv.lo),
-        "<": _lo(lv) < _hi(rv),
-        "<=": _lo(lv) <= _hi(rv),
-        ">": _hi(lv) > _lo(rv),
-        ">=": _hi(lv) >= _lo(rv),
-    }[op]
-    if not sat:
+    if not _SATISFIABLE[op](lv, rv):
         return None
     out = dict(mem)
 

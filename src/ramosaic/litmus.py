@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional, Union
+from functools import cached_property
+from typing import Dict, Iterator, List, NamedTuple, Optional, Union
 
 
 class ParseError(Exception):
@@ -263,19 +264,31 @@ class Program:
     def shared_names(self) -> tuple:
         return tuple(n for n, _ in self.shared)
 
-    def thread_registers(self, tname: str) -> tuple:
+    # The registers of each thread and the threads that write each register,
+    # walked once per program; cached_property keeps them in the instance's
+    # __dict__, outside the fields, so == and hash ignore them.
+
+    @cached_property
+    def _registers_of(self) -> Dict[str, tuple]:
+        return {t.name: tuple(sorted(_registers(t.body))) for t in self.threads}
+
+    @cached_property
+    def _register_owners(self) -> Dict[str, List[str]]:
+        owners: Dict[str, List[str]] = {}
         for t in self.threads:
-            if t.name == tname:
-                return tuple(sorted(_registers(t.body)))
-        raise KeyError(tname)
+            for r in self.thread_registers(t.name):
+                owners.setdefault(r, []).append(t.name)
+        return owners
+
+    def thread_registers(self, tname: str) -> tuple:
+        return self._registers_of[tname]
 
     def register_key(self, tname: str, reg: str) -> str:
         return f"{tname}.{reg}"
 
     def resolve_postcondition_name(self, ident: str) -> str:
         """Map a bare register name in the final assertion to its memory key."""
-        owners = [t.name for t in self.threads
-                  if ident in self.thread_registers(t.name)]
+        owners = self._register_owners.get(ident, ())
         if not owners:
             raise SemanticError(f"postcondition references unknown register {ident!r}")
         if len(owners) > 1:

@@ -142,58 +142,175 @@ def _hb_masks(order: List[int], succ: List[List[int]]) -> List[int]:
     return masks
 
 
-def _reach(adj: List[List[int]], a: int) -> int:
-    """The nodes reachable from `a` in one or more steps along `adj`, as a
-    bitmask."""
-    seen = 0
-    stack = [a]
-    while stack:
-        for c in adj[stack.pop()]:
-            if not seen >> c & 1:
-                seen |= 1 << c
-                stack.append(c)
-    return seen
+# Instruction kinds, as the value phase of the search dispatches on them.
+_SKIP, _LOAD, _FADD, _CAS, _ASSUME, _ASSIGN, _STORE = range(7)
+_KIND = {LoadInst: _LOAD, Fadd: _FADD, Cas: _CAS, Assume: _ASSUME,
+         Assign: _ASSIGN, Store: _STORE}
+_NO_WRITE = object()  # the written value of a cas that failed
 
 
-def _acyclic_rf_assignments(reads, rf_candidates, overwriters, succ, pred, rf):
+class _Prefix:
+    """Each thread's run as far as the reads assigned so far determine it.
+
+    A thread stops at its first read that is unassigned or whose source has
+    not been run yet; the initial value and every write that a run has
+    passed are known.  `run(k)`, with the first `k` reads assigned, moves
+    every thread on as far as it can and returns False when the values
+    already doom the choice: an assume or branch guard fails, or a read
+    takes its value from a cas that did not write.  Such a choice makes
+    `_run_values` return None in every completion.  `save` and `restore`
+    bracket one step of the search; a run copies a thread's registers
+    before it changes them, so a saved state is never written."""
+
+    def __init__(self, tables: "_Tables", paths, instrs, kinds, tids, pos, read_index, rf):
+        self.init = tables.init
+        self.rf = rf
+        self.paths = paths
+        self.instrs = instrs
+        self.kinds = kinds
+        self.tids = tids
+        self.pos = pos  # each node's position in its thread's path
+        self.read_index = read_index
+        self.pcs = [0] * len(paths)  # per thread: the nodes run so far
+        self.regs: List[Dict[str, int]] = [{} for _ in paths]
+        self.out: List[object] = [None] * len(instrs)  # written values of the writes run
+
+    def save(self):
+        return self.pcs[:], self.regs[:]
+
+    def restore(self, saved) -> None:
+        self.pcs[:], self.regs[:] = saved
+
+    def run(self, k: int) -> bool:
+        pcs, regs, out, pos, tids = self.pcs, self.regs, self.out, self.pos, self.tids
+        instrs, kinds, read_index = self.instrs, self.kinds, self.read_index
+        moved = True
+        while moved:
+            moved = False
+            for t, path in enumerate(self.paths):
+                pc = start = pcs[t]
+                tr = regs[t]
+                copied = False
+                while pc < len(path):
+                    i = path[pc]
+                    kind = kinds[i]
+                    if kind == _SKIP:
+                        pc += 1
+                        continue
+                    instr = instrs[i]
+                    if kind == _ASSUME:
+                        if not _eval_bool(instr.cond, tr):
+                            return False
+                    elif kind == _STORE:
+                        out[i] = _eval_int(instr.value, tr)
+                    else:  # a read or an assign: it changes a register
+                        if kind == _ASSIGN:
+                            v = _eval_int(instr.value, tr)
+                        else:
+                            if read_index[i] >= k:
+                                break  # unassigned
+                            w = self.rf[i]
+                            if w is None:
+                                v = self.init[instr.var]
+                            else:
+                                if tids[w] != t and pcs[tids[w]] <= pos[w]:
+                                    break  # its source has not run yet
+                                v = out[w]
+                                if v is _NO_WRITE:
+                                    return False
+                        if not copied:
+                            tr = regs[t] = dict(tr)
+                            copied = True
+                        tr[instr.reg] = v
+                        if kind == _FADD:
+                            out[i] = v + _eval_int(instr.addend, tr)
+                        elif kind == _CAS:
+                            out[i] = (_eval_int(instr.new, tr)
+                                      if v == _eval_int(instr.expected, tr) else _NO_WRITE)
+                    pc += 1
+                if pc != start:
+                    pcs[t] = pc
+                    moved = True
+        return True
+
+
+def _acyclic_rf_assignments(reads, rf_candidates, overwriters, prior, desc, anc, rf, prefix):
     """Depth-first choice of one source per read (None: the initial value).
 
-    A choice is pruned when its reads-from edge would close a cycle, or when
-    the graph so far already makes it stale: a write of `overwriters[i]` (the
-    writes to the read's variable that always take effect: stores and fadds,
-    never a cas, which may fail) happens before the read and, for a write
-    source, after that source.  Edges are only ever added, so a pruned
-    choice has no coherent modification order in any completion, and the
-    choices that survive come out in the same order as without the prune.
-    An edge added later can still make an earlier choice stale;
-    `_stale_read` drops those complete choices.
+    Happens-before is kept closed as bitmask rows: `desc[a]`, what `a`
+    happens before, and `anc[a]`, what happens before `a`.  A reads-from
+    edge w->r ORs {r}|desc[r] into the row of every node of {w}|anc[w], and
+    {w}|anc[w] into the other way round; backing out of the edge restores
+    the saved rows.
 
-    Yields once per complete choice, with the choice in `rf` and its edges
-    appended to `succ` and `pred`; all are undone when the search resumes."""
+    A source is pruned when
+      * its edge would close a cycle;
+      * the graph so far already makes it stale: a write of `overwriters[i]`
+        (the writes to the read's variable that always take effect: stores
+        and fadds, never a cas, which may fail) happens before the read
+        and, for a write source, after that source;
+      * it crosses the source of one of `prior[i]`, the earlier reads of
+        the same variable: such a read r2 reads some s2 other than w with
+        s2 hb r and w hb r2, so coherence would need s2 before w and w
+        before s2 in modification order;
+      * `prefix.run` finds that the values the reads assigned so far fix
+        fail a guard, or that a read takes its value from a failed cas.
+    Edges are only ever added, and the values of a thread's prefix stay
+    fixed once its reads are assigned, so a pruned choice has no execution
+    in any completion, and the choices that survive come out in the same
+    order as without the prunes.  An edge added later can still make an
+    earlier choice stale; `_stale_read` drops those complete choices.
+
+    Yields once per complete choice, with the choice in `rf`, happens-before
+    in `desc` and `anc`, and every thread run to its end in `prefix`; all
+    are undone when the search resumes."""
+    n_reads = len(reads)
+
+    def descend(i: int):
+        saved = prefix.save()
+        if prefix.run(i):
+            if i == n_reads:
+                yield
+            else:
+                yield from assign(i)
+        prefix.restore(saved)
 
     def assign(i: int):
-        if i == len(reads):
-            yield
-            return
         r = reads[i]
-        after_r = _reach(succ, r)
-        hidden = _reach(pred, r) & overwriters[i]  # would hide an older source
+        hidden = anc[r] & overwriters[i]  # would hide an older source
         for w in rf_candidates[i]:
             if w is None:
-                if hidden:
-                    continue
-                rf[r] = None
-                yield from assign(i + 1)
-            elif not after_r >> w & 1 and not (hidden & ~(1 << w)
-                                               and _reach(succ, w) & hidden):
-                succ[w].append(r)
-                pred[r].append(w)
+                if not hidden:
+                    rf[r] = None
+                    yield from descend(i + 1)
+                continue
+            if desc[r] >> w & 1 or hidden & ~(1 << w) & desc[w]:
+                continue  # a cycle, or stale
+            saved = None
+            if not desc[w] >> r & 1:
+                saved = desc[:], anc[:]
+                src = rest = anc[w] | 1 << w
+                dst = desc[r] | 1 << r
+                while rest:  # every x of src, lowest first
+                    low = rest & -rest
+                    rest ^= low
+                    desc[low.bit_length() - 1] |= dst
+                rest = dst
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    anc[low.bit_length() - 1] |= src
+            for r2 in prior[i]:
+                s2 = rf[r2]
+                if s2 is not None and s2 != w and desc[s2] >> r & 1 and desc[w] >> r2 & 1:
+                    break  # crossed sources
+            else:
                 rf[r] = w
-                yield from assign(i + 1)
-                succ[w].pop()
-                pred[r].pop()
+                yield from descend(i + 1)
+            if saved is not None:
+                desc[:], anc[:] = saved
 
-    yield from assign(0)
+    yield from descend(0)
 
 
 class _Tables:
@@ -250,11 +367,15 @@ def _combo_executions(tables: _Tables, combo):
                     key=lambda l: (l.name, l.instance))
     ids = {lbl: i for i, lbl in enumerate(labels)}
     instrs = [cfg.nodes[lbl] for lbl in labels]
+    kinds = [_KIND.get(type(instr), _SKIP) for instr in instrs]
     tids = [tables.thread_index[cfg.thread_of[lbl]] for lbl in labels]
     events = [tables.events.get(lbl) for lbl in labels]
     paths = [[ids[lbl] for lbl in path] for path in combo]
     nodes = [i for path in paths for i in path]  # thread by thread, in program order
-    pos_in_thread = {i: k for path in paths for k, i in enumerate(path)}
+    pos_in_thread = [0] * len(labels)
+    for path in paths:
+        for k, i in enumerate(path):
+            pos_in_thread[i] = k
     thread_succ: List[List[int]] = [[] for _ in labels]
     for path in paths:
         for a, b in zip(path, path[1:]):
@@ -262,6 +383,9 @@ def _combo_executions(tables: _Tables, combo):
 
     reads = [i for i in nodes if isinstance(instrs[i], _READS)]
     sorted_reads = sorted(reads)
+    read_index = [len(reads)] * len(labels)  # past every read: never unassigned
+    for k, r in enumerate(reads):
+        read_index[r] = k
     maybe_writes: Dict[str, List[int]] = {}
     always_writes: Dict[str, int] = {}  # var -> bitmask of its stores and fadds
     for i in nodes:
@@ -271,8 +395,11 @@ def _combo_executions(tables: _Tables, combo):
             if not isinstance(instr, Cas):  # a failed cas writes nothing
                 always_writes[instr.var] = always_writes.get(instr.var, 0) | 1 << i
     reads_of: Dict[str, List[int]] = {}
+    prior = []  # per read: the earlier reads of its variable
     for r in reads:
-        reads_of.setdefault(instrs[r].var, []).append(r)
+        var_reads = reads_of.setdefault(instrs[r].var, [])
+        prior.append(list(var_reads))
+        var_reads.append(r)
     overwriters = [always_writes.get(instrs[r].var, 0) for r in reads]
 
     rf_candidates = []
@@ -311,26 +438,30 @@ def _combo_executions(tables: _Tables, combo):
 
     mutex_names = sorted(cs_by_mutex)
     rf: List[Optional[int]] = [None] * len(labels)
+    prefix = _Prefix(tables, paths, instrs, kinds, tids, pos_in_thread, read_index, rf)
     for cs_combo in itertools.product(*(cs_orders(cs_by_mutex[m]) for m in mutex_names)):
         succ = [list(bs) for bs in thread_succ]
         for perm in cs_combo:
             for (_, u1), (l2, _) in zip(perm, perm[1:]):
                 succ[u1].append(l2)
-        if _topological_order(succ) is None:
+        topo = _topological_order(succ)
+        if topo is None:
             continue
         cs_order = tuple((m, tuple(labels[l] for l, _ in perm))
                          for m, perm in zip(mutex_names, cs_combo))
-        pred: List[List[int]] = [[] for _ in labels]
-        for a, bs in enumerate(succ):
-            for b in bs:
-                pred[b].append(a)
+        desc = _hb_masks(topo, succ)
+        anc = [sum(1 << a for a, row in enumerate(desc) if row >> b & 1)
+               for b in range(len(labels))]
 
-        for _ in _acyclic_rf_assignments(reads, rf_candidates, overwriters, succ, pred, rf):
-            topo = _topological_order(succ)  # acyclic: the search closes no cycle
-            masks = _hb_masks(topo, succ)
-            if _stale_read(reads, overwriters, rf, masks):
+        for _ in _acyclic_rf_assignments(reads, rf_candidates, overwriters, prior,
+                                         desc, anc, rf, prefix):
+            if _stale_read(reads, overwriters, rf, desc, anc):
                 continue  # made stale by an edge added after its choice
-            run = _run_values(tables, topo, instrs, tids, labels, rf)
+            # a node happens before fewer nodes than each of its predecessors
+            # does, so descending row counts give a linear extension
+            counts = [row.bit_count() for row in desc]
+            run = _run_values(tables, sorted(range(len(labels)), key=counts.__getitem__,
+                                             reverse=True), instrs, tids, labels, rf)
             if run is None:
                 continue
             regs, read_vals, written, violations = run
@@ -348,37 +479,35 @@ def _combo_executions(tables: _Tables, combo):
                 writes = actual.get(var)
                 if not writes:
                     continue
-                perms = _coherent_orders(writes, masks, rf, reads_of.get(var, ()),
+                perms = _coherent_orders(writes, desc, anc, rf, reads_of.get(var, ()),
                                          instrs, written)
                 if not perms:
                     break
-                valid_mos.append([(var, perm) for perm in perms])
+                valid_mos.append([(var, tuple([events[w] for w in perm])) for perm in perms])
             else:
-                order = tuple(labels[i] for i in topo)
+                full = [list(bs) for bs in succ]
+                for r in reads:
+                    if rf[r] is not None:
+                        full[rf[r]].append(r)
+                order = tuple(labels[i] for i in _topological_order(full))
                 rf_t = tuple((labels[r], None if rf[r] is None else labels[rf[r]])
                              for r in sorted_reads)
                 read_values = tuple((labels[r], read_vals[r]) for r in sorted_reads)
                 registers = tuple((key, regs[t].get(reg, 0))
                                   for key, (t, reg) in tables.register_slots)
                 violations = tuple(sorted(violations))
-                for mo_combo in itertools.product(*valid_mos):
-                    mo = tuple((var, tuple(events[w] for w in perm))
-                               for var, perm in mo_combo)
+                for mo in itertools.product(*valid_mos):
                     yield Execution(order, rf_t, mo, cs_order, read_values,
                                     registers, violations)
 
 
-def _stale_read(reads, overwriters, rf, masks) -> bool:
-    """Whether happens-before (as `masks` rows) puts a write of some read's
-    `overwriters` after that read's source and before the read."""
+def _stale_read(reads, overwriters, rf, desc, anc) -> bool:
+    """Whether happens-before (as `desc` and `anc` rows) puts a write of some
+    read's `overwriters` after that read's source and before the read."""
     for r, ws in zip(reads, overwriters):
-        w = rf[r]
-        while ws:
-            low = ws & -ws
-            ws ^= low
-            s = low.bit_length() - 1
-            if s != w and masks[s] >> r & 1 and (w is None or masks[w] >> s & 1):
-                return True
+        hidden = anc[r] & ws
+        if hidden and (rf[r] is None or hidden & ~(1 << rf[r]) & desc[rf[r]]):
+            return True
     return False
 
 
@@ -429,7 +558,7 @@ def _run_values(tables: _Tables, topo, instrs, tids, labels, rf):
     return regs, read_vals, written, violations
 
 
-def _coherent_orders(writes, masks, rf, var_reads, instrs, written) -> List[Tuple[int, ...]]:
+def _coherent_orders(writes, desc, anc, rf, var_reads, instrs, written) -> List[Tuple[int, ...]]:
     """All coherent modification orders of one variable: linear extensions of
     happens-before over the writes (initial write implicitly first), pruned by
     the no-stale-read rule and rmw immediacy during construction.
@@ -447,9 +576,6 @@ def _coherent_orders(writes, masks, rf, var_reads, instrs, written) -> List[Tupl
             successful_rmws |= 1 << r
             rmw_after[rf[r]] = r
     candidates = sorted(writes)
-    # earlier[w]: the other writes that happen before w
-    earlier = {w: sum(1 << o for o in writes if o != w and masks[o] >> w & 1)
-               for w in writes}
     out: List[Tuple[int, ...]] = []
 
     def place(prefix: tuple, remaining: int, exposed: int, last: Optional[int]):
@@ -466,9 +592,9 @@ def _coherent_orders(writes, masks, rf, var_reads, instrs, written) -> List[Tupl
                 continue
             if successful_rmws >> w & 1 and rf[w] != last:
                 continue
-            if earlier[w] & remaining:
+            if anc[w] & remaining:
                 continue  # a remaining write happens before w
-            if masks[w] & exposed:
+            if desc[w] & exposed:
                 continue  # w would overwrite a value before it is read
             place(prefix + (w,), remaining & ~(1 << w), exposed | readers.get(w, 0), w)
 
@@ -488,7 +614,9 @@ def validate_execution(program: Program, e: Execution) -> None:
     program's statements.  The CFG's synthetic nodes (entries, exits,
     branch assumes) are not among them; they carry no memory access, so
     leaving them out of program order keeps happens-before between the
-    statements as it is."""
+    statements as it is.  When every edge goes forward in `e.order`, one
+    reverse pass closes happens-before; otherwise Warshall's algorithm
+    does, and finds any cycle."""
     thread_of: Dict[Label, str] = {}
     nodes: Dict[Label, object] = {}
     for t in program.threads:
@@ -497,18 +625,17 @@ def validate_execution(program: Program, e: Execution) -> None:
             nodes[st.label] = st
     n = len(e.order)
     idx = {lbl: i for i, lbl in enumerate(e.order)}
-    rows = [0] * n  # rows[i] >> j & 1: node i happens before node j
+    succ: List[List[int]] = [[] for _ in range(n)]
 
     def edge(a: Label, b: Label) -> None:
-        rows[idx[a]] |= 1 << idx[b]
+        succ[idx[a]].append(idx[b])
 
     by_thread: Dict[str, List[Label]] = {}
     for lbl in e.order:
         if lbl in thread_of:
             by_thread.setdefault(thread_of[lbl], []).append(lbl)
     for seq in by_thread.values():
-        seq.sort(key=idx.__getitem__)
-        for a, b in zip(seq, seq[1:]):
+        for a, b in zip(seq, seq[1:]):  # e.order lists them by index already
             edge(a, b)
     for r, w in e.rf:
         if w is not None:
@@ -518,40 +645,48 @@ def validate_execution(program: Program, e: Execution) -> None:
             u1 = _matching_unlock_on(e.order, thread_of, nodes, l1, mutex)
             assert u1 is not None, "mid-order critical section never unlocks"
             edge(u1, l2)
-    for k in range(n):  # Warshall's transitive closure over bit rows
-        bit, row_k = 1 << k, rows[k]
+    rows = [0] * n  # rows[i] >> j & 1: node i happens before node j
+    if all(a < b for a, bs in enumerate(succ) for b in bs):
+        for a in reversed(range(n)):
+            row = 0
+            for b in succ[a]:
+                row |= 1 << b | rows[b]
+            rows[a] = row
+    else:
+        for a, bs in enumerate(succ):
+            for b in bs:
+                rows[a] |= 1 << b
+        for k in range(n):  # Warshall's transitive closure over bit rows
+            bit, row_k = 1 << k, rows[k]
+            for i in range(n):
+                if rows[i] & bit:
+                    rows[i] |= row_k
         for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= row_k
-    for i in range(n):
-        assert not rows[i] >> i & 1, "happens-before is cyclic"
+            assert not rows[i] >> i & 1, "happens-before is cyclic"
 
     def hb(a: Label, b: Label) -> bool:
         return bool(rows[idx[a]] >> idx[b] & 1)
 
     mo = e.mo_map()
     rf = e.rf_map()
-    for var, loset in mo.items():
-        lpos = {ev: i for i, ev in enumerate(loset)}
-        lbls = [Label(ev.label, ev.instance) for ev in loset]
-        for a in lbls:
-            for b in lbls:
-                if a != b and hb(a, b):
-                    assert lpos[_ev(loset, a)] < lpos[_ev(loset, b)], \
-                        "modification order contradicts happens-before"
+    # per variable: the writes in modification order, and each one's index
+    mo_labels = {var: [Label(ev.label, ev.instance) for ev in loset]
+                 for var, loset in mo.items()}
+    mo_index = {var: {lbl: i for i, lbl in enumerate(lbls)} for var, lbls in mo_labels.items()}
+    for lbls in mo_labels.values():
+        for j, b in enumerate(lbls):
+            for a in lbls[j + 1:]:
+                assert not hb(a, b), "modification order contradicts happens-before"
     for r, w in rf.items():
-        var = nodes[r].var
-        loset = mo.get(var, ())
+        lbls = mo_labels.get(nodes[r].var, [])
         if w is None:
-            for ev in loset:
-                wl = Label(ev.label, ev.instance)
+            for wl in lbls:
                 assert not hb(wl, r), "read of the initial value is stale"
         else:
-            wev = _ev(loset, w)
-            for ev in loset[list(loset).index(wev) + 1:]:
-                wl = Label(ev.label, ev.instance)
+            for wl in lbls[mo_index.get(nodes[r].var, {})[w] + 1:]:
                 assert not hb(wl, r), "stale read"
     for var, loset in mo.items():
+        index = mo_index[var]
         for i, ev in enumerate(loset):
             lbl = Label(ev.label, ev.instance)
             if ev.kind == "rmw" and lbl in rf:
@@ -559,7 +694,7 @@ def validate_execution(program: Program, e: Execution) -> None:
                 if w is None:
                     assert i == 0, "rmw reading the initial value is not first"
                 else:
-                    assert list(loset).index(_ev(loset, w)) == i - 1, \
+                    assert index[w] == i - 1, \
                         "rmw does not read its immediate predecessor"
 
 
@@ -575,13 +710,6 @@ def _matching_unlock_on(order, thread_of, nodes, lock_lbl, mutex) -> Optional[La
             if isinstance(instr, UnlockInst) and instr.mutex == mutex:
                 return lbl
     return None
-
-
-def _ev(loset, lbl: Label) -> Event:
-    for ev in loset:
-        if (ev.label, ev.instance) == (lbl.name, lbl.instance):
-            return ev
-    raise KeyError(lbl)
 
 
 # --------------------------------------------------------------------------
@@ -649,22 +777,28 @@ def check_soundness(program: Program, result, guard: int = 14,
         keys = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
         if keys:
             exits.append((t.name, keys, result.states.at(cfg.exits[t.name])))
+    uncovered: Dict[tuple, Optional[str]] = {}  # registers -> the message, if any
     for e in execs:
-        regmap = e.register_map()
-        for tname, keys, exit_states in exits:
-            if not any(all(regmap[k] in s.val(k) for k in keys) for s in exit_states):
-                problems.append(f"final registers {[(k, regmap[k]) for k in keys]} "
-                                f"of thread {tname} are not covered at exit")
-                break
+        if e.registers not in uncovered:
+            uncovered[e.registers] = None
+            regmap = e.register_map()
+            for tname, keys, exit_states in exits:
+                if not any(all(regmap[k] in s.val(k) for k in keys) for s in exit_states):
+                    uncovered[e.registers] = (f"final registers {[(k, regmap[k]) for k in keys]} "
+                                              f"of thread {tname} are not covered at exit")
+                    break
+        if uncovered[e.registers] is not None:
+            problems.append(uncovered[e.registers])
 
     all_exit_states = [s for t in program.threads
                        for s in result.states.at(cfg.exits[t.name])]
     if execs and all_exit_states:
+        distinct_mo = list({e.mo: e for e in execs}.values())
         for var in program.shared_names():
             joined = None
             for s in all_exit_states:
                 joined = s.po(var) if joined is None else join(joined, s.po(var))
-            for group in losets_by_write_set(execs, var):
+            for group in losets_by_write_set(distinct_mo, var):
                 concrete = alpha(group)
                 if not beta_related(concrete, joined, sb):
                     problems.append(f"joined exit poset for {var!r} is not a sound "

@@ -104,13 +104,13 @@ class AbstractState:
         return key
 
     def critical_signature(self) -> tuple:
-        """Per-variable lock/unlock/rmw events; poset joins must not drop
-        these, since consistency checks read them as authoritative history."""
+        """Per-variable lock/unlock/rmw events and the order among them;
+        poset joins must not drop either, since consistency checks read
+        them as authoritative history: an rmw with no predecessor is read
+        as the first in modification order."""
         sig = self.__dict__.get("_critical_signature")
         if sig is None:
-            sig = tuple(frozenset(e for e in p.events
-                                  if e.kind in ("lock", "unlock", "rmw"))
-                        for p in self.mo)
+            sig = tuple(_critical(p) for p in self.mo)
             object.__setattr__(self, "_critical_signature", sig)
         return sig
 
@@ -119,6 +119,15 @@ class AbstractState:
         pos = " ".join(f"{v}:{p}" for v, p in zip(layout.mo_keys, self.mo))
         vals = " ".join(f"{k}:{iv}" for k, iv in zip(layout.mem_keys, self.mem))
         return f"{pos} | {vals}"
+
+
+def _critical(p: MoPoset):
+    """The critical events of one poset, with their order pairs when it has
+    any."""
+    events = frozenset(e for e in p.events if e.kind in ("lock", "unlock", "rmw"))
+    if not events:
+        return events
+    return events, frozenset(ab for ab in p.pairs if ab[0] in events and ab[1] in events)
 
 
 def _mo_join(table: posets.PosetTable, a: Tuple, b: Tuple) -> Tuple:
@@ -132,11 +141,12 @@ def _mem_join(a: Tuple, b: Tuple) -> Tuple:
 class StateBucket:
     """Normal-form state set for one label, indexed by poset map and memory.
 
-    The memory-equality rule joins posets, which intersects away events; it
-    is therefore restricted to states that agree on their critical events
-    (lock/unlock/rmw) per variable, whose presence later consistency checks
-    rely on.  The poset-map index stays a unique key; the memory index maps
-    to the states sharing that memory with differing critical signatures.
+    The memory-equality rule joins posets, which intersects away events and
+    order pairs; it is therefore restricted to states that agree on their
+    critical events (lock/unlock/rmw) per variable and on the order among
+    them, which later consistency checks rely on.  The poset-map index
+    stays a unique key; the memory index maps to the states sharing that
+    memory with differing critical signatures.
     """
 
     __slots__ = ("_table", "_by_mo", "_by_mem", "_sorted")

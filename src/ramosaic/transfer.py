@@ -112,6 +112,7 @@ class AnalysisContext:
                                     f"{loc!r} before it")
         self.layouts = {t: Layout(self.po_keys(), (*program.shared_names(), *regs))
                         for t, regs in self.registers.items()}
+        self.initial_states = {t: self._entry_state(t) for t in self.registers}
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
         # (label, bump, interference sources) -> (pre-states, global reads,
         # merged states) of the node's latest visit; see engine.seq_ai
@@ -127,6 +128,10 @@ class AnalysisContext:
         return tuple(self.program.shared_names()) + tuple(self.program.mutexes)
 
     def initial_state(self, tname: str) -> AbstractState:
+        """The state at the entry of thread `tname`, built once per analysis."""
+        return self.initial_states[tname]
+
+    def _entry_state(self, tname: str) -> AbstractState:
         mo = {v: posets.TOP for v in self.po_keys()}
         mem = {n: intervals.singleton(v) for n, v in self.program.shared}
         for key in self.registers[tname]:

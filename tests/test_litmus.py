@@ -62,6 +62,22 @@ def test_ambiguous_postcondition_register():
         parse(src)
 
 
+def test_register_facts_are_resolved_once():
+    """A program walks its threads for their registers once; both lookups
+    answer from that walk, and the cache leaves == and hash alone."""
+    src = ("vars x = 0;\nthread t1 { a: r = load x; b: s = r + 1; }\n"
+           "thread t2 { c: q = load x; }\nassert (s == 1 || q == 0);")
+    p, fresh = parse(src), parse(src)
+    assert p.thread_registers("t1") == ("r", "s")
+    assert p.thread_registers("t1") is p.thread_registers("t1")
+    assert p.resolve_postcondition_name("q") == "t2.q"
+    with pytest.raises(KeyError):
+        p.thread_registers("t3")
+    with pytest.raises(SemanticError, match="unknown register 'z'"):
+        p.resolve_postcondition_name("z")
+    assert p == fresh and hash(p) == hash(fresh)
+
+
 def test_roundtrip_on_corpus():
     for f in corpus_files():
         p = parse(f.read_text())

@@ -1,0 +1,339 @@
+"""The prunes of the reads-from search that look at values and at crossed
+sources, and the two checks the soundness fuzz runs on every execution,
+each against its straightforward per-execution version kept below:
+`check_soundness` on lying analysis results, `validate_execution` on
+tampered executions."""
+
+from dataclasses import replace
+
+import pytest
+
+from ramosaic import oracle
+from ramosaic.engine import tmai
+from ramosaic.intervals import singleton
+from ramosaic.litmus import Label, UnlockInst, parse, unroll, walk_simple
+from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
+from ramosaic.posets import BOTTOM, alpha, beta_related, join
+from ramosaic.randprog import random_program
+
+from conftest import BENCH_DIR, MP_SRC, WHY_IC_SRC
+from oracle_reference import reference_executions
+
+
+def _value_phase_calls(monkeypatch) -> list:
+    """Wrap `_run_values`; the list gets one entry per call: whether the
+    choice survived it."""
+    run_values = oracle._run_values
+    calls = []
+
+    def recording(*args):
+        out = run_values(*args)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(oracle, "_run_values", recording)
+    return calls
+
+
+def test_value_phase_never_rejects(monkeypatch):
+    """Guards and reads from failed cas instructions are cut in the search,
+    so every choice that reaches the value phase passes it.  On peterson3
+    it runs 5 346 times, where 46 656 choices reached it before the value
+    prune and 26 973 of them died there."""
+    calls = _value_phase_calls(monkeypatch)
+    program = unroll(parse((BENCH_DIR / "peterson3.lit").read_text()), 2)
+    assert len(enumerate_executions(program, guard=40)) == 9720
+    assert all(calls) and len(calls) <= 5346
+    del calls[:]
+    for seed in range(200):
+        enumerate_executions(random_program(seed))
+    assert all(calls) and len(calls) > 1000
+
+
+def test_crossed_sources_are_cut(monkeypatch):
+    """b reads c and d reads a, while a happens before b and c before d:
+    coherence would need a before c and c before a in modification order.
+    The search cuts that choice before the value phase."""
+    src = """
+vars x = 0;
+thread t1 { a: store x 1; b: r1 = load x; }
+thread t2 { c: store x 2; d: r2 = load x; }
+"""
+    run_values = oracle._run_values
+    seen = []
+
+    def recording(tables, topo, instrs, tids, labels, rf):
+        seen.append({labels[r]: labels[w] for r, w in enumerate(rf)
+                     if isinstance(instrs[r], oracle._READS) and w is not None})
+        return run_values(tables, topo, instrs, tids, labels, rf)
+
+    monkeypatch.setattr(oracle, "_run_values", recording)
+    program = parse(src)
+    assert enumerate_executions(program) == reference_executions(program)
+    assert seen and {Label("b"): Label("c"), Label("d"): Label("a")} not in seen
+
+
+def test_values_that_depend_on_unassigned_reads_cut_nothing():
+    """When t1's read of x is assigned, the value of d (r2, read by the
+    later thread t2) is not known yet; the guard must not be decided on it."""
+    src = """
+vars x = 0, y = 0;
+thread t1 { a: r1 = load x; b: assume (r1 == 1); }
+thread t2 { c: r2 = load y; d: store x r2; }
+thread t3 { e: store y 1; }
+"""
+    program = parse(src)
+    execs = enumerate_executions(program)
+    assert execs == reference_executions(program)
+    assert {e.register_map()["t1.r1"] for e in execs} == {1}
+
+
+# --------------------------------------------------------------------------
+# check_soundness: one coverage answer per distinct outcome, one grouping of
+# modification orders per distinct order; the problems stay those of the
+# per-execution check
+# --------------------------------------------------------------------------
+
+def _reference_check_soundness(program, result, execs) -> list:
+    """The per-execution check, as `check_soundness` did it before it
+    answered once per distinct outcome; returns the problems."""
+    cfg, sb = result.cfg, result.sb
+    problems = []
+    for site in {site for e in execs for site in e.violations}:
+        v = result.verdicts.get(site)
+        if v is None or v.proved:
+            problems.append(f"assertion {site} is violated by the oracle but "
+                            f"the analyzer proves it")
+    exits = []
+    for t in program.threads:
+        keys = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
+        if keys:
+            exits.append((t.name, keys, result.states.at(cfg.exits[t.name])))
+    for e in execs:
+        regmap = e.register_map()
+        for tname, keys, exit_states in exits:
+            if not any(all(regmap[k] in s.val(k) for k in keys) for s in exit_states):
+                problems.append(f"final registers {[(k, regmap[k]) for k in keys]} "
+                                f"of thread {tname} are not covered at exit")
+                break
+    all_exit_states = [s for t in program.threads for s in result.states.at(cfg.exits[t.name])]
+    if execs and all_exit_states:
+        for var in program.shared_names():
+            joined = None
+            for s in all_exit_states:
+                joined = s.po(var) if joined is None else join(joined, s.po(var))
+            for group in oracle.losets_by_write_set(execs, var):
+                if not beta_related(alpha(group), joined, sb):
+                    problems.append(f"joined exit poset for {var!r} is not a sound "
+                                    f"abstraction of the oracle orders")
+                    break
+    return problems
+
+
+class _Lie:
+    """An analysis result whose exit states are rewritten by
+    `rewrite(thread, states)`; everything else is the real result's."""
+
+    def __init__(self, result, rewrite):
+        self.cfg, self.sb, self.verdicts = result.cfg, result.sb, result.verdicts
+        exits = {lbl: t for t, lbl in result.cfg.exits.items()}
+        real = result.states
+
+        class States:
+            def at(self, lbl):
+                states = real.at(lbl)
+                return tuple(rewrite(exits[lbl], states)) if lbl in exits else states
+
+        self.states = States()
+
+
+def _pin(key: str, value: int):
+    """Exit states that claim `key` always ends as `value`."""
+    def rewrite(thread, states):
+        for s in states:
+            if key in s.layout.mem_slot:
+                s = s.slot_update(mem=((s.layout.mem_slot[key], singleton(value)),))
+            yield s
+    return rewrite
+
+
+def _bottom_posets(thread, states):
+    for s in states:
+        yield s.slot_update(mo=tuple((i, BOTTOM) for i in range(len(s.mo))))
+
+
+@pytest.mark.parametrize("src, rewrite", [
+    (WHY_IC_SRC, _pin("t2.r1", 1)),
+    (WHY_IC_SRC, _bottom_posets),
+    (MP_SRC, _pin("t2.r2", 0)),
+], ids=["why_ic-pinned", "why_ic-bottom", "mp-pinned"])
+def test_check_soundness_on_lies(src, rewrite):
+    program = parse(src)
+    execs = enumerate_executions(program)
+    lie = _Lie(tmai(program), rewrite)
+    problems = check_soundness(program, lie, execs=execs).problems
+    assert problems and problems == _reference_check_soundness(program, lie, execs)
+
+
+def test_check_soundness_repeats_a_recurring_outcome():
+    """r = 0 and r = 1 each come with both modification orders of x: the
+    pinned result leaves each uncovered, once per execution."""
+    program = parse("vars x = 0;\nthread t1 { a: store x 1; }\n"
+                    "thread t2 { b: store x 2; }\nthread t3 { c: r = load x; }")
+    execs = enumerate_executions(program)
+    lie = _Lie(tmai(program), _pin("t3.r", 2))
+    problems = check_soundness(program, lie, execs=execs).problems
+    assert problems == _reference_check_soundness(program, lie, execs)
+    uncovered = [e for e in execs if e.register_map()["t3.r"] != 2]
+    assert len(problems) == len(uncovered) > len({e.registers for e in uncovered})
+
+
+def test_check_soundness_matches_on_random_programs():
+    for seed in range(60):
+        program = random_program(seed)
+        execs = enumerate_executions(program)
+        result = tmai(program)
+        for lie in (result, _Lie(result, _bottom_posets)):
+            assert (check_soundness(program, lie, execs=execs).problems
+                    == _reference_check_soundness(program, lie, execs))
+
+
+# --------------------------------------------------------------------------
+# validate_execution: one reverse pass when the order is a linearization,
+# Warshall's closure otherwise; the verdicts and messages stay those of the
+# closure over every order
+# --------------------------------------------------------------------------
+
+def _reference_validate(program, e) -> None:
+    """The validator as it was before its one-pass closure: Warshall's
+    closure over every order, label scans of the modification orders."""
+    thread_of, nodes = {}, {}
+    for t in program.threads:
+        for st in walk_simple(t.body):
+            thread_of[st.label] = t.name
+            nodes[st.label] = st
+    n = len(e.order)
+    idx = {lbl: i for i, lbl in enumerate(e.order)}
+    rows = [0] * n
+
+    def edge(a, b):
+        rows[idx[a]] |= 1 << idx[b]
+
+    by_thread = {}
+    for lbl in e.order:
+        if lbl in thread_of:
+            by_thread.setdefault(thread_of[lbl], []).append(lbl)
+    for seq in by_thread.values():
+        seq.sort(key=idx.__getitem__)
+        for a, b in zip(seq, seq[1:]):
+            edge(a, b)
+    for r, w in e.rf:
+        if w is not None:
+            edge(w, r)
+    for mutex, locks in e.cs_order:
+        for l1, l2 in zip(locks, locks[1:]):
+            u1, after = None, False
+            for lbl in e.order:
+                if lbl == l1:
+                    after = True
+                elif (after and thread_of.get(lbl) == thread_of[l1]
+                      and isinstance(nodes[lbl], UnlockInst) and nodes[lbl].mutex == mutex):
+                    u1 = lbl
+                    break
+            assert u1 is not None, "mid-order critical section never unlocks"
+            edge(u1, l2)
+    for k in range(n):
+        bit, row_k = 1 << k, rows[k]
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= row_k
+    for i in range(n):
+        assert not rows[i] >> i & 1, "happens-before is cyclic"
+
+    def hb(a, b):
+        return bool(rows[idx[a]] >> idx[b] & 1)
+
+    def ev(loset, lbl):
+        for x in loset:
+            if (x.label, x.instance) == (lbl.name, lbl.instance):
+                return x
+        raise KeyError(lbl)
+
+    mo, rf = e.mo_map(), e.rf_map()
+    for var, loset in mo.items():
+        lpos = {x: i for i, x in enumerate(loset)}
+        lbls = [Label(x.label, x.instance) for x in loset]
+        for a in lbls:
+            for b in lbls:
+                if a != b and hb(a, b):
+                    assert lpos[ev(loset, a)] < lpos[ev(loset, b)], \
+                        "modification order contradicts happens-before"
+    for r, w in rf.items():
+        loset = mo.get(nodes[r].var, ())
+        if w is None:
+            for x in loset:
+                assert not hb(Label(x.label, x.instance), r), "read of the initial value is stale"
+        else:
+            for x in loset[list(loset).index(ev(loset, w)) + 1:]:
+                assert not hb(Label(x.label, x.instance), r), "stale read"
+    for var, loset in mo.items():
+        for i, x in enumerate(loset):
+            lbl = Label(x.label, x.instance)
+            if x.kind == "rmw" and lbl in rf:
+                w = rf[lbl]
+                if w is None:
+                    assert i == 0, "rmw reading the initial value is not first"
+                else:
+                    assert list(loset).index(ev(loset, w)) == i - 1, \
+                        "rmw does not read its immediate predecessor"
+
+
+def _verdict(validate, program, e):
+    try:
+        validate(program, e)
+    except (AssertionError, KeyError) as exc:  # pytest appends to a test module's messages
+        return type(exc).__name__, str(exc).split("\n")[0]
+    return "valid"
+
+
+def _tampered(e):
+    """Executions one edit away from `e`: every other source of each read,
+    each modification order reversed, the order reversed and rotated."""
+    writers = {}
+    for _, loset in e.mo:
+        for x in loset:
+            writers.setdefault(x.var, []).append(Label(x.label, x.instance))
+    srcs = [None] + [w for ws in writers.values() for w in ws]
+    for k, (r, w) in enumerate(e.rf):
+        for other in srcs:
+            if other != w:
+                yield replace(e, rf=e.rf[:k] + ((r, other),) + e.rf[k + 1:])
+    for k, (var, loset) in enumerate(e.mo):
+        if len(loset) > 1:
+            yield replace(e, mo=e.mo[:k] + ((var, loset[::-1]),) + e.mo[k + 1:])
+    yield replace(e, order=e.order[::-1])
+    yield replace(e, order=e.order[1:] + e.order[:1])
+
+
+def test_validator_matches_the_closure_over_every_order():
+    verdicts = set()
+    for seed in range(40):
+        program = random_program(seed)
+        for e in enumerate_executions(program)[:6]:
+            assert _verdict(validate_execution, program, e) == "valid"
+            for t in _tampered(e):
+                got = _verdict(validate_execution, program, t)
+                assert got == _verdict(_reference_validate, program, t)
+                verdicts.add(got if got == "valid" else got[1])
+    assert {"valid", "happens-before is cyclic", "stale read",
+            "modification order contradicts happens-before"} <= verdicts
+
+
+def test_order_need_not_linearize_happens_before():
+    """An `order` that puts a read before its source still validates when
+    happens-before is acyclic; the closure then falls back to Warshall's."""
+    program = parse("vars x = 0;\nthread t1 { a: store x 1; }\nthread t2 { b: r = load x; }")
+    (e,) = [e for e in enumerate_executions(program) if e.rf_map()[Label("b")] == Label("a")]
+    swapped = tuple(sorted(e.order, key=lambda lbl: lbl != Label("b")))
+    assert swapped.index(Label("b")) < swapped.index(Label("a"))
+    validate_execution(program, replace(e, order=swapped))

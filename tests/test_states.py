@@ -8,6 +8,7 @@ from ramosaic import posets as P
 from ramosaic.engine import analyze_with_combinations, tmai
 from ramosaic.intervals import Interval, singleton
 from ramosaic.litmus import Label, parse, unroll
+from ramosaic.oracle import check_soundness
 from ramosaic.posets import Event, poset
 from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateBucket, StateSet, _mem_join, _mo_join
@@ -65,6 +66,34 @@ def test_memory_rule_guarded_by_critical_events():
     ss.merge_all(L, [state(poset({u}), singleton(1), singleton(0))])
     ss.merge_all(L, [state(poset({B}), singleton(1), singleton(0))])
     assert len(ss.at(L)) == 2
+
+
+def test_memory_rule_guarded_by_critical_order():
+    """States with the same rmw events in opposite orders stay separate: the
+    join would drop both orders, and an rmw left with no predecessor reads
+    as the first in modification order."""
+    u = Event("u", 1, "t1", "rmw", "x")
+    w = Event("w", 1, "t2", "rmw", "x")
+    ss = StateSet()
+    ss.merge_all(L, [state(poset({u, w}, {(u, w)}), singleton(2), singleton(0))])
+    ss.merge_all(L, [state(poset({u, w}, {(w, u)}), singleton(2), singleton(0))])
+    assert len(ss.at(L)) == 2
+
+
+def test_rmw_order_survives_the_merge():
+    """b, a, d, c is an execution: r1 = 0 and r2 = 3.  When the states at d
+    that order the rmws b<a<d and a<b<d were joined, the join dropped b<a,
+    the meet with t1's {b} state came out bottom, and `final` was proved."""
+    program = parse("""
+vars x = 0;
+thread t0 { a: r0 = fadd x 1; }
+thread t1 { b: r1 = fadd x 1; c: r2 = load x; }
+thread t2 { d: r3 = fadd x 1; }
+assert (r1 != 0 || r2 != 3);
+""")
+    result = tmai(program)
+    assert str(result.verdicts["final"]) == "PossiblyViolated"
+    check_soundness(program, result).raise_if_unsound()
 
 
 @pytest.fixture(scope="module")
