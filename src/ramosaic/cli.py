@@ -25,6 +25,20 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
+class InputError(Exception):
+    """The input file cannot be read as UTF-8 text."""
+
+
+def read_source(path: Path) -> str:
+    """The text of an input file; InputError when it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise InputError(exc.strerror or str(exc)) from exc
+
+
 @dataclass
 class RunReport:
     file: str
@@ -55,7 +69,7 @@ def _config_dict(args) -> dict:
 
 
 def analyze_file(path: Path, args) -> tuple:
-    program = parse(path.read_text())
+    program = parse(read_source(path))
     program = unroll(program, args.unroll)
     tc = TransferConfig(abstract_mo=args.abstract_mo,
                         rmw_critical=args.rmw_critical,
@@ -87,7 +101,7 @@ def analyze_file(path: Path, args) -> tuple:
 
 
 def expected_verdict(path: Path) -> str | None:
-    for line in path.read_text().splitlines():
+    for line in read_source(path).splitlines():
         stripped = line.strip()
         if stripped.startswith("# expect:"):
             return stripped.split(":", 1)[1].strip()
@@ -101,8 +115,9 @@ def bench(directory: Path, args) -> int:
     rows = []
     mismatches = 0
     for f in files:
-        expect = expected_verdict(f)
+        expect = None
         try:
+            expect = expected_verdict(f)
             report, _ = analyze_file(f, args)
         except Exception as exc:  # keep the table going; report the failure
             rows.append((f.name, expect or "-", f"error: {exc}", "FAIL", "-", "-"))
@@ -178,7 +193,7 @@ def main(argv=None) -> int:
         if path.is_dir():
             return bench(path, args)
         report, result = analyze_file(path, args)
-    except (ParseError, SemanticError) as exc:
+    except (InputError, ParseError, SemanticError) as exc:
         print(f"ramosaic: {path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # divergence, budget, soundness failure, or a defect
@@ -212,8 +227,11 @@ def oracle_main(argv=None) -> int:
         print(f"ra-oracle: {path}: no such file", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        program = unroll(parse(path.read_text()), args.unroll)
+        program = unroll(parse(read_source(path)), args.unroll)
         execs = oracle.enumerate_executions(program, guard=args.guard)
+    except InputError as exc:
+        print(f"ra-oracle: {path}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     except (ParseError, SemanticError) as exc:
         print(f"ra-oracle: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 from . import interference, intervals, posets
 from .intervals import val_widen
-from .litmus import AssertInst, Cfg, Label, Program, build_cfg
+from .litmus import AssertInst, Cfg, Label, Nop, Program, build_cfg
 from .states import AbstractState, StateBucket, StateSet
 from .transfer import (AnalysisContext, TransferConfig, Verdict, check_assert,
                        check_final_assert, transfer_node)
@@ -93,11 +93,18 @@ def _reads_unchanged(ss: StateSet, reads: list) -> bool:
     return True
 
 
-def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: list,
+def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
                  global_ss: StateSet, interfs: Dict[Label, tuple], bump: int) -> tuple:
     """The merged states of one visit of `lbl`, before widening, taken from
     the memo when the inputs are unchanged: the transfer is a function of
-    the pre-states, the global reads, the key and the context alone."""
+    the pre-states, the global reads, the key and the context alone.
+
+    A nop or an assert with one predecessor passes that predecessor's
+    states tuple on as it is: the tuple is a sorted normal form already,
+    which a merge would rebuild unchanged."""
+    cfg = ctx.cfg
+    if len(cfg.preds[lbl]) == 1 and isinstance(cfg.nodes[lbl], (Nop, AssertInst)):
+        return pre_states
     key = (lbl, bump, interfs.get(lbl))
     entry = ctx.node_memo.get(key)
     if entry is not None and entry[0] == pre_states and _reads_unchanged(global_ss, entry[1]):
@@ -112,14 +119,14 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: list,
 
 
 def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
-           interfs: Dict[Label, tuple], widened: Optional[set] = None) -> Dict[Label, list]:
+           interfs: Dict[Label, tuple], widened: Optional[set] = None) -> Dict[Label, tuple]:
     """Worklist pass over one thread's CFG in reverse post-order, reading
     interference sources from the global state set."""
     cfg = ctx.cfg
     rpo = cfg.rpo[tname]
     index = {lbl: i for i, lbl in enumerate(rpo)}
     entry = cfg.entries[tname]
-    local: Dict[Label, list] = {entry: [ctx.initial_state(tname)]}
+    local: Dict[Label, tuple] = {entry: (ctx.initial_state(tname),)}
     visits: Dict[Label, int] = {}
     # the pending labels, popped in RPO order: a heap of RPO indices and
     # a set for membership
@@ -128,17 +135,19 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
     while heap:
         lbl = rpo[heapq.heappop(heap)]
         pending.discard(lbl)
-        pre_states = []
-        for p in cfg.preds[lbl]:
-            pre_states.extend(local.get(p, ()))
+        preds = cfg.preds[lbl]
+        if len(preds) == 1:
+            pre_states = local.get(preds[0], ())
+        else:
+            pre_states = tuple([s for p in preds for s in local.get(p, ())])
         visits[lbl] = visits.get(lbl, 0) + 1
         bump = visits[lbl] - 1
-        new = list(_node_states(ctx, lbl, pre_states, global_ss, interfs, bump))
+        new = _node_states(ctx, lbl, pre_states, global_ss, interfs, bump)
         if lbl in cfg.loop_headers and visits[lbl] > ctx.tc.widening_threshold:
-            new = _widen_states(ctx.posets, local.get(lbl, []), new)
+            new = tuple(_widen_states(ctx.posets, local.get(lbl, ()), new))
             if widened is not None:
                 widened.add(lbl)
-        if new != local.get(lbl, []):
+        if new != local.get(lbl, ()):
             local[lbl] = new
             for nxt in cfg.succs[lbl]:
                 if nxt not in pending:

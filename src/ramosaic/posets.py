@@ -310,8 +310,8 @@ class PosetTable:
     """The posets of one analysis, hash-consed, with memoized operators.
 
     Every poset the table returns is interned: equal posets are one object,
-    so tuples holding them compare by identity.  `append`, `meet`, `less`
-    and `join` run the module functions above once per distinct operands,
+    so tuples holding them compare by identity.  `append`, `meet` and
+    `join` run the module functions above once per distinct operands,
     with the table's sb index and flags, and answer repeats from a dict.
     `sort_key` and `lasts` are computed once per poset.
 
@@ -321,7 +321,7 @@ class PosetTable:
     """
 
     __slots__ = ("sb", "abstract", "rmw_critical", "_interned", "_append",
-                 "_meet", "_less", "_join", "_sort_key", "_lasts")
+                 "_meet", "_join", "_sort_key", "_lasts")
 
     def __init__(self, sb: SbIndex = EMPTY_SB, abstract: bool = False,
                  rmw_critical: bool = False):
@@ -331,7 +331,6 @@ class PosetTable:
         self._interned = {BOTTOM: BOTTOM, TOP: TOP}
         self._append: dict = {}
         self._meet: dict = {}
-        self._less: dict = {}
         self._join: dict = {}
         self._sort_key: dict = {}
         self._lasts: dict = {}
@@ -357,13 +356,6 @@ class PosetTable:
         if out is None:
             out = self._meet[key] = self.intern(
                 meet(p1, p2, self.sb, self.abstract, self.rmw_critical))
-        return out
-
-    def less(self, p1: MoPoset, p2: MoPoset) -> bool:
-        key = (p1, p2)
-        out = self._less.get(key)
-        if out is None:
-            out = self._less[key] = less(p1, p2)
         return out
 
     def join(self, p1: MoPoset, p2: MoPoset) -> MoPoset:

@@ -135,7 +135,7 @@ def _mo_join(table: posets.PosetTable, a: Tuple, b: Tuple) -> Tuple:
 
 
 def _mem_join(a: Tuple, b: Tuple) -> Tuple:
-    return tuple(map(intervals.val_join, a, b))
+    return tuple([x if x == y else intervals.val_join(x, y) for x, y in zip(a, b)])
 
 
 class StateBucket:
@@ -149,7 +149,7 @@ class StateBucket:
     memory with differing critical signatures.
     """
 
-    __slots__ = ("_table", "_by_mo", "_by_mem", "_sorted")
+    __slots__ = ("_table", "_by_mo", "_by_mem", "_sorted", "_frozen")
 
     def __init__(self, table: posets.PosetTable):
         self._table = table
@@ -160,13 +160,15 @@ class StateBucket:
         # them changes, so the sort is done once for both and an unchanged
         # bucket gives the identical tuple in every later copy
         self._sorted: list = [None]
+        # the same for the frozenset of the states, which fingerprints hold
+        self._frozen: list = [None]
 
     def merge(self, s: AbstractState) -> None:
         """Join s into the bucket.  When the join gives back a state the
         bucket holds, the bucket is left as it is, its cached `states()`
-        tuple included: re-inserting that state would rebuild the same
-        content, since no two states share a poset map or a memory and
-        critical signature."""
+        tuple and frozenset included: re-inserting that state would rebuild
+        the same content, since no two states share a poset map or a memory
+        and critical signature."""
         cur = s
         while True:
             other = self._by_mo.get(cur.mo)
@@ -194,6 +196,7 @@ class StateBucket:
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
             self._sorted = [None]
+            self._frozen = [None]
             return
 
     def _remove(self, s: AbstractState) -> None:
@@ -203,12 +206,20 @@ class StateBucket:
         if not group:
             del self._by_mem[s.mem]
         self._sorted = [None]
+        self._frozen = [None]
 
     def states(self) -> tuple:
         cell = self._sorted
         if cell[0] is None:
             table = self._table
             cell[0] = tuple(sorted(self._by_mo.values(), key=lambda s: s.sort_key(table)))
+        return cell[0]
+
+    def frozen(self) -> frozenset:
+        """The bucket's states as a frozenset, which caches its hash."""
+        cell = self._frozen
+        if cell[0] is None:
+            cell[0] = frozenset(self._by_mo.values())
         return cell[0]
 
     def __len__(self) -> int:
@@ -219,6 +230,7 @@ class StateBucket:
         out._by_mo = dict(self._by_mo)
         out._by_mem = {k: list(v) for k, v in self._by_mem.items()}
         out._sorted = self._sorted
+        out._frozen = self._frozen
         return out
 
 
@@ -257,12 +269,14 @@ class StateSet:
         return {str(lbl): len(self._by_label[lbl]) for lbl in self.labels()}
 
     def fingerprint(self) -> frozenset:
-        """The set's (label, state) pairs.  One state may sit at several
-        labels, so each is paired with the label it is stored at: two sets
-        have equal fingerprints exactly when they hold the same states at
-        every label, which is when their dumps are equal."""
-        return frozenset([(lbl, s) for lbl, b in self._by_label.items()
-                          for s in b._by_mo.values()])
+        """The set's (label, frozenset of states) pairs over its non-empty
+        buckets.  One state may sit at several labels, so each bucket is
+        paired with its label: two sets have equal fingerprints exactly when
+        they hold the same states at every label, which is when their dumps
+        are equal.  A bucket that no merge changed keeps its frozenset, and
+        the hash cached in it, across rounds and copies, so only changed
+        buckets are hashed again."""
+        return frozenset([(lbl, b.frozen()) for lbl, b in self._by_label.items() if len(b)])
 
     def dump(self) -> str:
         lines = []

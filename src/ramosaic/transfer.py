@@ -140,7 +140,11 @@ class AnalysisContext:
 
 
 def apply_interference(ctx: AnalysisContext, target: AbstractState,
-                       source: AbstractState, src_event: Event) -> Optional[AbstractState]:
+                       source: AbstractState, src_event: Event,
+                       reg: Optional[int] = None) -> Optional[AbstractState]:
+    """The target state after reading from the source's write `src_event`,
+    or None when the views are inconsistent.  With `reg`, a memory slot of
+    the target, the loaded value is also written there: a load's register."""
     table = ctx.posets
     var = src_event.var
     k = target.layout.mo_slot[var]
@@ -155,23 +159,28 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
             return None
         new_mo.append(met)
     # Registers keep the target's values; shared variables go by the views.
-    # One poset strictly below the other is `less` one way only; the same
-    # poset on both sides is neither view ahead.
+    # With every meet non-bottom, the source's poset is `less` than the
+    # target's exactly when it equals their meet, and the other way round;
+    # one poset strictly below the other is `less` one way only, and the
+    # same poset on both sides is neither view ahead.  The source may come
+    # from another table, so the test is `==`.
     src_slot = source.layout.mem_slot
     new_mem = list(target.mem)
     for v, i, j in target.layout.shared_slots:
         sv = source.mem[src_slot[v]]
+        tv = new_mem[i]
         if v == var:
             new_mem[i] = sv
-            continue
-        pt, ps = target.mo[j], source.mo[j]
-        if pt is not ps:
-            src_below = table.less(ps, pt)
-            if src_below != table.less(pt, ps):
+        elif tv != sv:
+            met = new_mo[j]
+            src_below = met == source.mo[j]
+            if src_below != (met == target.mo[j]):
                 if src_below:  # the source's view is ahead
                     new_mem[i] = sv
                 continue  # otherwise the target's is
-        new_mem[i] = val_join(new_mem[i], sv)
+            new_mem[i] = val_join(tv, sv)
+    if reg is not None:
+        new_mem[reg] = source.mem[src_slot[var]]
     return AbstractState(tuple(new_mo), tuple(new_mem), target.layout)
 
 
@@ -183,11 +192,13 @@ def _published(state: AbstractState, ev: Event) -> bool:
                for e in state.po(ev.var).events)
 
 
-def _load_bases(ctx, s, interfs, global_ss, var):
-    """Yield (base state, loaded interval) per interference choice."""
+def _load_bases(ctx, s, interfs, global_ss, var, reg=None):
+    """Yield (base state, loaded interval) per interference choice; with
+    `reg`, a memory slot, each base holds the loaded value there too."""
     for src in interfs:
         if src == CTX:
-            yield s, s.val(var)
+            loaded = s.val(var)
+            yield (s if reg is None else s.slot_update(mem=((reg, loaded),))), loaded
         else:
             ev = ctx.events[src]
             cas = isinstance(ctx.cfg.nodes[src], Cas)
@@ -195,7 +206,7 @@ def _load_bases(ctx, s, interfs, global_ss, var):
             for src_state in global_ss.at(src):
                 if cas and not _published(src_state, ev):
                     continue
-                r = apply_interference(ctx, s, src_state, ev)
+                r = apply_interference(ctx, s, src_state, ev, reg)
                 if r is not None:
                     yield r, src_state.mem[src_slot]
 
@@ -244,12 +255,11 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
         return out
 
     if isinstance(instr, LoadInst):
-        j = mem_slot[instr.var]
         k = mem_slot[ctx.program.register_key(tname, instr.reg)]
         interfs = interf_map.get(lbl, (CTX,))
         for s in pre_states:
-            for base, loaded in _load_bases(ctx, s, interfs, global_ss, instr.var):
-                out.append(base.slot_update(mem=((j, loaded), (k, loaded))))
+            out.extend(base for base, _ in _load_bases(ctx, s, interfs, global_ss,
+                                                       instr.var, k))
         return out
 
     if isinstance(instr, (Cas, Fadd)):
@@ -374,11 +384,20 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
 
 
 def check_assert(states, cond, env: NameEnv) -> Verdict:
-    """Proved iff the negated condition is infeasible in every state."""
+    """Proved iff the negated condition is infeasible in every state.
+    `refine` reads only the keys the condition names, so feasibility is
+    decided once per distinct projection of the states onto those keys; the
+    witnesses are the states whose projection is feasible, in order."""
     neg = negate(cond)
+    keys = sorted({env.key(n) for n in expr_names(neg)})
+    feasible: dict = {}
     witnesses = []
     for s in states:
-        if refine(s.mem_map(), neg, env) is not None:
+        values = tuple([s.val(k) for k in keys])
+        ok = feasible.get(values)
+        if ok is None:
+            ok = feasible[values] = refine(dict(zip(keys, values)), neg, env) is not None
+        if ok:
             witnesses.append(s)
     return Verdict(not witnesses, tuple(witnesses))
 

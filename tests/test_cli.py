@@ -40,6 +40,37 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+NOT_UTF8 = b"vars x = 0;\nthread t { a: store x 1; }\n# \xff\xfe\n"
+
+
+def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.lit"
+    bad.write_bytes(NOT_UTF8)
+    code, _, err = run_cli([bad], capsys)
+    assert code == 2
+    assert err.strip() == f"ramosaic: {bad}: not UTF-8 text (invalid start byte at byte 41)"
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_oracle_on_unreadable_input_exits_two(kind, tmp_path, capsys):
+    path = tmp_path / "in.lit"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(NOT_UTF8)
+    assert oracle_main([str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"ra-oracle: {path}: ") and len(err.splitlines()) == 1
+    assert ("not UTF-8 text" if kind == "not-utf8" else "Is a directory") in err
+
+
+def test_bench_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "latin1.lit").write_bytes(NOT_UTF8)
+    code, out, _ = run_cli([tmp_path], capsys)
+    assert code == 1
+    assert "error: not UTF-8 text" in out and "FAIL" in out
+
+
 def test_bench_on_corpus(capsys):
     code, out, _ = run_cli([BENCH_DIR], capsys)
     assert code == 0

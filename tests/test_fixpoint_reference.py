@@ -1,0 +1,165 @@
+"""The fixpoint's shortcuts against the code they replaced, kept here as the
+reference: the view test read off the meets against two `posets.less`
+tests and a second build for the loaded register, the assertion check on
+projections against a `refine` over each state's full memory, and nodes
+that pass their predecessor's states on against a fresh bucket merge.
+
+Every call the analyses make is checked, over the corpus (both modes),
+`random_program(0..199)`, Peterson-3 and -4 and the looped programs.  The
+random programs assert only a postcondition, so the assertion check also
+runs on drawn conditions at every label of their fixpoints."""
+
+import random
+
+import pytest
+
+from ramosaic import engine, transfer
+from ramosaic import posets as P
+from ramosaic.engine import analyze_with_combinations, tmai
+from ramosaic.intervals import NameEnv, refine, val_join
+from ramosaic.litmus import (And, AssertInst, BinOp, BoolLit, Cmp, Lit, Name, Nop, Or,
+                             negate, parse, unroll)
+from ramosaic.randprog import random_program
+from ramosaic.states import AbstractState, StateBucket
+from ramosaic.transfer import Verdict
+
+from conftest import LOOPED_SOURCES, corpus_files, peterson
+
+
+def apply_interference_by_less(ctx, target, source, src_event, reg=None):
+    """The view rule with `less` tested both ways on the target's and the
+    source's posets, and the loaded register written by a second build."""
+    table = ctx.posets
+    var = src_event.var
+    k = target.layout.mo_slot[var]
+    new_mo = []
+    for i, (pt, ps) in enumerate(zip(target.mo, source.mo)):
+        if i == k:
+            pt = table.append(pt, src_event)
+            if pt.bottom:
+                return None
+        met = table.meet(pt, ps)
+        if met.bottom:
+            return None
+        new_mo.append(met)
+    src_slot = source.layout.mem_slot
+    new_mem = list(target.mem)
+    for v, i, j in target.layout.shared_slots:
+        sv = source.mem[src_slot[v]]
+        if v == var:
+            new_mem[i] = sv
+            continue
+        pt, ps = target.mo[j], source.mo[j]
+        if pt is not ps:
+            src_below = P.less(ps, pt)
+            if src_below != P.less(pt, ps):
+                if src_below:
+                    new_mem[i] = sv
+                continue
+        new_mem[i] = val_join(new_mem[i], sv)
+    out = AbstractState(tuple(new_mo), tuple(new_mem), target.layout)
+    if reg is not None:
+        out = out.slot_update(mem=((reg, source.mem[src_slot[var]]),))
+    return out
+
+
+def check_assert_full(states, cond, env) -> Verdict:
+    """One `refine` over the full memory map of every state."""
+    neg = negate(cond)
+    witnesses = tuple(s for s in states if refine(s.mem_map(), neg, env) is not None)
+    return Verdict(not witnesses, witnesses)
+
+
+CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+def drawn_conditions(rng: random.Random, idents: list) -> tuple:
+    """Three conditions over the given identifiers."""
+    a, b = rng.choice(idents), rng.choice(idents)
+    k = rng.randint(0, 3)
+    op = lambda: rng.choice(CMP_OPS)  # noqa: E731
+    return (Cmp(op(), Name(a), Lit(k)),
+            Or(Cmp(op(), Name(a), Name(b)), And(Cmp(op(), Name(b), Lit(k)), BoolLit(False))),
+            And(Cmp(op(), BinOp("+", Name(a), Lit(1)), Name(b)), Cmp(op(), Name(b), Lit(k))))
+
+
+def _same_state(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a == b and a.layout is b.layout
+
+
+@pytest.fixture(scope="module")
+def checked():
+    """Run the analyses with each replaced step checked against its
+    reference; per check, the number of calls and the calls that differ."""
+    calls = {"interference": [0, []], "assert": [0, []], "pass": [0, []]}
+    real_apply = transfer.apply_interference
+    real_check = engine.check_assert
+    real_node_states = engine._node_states
+
+    def apply_checked(ctx, target, source, src_event, reg=None):
+        got = real_apply(ctx, target, source, src_event, reg)
+        want = apply_interference_by_less(ctx, target, source, src_event, reg)
+        calls["interference"][0] += 1
+        if not _same_state(got, want):
+            calls["interference"][1].append((target.fmt(), source.fmt(), src_event))
+        return got
+
+    def check_checked(states, cond, env):
+        got = real_check(states, cond, env)
+        want = check_assert_full(states, cond, env)
+        calls["assert"][0] += 1
+        if (got.proved != want.proved or len(got.witnesses) != len(want.witnesses)
+                or not all(a is b for a, b in zip(got.witnesses, want.witnesses))):
+            calls["assert"][1].append((cond, len(states)))
+        return got
+
+    def node_states_checked(ctx, lbl, pre_states, global_ss, interfs, bump):
+        got = real_node_states(ctx, lbl, pre_states, global_ss, interfs, bump)
+        if isinstance(ctx.cfg.nodes[lbl], (Nop, AssertInst)):
+            bucket = StateBucket(ctx.posets)
+            for s in pre_states:
+                bucket.merge(s)
+            one_pred = len(ctx.cfg.preds[lbl]) == 1
+            calls["pass"][0] += one_pred
+            if got != bucket.states() or (one_pred and got is not pre_states):
+                calls["pass"][1].append((lbl, len(pre_states)))
+        return got
+
+    corpus = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
+    runs = [(tmai, p) for p in corpus]
+    runs += [(analyze_with_combinations, p) for p in corpus]
+    runs += [(tmai, parse(peterson(n))) for n in (3, 4)]
+    runs += [(tmai, parse(src)) for src in LOOPED_SOURCES]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "apply_interference", apply_checked)
+        mp.setattr(engine, "check_assert", check_checked)
+        mp.setattr(engine, "_node_states", node_states_checked)
+        for analyze, program in runs:
+            analyze(program, max_iterations=100)
+        for seed in range(200):
+            program = random_program(seed)
+            result = tmai(program, max_iterations=100)
+            rng = random.Random(seed)
+            for lbl in result.states.labels():
+                env = NameEnv(program, result.cfg.thread_of[lbl])
+                for cond in drawn_conditions(rng, sorted(env.keys)):
+                    check_checked(result.states.at(lbl), cond, env)
+    return calls
+
+
+def test_view_test_from_the_meet_matches_less(checked):
+    n, mismatches = checked["interference"]
+    assert n > 10_000 and not mismatches, (n, mismatches[:5])
+
+
+def test_projected_assert_check_matches_full_refine(checked):
+    n, mismatches = checked["assert"]
+    assert n > 5_000 and not mismatches, (n, mismatches[:5])
+
+
+def test_pass_through_nodes_match_a_fresh_merge(checked):
+    n, mismatches = checked["pass"]
+    assert n > 4_000 and not mismatches, (n, mismatches[:5])
+

@@ -94,6 +94,36 @@ def test_confirming_round_reads_the_identical_tuples(monkeypatch):
     assert last_round and all(last_round), (sum(last_round), len(last_round))
 
 
+def test_unchanged_buckets_keep_their_frozensets(monkeypatch):
+    """A bucket that no merge changed gives its earlier frozenset itself,
+    in the set it sits in and in the next round's snapshot, so the
+    fingerprint of the confirming round hashes no bucket again."""
+    snapshots: list = []
+    fingerprints: list = []
+    real_copy, real_fingerprint = StateSet.copy, StateSet.fingerprint
+
+    def recording_copy(self):
+        out = real_copy(self)
+        snapshots.append(out)
+        return out
+
+    def recording_fingerprint(self):
+        out = real_fingerprint(self)
+        fingerprints.append(dict(out))
+        return out
+
+    monkeypatch.setattr(StateSet, "copy", recording_copy)
+    monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
+    result = tmai(parse(peterson(4)))
+    assert result.iterations_total == 4 and len(fingerprints) == 5
+    before, after = fingerprints[-2], fingerprints[-1]
+    assert before and before.keys() == after.keys()
+    snapshot = snapshots[-1]._by_label
+    for lbl, states in before.items():
+        assert after[lbl] is states
+        assert snapshot[lbl].frozen() is states
+
+
 class _CountingSet(StateSet):
     """A state set that counts the reads of each label."""
 

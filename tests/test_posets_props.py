@@ -283,7 +283,9 @@ def _copy(p):
 def test_poset_table_answers_as_the_operators(ops, evs, abstract, rmw_critical):
     """Each memoized operator returns what the module function returns, on
     first use and on a repeat, for operands that are equal copies of each
-    other as well; equal results come back as one object."""
+    other as well; equal results come back as one object.  A non-bottom
+    meet equals an operand exactly when that operand is `less` than the
+    other, which apply_interference's view test relies on."""
     table = P.PosetTable(MIXED_SB, abstract, rmw_critical)
     flags = (MIXED_SB, abstract, rmw_critical)
     ops = ops + [_copy(p) for p in ops]
@@ -293,7 +295,10 @@ def test_poset_table_answers_as_the_operators(ops, evs, abstract, rmw_critical):
             met, joined = table.meet(p1, p2), table.join(p1, p2)
             assert met == P.meet(p1, p2, *flags)
             assert joined == P.join(p1, p2)
-            assert table.less(p1, p2) == P.less(p1, p2)
+            if not met.bottom:
+                # the view test of apply_interference reads `less` off the meet
+                assert (met == p1) == P.less(p1, p2)
+                assert (met == p2) == P.less(p2, p1)
             results += [met, joined]
         for p, ev in itertools.product(ops, evs):
             appended = table.append(p, ev)

@@ -265,7 +265,7 @@ def test_merge_fast_path_matches_the_plain_merge(seq):
     same order; a merge that leaves the plain bucket's states as they were
     keeps the fast bucket's states() tuple itself, and so does merging a
     state the bucket holds or one with the same posets and a narrower
-    memory."""
+    memory.  The cached frozenset always holds the bucket's states."""
     table = P.PosetTable()
     fast, plain = StateBucket(table), _BucketWithoutFastPath(table)
     for s in seq:
@@ -273,6 +273,7 @@ def test_merge_fast_path_matches_the_plain_merge(seq):
         fast.merge(s)
         plain.merge(s)
         assert fast.states() == plain.states()
+        assert fast.frozen() == frozenset(plain.states())
         if plain.states() == plain_before:
             assert fast.states() is fast_before
     for held in fast.states():
@@ -282,6 +283,21 @@ def test_merge_fast_path_matches_the_plain_merge(seq):
             before = fast.states()
             fast.merge(s)
             assert fast.states() is before
+
+
+def test_a_merge_that_only_removes_resets_the_caches():
+    """The joined memory of s1 and the new state is s2's, and s2's poset
+    covers the join of the posets, so the merge takes s1 out and inserts
+    nothing; both cached views of the bucket follow."""
+    s1 = state(poset({A}), singleton(1), singleton(0))
+    s2 = state(P.TOP, Interval(1, 2), singleton(0))
+    bucket = StateBucket(P.PosetTable())
+    bucket.merge(s1)
+    bucket.merge(s2)
+    assert bucket.frozen() == {s1, s2} and len(bucket.states()) == 2
+    bucket.merge(state(poset({A}), singleton(2), singleton(0)))
+    assert bucket.states() == (s2,)
+    assert bucket.frozen() == {s2}
 
 
 def test_dump_format():
