@@ -229,11 +229,8 @@ def oracle_main(argv=None) -> int:
     try:
         program = unroll(parse(read_source(path)), args.unroll)
         execs = oracle.enumerate_executions(program, guard=args.guard)
-    except InputError as exc:
+    except (InputError, ParseError, SemanticError) as exc:
         print(f"ra-oracle: {path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ParseError, SemanticError) as exc:
-        print(f"ra-oracle: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:
         print(f"ra-oracle: {type(exc).__name__}: {exc}", file=sys.stderr)

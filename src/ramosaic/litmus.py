@@ -674,9 +674,34 @@ def _check_semantics(p: Program):
             if bad:
                 raise SemanticError(f"branch condition references {sorted(bad)[0]!r}, "
                                     f"which is not a register of thread {t.name!r}")
+        _must_hold(t.body, frozenset())
     if p.postcondition is not None:
         for ident in expr_names(p.postcondition):
             p.resolve_postcondition_name(ident)  # raises if unknown/ambiguous
+
+
+def _must_hold(stmts, held: frozenset) -> frozenset:
+    """The mutexes held on every path through `stmts` entered with `held`:
+    an `if` keeps those that both branches hold, a `while` those that its
+    body keeps held, iterated to a fixpoint.  SemanticError at an unlock
+    of a mutex that some path to it does not hold."""
+    for st in stmts:
+        if isinstance(st, If):
+            held = _must_hold(st.then_body, held) & _must_hold(st.else_body, held)
+        elif isinstance(st, While):
+            while True:  # the last walk of the body starts from the fixpoint
+                head = held & _must_hold(st.body, held)
+                if head == held:
+                    break
+                held = head
+        elif isinstance(st, LockInst):
+            held = held | {st.mutex}
+        elif isinstance(st, UnlockInst):
+            if st.mutex not in held:
+                raise SemanticError(f"{st.label}: unlock of {st.mutex!r}, which some "
+                                    f"path to it does not hold")
+            held = held - {st.mutex}
+    return held
 
 
 def _instr_exprs(instr: Simple):

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .litmus import (AssertInst, Assign, Assume, BinOp, BoolExpr, BoolLit,
                      Cas, Cfg, Cmp, Fadd, Label, Lit, LoadInst, LockInst,
-                     Name, Nop, Program, Store, UnlockInst, And, Or, build_cfg,
+                     Name, Program, Store, UnlockInst, And, Or, build_cfg,
                      walk_simple)
 from .posets import Event, LosetSet, SbIndex, TooLarge, alpha, beta_related, join, loset_set
 
@@ -142,25 +142,34 @@ def _hb_masks(order: List[int], succ: List[List[int]]) -> List[int]:
     return masks
 
 
-# Instruction kinds, as the value phase of the search dispatches on them.
-_SKIP, _LOAD, _FADD, _CAS, _ASSUME, _ASSIGN, _STORE = range(7)
+# Instruction kinds, as `_Prefix.run` dispatches on them.
+_SKIP, _LOAD, _FADD, _CAS, _ASSUME, _ASSIGN, _STORE, _ASSERT = range(8)
 _KIND = {LoadInst: _LOAD, Fadd: _FADD, Cas: _CAS, Assume: _ASSUME,
-         Assign: _ASSIGN, Store: _STORE}
+         Assign: _ASSIGN, Store: _STORE, AssertInst: _ASSERT}
 _NO_WRITE = object()  # the written value of a cas that failed
 
 
 class _Prefix:
-    """Each thread's run as far as the reads assigned so far determine it.
+    """Each thread's run as far as the reads assigned so far determine it:
+    the oracle's only evaluator of program values.
 
     A thread stops at its first read that is unassigned or whose source has
     not been run yet; the initial value and every write that a run has
     passed are known.  `run(k)`, with the first `k` reads assigned, moves
     every thread on as far as it can and returns False when the values
     already doom the choice: an assume or branch guard fails, or a read
-    takes its value from a cas that did not write.  Such a choice makes
-    `_run_values` return None in every completion.  `save` and `restore`
+    takes its value from a cas that did not write.  `save` and `restore`
     bracket one step of the search; a run copies a thread's registers
-    before it changes them, so a saved state is never written."""
+    before it changes them, so a saved state is never written.
+
+    Passing a node writes its slot: `out` holds a write's value
+    (`_NO_WRITE` for a failed cas), `got` a read's value or whether an
+    assert held.  A slot is written only when a run passes its node, and
+    `restore` only moves `pcs` back, so a slot is read only once the
+    current descent has passed its node.  Once every read is assigned and
+    `run` succeeds, every thread has run to its end (program order and
+    reads-from are acyclic), so every slot and register holds this
+    choice's value."""
 
     def __init__(self, tables: "_Tables", paths, instrs, kinds, tids, pos, read_index, rf):
         self.init = tables.init
@@ -173,7 +182,8 @@ class _Prefix:
         self.read_index = read_index
         self.pcs = [0] * len(paths)  # per thread: the nodes run so far
         self.regs: List[Dict[str, int]] = [{} for _ in paths]
-        self.out: List[object] = [None] * len(instrs)  # written values of the writes run
+        self.out: List[object] = [None] * len(instrs)
+        self.got: List[object] = [None] * len(instrs)
 
     def save(self):
         return self.pcs[:], self.regs[:]
@@ -182,8 +192,9 @@ class _Prefix:
         self.pcs[:], self.regs[:] = saved
 
     def run(self, k: int) -> bool:
-        pcs, regs, out, pos, tids = self.pcs, self.regs, self.out, self.pos, self.tids
-        instrs, kinds, read_index = self.instrs, self.kinds, self.read_index
+        pcs, regs, out, got = self.pcs, self.regs, self.out, self.got
+        instrs, kinds, read_index, pos, tids = (self.instrs, self.kinds, self.read_index,
+                                                self.pos, self.tids)
         moved = True
         while moved:
             moved = False
@@ -201,6 +212,8 @@ class _Prefix:
                     if kind == _ASSUME:
                         if not _eval_bool(instr.cond, tr):
                             return False
+                    elif kind == _ASSERT:
+                        got[i] = _eval_bool(instr.cond, tr)
                     elif kind == _STORE:
                         out[i] = _eval_int(instr.value, tr)
                     else:  # a read or an assign: it changes a register
@@ -218,6 +231,7 @@ class _Prefix:
                                 v = out[w]
                                 if v is _NO_WRITE:
                                     return False
+                            got[i] = v
                         if not copied:
                             tr = regs[t] = dict(tr)
                             copied = True
@@ -327,7 +341,6 @@ class _Tables:
                 self.events[lbl] = Event(lbl.name, lbl.instance, cfg.thread_of[lbl],
                                          "rmw", instr.var)
         self.thread_index = {t.name: i for i, t in enumerate(program.threads)}
-        self.n_threads = len(program.threads)
         slots = {program.register_key(t.name, r): (self.thread_index[t.name], r)
                  for t in program.threads for r in program.thread_registers(t.name)}
         self.register_slots = sorted(slots.items())
@@ -382,6 +395,7 @@ def _combo_executions(tables: _Tables, combo):
             thread_succ[a].append(b)
 
     reads = [i for i in nodes if isinstance(instrs[i], _READS)]
+    asserts = [i for i in nodes if kinds[i] == _ASSERT]
     sorted_reads = sorted(reads)
     read_index = [len(reads)] * len(labels)  # past every read: never unassigned
     for k, r in enumerate(reads):
@@ -422,9 +436,7 @@ def _combo_executions(tables: _Tables, combo):
                 open_locks[instr.mutex] = i
                 cs_by_mutex.setdefault(instr.mutex, []).append((i, None))
             elif isinstance(instr, UnlockInst):
-                held = open_locks.pop(instr.mutex, None)
-                if held is None:
-                    continue  # malformed path; values phase never reaches it anyway
+                held = open_locks.pop(instr.mutex)  # parse rejects an unheld unlock
                 css = cs_by_mutex[instr.mutex]
                 for k, (l, u) in enumerate(css):
                     if l == held:
@@ -439,6 +451,7 @@ def _combo_executions(tables: _Tables, combo):
     mutex_names = sorted(cs_by_mutex)
     rf: List[Optional[int]] = [None] * len(labels)
     prefix = _Prefix(tables, paths, instrs, kinds, tids, pos_in_thread, read_index, rf)
+    out, got, regs = prefix.out, prefix.got, prefix.regs  # updated in place
     for cs_combo in itertools.product(*(cs_orders(cs_by_mutex[m]) for m in mutex_names)):
         succ = [list(bs) for bs in thread_succ]
         for perm in cs_combo:
@@ -457,21 +470,13 @@ def _combo_executions(tables: _Tables, combo):
                                          desc, anc, rf, prefix):
             if _stale_read(reads, overwriters, rf, desc, anc):
                 continue  # made stale by an edge added after its choice
-            # a node happens before fewer nodes than each of its predecessors
-            # does, so descending row counts give a linear extension
-            counts = [row.bit_count() for row in desc]
-            run = _run_values(tables, sorted(range(len(labels)), key=counts.__getitem__,
-                                             reverse=True), instrs, tids, labels, rf)
-            if run is None:
-                continue
-            regs, read_vals, written, violations = run
 
             # the writes that took effect; a variable is named by the string
             # object of its first read, else of its first such write, so that
             # equal executions also pickle to equal bytes
             actual: Dict[str, List[int]] = {}
             for candidates in maybe_writes.values():
-                ws = [w for w in candidates if w in written]
+                ws = [w for w in candidates if out[w] is not _NO_WRITE]
                 if ws:
                     actual[instrs[ws[0]].var] = ws
             valid_mos = []
@@ -480,7 +485,7 @@ def _combo_executions(tables: _Tables, combo):
                 if not writes:
                     continue
                 perms = _coherent_orders(writes, desc, anc, rf, reads_of.get(var, ()),
-                                         instrs, written)
+                                         instrs, out)
                 if not perms:
                     break
                 valid_mos.append([(var, tuple([events[w] for w in perm])) for perm in perms])
@@ -492,9 +497,16 @@ def _combo_executions(tables: _Tables, combo):
                 order = tuple(labels[i] for i in _topological_order(full))
                 rf_t = tuple((labels[r], None if rf[r] is None else labels[rf[r]])
                              for r in sorted_reads)
-                read_values = tuple((labels[r], read_vals[r]) for r in sorted_reads)
+                read_values = tuple((labels[r], got[r]) for r in sorted_reads)
                 registers = tuple((key, regs[t].get(reg, 0))
                                   for key, (t, reg) in tables.register_slots)
+                violations = [str(labels[i]) for i in asserts if not got[i]]
+                if tables.postcondition is not None:
+                    flat: Dict[str, int] = {}
+                    for tr in regs:
+                        flat.update(tr)
+                    if not _eval_bool(tables.postcondition, flat):
+                        violations.append("final")
                 violations = tuple(sorted(violations))
                 for mo in itertools.product(*valid_mos):
                     yield Execution(order, rf_t, mo, cs_order, read_values,
@@ -511,54 +523,7 @@ def _stale_read(reads, overwriters, rf, desc, anc) -> bool:
     return False
 
 
-def _run_values(tables: _Tables, topo, instrs, tids, labels, rf):
-    """Concrete value phase along one topological order: per-thread
-    registers, read values, the values of the writes that took effect, and
-    the violated assertion sites; None when an assume or branch guard fails,
-    or a read takes its value from a cas that did not write."""
-    regs: List[Dict[str, int]] = [{} for _ in range(tables.n_threads)]
-    read_vals: Dict[int, int] = {}
-    written: Dict[int, int] = {}
-    violations: List[str] = []
-    for i in topo:
-        instr = instrs[i]
-        tr = regs[tids[i]]
-        if isinstance(instr, Nop):
-            continue
-        if isinstance(instr, Assume):
-            if not _eval_bool(instr.cond, tr):
-                return None
-        elif isinstance(instr, AssertInst):
-            if not _eval_bool(instr.cond, tr):
-                violations.append(str(labels[i]))
-        elif isinstance(instr, Assign):
-            tr[instr.reg] = _eval_int(instr.value, tr)
-        elif isinstance(instr, Store):
-            written[i] = _eval_int(instr.value, tr)
-        elif isinstance(instr, _READS):
-            w = rf[i]
-            if w is None:
-                v = tables.init[instr.var]
-            elif w in written:
-                v = written[w]
-            else:
-                return None  # reads from a cas that did not write
-            read_vals[i] = v
-            tr[instr.reg] = v
-            if isinstance(instr, Fadd):
-                written[i] = v + _eval_int(instr.addend, tr)
-            elif isinstance(instr, Cas) and v == _eval_int(instr.expected, tr):
-                written[i] = _eval_int(instr.new, tr)
-    if tables.postcondition is not None:
-        flat: Dict[str, int] = {}
-        for tr in regs:
-            flat.update(tr)
-        if not _eval_bool(tables.postcondition, flat):
-            violations.append("final")
-    return regs, read_vals, written, violations
-
-
-def _coherent_orders(writes, desc, anc, rf, var_reads, instrs, written) -> List[Tuple[int, ...]]:
+def _coherent_orders(writes, desc, anc, rf, var_reads, instrs, out) -> List[Tuple[int, ...]]:
     """All coherent modification orders of one variable: linear extensions of
     happens-before over the writes (initial write implicitly first), pruned by
     the no-stale-read rule and rmw immediacy during construction.
@@ -572,7 +537,7 @@ def _coherent_orders(writes, desc, anc, rf, var_reads, instrs, written) -> List[
     successful_rmws = 0
     for r in var_reads:
         readers[rf[r]] = readers.get(rf[r], 0) | 1 << r
-        if isinstance(instrs[r], (Cas, Fadd)) and r in written:
+        if isinstance(instrs[r], (Cas, Fadd)) and out[r] is not _NO_WRITE:
             successful_rmws |= 1 << r
             rmw_after[rf[r]] = r
     candidates = sorted(writes)

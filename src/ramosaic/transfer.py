@@ -363,18 +363,18 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
 
 
 def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
-    """States whose mutex order does not end in the matching lock are
-    unreachable here and dropped; a statically unmatched unlock was already
-    rejected when the context was built."""
-    mutex = instr.mutex
-    lock_lbl = ctx.matching_lock[lbl]
-    lock_ev = ctx.events[lock_lbl]
+    """States whose mutex order does not end in a lock of this thread do
+    not hold the mutex here and are dropped.  The thread's last lock of
+    the mutex may be any of several, one per branch, so no single matching
+    lock is asked for; an unlock that some path does not hold was already
+    rejected by the parser."""
+    thread = ctx.cfg.thread_of[lbl]
     ev = ctx.event_at(lbl, bump)
     out: list = []
-    i = ctx.layouts[ctx.cfg.thread_of[lbl]].mo_slot[mutex]
+    i = ctx.layouts[thread].mo_slot[instr.mutex]
     for s in pre_states:
         pm = s.mo[i]
-        if lock_ev not in ctx.posets.lasts(pm):
+        if not any(e.kind == "lock" and e.thread == thread for e in ctx.posets.lasts(pm)):
             continue
         p = ctx.posets.append(pm, ev)
         if p.bottom:

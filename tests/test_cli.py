@@ -64,6 +64,46 @@ def test_oracle_on_unreadable_input_exits_two(kind, tmp_path, capsys):
     assert ("not UTF-8 text" if kind == "not-utf8" else "Is a directory") in err
 
 
+@pytest.mark.parametrize("source, message", [
+    ("vars x = ;\n", "1:10: "),
+    ("vars x = 0;\nthread t { a: store y 1; }\n", "a: undeclared variable 'y'"),
+])
+def test_oracle_names_the_file_on_an_input_error(source, message, tmp_path, capsys):
+    path = tmp_path / "bad.lit"
+    path.write_text(source)
+    assert oracle_main([str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"ra-oracle: {path}: {message}") and len(err.splitlines()) == 1
+
+
+UNHELD_UNLOCK = ("vars x = 0; locks m;\n"
+                 "thread t1 { a: r = load x; if (r == 0) { b: lock m; } c: unlock m; "
+                 "d: assert(r == 0); }\n"
+                 "thread t2 { e: store x 1; }\n")
+
+
+@pytest.mark.parametrize("source", [UNHELD_UNLOCK,
+                                    "vars x = 0; locks m;\nthread t { q: unlock m; }\n"])
+@pytest.mark.parametrize("entry", [main, oracle_main])
+def test_unlock_not_held_on_every_path_exits_two(entry, source, tmp_path, capsys):
+    path = tmp_path / "unheld.lit"
+    path.write_text(source)
+    assert entry([str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "which some path to it does not hold" in err and str(path) in err
+
+
+def test_one_unlock_after_two_branch_locks_passes_the_oracle_check(tmp_path, capsys):
+    path = tmp_path / "branches.lit"
+    path.write_text("vars x = 0; locks m;\n"
+                    "thread t1 { a: r = load x; if (r == 0) { b: lock m; } "
+                    "else { g: lock m; } c: unlock m; d: assert(r == 0); }\n"
+                    "thread t2 { e: store x 1; }\n")
+    code, out, err = run_cli([path, "--oracle-check"], capsys)
+    assert (code, err) == (1, "")
+    assert "d: PossiblyViolated" in out
+
+
 def test_bench_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     (tmp_path / "latin1.lit").write_bytes(NOT_UTF8)
     code, out, _ = run_cli([tmp_path], capsys)

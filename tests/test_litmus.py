@@ -39,6 +39,31 @@ def test_undeclared_names_rejected():
         parse("vars x = 0;\nthread t { a: store x q; }")
 
 
+@pytest.mark.parametrize("body", [
+    "q: unlock m;",
+    "a: r = load x; if (r == 0) { b: lock m; } c: unlock m;",
+    "a: r = load x; while (r == 0) { b: lock m; e: r = load x; } c: unlock m;",
+    "b: lock m; c: unlock m; d: unlock m;",
+    # held on the first pass through the loop only: the walk needs the fixpoint
+    "b: lock m; a: r = load x; while (r == 0) { c: unlock m; d: r = load x; }",
+])
+def test_unlock_not_held_on_every_path_rejected(body):
+    with pytest.raises(SemanticError, match="unlock of 'm', which some path"):
+        parse(f"vars x = 0;\nlocks m;\nthread t {{ {body} }}")
+
+
+@pytest.mark.parametrize("body", [
+    "a: r = load x; if (r == 0) { b: lock m; } else { g: lock m; } c: unlock m;",
+    "a: r = load x; b: lock m; if (r == 0) { c: unlock m; } else { d: unlock m; }",
+    "a: r = load x; while (r == 0) { b: lock m; c: unlock m; d: r = load x; }",
+    "b: lock m; a: r = load x; while (r == 0) { c: unlock m; e: lock m; d: r = load x; }"
+    " f: unlock m;",
+    "b: lock m;",  # a section that is never released is allowed
+])
+def test_unlock_held_on_every_path_accepted(body):
+    parse(f"vars x = 0;\nlocks m;\nthread t {{ {body} }}")
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse("vars x = 0;\nthread t { a: store x ; }")

@@ -20,30 +20,42 @@ from conftest import BENCH_DIR, MP_SRC, WHY_IC_SRC
 from oracle_reference import reference_executions
 
 
-def _value_phase_calls(monkeypatch) -> list:
-    """Wrap `_run_values`; the list gets one entry per call: whether the
-    choice survived it."""
-    run_values = oracle._run_values
+def _surviving_choices(monkeypatch) -> list:
+    """Wrap the reads-from search and `_stale_read`; the list gets one entry
+    per complete choice that the search yields and `_stale_read` keeps:
+    whether `_Prefix` had run every thread to its end."""
+    search, stale_read = oracle._acyclic_rf_assignments, oracle._stale_read
+    ran_to_end = []
     calls = []
 
-    def recording(*args):
-        out = run_values(*args)
-        calls.append(out is not None)
-        return out
+    def searching(*args):
+        prefix = args[-1]
+        for _ in search(*args):
+            ran_to_end.append(all(pc == len(path)
+                                  for pc, path in zip(prefix.pcs, prefix.paths)))
+            yield
 
-    monkeypatch.setattr(oracle, "_run_values", recording)
+    def recording(*args):
+        stale = stale_read(*args)
+        if not stale:
+            calls.append(ran_to_end[-1])
+        return stale
+
+    monkeypatch.setattr(oracle, "_acyclic_rf_assignments", searching)
+    monkeypatch.setattr(oracle, "_stale_read", recording)
     return calls
 
 
 def test_value_phase_never_rejects(monkeypatch):
     """Guards and reads from failed cas instructions are cut in the search,
-    so every choice that reaches the value phase passes it.  On peterson3
-    it runs 5 346 times, where 46 656 choices reached it before the value
-    prune and 26 973 of them died there."""
-    calls = _value_phase_calls(monkeypatch)
+    whose prefix runs are the value phase: every complete choice it yields
+    has run each thread to its end.  On peterson3 at most 5 346 of them
+    survive `_stale_read`, where 46 656 choices reached a separate value
+    phase before the value prune and 26 973 of them died there."""
+    calls = _surviving_choices(monkeypatch)
     program = unroll(parse((BENCH_DIR / "peterson3.lit").read_text()), 2)
     assert len(enumerate_executions(program, guard=40)) == 9720
-    assert all(calls) and len(calls) <= 5346
+    assert all(calls) and 0 < len(calls) <= 5346
     del calls[:]
     for seed in range(200):
         enumerate_executions(random_program(seed))
@@ -53,21 +65,22 @@ def test_value_phase_never_rejects(monkeypatch):
 def test_crossed_sources_are_cut(monkeypatch):
     """b reads c and d reads a, while a happens before b and c before d:
     coherence would need a before c and c before a in modification order.
-    The search cuts that choice before the value phase."""
+    The search cuts that choice before modification orders are built, which
+    only the choices that survive the search and `_stale_read` reach."""
     src = """
 vars x = 0;
 thread t1 { a: store x 1; b: r1 = load x; }
 thread t2 { c: store x 2; d: r2 = load x; }
 """
-    run_values = oracle._run_values
+    coherent_orders = oracle._coherent_orders
     seen = []
 
-    def recording(tables, topo, instrs, tids, labels, rf):
-        seen.append({labels[r]: labels[w] for r, w in enumerate(rf)
+    def recording(writes, desc, anc, rf, var_reads, instrs, out):
+        seen.append({instrs[r].label: instrs[w].label for r, w in enumerate(rf)
                      if isinstance(instrs[r], oracle._READS) and w is not None})
-        return run_values(tables, topo, instrs, tids, labels, rf)
+        return coherent_orders(writes, desc, anc, rf, var_reads, instrs, out)
 
-    monkeypatch.setattr(oracle, "_run_values", recording)
+    monkeypatch.setattr(oracle, "_coherent_orders", recording)
     program = parse(src)
     assert enumerate_executions(program) == reference_executions(program)
     assert seen and {Label("b"): Label("c"), Label("d"): Label("a")} not in seen

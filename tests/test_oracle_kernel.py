@@ -10,8 +10,8 @@ import pytest
 from ramosaic import oracle
 from ramosaic.cli import expected_verdict
 from ramosaic.engine import tmai
-from ramosaic.litmus import (Fadd, Label, LockInst, Store, UnlockInst, parse,
-                             unroll)
+from ramosaic.litmus import (Fadd, Label, LockInst, Store, UnlockInst, build_cfg,
+                             parse, unroll)
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.posets import TooLarge
 from ramosaic.randprog import random_program
@@ -181,17 +181,26 @@ def _stale_reads(topo, instrs, tids, rf):
 
 
 def test_search_yields_no_choice_stale_by_happens_before(monkeypatch):
-    run_values = oracle._run_values
+    """Every complete choice that reaches `_coherent_orders` is checked
+    along a linear extension of its happens-before rows (descending row
+    counts), with each node's thread taken from the CFG."""
+    coherent_orders = oracle._coherent_orders
+    thread_of = {}
     checked = []
 
-    def checking(tables, topo, instrs, tids, labels, rf):
+    def checking(writes, desc, anc, rf, var_reads, instrs, out):
+        counts = [row.bit_count() for row in desc]
+        topo = sorted(range(len(desc)), key=counts.__getitem__, reverse=True)
+        tids = [thread_of[instr.label] for instr in instrs]
         assert not _stale_reads(topo, instrs, tids, rf)
         checked.append(topo)
-        return run_values(tables, topo, instrs, tids, labels, rf)
+        return coherent_orders(writes, desc, anc, rf, var_reads, instrs, out)
 
-    monkeypatch.setattr(oracle, "_run_values", checking)
+    monkeypatch.setattr(oracle, "_coherent_orders", checking)
     for seed in range(200):
-        enumerate_executions(random_program(seed))
+        program = random_program(seed)
+        thread_of = build_cfg(program).thread_of
+        enumerate_executions(program)
     assert len(checked) > 1000
 
 

@@ -4,11 +4,12 @@ success/failure splitting, lock handling, and the simple operations."""
 import pytest
 
 from ramosaic import posets as P
-from ramosaic.engine import tmai
+from ramosaic.engine import analyze_with_combinations, tmai
 from ramosaic.intervals import singleton
-from ramosaic.litmus import Label, build_cfg, parse
+from ramosaic.litmus import Label, SemanticError, build_cfg, parse
+from ramosaic.oracle import check_soundness
 from ramosaic.states import StateSet
-from ramosaic.transfer import (AnalysisContext, AnalysisError, TransferConfig,
+from ramosaic.transfer import (AnalysisContext, TransferConfig,
                                apply_interference, check_assert, transfer_node)
 
 from conftest import MP_SRC
@@ -244,8 +245,42 @@ thread t2 { p2: lock m; c2: r = load x; q2: unlock m; }
 
 def test_unlock_without_lock_is_an_error():
     src = "vars x = 0;\nlocks m;\nthread t { q: unlock m; }"
-    with pytest.raises(AnalysisError):
+    with pytest.raises(SemanticError, match="q: unlock of 'm'"):
         _run(src)
+
+
+# In lock_on_both_branches, c unlocks after b or after g: the unlock must
+# keep the states that came through either lock, or d is proved.
+BRANCHY_LOCKS = {
+    "lock_on_both_branches": """
+vars x = 0, y = 0; locks m;
+thread t1 { a: r = load x; if (r == 0) { b: lock m; } else { g: lock m; }
+            h: store y 1; i: store y 2; c: unlock m; d: assert(r == 0); }
+thread t2 { e: store x 1; l: lock m; k: s = load y; u: unlock m; }
+assert (s != 1);
+""",
+    "unlock_on_both_branches": """
+vars x = 0, y = 0; locks m;
+thread t1 { l1: lock m; a: r = load x; h: store y 1;
+            if (r == 0) { u1: unlock m; } else { i: store y 2; u2: unlock m; } }
+thread t2 { e: store x 1; l2: lock m; k: s = load y; u3: unlock m; }
+assert (s != 1);
+""",
+    "section_inside_if": """
+vars x = 0, y = 0; locks m;
+thread t1 { a: r = load x; if (r == 1) { l1: lock m; h: store y 1; i: store y 2;
+            u1: unlock m; } }
+thread t2 { e: store x 1; l2: lock m; k: s = load y; u2: unlock m; }
+assert (s != 1);
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCHY_LOCKS))
+@pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
+def test_branchy_lock_shapes_are_sound(name, driver):
+    program = parse(BRANCHY_LOCKS[name])
+    check_soundness(program, driver(program)).raise_if_unsound()
 
 
 def test_rmw_critical_totality_on_fenced_corpus():
