@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from . import intervals, posets
 from .intervals import Interval, NameEnv, eval_expr, exclude_value, refine, val_join, val_meet
@@ -21,12 +21,8 @@ from .litmus import (And, AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
                      LoadInst, LockInst, Nop, Program, Store, UnlockInst,
                      expr_names, negate)
 from .interference import CTX
-from .posets import Event, MoPoset, SbIndex
+from .posets import Event, SbIndex
 from .states import AbstractState, Layout, StateSet
-
-
-class AnalysisError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -49,44 +45,11 @@ class Verdict:
         return "Proved" if self.proved else "PossiblyViolated"
 
 
-def _pair_locks(cfg: Cfg) -> Tuple[Dict[Label, Label], Dict[Label, Label]]:
-    """Each unlock's matching lock and each lock's matching unlock: the
-    nearest same-mutex counterpart in CFG order within the thread, that is
-    the first candidate, in node order, with no other candidate between it
-    and the label."""
-    groups: Dict[tuple, tuple] = {}  # (thread, mutex) -> (locks, unlocks)
-    for lbl, (kind, loc) in cfg.accesses.items():
-        if kind in ("lock", "unlock"):
-            groups.setdefault((cfg.thread_of[lbl], loc), ([], []))[kind == "unlock"].append(lbl)
-    matching_lock: Dict[Label, Label] = {}
-    matching_unlock: Dict[Label, Label] = {}
-    # A lock's candidate unlock is blocked by another that reaches it, an
-    # unlock's candidate lock by another that it reaches.  The latest
-    # candidate lock is tried first as a blocker, so straight-line code costs
-    # one test per blocked lock.
-    for ls, us in groups.values():
-        reach = {lbl: cfg.reachable(lbl) for lbl in (*ls, *us)}
-        for lock in ls:
-            cands = list(filter(reach[lock].__contains__, us))
-            for c in cands:
-                if not any(c in reach[d] for d in cands if d != c):
-                    matching_unlock[lock] = c
-                    break
-        later = {l: reach[l].intersection(ls) - {l} for l in ls}
-        for unlock in us:
-            cands = [l for l in ls if unlock in reach[l]]
-            for c in cands:
-                if later[c].isdisjoint(reversed(cands)):
-                    matching_lock[unlock] = c
-                    break
-    return matching_lock, matching_unlock
-
-
 class AnalysisContext:
-    """Per-program analysis data: CFG, sb index, events, lock pairing, the
-    slot layouts of states, and the analysis's caches: the poset table that
-    every transfer and merge builds its posets through, and the node memo
-    of `engine.seq_ai`.
+    """Per-program analysis data: CFG, sb index, events, the slot layouts
+    of states, and the analysis's caches: the poset table that every
+    transfer and merge builds its posets through, and the node memo of
+    `engine.seq_ai`.
 
     `layouts[thread]` names the slots of that thread's states, once for the
     whole analysis, so transfers index value tuples instead of looking up
@@ -105,11 +68,6 @@ class AnalysisContext:
         self.events: Dict[Label, Event] = {
             lbl: Event(lbl.name, lbl.instance, cfg.thread_of[lbl], kind, loc)
             for lbl, (kind, loc) in cfg.accesses.items() if kind != "load"}
-        self.matching_lock, self.matching_unlock = _pair_locks(cfg)
-        for lbl, (kind, loc) in cfg.accesses.items():
-            if kind == "unlock" and lbl not in self.matching_lock:
-                raise AnalysisError(f"unlock {lbl} has no matching lock of "
-                                    f"{loc!r} before it")
         self.layouts = {t: Layout(self.po_keys(), (*program.shared_names(), *regs))
                         for t, regs in self.registers.items()}
         self.initial_states = {t: self._entry_state(t) for t in self.registers}
@@ -316,33 +274,16 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
     return out
 
 
-def _ends_in_lock(table: posets.PosetTable, p: MoPoset):
-    return [e for e in sorted(table.lasts(p)) if e.kind == "lock"]
-
-
 def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> list:
-    """Free the mutex first (apply the holding lock's unlock states), then
-    consider re-orderings against every other thread's unlocks, then append."""
-    mutex = instr.mutex
-    i = ctx.layouts[ctx.cfg.thread_of[lbl]].mo_slot[mutex]
-    freed: list = []
-    for s in pre_states:
-        holders = _ends_in_lock(ctx.posets, s.mo[i])
-        if holders:
-            for le in holders:
-                ul = ctx.matching_unlock.get(Label(le.label, le.instance))
-                if ul is None:
-                    continue
-                for u in global_ss.at(ul):
-                    r = apply_interference(ctx, s, u, ctx.events[ul])
-                    if r is not None:
-                        freed.append(r)
-        else:
-            freed.append(s)
-    out: list = []
+    """A lock reads from the thread's own context or from a release of
+    another thread, as a load reads from a store; the candidates whose
+    mutex order still ends in a lock do not hold a free mutex and are
+    dropped, and the rest append the lock event."""
+    i = ctx.layouts[ctx.cfg.thread_of[lbl]].mo_slot[instr.mutex]
     ev = ctx.event_at(lbl, bump)
     interfs = interf_map.get(lbl, (CTX,))
-    for s in freed:
+    out: list = []
+    for s in pre_states:
         candidates = [s]
         for src in interfs:
             if src == CTX:
@@ -353,7 +294,7 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
                     candidates.append(r)
         for c in candidates:
             pm = c.mo[i]
-            if _ends_in_lock(ctx.posets, pm):
+            if any(e.kind == "lock" for e in ctx.posets.lasts(pm)):
                 continue
             p = ctx.posets.append(pm, ev)
             if p.bottom:

@@ -26,6 +26,18 @@ assert (r1 != 2 || r2 != 1);
 """
 
 
+# t2's load of x from s1 leaves its mutex order ending in t1's lock l1, so
+# the lock l2 finds the mutex free only by reading from t1's unlock u1.
+# t3's cas succeeds on w1's y = 1 and fails on the initial y = 0.
+READS_SRC = """
+vars x = 0, y = 0;
+locks m;
+thread t1 { l1: lock m; s1: store x 1; u1: unlock m; w1: store y 1; }
+thread t2 { a: r = load x; l2: lock m; s2: store x 2; u2: unlock m; }
+thread t3 { c: q = cas y 1 2; }
+"""
+
+
 @pytest.fixture
 def mp_program():
     from ramosaic.litmus import parse

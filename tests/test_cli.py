@@ -104,6 +104,21 @@ def test_one_unlock_after_two_branch_locks_passes_the_oracle_check(tmp_path, cap
     assert "d: PossiblyViolated" in out
 
 
+@pytest.mark.parametrize("mode", ["per-load", "combinations"])
+def test_lock_after_a_release_on_either_branch_passes_the_oracle_check(mode, tmp_path, capsys):
+    """t2's lock i reads from t1's unlock g or e; the oracle violates k
+    when i follows e."""
+    path = tmp_path / "release_on_either_branch.lit"
+    path.write_text("vars x = 0, y = 0, z = 0; locks m;\n"
+                    "thread t1 { a: lock m; b: store x 1; c: r = load z; "
+                    "if (r == 1) { f: store y 7; g: unlock m; } else { e: unlock m; } }\n"
+                    "thread t2 { s: store z 1; h: r2 = load x; i: lock m; j: r3 = load y; "
+                    "k: assert(r2 != 1 || r3 != 0); }\n")
+    code, out, err = run_cli([path, "--mode", mode, "--oracle-check"], capsys)
+    assert (code, err) == (1, "")
+    assert "k: PossiblyViolated" in out
+
+
 def test_bench_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     (tmp_path / "latin1.lit").write_bytes(NOT_UTF8)
     code, out, _ = run_cli([tmp_path], capsys)

@@ -13,19 +13,7 @@ from ramosaic.randprog import random_program
 from ramosaic.states import StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import LOOPED_SOURCES, MP_SRC, corpus_files, peterson
-
-# t2's load of x from s1 leaves its mutex order ending in t1's lock l1, so
-# the lock l2 frees the mutex with the states of l1's unlock u1.  t3's cas
-# succeeds on w1's y = 1 and fails on the initial y = 0.
-READS_SRC = """
-vars x = 0, y = 0;
-locks m;
-thread t1 { l1: lock m; s1: store x 1; u1: unlock m; w1: store y 1; }
-thread t2 { a: r = load x; l2: lock m; s2: store x 2; u2: unlock m; }
-thread t3 { c: q = cas y 1 2; }
-"""
-
+from conftest import LOOPED_SOURCES, MP_SRC, READS_SRC, corpus_files, peterson
 
 def _setup(src: str):
     program = parse(src)
@@ -139,7 +127,7 @@ class _CountingSet(StateSet):
 
 @pytest.mark.parametrize("tname, node, source", [("t2", "a", "s1"),   # a load
                                                   ("t3", "c", "w1"),   # a cas
-                                                  ("t2", "l2", "u1")])  # lock freeing
+                                                  ("t2", "l2", "u1")])  # a lock
 def test_changed_reads_recompute(tname, node, source):
     """A pass against a set that lacks the source's states, then a pass of
     the same context against the full set: the node's pre-states are equal
@@ -161,8 +149,8 @@ def test_changed_reads_recompute(tname, node, source):
 
 def test_cas_reads_both_outcomes_and_lock_frees_with_unlock_states():
     """READS_SRC covers what the test above relies on: the cas both
-    succeeds and fails, and some pre-state of l2 holds t1's lock, so l2
-    reads u1 to free the mutex as well as for interference."""
+    succeeds and fails, and some pre-state of l2 holds t1's lock, which
+    only a read of u1's states releases; l2 reads u1 once per pre-state."""
     program, cfg, interfs, full = _setup(READS_SRC)
     assert len({s.val("t3.q") for s in full.at(Label("c"))}) == 2
     counting = _CountingSet(full)

@@ -1,15 +1,13 @@
 """The analyzer's static facts (write events, the sequenced-before index,
-lock pairing, interference maps and the feasible combinations) read the
-CFG's access table and reach sets.  Each must equal
-what the per-module `isinstance` scans and pairwise reachability tests
-computed before, which are kept here as the references."""
+interference maps and the feasible combinations) read the CFG's access
+table and reach sets.  Each must equal what the per-module `isinstance`
+scans and pairwise reachability tests computed before, which are kept here
+as the references."""
 
 import itertools
-import time
 from typing import Dict, Optional, Tuple
 
-import pytest
-
+from ramosaic.engine import tmai
 from ramosaic.interference import (CTX, CombinationBudgetExceeded,
                                    feasible_combinations, get_interfs)
 from ramosaic.litmus import (Cas, Cfg, Fadd, Label, LoadInst, LockInst,
@@ -17,7 +15,7 @@ from ramosaic.litmus import (Cas, Cfg, Fadd, Label, LoadInst, LockInst,
                              unroll)
 from ramosaic.posets import Event, SbIndex
 from ramosaic.randprog import random_program
-from ramosaic.transfer import AnalysisContext, AnalysisError, TransferConfig, _pair_locks
+from ramosaic.transfer import AnalysisContext, TransferConfig
 
 from conftest import LOOPED_SOURCES, corpus_files
 
@@ -50,38 +48,6 @@ def sections_thread(n: int) -> Program:
 def _reaches(cfg: Cfg, a: Label, b: Label) -> bool:
     """True iff b is reachable from a along CFG edges (strict)."""
     return b in cfg.reachable(a)
-
-
-def _match(cfg: Cfg, from_kind, to_kind) -> Dict[Label, Label]:
-    """Nearest same-mutex counterpart in CFG order within the thread."""
-    out: Dict[Label, Label] = {}
-    nodes = cfg.nodes
-    for lbl, instr in nodes.items():
-        if not isinstance(instr, from_kind):
-            continue
-        mutex = instr.mutex
-        forward = from_kind is LockInst
-        cands = []
-        for other, oinstr in nodes.items():
-            if not isinstance(oinstr, to_kind) or oinstr.mutex != mutex:
-                continue
-            if cfg.thread_of[other] != cfg.thread_of[lbl]:
-                continue
-            reach = _reaches(cfg, lbl, other) if forward else _reaches(cfg, other, lbl)
-            if reach:
-                cands.append(other)
-        nearest = None
-        for c in cands:
-            # nearest: no other candidate strictly between lbl and c
-            blocked = any((_reaches(cfg, lbl, d) and _reaches(cfg, d, c)) if forward
-                          else (_reaches(cfg, c, d) and _reaches(cfg, d, lbl))
-                          for d in cands if d != c)
-            if not blocked:
-                nearest = c
-                break
-        if nearest is not None:
-            out[lbl] = nearest
-    return out
 
 
 def _ppo_closure(cfg: Cfg) -> Dict[Label, frozenset]:
@@ -208,9 +174,6 @@ def _combinations_or_overflow(build):
 
 def _check(program: Program) -> None:
     cfg = build_cfg(program)
-    matching_lock = _match(cfg, UnlockInst, LockInst)
-    matching_unlock = _match(cfg, LockInst, UnlockInst)
-    assert _pair_locks(cfg) == (matching_lock, matching_unlock)
     ppo = _ppo_closure(cfg)
     interfs = get_interfs(program, cfg)
     assert interfs == _get_interfs(program, cfg)
@@ -220,14 +183,8 @@ def _check(program: Program) -> None:
                 == _combinations_or_overflow(
                     lambda: _feasible_combinations(program, cfg, ppo, prune=prune)))
     assert SbIndex.from_cfg(cfg)._after == _sb_after(cfg)
-    if any(isinstance(i, UnlockInst) and lbl not in matching_lock
-           for lbl, i in cfg.nodes.items()):
-        with pytest.raises(AnalysisError):
-            AnalysisContext(program, cfg, TransferConfig())
-        return
     ctx = AnalysisContext(program, cfg, TransferConfig())
     assert list(ctx.events.items()) == list(_events(cfg).items())
-    assert (ctx.matching_lock, ctx.matching_unlock) == (matching_lock, matching_unlock)
 
 
 def test_static_facts_on_the_corpus():
@@ -252,33 +209,16 @@ def test_static_facts_on_a_thread_of_300_sections():
     _check(sections_thread(300))
 
 
-def test_two_sections_in_a_loop_pair_as_before():
-    """Inside t's loop each of its two sections reaches the other, so none
-    of their locks and unlocks has a nearest counterpart and the context
-    refuses the program; unrolled, each copy pairs within itself.  The one
-    section in u's loop reaches itself too, but no other candidate, so it
-    pairs."""
+def test_two_sections_in_a_loop_are_analyzed_when_unrolled():
+    """Inside t's loop each of its two sections reaches the other.  No lock
+    is paired with an unlock, so the context accepts the looped program,
+    and once unrolled every lock reads from the unlocks before it: each
+    unlock and each thread's exit has states."""
     looped = parse(TWO_SECTIONS_IN_A_LOOP)
-    matching_lock, matching_unlock = _pair_locks(build_cfg(looped))
-    assert matching_lock == {Label("u3"): Label("l3")}
-    assert matching_unlock == {Label("l3"): Label("u3")}
-    with pytest.raises(AnalysisError):
-        AnalysisContext(looped, build_cfg(looped), TransferConfig())
+    AnalysisContext(looped, build_cfg(looped), TransferConfig())
     unrolled = unroll(looped, 2)
-    matching_lock, _ = _pair_locks(build_cfg(unrolled))
-    for n in (1, 2):
-        assert matching_lock[Label("u1", n)] == Label("l1", n)
-        assert matching_lock[Label("u2", n)] == Label("l2", n)
-
-
-def test_lock_pairing_of_a_long_thread_is_not_cubic():
-    """300 sections in one thread: the context pairs every lock with its
-    own unlock, well inside the time the pairwise scan took."""
-    program = sections_thread(300)
-    cfg = build_cfg(program)
-    start = time.perf_counter()
-    ctx = AnalysisContext(program, cfg, TransferConfig())
-    elapsed = time.perf_counter() - start
-    assert all(ctx.matching_lock[Label(f"u{i}")] == Label(f"l{i}") for i in range(300))
-    assert all(ctx.matching_unlock[Label(f"l{i}")] == Label(f"u{i}") for i in range(300))
-    assert elapsed < 1.0
+    cfg = build_cfg(unrolled)
+    states = tmai(unrolled, cfg=cfg).states
+    unlocks = [lbl for lbl, (kind, _) in cfg.accesses.items() if kind == "unlock"]
+    assert len(unlocks) == 6
+    assert all(states.at(lbl) for lbl in (*unlocks, *cfg.exits.values()))

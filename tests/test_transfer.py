@@ -12,7 +12,7 @@ from ramosaic.states import StateSet
 from ramosaic.transfer import (AnalysisContext, TransferConfig,
                                apply_interference, check_assert, transfer_node)
 
-from conftest import MP_SRC
+from conftest import MP_SRC, READS_SRC
 
 
 def _ctx_for(src, **tc_kw):
@@ -250,7 +250,10 @@ def test_unlock_without_lock_is_an_error():
 
 
 # In lock_on_both_branches, c unlocks after b or after g: the unlock must
-# keep the states that came through either lock, or d is proved.
+# keep the states that came through either lock, or d is proved.  In
+# release_on_either_branch, t2's lock i must read from t1's unlock on
+# either branch: a lock that is freed only by the unlock of one branch
+# proves k, which the oracle violates.
 BRANCHY_LOCKS = {
     "lock_on_both_branches": """
 vars x = 0, y = 0; locks m;
@@ -266,6 +269,36 @@ thread t1 { l1: lock m; a: r = load x; h: store y 1;
 thread t2 { e: store x 1; l2: lock m; k: s = load y; u3: unlock m; }
 assert (s != 1);
 """,
+    "unlock_on_both_branches_after_stores": """
+vars x = 0, y = 0; locks m;
+thread t1 { l1: lock m; a: r = load x;
+            if (r == 0) { h: store y 1; u1: unlock m; } else { i: store y 2; u2: unlock m; } }
+thread t2 { e: store x 1; l2: lock m; k: s = load y; u3: unlock m; }
+assert (s != 1);
+""",
+    "unlock_on_both_branches_without_stores": """
+vars x = 0, y = 0; locks m;
+thread t1 { l1: lock m; a: r = load x; h: store y 1; i: store y 2;
+            if (r == 0) { u1: unlock m; } else { u2: unlock m; } }
+thread t2 { e: store x 1; l2: lock m; k: s = load y; u3: unlock m; }
+assert (s != 2);
+""",
+    "release_on_either_branch": """
+vars x = 0, y = 0, z = 0; locks m;
+thread t1 { a: lock m; b: store x 1; c: r = load z;
+            if (r == 1) { f: store y 7; g: unlock m; } else { e: unlock m; } }
+thread t2 { s: store z 1; h: r2 = load x; i: lock m; j: r3 = load y;
+            k: assert(r2 != 1 || r3 != 0); }
+""",
+    "three_locking_threads": """
+vars x = 0, y = 0; locks m;
+thread t1 { l1: lock m; a: r = load x;
+            if (r == 0) { u1: unlock m; } else { h: store y 1; u2: unlock m; } }
+thread t2 { l2: lock m; b: store x 1; u3: unlock m; }
+thread t3 { l3: lock m; c: s = load y; d: q = load x; u4: unlock m; }
+assert (s != 1 || q == 1);
+""",
+    "reads_src": READS_SRC,
     "section_inside_if": """
 vars x = 0, y = 0; locks m;
 thread t1 { a: r = load x; if (r == 1) { l1: lock m; h: store y 1; i: store y 2;
