@@ -240,16 +240,18 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
     i = layout.mo_slot[var]
     j = layout.mem_slot[var]
     k = layout.mem_slot[ctx.program.register_key(tname, instr.reg)]
+    ev = ctx.event_at(lbl, bump)
     interfs = interf_map.get(lbl, (CTX,))
     out: list = []
     for s in pre_states:
         for base, loaded in _load_bases(ctx, s, interfs, global_ss, var):
-            if loaded.is_empty:
+            # a base whose order already holds this rmw read from a write
+            # after it: infeasible for the failed cas as for the success
+            if loaded.is_empty or ev in base.mo[i].events:
                 continue
             if isinstance(instr, Fadd):
                 addend = eval_expr(instr.addend, base.mem_map(), env)
                 stored = intervals.add(loaded, addend)
-                ev = ctx.event_at(lbl, bump)
                 p = ctx.posets.append(base.mo[i], ev)
                 if p.bottom or stored.is_empty:
                     continue
@@ -259,7 +261,6 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
             succ = val_meet(loaded, expected)
             if not succ.is_empty:
                 stored = eval_expr(instr.new, base.mem_map(), env)
-                ev = ctx.event_at(lbl, bump)
                 p = ctx.posets.append(base.mo[i], ev)
                 if not p.bottom and not stored.is_empty:
                     out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, succ))))

@@ -185,6 +185,20 @@ def test_failed_cas_publishes_no_write():
     assert check_soundness(program, r).ok
 
 
+@pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
+def test_failed_cas_reads_no_write_after_itself(driver):
+    """A failed cas at a must not read from a c or d state whose order
+    already holds a's own event: that write comes after a.  Taking such a
+    state let the values climb by one every two rounds, and the loop-free
+    program diverged."""
+    program = parse("vars x = 0;\n"
+                    "thread t0 { a: r0 = cas x 0 2; }\n"
+                    "thread t1 { b: r1 = load x; c: store x r1 + 1; d: store x r1 + 1; }\n")
+    r = driver(program, max_iterations=50)
+    assert r.iterations_total <= 5
+    check_soundness(program, r).raise_if_unsound()
+
+
 def test_failed_cas_source_was_a_false_positive():
     program = random_program(72)
     r = tmai(program)
