@@ -1,6 +1,6 @@
 """Interval domain over arbitrary-precision integers, plus memory maps.
 
-The domain sits behind a small contract (join / widen / leq / eval / refine)
+The domain sits behind a small contract (join / widen / meet / eval / refine)
 so a relational domain could be slotted in later without touching the
 transfer functions.
 """
@@ -99,14 +99,6 @@ def val_meet(a: Interval, b: Interval) -> Interval:
     if a.is_empty or b.is_empty:
         return EMPTY
     return _mk(max(_lo(a), _lo(b)), min(_hi(a), _hi(b)))
-
-
-def val_leq(a: Interval, b: Interval) -> bool:
-    if a.is_empty:
-        return True
-    if b.is_empty:
-        return False
-    return _lo(b) <= _lo(a) and _hi(a) <= _hi(b)
 
 
 def val_widen(a: Interval, b: Interval) -> Interval:

@@ -100,10 +100,6 @@ def _thread_paths(cfg: Cfg, tname: str) -> List[Tuple[Label, ...]]:
     return out
 
 
-def count_memory_events(program: Program) -> int:
-    return len(build_cfg(program).accesses)
-
-
 # --------------------------------------------------------------------------
 # The enumeration kernel.  Within one combination of per-thread paths the
 # nodes are numbered 0..n-1 in sorted label order, so that integer order is
@@ -683,17 +679,6 @@ def _matching_unlock_on(order, thread_of, nodes, lock_lbl, mutex) -> Optional[La
 
 def outcomes(execs) -> frozenset:
     return frozenset(e.registers for e in execs)
-
-
-def losets_of(execs, var: str) -> LosetSet:
-    """Distinct modification orders of var across executions; requires every
-    execution to have written the same event set."""
-    losets = {e.mo_map().get(var, ()) for e in execs}
-    sets = {frozenset(l) for l in losets}
-    if len(sets) > 1:
-        raise ValueError(f"executions write different {var!r} event sets; "
-                         f"group them first")
-    return loset_set(losets)
 
 
 def losets_by_write_set(execs, var: str) -> List[LosetSet]:

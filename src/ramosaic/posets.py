@@ -5,14 +5,14 @@ them, stored transitively closed; a dedicated bottom sits below everything
 and the empty poset is top.  Two operator sets are provided: the
 concrete-faithful one, and an upper-approximating one that forgets older
 same-thread stores of the variable (newest-store abstraction).  The module
-also hosts the abstraction/concretization pair bridging sets of total
-modification orders (losets) to posets, and `PosetTable`, through which an
+also hosts the abstraction `alpha` of sets of total modification orders
+(losets) to posets and the soundness relation `beta_related`, against which
+the oracle's orders are checked, and `PosetTable`, through which an
 analysis interns its posets and memoizes the operators.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
@@ -379,20 +379,6 @@ class PosetTable:
         return out
 
 
-def abs_alpha(p: MoPoset, sb: SbIndex, rmw_critical: bool = False) -> MoPoset:
-    """Forget events that have a strictly sequenced-after event present."""
-    if p.bottom:
-        return BOTTOM
-    drop = {a for a in p.events
-            if _forgettable(a, rmw_critical)
-            and any(b != a and sb.strict(a.key, b.key) for b in p.events)}
-    if not drop:
-        return p
-    events = p.events - drop
-    pairs = frozenset((a, b) for a, b in p.pairs if a in events and b in events)
-    return MoPoset(False, events, pairs)
-
-
 def beta_related(p1: MoPoset, p2: MoPoset, sb: SbIndex) -> bool:
     """Soundness relation: p2 abstracts p1 (bottom relates to everything)."""
     if p1.bottom:
@@ -425,7 +411,6 @@ class LosetSet:
 
 
 LOSET_BOTTOM = LosetSet(True, frozenset(), frozenset())
-LOSET_TOP = LosetSet(False, frozenset(), frozenset({()}))
 
 
 def loset_set(losets: Iterable[Tuple[Event, ...]]) -> LosetSet:
@@ -443,30 +428,6 @@ def _loset_pairs(lo: Tuple[Event, ...]) -> FrozenSet[tuple]:
                      for i in range(len(lo)) for j in range(i + 1, len(lo)))
 
 
-def loset_leq(t1: LosetSet, t2: LosetSet) -> bool:
-    """t1 below t2: t1 constrains a superset of events, and each of its
-    orders refines some order of t2 on the common events.  The empty set of
-    constraints is a dedicated top above everything."""
-    if t1.bottom:
-        return True
-    if t2.bottom:
-        return False
-    if not t2.events:
-        return True
-    if not (t1.events >= t2.events):
-        return False
-    for mo_i in t1.losets:
-        restricted = [e for e in mo_i if e in t2.events]
-        found = False
-        for mo_j in t2.losets:
-            if _loset_pairs(tuple(restricted)) <= _loset_pairs(mo_j):
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
 def alpha(t: LosetSet) -> MoPoset:
     """Best poset abstraction: shared events, intersection of all orders."""
     if t.bottom:
@@ -474,17 +435,3 @@ def alpha(t: LosetSet) -> MoPoset:
     pair_sets = [_loset_pairs(lo) for lo in t.losets]
     common = frozenset.intersection(*pair_sets) if pair_sets else frozenset()
     return MoPoset(False, t.events, common)
-
-
-def gamma(p: MoPoset, guard: int = 8) -> LosetSet:
-    """All linearizations of the order; test-only, guarded by event count."""
-    if p.bottom:
-        return LOSET_BOTTOM
-    if len(p.events) > guard:
-        raise TooLarge(f"{len(p.events)} events exceeds linearization guard {guard}")
-    out = []
-    for perm in itertools.permutations(sorted(p.events)):
-        pos = {e: i for i, e in enumerate(perm)}
-        if all(pos[a] < pos[b] for a, b in p.pairs):
-            out.append(perm)
-    return LosetSet(False, p.events, frozenset(out))

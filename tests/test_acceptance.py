@@ -16,11 +16,12 @@ from ramosaic.interference import CTX, feasible_combinations, get_interfs, is_fe
 from ramosaic.litmus import Label, build_cfg, parse
 from ramosaic.oracle import (check_soundness, enumerate_executions,
                              losets_by_write_set, validate_execution)
-from ramosaic.posets import alpha, beta_related, gamma, loset_leq, loset_set
+from ramosaic.posets import alpha, beta_related, loset_set
 from ramosaic.randprog import random_program
 from ramosaic.transfer import TransferConfig
 
 from conftest import BENCH_DIR
+from galois import abs_alpha, gamma, loset_leq
 from test_posets_props import SB, UNIVERSE, random_poset, sample_posets
 
 
@@ -187,7 +188,7 @@ def test_galois_and_abstraction():
     pool = sample_posets(1000, seed=202)
     candidates = sample_posets(250, seed=203)
     for p in pool:
-        a = P.abs_alpha(p, SB)
+        a = abs_alpha(p, SB)
         assert beta_related(p, a, SB)
         for q in rng.sample(candidates, 25):
             if beta_related(p, q, SB):

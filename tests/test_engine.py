@@ -131,6 +131,19 @@ thread t {
     assert s.val("x").lo == 99
 
 
+@pytest.mark.xfail(strict=True, reason="SbIndex.from_cfg follows back edges, so s1 and "
+                   "s2 are each sequenced before the other and the append of s2 is refused")
+def test_native_loop_keeps_the_second_store_of_its_body():
+    """The oracle, on this program unrolled 3, violates c.  Natively, s2
+    and t1's exit get no states, and c is proved."""
+    src = """
+vars x = 0;
+thread t1 { i: r = 0; while (r < 2) { s1: store x 1; s2: store x 2; f: r = r + 1; } }
+thread t2 { l: r1 = load x; c: assert(r1 != 2); }
+"""
+    assert not tmai(parse(src)).verdicts["c"].proved
+
+
 def test_combinations_stops_on_revisited_state_set():
     """Interacting merge chains can make the accumulator revisit an earlier
     value instead of settling; the driver must stop there (soundly) rather
