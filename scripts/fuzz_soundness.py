@@ -2,13 +2,15 @@
 """Cross-check the analyzer against the execution oracle on random programs.
 
 Each seeded program is enumerated exhaustively, its executions re-validated
-by the independent axiom checker, analyzed, and compared: oracle-violated
+by the independent axiom checker, analyzed by both drivers (`engine.tmai`
+and `engine.analyze_with_combinations`), and compared: oracle-violated
 assertions must not be proved, final register values must be covered, and
 exit posets must abstract the observed modification orders.  An exception
-(a divergence, say) is reported with its seed like an unsound result, and
-the run goes on; the exit code is 1 when any seed failed.  The summary line
-gives the seconds spent in each phase: enumerate, validate, analyze and
-soundness.
+(a divergence, say) is reported with its seed, and with the driver when one
+raised it, like an unsound result, and the run goes on; the exit code is 1
+when any check failed.  The summary line counts the failures and gives the
+seconds spent in each phase, over both drivers: enumerate, validate,
+analyze and soundness.
 
     python3 scripts/fuzz_soundness.py [N_PROGRAMS] [START_SEED]
 """
@@ -16,10 +18,12 @@ soundness.
 import sys
 import time
 
-from ramosaic.engine import tmai
+from ramosaic.engine import analyze_with_combinations, tmai
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.litmus import to_source
 from ramosaic.randprog import random_program
+
+DRIVERS = (tmai, analyze_with_combinations)
 
 
 def main(argv) -> int:
@@ -42,19 +46,27 @@ def main(argv) -> int:
             execs = timed("enumerate", enumerate_executions, program)
             for e in execs[:25]:
                 timed("validate", validate_execution, program, e)
-            result = timed("analyze", tmai, program)
-            report = timed("soundness", check_soundness, program, result, execs=execs)
         except Exception as exc:  # a finding like any other: report it, keep going
             failures += 1
             print(f"seed {seed}: {type(exc).__name__}: {exc}")
             print(to_source(program))
             continue
-        if not report.ok:
-            failures += 1
-            print(f"seed {seed}: UNSOUND")
-            for problem in report.problems:
-                print(f"  {problem}")
-            print(to_source(program))
+        for driver in DRIVERS:
+            finding = f"seed {seed} {driver.__name__}"
+            try:
+                result = timed("analyze", driver, program)
+                report = timed("soundness", check_soundness, program, result, execs=execs)
+            except Exception as exc:
+                failures += 1
+                print(f"{finding}: {type(exc).__name__}: {exc}")
+                print(to_source(program))
+                continue
+            if not report.ok:
+                failures += 1
+                print(f"{finding}: UNSOUND")
+                for problem in report.problems:
+                    print(f"  {problem}")
+                print(to_source(program))
     elapsed = time.perf_counter() - t0
     breakdown = ", ".join(f"{phase} {secs:.1f}s" for phase, secs in phases.items())
     print(f"{count} programs, {failures} failures, {elapsed:.1f}s ({breakdown})")

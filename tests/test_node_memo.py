@@ -15,6 +15,7 @@ from ramosaic.transfer import AnalysisContext, TransferConfig
 
 from conftest import LOOPED_SOURCES, MP_SRC, READS_SRC, corpus_files, peterson
 
+
 def _setup(src: str):
     program = parse(src)
     cfg = build_cfg(program)

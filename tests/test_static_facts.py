@@ -210,13 +210,10 @@ def test_static_facts_on_a_thread_of_300_sections():
 
 
 def test_two_sections_in_a_loop_are_analyzed_when_unrolled():
-    """Inside t's loop each of its two sections reaches the other.  No lock
-    is paired with an unlock, so the context accepts the looped program,
-    and once unrolled every lock reads from the unlocks before it: each
-    unlock and each thread's exit has states."""
-    looped = parse(TWO_SECTIONS_IN_A_LOOP)
-    AnalysisContext(looped, build_cfg(looped), TransferConfig())
-    unrolled = unroll(looped, 2)
+    """Inside t's loop each of its two sections reaches the other, which
+    no lock pairing could match.  Unrolled, every lock reads from the
+    unlocks before it: each unlock and each thread's exit has states."""
+    unrolled = unroll(parse(TWO_SECTIONS_IN_A_LOOP), 2)
     cfg = build_cfg(unrolled)
     states = tmai(unrolled, cfg=cfg).states
     unlocks = [lbl for lbl, (kind, _) in cfg.accesses.items() if kind == "unlock"]
