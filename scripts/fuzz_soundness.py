@@ -2,15 +2,18 @@
 """Cross-check the analyzer against the execution oracle on random programs.
 
 Each seeded program is enumerated exhaustively, its executions re-validated
-by the independent axiom checker, analyzed by both drivers (`engine.tmai`
-and `engine.analyze_with_combinations`), and compared: oracle-violated
-assertions must not be proved, final register values must be covered, and
-exit posets must abstract the observed modification orders.  An exception
-(a divergence, say) is reported with its seed, and with the driver when one
-raised it, like an unsound result, and the run goes on; the exit code is 1
-when any check failed.  The summary line counts the failures and gives the
-seconds spent in each phase, over both drivers: enumerate, validate,
-analyze and soundness.
+by the independent axiom checker, analyzed by four drivers, and compared:
+oracle-violated assertions must not be proved, final register values must be
+covered, and exit posets must abstract the observed modification orders.
+The drivers are `engine.tmai` and `engine.analyze_with_combinations` with
+the default flags, and `engine.tmai` with each flag that the poset table
+carries turned off: concrete posets (`abstract_mo=False`) and rmw events
+that the newest-store abstraction may forget (`rmw_critical=False`).  An
+exception (a divergence, say) is reported with its seed, and with the driver
+when one raised it, like an unsound result, and the run goes on; the exit
+code is 1 when any check failed.  The summary line counts the failures and
+gives the seconds spent in each phase, over all drivers: enumerate,
+validate, analyze and soundness.
 
     python3 scripts/fuzz_soundness.py [N_PROGRAMS] [START_SEED]
 """
@@ -22,8 +25,18 @@ from ramosaic.engine import analyze_with_combinations, tmai
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.litmus import to_source
 from ramosaic.randprog import random_program
+from ramosaic.transfer import TransferConfig
 
-DRIVERS = (tmai, analyze_with_combinations)
+
+def tmai_concrete_mo(program):
+    return tmai(program, TransferConfig(abstract_mo=False))
+
+
+def tmai_no_rmw_critical(program):
+    return tmai(program, TransferConfig(rmw_critical=False))
+
+
+DRIVERS = (tmai, analyze_with_combinations, tmai_concrete_mo, tmai_no_rmw_critical)
 
 
 def main(argv) -> int:

@@ -65,7 +65,8 @@ def _widen_states(table: posets.PosetTable, old_states, new_states) -> list:
         return list(new_states)
     if new is None:
         return list(old_states)
-    mo = tuple([table.intern(posets.widen(p, q)) for p, q in zip(old.mo, new.mo)])
+    mo = tuple([table.intern(posets.widen(table.posets[p], table.posets[q]))
+                for p, q in zip(old.mo, new.mo)])
     return [AbstractState(mo, tuple(map(val_widen, old.mem, new.mem)), old.layout)]
 
 

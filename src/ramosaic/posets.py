@@ -8,7 +8,7 @@ same-thread stores of the variable (newest-store abstraction).  The module
 also hosts the abstraction `alpha` of sets of total modification orders
 (losets) to posets and the soundness relation `beta_related`, against which
 the oracle's orders are checked, and `PosetTable`, through which an
-analysis interns its posets and memoizes the operators.
+analysis names its posets by small int ids and memoizes the operators.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def _closure(pairs: FrozenSet[tuple]) -> FrozenSet[tuple]:
 
 
 class MoPoset(NamedTuple):
-    """A tuple, like Event, so the merge's and the memo's hashing and
-    equality run in C.  Its hash is that of the field tuple, as the frozen
-    dataclass's was, so sets of states keep their iteration order."""
+    """A tuple, like Event, so hashing and equality run in C when a
+    `PosetTable` interns it.  States hold the table's int id for a poset,
+    not the poset."""
 
     bottom: bool
     events: FrozenSet[Event]
@@ -306,76 +306,119 @@ def widen(p1: MoPoset, p2: MoPoset) -> MoPoset:
     return MoPoset(False, kept, pairs)
 
 
-class PosetTable:
-    """The posets of one analysis, hash-consed, with memoized operators.
+BOTTOM_ID = 0
+TOP_ID = 1
 
-    Every poset the table returns is interned: equal posets are one object,
-    so tuples holding them compare by identity.  `append`, `meet` and
-    `join` run the module functions above once per distinct operands,
-    with the table's sb index and flags, and answer repeats from a dict.
-    `sort_key` and `lasts` are computed once per poset.
+
+def _critical(p: MoPoset):
+    """The critical events of one poset (lock/unlock/rmw), with their order
+    pairs when it has any."""
+    events = frozenset(e for e in p.events if e.kind in ("lock", "unlock", "rmw"))
+    if not events:
+        return events
+    return events, frozenset(ab for ab in p.pairs if ab[0] in events and ab[1] in events)
+
+
+class PosetTable:
+    """The posets of one analysis, hash-consed to small int ids, with
+    memoized operators.
+
+    `posets[i]` is the poset with id i.  `BOTTOM` is `BOTTOM_ID`, 0, so an
+    id is false exactly when it names bottom, and `TOP` is `TOP_ID`, 1.
+    Equal posets get one id, so ids are equal exactly when their posets
+    are, and states hold ids.  `append`, `meet` and `join` take and return
+    ids: they run the module functions above once per distinct operands,
+    with the table's sb index and flags, and answer repeats from dicts on
+    int keys; `meets` is the meet memo itself, which the interference
+    kernel reads directly.
+
+    When an id is made, the table also records, in lists indexed by id,
+    `sort_keys[i]`, the poset's sorted events and sorted pairs, and
+    `signatures[i]`, an int naming its critical events and the order among
+    them: equal ints for equal critical histories.  `lasts` is computed
+    once per id and `published` once per id and event.
 
     A table holds every poset it has seen, so it belongs to one analysis:
-    its `AnalysisContext` and the state sets built with it hold it, and it
-    goes when they do.
+    its `AnalysisContext`, the layouts of its states and the state sets
+    built with it hold it, and it goes when they do.
     """
 
-    __slots__ = ("sb", "abstract", "rmw_critical", "_interned", "_append",
-                 "_meet", "_join", "_sort_key", "_lasts")
+    __slots__ = ("sb", "abstract", "rmw_critical", "posets", "sort_keys", "signatures",
+                 "meets", "_ids", "_signature_ids", "_append", "_join", "_lasts",
+                 "_published")
 
     def __init__(self, sb: SbIndex = EMPTY_SB, abstract: bool = False,
                  rmw_critical: bool = False):
         self.sb = sb
         self.abstract = abstract
         self.rmw_critical = rmw_critical
-        self._interned = {BOTTOM: BOTTOM, TOP: TOP}
+        self.posets: list = []
+        self.sort_keys: list = []
+        self.signatures: list = []
+        self.meets: dict = {}
+        self._ids: dict = {}
+        self._signature_ids: dict = {}
         self._append: dict = {}
-        self._meet: dict = {}
         self._join: dict = {}
-        self._sort_key: dict = {}
         self._lasts: dict = {}
+        self._published: dict = {}
+        self.intern(BOTTOM)
+        self.intern(TOP)
 
-    def intern(self, p: MoPoset) -> MoPoset:
-        return self._interned.setdefault(p, p)
+    def intern(self, p: MoPoset) -> int:
+        """The id of p, made on first sight."""
+        i = self._ids.get(p)
+        if i is None:
+            i = self._ids[p] = len(self.posets)
+            self.posets.append(p)
+            self.sort_keys.append((tuple(sorted(p.events)), tuple(sorted(p.pairs))))
+            sig = self._signature_ids
+            self.signatures.append(sig.setdefault(_critical(p), len(sig)))
+        return i
 
     # Misses call the operators through the module's globals, so a wrapper
     # installed on the module attribute (as perfbench's tracer does) sees
     # exactly the calls that do work.
 
-    def append(self, p: MoPoset, st: Event) -> MoPoset:
+    def append(self, p: int, st: Event) -> int:
         key = (p, st)
         out = self._append.get(key)
         if out is None:
             out = self._append[key] = self.intern(
-                append(p, st, self.sb, self.abstract, self.rmw_critical))
+                append(self.posets[p], st, self.sb, self.abstract, self.rmw_critical))
         return out
 
-    def meet(self, p1: MoPoset, p2: MoPoset) -> MoPoset:
+    def meet(self, p1: int, p2: int) -> int:
         key = (p1, p2)
-        out = self._meet.get(key)
+        out = self.meets.get(key)
         if out is None:
-            out = self._meet[key] = self.intern(
-                meet(p1, p2, self.sb, self.abstract, self.rmw_critical))
+            posets = self.posets
+            out = self.meets[key] = self.intern(
+                meet(posets[p1], posets[p2], self.sb, self.abstract, self.rmw_critical))
         return out
 
-    def join(self, p1: MoPoset, p2: MoPoset) -> MoPoset:
+    def join(self, p1: int, p2: int) -> int:
         key = (p1, p2)
         out = self._join.get(key)
         if out is None:
-            out = self._join[key] = self.intern(join(p1, p2))
+            out = self._join[key] = self.intern(join(self.posets[p1], self.posets[p2]))
         return out
 
-    def sort_key(self, p: MoPoset) -> tuple:
-        """The poset's sorted events and sorted pairs."""
-        key = self._sort_key.get(p)
-        if key is None:
-            key = self._sort_key[p] = (tuple(sorted(p.events)), tuple(sorted(p.pairs)))
-        return key
-
-    def lasts(self, p: MoPoset) -> FrozenSet[Event]:
+    def lasts(self, p: int) -> FrozenSet[Event]:
         out = self._lasts.get(p)
         if out is None:
-            out = self._lasts[p] = p.lasts()
+            out = self._lasts[p] = self.posets[p].lasts()
+        return out
+
+    def published(self, p: int, ev: Event) -> bool:
+        """The poset holds ev or a loop-bumped instance of it: an event of
+        ev's label and thread whose instance is not below ev's."""
+        key = (p, ev)
+        out = self._published.get(key)
+        if out is None:
+            out = self._published[key] = any(
+                e.label == ev.label and e.thread == ev.thread and e.instance >= ev.instance
+                for e in self.posets[p].events)
         return out
 
 

@@ -1,10 +1,12 @@
-"""Program states (per-variable posets, interval memory) and the
+"""Program states (per-variable poset ids, interval memory) and the
 instruction-wise merge that keeps per-label state sets in normal form:
 two states at a label collapse when their poset maps agree (memories join)
 or their memories agree (posets join variable-wise).
 
-A state holds values only.  Its label is where it is stored: the key of
-its bucket in a `StateSet`, so one state object may sit at several labels.
+A state holds values only: its posets as the int ids of its analysis's
+`PosetTable`, which its layout holds.  Its label is where it is stored: the
+key of its bucket in a `StateSet`, so one state object may sit at several
+labels.
 
 The normal form makes both the poset map and the memory a unique key within
 a label's set, so buckets keep hash indexes on each.
@@ -12,8 +14,7 @@ a label's set, so buckets keep hash indexes on each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
 from . import intervals, posets
 from .litmus import Label
@@ -24,44 +25,61 @@ class Layout:
     """The names behind the value tuples of one thread's states: the poset
     keys (shared variables and mutexes) and the memory keys (shared
     variables and the thread's registers), each sorted, with the index of
-    every key.  An analysis builds one per thread; its states point to it
-    and hold values only.  The shared variables are the keys of both kinds,
+    every key, and the `PosetTable` whose ids the states hold.  An analysis
+    builds one per thread over its one table; its states point to it and
+    hold values only.  The shared variables are the keys of both kinds,
     since registers and mutexes never share a name; `shared_slots` holds
     (variable, memory slot, poset slot) for each."""
 
-    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "shared_slots")
+    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "shared_slots", "table")
 
-    def __init__(self, mo_keys, mem_keys):
+    def __init__(self, mo_keys, mem_keys, table: posets.PosetTable):
         self.mo_keys = tuple(sorted(mo_keys))
         self.mem_keys = tuple(sorted(mem_keys))
         self.mo_slot = {k: i for i, k in enumerate(self.mo_keys)}
         self.mem_slot = {k: i for i, k in enumerate(self.mem_keys)}
         self.shared_slots = tuple((k, i, self.mo_slot[k])
                                   for i, k in enumerate(self.mem_keys) if k in self.mo_slot)
+        self.table = table
 
 
-@dataclass(frozen=True)
 class AbstractState:
-    mo: Tuple[MoPoset, ...]  # one poset per layout.mo_keys
-    mem: Tuple[intervals.Interval, ...]  # one interval per layout.mem_keys
-    # the states of one label share their thread's layout, so == and hash
-    # leave it out
-    layout: Layout = field(compare=False, repr=False)
+    """One poset id of the layout's table per poset key and one interval
+    per memory key.  The states of one label share their thread's layout,
+    so `==` and `hash` read `mo` and `mem` only."""
+
+    __slots__ = ("mo", "mem", "layout")
+
+    def __init__(self, mo: Tuple[int, ...], mem: Tuple[intervals.Interval, ...],
+                 layout: Layout):
+        self.mo = mo
+        self.mem = mem
+        self.layout = layout
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AbstractState:
+            return NotImplemented
+        return self.mo == other.mo and self.mem == other.mem
+
+    def __hash__(self) -> int:
+        return hash((self.mo, self.mem))
+
+    def __repr__(self) -> str:
+        return f"AbstractState({self.fmt()})"
 
     @staticmethod
     def make(mo: Dict[str, MoPoset], mem: Dict[str, intervals.Interval],
-             layout: Optional[Layout] = None) -> "AbstractState":
-        """The state with the given maps, whose keys are the layout's; with
-        no layout given, one is built from the maps' keys."""
-        if layout is None:
-            layout = Layout(mo, mem)
-        return AbstractState(tuple([mo[k] for k in layout.mo_keys]),
+             layout: Layout) -> "AbstractState":
+        """The state with the given maps, whose keys are the layout's; the
+        posets are interned in the layout's table."""
+        intern = layout.table.intern
+        return AbstractState(tuple([intern(mo[k]) for k in layout.mo_keys]),
                              tuple([mem[k] for k in layout.mem_keys]), layout)
 
     def slot_update(self, mo: tuple = (), mem: tuple = ()) -> "AbstractState":
         """This state with the values at the given slots replaced:
         `mo` and `mem` hold (slot, value) pairs, a slot being an index into
-        the value tuple."""
+        the value tuple and a poset value an id of the layout's table."""
         new_mo = self.mo
         if mo:
             new_mo = list(new_mo)
@@ -77,61 +95,41 @@ class AbstractState:
         return AbstractState(new_mo, new_mem, self.layout)
 
     def mo_map(self) -> Dict[str, MoPoset]:
-        return dict(zip(self.layout.mo_keys, self.mo))
+        return dict(zip(self.layout.mo_keys, map(self.layout.table.posets.__getitem__, self.mo)))
 
     def mem_map(self) -> Dict[str, intervals.Interval]:
         return dict(zip(self.layout.mem_keys, self.mem))
 
     def po(self, var: str) -> MoPoset:
-        return self.mo[self.layout.mo_slot[var]]
+        layout = self.layout
+        return layout.table.posets[self.mo[layout.mo_slot[var]]]
 
     def val(self, key: str) -> intervals.Interval:
         return self.mem[self.layout.mem_slot[key]]
 
-    # sort_key() and critical_signature() are cached in the instance's
-    # __dict__, outside the dataclass fields, so == and hash ignore them and
-    # the caches live exactly as long as the state.
-
-    def sort_key(self, table: posets.PosetTable) -> tuple:
+    def sort_key(self) -> tuple:
         """Orders the states of one label's bucket.  They differ in their
         poset maps, the bucket's unique key, so the sorted events and pairs
-        of each poset decide the order alone; the table sorts each distinct
-        poset once."""
-        key = self.__dict__.get("_sort_key")
-        if key is None:
-            key = tuple([table.sort_key(p) for p in self.mo])
-            object.__setattr__(self, "_sort_key", key)
-        return key
+        of each poset decide the order alone; the table sorts each poset
+        once, when it gives it an id."""
+        return tuple(map(self.layout.table.sort_keys.__getitem__, self.mo))
 
     def critical_signature(self) -> tuple:
-        """Per-variable lock/unlock/rmw events and the order among them;
-        poset joins must not drop either, since consistency checks read
-        them as authoritative history: an rmw with no predecessor is read
-        as the first in modification order."""
-        sig = self.__dict__.get("_critical_signature")
-        if sig is None:
-            sig = tuple(_critical(p) for p in self.mo)
-            object.__setattr__(self, "_critical_signature", sig)
-        return sig
+        """Per poset, the table's int naming its lock/unlock/rmw events and
+        the order among them; poset joins must not drop either, since
+        consistency checks read them as authoritative history: an rmw with
+        no predecessor is read as the first in modification order."""
+        return tuple(map(self.layout.table.signatures.__getitem__, self.mo))
 
     def fmt(self) -> str:
         layout = self.layout
-        pos = " ".join(f"{v}:{p}" for v, p in zip(layout.mo_keys, self.mo))
+        pos = " ".join(f"{v}:{layout.table.posets[p]}" for v, p in zip(layout.mo_keys, self.mo))
         vals = " ".join(f"{k}:{iv}" for k, iv in zip(layout.mem_keys, self.mem))
         return f"{pos} | {vals}"
 
 
-def _critical(p: MoPoset):
-    """The critical events of one poset, with their order pairs when it has
-    any."""
-    events = frozenset(e for e in p.events if e.kind in ("lock", "unlock", "rmw"))
-    if not events:
-        return events
-    return events, frozenset(ab for ab in p.pairs if ab[0] in events and ab[1] in events)
-
-
 def _mo_join(table: posets.PosetTable, a: Tuple, b: Tuple) -> Tuple:
-    return tuple([x if x is y else table.join(x, y) for x, y in zip(a, b)])
+    return tuple([x if x == y else table.join(x, y) for x, y in zip(a, b)])
 
 
 def _mem_join(a: Tuple, b: Tuple) -> Tuple:
@@ -182,10 +180,13 @@ class StateBucket:
                 cur = AbstractState(cur.mo, mem, cur.layout)
                 continue
             other = None
-            for cand in self._by_mem.get(cur.mem, ()):
-                if cand.critical_signature() == cur.critical_signature():
-                    other = cand
-                    break
+            group = self._by_mem.get(cur.mem)
+            if group:
+                sig = cur.critical_signature()
+                for cand in group:
+                    if cand.critical_signature() == sig:
+                        other = cand
+                        break
             if other is not None:
                 mo = _mo_join(self._table, other.mo, cur.mo)
                 if mo == other.mo:
@@ -211,8 +212,7 @@ class StateBucket:
     def states(self) -> tuple:
         cell = self._sorted
         if cell[0] is None:
-            table = self._table
-            cell[0] = tuple(sorted(self._by_mo.values(), key=lambda s: s.sort_key(table)))
+            cell[0] = tuple(sorted(self._by_mo.values(), key=AbstractState.sort_key))
         return cell[0]
 
     def frozen(self) -> frozenset:
@@ -236,17 +236,21 @@ class StateBucket:
 
 class StateSet:
     """Map from label to its normal-form set of states.  The buckets join
-    and order posets through `table`; a set made without one gets a table
-    of its own."""
+    and order posets through `table`, the table of the analysis whose
+    states they hold: the ids of another table name other posets."""
 
-    def __init__(self, table: Optional[posets.PosetTable] = None):
-        self._table = table if table is not None else posets.PosetTable()
+    def __init__(self, table: posets.PosetTable):
+        self.table = table
         self._by_label: Dict[Label, StateBucket] = {}
 
-    def merge_all(self, label: Label, states: Iterable[AbstractState]) -> None:
+    def merge_all(self, label: Label, states: Sequence[AbstractState]) -> None:
+        """Merge the states, all of one analysis, into the label's bucket.
+        Raises ValueError when the first holds the ids of another table."""
+        if states and states[0].layout.table is not self.table:
+            raise ValueError("the states hold poset ids of another analysis's table")
         bucket = self._by_label.get(label)
         if bucket is None:
-            bucket = self._by_label[label] = StateBucket(self._table)
+            bucket = self._by_label[label] = StateBucket(self.table)
         for s in states:
             bucket.merge(s)
 
@@ -258,7 +262,7 @@ class StateSet:
         return tuple(sorted(l for l, b in self._by_label.items() if len(b)))
 
     def copy(self) -> "StateSet":
-        out = StateSet(self._table)
+        out = StateSet(self.table)
         out._by_label = {k: v.copy() for k, v in self._by_label.items()}
         return out
 

@@ -21,7 +21,7 @@ from .litmus import (And, AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
                      LoadInst, LockInst, Nop, Program, Store, UnlockInst,
                      expr_names, negate)
 from .interference import CTX
-from .posets import Event, SbIndex
+from .posets import TOP_ID, Event, SbIndex
 from .states import AbstractState, Layout, StateSet
 
 
@@ -68,10 +68,17 @@ class AnalysisContext:
         self.events: Dict[Label, Event] = {
             lbl: Event(lbl.name, lbl.instance, cfg.thread_of[lbl], kind, loc)
             for lbl, (kind, loc) in cfg.accesses.items() if kind != "load"}
-        self.layouts = {t: Layout(self.po_keys(), (*program.shared_names(), *regs))
-                        for t, regs in self.registers.items()}
-        self.initial_states = {t: self._entry_state(t) for t in self.registers}
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
+        self.layouts = {t: Layout(self.po_keys(), (*program.shared_names(), *regs),
+                                  self.posets)
+                        for t, regs in self.registers.items()}
+        # (target layout, source layout) -> (memory slot in the target,
+        # poset slot, memory slot in the source) per shared variable; the
+        # layouts share their poset keys, so a poset slot is one for both
+        self.shared_slot_maps = {
+            (lt, ls): tuple((i, j, ls.mem_slot[v]) for v, i, j in lt.shared_slots)
+            for lt in self.layouts.values() for ls in self.layouts.values()}
+        self.initial_states = {t: self._entry_state(t) for t in self.registers}
         # (label, bump, interference sources) -> (pre-states, global reads,
         # merged states) of the node's latest visit; see engine.seq_ai
         self.node_memo: dict = {}
@@ -102,52 +109,53 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
                        reg: Optional[int] = None) -> Optional[AbstractState]:
     """The target state after reading from the source's write `src_event`,
     or None when the views are inconsistent.  With `reg`, a memory slot of
-    the target, the loaded value is also written there: a load's register."""
+    the target, the loaded value is also written there: a load's register.
+    Both states hold ids of `ctx.posets`."""
     table = ctx.posets
-    var = src_event.var
-    k = target.layout.mo_slot[var]
+    k = target.layout.mo_slot[src_event.var]
+    tmo, smo = target.mo, source.mo
+    appended = table.append(tmo[k], src_event)
+    if not appended:  # bottom
+        return None
+    meets = table.meets
     new_mo = []
-    for i, (pt, ps) in enumerate(zip(target.mo, source.mo)):
-        if i == k:
-            pt = table.append(pt, src_event)
-            if pt.bottom:
-                return None
-        met = table.meet(pt, ps)
-        if met.bottom:
+    for i, ps in enumerate(smo):
+        pt = appended if i == k else tmo[i]
+        if pt == TOP_ID:  # the meet of top and p is p
+            met = ps
+        else:
+            met = meets.get((pt, ps))
+            if met is None:
+                met = table.meet(pt, ps)
+        if not met:
             return None
         new_mo.append(met)
     # Registers keep the target's values; shared variables go by the views.
     # With every meet non-bottom, the source's poset is `less` than the
     # target's exactly when it equals their meet, and the other way round;
     # one poset strictly below the other is `less` one way only, and the
-    # same poset on both sides is neither view ahead.  The source may come
-    # from another table, so the test is `==`.
-    src_slot = source.layout.mem_slot
+    # same poset on both sides is neither view ahead.  Equal posets have
+    # equal ids, so the test compares ids.
+    smem = source.mem
     new_mem = list(target.mem)
-    for v, i, j in target.layout.shared_slots:
-        sv = source.mem[src_slot[v]]
+    loaded = None
+    for i, j, si in ctx.shared_slot_maps[target.layout, source.layout]:
+        sv = smem[si]
+        if j == k:
+            new_mem[i] = loaded = sv
+            continue
         tv = new_mem[i]
-        if v == var:
-            new_mem[i] = sv
-        elif tv != sv:
+        if tv != sv:
             met = new_mo[j]
-            src_below = met == source.mo[j]
-            if src_below != (met == target.mo[j]):
+            src_below = met == smo[j]
+            if src_below != (met == tmo[j]):
                 if src_below:  # the source's view is ahead
                     new_mem[i] = sv
                 continue  # otherwise the target's is
             new_mem[i] = val_join(tv, sv)
     if reg is not None:
-        new_mem[reg] = source.mem[src_slot[var]]
+        new_mem[reg] = loaded
     return AbstractState(tuple(new_mo), tuple(new_mem), target.layout)
-
-
-def _published(state: AbstractState, ev: Event) -> bool:
-    """The state, at the label of the write ev, published that write: its
-    poset for the variable holds ev or a loop-bumped instance of it.  A
-    failed cas leaves the poset as it was, so its states publish nothing."""
-    return any(e.label == ev.label and e.thread == ev.thread and e.instance >= ev.instance
-               for e in state.po(ev.var).events)
 
 
 def _load_bases(ctx, s, interfs, global_ss, var, reg=None):
@@ -160,9 +168,13 @@ def _load_bases(ctx, s, interfs, global_ss, var, reg=None):
         else:
             ev = ctx.events[src]
             cas = isinstance(ctx.cfg.nodes[src], Cas)
-            src_slot = ctx.layouts[ctx.cfg.thread_of[src]].mem_slot[var]
+            src_layout = ctx.layouts[ctx.cfg.thread_of[src]]
+            src_slot, src_mo_slot = src_layout.mem_slot[var], src_layout.mo_slot[var]
             for src_state in global_ss.at(src):
-                if cas and not _published(src_state, ev):
+                # a state at a cas published its write when its poset holds
+                # the event or a loop-bumped instance of it; a failed cas
+                # leaves the poset as it was, so its states publish nothing
+                if cas and not ctx.posets.published(src_state.mo[src_mo_slot], ev):
                     continue
                 r = apply_interference(ctx, s, src_state, ev, reg)
                 if r is not None:
@@ -204,7 +216,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
         i, j = layout.mo_slot[instr.var], mem_slot[instr.var]
         for s in pre_states:
             p = ctx.posets.append(s.mo[i], ev)
-            if p.bottom:
+            if not p:  # bottom
                 continue
             val = eval_expr(instr.value, s.mem_map(), env)
             if val.is_empty:
@@ -247,13 +259,13 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
         for base, loaded in _load_bases(ctx, s, interfs, global_ss, var):
             # a base whose order already holds this rmw read from a write
             # after it: infeasible for the failed cas as for the success
-            if loaded.is_empty or ev in base.mo[i].events:
+            if loaded.is_empty or ev in ctx.posets.posets[base.mo[i]].events:
                 continue
             if isinstance(instr, Fadd):
                 addend = eval_expr(instr.addend, base.mem_map(), env)
                 stored = intervals.add(loaded, addend)
                 p = ctx.posets.append(base.mo[i], ev)
-                if p.bottom or stored.is_empty:
+                if not p or stored.is_empty:
                     continue
                 out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, loaded))))
                 continue
@@ -262,7 +274,7 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
             if not succ.is_empty:
                 stored = eval_expr(instr.new, base.mem_map(), env)
                 p = ctx.posets.append(base.mo[i], ev)
-                if not p.bottom and not stored.is_empty:
+                if p and not stored.is_empty:
                     out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, succ))))
             certain_success = (loaded.is_singleton() and expected.is_singleton()
                                and loaded.lo == expected.lo)
@@ -298,7 +310,7 @@ def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> 
             if any(e.kind == "lock" for e in ctx.posets.lasts(pm)):
                 continue
             p = ctx.posets.append(pm, ev)
-            if p.bottom:
+            if not p:
                 continue
             out.append(c.slot_update(mo=((i, p),)))
     return out
@@ -319,7 +331,7 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
         if not any(e.kind == "lock" and e.thread == thread for e in ctx.posets.lasts(pm)):
             continue
         p = ctx.posets.append(pm, ev)
-        if p.bottom:
+        if not p:
             continue
         out.append(s.slot_update(mo=((i, p),)))
     return out

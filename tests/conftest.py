@@ -38,6 +38,25 @@ thread t3 { c: q = cas y 1 2; }
 """
 
 
+def run_with_context(driver, program, *args, **kwargs):
+    """(result, context) of one run of `driver`: the `AnalysisContext` that
+    the run built, whose poset table holds the ids of the result's states."""
+    from ramosaic.transfer import AnalysisContext
+
+    contexts = []
+    init = AnalysisContext.__init__
+
+    def recording_init(self, *a, **kw):
+        init(self, *a, **kw)
+        contexts.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AnalysisContext, "__init__", recording_init)
+        result = driver(program, *args, **kwargs)
+    (ctx,) = contexts
+    return result, ctx
+
+
 @pytest.fixture
 def mp_program():
     from ramosaic.litmus import parse

@@ -34,7 +34,7 @@ def test_seq_ai_mp_thread1(mp_program):
     cfg = build_cfg(mp_program)
     ctx = AnalysisContext(mp_program, cfg, TransferConfig())
     interfs = get_interfs(mp_program, cfg)
-    local = seq_ai(ctx, "t1", StateSet(), interfs["t1"])
+    local = seq_ai(ctx, "t1", StateSet(ctx.posets), interfs["t1"])
     (sa,) = local[Label("a")]
     (sb,) = local[Label("b")]
     assert str(sa.po("x")) == "{a.1}"
@@ -45,9 +45,10 @@ def test_seq_ai_thread2_against_thread1(mp_program):
     cfg = build_cfg(mp_program)
     ctx = AnalysisContext(mp_program, cfg, TransferConfig())
     interfs = get_interfs(mp_program, cfg)
-    sigma = StateSet()
+    sigma = StateSet(ctx.posets)
     for t in mp_program.threads:
-        for lbl, states in sorted(seq_ai(ctx, t.name, StateSet(), interfs[t.name]).items()):
+        for lbl, states in sorted(seq_ai(ctx, t.name, StateSet(ctx.posets),
+                                         interfs[t.name]).items()):
             sigma.merge_all(lbl, states)
     local = seq_ai(ctx, "t2", sigma, interfs["t2"])
     r1r2 = {(str(s.val("t2.r1")), str(s.val("t2.r2"))) for s in local[Label("d")]}

@@ -28,7 +28,8 @@ from conftest import LOOPED_SOURCES, corpus_files, peterson
 
 def apply_interference_by_less(ctx, target, source, src_event, reg=None):
     """The view rule with `less` tested both ways on the target's and the
-    source's posets, and the loaded register written by a second build."""
+    source's posets, read off the table's id-to-poset map, and the loaded
+    register written by a second build."""
     table = ctx.posets
     var = src_event.var
     k = target.layout.mo_slot[var]
@@ -36,10 +37,10 @@ def apply_interference_by_less(ctx, target, source, src_event, reg=None):
     for i, (pt, ps) in enumerate(zip(target.mo, source.mo)):
         if i == k:
             pt = table.append(pt, src_event)
-            if pt.bottom:
+            if table.posets[pt].bottom:
                 return None
         met = table.meet(pt, ps)
-        if met.bottom:
+        if table.posets[met].bottom:
             return None
         new_mo.append(met)
     src_slot = source.layout.mem_slot
@@ -49,7 +50,7 @@ def apply_interference_by_less(ctx, target, source, src_event, reg=None):
         if v == var:
             new_mem[i] = sv
             continue
-        pt, ps = target.mo[j], source.mo[j]
+        pt, ps = table.posets[target.mo[j]], table.posets[source.mo[j]]
         if pt is not ps:
             src_below = P.less(ps, pt)
             if src_below != P.less(pt, ps):

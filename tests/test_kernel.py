@@ -163,11 +163,11 @@ def test_slot_update_equals_make_from_updated_maps():
                            for i in rng.sample(range(len(s.mem)), rng.randint(0, min(2, len(s.mem)))))
             mo, mem = s.mo_map(), s.mem_map()
             for i, p in mo_up:
-                mo[s.layout.mo_keys[i]] = p
+                mo[s.layout.mo_keys[i]] = s.layout.table.posets[p]
             for i, iv in mem_up:
                 mem[s.layout.mem_keys[i]] = iv
             updated = s.slot_update(mo=mo_up, mem=mem_up)
-            assert updated == AbstractState.make(mo, mem)
+            assert updated == AbstractState.make(mo, mem, s.layout)
             assert updated.layout is s.layout
             checked += 1
     assert checked > 1500

@@ -1,7 +1,13 @@
 """The node memo: a pass over a thread's CFG reuses a node's merged states
 from an earlier pass when its pre-states, its interference sources, its
 bump and every global read it made are unchanged, and the memo never
-changes what the analysis computes."""
+changes what the analysis computes.
+
+States hold the poset ids of their analysis's table, so a pass over the
+states of an earlier run goes through that run's context, or through a
+copy of it with an empty memo in place of a fresh context."""
+
+import copy
 
 import pytest
 
@@ -13,17 +19,28 @@ from ramosaic.randprog import random_program
 from ramosaic.states import StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import LOOPED_SOURCES, MP_SRC, READS_SRC, corpus_files, peterson
+from conftest import (LOOPED_SOURCES, MP_SRC, READS_SRC, corpus_files, peterson,
+                      run_with_context)
 
 
 def _setup(src: str):
+    """The program, its CFG, its interference maps, the states of its
+    `tmai` fixpoint and the context of that run."""
     program = parse(src)
     cfg = build_cfg(program)
-    return program, cfg, interference.get_interfs(program, cfg), tmai(program, cfg=cfg).states
+    result, ctx = run_with_context(tmai, program, cfg=cfg)
+    return program, cfg, interference.get_interfs(program, cfg), result.states, ctx
 
 
-def _fresh_pass(program, cfg, tname, global_ss, interfs) -> dict:
-    return seq_ai(AnalysisContext(program, cfg, TransferConfig()), tname, global_ss, interfs)
+def _fresh(ctx: AnalysisContext) -> AnalysisContext:
+    """The context with an empty node memo, sharing its poset table."""
+    out = copy.copy(ctx)
+    out.node_memo = {}
+    return out
+
+
+def _fresh_pass(ctx, tname, global_ss, interfs) -> dict:
+    return seq_ai(_fresh(ctx), tname, global_ss, interfs)
 
 
 def test_confirming_round_recomputes_nothing(monkeypatch):
@@ -117,7 +134,7 @@ class _CountingSet(StateSet):
     """A state set that counts the reads of each label."""
 
     def __init__(self, states: StateSet):
-        super().__init__()
+        super().__init__(states.table)
         self._by_label = states.copy()._by_label
         self.reads: dict = {}
 
@@ -132,17 +149,17 @@ class _CountingSet(StateSet):
 def test_changed_reads_recompute(tname, node, source):
     """A pass against a set that lacks the source's states, then a pass of
     the same context against the full set: the node's pre-states are equal
-    in both passes and only its reads differ, yet the second pass equals a
-    fresh context's."""
-    program, cfg, interfs, full = _setup(READS_SRC)
-    partial = StateSet()
+    in both passes and only its reads differ, yet the second pass equals
+    one with an empty memo."""
+    program, cfg, interfs, full, base = _setup(READS_SRC)
+    partial = StateSet(full.table)
     for lbl in full.labels():
         if lbl != Label(source):
             partial.merge_all(lbl, full.at(lbl))
-    ctx = AnalysisContext(program, cfg, TransferConfig())
+    ctx = _fresh(base)
     before = seq_ai(ctx, tname, partial, interfs[tname])
     after = seq_ai(ctx, tname, full, interfs[tname])
-    assert after == _fresh_pass(program, cfg, tname, full, interfs[tname])
+    assert after == _fresh_pass(base, tname, full, interfs[tname])
     assert after[Label(node)] != before[Label(node)]
     for pred in cfg.preds[Label(node)]:
         assert after.get(pred) == before.get(pred)
@@ -152,12 +169,11 @@ def test_cas_reads_both_outcomes_and_lock_frees_with_unlock_states():
     """READS_SRC covers what the test above relies on: the cas both
     succeeds and fails, and some pre-state of l2 holds t1's lock, which
     only a read of u1's states releases; l2 reads u1 once per pre-state."""
-    program, cfg, interfs, full = _setup(READS_SRC)
+    program, cfg, interfs, full, base = _setup(READS_SRC)
     assert len({s.val("t3.q") for s in full.at(Label("c"))}) == 2
     counting = _CountingSet(full)
-    local = _fresh_pass(program, cfg, "t2", counting, interfs["t2"])
-    ctx = AnalysisContext(program, cfg, TransferConfig())
-    l1 = ctx.events[Label("l1")]
+    local = _fresh_pass(base, "t2", counting, interfs["t2"])
+    l1 = base.events[Label("l1")]
     assert any(l1 in s.po("m").lasts() for s in local[Label("a")])
     assert counting.reads[Label("u1")] >= 2
 
@@ -165,16 +181,16 @@ def test_cas_reads_both_outcomes_and_lock_frees_with_unlock_states():
 def test_pinned_maps_keep_separate_entries():
     """Two maps that pin the load d differently, to the initial value and
     to a's store, give different results through one context, each equal
-    to a fresh context's."""
-    program, cfg, interfs, full = _setup(MP_SRC)
-    ctx = AnalysisContext(program, cfg, TransferConfig())
+    to a pass with an empty memo."""
+    program, cfg, interfs, full, base = _setup(MP_SRC)
+    ctx = _fresh(base)
     d = Label("d")
     results = []
     for chosen in ((CTX,), (Label("a"),)):
         pinned = dict(interfs["t2"])
         pinned[d] = chosen
         got = seq_ai(ctx, "t2", full, pinned)
-        assert got == _fresh_pass(program, cfg, "t2", full, pinned)
+        assert got == _fresh_pass(base, "t2", full, pinned)
         results.append(got[d])
     assert results[0] != results[1]
 
@@ -187,10 +203,10 @@ def test_bump_is_part_of_the_key():
     ctx = AnalysisContext(program, cfg, TransferConfig())
     pre = [ctx.initial_state("t")]
     a = Label("a")
-    first = engine._node_states(ctx, a, pre, StateSet(), {}, 0)
-    second = engine._node_states(ctx, a, pre, StateSet(), {}, 1)
-    fresh = AnalysisContext(program, cfg, TransferConfig())
-    assert second == engine._node_states(fresh, a, pre, StateSet(), {}, 1)
+    empty = StateSet(ctx.posets)
+    first = engine._node_states(ctx, a, pre, empty, {}, 0)
+    second = engine._node_states(ctx, a, pre, empty, {}, 1)
+    assert second == engine._node_states(_fresh(ctx), a, pre, empty, {}, 1)
     assert first != second
 
 

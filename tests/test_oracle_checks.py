@@ -13,7 +13,7 @@ from ramosaic.engine import tmai
 from ramosaic.intervals import singleton
 from ramosaic.litmus import Label, UnlockInst, parse, unroll, walk_simple
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
-from ramosaic.posets import BOTTOM, alpha, beta_related, join
+from ramosaic.posets import BOTTOM_ID, alpha, beta_related, join
 from ramosaic.randprog import random_program
 
 from conftest import BENCH_DIR, MP_SRC, WHY_IC_SRC
@@ -172,7 +172,7 @@ def _pin(key: str, value: int):
 
 def _bottom_posets(thread, states):
     for s in states:
-        yield s.slot_update(mo=tuple((i, BOTTOM) for i in range(len(s.mo))))
+        yield s.slot_update(mo=tuple((i, BOTTOM_ID) for i in range(len(s.mo))))
 
 
 @pytest.mark.parametrize("src, rewrite", [

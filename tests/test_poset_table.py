@@ -1,6 +1,6 @@
-"""The analysis's poset table: it interns the posets of every state, runs
-each poset operator once per distinct operands, and keeps the cost of long
-lock histories down to one sort per distinct poset."""
+"""The analysis's poset table: it names the posets of every state by int
+ids, runs each poset operator once per distinct operands, and keeps the
+cost of long lock histories down to one sort per distinct poset."""
 
 import collections
 import time
@@ -8,6 +8,7 @@ import time
 from ramosaic import posets
 from ramosaic.engine import tmai
 from ramosaic.litmus import parse
+from ramosaic.transfer import AnalysisContext
 
 from conftest import peterson
 
@@ -21,34 +22,51 @@ def lock_sections(n: int) -> str:
 
 
 def _assert_interned(result) -> None:
-    """Equal posets in the fixpoint are one object."""
-    canonical: dict = {}
+    """Equal posets in the fixpoint have one id: the table holds no poset
+    twice, and every id of every state names one of its posets."""
+    table = result.states.table
+    assert len(set(table.posets)) == len(table.posets)
+    assert all(table.intern(p) == i for i, p in enumerate(table.posets))
     for lbl in result.states.labels():
         for s in result.states.at(lbl):
-            for p in s.mo:
-                assert canonical.setdefault(p, p) is p
+            assert s.layout.table is table
+            assert all(0 <= p < len(table.posets) for p in s.mo)
+
+
+class _CountedLookups(dict):
+    """A memo that counts the lookups made through `get`."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
 
 
 def test_meet_runs_once_per_distinct_operands(monkeypatch):
+    """Interference reads the meet memo directly and the table's `meet`
+    reads it too, so the memo's lookups count every meet asked for but the
+    ones with a top operand, which need none."""
     misses = collections.Counter()
-    requests = 0
-    module_meet, table_meet = posets.meet, posets.PosetTable.meet
+    memos = []
+    module_meet, init = posets.meet, AnalysisContext.__init__
 
     def counted_meet(p1, p2, *flags):
         misses[p1, p2] += 1
         return module_meet(p1, p2, *flags)
 
-    def counted_table_meet(table, p1, p2):
-        nonlocal requests
-        requests += 1
-        return table_meet(table, p1, p2)
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.posets.meets = _CountedLookups()
+        memos.append(self.posets.meets)
 
     monkeypatch.setattr(posets, "meet", counted_meet)
-    monkeypatch.setattr(posets.PosetTable, "meet", counted_table_meet)
+    monkeypatch.setattr(AnalysisContext, "__init__", counting_init)
     result = tmai(parse(peterson(4)))
     assert result.states.total_states() == 1520 and result.iterations_total == 4
     assert max(misses.values()) == 1
-    assert requests > 10 * len(misses)
+    (memo,) = memos
+    assert memo.lookups > 10 * len(misses)
     _assert_interned(result)
 
 

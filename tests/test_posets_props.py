@@ -278,35 +278,55 @@ def _copy(p):
     return P.MoPoset(p.bottom, frozenset(list(p.events)), frozenset(list(p.pairs)))
 
 
+def _critical(p):
+    """The lock/unlock/rmw events of p and the order pairs among them."""
+    events = {e for e in p.events if e.kind in ("lock", "unlock", "rmw")}
+    return events, {(a, b) for a, b in p.pairs if a in events and b in events}
+
+
+def _published_by_scan(p, ev):
+    """p holds ev or an instance of ev's label and thread bumped past it."""
+    return any(e.label == ev.label and e.thread == ev.thread and e.instance >= ev.instance
+               for e in p.events)
+
+
 @given(st.lists(operand_strategy(), min_size=1, max_size=6),
        st.lists(st.sampled_from(MIXED_UNIVERSE), min_size=1, max_size=3),
        st.booleans(), st.booleans())
 def test_poset_table_answers_as_the_operators(ops, evs, abstract, rmw_critical):
-    """Each memoized operator returns what the module function returns, on
-    first use and on a repeat, for operands that are equal copies of each
-    other as well; equal results come back as one object.  A non-bottom
-    meet equals an operand exactly when that operand is `less` than the
-    other, which apply_interference's view test relies on."""
+    """Each memoized operator, on ids, returns the id of what the module
+    function returns, on first use and on a repeat, for operands that are
+    equal copies of each other as well; equal posets get one id, bottom is
+    0 and top is 1.  A non-bottom meet equals an operand exactly when that
+    operand is `less` than the other, which apply_interference's view test
+    relies on, and the meet of top and p is p, which it takes without a
+    lookup.  The per-id sort keys, critical signatures, `lasts` and
+    `published` answer as computed from the poset."""
     table = P.PosetTable(MIXED_SB, abstract, rmw_critical)
     flags = (MIXED_SB, abstract, rmw_critical)
+    assert table.posets[P.BOTTOM_ID] == BOTTOM and table.posets[P.TOP_ID] == P.TOP
     ops = ops + [_copy(p) for p in ops]
-    results = []
+    ids = [table.intern(p) for p in ops]
+    half = len(ops) // 2
+    assert ids[:half] == ids[half:]
+    operands = list(zip(ops, ids))
     for _ in range(2):
-        for p1, p2 in itertools.product(ops, repeat=2):
-            met, joined = table.meet(p1, p2), table.join(p1, p2)
-            assert met == P.meet(p1, p2, *flags)
-            assert joined == P.join(p1, p2)
-            if not met.bottom:
+        for (p1, i1), (p2, i2) in itertools.product(operands, repeat=2):
+            met, joined = table.meet(i1, i2), table.join(i1, i2)
+            assert table.posets[met] == P.meet(p1, p2, *flags)
+            assert table.posets[joined] == P.join(p1, p2)
+            if met:
                 # the view test of apply_interference reads `less` off the meet
-                assert (met == p1) == P.less(p1, p2)
-                assert (met == p2) == P.less(p2, p1)
-            results += [met, joined]
-        for p, ev in itertools.product(ops, evs):
-            appended = table.append(p, ev)
-            assert appended == P.append(p, ev, *flags)
-            results.append(appended)
-            assert table.lasts(p) == p.lasts()
-            assert table.sort_key(p) == (tuple(sorted(p.events)), tuple(sorted(p.pairs)))
-    canonical = {}
-    for r in results:
-        assert canonical.setdefault(r, r) is r
+                assert (met == i1) == P.less(p1, p2)
+                assert (met == i2) == P.less(p2, p1)
+            assert ((table.signatures[i1] == table.signatures[i2])
+                    == (_critical(p1) == _critical(p2)))
+        for p, i in operands:
+            assert P.meet(P.TOP, p, *flags) == p
+            assert table.sort_keys[i] == (tuple(sorted(p.events)), tuple(sorted(p.pairs)))
+            assert table.lasts(i) == p.lasts()
+            for ev in evs:
+                assert table.posets[table.append(i, ev)] == P.append(p, ev, *flags)
+                assert table.published(i, ev) == _published_by_scan(p, ev)
+    assert len(set(table.posets)) == len(table.posets)
+    assert all(table.intern(p) == i for i, p in enumerate(table.posets))

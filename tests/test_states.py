@@ -11,19 +11,23 @@ from ramosaic.litmus import Label, parse, unroll
 from ramosaic.oracle import check_soundness
 from ramosaic.posets import Event, poset
 from ramosaic.randprog import random_program
-from ramosaic.states import AbstractState, StateBucket, StateSet, _mem_join, _mo_join
+from ramosaic.states import AbstractState, Layout, StateBucket, StateSet, _mem_join, _mo_join
 from ramosaic.transfer import AnalysisContext
 
-from conftest import LOOPED_SOURCES, corpus_files
+from conftest import LOOPED_SOURCES, MP_SRC, corpus_files
 
 A = Event("a", 1, "t1", "store", "x")
 B = Event("b", 1, "t2", "store", "x")
 L = Label("l")
 
+# The hand-built states below all hold ids of this one table.
+TABLE = P.PosetTable()
+LAYOUT = Layout(("x",), ("x", "t.r"), TABLE)
+
 
 def merge_state_list(states: list, s: AbstractState) -> None:
     """List-based variant of the merge, for small collections."""
-    bucket = StateBucket(P.PosetTable())
+    bucket = StateBucket(TABLE)
     for e in states:
         bucket.merge(e)
     bucket.merge(s)
@@ -31,18 +35,18 @@ def merge_state_list(states: list, s: AbstractState) -> None:
 
 
 def state(mo_x, x, r):
-    return AbstractState.make({"x": mo_x}, {"x": x, "t.r": r})
+    return AbstractState.make({"x": mo_x}, {"x": x, "t.r": r}, LAYOUT)
 
 
 def test_insert_into_empty():
-    ss = StateSet()
+    ss = StateSet(TABLE)
     s = state(P.TOP, singleton(0), singleton(0))
     ss.merge_all(L, [s])
     assert ss.at(L) == (s,)
 
 
 def test_same_mo_joins_memory():
-    ss = StateSet()
+    ss = StateSet(TABLE)
     ss.merge_all(L, [state(poset({A}), singleton(1), singleton(0))])
     ss.merge_all(L, [state(poset({A}), singleton(2), singleton(0))])
     (merged,) = ss.at(L)
@@ -51,7 +55,7 @@ def test_same_mo_joins_memory():
 
 
 def test_same_memory_joins_posets():
-    ss = StateSet()
+    ss = StateSet(TABLE)
     ss.merge_all(L, [state(poset({A}), singleton(1), singleton(0))])
     ss.merge_all(L, [state(poset({B}), singleton(1), singleton(0))])
     (merged,) = ss.at(L)
@@ -62,7 +66,7 @@ def test_memory_rule_guarded_by_critical_events():
     """States whose posets disagree on lock/rmw events stay separate, since
     joining would erase history the consistency checks rely on."""
     u = Event("u", 1, "t1", "rmw", "x")
-    ss = StateSet()
+    ss = StateSet(TABLE)
     ss.merge_all(L, [state(poset({u}), singleton(1), singleton(0))])
     ss.merge_all(L, [state(poset({B}), singleton(1), singleton(0))])
     assert len(ss.at(L)) == 2
@@ -74,7 +78,7 @@ def test_memory_rule_guarded_by_critical_order():
     as the first in modification order."""
     u = Event("u", 1, "t1", "rmw", "x")
     w = Event("w", 1, "t2", "rmw", "x")
-    ss = StateSet()
+    ss = StateSet(TABLE)
     ss.merge_all(L, [state(poset({u, w}, {(u, w)}), singleton(2), singleton(0))])
     ss.merge_all(L, [state(poset({u, w}, {(w, u)}), singleton(2), singleton(0))])
     assert len(ss.at(L)) == 2
@@ -124,13 +128,16 @@ def test_no_fixpoint_state_has_a_bottom_poset(fixpoint_runs):
     for r, _ in fixpoint_runs:
         for lbl in r.states.labels():
             for s in r.states.at(lbl):
-                assert not any(po.bottom for po in s.mo), s.fmt()
+                assert P.BOTTOM_ID not in s.mo, s.fmt()
+                assert not any(po.bottom for po in s.mo_map().values()), s.fmt()
 
 
 def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
     """Every state points to the one layout its analysis built for the
-    label's thread, the names that `po`, `val` and `fmt` give its slots
-    are the sorted keys, and `dump` puts the label in front."""
+    label's thread, which holds the analysis's poset table, the names that
+    `po`, `val` and `fmt` give its slots are the sorted keys, `po` reads
+    the poset of each id off the table, and `dump` puts the label in
+    front."""
     for r, ctx in fixpoint_runs:
         assert len(set(map(id, ctx.layouts.values()))) == len(ctx.program.threads)
         mo_keys = sorted(ctx.po_keys())
@@ -140,8 +147,8 @@ def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
             layout = ctx.layouts[tname]
             mem_keys = sorted((*ctx.program.shared_names(), *ctx.registers[tname]))
             for s in r.states.at(lbl):
-                assert s.layout is layout
-                assert [s.po(v) for v in mo_keys] == list(s.mo)
+                assert s.layout is layout and layout.table is ctx.posets
+                assert [s.po(v) for v in mo_keys] == [ctx.posets.posets[p] for p in s.mo]
                 assert [s.val(k) for k in mem_keys] == list(s.mem)
                 pos = " ".join(f"{v}:{s.po(v)}" for v in mo_keys)
                 vals = " ".join(f"{k}:{s.val(k)}" for k in mem_keys)
@@ -153,9 +160,9 @@ def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
 def test_merge_idempotent():
     s1 = state(poset({A}), singleton(1), singleton(0))
     s2 = state(poset({B}), singleton(2), singleton(2))
-    once = StateSet()
+    once = StateSet(TABLE)
     once.merge_all(L, [s1, s2])
-    twice = StateSet()
+    twice = StateSet(TABLE)
     twice.merge_all(L, [s1, s2, s1, s2])
     assert once.fingerprint() == twice.fingerprint()
 
@@ -170,7 +177,7 @@ def test_merge_insert_order_independent():
     ]
     reference = None
     for perm in itertools.permutations(states):
-        ss = StateSet()
+        ss = StateSet(TABLE)
         ss.merge_all(L, perm)
         if reference is None:
             reference = ss
@@ -179,16 +186,16 @@ def test_merge_insert_order_independent():
 
 
 def test_equal_sets():
-    a, b = StateSet(), StateSet()
+    a, b = StateSet(TABLE), StateSet(TABLE)
     assert a.fingerprint() == b.fingerprint()
     a.merge_all(L, [state(P.TOP, singleton(0), singleton(0))])
     assert a.fingerprint() != b.fingerprint()
     b.merge_all(L, [state(P.TOP, singleton(0), singleton(0))])
     assert a.fingerprint() == b.fingerprint()
-    b2 = StateSet()
+    b2 = StateSet(TABLE)
     b2.merge_all(L, [state(P.TOP, Interval(0, 1), singleton(0))])
     assert a.fingerprint() != b2.fingerprint()
-    b3 = StateSet()
+    b3 = StateSet(TABLE)
     b3.merge_all(Label("m"), [state(P.TOP, singleton(0), singleton(0))])
     assert a.fingerprint() != b3.fingerprint()
 
@@ -197,7 +204,7 @@ def test_one_state_at_two_labels():
     """A state holds no label, so one object can sit at two labels; the
     fingerprint and the dump tell that apart from the state at one."""
     s = state(poset({A}), Interval(1, 2), singleton(0))
-    one, two = StateSet(), StateSet()
+    one, two = StateSet(TABLE), StateSet(TABLE)
     one.merge_all(L, [s])
     two.merge_all(L, [s])
     two.merge_all(Label("m"), [s])
@@ -213,7 +220,7 @@ def test_merge_state_list_matches_stateset():
             for p in (P.TOP, poset({A}), poset({B}), P.chain(A, B), P.chain(B, A))
             for _ in range(2)]
     lst: list = []
-    ss = StateSet()
+    ss = StateSet(TABLE)
     for s in pool:
         merge_state_list(lst, s)
         ss.merge_all(L, [s])
@@ -266,8 +273,7 @@ def test_merge_fast_path_matches_the_plain_merge(seq):
     keeps the fast bucket's states() tuple itself, and so does merging a
     state the bucket holds or one with the same posets and a narrower
     memory.  The cached frozenset always holds the bucket's states."""
-    table = P.PosetTable()
-    fast, plain = StateBucket(table), _BucketWithoutFastPath(table)
+    fast, plain = StateBucket(TABLE), _BucketWithoutFastPath(TABLE)
     for s in seq:
         fast_before, plain_before = fast.states(), plain.states()
         fast.merge(s)
@@ -291,7 +297,7 @@ def test_a_merge_that_only_removes_resets_the_caches():
     nothing; both cached views of the bucket follow."""
     s1 = state(poset({A}), singleton(1), singleton(0))
     s2 = state(P.TOP, Interval(1, 2), singleton(0))
-    bucket = StateBucket(P.PosetTable())
+    bucket = StateBucket(TABLE)
     bucket.merge(s1)
     bucket.merge(s2)
     assert bucket.frozen() == {s1, s2} and len(bucket.states()) == 2
@@ -301,7 +307,7 @@ def test_a_merge_that_only_removes_resets_the_caches():
 
 
 def test_dump_format():
-    ss = StateSet()
+    ss = StateSet(TABLE)
     ss.merge_all(L, [state(poset({A}), Interval(1, 2), singleton(0))])
     line = ss.dump()
     assert line == "l | x:{a.1} | t.r:[0,0] x:[1,2]"
@@ -354,10 +360,31 @@ def test_analyses_leave_no_process_wide_state_behind():
 
 
 def test_cached_keys_do_not_change_equality():
-    table = P.PosetTable()
+    """The sort key and the critical signature, read off the table's
+    per-id lists, leave `==` and `hash` to the values: two states built
+    through two layouts of one table are equal and hash alike."""
     s = state(poset({A}), singleton(1), singleton(0))
-    t = state(poset({A}), singleton(1), singleton(0))
-    s.sort_key(table), s.critical_signature()
+    t = AbstractState.make({"x": poset({A})}, {"x": singleton(1), "t.r": singleton(0)},
+                           Layout(("x",), ("x", "t.r"), TABLE))
+    s.sort_key(), s.critical_signature()
+    assert s.layout is not t.layout
     assert s == t and hash(s) == hash(t)
-    assert s.sort_key(table) == t.sort_key(P.PosetTable())
+    assert s.sort_key() == t.sort_key() == (((A,), ()),)
     assert s.critical_signature() == t.critical_signature()
+    u = state(poset({Event("u", 1, "t1", "rmw", "x")}), singleton(1), singleton(0))
+    assert u.critical_signature() != s.critical_signature()
+
+
+def test_a_set_refuses_the_states_of_another_analysis():
+    """Poset ids name posets of one table only, so merging the states of
+    one analysis into the set of another raises instead of joining
+    unrelated posets."""
+    program = parse(MP_SRC)
+    first, second = tmai(program), tmai(program)
+    assert first.states.table is not second.states.table
+    lbl = first.states.labels()[-1]
+    with pytest.raises(ValueError, match="another analysis"):
+        first.states.merge_all(lbl, second.states.at(lbl))
+    with pytest.raises(ValueError, match="another analysis"):
+        StateSet(TABLE).merge_all(L, first.states.at(lbl))
+    first.states.merge_all(lbl, first.states.at(lbl))

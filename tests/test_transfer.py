@@ -12,7 +12,7 @@ from ramosaic.states import StateSet
 from ramosaic.transfer import (AnalysisContext, TransferConfig,
                                apply_interference, check_assert, transfer_node)
 
-from conftest import MP_SRC, READS_SRC
+from conftest import MP_SRC, READS_SRC, run_with_context
 
 
 def _ctx_for(src, **tc_kw):
@@ -29,7 +29,7 @@ def _run(src, **tc_kw):
 def test_store_transfer_mp_first():
     p, cfg, ctx = _ctx_for(MP_SRC)
     init = ctx.initial_state("t1")
-    (out,) = transfer_node(ctx, Label("a"), [init], StateSet(), {})
+    (out,) = transfer_node(ctx, Label("a"), [init], StateSet(ctx.posets), {})
     assert str(out.po("x")) == "{a.1}"
     assert out.po("y") == P.TOP
     assert out.val("x") == singleton(1)
@@ -46,8 +46,7 @@ def test_second_store_forgets_older_in_abstract_mode():
 
 
 def test_apply_interference_mp():
-    p, cfg, ctx = _ctx_for(MP_SRC)
-    r = tmai(p)
+    r, ctx = run_with_context(tmai, parse(MP_SRC))
     target = ctx.initial_state("t2")
     (source,) = r.states.at(Label("b"))
     out = apply_interference(ctx, target, source, ctx.events[Label("b")])
@@ -58,8 +57,7 @@ def test_apply_interference_mp():
 
 
 def test_apply_interference_infeasible_on_reappend():
-    p, cfg, ctx = _ctx_for(MP_SRC)
-    r = tmai(p)
+    r, ctx = run_with_context(tmai, parse(MP_SRC))
     (source_a,) = r.states.at(Label("a"))
     targets = r.states.at(Label("c"))
     carried = [t for t in targets if not t.po("x").is_top]
@@ -193,9 +191,10 @@ thread t2 { w: store y 1; }
     ea = Event("a", 1, "t1", "store", "x")
     eb = Event("b", 1, "t1", "store", "x")
     mem = {"x": singleton(0), "y": singleton(0)}
-    target = AbstractState.make({"x": chain(ea, eb), "y": P.TOP}, mem)
+    layout = ctx.layouts["t2"]
+    target = AbstractState.make({"x": chain(ea, eb), "y": P.TOP}, mem, layout)
     source = AbstractState.make({"x": chain(eb, ea), "y": P.TOP},
-                                {"x": singleton(0), "y": singleton(1)})
+                                {"x": singleton(0), "y": singleton(1)}, layout)
     assert apply_interference(ctx, target, source, ctx.events[Label("w")]) is None
 
 
@@ -206,10 +205,9 @@ vars x = 0, y = 0, z = 0;
 thread w { wy: store y 5; }
 thread t { c: r = load y; a: store x r; }
 """
-    p, cfg, ctx = _ctx_for(src)
-    r = tmai(p)
+    r, ctx = run_with_context(tmai, parse(src))
     for pre in r.states.at(Label("c")):
-        for out in transfer_node(ctx, Label("a"), [pre], StateSet(), {}):
+        for out in transfer_node(ctx, Label("a"), [pre], StateSet(ctx.posets), {}):
             assert out.po("y") == pre.po("y")
             assert out.po("z") == pre.po("z")
 
@@ -325,8 +323,45 @@ def test_rmw_critical_totality_on_fenced_corpus():
         r = tmai(parse((BENCH_DIR / name).read_text()))
         for lbl in r.states.labels():
             for s in r.states.at(lbl):
-                for po in s.mo:
+                for po in s.mo_map().values():
                     rmws = [e for e in po.events if e.kind == "rmw"]
                     for i, u1 in enumerate(rmws):
                         for u2 in rmws[i + 1:]:
                             assert (u1, u2) in po.pairs or (u2, u1) in po.pairs
+
+
+# A cas in a native loop: with concrete posets the states at a hold the
+# loop-bumped instances a.2 and a.3 of its event, and some of them not a.1.
+CAS_LOOP_SRC = """
+vars x = 0;
+thread t { i: r = 0; while (r < 2) { a: q = cas x 0 1; s: store x 0; f: r = r + 1; } }
+thread u { b: p = load x; c: w = cas x 1 2; }
+"""
+
+
+@pytest.mark.parametrize("abstract_mo", [False, True])
+def test_published_memo_answers_as_the_scan(monkeypatch, abstract_mo):
+    """The table's published test, memoized on (poset id, event), gives
+    what a scan of the poset for the event's label and thread gives, on
+    first use and on a repeat, over every cas source state; the concrete
+    run covers a state that published the event only as a loop-bumped
+    instance."""
+    calls = []
+    real = P.PosetTable.published
+
+    def checked(table, p, ev):
+        got = real(table, p, ev)
+        events = table.posets[p].events
+        scan = any(e.label == ev.label and e.thread == ev.thread and e.instance >= ev.instance
+                   for e in events)
+        calls.append((got, scan, ev not in events))
+        return got
+
+    monkeypatch.setattr(P.PosetTable, "published", checked)
+    for src in (CAS_LOOP_SRC, READS_SRC):
+        for driver in (tmai, analyze_with_combinations):
+            driver(parse(src), TransferConfig(abstract_mo=abstract_mo))
+    assert all(got == scan for got, scan, _ in calls)
+    assert {got for got, _, _ in calls} == {False, True}
+    if not abstract_mo:
+        assert any(got and bumped_only for got, _, bumped_only in calls)
