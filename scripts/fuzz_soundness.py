@@ -2,11 +2,12 @@
 """Cross-check the analyzer against the execution oracle on random programs.
 
 Each seeded program is enumerated exhaustively, its executions re-validated
-by the independent axiom checker, analyzed by four drivers, and compared:
+by the independent axiom checker, analyzed by five drivers, and compared:
 oracle-violated assertions must not be proved, final register values must be
 covered, and exit posets must abstract the observed modification orders.
 The drivers are `engine.tmai` and `engine.analyze_with_combinations` with
-the default flags, and `engine.tmai` with each flag that the poset table
+the default flags, the latter also with no feasibility pruning
+(`prune=False`), and `engine.tmai` with each flag that the poset table
 carries turned off: concrete posets (`abstract_mo=False`) and rmw events
 that the newest-store abstraction may forget (`rmw_critical=False`).  An
 exception (a divergence, say) is reported with its seed, and with the driver
@@ -36,7 +37,12 @@ def tmai_no_rmw_critical(program):
     return tmai(program, TransferConfig(rmw_critical=False))
 
 
-DRIVERS = (tmai, analyze_with_combinations, tmai_concrete_mo, tmai_no_rmw_critical)
+def combinations_unpruned(program):
+    return analyze_with_combinations(program, prune=False)
+
+
+DRIVERS = (tmai, analyze_with_combinations, combinations_unpruned, tmai_concrete_mo,
+           tmai_no_rmw_critical)
 
 
 def main(argv) -> int:

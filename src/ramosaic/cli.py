@@ -51,8 +51,12 @@ class RunReport:
     widened: list
     elapsed_s: float
 
-    def to_json(self) -> str:
+    def to_json(self, states=None) -> str:
+        """The report as one JSON object; with `states`, the dump lines of
+        `--dump-states`, under the key `states`."""
         d = dict(self.__dict__)
+        if states is not None:
+            d["states"] = states
         return json.dumps(d, sort_keys=True, indent=2)
 
 
@@ -200,15 +204,15 @@ def main(argv=None) -> int:
         print(f"ramosaic: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:
-        print(report.to_json())
+        print(report.to_json(result.states.dump().splitlines() if args.dump_states else None))
     else:
         for site, verdict in report.verdicts.items():
             print(f"{site}: {verdict}")
         print(f"overall: {report.overall}  "
               f"(iterations {report.iterations_effective} effective / "
               f"{report.iterations_total} total, {report.elapsed_s:.3f}s)")
-    if args.dump_states:
-        print(result.states.dump())
+        if args.dump_states:
+            print(result.states.dump())
     return EXIT_PROVED if report.overall == "Proved" else EXIT_VIOLATED
 
 

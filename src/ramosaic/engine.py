@@ -1,14 +1,15 @@
 """Fixpoint driver: per-thread worklist analysis repeated over all threads
 against the global state set until nothing changes, with assertions evaluated
 on the fixpoint.  A combination-based variant runs each thread once per
-feasible interference combination instead of per-load.
+feasible interference combination instead of per-load; both are one round
+loop over a list of (thread, interference map) passes.
 
 Rounds reuse node results.  `AnalysisContext.node_memo` keeps, per label,
 bump and interference sources, the pre-states of the node's last visit,
-the (label, states) pairs its transfer read from the global set, and its
-merged states before widening.  A visit whose pre-states are equal and
-whose recorded reads give equal tuples now takes the merged states without
-running the transfer, as in demand-driven incremental computation
+the states tuple the global set held at each of those sources other than
+ctx, and its merged states before widening.  A visit whose pre-states are
+equal and whose sources give equal tuples now takes the merged states
+without running the transfer, as in demand-driven incremental computation
 (Hammer et al., "Adapton", PLDI'14).  The round that only confirms the
 fixpoint therefore runs no transfer.
 """
@@ -19,10 +20,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from . import interference, intervals, posets
+from . import interference, posets
+from .interference import CTX
 from .intervals import val_widen
 from .litmus import AssertInst, Cfg, Label, Nop, Program, build_cfg
-from .states import AbstractState, StateBucket, StateSet
+from .states import AbstractState, StateBucket, StateSet, _mem_join, _mo_join
 from .transfer import (AnalysisContext, TransferConfig, Verdict, check_assert,
                        check_final_assert, transfer_node)
 
@@ -53,8 +55,7 @@ def _collapse(table: posets.PosetTable, states) -> Optional[AbstractState]:
         return None
     cur = states[0]
     for s in states[1:]:
-        cur = AbstractState(tuple(map(table.join, cur.mo, s.mo)),
-                            tuple(map(intervals.val_join, cur.mem, s.mem)), cur.layout)
+        cur = AbstractState(_mo_join(table, cur.mo, s.mo), _mem_join(cur.mem, s.mem), cur.layout)
     return cur
 
 
@@ -70,26 +71,12 @@ def _widen_states(table: posets.PosetTable, old_states, new_states) -> list:
     return [AbstractState(mo, tuple(map(val_widen, old.mem, new.mem)), old.layout)]
 
 
-class _RecordedReads:
-    """The global state set as `transfer_node` sees it: `.at()` only, with
-    every read kept as a (label, states) pair."""
-
-    __slots__ = ("_ss", "reads")
-
-    def __init__(self, ss: StateSet):
-        self._ss = ss
-        self.reads: list = []
-
-    def at(self, label: Label) -> tuple:
-        states = self._ss.at(label)
-        self.reads.append((label, states))
-        return states
-
-
-def _reads_unchanged(ss: StateSet, reads: list) -> bool:
-    for label, old in reads:
-        now = ss.at(label)
-        if now is not old and now != old:
+def _same_reads(old: tuple, now: tuple) -> bool:
+    """Whether two visits read equal states tuples from every source.  A
+    bucket that no merge changed gives its cached tuple itself, so most
+    reads compare by identity."""
+    for a, b in zip(old, now):
+        if a is not b and a != b:
             return False
     return True
 
@@ -98,7 +85,8 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
                  global_ss: StateSet, interfs: Dict[Label, tuple], bump: int) -> tuple:
     """The merged states of one visit of `lbl`, before widening, taken from
     the memo when the inputs are unchanged: the transfer is a function of
-    the pre-states, the global reads, the key and the context alone.
+    the pre-states, the key, the context and the global states at the key's
+    sources other than ctx, which are all it reads of the global set.
 
     A nop or an assert with one predecessor passes that predecessor's
     states tuple on as it is: the tuple is a sorted normal form already,
@@ -106,16 +94,17 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     cfg = ctx.cfg
     if len(cfg.preds[lbl]) == 1 and isinstance(cfg.nodes[lbl], (Nop, AssertInst)):
         return pre_states
-    key = (lbl, bump, interfs.get(lbl))
+    srcs = interfs.get(lbl)
+    key = (lbl, bump, srcs)
+    reads = tuple([global_ss.at(src) for src in srcs if src != CTX]) if srcs else ()
     entry = ctx.node_memo.get(key)
-    if entry is not None and entry[0] == pre_states and _reads_unchanged(global_ss, entry[1]):
+    if entry is not None and entry[0] == pre_states and _same_reads(entry[1], reads):
         return entry[2]
-    reads = _RecordedReads(global_ss)
     bucket = StateBucket(ctx.posets)
-    for s in transfer_node(ctx, lbl, pre_states, reads, interfs, bump=bump):
+    for s in transfer_node(ctx, lbl, pre_states, global_ss, interfs, bump=bump):
         bucket.merge(s)
     states = bucket.states()
-    ctx.node_memo[key] = (pre_states, reads.reads, states)
+    ctx.node_memo[key] = (pre_states, reads, states)
     return states
 
 
@@ -169,8 +158,14 @@ def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
     return verdicts
 
 
-def _fixpoint(ctx: AnalysisContext, run_round, max_iterations: int) -> AnalysisResult:
-    """Accumulate per-thread results until the state set stops changing.
+def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> AnalysisResult:
+    """Run every pass, a (thread, interference map) pair, once per round
+    until the state set stops changing.
+
+    Every pass of a round reads the global set σ itself and returns its
+    local map; σ takes the merges only after the round's last pass, in pass
+    order and then label order.  σ does not change during a round, so every
+    pass sees it as it stood when the round began (a Jacobi round).
 
     The instruction-wise merge joins and replaces states, so the accumulator
     is not monotone and can in rare cases revisit an earlier value instead
@@ -189,10 +184,12 @@ def _fixpoint(ctx: AnalysisContext, run_round, max_iterations: int) -> AnalysisR
     while True:
         if rounds >= max_iterations:
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
-        snapshot = sigma.copy()
         seen.add(fingerprint)
         rounds += 1
-        run_round(sigma, snapshot, widened)
+        results = [seq_ai(ctx, tname, sigma, interfs, widened) for tname, interfs in passes]
+        for local in results:
+            for lbl in sorted(local):
+                sigma.merge_all(lbl, local[lbl])
         new = sigma.fingerprint()
         if new == fingerprint:
             break
@@ -206,39 +203,23 @@ def _fixpoint(ctx: AnalysisContext, run_round, max_iterations: int) -> AnalysisR
 
 def tmai(program: Program, tc: TransferConfig = TransferConfig(),
          max_iterations: int = 1000, cfg: Optional[Cfg] = None) -> AnalysisResult:
+    """Run each thread once per round, each load, rmw and lock against all
+    its sources."""
     cfg = cfg or build_cfg(program)
-    ctx = AnalysisContext(program, cfg, tc)
     interfs = interference.get_interfs(program, cfg)
-
-    def run_round(sigma, snapshot, widened):
-        for t in program.threads:
-            local = seq_ai(ctx, t.name, snapshot, interfs[t.name], widened)
-            for lbl in sorted(local):
-                sigma.merge_all(lbl, local[lbl])
-
-    return _fixpoint(ctx, run_round, max_iterations)
+    return _fixpoint(AnalysisContext(program, cfg, tc),
+                     [(t.name, interfs[t.name]) for t in program.threads], max_iterations)
 
 
 def analyze_with_combinations(program: Program, tc: TransferConfig = TransferConfig(),
                               max_iterations: int = 1000, prune: bool = True,
                               cap: int = 4096,
                               cfg: Optional[Cfg] = None) -> AnalysisResult:
-    """Run each thread once per feasible interference combination, with its
-    loads pinned to the chosen sources, and union the results."""
+    """Run each thread once per round per feasible interference combination,
+    with its loads pinned to the chosen sources, and union the results."""
     cfg = cfg or build_cfg(program)
-    ctx = AnalysisContext(program, cfg, tc)
     interfs = interference.get_interfs(program, cfg)
     combos = interference.feasible_combinations(interfs, cfg, prune=prune, cap=cap)
-
-    def run_round(sigma, snapshot, widened):
-        for t in program.threads:
-            base = interfs[t.name]
-            for combo in combos[t.name]:
-                pinned = dict(base)
-                for lbl, chosen in combo.items():
-                    pinned[lbl] = (chosen,)
-                local = seq_ai(ctx, t.name, snapshot, pinned, widened)
-                for lbl in sorted(local):
-                    sigma.merge_all(lbl, local[lbl])
-
-    return _fixpoint(ctx, run_round, max_iterations)
+    passes = [(t.name, {**interfs[t.name], **{lbl: (chosen,) for lbl, chosen in combo.items()}})
+              for t in program.threads for combo in combos[t.name]]
+    return _fixpoint(AnalysisContext(program, cfg, tc), passes, max_iterations)

@@ -359,9 +359,9 @@ def _lex(source: str) -> list:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # str.isdigit() takes other scripts' digits too
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             toks.append(_Tok("int", source[i:j], line, col))
             col += j - i
@@ -960,6 +960,9 @@ def build_cfg(p: Program) -> Cfg:
             return incoming
 
         tail = lower(t.body, [entry])
+        # lower reaches itself through its closure cell; emptying the cell
+        # breaks the cycle, so no CFG waits for the cyclic collector
+        del lower
         exit_l = Label(f"{t.name}.exit")
         add_node(exit_l, Nop(exit_l), t.name)
         for lbl in tail:

@@ -153,13 +153,11 @@ class StateBucket:
         self._table = table
         self._by_mo: dict = {}
         self._by_mem: dict = {}
-        # a one-element list holding the `states()` tuple once computed; a
-        # copy shares it with the bucket it was copied from until one of
-        # them changes, so the sort is done once for both and an unchanged
-        # bucket gives the identical tuple in every later copy
-        self._sorted: list = [None]
-        # the same for the frozenset of the states, which fingerprints hold
-        self._frozen: list = [None]
+        # the `states()` tuple and the frozenset of the states, which
+        # fingerprints hold, once computed; None after every change, so an
+        # unchanged bucket gives the identical objects on every later call
+        self._sorted = None
+        self._frozen = None
 
     def merge(self, s: AbstractState) -> None:
         """Join s into the bucket.  When the join gives back a state the
@@ -196,8 +194,8 @@ class StateBucket:
                 continue
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
-            self._sorted = [None]
-            self._frozen = [None]
+            self._sorted = None
+            self._frozen = None
             return
 
     def _remove(self, s: AbstractState) -> None:
@@ -206,21 +204,19 @@ class StateBucket:
         group.remove(s)
         if not group:
             del self._by_mem[s.mem]
-        self._sorted = [None]
-        self._frozen = [None]
+        self._sorted = None
+        self._frozen = None
 
     def states(self) -> tuple:
-        cell = self._sorted
-        if cell[0] is None:
-            cell[0] = tuple(sorted(self._by_mo.values(), key=AbstractState.sort_key))
-        return cell[0]
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._by_mo.values(), key=AbstractState.sort_key))
+        return self._sorted
 
     def frozen(self) -> frozenset:
         """The bucket's states as a frozenset, which caches its hash."""
-        cell = self._frozen
-        if cell[0] is None:
-            cell[0] = frozenset(self._by_mo.values())
-        return cell[0]
+        if self._frozen is None:
+            self._frozen = frozenset(self._by_mo.values())
+        return self._frozen
 
     def __len__(self) -> int:
         return len(self._by_mo)

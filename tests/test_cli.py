@@ -40,6 +40,18 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+@pytest.mark.parametrize("entry, prog", [(main, "ramosaic"), (oracle_main, "ra-oracle")])
+def test_digit_of_another_script_is_a_parse_error(entry, prog, digit, tmp_path, capsys):
+    """Only 0-9 make an integer literal: any other digit is an unexpected
+    character, reported with its line and column."""
+    path = tmp_path / "digit.lit"
+    path.write_text(f"vars x = 0;\nthread t {{ a: store x {digit}; }}\n", encoding="utf-8")
+    assert entry([str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"{prog}: {path}: 2:23: unexpected character {digit!r}"
+
+
 NOT_UTF8 = b"vars x = 0;\nthread t { a: store x 1; }\n# \xff\xfe\n"
 
 
@@ -173,6 +185,24 @@ def test_dump_states(capsys):
     code, out, _ = run_cli([BENCH_DIR / "mp.lit", "--dump-states"], capsys)
     assert code == 0
     assert "d | x:{a.1} y:{b.1}" in out
+
+
+def test_json_dump_states_is_one_document(capsys):
+    """With --json, the dump lines go into the report under `states`, so
+    stdout is one JSON document; the other keys are those of --json alone."""
+    path = BENCH_DIR / "mp.lit"
+    code, out, _ = run_cli([path, "--json", "--dump-states"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    _, text, _ = run_cli([path, "--dump-states"], capsys)
+    lines = text.splitlines()
+    overall = next(i for i, line in enumerate(lines) if line.startswith("overall: "))
+    assert "d | x:{a.1} y:{b.1}" in text
+    assert report.pop("states") == lines[overall + 1:]
+    _, plain, _ = run_cli([path, "--json"], capsys)
+    plain = json.loads(plain)
+    report.pop("elapsed_s"), plain.pop("elapsed_s")
+    assert report == plain
 
 
 def test_oracle_check_flag(capsys):

@@ -3,6 +3,7 @@ divergence guard, the combination-based engine, and loop widening."""
 
 import pytest
 
+from ramosaic import engine
 from ramosaic.engine import Divergence, analyze_with_combinations, seq_ai, tmai
 from ramosaic.interference import get_interfs
 from ramosaic.litmus import Label, build_cfg, parse, unroll
@@ -11,7 +12,7 @@ from ramosaic.randprog import random_program
 from ramosaic.states import StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import SB_SRC, WHY_IC_SRC
+from conftest import READS_SRC, SB_SRC, WHY_IC_SRC
 
 
 def test_mp_verdict_and_iterations(mp_program):
@@ -173,6 +174,40 @@ assert ((r10 <= 0 || r21 == 2));
     from ramosaic.oracle import check_soundness
 
     assert check_soundness(p, r).ok
+
+
+@pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
+def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
+    """Every pass of a round reads the result's state set itself, and sees
+    it as the fingerprint of the round before saw it: the merges of the
+    round's earlier passes are not visible to its later ones."""
+    log: list = []  # ("round", dump) at each fingerprint, ("pass", set, dump) per pass
+    real_seq_ai, real_fingerprint = engine.seq_ai, StateSet.fingerprint
+
+    def recording_seq_ai(ctx, tname, global_ss, *args, **kwargs):
+        log.append(("pass", global_ss, global_ss.dump()))
+        return real_seq_ai(ctx, tname, global_ss, *args, **kwargs)
+
+    def recording_fingerprint(self):
+        log.append(("round", self.dump()))
+        return real_fingerprint(self)
+
+    monkeypatch.setattr(engine, "seq_ai", recording_seq_ai)
+    monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
+    program = parse(READS_SRC)
+    r = driver(program)
+    assert r.iterations_total >= 3
+    assert log[0] == ("round", "")  # the first round begins with no state
+    rounds = 0
+    for entry in log:
+        if entry[0] == "round":
+            began, passes = entry[1], 0
+            rounds += 1
+            continue
+        assert entry[1] is r.states
+        assert entry[2] == began, (rounds, passes)
+        passes += 1
+    assert rounds == r.iterations_total + 1
 
 
 def test_unrolled_spin_wait_verdict():

@@ -126,19 +126,20 @@ def test_join_is_the_hull_and_empty_is_its_unit(lo1, hi1, lo2, hi2):
 # --------------------------------------------------------------------------
 
 def test_fingerprints_are_equal_exactly_when_dumps_are(monkeypatch):
-    """Every round snapshot of tmai on random_program(0..59), plus each
-    fixpoint: two of them share a fingerprint iff their dumps are equal."""
+    """A copy of the state set at every round's end of tmai on
+    random_program(0..59), plus each fixpoint: two of them share a
+    fingerprint iff their dumps are equal."""
     snapshots = []
-    copy = StateSet.copy
+    fingerprint = StateSet.fingerprint
 
-    def recording_copy(self):
-        out = copy(self)
-        snapshots.append(out)
-        return out
+    def recording_fingerprint(self):
+        snapshots.append(self.copy())
+        return fingerprint(self)
 
-    monkeypatch.setattr(StateSet, "copy", recording_copy)
-    for seed in range(60):
-        snapshots.append(tmai(random_program(seed)).states)
+    with monkeypatch.context() as patched:
+        patched.setattr(StateSet, "fingerprint", recording_fingerprint)
+        for seed in range(60):
+            snapshots.append(tmai(random_program(seed)).states)
     by_dump: dict = {}
     by_fingerprint: dict = {}
     for i, s in enumerate(snapshots):

@@ -1,11 +1,16 @@
+import gc
+
 import pytest
 
+from ramosaic.engine import tmai
 from ramosaic.litmus import (Assume, Cas, If, Label, LoadInst, ParseError,
                              SemanticError, Store, While,
                              build_cfg, has_loops, parse, to_source, unroll,
                              walk_simple)
 
-from conftest import corpus_files
+from ramosaic.randprog import random_program
+
+from conftest import corpus_files, peterson
 
 
 def test_parse_mp(mp_program):
@@ -233,6 +238,23 @@ def test_long_thread_cfg_is_not_recursive():
     assert cfg.rpo["t"][0] == cfg.entries["t"] and cfg.rpo["t"][-1] == cfg.exits["t"]
     (path,) = _thread_paths(cfg, "t")
     assert path == cfg.rpo["t"]
+
+
+def test_analysis_leaves_no_cyclic_garbage():
+    """A CFG, and a whole `tmai` run over it, is freed by reference counting
+    alone: with the cyclic collector off, the runs leave it nothing."""
+    programs = [parse(peterson(4))] + [random_program(seed) for seed in range(20)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for program in programs:
+            tmai(program)
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == 0
 
 
 def _searched_reach(cfg, a):

@@ -1,7 +1,7 @@
 """The node memo: a pass over a thread's CFG reuses a node's merged states
 from an earlier pass when its pre-states, its interference sources, its
-bump and every global read it made are unchanged, and the memo never
-changes what the analysis computes.
+bump and the global states at those sources are unchanged, and the memo
+never changes what the analysis computes.
 
 States hold the poset ids of their analysis's table, so a pass over the
 states of an earlier run goes through that run's context, or through a
@@ -78,21 +78,21 @@ def test_confirming_round_recomputes_nothing(monkeypatch):
 
 def test_confirming_round_reads_the_identical_tuples(monkeypatch):
     """A bucket that no merge changed gives its earlier `states()` tuple
-    itself in the next round's snapshot, so every read the confirming round
-    checks against the memo is an identity hit."""
+    itself in the next round, so every read the confirming round checks
+    against the memo is an identity hit."""
     passes: list = []  # per seq_ai call: one flag per read checked, True when identical
-    real_seq_ai, real_reads_unchanged = engine.seq_ai, engine._reads_unchanged
+    real_seq_ai, real_same_reads = engine.seq_ai, engine._same_reads
 
     def counted_seq_ai(*args, **kwargs):
         passes.append([])
         return real_seq_ai(*args, **kwargs)
 
-    def counted_reads_unchanged(ss, reads):
-        passes[-1].extend(ss.at(label) is old for label, old in reads)
-        return real_reads_unchanged(ss, reads)
+    def counted_same_reads(old, now):
+        passes[-1].extend(a is b for a, b in zip(old, now))
+        return real_same_reads(old, now)
 
     monkeypatch.setattr(engine, "seq_ai", counted_seq_ai)
-    monkeypatch.setattr(engine, "_reads_unchanged", counted_reads_unchanged)
+    monkeypatch.setattr(engine, "_same_reads", counted_same_reads)
     program = parse(peterson(4))
     result = tmai(program)
     assert result.iterations_total == 4
@@ -102,29 +102,24 @@ def test_confirming_round_reads_the_identical_tuples(monkeypatch):
 
 def test_unchanged_buckets_keep_their_frozensets(monkeypatch):
     """A bucket that no merge changed gives its earlier frozenset itself,
-    in the set it sits in and in the next round's snapshot, so the
-    fingerprint of the confirming round hashes no bucket again."""
+    in the set it sits in and in a copy of that set, so the fingerprint of
+    the confirming round hashes no bucket again."""
     snapshots: list = []
     fingerprints: list = []
-    real_copy, real_fingerprint = StateSet.copy, StateSet.fingerprint
-
-    def recording_copy(self):
-        out = real_copy(self)
-        snapshots.append(out)
-        return out
+    real_fingerprint = StateSet.fingerprint
 
     def recording_fingerprint(self):
         out = real_fingerprint(self)
         fingerprints.append(dict(out))
+        snapshots.append(self.copy())
         return out
 
-    monkeypatch.setattr(StateSet, "copy", recording_copy)
     monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
     result = tmai(parse(peterson(4)))
     assert result.iterations_total == 4 and len(fingerprints) == 5
     before, after = fingerprints[-2], fingerprints[-1]
     assert before and before.keys() == after.keys()
-    snapshot = snapshots[-1]._by_label
+    snapshot = snapshots[-2]._by_label
     for lbl, states in before.items():
         assert after[lbl] is states
         assert snapshot[lbl].frozen() is states
@@ -168,7 +163,8 @@ def test_changed_reads_recompute(tname, node, source):
 def test_cas_reads_both_outcomes_and_lock_frees_with_unlock_states():
     """READS_SRC covers what the test above relies on: the cas both
     succeeds and fails, and some pre-state of l2 holds t1's lock, which
-    only a read of u1's states releases; l2 reads u1 once per pre-state."""
+    only a read of u1's states releases; l2's transfer reads u1 once per
+    pre-state, after the memo's one read of each source."""
     program, cfg, interfs, full, base = _setup(READS_SRC)
     assert len({s.val("t3.q") for s in full.at(Label("c"))}) == 2
     counting = _CountingSet(full)

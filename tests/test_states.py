@@ -249,7 +249,7 @@ class _BucketWithoutFastPath(StateBucket):
                 continue
             self._by_mo[cur.mo] = cur
             self._by_mem.setdefault(cur.mem, []).append(cur)
-            self._sorted = [None]
+            self._sorted = None
             return
 
 
