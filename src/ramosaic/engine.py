@@ -71,16 +71,6 @@ def _widen_states(table: posets.PosetTable, old_states, new_states) -> list:
     return [AbstractState(mo, tuple(map(val_widen, old.mem, new.mem)), old.layout)]
 
 
-def _same_reads(old: tuple, now: tuple) -> bool:
-    """Whether two visits read equal states tuples from every source.  A
-    bucket that no merge changed gives its cached tuple itself, so most
-    reads compare by identity."""
-    for a, b in zip(old, now):
-        if a is not b and a != b:
-            return False
-    return True
-
-
 def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
                  global_ss: StateSet, interfs: Dict[Label, tuple], bump: int) -> tuple:
     """The merged states of one visit of `lbl`, before widening, taken from
@@ -98,7 +88,7 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     key = (lbl, bump, srcs)
     reads = tuple([global_ss.at(src) for src in srcs if src != CTX]) if srcs else ()
     entry = ctx.node_memo.get(key)
-    if entry is not None and entry[0] == pre_states and _same_reads(entry[1], reads):
+    if entry is not None and entry[0] == pre_states and entry[1] == reads:
         return entry[2]
     bucket = StateBucket(ctx.posets)
     for s in transfer_node(ctx, lbl, pre_states, global_ss, interfs, bump=bump):
@@ -165,7 +155,9 @@ def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> Analys
     Every pass of a round reads the global set σ itself and returns its
     local map; σ takes the merges only after the round's last pass, in pass
     order and then label order.  σ does not change during a round, so every
-    pass sees it as it stood when the round began (a Jacobi round).
+    pass sees it as it stood when the round began (a Jacobi round).  The
+    round's local maps live until its merges, which in combinations mode
+    means one map per feasible combination of every thread.
 
     The instruction-wise merge joins and replaces states, so the accumulator
     is not monotone and can in rare cases revisit an earlier value instead
@@ -186,8 +178,7 @@ def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> Analys
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
         rounds += 1
-        results = [seq_ai(ctx, tname, sigma, interfs, widened) for tname, interfs in passes]
-        for local in results:
+        for local in [seq_ai(ctx, tname, sigma, interfs, widened) for tname, interfs in passes]:
             for lbl in sorted(local):
                 sigma.merge_all(lbl, local[lbl])
         new = sigma.fingerprint()
