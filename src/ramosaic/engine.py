@@ -22,9 +22,9 @@ from typing import Dict, Optional
 
 from . import interference, posets
 from .interference import CTX
-from .intervals import val_widen
+from .intervals import mem_join, val_widen
 from .litmus import AssertInst, Cfg, Label, Nop, Program, build_cfg
-from .states import AbstractState, StateBucket, StateSet, _mem_join, _mo_join
+from .states import AbstractState, StateBucket, StateSet, _mo_join
 from .transfer import (AnalysisContext, TransferConfig, Verdict, check_assert,
                        check_final_assert, transfer_node)
 
@@ -55,7 +55,7 @@ def _collapse(table: posets.PosetTable, states) -> Optional[AbstractState]:
         return None
     cur = states[0]
     for s in states[1:]:
-        cur = AbstractState(_mo_join(table, cur.mo, s.mo), _mem_join(cur.mem, s.mem), cur.layout)
+        cur = AbstractState(_mo_join(table, cur.mo, s.mo), mem_join(cur.mem, s.mem), cur.layout)
     return cur
 
 
@@ -141,8 +141,8 @@ def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
     verdicts: Dict[str, Verdict] = {}
     for lbl, instr in sorted(ctx.cfg.nodes.items()):
         if isinstance(instr, AssertInst):
-            env = ctx.envs[ctx.cfg.thread_of[lbl]]
-            verdicts[str(lbl)] = check_assert(ss.at(lbl), instr.cond, env)
+            slots = ctx.slots[ctx.cfg.thread_of[lbl]]
+            verdicts[str(lbl)] = check_assert(ss.at(lbl), instr.cond, slots)
     if ctx.program.postcondition is not None:
         verdicts["final"] = check_final_assert(ctx, ss, ctx.program.postcondition)
     return verdicts
@@ -153,11 +153,14 @@ def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> Analys
     until the state set stops changing.
 
     Every pass of a round reads the global set σ itself and returns its
-    local map; σ takes the merges only after the round's last pass, in pass
-    order and then label order.  σ does not change during a round, so every
-    pass sees it as it stood when the round began (a Jacobi round).  The
-    round's local maps live until its merges, which in combinations mode
-    means one map per feasible combination of every thread.
+    local map.  A pass reads σ only at the interference sources of its map,
+    so σ takes the labels that no pass lists as a source right after each
+    pass, and the source labels after the round's last pass, in pass order
+    and then label order.  The sources do not change during a round, so
+    every pass reads σ as it stood when the round began (a Jacobi round),
+    and each label's merges come in pass order.  A round holds only its
+    passes' states at source labels; in combinations mode that frees each
+    combination's other labels before the next combination runs.
 
     The instruction-wise merge joins and replaces states, so the accumulator
     is not monotone and can in rare cases revisit an earlier value instead
@@ -168,6 +171,8 @@ def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> Analys
     are equal exactly when the sets are.
     """
     sigma = StateSet(ctx.posets)
+    # the labels some pass reads σ at (ctx among them, which labels no state)
+    sources = {src for _, interfs in passes for srcs in interfs.values() for src in srcs}
     widened: set = set()
     rounds = 0
     effective = 0
@@ -178,9 +183,17 @@ def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> Analys
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
         rounds += 1
-        for local in [seq_ai(ctx, tname, sigma, interfs, widened) for tname, interfs in passes]:
+        held = []
+        for tname, interfs in passes:
+            local = seq_ai(ctx, tname, sigma, interfs, widened)
             for lbl in sorted(local):
-                sigma.merge_all(lbl, local[lbl])
+                if lbl in sources:
+                    held.append((lbl, local[lbl]))
+                else:
+                    sigma.merge_all(lbl, local[lbl])
+        for lbl, states in held:
+            sigma.merge_all(lbl, states)
+        del held
         new = sigma.fingerprint()
         if new == fingerprint:
             break

@@ -1,4 +1,4 @@
-"""Interval domain over arbitrary-precision integers, plus memory maps.
+"""Interval domain over arbitrary-precision integers, plus memories.
 
 The domain sits behind a small contract (join / widen / meet / eval / refine)
 so a relational domain could be slotted in later without touching the
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .litmus import And, BinOp, BoolExpr, BoolLit, Cmp, IntExpr, Lit, Name, Or, expr_names
+from .litmus import And, BinOp, BoolExpr, BoolLit, Cmp, IntExpr, Lit, Name, Or
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -140,45 +140,25 @@ def mul(a: Interval, b: Interval) -> Interval:
 
 
 # --------------------------------------------------------------------------
-# Memories: plain dicts from memory key to Interval.
+# Memories: tuples of intervals, one per memory slot.  Expressions name
+# their identifiers, and `slots` maps each to its slot, resolved once per
+# analysis.
 # --------------------------------------------------------------------------
 
-Memory = dict
+
+def mem_join(a: tuple, b: tuple) -> tuple:
+    """The slot-wise hull of two memories of one layout."""
+    return tuple([x if x == y else val_join(x, y) for x, y in zip(a, b)])
 
 
-def mem_join(a: Memory, b: Memory) -> Memory:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = val_join(out[k], v) if k in out else v
-    return out
-
-
-class NameEnv:
-    """Resolves bare identifiers to memory keys for one thread's expressions,
-    or, with thread None, for the postcondition.  Every name is resolved
-    once, when the environment is built."""
-
-    def __init__(self, program, thread: Optional[str]):
-        self.keys = {v: v for v in program.shared_names()}
-        if thread is not None:
-            self.keys.update((r, program.register_key(thread, r))
-                             for r in program.thread_registers(thread))
-        elif program.postcondition is not None:
-            self.keys.update((ident, program.resolve_postcondition_name(ident))
-                             for ident in expr_names(program.postcondition))
-
-    def key(self, ident: str) -> str:
-        return self.keys[ident]
-
-
-def eval_expr(e: IntExpr, mem: Memory, env: NameEnv) -> Interval:
+def eval_expr(e: IntExpr, mem: tuple, slots: dict) -> Interval:
     if isinstance(e, Lit):
         return singleton(e.value)
     if isinstance(e, Name):
-        return mem[env.key(e.ident)]
+        return mem[slots[e.ident]]
     if isinstance(e, BinOp):
-        l = eval_expr(e.left, mem, env)
-        r = eval_expr(e.right, mem, env)
+        l = eval_expr(e.left, mem, slots)
+        r = eval_expr(e.right, mem, slots)
         if e.op == "+":
             return add(l, r)
         if e.op == "-":
@@ -210,73 +190,54 @@ _SATISFIABLE = {
 }
 
 
-def _refine_cmp(mem: Memory, cond: Cmp, env: NameEnv) -> Optional[Memory]:
-    lv = eval_expr(cond.left, mem, env)
-    rv = eval_expr(cond.right, mem, env)
-    if lv.is_empty or rv.is_empty:
+# `_TIGHTEN[op](iv, b)`: iv cut down toward the values v with `v op w` for
+# some w in b; an interval keeps its interior, so `!=` trims only a bound.
+_TIGHTEN = {
+    "==": val_meet,
+    "!=": lambda iv, b: exclude_value(iv, b.lo) if b.is_singleton() else iv,
+    "<": lambda iv, b: val_meet(iv, Interval(None, None if b.hi is None else b.hi - 1)),
+    "<=": lambda iv, b: val_meet(iv, Interval(None, b.hi)),
+    ">": lambda iv, b: val_meet(iv, Interval(None if b.lo is None else b.lo + 1, None)),
+    ">=": lambda iv, b: val_meet(iv, Interval(b.lo, None)),
+}
+
+# The operator with its operands swapped: `a op b` holds iff `b FLIP[op] a`.
+FLIP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _refine_cmp(mem: tuple, cond: Cmp, slots: dict) -> Optional[tuple]:
+    """A name operand is tightened against the other operand's value, both
+    evaluated before either is tightened; a right operand as the left one
+    of the flipped comparison."""
+    lv = eval_expr(cond.left, mem, slots)
+    rv = eval_expr(cond.right, mem, slots)
+    if lv.is_empty or rv.is_empty or not _SATISFIABLE[cond.op](lv, rv):
         return None
-    op = cond.op
-    if not _SATISFIABLE[op](lv, rv):
-        return None
-    out = dict(mem)
-
-    def tighten(ident: str, bound: Interval):
-        k = env.key(ident)
-        nv = val_meet(out[k], bound)
-        if nv.is_empty:
-            return False
-        out[k] = nv
-        return True
-
-    ok = True
-    if isinstance(cond.left, Name):
-        if op == "==":
-            ok = tighten(cond.left.ident, rv)
-        elif op == "!=" and rv.is_singleton():
-            k = env.key(cond.left.ident)
-            out[k] = exclude_value(out[k], rv.lo)
-            ok = not out[k].is_empty
-        elif op == "<":
-            ok = tighten(cond.left.ident, Interval(None, None if rv.hi is None else rv.hi - 1))
-        elif op == "<=":
-            ok = tighten(cond.left.ident, Interval(None, rv.hi))
-        elif op == ">":
-            ok = tighten(cond.left.ident, Interval(None if rv.lo is None else rv.lo + 1, None))
-        elif op == ">=":
-            ok = tighten(cond.left.ident, Interval(rv.lo, None))
-    if ok and isinstance(cond.right, Name):
-        if op == "==":
-            ok = tighten(cond.right.ident, lv)
-        elif op == "!=" and lv.is_singleton():
-            k = env.key(cond.right.ident)
-            out[k] = exclude_value(out[k], lv.lo)
-            ok = not out[k].is_empty
-        elif op == "<":
-            ok = tighten(cond.right.ident, Interval(None if lv.lo is None else lv.lo + 1, None))
-        elif op == "<=":
-            ok = tighten(cond.right.ident, Interval(lv.lo, None))
-        elif op == ">":
-            ok = tighten(cond.right.ident, Interval(None, None if lv.hi is None else lv.hi - 1))
-        elif op == ">=":
-            ok = tighten(cond.right.ident, Interval(None, lv.hi))
-    return out if ok else None
+    for side, op, bound in ((cond.left, cond.op, rv), (cond.right, FLIP[cond.op], lv)):
+        if isinstance(side, Name):
+            k = slots[side.ident]
+            nv = _TIGHTEN[op](mem[k], bound)
+            if nv.is_empty:
+                return None
+            mem = (*mem[:k], nv, *mem[k + 1:])
+    return mem
 
 
-def refine(mem: Memory, cond: BoolExpr, env: NameEnv) -> Optional[Memory]:
+def refine(mem: tuple, cond: BoolExpr, slots: dict) -> Optional[tuple]:
     """Constrain mem to satisfy cond; None when infeasible."""
     if isinstance(cond, BoolLit):
-        return dict(mem) if cond.value else None
+        return mem if cond.value else None
     if isinstance(cond, And):
-        m = refine(mem, cond.left, env)
-        return refine(m, cond.right, env) if m is not None else None
+        m = refine(mem, cond.left, slots)
+        return refine(m, cond.right, slots) if m is not None else None
     if isinstance(cond, Or):
-        a = refine(mem, cond.left, env)
-        b = refine(mem, cond.right, env)
+        a = refine(mem, cond.left, slots)
+        b = refine(mem, cond.right, slots)
         if a is None:
             return b
         if b is None:
             return a
         return mem_join(a, b)
     if isinstance(cond, Cmp):
-        return _refine_cmp(mem, cond, env)
+        return _refine_cmp(mem, cond, slots)
     raise TypeError(cond)

@@ -97,9 +97,6 @@ class AbstractState:
     def mo_map(self) -> Dict[str, MoPoset]:
         return dict(zip(self.layout.mo_keys, map(self.layout.table.posets.__getitem__, self.mo)))
 
-    def mem_map(self) -> Dict[str, intervals.Interval]:
-        return dict(zip(self.layout.mem_keys, self.mem))
-
     def po(self, var: str) -> MoPoset:
         layout = self.layout
         return layout.table.posets[self.mo[layout.mo_slot[var]]]
@@ -130,10 +127,6 @@ class AbstractState:
 
 def _mo_join(table: posets.PosetTable, a: Tuple, b: Tuple) -> Tuple:
     return tuple([x if x == y else table.join(x, y) for x, y in zip(a, b)])
-
-
-def _mem_join(a: Tuple, b: Tuple) -> Tuple:
-    return tuple([x if x == y else intervals.val_join(x, y) for x, y in zip(a, b)])
 
 
 class StateBucket:
@@ -171,7 +164,7 @@ class StateBucket:
             if other is not None:
                 if cur.mem == other.mem:
                     return
-                mem = _mem_join(other.mem, cur.mem)
+                mem = intervals.mem_join(other.mem, cur.mem)
                 if mem == other.mem:
                     return
                 self._remove(other)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from . import intervals, posets
-from .intervals import Interval, NameEnv, eval_expr, exclude_value, refine, val_join, val_meet
+from .intervals import Interval, eval_expr, exclude_value, refine, val_join, val_meet
 from .litmus import (And, AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
                      LoadInst, LockInst, Nop, Program, Store, UnlockInst,
                      expr_names, negate)
@@ -51,9 +51,11 @@ class AnalysisContext:
     transfer and merge builds its posets through, and the node memo of
     `engine.seq_ai`.
 
-    `layouts[thread]` names the slots of that thread's states, once for the
-    whole analysis, so transfers index value tuples instead of looking up
-    names in each state.
+    `layouts[thread]` names the slots of that thread's states, and
+    `slots[thread]` maps each identifier of its expressions (a shared
+    variable or a register) to its memory slot, both once for the whole
+    analysis, so transfers index value tuples instead of looking up names
+    in each state.
     """
 
     def __init__(self, program: Program, cfg: Cfg, tc: TransferConfig):
@@ -61,7 +63,6 @@ class AnalysisContext:
         self.cfg = cfg
         self.tc = tc
         self.sb = SbIndex.from_cfg(cfg)
-        self.envs = {t.name: NameEnv(program, t.name) for t in program.threads}
         self.registers = {t.name: tuple(program.register_key(t.name, r)
                                         for r in program.thread_registers(t.name))
                           for t in program.threads}
@@ -72,6 +73,10 @@ class AnalysisContext:
         self.layouts = {t: Layout(self.po_keys(), (*program.shared_names(), *regs),
                                   self.posets)
                         for t, regs in self.registers.items()}
+        self.slots = {t: {**{v: layout.mem_slot[v] for v in program.shared_names()},
+                          **{r: layout.mem_slot[program.register_key(t, r)]
+                             for r in program.thread_registers(t)}}
+                      for t, layout in self.layouts.items()}
         # (target layout, source layout) -> (memory slot in the target,
         # poset slot, memory slot in the source) per shared variable; the
         # layouts share their poset keys, so a poset slot is one for both
@@ -159,53 +164,51 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
 
 
 def _load_bases(ctx, s, interfs, global_ss, var, reg=None):
-    """Yield (base state, loaded interval) per interference choice; with
-    `reg`, a memory slot, each base holds the loaded value there too."""
+    """Yield the state after reading `var`, a variable or a mutex, once per
+    interference choice: s itself for ctx, and s after each source state's
+    write otherwise.  A variable's value read is in its memory slot; with
+    `reg`, a memory slot, each base holds it there too."""
     for src in interfs:
         if src == CTX:
-            loaded = s.val(var)
-            yield (s if reg is None else s.slot_update(mem=((reg, loaded),))), loaded
-        else:
-            ev = ctx.events[src]
-            cas = isinstance(ctx.cfg.nodes[src], Cas)
-            src_layout = ctx.layouts[ctx.cfg.thread_of[src]]
-            src_slot, src_mo_slot = src_layout.mem_slot[var], src_layout.mo_slot[var]
-            for src_state in global_ss.at(src):
-                # a state at a cas published its write when its poset holds
-                # the event or a loop-bumped instance of it; a failed cas
-                # leaves the poset as it was, so its states publish nothing
-                if cas and not ctx.posets.published(src_state.mo[src_mo_slot], ev):
-                    continue
-                r = apply_interference(ctx, s, src_state, ev, reg)
-                if r is not None:
-                    yield r, src_state.mem[src_slot]
+            yield s if reg is None else s.slot_update(mem=((reg, s.val(var)),))
+            continue
+        ev = ctx.events[src]
+        cas = isinstance(ctx.cfg.nodes[src], Cas)
+        i = s.layout.mo_slot[var]  # the layouts share their poset keys
+        for src_state in global_ss.at(src):
+            # a state at a cas published its write when its poset holds
+            # the event or a loop-bumped instance of it; a failed cas
+            # leaves the poset as it was, so its states publish nothing
+            if cas and not ctx.posets.published(src_state.mo[i], ev):
+                continue
+            r = apply_interference(ctx, s, src_state, ev, reg)
+            if r is not None:
+                yield r
 
 
 def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
                   global_ss: StateSet, interf_map, bump: int = 0) -> list:
     instr = ctx.cfg.nodes[lbl]
     tname = ctx.cfg.thread_of[lbl]
-    env = ctx.envs[tname]
     out: list = []
 
     if isinstance(instr, (Nop, AssertInst)):
         return list(pre_states)
 
     layout = ctx.layouts[tname]
-    mem_slot = layout.mem_slot
+    slots = ctx.slots[tname]
 
     if isinstance(instr, Assume):
         for s in pre_states:
-            m = refine(s.mem_map(), instr.cond, env)
+            m = refine(s.mem, instr.cond, slots)
             if m is not None:
-                # refine keeps the keys in the order of the layout
-                out.append(AbstractState(s.mo, tuple(m.values()), layout))
+                out.append(AbstractState(s.mo, m, layout))
         return out
 
     if isinstance(instr, Assign):
-        k = mem_slot[ctx.program.register_key(tname, instr.reg)]
+        k = slots[instr.reg]
         for s in pre_states:
-            val = eval_expr(instr.value, s.mem_map(), env)
+            val = eval_expr(instr.value, s.mem, slots)
             if val.is_empty:
                 continue
             out.append(s.slot_update(mem=((k, val),)))
@@ -213,23 +216,22 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
 
     if isinstance(instr, Store):
         ev = ctx.event_at(lbl, bump)
-        i, j = layout.mo_slot[instr.var], mem_slot[instr.var]
+        i, j = layout.mo_slot[instr.var], slots[instr.var]
         for s in pre_states:
             p = ctx.posets.append(s.mo[i], ev)
             if not p:  # bottom
                 continue
-            val = eval_expr(instr.value, s.mem_map(), env)
+            val = eval_expr(instr.value, s.mem, slots)
             if val.is_empty:
                 continue
             out.append(s.slot_update(mo=((i, p),), mem=((j, val),)))
         return out
 
     if isinstance(instr, LoadInst):
-        k = mem_slot[ctx.program.register_key(tname, instr.reg)]
+        k = slots[instr.reg]
         interfs = interf_map.get(lbl, (CTX,))
         for s in pre_states:
-            out.extend(base for base, _ in _load_bases(ctx, s, interfs, global_ss,
-                                                       instr.var, k))
+            out.extend(_load_bases(ctx, s, interfs, global_ss, instr.var, k))
         return out
 
     if isinstance(instr, (Cas, Fadd)):
@@ -246,33 +248,33 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
 
 def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> list:
     tname = ctx.cfg.thread_of[lbl]
-    env = ctx.envs[tname]
+    slots = ctx.slots[tname]
     var = instr.var
-    layout = ctx.layouts[tname]
-    i = layout.mo_slot[var]
-    j = layout.mem_slot[var]
-    k = layout.mem_slot[ctx.program.register_key(tname, instr.reg)]
+    i = ctx.layouts[tname].mo_slot[var]
+    j = slots[var]
+    k = slots[instr.reg]
     ev = ctx.event_at(lbl, bump)
     interfs = interf_map.get(lbl, (CTX,))
     out: list = []
     for s in pre_states:
-        for base, loaded in _load_bases(ctx, s, interfs, global_ss, var):
+        for base in _load_bases(ctx, s, interfs, global_ss, var):
+            loaded = base.mem[j]
             # a base whose order already holds this rmw read from a write
             # after it: infeasible for the failed cas as for the success
             if loaded.is_empty or ev in ctx.posets.posets[base.mo[i]].events:
                 continue
             if isinstance(instr, Fadd):
-                addend = eval_expr(instr.addend, base.mem_map(), env)
+                addend = eval_expr(instr.addend, base.mem, slots)
                 stored = intervals.add(loaded, addend)
                 p = ctx.posets.append(base.mo[i], ev)
                 if not p or stored.is_empty:
                     continue
                 out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, loaded))))
                 continue
-            expected = eval_expr(instr.expected, base.mem_map(), env)
+            expected = eval_expr(instr.expected, base.mem, slots)
             succ = val_meet(loaded, expected)
             if not succ.is_empty:
-                stored = eval_expr(instr.new, base.mem_map(), env)
+                stored = eval_expr(instr.new, base.mem, slots)
                 p = ctx.posets.append(base.mo[i], ev)
                 if p and not stored.is_empty:
                     out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, succ))))
@@ -289,30 +291,22 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
 
 def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> list:
     """A lock reads from the thread's own context or from a release of
-    another thread, as a load reads from a store; the candidates whose
-    mutex order still ends in a lock do not hold a free mutex and are
-    dropped, and the rest append the lock event."""
+    another thread, as a load reads from a store; the bases whose mutex
+    order still ends in a lock do not hold a free mutex and are dropped,
+    and the rest append the lock event."""
     i = ctx.layouts[ctx.cfg.thread_of[lbl]].mo_slot[instr.mutex]
     ev = ctx.event_at(lbl, bump)
     interfs = interf_map.get(lbl, (CTX,))
     out: list = []
     for s in pre_states:
-        candidates = [s]
-        for src in interfs:
-            if src == CTX:
-                continue
-            for u in global_ss.at(src):
-                r = apply_interference(ctx, s, u, ctx.events[src])
-                if r is not None:
-                    candidates.append(r)
-        for c in candidates:
-            pm = c.mo[i]
+        for base in _load_bases(ctx, s, interfs, global_ss, instr.mutex):
+            pm = base.mo[i]
             if any(e.kind == "lock" for e in ctx.posets.lasts(pm)):
                 continue
             p = ctx.posets.append(pm, ev)
             if not p:
                 continue
-            out.append(c.slot_update(mo=((i, p),)))
+            out.append(base.slot_update(mo=((i, p),)))
     return out
 
 
@@ -337,20 +331,21 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
     return out
 
 
-def check_assert(states, cond, env: NameEnv) -> Verdict:
+def check_assert(states, cond, slots: dict) -> Verdict:
     """Proved iff the negated condition is infeasible in every state.
-    `refine` reads only the keys the condition names, so feasibility is
-    decided once per distinct projection of the states onto those keys; the
-    witnesses are the states whose projection is feasible, in order."""
+    `refine` reads only the slots the condition names, so feasibility is
+    decided once per distinct projection of the states onto those slots,
+    on the first state with that projection; the witnesses are the states
+    whose projection is feasible, in order."""
     neg = negate(cond)
-    keys = sorted({env.key(n) for n in expr_names(neg)})
+    named = sorted({slots[n] for n in expr_names(neg)})
     feasible: dict = {}
     witnesses = []
     for s in states:
-        values = tuple([s.val(k) for k in keys])
+        values = tuple([s.mem[i] for i in named])
         ok = feasible.get(values)
         if ok is None:
-            ok = feasible[values] = refine(dict(zip(keys, values)), neg, env) is not None
+            ok = feasible[values] = refine(s.mem, neg, slots) is not None
         if ok:
             witnesses.append(s)
     return Verdict(not witnesses, tuple(witnesses))
@@ -399,36 +394,42 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
 
     The postcondition may only mention registers, which are disjoint across
     threads.  `refine` on a conjunct of the negated postcondition reads and
-    writes only the keys that conjunct names, so conjuncts that share no
+    writes only the slots that conjunct names, so conjuncts that share no
     thread cannot affect each other: the negation is feasible iff each
     component of threads linked by shared conjuncts has a combination of
     their exit states, projected onto the named registers, that satisfies
-    the component's conjuncts in order.  A thread without exit states
-    leaves no complete execution, so the postcondition is proved.
+    the component's conjuncts in order.  A component's memory is the
+    concatenation of its threads' projections, and each name maps to its
+    position there once.  A thread without exit states leaves no complete
+    execution, so the postcondition is proved.
     """
-    env = NameEnv(ctx.program, None)
     exits = {t: ss.at(ctx.cfg.exits[t]) for t in ctx.registers}
     if not all(exits.values()):
         return Verdict(True)
     owner = {k: t for t, keys in ctx.registers.items() for k in keys}
     conjuncts = _conjuncts(negate(cond))
-    key_sets = [{env.key(i) for i in expr_names(c)} for c in conjuncts]
+    names = [expr_names(c) for c in conjuncts]
+    key_of = {n: ctx.program.resolve_postcondition_name(n) for n in set().union(*names)}
+    key_sets = [{key_of[n] for n in ns} for ns in names]
     witness: Dict[str, Interval] = {}
     for threads, idx in _components(key_sets, owner):
         named = set().union(*(key_sets[i] for i in idx))
-        options = []
+        keys, options = [], []
         for t in threads:
-            keys = [k for k in ctx.registers[t] if k in named]
-            options.append(list(dict.fromkeys(tuple((k, s.val(k)) for k in keys)
+            tkeys = [k for k in ctx.registers[t] if k in named]
+            mem_slots = [ctx.layouts[t].mem_slot[k] for k in tkeys]
+            keys += tkeys
+            options.append(list(dict.fromkeys(tuple([s.mem[i] for i in mem_slots])
                                               for s in exits[t])))
+        slots = {n: keys.index(key_of[n]) for i in idx for n in names[i]}
         for combo in itertools.product(*options):
-            mem: Optional[dict] = dict(itertools.chain.from_iterable(combo))
+            mem: Optional[tuple] = tuple(itertools.chain.from_iterable(combo))
             for i in idx:
-                mem = refine(mem, conjuncts[i], env)
+                mem = refine(mem, conjuncts[i], slots)
                 if mem is None:
                     break
             if mem is not None:
-                witness.update(itertools.chain.from_iterable(combo))
+                witness.update(zip(keys, itertools.chain.from_iterable(combo)))
                 break
         else:
             return Verdict(True)

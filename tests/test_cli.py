@@ -138,8 +138,9 @@ def test_bench_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     assert "error: not UTF-8 text" in out and "FAIL" in out
 
 
-def test_bench_on_corpus(capsys):
-    code, out, _ = run_cli([BENCH_DIR], capsys)
+@pytest.mark.parametrize("mode", ["per-load", "combinations"])
+def test_bench_on_corpus(mode, capsys):
+    code, out, _ = run_cli([BENCH_DIR, "--mode", mode], capsys)
     assert code == 0
     assert "MISMATCH" not in out
     for f in BENCH_DIR.glob("*.lit"):

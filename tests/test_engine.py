@@ -5,7 +5,7 @@ import pytest
 
 from ramosaic import engine
 from ramosaic.engine import Divergence, analyze_with_combinations, seq_ai, tmai
-from ramosaic.interference import get_interfs
+from ramosaic.interference import CTX, get_interfs
 from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.oracle import check_soundness, enumerate_executions
 from ramosaic.randprog import random_program
@@ -176,28 +176,41 @@ assert ((r10 <= 0 || r21 == 2));
     assert check_soundness(p, r).ok
 
 
+def _sources(program) -> frozenset:
+    """The labels that some load, rmw or lock of the program reads from."""
+    interfs = get_interfs(program, build_cfg(program))
+    return frozenset(src for per_thread in interfs.values()
+                     for srcs in per_thread.values() for src in srcs) - {CTX}
+
+
 @pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
 def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
     """Every pass of a round reads the result's state set itself, and sees
-    it as the fingerprint of the round before saw it: the merges of the
-    round's earlier passes are not visible to its later ones."""
-    log: list = []  # ("round", dump) at each fingerprint, ("pass", set, dump) per pass
+    it at every interference source as the fingerprint of the round before
+    saw it: the merges of the round's earlier passes are not visible there
+    to its later ones."""
+    program = parse(READS_SRC)
+    sources = sorted(_sources(program))
+    log: list = []  # ("round", states) at each fingerprint, ("pass", set, states) per pass
     real_seq_ai, real_fingerprint = engine.seq_ai, StateSet.fingerprint
 
+    def at_sources(ss) -> list:
+        return [f"{lbl} | {s.fmt()}" for lbl in sources for s in ss.at(lbl)]
+
     def recording_seq_ai(ctx, tname, global_ss, *args, **kwargs):
-        log.append(("pass", global_ss, global_ss.dump()))
+        log.append(("pass", global_ss, at_sources(global_ss)))
         return real_seq_ai(ctx, tname, global_ss, *args, **kwargs)
 
     def recording_fingerprint(self):
-        log.append(("round", self.dump()))
+        log.append(("round", at_sources(self)))
         return real_fingerprint(self)
 
     monkeypatch.setattr(engine, "seq_ai", recording_seq_ai)
     monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
-    program = parse(READS_SRC)
     r = driver(program)
     assert r.iterations_total >= 3
-    assert log[0] == ("round", "")  # the first round begins with no state
+    assert log[0] == ("round", [])  # the first round begins with no state
+    assert log[-1][1]  # the sources hold states at the end
     rounds = 0
     for entry in log:
         if entry[0] == "round":
@@ -208,6 +221,53 @@ def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
         assert entry[2] == began, (rounds, passes)
         passes += 1
     assert rounds == r.iterations_total + 1
+
+
+@pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
+def test_a_round_holds_only_the_states_of_source_labels(driver, monkeypatch):
+    """A round merges each label that no pass reads from right after the
+    pass that gives it, and the source labels after its last pass, in pass
+    order and then label order, so each label's merges come in pass
+    order."""
+    program = parse(READS_SRC)
+    sources = _sources(program)
+    log: list = []
+    real_seq_ai = engine.seq_ai
+    real_merge_all, real_fingerprint = StateSet.merge_all, StateSet.fingerprint
+
+    def recording_seq_ai(*args, **kwargs):
+        local = real_seq_ai(*args, **kwargs)
+        log.append(("pass", sorted(local)))
+        return local
+
+    def recording_merge_all(self, lbl, states):
+        log.append(("merge", lbl))
+        return real_merge_all(self, lbl, states)
+
+    def recording_fingerprint(self):
+        log.append(("round", None))
+        return real_fingerprint(self)
+
+    monkeypatch.setattr(engine, "seq_ai", recording_seq_ai)
+    monkeypatch.setattr(StateSet, "merge_all", recording_merge_all)
+    monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
+    r = driver(program)
+    assert log[0] == ("round", None)
+    rounds, events = 0, []
+    for entry in log[1:]:
+        if entry[0] != "round":
+            events.append(entry)
+            continue
+        want, held = [], []
+        for kind, labels in events:
+            if kind == "pass":
+                want += [("pass", labels)]
+                want += [("merge", lbl) for lbl in labels if lbl not in sources]
+                held += [("merge", lbl) for lbl in labels if lbl in sources]
+        assert held and want
+        assert events == want + held, rounds
+        rounds, events = rounds + 1, []
+    assert rounds == r.iterations_total
 
 
 def test_unrolled_spin_wait_verdict():

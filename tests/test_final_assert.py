@@ -10,27 +10,26 @@ import pytest
 from ramosaic import oracle
 from ramosaic.cli import main
 from ramosaic.engine import tmai
-from ramosaic.intervals import NameEnv, refine
-from ramosaic.litmus import build_cfg, negate, parse
+from ramosaic.intervals import refine
+from ramosaic.litmus import build_cfg, expr_names, negate, parse
 from ramosaic.randprog import random_program
 
 
 def brute_force_proved(program, ss) -> bool:
     """Reference: refine the negated postcondition over the full product of
-    every thread's exit states, each restricted to that thread's registers.
-    A thread without exit states makes the product empty."""
+    every thread's exit states, each restricted to that thread's registers,
+    as one memory of every thread's registers.  A thread without exit
+    states makes the product empty."""
     cfg = build_cfg(program)
-    env = NameEnv(program, None)
     neg = negate(program.postcondition)
-    per_thread = []
+    keys, per_thread = [], []
     for t in program.threads:
         regs = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
-        per_thread.append([{k: s.val(k) for k in regs} for s in ss.at(cfg.exits[t.name])])
+        keys += regs
+        per_thread.append([tuple(s.val(k) for k in regs) for s in ss.at(cfg.exits[t.name])])
+    slots = {n: keys.index(program.resolve_postcondition_name(n)) for n in expr_names(neg)}
     for combo in itertools.product(*per_thread):
-        mem = {}
-        for part in combo:
-            mem.update(part)
-        if refine(mem, neg, env) is not None:
+        if refine(tuple(itertools.chain.from_iterable(combo)), neg, slots) is not None:
             return False
     return True
 

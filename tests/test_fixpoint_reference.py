@@ -16,12 +16,12 @@ import pytest
 from ramosaic import engine, transfer
 from ramosaic import posets as P
 from ramosaic.engine import analyze_with_combinations, tmai
-from ramosaic.intervals import NameEnv, refine, val_join
+from ramosaic.intervals import refine, val_join
 from ramosaic.litmus import (And, AssertInst, BinOp, BoolLit, Cmp, Lit, Name, Nop, Or,
                              negate, parse, unroll)
 from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateBucket
-from ramosaic.transfer import Verdict
+from ramosaic.transfer import AnalysisContext, TransferConfig, Verdict
 
 from conftest import LOOPED_SOURCES, corpus_files, peterson
 
@@ -64,10 +64,10 @@ def apply_interference_by_less(ctx, target, source, src_event, reg=None):
     return out
 
 
-def check_assert_full(states, cond, env) -> Verdict:
-    """One `refine` over the full memory map of every state."""
+def check_assert_full(states, cond, slots) -> Verdict:
+    """One `refine` over the full memory of every state."""
     neg = negate(cond)
-    witnesses = tuple(s for s in states if refine(s.mem_map(), neg, env) is not None)
+    witnesses = tuple(s for s in states if refine(s.mem, neg, slots) is not None)
     return Verdict(not witnesses, witnesses)
 
 
@@ -107,9 +107,9 @@ def checked():
             calls["interference"][1].append((target.fmt(), source.fmt(), src_event))
         return got
 
-    def check_checked(states, cond, env):
-        got = real_check(states, cond, env)
-        want = check_assert_full(states, cond, env)
+    def check_checked(states, cond, slots):
+        got = real_check(states, cond, slots)
+        want = check_assert_full(states, cond, slots)
         calls["assert"][0] += 1
         if (got.proved != want.proved or len(got.witnesses) != len(want.witnesses)
                 or not all(a is b for a, b in zip(got.witnesses, want.witnesses))):
@@ -142,11 +142,12 @@ def checked():
         for seed in range(200):
             program = random_program(seed)
             result = tmai(program, max_iterations=100)
+            ctx = AnalysisContext(program, result.cfg, TransferConfig())
             rng = random.Random(seed)
             for lbl in result.states.labels():
-                env = NameEnv(program, result.cfg.thread_of[lbl])
-                for cond in drawn_conditions(rng, sorted(env.keys)):
-                    check_checked(result.states.at(lbl), cond, env)
+                slots = ctx.slots[result.cfg.thread_of[lbl]]
+                for cond in drawn_conditions(rng, sorted(slots)):
+                    check_checked(result.states.at(lbl), cond, slots)
     return calls
 
 

@@ -3,8 +3,9 @@ import random
 from hypothesis import given, strategies as st
 
 from ramosaic import intervals as iv
-from ramosaic.intervals import EMPTY, TOP, Interval, NameEnv, eval_expr, refine, singleton
-from ramosaic.litmus import parse
+from ramosaic.intervals import EMPTY, FLIP, TOP, Interval, eval_expr, refine, singleton
+from ramosaic.litmus import Cmp, Lit, Name, build_cfg, parse
+from ramosaic.transfer import AnalysisContext, TransferConfig
 
 finite = st.integers(min_value=-20, max_value=20)
 
@@ -70,51 +71,51 @@ def test_widen_chain_stabilizes(a, chain):
     assert changes <= 3
 
 
-_ENV_SRC = "vars x = 0;\nthread t { a: r = load x; b: r2 = load x; }"
+_PROGRAM = parse("vars x = 0;\nthread t { a: r = load x; b: r2 = load x; }")
+# identifier -> memory slot in thread t's states
+SLOTS = AnalysisContext(_PROGRAM, build_cfg(_PROGRAM), TransferConfig()).slots["t"]
 
 
-def _env_and_mem(r=None, r2=None):
-    p = parse(_ENV_SRC)
-    env = NameEnv(p, "t")
-    mem = {"x": singleton(0), "t.r": r or TOP, "t.r2": r2 or TOP}
-    return env, mem
+def _mem(r=None, r2=None) -> tuple:
+    """A memory of thread t: x is 0, r and r2 as given or unbounded."""
+    values = {"x": singleton(0), "r": TOP if r is None else r, "r2": TOP if r2 is None else r2}
+    return tuple(values[n] for n in sorted(SLOTS, key=SLOTS.get))
 
 
 def test_eval_examples():
     from ramosaic.litmus import _Parser
 
-    env, mem = _env_and_mem(r=Interval(0, 2))
-    assert eval_expr(_Parser("r + 1").parse_iexpr(), mem, env) == Interval(1, 3)
-    assert eval_expr(_Parser("5").parse_iexpr(), mem, env) == singleton(5)
-    env, mem = _env_and_mem(r=Interval(0, 1), r2=Interval(0, 1))
-    assert eval_expr(_Parser("r - r2").parse_iexpr(), mem, env) == Interval(-1, 1)
-    env, mem = _env_and_mem(r=Interval(-1, 2), r2=Interval(-3, 3))
-    assert eval_expr(_Parser("r * r2").parse_iexpr(), mem, env) == Interval(-6, 6)
+    mem = _mem(r=Interval(0, 2))
+    assert eval_expr(_Parser("r + 1").parse_iexpr(), mem, SLOTS) == Interval(1, 3)
+    assert eval_expr(_Parser("5").parse_iexpr(), mem, SLOTS) == singleton(5)
+    mem = _mem(r=Interval(0, 1), r2=Interval(0, 1))
+    assert eval_expr(_Parser("r - r2").parse_iexpr(), mem, SLOTS) == Interval(-1, 1)
+    mem = _mem(r=Interval(-1, 2), r2=Interval(-3, 3))
+    assert eval_expr(_Parser("r * r2").parse_iexpr(), mem, SLOTS) == Interval(-6, 6)
 
 
 def _refined(cond_src, r):
     from ramosaic.litmus import _Parser
 
-    env, mem = _env_and_mem(r=r)
     cond = _Parser(cond_src).parse_bexpr()
-    return refine(mem, cond, env)
+    return refine(_mem(r=r), cond, SLOTS)
 
 
 def test_refine_examples():
     out = _refined("r == 3", Interval(0, 5))
-    assert out["t.r"] == singleton(3)
+    assert out[SLOTS["r"]] == singleton(3)
     assert _refined("r > 4", Interval(0, 1)) is None
     out = _refined("r != 0", Interval(0, 5))
-    assert out["t.r"] == Interval(1, 5)
+    assert out[SLOTS["r"]] == Interval(1, 5)
     out = _refined("r != 3", Interval(0, 5))
-    assert out["t.r"] == Interval(0, 5)  # interior value: no trim
+    assert out[SLOTS["r"]] == Interval(0, 5)  # interior value: no trim
 
 
 def test_refine_conjunction_disjunction():
     out = _refined("r >= 1 && r <= 3", Interval(0, 9))
-    assert out["t.r"] == Interval(1, 3)
+    assert out[SLOTS["r"]] == Interval(1, 3)
     out = _refined("r == 0 || r == 5", Interval(0, 5))
-    assert out["t.r"] == Interval(0, 5)  # hull of both branches
+    assert out[SLOTS["r"]] == Interval(0, 5)  # hull of both branches
     assert _refined("r == 0 && r == 5", Interval(0, 5)) is None
 
 
@@ -152,10 +153,19 @@ def test_refine_soundness_against_enumeration():
         lo1, lo2 = rng.randint(-2, 4), rng.randint(-2, 4)
         a = Interval(lo1, lo1 + rng.randint(0, 5))
         b = Interval(lo2, lo2 + rng.randint(0, 5))
-        env, mem = _env_and_mem(r=a, r2=b)
-        out = refine(mem, cond, env)
+        out = refine(_mem(r=a, r2=b), cond, SLOTS)
         for va in range(a.lo, a.hi + 1):
             for vb in range(b.lo, b.hi + 1):
                 if holds(cond, {"r": va, "r2": vb}):
                     assert out is not None
-                    assert va in out["t.r"] and vb in out["t.r2"]
+                    assert va in out[SLOTS["r"]] and vb in out[SLOTS["r2"]]
+
+
+@given(st.sampled_from(sorted(FLIP)), intervals_(), intervals_(),
+       st.one_of(st.just("r"), st.just("r2"), finite))
+def test_refine_is_symmetric_under_the_flipped_operator(op, a, b, right):
+    """`r op e` and `e flip(op) r` refine alike, for e another name, the
+    same name or a literal, over intervals with unbounded or empty ends."""
+    mem = _mem(r=a, r2=b)
+    left, right = Name("r"), Name(right) if isinstance(right, str) else Lit(right)
+    assert refine(mem, Cmp(op, left, right), SLOTS) == refine(mem, Cmp(FLIP[op], right, left), SLOTS)

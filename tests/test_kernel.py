@@ -162,7 +162,7 @@ def test_slot_update_equals_make_from_updated_maps():
                           for i in rng.sample(range(len(s.mo)), rng.randint(0, len(s.mo))))
             mem_up = tuple((i, rng.choice(values))
                            for i in rng.sample(range(len(s.mem)), rng.randint(0, min(2, len(s.mem)))))
-            mo, mem = s.mo_map(), s.mem_map()
+            mo, mem = s.mo_map(), dict(zip(s.layout.mem_keys, s.mem))
             for i, p in mo_up:
                 mo[s.layout.mo_keys[i]] = s.layout.table.posets[p]
             for i, iv in mem_up:
@@ -183,9 +183,14 @@ def test_context_slots_index_the_sorted_keys():
             s = ctx.initial_state(t.name)
             assert s.layout is layout
             assert list(s.mo_map()) == sorted(ctx.po_keys())
-            assert list(s.mem_map()) == sorted((*p.shared_names(), *ctx.registers[t.name]))
+            assert list(layout.mem_keys) == sorted((*p.shared_names(), *ctx.registers[t.name]))
+            assert len(s.mem) == len(layout.mem_keys)
             assert {k: i for i, k in enumerate(s.mo_map())} == layout.mo_slot
-            assert {k: i for i, k in enumerate(s.mem_map())} == layout.mem_slot
+            assert {k: i for i, k in enumerate(layout.mem_keys)} == layout.mem_slot
+            # each identifier of the thread's expressions names its key's slot
+            names = {**{v: v for v in p.shared_names()},
+                     **{r: p.register_key(t.name, r) for r in p.thread_registers(t.name)}}
+            assert {n: layout.mem_keys[i] for n, i in ctx.slots[t.name].items()} == names
             assert sorted(layout.shared_slots) == sorted(
                 (v, layout.mem_slot[v], layout.mo_slot[v]) for v in p.shared_names())
 

@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 from ramosaic import posets as P
 from ramosaic.engine import analyze_with_combinations, tmai
-from ramosaic.intervals import Interval, singleton
+from ramosaic.intervals import Interval, mem_join, singleton
 from ramosaic.litmus import Label, parse, unroll
 from ramosaic.oracle import check_soundness
 from ramosaic.posets import Event, poset
 from ramosaic.randprog import random_program
-from ramosaic.states import AbstractState, Layout, StateBucket, StateSet, _mem_join, _mo_join
+from ramosaic.states import AbstractState, Layout, StateBucket, StateSet, _mo_join
 from ramosaic.transfer import AnalysisContext
 
 from conftest import LOOPED_SOURCES, MP_SRC, corpus_files
@@ -239,7 +239,7 @@ class _BucketWithoutFastPath(StateBucket):
             other = self._by_mo.get(cur.mo)
             if other is not None:
                 self._remove(other)
-                cur = AbstractState(cur.mo, _mem_join(other.mem, cur.mem), cur.layout)
+                cur = AbstractState(cur.mo, mem_join(other.mem, cur.mem), cur.layout)
                 continue
             other = next((c for c in self._by_mem.get(cur.mem, ())
                           if c.critical_signature() == cur.critical_signature()), None)

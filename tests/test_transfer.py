@@ -159,14 +159,13 @@ def test_assume_false_drops_downstream():
 
 
 def test_check_assert_trivial():
-    from ramosaic.intervals import NameEnv
     from ramosaic.litmus import BoolLit
 
     p = parse("vars x = 0;\nthread t { a: store x 1; }")
-    env = NameEnv(p, "t")
-    assert check_assert([], BoolLit(True), env).proved
+    slots = AnalysisContext(p, build_cfg(p), TransferConfig()).slots["t"]
+    assert check_assert([], BoolLit(True), slots).proved
     r = tmai(p)
-    v = check_assert(r.states.at(Label("a")), BoolLit(True), env)
+    v = check_assert(r.states.at(Label("a")), BoolLit(True), slots)
     assert v.proved and not v.witnesses
 
 
