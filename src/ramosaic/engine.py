@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from . import interference, posets
 from .interference import CTX
-from .intervals import mem_join, val_widen
+from .intervals import val_widen
 from .litmus import AssertInst, Cfg, Label, Nop, Program, build_cfg
 from .states import AbstractState, StateBucket, StateSet, _mo_join
 from .transfer import (AnalysisContext, TransferConfig, Verdict, check_assert,
@@ -48,27 +48,31 @@ class AnalysisResult:
         return all(v.proved for v in self.verdicts.values())
 
 
-def _collapse(table: posets.PosetTable, states) -> Optional[AbstractState]:
+def _collapse(ctx: AnalysisContext, states) -> Optional[AbstractState]:
     """Fold a state list into a single state (variable-wise poset join,
     memory hull); used only when widening at loop headers."""
     if not states:
         return None
     cur = states[0]
     for s in states[1:]:
-        cur = AbstractState(_mo_join(table, cur.mo, s.mo), mem_join(cur.mem, s.mem), cur.layout)
+        cur = AbstractState(_mo_join(ctx.posets, cur.mo, s.mo),
+                            ctx.values.mem_join(cur.mem, s.mem), cur.layout)
     return cur
 
 
-def _widen_states(table: posets.PosetTable, old_states, new_states) -> list:
-    old = _collapse(table, old_states)
-    new = _collapse(table, new_states)
+def _widen_states(ctx: AnalysisContext, old_states, new_states) -> list:
+    old = _collapse(ctx, old_states)
+    new = _collapse(ctx, new_states)
     if old is None:
         return list(new_states)
     if new is None:
         return list(old_states)
+    table, values = ctx.posets, ctx.values
     mo = tuple([table.intern(posets.widen(table.posets[p], table.posets[q]))
                 for p, q in zip(old.mo, new.mo)])
-    return [AbstractState(mo, tuple(map(val_widen, old.mem, new.mem)), old.layout)]
+    mem = tuple([values.intern(val_widen(values.values[a], values.values[b]))
+                 for a, b in zip(old.mem, new.mem)])
+    return [AbstractState(mo, mem, old.layout)]
 
 
 def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
@@ -124,7 +128,7 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
         bump = visits[lbl] - 1
         new = _node_states(ctx, lbl, pre_states, global_ss, interfs, bump)
         if lbl in cfg.loop_headers and visits[lbl] > ctx.tc.widening_threshold:
-            new = tuple(_widen_states(ctx.posets, local.get(lbl, ()), new))
+            new = tuple(_widen_states(ctx, local.get(lbl, ()), new))
             if widened is not None:
                 widened.add(lbl)
         if new != local.get(lbl, ()):
@@ -149,8 +153,16 @@ def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
 
 
 def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> AnalysisResult:
+    """The rounds' fixpoint with its assertions evaluated."""
+    sigma, rounds, effective, widened = _rounds(ctx, passes, max_iterations)
+    return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
+                          frozenset(widened), ctx.cfg, ctx.sb)
+
+
+def _rounds(ctx: AnalysisContext, passes: list, max_iterations: int) -> tuple:
     """Run every pass, a (thread, interference map) pair, once per round
-    until the state set stops changing.
+    until the state set stops changing.  Returns σ, the rounds run, the
+    rounds that changed σ and the widened labels.
 
     Every pass of a round reads the global set σ itself and returns its
     local map.  A pass reads σ only at the interference sources of its map,
@@ -201,8 +213,7 @@ def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> Analys
         if new in seen:
             break
         fingerprint = new
-    return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
-                          frozenset(widened), ctx.cfg, ctx.sb)
+    return sigma, rounds, effective, widened
 
 
 def tmai(program: Program, tc: TransferConfig = TransferConfig(),

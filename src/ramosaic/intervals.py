@@ -1,4 +1,5 @@
-"""Interval domain over arbitrary-precision integers, plus memories.
+"""Interval domain over arbitrary-precision integers, plus memories of
+interned intervals.
 
 The domain sits behind a small contract (join / widen / meet / eval / refine)
 so a relational domain could be slotted in later without touching the
@@ -81,8 +82,7 @@ def _mk(lo, hi) -> Interval:
 
 
 def val_join(a: Interval, b: Interval) -> Interval:
-    """The hull; an empty operand is the unit.  Bounds are read from the
-    tuple directly, since the merge joins every memory slot."""
+    """The hull; an empty operand is the unit."""
     alo, ahi = a
     blo, bhi = b
     if alo is not None and ahi is not None and alo > ahi:
@@ -140,25 +140,82 @@ def mul(a: Interval, b: Interval) -> Interval:
 
 
 # --------------------------------------------------------------------------
-# Memories: tuples of intervals, one per memory slot.  Expressions name
-# their identifiers, and `slots` maps each to its slot, resolved once per
-# analysis.
+# Memories: tuples of value ids, one per memory slot, of the analysis's
+# `ValueTable`.  Expressions name their identifiers, and `slots` maps each to
+# its slot, resolved once per analysis.
 # --------------------------------------------------------------------------
 
 
-def mem_join(a: tuple, b: tuple) -> tuple:
-    """The slot-wise hull of two memories of one layout."""
-    return tuple([x if x == y else val_join(x, y) for x, y in zip(a, b)])
+class _Ids(dict):
+    """Interval -> id; a miss gives the interval the next id.  The list of
+    the intervals by id is `intervals`."""
+
+    __slots__ = ("intervals",)
+
+    def __init__(self, intervals: list):
+        super().__init__()
+        self.intervals = intervals
+
+    def __missing__(self, iv: Interval) -> int:
+        i = self[iv] = len(self.intervals)
+        self.intervals.append(iv)
+        return i
 
 
-def eval_expr(e: IntExpr, mem: tuple, slots: dict) -> Interval:
+class _Joins(dict):
+    """(id, id) -> the id of the two intervals' hull; a miss joins them."""
+
+    __slots__ = ("intervals", "ids")
+
+    def __init__(self, intervals: list, ids: _Ids):
+        super().__init__()
+        self.intervals = intervals
+        self.ids = ids
+
+    def __missing__(self, pair) -> int:
+        intervals = self.intervals
+        i = self[pair] = self.ids[val_join(intervals[pair[0]], intervals[pair[1]])]
+        return i
+
+
+class ValueTable:
+    """The intervals of one analysis, interned: `values[i]` is the interval
+    with id `i`, and `intern(iv)` gives `iv`'s id.  The domain returns EMPTY
+    for every empty result, so two ids are equal exactly when their
+    intervals are, and a memory of ids hashes and compares as a tuple of
+    ints.  Joins are memoized on id pairs.  Hits of both maps run in C: a
+    lookup of an id or a join is a dict subscript, and only a miss runs
+    Python."""
+
+    __slots__ = ("values", "ids", "joins")
+
+    def __init__(self):
+        self.values: list = []
+        self.ids = _Ids(self.values)
+        self.joins = _Joins(self.values, self.ids)
+
+    def intern(self, iv: Interval) -> int:
+        return self.ids[iv]
+
+    def join(self, a: int, b: int) -> int:
+        return a if a == b else self.joins[a, b]
+
+    def mem_join(self, a: tuple, b: tuple) -> tuple:
+        """The slot-wise hull of two memories of one layout: the one join
+        of memories."""
+        joins = self.joins
+        return tuple([x if x == y else joins[x, y] for x, y in zip(a, b)])
+
+
+def eval_expr(e: IntExpr, mem: tuple, slots: dict, table: ValueTable) -> Interval:
+    """The value of `e`; only the slots `e` names are read off the table."""
     if isinstance(e, Lit):
         return singleton(e.value)
     if isinstance(e, Name):
-        return mem[slots[e.ident]]
+        return table.values[mem[slots[e.ident]]]
     if isinstance(e, BinOp):
-        l = eval_expr(e.left, mem, slots)
-        r = eval_expr(e.right, mem, slots)
+        l = eval_expr(e.left, mem, slots, table)
+        r = eval_expr(e.right, mem, slots, table)
         if e.op == "+":
             return add(l, r)
         if e.op == "-":
@@ -205,39 +262,42 @@ _TIGHTEN = {
 FLIP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _refine_cmp(mem: tuple, cond: Cmp, slots: dict) -> Optional[tuple]:
+def _refine_cmp(mem: tuple, cond: Cmp, slots: dict, table: ValueTable) -> Optional[tuple]:
     """A name operand is tightened against the other operand's value, both
     evaluated before either is tightened; a right operand as the left one
-    of the flipped comparison."""
-    lv = eval_expr(cond.left, mem, slots)
-    rv = eval_expr(cond.right, mem, slots)
+    of the flipped comparison.  Only a tightened slot is interned."""
+    lv = eval_expr(cond.left, mem, slots, table)
+    rv = eval_expr(cond.right, mem, slots, table)
     if lv.is_empty or rv.is_empty or not _SATISFIABLE[cond.op](lv, rv):
         return None
     for side, op, bound in ((cond.left, cond.op, rv), (cond.right, FLIP[cond.op], lv)):
         if isinstance(side, Name):
             k = slots[side.ident]
-            nv = _TIGHTEN[op](mem[k], bound)
+            old = table.values[mem[k]]
+            nv = _TIGHTEN[op](old, bound)
             if nv.is_empty:
                 return None
-            mem = (*mem[:k], nv, *mem[k + 1:])
+            if nv != old:
+                mem = (*mem[:k], table.intern(nv), *mem[k + 1:])
     return mem
 
 
-def refine(mem: tuple, cond: BoolExpr, slots: dict) -> Optional[tuple]:
-    """Constrain mem to satisfy cond; None when infeasible."""
+def refine(mem: tuple, cond: BoolExpr, slots: dict, table: ValueTable) -> Optional[tuple]:
+    """Constrain mem, a tuple of ids of `table`, to satisfy cond; None when
+    infeasible."""
     if isinstance(cond, BoolLit):
         return mem if cond.value else None
     if isinstance(cond, And):
-        m = refine(mem, cond.left, slots)
-        return refine(m, cond.right, slots) if m is not None else None
+        m = refine(mem, cond.left, slots, table)
+        return refine(m, cond.right, slots, table) if m is not None else None
     if isinstance(cond, Or):
-        a = refine(mem, cond.left, slots)
-        b = refine(mem, cond.right, slots)
+        a = refine(mem, cond.left, slots, table)
+        b = refine(mem, cond.right, slots, table)
         if a is None:
             return b
         if b is None:
             return a
-        return mem_join(a, b)
+        return table.mem_join(a, b)
     if isinstance(cond, Cmp):
-        return _refine_cmp(mem, cond, slots)
+        return _refine_cmp(mem, cond, slots, table)
     raise TypeError(cond)

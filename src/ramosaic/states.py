@@ -1,12 +1,13 @@
-"""Program states (per-variable poset ids, interval memory) and the
+"""Program states (per-variable poset ids, memory of value ids) and the
 instruction-wise merge that keeps per-label state sets in normal form:
 two states at a label collapse when their poset maps agree (memories join)
 or their memories agree (posets join variable-wise).
 
 A state holds values only: its posets as the int ids of its analysis's
-`PosetTable`, which its layout holds.  Its label is where it is stored: the
-key of its bucket in a `StateSet`, so one state object may sit at several
-labels.
+`PosetTable` and its memory as the int ids of its analysis's
+`intervals.ValueTable`, both held by its layout.  Its label is where it is
+stored: the key of its bucket in a `StateSet`, so one state object may sit
+at several labels.
 
 The normal form makes both the poset map and the memory a unique key within
 a label's set, so buckets keep hash indexes on each.
@@ -25,15 +26,17 @@ class Layout:
     """The names behind the value tuples of one thread's states: the poset
     keys (shared variables and mutexes) and the memory keys (shared
     variables and the thread's registers), each sorted, with the index of
-    every key, and the `PosetTable` whose ids the states hold.  An analysis
-    builds one per thread over its one table; its states point to it and
-    hold values only.  The shared variables are the keys of both kinds,
-    since registers and mutexes never share a name; `shared_slots` holds
-    (variable, memory slot, poset slot) for each."""
+    every key, and the `PosetTable` and `ValueTable` whose ids the states
+    hold.  An analysis builds one per thread over its one pair of tables;
+    its states point to it and hold values only.  The shared variables are
+    the keys of both kinds, since registers and mutexes never share a name;
+    `shared_slots` holds (variable, memory slot, poset slot) for each."""
 
-    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "shared_slots", "table")
+    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "shared_slots", "table",
+                 "values")
 
-    def __init__(self, mo_keys, mem_keys, table: posets.PosetTable):
+    def __init__(self, mo_keys, mem_keys, table: posets.PosetTable,
+                 values: intervals.ValueTable):
         self.mo_keys = tuple(sorted(mo_keys))
         self.mem_keys = tuple(sorted(mem_keys))
         self.mo_slot = {k: i for i, k in enumerate(self.mo_keys)}
@@ -41,17 +44,17 @@ class Layout:
         self.shared_slots = tuple((k, i, self.mo_slot[k])
                                   for i, k in enumerate(self.mem_keys) if k in self.mo_slot)
         self.table = table
+        self.values = values
 
 
 class AbstractState:
-    """One poset id of the layout's table per poset key and one interval
-    per memory key.  The states of one label share their thread's layout,
-    so `==` and `hash` read `mo` and `mem` only."""
+    """One poset id of the layout's table per poset key and one value id of
+    its value table per memory key.  The states of one label share their
+    thread's layout, so `==` and `hash` read `mo` and `mem` only."""
 
     __slots__ = ("mo", "mem", "layout")
 
-    def __init__(self, mo: Tuple[int, ...], mem: Tuple[intervals.Interval, ...],
-                 layout: Layout):
+    def __init__(self, mo: Tuple[int, ...], mem: Tuple[int, ...], layout: Layout):
         self.mo = mo
         self.mem = mem
         self.layout = layout
@@ -71,15 +74,15 @@ class AbstractState:
     def make(mo: Dict[str, MoPoset], mem: Dict[str, intervals.Interval],
              layout: Layout) -> "AbstractState":
         """The state with the given maps, whose keys are the layout's; the
-        posets are interned in the layout's table."""
-        intern = layout.table.intern
-        return AbstractState(tuple([intern(mo[k]) for k in layout.mo_keys]),
-                             tuple([mem[k] for k in layout.mem_keys]), layout)
+        posets and intervals are interned in the layout's tables."""
+        return AbstractState(tuple([layout.table.intern(mo[k]) for k in layout.mo_keys]),
+                             tuple([layout.values.intern(mem[k]) for k in layout.mem_keys]),
+                             layout)
 
     def slot_update(self, mo: tuple = (), mem: tuple = ()) -> "AbstractState":
         """This state with the values at the given slots replaced:
         `mo` and `mem` hold (slot, value) pairs, a slot being an index into
-        the value tuple and a poset value an id of the layout's table."""
+        the value tuple and a value an id of the layout's tables."""
         new_mo = self.mo
         if mo:
             new_mo = list(new_mo)
@@ -102,7 +105,8 @@ class AbstractState:
         return layout.table.posets[self.mo[layout.mo_slot[var]]]
 
     def val(self, key: str) -> intervals.Interval:
-        return self.mem[self.layout.mem_slot[key]]
+        layout = self.layout
+        return layout.values.values[self.mem[layout.mem_slot[key]]]
 
     def sort_key(self) -> tuple:
         """Orders the states of one label's bucket.  They differ in their
@@ -121,7 +125,8 @@ class AbstractState:
     def fmt(self) -> str:
         layout = self.layout
         pos = " ".join(f"{v}:{layout.table.posets[p]}" for v, p in zip(layout.mo_keys, self.mo))
-        vals = " ".join(f"{k}:{iv}" for k, iv in zip(layout.mem_keys, self.mem))
+        values = layout.values.values
+        vals = " ".join(f"{k}:{values[v]}" for k, v in zip(layout.mem_keys, self.mem))
         return f"{pos} | {vals}"
 
 
@@ -164,7 +169,7 @@ class StateBucket:
             if other is not None:
                 if cur.mem == other.mem:
                     return
-                mem = intervals.mem_join(other.mem, cur.mem)
+                mem = cur.layout.values.mem_join(other.mem, cur.mem)
                 if mem == other.mem:
                     return
                 self._remove(other)

@@ -7,6 +7,10 @@ variable by variable: when one side's poset strictly extends the other's,
 that side has observed every store the other has (and more), so its value for
 the variable is the current one; incomparable or equal views fall back to the
 interval hull.  The loaded variable always takes the source's value.
+
+Memories hold ids of the analysis's `intervals.ValueTable`: expressions read
+the intervals at the slots they name, and the transfers intern only what they
+write.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from . import intervals, posets
-from .intervals import Interval, eval_expr, exclude_value, refine, val_join, val_meet
+from .intervals import eval_expr, exclude_value, refine, val_meet
 from .litmus import (And, AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
                      LoadInst, LockInst, Nop, Program, Store, UnlockInst,
                      expr_names, negate)
@@ -45,17 +49,33 @@ class Verdict:
         return "Proved" if self.proved else "PossiblyViolated"
 
 
+class _SharedSlotMaps(dict):
+    """(target layout, source layout) -> the pair's shared-slot map, built
+    on the first lookup of the pair."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair) -> tuple:
+        lt, ls = pair
+        m = self[pair] = tuple((i, j, ls.mem_slot[v]) for v, i, j in lt.shared_slots)
+        return m
+
+
 class AnalysisContext:
     """Per-program analysis data: CFG, sb index, events, the slot layouts
-    of states, and the analysis's caches: the poset table that every
-    transfer and merge builds its posets through, and the node memo of
-    `engine.seq_ai`.
+    of states, and the analysis's caches: the poset table and the value
+    table that every transfer and merge builds its posets and intervals
+    through, and the node memo of `engine.seq_ai`.
 
     `layouts[thread]` names the slots of that thread's states, and
     `slots[thread]` maps each identifier of its expressions (a shared
     variable or a register) to its memory slot, both once for the whole
     analysis, so transfers index value tuples instead of looking up names
-    in each state.
+    in each state.  `shared_slot_maps[target layout, source layout]`
+    lists (memory slot in the target, poset slot, memory slot in the
+    source) per shared variable; the layouts share their poset keys, so a
+    poset slot is one for both.  A pair's map is built when an
+    interference first reads it.
     """
 
     def __init__(self, program: Program, cfg: Cfg, tc: TransferConfig):
@@ -70,19 +90,15 @@ class AnalysisContext:
             lbl: Event(lbl.name, lbl.instance, cfg.thread_of[lbl], kind, loc)
             for lbl, (kind, loc) in cfg.accesses.items() if kind != "load"}
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
+        self.values = intervals.ValueTable()
         self.layouts = {t: Layout(self.po_keys(), (*program.shared_names(), *regs),
-                                  self.posets)
+                                  self.posets, self.values)
                         for t, regs in self.registers.items()}
         self.slots = {t: {**{v: layout.mem_slot[v] for v in program.shared_names()},
                           **{r: layout.mem_slot[program.register_key(t, r)]
                              for r in program.thread_registers(t)}}
                       for t, layout in self.layouts.items()}
-        # (target layout, source layout) -> (memory slot in the target,
-        # poset slot, memory slot in the source) per shared variable; the
-        # layouts share their poset keys, so a poset slot is one for both
-        self.shared_slot_maps = {
-            (lt, ls): tuple((i, j, ls.mem_slot[v]) for v, i, j in lt.shared_slots)
-            for lt in self.layouts.values() for ls in self.layouts.values()}
+        self.shared_slot_maps = _SharedSlotMaps()
         self.initial_states = {t: self._entry_state(t) for t in self.registers}
         # (label, bump, interference sources) -> (pre-states, global reads,
         # merged states) of the node's latest visit; see engine.seq_ai
@@ -115,7 +131,7 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
     """The target state after reading from the source's write `src_event`,
     or None when the views are inconsistent.  With `reg`, a memory slot of
     the target, the loaded value is also written there: a load's register.
-    Both states hold ids of `ctx.posets`."""
+    Both states hold ids of `ctx.posets` and `ctx.values`."""
     table = ctx.posets
     k = target.layout.mo_slot[src_event.var]
     tmo, smo = target.mo, source.mo
@@ -139,10 +155,12 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
     # With every meet non-bottom, the source's poset is `less` than the
     # target's exactly when it equals their meet, and the other way round;
     # one poset strictly below the other is `less` one way only, and the
-    # same poset on both sides is neither view ahead.  Equal posets have
-    # equal ids, so the test compares ids.
+    # same poset on both sides is neither view ahead.  Equal posets and
+    # equal intervals have equal ids, so the tests compare ids and a hull
+    # is a lookup in the value table's join memo.
     smem = source.mem
     new_mem = list(target.mem)
+    joins = ctx.values.joins
     loaded = None
     for i, j, si in ctx.shared_slot_maps[target.layout, source.layout]:
         sv = smem[si]
@@ -157,7 +175,7 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
                 if src_below:  # the source's view is ahead
                     new_mem[i] = sv
                 continue  # otherwise the target's is
-            new_mem[i] = val_join(tv, sv)
+            new_mem[i] = joins[tv, sv]
     if reg is not None:
         new_mem[reg] = loaded
     return AbstractState(tuple(new_mo), tuple(new_mem), target.layout)
@@ -170,7 +188,7 @@ def _load_bases(ctx, s, interfs, global_ss, var, reg=None):
     `reg`, a memory slot, each base holds it there too."""
     for src in interfs:
         if src == CTX:
-            yield s if reg is None else s.slot_update(mem=((reg, s.val(var)),))
+            yield s if reg is None else s.slot_update(mem=((reg, s.mem[s.layout.mem_slot[var]]),))
             continue
         ev = ctx.events[src]
         cas = isinstance(ctx.cfg.nodes[src], Cas)
@@ -197,10 +215,11 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
 
     layout = ctx.layouts[tname]
     slots = ctx.slots[tname]
+    values = ctx.values
 
     if isinstance(instr, Assume):
         for s in pre_states:
-            m = refine(s.mem, instr.cond, slots)
+            m = refine(s.mem, instr.cond, slots, values)
             if m is not None:
                 out.append(AbstractState(s.mo, m, layout))
         return out
@@ -208,10 +227,10 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
     if isinstance(instr, Assign):
         k = slots[instr.reg]
         for s in pre_states:
-            val = eval_expr(instr.value, s.mem, slots)
+            val = eval_expr(instr.value, s.mem, slots, values)
             if val.is_empty:
                 continue
-            out.append(s.slot_update(mem=((k, val),)))
+            out.append(s.slot_update(mem=((k, values.intern(val)),)))
         return out
 
     if isinstance(instr, Store):
@@ -221,10 +240,10 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
             p = ctx.posets.append(s.mo[i], ev)
             if not p:  # bottom
                 continue
-            val = eval_expr(instr.value, s.mem, slots)
+            val = eval_expr(instr.value, s.mem, slots, values)
             if val.is_empty:
                 continue
-            out.append(s.slot_update(mo=((i, p),), mem=((j, val),)))
+            out.append(s.slot_update(mo=((i, p),), mem=((j, values.intern(val)),)))
         return out
 
     if isinstance(instr, LoadInst):
@@ -249,6 +268,8 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
 def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> list:
     tname = ctx.cfg.thread_of[lbl]
     slots = ctx.slots[tname]
+    values = ctx.values
+    intern = values.intern
     var = instr.var
     i = ctx.layouts[tname].mo_slot[var]
     j = slots[var]
@@ -258,26 +279,29 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
     out: list = []
     for s in pre_states:
         for base in _load_bases(ctx, s, interfs, global_ss, var):
-            loaded = base.mem[j]
+            loaded_id = base.mem[j]
+            loaded = values.values[loaded_id]
             # a base whose order already holds this rmw read from a write
             # after it: infeasible for the failed cas as for the success
             if loaded.is_empty or ev in ctx.posets.posets[base.mo[i]].events:
                 continue
             if isinstance(instr, Fadd):
-                addend = eval_expr(instr.addend, base.mem, slots)
+                addend = eval_expr(instr.addend, base.mem, slots, values)
                 stored = intervals.add(loaded, addend)
                 p = ctx.posets.append(base.mo[i], ev)
                 if not p or stored.is_empty:
                     continue
-                out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, loaded))))
+                out.append(base.slot_update(mo=((i, p),),
+                                            mem=((j, intern(stored)), (k, loaded_id))))
                 continue
-            expected = eval_expr(instr.expected, base.mem, slots)
+            expected = eval_expr(instr.expected, base.mem, slots, values)
             succ = val_meet(loaded, expected)
             if not succ.is_empty:
-                stored = eval_expr(instr.new, base.mem, slots)
+                stored = eval_expr(instr.new, base.mem, slots, values)
                 p = ctx.posets.append(base.mo[i], ev)
                 if p and not stored.is_empty:
-                    out.append(base.slot_update(mo=((i, p),), mem=((j, stored), (k, succ))))
+                    out.append(base.slot_update(mo=((i, p),),
+                                                mem=((j, intern(stored)), (k, intern(succ)))))
             certain_success = (loaded.is_singleton() and expected.is_singleton()
                                and loaded.lo == expected.lo)
             if not certain_success:
@@ -285,7 +309,8 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
                 if fail.is_empty:
                     continue
                 # a failed cas reads (and synchronizes) but publishes no event
-                out.append(base.slot_update(mem=((j, fail), (k, fail))))
+                fail_id = intern(fail)
+                out.append(base.slot_update(mem=((j, fail_id), (k, fail_id))))
     return out
 
 
@@ -335,17 +360,17 @@ def check_assert(states, cond, slots: dict) -> Verdict:
     """Proved iff the negated condition is infeasible in every state.
     `refine` reads only the slots the condition names, so feasibility is
     decided once per distinct projection of the states onto those slots,
-    on the first state with that projection; the witnesses are the states
-    whose projection is feasible, in order."""
+    as value ids, on the first state with that projection; the witnesses
+    are the states whose projection is feasible, in order."""
     neg = negate(cond)
     named = sorted({slots[n] for n in expr_names(neg)})
     feasible: dict = {}
     witnesses = []
     for s in states:
-        values = tuple([s.mem[i] for i in named])
-        ok = feasible.get(values)
+        ids = tuple([s.mem[i] for i in named])
+        ok = feasible.get(ids)
         if ok is None:
-            ok = feasible[values] = refine(s.mem, neg, slots) is not None
+            ok = feasible[ids] = refine(s.mem, neg, slots, s.layout.values) is not None
         if ok:
             witnesses.append(s)
     return Verdict(not witnesses, tuple(witnesses))
@@ -399,9 +424,9 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
     component of threads linked by shared conjuncts has a combination of
     their exit states, projected onto the named registers, that satisfies
     the component's conjuncts in order.  A component's memory is the
-    concatenation of its threads' projections, and each name maps to its
-    position there once.  A thread without exit states leaves no complete
-    execution, so the postcondition is proved.
+    concatenation of its threads' projections, as value ids, and each name
+    maps to its position there once.  A thread without exit states leaves
+    no complete execution, so the postcondition is proved.
     """
     exits = {t: ss.at(ctx.cfg.exits[t]) for t in ctx.registers}
     if not all(exits.values()):
@@ -411,7 +436,7 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
     names = [expr_names(c) for c in conjuncts]
     key_of = {n: ctx.program.resolve_postcondition_name(n) for n in set().union(*names)}
     key_sets = [{key_of[n] for n in ns} for ns in names]
-    witness: Dict[str, Interval] = {}
+    witness: Dict[str, int] = {}
     for threads, idx in _components(key_sets, owner):
         named = set().union(*(key_sets[i] for i in idx))
         keys, options = [], []
@@ -425,7 +450,7 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
         for combo in itertools.product(*options):
             mem: Optional[tuple] = tuple(itertools.chain.from_iterable(combo))
             for i in idx:
-                mem = refine(mem, conjuncts[i], slots)
+                mem = refine(mem, conjuncts[i], slots, ctx.values)
                 if mem is None:
                     break
             if mem is not None:
@@ -433,4 +458,5 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
                 break
         else:
             return Verdict(True)
-    return Verdict(False, (tuple(sorted((k, str(v)) for k, v in witness.items())),))
+    values = ctx.values.values
+    return Verdict(False, (tuple(sorted((k, str(values[v])) for k, v in witness.items())),))

@@ -315,3 +315,22 @@ def test_failed_cas_source_was_a_false_positive():
     execs = enumerate_executions(program)
     assert execs and not any(e.violations for e in execs)
     assert check_soundness(program, r, execs=execs).ok
+
+
+def test_scaling_script_runs_the_phases_of_tmai():
+    """`scripts/scaling.py` runs tmai's phases one at a time; it reaches
+    the states and rounds of `tmai` itself on both of its families."""
+    import importlib.util
+    import random
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "scaling.py"
+    spec = importlib.util.spec_from_file_location("scaling", path)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    for member in (scaling.families.peterson(3, random.Random(1)),
+                   scaling.families.readers(4, random.Random(1))):
+        times, states, rounds = scaling.run_once(member.source)
+        result = tmai(parse(member.source))
+        assert (states, rounds) == (result.states.total_states(), result.iterations_total)
+        assert len(times) == len(scaling.PHASES) and min(times) >= 0

@@ -10,7 +10,7 @@ import pytest
 from ramosaic import oracle
 from ramosaic.cli import main
 from ramosaic.engine import tmai
-from ramosaic.intervals import refine
+from ramosaic.intervals import ValueTable, refine
 from ramosaic.litmus import build_cfg, expr_names, negate, parse
 from ramosaic.randprog import random_program
 
@@ -19,7 +19,8 @@ def brute_force_proved(program, ss) -> bool:
     """Reference: refine the negated postcondition over the full product of
     every thread's exit states, each restricted to that thread's registers,
     as one memory of every thread's registers.  A thread without exit
-    states makes the product empty."""
+    states makes the product empty.  The memories are interned in a table
+    of their own."""
     cfg = build_cfg(program)
     neg = negate(program.postcondition)
     keys, per_thread = [], []
@@ -28,8 +29,10 @@ def brute_force_proved(program, ss) -> bool:
         keys += regs
         per_thread.append([tuple(s.val(k) for k in regs) for s in ss.at(cfg.exits[t.name])])
     slots = {n: keys.index(program.resolve_postcondition_name(n)) for n in expr_names(neg)}
+    table = ValueTable()
     for combo in itertools.product(*per_thread):
-        if refine(tuple(itertools.chain.from_iterable(combo)), neg, slots) is not None:
+        mem = tuple(table.intern(v) for v in itertools.chain.from_iterable(combo))
+        if refine(mem, neg, slots, table) is not None:
             return False
     return True
 

@@ -28,8 +28,9 @@ from conftest import LOOPED_SOURCES, corpus_files, peterson
 
 def apply_interference_by_less(ctx, target, source, src_event, reg=None):
     """The view rule with `less` tested both ways on the target's and the
-    source's posets, read off the table's id-to-poset map, and the loaded
-    register written by a second build."""
+    source's posets, read off the table's id-to-poset map, intervals joined
+    with `val_join` in place of the join memo, and the loaded register
+    written by a second build."""
     table = ctx.posets
     var = src_event.var
     k = target.layout.mo_slot[var]
@@ -44,6 +45,7 @@ def apply_interference_by_less(ctx, target, source, src_event, reg=None):
             return None
         new_mo.append(met)
     src_slot = source.layout.mem_slot
+    values = ctx.values
     new_mem = list(target.mem)
     for v, i, j in target.layout.shared_slots:
         sv = source.mem[src_slot[v]]
@@ -57,7 +59,7 @@ def apply_interference_by_less(ctx, target, source, src_event, reg=None):
                 if src_below:
                     new_mem[i] = sv
                 continue
-        new_mem[i] = val_join(new_mem[i], sv)
+        new_mem[i] = values.intern(val_join(values.values[new_mem[i]], values.values[sv]))
     out = AbstractState(tuple(new_mo), tuple(new_mem), target.layout)
     if reg is not None:
         out = out.slot_update(mem=((reg, source.mem[src_slot[var]]),))
@@ -67,7 +69,8 @@ def apply_interference_by_less(ctx, target, source, src_event, reg=None):
 def check_assert_full(states, cond, slots) -> Verdict:
     """One `refine` over the full memory of every state."""
     neg = negate(cond)
-    witnesses = tuple(s for s in states if refine(s.mem, neg, slots) is not None)
+    witnesses = tuple(s for s in states
+                      if refine(s.mem, neg, slots, s.layout.values) is not None)
     return Verdict(not witnesses, witnesses)
 
 

@@ -3,7 +3,8 @@ import random
 from hypothesis import given, strategies as st
 
 from ramosaic import intervals as iv
-from ramosaic.intervals import EMPTY, FLIP, TOP, Interval, eval_expr, refine, singleton
+from ramosaic.intervals import (EMPTY, FLIP, TOP, Interval, ValueTable, eval_expr, refine,
+                                singleton)
 from ramosaic.litmus import Cmp, Lit, Name, build_cfg, parse
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
@@ -71,51 +72,100 @@ def test_widen_chain_stabilizes(a, chain):
     assert changes <= 3
 
 
+@st.composite
+def table_intervals(draw):
+    """An interval as drawn above, or the domain's result on two of them,
+    which may be empty."""
+    a = draw(intervals_())
+    op = draw(st.sampled_from([None, iv.val_meet, iv.add, iv.sub, iv.mul, iv.val_widen]))
+    return a if op is None else op(a, draw(intervals_()))
+
+
+@given(st.lists(table_intervals(), min_size=1, max_size=12))
+def test_value_ids_are_equal_exactly_when_the_intervals_are(ivs):
+    table = ValueTable()
+    ids = [table.intern(v) for v in ivs]
+    assert [table.values[i] for i in ids] == ivs
+    for a, ia in zip(ivs, ids):
+        for b, ib in zip(ivs, ids):
+            assert (ia == ib) == (a == b)
+    assert sorted(set(ids)) == list(range(len(table.values)))
+
+
+@given(st.lists(table_intervals(), min_size=2, max_size=8), st.data())
+def test_value_table_join_is_the_interned_hull(ivs, data):
+    table = ValueTable()
+    ids = [table.intern(v) for v in ivs]
+    for _ in range(6):
+        a, b = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+        want = table.intern(iv.val_join(table.values[a], table.values[b]))
+        assert table.join(a, b) == want
+        assert table.join(a, b) == want  # a memo hit gives the same id
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(table_intervals(), min_size=n, max_size=n),
+    st.lists(table_intervals(), min_size=n, max_size=n))))
+def test_mem_join_is_the_slot_wise_hull(mems):
+    table = ValueTable()
+    a, b = (tuple(table.intern(v) for v in m) for m in mems)
+    joined = table.mem_join(a, b)
+    assert [table.values[i] for i in joined] == [iv.val_join(x, y) for x, y in zip(*mems)]
+    assert table.mem_join(a, a) == a
+
+
 _PROGRAM = parse("vars x = 0;\nthread t { a: r = load x; b: r2 = load x; }")
-# identifier -> memory slot in thread t's states
-SLOTS = AnalysisContext(_PROGRAM, build_cfg(_PROGRAM), TransferConfig()).slots["t"]
+_CTX = AnalysisContext(_PROGRAM, build_cfg(_PROGRAM), TransferConfig())
+# identifier -> memory slot in thread t's states, and the value table
+SLOTS = _CTX.slots["t"]
+VALUES = _CTX.values
 
 
 def _mem(r=None, r2=None) -> tuple:
-    """A memory of thread t: x is 0, r and r2 as given or unbounded."""
+    """A memory of thread t, as ids of VALUES: x is 0, r and r2 as given or
+    unbounded."""
     values = {"x": singleton(0), "r": TOP if r is None else r, "r2": TOP if r2 is None else r2}
-    return tuple(values[n] for n in sorted(SLOTS, key=SLOTS.get))
+    return tuple(VALUES.intern(values[n]) for n in sorted(SLOTS, key=SLOTS.get))
+
+
+def _at(mem: tuple, name: str) -> Interval:
+    return VALUES.values[mem[SLOTS[name]]]
 
 
 def test_eval_examples():
     from ramosaic.litmus import _Parser
 
     mem = _mem(r=Interval(0, 2))
-    assert eval_expr(_Parser("r + 1").parse_iexpr(), mem, SLOTS) == Interval(1, 3)
-    assert eval_expr(_Parser("5").parse_iexpr(), mem, SLOTS) == singleton(5)
+    assert eval_expr(_Parser("r + 1").parse_iexpr(), mem, SLOTS, VALUES) == Interval(1, 3)
+    assert eval_expr(_Parser("5").parse_iexpr(), mem, SLOTS, VALUES) == singleton(5)
     mem = _mem(r=Interval(0, 1), r2=Interval(0, 1))
-    assert eval_expr(_Parser("r - r2").parse_iexpr(), mem, SLOTS) == Interval(-1, 1)
+    assert eval_expr(_Parser("r - r2").parse_iexpr(), mem, SLOTS, VALUES) == Interval(-1, 1)
     mem = _mem(r=Interval(-1, 2), r2=Interval(-3, 3))
-    assert eval_expr(_Parser("r * r2").parse_iexpr(), mem, SLOTS) == Interval(-6, 6)
+    assert eval_expr(_Parser("r * r2").parse_iexpr(), mem, SLOTS, VALUES) == Interval(-6, 6)
 
 
 def _refined(cond_src, r):
     from ramosaic.litmus import _Parser
 
     cond = _Parser(cond_src).parse_bexpr()
-    return refine(_mem(r=r), cond, SLOTS)
+    return refine(_mem(r=r), cond, SLOTS, VALUES)
 
 
 def test_refine_examples():
     out = _refined("r == 3", Interval(0, 5))
-    assert out[SLOTS["r"]] == singleton(3)
+    assert _at(out, "r") == singleton(3)
     assert _refined("r > 4", Interval(0, 1)) is None
     out = _refined("r != 0", Interval(0, 5))
-    assert out[SLOTS["r"]] == Interval(1, 5)
+    assert _at(out, "r") == Interval(1, 5)
     out = _refined("r != 3", Interval(0, 5))
-    assert out[SLOTS["r"]] == Interval(0, 5)  # interior value: no trim
+    assert _at(out, "r") == Interval(0, 5)  # interior value: no trim
 
 
 def test_refine_conjunction_disjunction():
     out = _refined("r >= 1 && r <= 3", Interval(0, 9))
-    assert out[SLOTS["r"]] == Interval(1, 3)
+    assert _at(out, "r") == Interval(1, 3)
     out = _refined("r == 0 || r == 5", Interval(0, 5))
-    assert out[SLOTS["r"]] == Interval(0, 5)  # hull of both branches
+    assert _at(out, "r") == Interval(0, 5)  # hull of both branches
     assert _refined("r == 0 && r == 5", Interval(0, 5)) is None
 
 
@@ -153,12 +203,12 @@ def test_refine_soundness_against_enumeration():
         lo1, lo2 = rng.randint(-2, 4), rng.randint(-2, 4)
         a = Interval(lo1, lo1 + rng.randint(0, 5))
         b = Interval(lo2, lo2 + rng.randint(0, 5))
-        out = refine(_mem(r=a, r2=b), cond, SLOTS)
+        out = refine(_mem(r=a, r2=b), cond, SLOTS, VALUES)
         for va in range(a.lo, a.hi + 1):
             for vb in range(b.lo, b.hi + 1):
                 if holds(cond, {"r": va, "r2": vb}):
                     assert out is not None
-                    assert va in out[SLOTS["r"]] and vb in out[SLOTS["r2"]]
+                    assert va in _at(out, "r") and vb in _at(out, "r2")
 
 
 @given(st.sampled_from(sorted(FLIP)), intervals_(), intervals_(),
@@ -168,4 +218,5 @@ def test_refine_is_symmetric_under_the_flipped_operator(op, a, b, right):
     same name or a literal, over intervals with unbounded or empty ends."""
     mem = _mem(r=a, r2=b)
     left, right = Name("r"), Name(right) if isinstance(right, str) else Lit(right)
-    assert refine(mem, Cmp(op, left, right), SLOTS) == refine(mem, Cmp(FLIP[op], right, left), SLOTS)
+    assert (refine(mem, Cmp(op, left, right), SLOTS, VALUES)
+            == refine(mem, Cmp(FLIP[op], right, left), SLOTS, VALUES))

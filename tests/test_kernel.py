@@ -162,12 +162,13 @@ def test_slot_update_equals_make_from_updated_maps():
                           for i in rng.sample(range(len(s.mo)), rng.randint(0, len(s.mo))))
             mem_up = tuple((i, rng.choice(values))
                            for i in rng.sample(range(len(s.mem)), rng.randint(0, min(2, len(s.mem)))))
-            mo, mem = s.mo_map(), dict(zip(s.layout.mem_keys, s.mem))
+            mo, mem = s.mo_map(), {k: s.val(k) for k in s.layout.mem_keys}
             for i, p in mo_up:
                 mo[s.layout.mo_keys[i]] = s.layout.table.posets[p]
             for i, iv in mem_up:
                 mem[s.layout.mem_keys[i]] = iv
-            updated = s.slot_update(mo=mo_up, mem=mem_up)
+            ids_up = tuple((i, s.layout.values.intern(iv)) for i, iv in mem_up)
+            updated = s.slot_update(mo=mo_up, mem=ids_up)
             assert updated == AbstractState.make(mo, mem, s.layout)
             assert updated.layout is s.layout
             checked += 1
@@ -193,6 +194,35 @@ def test_context_slots_index_the_sorted_keys():
             assert {n: layout.mem_keys[i] for n, i in ctx.slots[t.name].items()} == names
             assert sorted(layout.shared_slots) == sorted(
                 (v, layout.mem_slot[v], layout.mo_slot[v]) for v in p.shared_names())
+
+
+def test_shared_slot_maps_are_built_per_pair_on_first_use():
+    """A fresh context holds no pair's map; every pair the fixpoint reads
+    gets the map of the formula that once built all pairs up front, and
+    a lookup of any pair of layouts gives that map too."""
+    programs = [random_program(seed) for seed in range(20)]
+    programs.append(parse(LOOPED_SRC))
+    built_pairs = 0
+    for p in programs:
+        contexts = []
+        init = AnalysisContext.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            assert len(self.shared_slot_maps) == 0
+            contexts.append(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AnalysisContext, "__init__", recording_init)
+            tmai(p)
+        (ctx,) = contexts
+        eager = {(lt, ls): tuple((i, j, ls.mem_slot[v]) for v, i, j in lt.shared_slots)
+                 for lt in ctx.layouts.values() for ls in ctx.layouts.values()}
+        built = dict(ctx.shared_slot_maps)
+        assert all(built[pair] == eager[pair] for pair in built)
+        built_pairs += len(built)
+        assert {pair: ctx.shared_slot_maps[pair] for pair in eager} == eager
+    assert built_pairs > 0
 
 
 # --------------------------------------------------------------------------

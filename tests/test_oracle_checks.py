@@ -165,7 +165,8 @@ def _pin(key: str, value: int):
     def rewrite(thread, states):
         for s in states:
             if key in s.layout.mem_slot:
-                s = s.slot_update(mem=((s.layout.mem_slot[key], singleton(value)),))
+                pinned = s.layout.values.intern(singleton(value))
+                s = s.slot_update(mem=((s.layout.mem_slot[key], pinned),))
             yield s
     return rewrite
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from ramosaic import posets as P
 from ramosaic.engine import analyze_with_combinations, tmai
-from ramosaic.intervals import Interval, mem_join, singleton
+from ramosaic.intervals import Interval, ValueTable, singleton, val_join
 from ramosaic.litmus import Label, parse, unroll
 from ramosaic.oracle import check_soundness
 from ramosaic.posets import Event, poset
@@ -20,9 +20,10 @@ A = Event("a", 1, "t1", "store", "x")
 B = Event("b", 1, "t2", "store", "x")
 L = Label("l")
 
-# The hand-built states below all hold ids of this one table.
+# The hand-built states below all hold ids of these two tables.
 TABLE = P.PosetTable()
-LAYOUT = Layout(("x",), ("x", "t.r"), TABLE)
+VALUES = ValueTable()
+LAYOUT = Layout(("x",), ("x", "t.r"), TABLE, VALUES)
 
 
 def merge_state_list(states: list, s: AbstractState) -> None:
@@ -134,10 +135,10 @@ def test_no_fixpoint_state_has_a_bottom_poset(fixpoint_runs):
 
 def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
     """Every state points to the one layout its analysis built for the
-    label's thread, which holds the analysis's poset table, the names that
-    `po`, `val` and `fmt` give its slots are the sorted keys, `po` reads
-    the poset of each id off the table, and `dump` puts the label in
-    front."""
+    label's thread, which holds the analysis's poset and value tables, the
+    names that `po`, `val` and `fmt` give its slots are the sorted keys,
+    `po` and `val` read the poset and the interval of each id off the
+    tables, and `dump` puts the label in front."""
     for r, ctx in fixpoint_runs:
         assert len(set(map(id, ctx.layouts.values()))) == len(ctx.program.threads)
         mo_keys = sorted(ctx.po_keys())
@@ -148,8 +149,9 @@ def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
             mem_keys = sorted((*ctx.program.shared_names(), *ctx.registers[tname]))
             for s in r.states.at(lbl):
                 assert s.layout is layout and layout.table is ctx.posets
+                assert layout.values is ctx.values
                 assert [s.po(v) for v in mo_keys] == [ctx.posets.posets[p] for p in s.mo]
-                assert [s.val(k) for k in mem_keys] == list(s.mem)
+                assert [s.val(k) for k in mem_keys] == [ctx.values.values[v] for v in s.mem]
                 pos = " ".join(f"{v}:{s.po(v)}" for v in mo_keys)
                 vals = " ".join(f"{k}:{s.val(k)}" for k in mem_keys)
                 assert s.fmt() == f"{pos} | {vals}"
@@ -227,9 +229,16 @@ def test_merge_state_list_matches_stateset():
     assert tuple(lst) == ss.at(L)
 
 
+def _hull(a: tuple, b: tuple) -> tuple:
+    """The slot-wise hull of two memories of VALUES's ids, joined as
+    intervals."""
+    return tuple(VALUES.intern(val_join(VALUES.values[x], VALUES.values[y]))
+                 for x, y in zip(a, b))
+
+
 class _BucketWithoutFastPath(StateBucket):
-    """The merge with no shortcut for covered states: every match is taken
-    out and the joined state put back in."""
+    """The merge with no shortcut for covered states and no join memo:
+    every match is taken out and the joined state put back in."""
 
     __slots__ = ()
 
@@ -239,7 +248,7 @@ class _BucketWithoutFastPath(StateBucket):
             other = self._by_mo.get(cur.mo)
             if other is not None:
                 self._remove(other)
-                cur = AbstractState(cur.mo, mem_join(other.mem, cur.mem), cur.layout)
+                cur = AbstractState(cur.mo, _hull(other.mem, cur.mem), cur.layout)
                 continue
             other = next((c for c in self._by_mem.get(cur.mem, ())
                           if c.critical_signature() == cur.critical_signature()), None)
@@ -283,8 +292,8 @@ def test_merge_fast_path_matches_the_plain_merge(seq):
         if plain.states() == plain_before:
             assert fast.states() is fast_before
     for held in fast.states():
-        covered = (held, AbstractState(held.mo, tuple(singleton(iv.lo) for iv in held.mem),
-                                       held.layout))
+        lows = tuple(VALUES.intern(singleton(VALUES.values[v].lo)) for v in held.mem)
+        covered = (held, AbstractState(held.mo, lows, held.layout))
         for s in covered:
             before = fast.states()
             fast.merge(s)
@@ -304,6 +313,29 @@ def test_a_merge_that_only_removes_resets_the_caches():
     bucket.merge(state(poset({A}), singleton(2), singleton(0)))
     assert bucket.states() == (s2,)
     assert bucket.frozen() == {s2}
+
+
+def test_merging_a_merged_tuple_again_changes_the_set():
+    """The merge is not idempotent across calls, so `engine._rounds` must
+    merge a label's tuple into sigma every round, also when it merged that
+    very tuple the round before.  Merging t joins it with a into
+    ({a.1}, [1,1]), which then takes b in; merging t again finds neither
+    its posets nor its memory and adds it."""
+    c = Event("c", 1, "t3", "store", "x")
+    layout = Layout(("x",), ("x",), TABLE, VALUES)
+
+    def st_(mo_x, x):
+        return AbstractState.make({"x": mo_x}, {"x": x}, layout)
+
+    a = st_(P.chain(A, B), singleton(1))
+    b = st_(poset({A}), singleton(5))
+    t = st_(poset({A, c}), singleton(1))
+    ss = StateSet(TABLE)
+    ss.merge_all(L, [a, b])
+    ss.merge_all(L, [t])
+    assert ss.dump() == "l | x:{a.1} | x:[1,5]"
+    ss.merge_all(L, [t])
+    assert ss.dump() == "l | x:{a.1} | x:[1,5]\nl | x:{a.1, c.1} | x:[1,1]"
 
 
 def test_dump_format():
@@ -365,7 +397,7 @@ def test_cached_keys_do_not_change_equality():
     through two layouts of one table are equal and hash alike."""
     s = state(poset({A}), singleton(1), singleton(0))
     t = AbstractState.make({"x": poset({A})}, {"x": singleton(1), "t.r": singleton(0)},
-                           Layout(("x",), ("x", "t.r"), TABLE))
+                           Layout(("x",), ("x", "t.r"), TABLE, VALUES))
     s.sort_key(), s.critical_signature()
     assert s.layout is not t.layout
     assert s == t and hash(s) == hash(t)
