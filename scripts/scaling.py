@@ -2,21 +2,22 @@
 """Print where `engine.tmai` spends its time on the scaling families.
 
 For each size of the N-thread Peterson filter lock and of the N-reader
-nr1w program (`perfbench/families.py`, `peterson` and `readers`, drawn with
-`--seed`), it prints the best of K wall times of each phase of a `tmai`
-run: parse, CFG (the graph and the interference map), context
-(`AnalysisContext`), fixpoint (the rounds) and evaluation (the assertion
-checks), then the fixpoint's states and rounds.  Every repeat runs all
-phases from the source again; the state and round counts must repeat too.
+nr1w program (`perfbench/families.py`, `peterson` and `readers`), it
+prints the best of K wall times of each phase of a `tmai` run: parse, CFG
+(the graph and the interference map), context (`AnalysisContext`),
+fixpoint (the rounds) and evaluation (the assertion checks), then the
+fixpoint's states and rounds.  Every repeat runs all phases from the source
+again; the state and round counts must repeat too.
 
     python3 scripts/scaling.py [--peterson 2,3,4,5] [--readers 4,8,16,32]
-                               [--repeat K] [--seed S]
+                               [--repeat K]
 
 An empty size list skips its family.  Times are wall-clock seconds of one
 process, so compare them only within one machine.
 """
 
 import argparse
+import importlib.util
 import random
 import sys
 import time
@@ -26,8 +27,12 @@ from ramosaic import engine, interference
 from ramosaic.litmus import build_cfg, parse
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import families  # noqa: E402
+# Loaded by file path, so that importing this script leaves sys.path as it
+# is.  The module is registered before it runs: its dataclasses look it up.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_families", Path(__file__).resolve().parent.parent / "perfbench" / "families.py")
+families = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(families)
 
 PHASES = ("parse", "cfg", "context", "fixpoint", "evaluate")
 
@@ -79,7 +84,6 @@ def main(argv) -> int:
     ap.add_argument("--peterson", type=sizes, default=[2, 3, 4, 5])
     ap.add_argument("--readers", type=sizes, default=[4, 8, 16, 32])
     ap.add_argument("--repeat", type=int, default=3, help="runs per member (best is kept)")
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv[1:])
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
@@ -87,7 +91,7 @@ def main(argv) -> int:
           + f"{'states':>9}{'rounds':>8}")
     for build, ns in ((families.peterson, args.peterson), (families.readers, args.readers)):
         for n in ns:
-            member = build(n, random.Random(args.seed))
+            member = build(n, random.Random(1))
             best, (states, rounds) = measure(member, args.repeat)
             print(f"{member.name:<12}" + "".join(f"{t:>12.4f}" for t in best)
                   + f"{states:>9}{rounds:>8}", flush=True)

@@ -146,65 +146,48 @@ def mul(a: Interval, b: Interval) -> Interval:
 # --------------------------------------------------------------------------
 
 
-class _Ids(dict):
-    """Interval -> id; a miss gives the interval the next id.  The list of
-    the intervals by id is `intervals`."""
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: list):
-        super().__init__()
-        self.intervals = intervals
-
-    def __missing__(self, iv: Interval) -> int:
-        i = self[iv] = len(self.intervals)
-        self.intervals.append(iv)
-        return i
-
-
-class _Joins(dict):
-    """(id, id) -> the id of the two intervals' hull; a miss joins them."""
-
-    __slots__ = ("intervals", "ids")
-
-    def __init__(self, intervals: list, ids: _Ids):
-        super().__init__()
-        self.intervals = intervals
-        self.ids = ids
-
-    def __missing__(self, pair) -> int:
-        intervals = self.intervals
-        i = self[pair] = self.ids[val_join(intervals[pair[0]], intervals[pair[1]])]
-        return i
-
-
 class ValueTable:
     """The intervals of one analysis, interned: `values[i]` is the interval
     with id `i`, and `intern(iv)` gives `iv`'s id.  The domain returns EMPTY
     for every empty result, so two ids are equal exactly when their
     intervals are, and a memory of ids hashes and compares as a tuple of
-    ints.  Joins are memoized on id pairs.  Hits of both maps run in C: a
-    lookup of an id or a join is a dict subscript, and only a miss runs
-    Python."""
+    ints.  `join(a, b)` is the id of the hull of `a` and `b`, memoized on
+    the id pair in `joins`, which the interference kernel reads directly,
+    as it reads `PosetTable.meets`."""
 
     __slots__ = ("values", "ids", "joins")
 
     def __init__(self):
         self.values: list = []
-        self.ids = _Ids(self.values)
-        self.joins = _Joins(self.values, self.ids)
+        self.ids: dict = {}
+        self.joins: dict = {}
 
     def intern(self, iv: Interval) -> int:
-        return self.ids[iv]
+        i = self.ids.get(iv)
+        if i is None:
+            i = self.ids[iv] = len(self.values)
+            self.values.append(iv)
+        return i
 
     def join(self, a: int, b: int) -> int:
-        return a if a == b else self.joins[a, b]
+        key = (a, b)
+        out = self.joins.get(key)
+        if out is None:
+            values = self.values
+            out = self.joins[key] = self.intern(val_join(values[a], values[b]))
+        return out
 
     def mem_join(self, a: tuple, b: tuple) -> tuple:
         """The slot-wise hull of two memories of one layout: the one join
         of memories."""
         joins = self.joins
-        return tuple([x if x == y else joins[x, y] for x, y in zip(a, b)])
+        out = []
+        for x, y in zip(a, b):
+            if x != y:
+                j = joins.get((x, y))
+                x = self.join(x, y) if j is None else j
+            out.append(x)
+        return tuple(out)
 
 
 def eval_expr(e: IntExpr, mem: tuple, slots: dict, table: ValueTable) -> Interval:

@@ -49,18 +49,6 @@ class Verdict:
         return "Proved" if self.proved else "PossiblyViolated"
 
 
-class _SharedSlotMaps(dict):
-    """(target layout, source layout) -> the pair's shared-slot map, built
-    on the first lookup of the pair."""
-
-    __slots__ = ()
-
-    def __missing__(self, pair) -> tuple:
-        lt, ls = pair
-        m = self[pair] = tuple((i, j, ls.mem_slot[v]) for v, i, j in lt.shared_slots)
-        return m
-
-
 class AnalysisContext:
     """Per-program analysis data: CFG, sb index, events, the slot layouts
     of states, and the analysis's caches: the poset table and the value
@@ -71,11 +59,11 @@ class AnalysisContext:
     `slots[thread]` maps each identifier of its expressions (a shared
     variable or a register) to its memory slot, both once for the whole
     analysis, so transfers index value tuples instead of looking up names
-    in each state.  `shared_slot_maps[target layout, source layout]`
-    lists (memory slot in the target, poset slot, memory slot in the
-    source) per shared variable; the layouts share their poset keys, so a
-    poset slot is one for both.  A pair's map is built when an
-    interference first reads it.
+    in each state.  `shared_slot_map(target layout, source layout)` lists
+    (memory slot in the target, poset slot, memory slot in the source) per
+    shared variable; the layouts share their poset keys, so a poset slot is
+    one for both.  A pair's map is built when an interference first reads
+    it, and `shared_slot_maps` memoizes it on the pair.
     """
 
     def __init__(self, program: Program, cfg: Cfg, tc: TransferConfig):
@@ -98,11 +86,19 @@ class AnalysisContext:
                           **{r: layout.mem_slot[program.register_key(t, r)]
                              for r in program.thread_registers(t)}}
                       for t, layout in self.layouts.items()}
-        self.shared_slot_maps = _SharedSlotMaps()
+        self.shared_slot_maps: dict = {}
         self.initial_states = {t: self._entry_state(t) for t in self.registers}
         # (label, bump, interference sources) -> (pre-states, global reads,
         # merged states) of the node's latest visit; see engine.seq_ai
         self.node_memo: dict = {}
+
+    def shared_slot_map(self, lt: Layout, ls: Layout) -> tuple:
+        key = (lt, ls)
+        out = self.shared_slot_maps.get(key)
+        if out is None:
+            out = self.shared_slot_maps[key] = tuple(
+                (i, j, ls.mem_slot[v]) for v, i, j in lt.shared_slots)
+        return out
 
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
         ev = self.events[lbl]
@@ -162,7 +158,11 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
     new_mem = list(target.mem)
     joins = ctx.values.joins
     loaded = None
-    for i, j, si in ctx.shared_slot_maps[target.layout, source.layout]:
+    lt, ls = target.layout, source.layout
+    slot_map = ctx.shared_slot_maps.get((lt, ls))
+    if slot_map is None:
+        slot_map = ctx.shared_slot_map(lt, ls)
+    for i, j, si in slot_map:
         sv = smem[si]
         if j == k:
             new_mem[i] = loaded = sv
@@ -175,7 +175,8 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
                 if src_below:  # the source's view is ahead
                     new_mem[i] = sv
                 continue  # otherwise the target's is
-            new_mem[i] = joins[tv, sv]
+            joined = joins.get((tv, sv))
+            new_mem[i] = ctx.values.join(tv, sv) if joined is None else joined
     if reg is not None:
         new_mem[reg] = loaded
     return AbstractState(tuple(new_mo), tuple(new_mem), target.layout)

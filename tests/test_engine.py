@@ -322,12 +322,15 @@ def test_scaling_script_runs_the_phases_of_tmai():
     the states and rounds of `tmai` itself on both of its families."""
     import importlib.util
     import random
+    import sys
     from pathlib import Path
 
     path = Path(__file__).resolve().parent.parent / "scripts" / "scaling.py"
     spec = importlib.util.spec_from_file_location("scaling", path)
     scaling = importlib.util.module_from_spec(spec)
+    search_path = list(sys.path)
     spec.loader.exec_module(scaling)
+    assert sys.path == search_path  # no later import can find perfbench/'s modules
     for member in (scaling.families.peterson(3, random.Random(1)),
                    scaling.families.readers(4, random.Random(1))):
         times, states, rounds = scaling.run_once(member.source)

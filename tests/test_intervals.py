@@ -100,7 +100,9 @@ def test_value_table_join_is_the_interned_hull(ivs, data):
         a, b = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
         want = table.intern(iv.val_join(table.values[a], table.values[b]))
         assert table.join(a, b) == want
+        assert table.joins[a, b] == want  # the memo the interference kernel reads
         assert table.join(a, b) == want  # a memo hit gives the same id
+        assert table.mem_join((a,), (b,)) == (want,)
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(

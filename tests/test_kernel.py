@@ -221,7 +221,7 @@ def test_shared_slot_maps_are_built_per_pair_on_first_use():
         built = dict(ctx.shared_slot_maps)
         assert all(built[pair] == eager[pair] for pair in built)
         built_pairs += len(built)
-        assert {pair: ctx.shared_slot_maps[pair] for pair in eager} == eager
+        assert {pair: ctx.shared_slot_map(*pair) for pair in eager} == eager
     assert built_pairs > 0
 
 
