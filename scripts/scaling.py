@@ -12,7 +12,7 @@ again; the state and round counts must repeat too.
     python3 scripts/scaling.py [--peterson 2,3,4,5] [--readers 4,8,16,32]
                                [--repeat K]
 
-An empty size list skips its family.  Times are wall-clock seconds of one
+An empty size list skips its family.  Times are wall-clock milliseconds of one
 process, so compare them only within one machine.
 """
 
@@ -87,13 +87,13 @@ def main(argv) -> int:
     args = ap.parse_args(argv[1:])
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    print(f"{'member':<12}" + "".join(f"{p + '_s':>12}" for p in PHASES)
+    print(f"{'member':<12}" + "".join(f"{p + '_ms':>12}" for p in PHASES)
           + f"{'states':>9}{'rounds':>8}")
     for build, ns in ((families.peterson, args.peterson), (families.readers, args.readers)):
         for n in ns:
             member = build(n, random.Random(1))
             best, (states, rounds) = measure(member, args.repeat)
-            print(f"{member.name:<12}" + "".join(f"{t:>12.4f}" for t in best)
+            print(f"{member.name:<12}" + "".join(f"{t * 1e3:>12.3f}" for t in best)
                   + f"{states:>9}{rounds:>8}", flush=True)
     return 0
 

@@ -108,45 +108,47 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
     interference sources from the global state set."""
     cfg = ctx.cfg
     rpo = cfg.rpo[tname]
-    index = {lbl: i for i, lbl in enumerate(rpo)}
-    entry = cfg.entries[tname]
-    local: Dict[Label, tuple] = {entry: (ctx.initial_state(tname),)}
+    index = ctx.rpo_index
+    entry = rpo[0]
+    local: Dict[Label, tuple] = {entry: (ctx.initial_states[tname],)}
     visits: Dict[Label, int] = {}
-    # the pending labels, popped in RPO order: a heap of RPO indices and
-    # a set for membership
-    pending = set(rpo) - {entry}
-    heap = sorted(index[lbl] for lbl in pending)
+    # the RPO positions of the pending labels, popped in order: a heap, and
+    # a set for membership; the first worklist is sorted, so a heap already
+    heap = list(ctx.first_worklists[tname])
+    pending = set(heap)
     while heap:
-        lbl = rpo[heapq.heappop(heap)]
-        pending.discard(lbl)
+        i = heapq.heappop(heap)
+        pending.discard(i)
+        lbl = rpo[i]
         preds = cfg.preds[lbl]
         if len(preds) == 1:
             pre_states = local.get(preds[0], ())
         else:
             pre_states = tuple([s for p in preds for s in local.get(p, ())])
-        visits[lbl] = visits.get(lbl, 0) + 1
-        bump = visits[lbl] - 1
+        bump = visits.get(lbl, 0)
+        visits[lbl] = bump + 1
         new = _node_states(ctx, lbl, pre_states, global_ss, interfs, bump)
-        if lbl in cfg.loop_headers and visits[lbl] > ctx.tc.widening_threshold:
+        if bump >= ctx.tc.widening_threshold and lbl in cfg.loop_headers:
             new = tuple(_widen_states(ctx, local.get(lbl, ()), new))
             if widened is not None:
                 widened.add(lbl)
         if new != local.get(lbl, ()):
             local[lbl] = new
             for nxt in cfg.succs[lbl]:
-                if nxt not in pending:
-                    pending.add(nxt)
-                    heapq.heappush(heap, index[nxt])
+                j = index[nxt]
+                if j not in pending:
+                    pending.add(j)
+                    heapq.heappush(heap, j)
     local.pop(entry, None)
     return local
 
 
 def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
     verdicts: Dict[str, Verdict] = {}
-    for lbl, instr in sorted(ctx.cfg.nodes.items()):
-        if isinstance(instr, AssertInst):
-            slots = ctx.slots[ctx.cfg.thread_of[lbl]]
-            verdicts[str(lbl)] = check_assert(ss.at(lbl), instr.cond, slots)
+    asserts = {lbl: i for lbl, i in ctx.cfg.nodes.items() if isinstance(i, AssertInst)}
+    for lbl in sorted(asserts):
+        slots = ctx.slots[ctx.cfg.thread_of[lbl]]
+        verdicts[str(lbl)] = check_assert(ss.at(lbl), asserts[lbl].cond, slots)
     if ctx.program.postcondition is not None:
         verdicts["final"] = check_final_assert(ctx, ss, ctx.program.postcondition)
     return verdicts

@@ -24,9 +24,10 @@ Grammar (whitespace-insensitive, `#` starts a line comment)::
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Iterator, List, NamedTuple, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 
 class ParseError(Exception):
@@ -106,15 +107,15 @@ def negate(b: BoolExpr) -> BoolExpr:
 
 
 def expr_names(e) -> set[str]:
-    if isinstance(e, Name):
-        return {e.ident}
-    if isinstance(e, BinOp):
-        return expr_names(e.left) | expr_names(e.right)
-    if isinstance(e, Cmp):
-        return expr_names(e.left) | expr_names(e.right)
-    if isinstance(e, (And, Or)):
-        return expr_names(e.left) | expr_names(e.right)
-    return set()
+    names = set()
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Name):
+            names.add(e.ident)
+        elif isinstance(e, (BinOp, Cmp, And, Or)):
+            stack += (e.left, e.right)
+    return names
 
 
 # --------------------------------------------------------------------------
@@ -233,19 +234,11 @@ class Access(NamedTuple):
     loc: str
 
 
-def _access(instr: Simple) -> Optional[Access]:
-    """The instruction's access, or None for one that touches no memory."""
-    if isinstance(instr, Store):
-        return Access("store", instr.var)
-    if isinstance(instr, (Cas, Fadd)):
-        return Access("rmw", instr.var)
-    if isinstance(instr, LoadInst):
-        return Access("load", instr.var)
-    if isinstance(instr, LockInst):
-        return Access("lock", instr.mutex)
-    if isinstance(instr, UnlockInst):
-        return Access("unlock", instr.mutex)
-    return None
+# The kind of access of each memory-touching instruction class, and the
+# field that names the variable or mutex it touches.
+_ACCESS_OF = {Store: ("store", "var"), Cas: ("rmw", "var"), Fadd: ("rmw", "var"),
+              LoadInst: ("load", "var"), LockInst: ("lock", "mutex"),
+              UnlockInst: ("unlock", "mutex")}
 
 
 @dataclass(frozen=True)
@@ -264,13 +257,26 @@ class Program:
     def shared_names(self) -> tuple:
         return tuple(n for n, _ in self.shared)
 
-    # The registers of each thread and the threads that write each register,
-    # walked once per program; cached_property keeps them in the instance's
-    # __dict__, outside the fields, so == and hash ignore them.
+    # One walk of each thread, and the registers it writes and the threads
+    # that write each register, once per program; cached_property keeps them
+    # in the instance's __dict__, outside the fields, so == and hash ignore them.
+
+    @cached_property
+    def _walked(self) -> tuple:
+        """Per thread, in order: its simple instructions and its branches and
+        loops, each in program order."""
+        out = []
+        for t in self.threads:
+            instrs: list = []
+            structured: list = []
+            _flatten(t.body, instrs, structured)
+            out.append((instrs, structured))
+        return tuple(out)
 
     @cached_property
     def _registers_of(self) -> Dict[str, tuple]:
-        return {t.name: tuple(sorted(_registers(t.body))) for t in self.threads}
+        return {t.name: tuple(sorted(_registers(instrs)))
+                for t, (instrs, _) in zip(self.threads, self._walked)}
 
     @cached_property
     def _register_owners(self) -> Dict[str, List[str]]:
@@ -297,20 +303,18 @@ class Program:
         return self.register_key(owners[0], ident)
 
 
-def walk_simple(stmts) -> Iterator[Simple]:
-    for st in stmts:
-        if isinstance(st, If):
-            yield from walk_simple(st.then_body)
-            yield from walk_simple(st.else_body)
-        elif isinstance(st, While):
-            yield from walk_simple(st.body)
-        else:
-            yield st
+def walk_simple(stmts) -> List[Simple]:
+    instrs: list = []
+    _flatten(stmts, instrs, [])
+    return instrs
 
 
-def _registers(body) -> set:
-    """The registers that the instructions of a thread body write."""
-    return {i.reg for i in walk_simple(body) if isinstance(i, (LoadInst, Cas, Fadd, Assign))}
+_WRITES_REGISTER = (LoadInst, Cas, Fadd, Assign)
+
+
+def _registers(instrs) -> set:
+    """The registers that the given instructions write."""
+    return {i.reg for i in instrs if isinstance(i, _WRITES_REGISTER)}
 
 
 # --------------------------------------------------------------------------
@@ -320,222 +324,221 @@ def _registers(body) -> set:
 _KEYWORDS = {"vars", "locks", "thread", "if", "else", "while", "store", "load",
              "cas", "fadd", "lock", "unlock", "assume", "assert", "true", "false"}
 
-_SYMBOLS = ["==", "!=", "<=", ">=", "&&", "||",
-            "{", "}", "(", ")", "=", ";", ":", ",", "<", ">", "+", "-", "*", "!"]
+# One match per token with the whitespace before it; `findall` gives the
+# tokens.  An identifier is a letter (`str.isalpha()`) or "_", then letters,
+# digits or "_": `\w` is exactly `str.isalnum()` or "_", and `[^\W\d]` is
+# `\w` without the decimal digits, which still leaves digits such as `²`,
+# so `_lex` rejects an identifier that starts with one.  An integer is a run
+# of ASCII digits: `٣` starts no token.
+_TOKEN = re.compile(r"[ \t\r\n]*([-{}();:,+*]|[^\W\d]\w*|[0-9]+|[=!<>]=?|&&|\|\|)")
+_COMMENT = re.compile(r"#[^\n]*")
+_WHITESPACE = dict.fromkeys(map(ord, " \t\r\n"))
 
 
-@dataclass
-class _Tok:
-    kind: str  # ident | int | sym | eof
-    text: str
-    line: int
-    col: int
+def _blank_comments(source: str) -> str:
+    """source with each comment replaced by as many spaces: the offsets of
+    its tokens stay."""
+    return _COMMENT.sub(lambda m: " " * len(m.group()), source)
 
 
 def _lex(source: str) -> list:
-    toks = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= c <= "9":  # str.isdigit() takes other scripts' digits too
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            toks.append(_Tok("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                toks.append(_Tok("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(line, col, f"unexpected character {c!r}")
-    toks.append(_Tok("eof", "", line, col))
+    """The tokens of source as strings, then "" for the end of input.
+    ParseError at the first character that starts no token."""
+    text = _blank_comments(source)
+    toks = _TOKEN.findall(text)
+    # findall passes over a character that starts no token, so every
+    # character was consumed exactly when the tokens hold all that is left
+    # once the whitespace is gone
+    if (len("".join(toks)) != len(text.translate(_WHITESPACE))
+            or not text.isascii() and not all(map(_starts_token, toks))):
+        _token_offsets(source)  # raises the ParseError
+    toks.append("")
     return toks
+
+
+def _starts_token(tok: str) -> bool:
+    c = tok[0]
+    return c.isascii() or c.isalpha()
+
+
+def _token_offsets(source: str) -> list:
+    """Where each token of `_lex(source)` starts; the end of input sits at
+    the end, or where the last line's comment starts if it has one.
+    ParseError at the first character that starts no token."""
+    text = _blank_comments(source)
+    offsets, end = [], 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != end or not _starts_token(m.group(1)):
+            break
+        offsets.append(m.start(1))
+        end = m.end()
+    rest = text[end:].lstrip(" \t\r\n")
+    if rest:
+        pos = len(text) - len(rest)
+        raise ParseError(*_line_col(source, pos), f"unexpected character {source[pos]!r}")
+    comment = source.find("#", source.rfind("\n") + 1)
+    return offsets + [len(source) if comment < 0 else comment]
+
+
+def _line_col(source: str, offset: int) -> tuple:
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _is_int(tok: str) -> bool:
+    return "0" <= tok[:1] <= "9"
+
+
+# The first characters of the tokens that are not names: digits start the
+# integers, the end of input is "", and every symbol starts with one of the
+# rest; a name starts with any other character.
+_NOT_NAME_START = frozenset(["", *"0123456789-{}();:,+*=!<>&|"])
+
+
+class _Stuck(Exception):
+    """(token index, message template, its arguments): `parse` makes a
+    ParseError of it, and `parse_bfactor` backtracks on it unformatted."""
 
 
 class _Parser:
     def __init__(self, source: str):
         self.toks = _lex(source)
         self.pos = 0
+        self.tok = self.toks[0]
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
+    def next(self) -> str:
+        tok = self.tok
         self.pos += 1
-        return t
+        self.tok = self.toks[self.pos]
+        return tok
 
-    def error(self, message: str):
-        t = self.peek()
-        raise ParseError(t.line, t.col, message)
+    def error(self, message: str, *args):
+        """Stop at the current token; the message is formatted with args and
+        with the token as `found` only if the error reaches `parse`."""
+        raise _Stuck(self.pos, message, args)
 
-    def expect_sym(self, sym: str) -> _Tok:
-        t = self.peek()
-        if t.kind != "sym" or t.text != sym:
-            self.error(f"expected {sym!r}, found {t.text!r}")
+    def expect_sym(self, sym: str) -> str:
+        if self.tok != sym:
+            self.error("expected {!r}, found {found!r}", sym)
         return self.next()
 
     def expect_ident(self) -> str:
-        t = self.peek()
-        if t.kind != "ident":
-            self.error(f"expected identifier, found {t.text!r}")
-        if t.text in _KEYWORDS:
-            self.error(f"keyword {t.text!r} cannot be used as a name")
-        return self.next().text
-
-    def at_sym(self, sym: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == sym
-
-    def at_kw(self, kw: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == kw
-
-    def eat_kw(self, kw: str):
-        if not self.at_kw(kw):
-            self.error(f"expected {kw!r}")
-        self.next()
+        tok = self.tok
+        if tok[:1] in _NOT_NAME_START:
+            self.error("expected identifier, found {found!r}")
+        if tok in _KEYWORDS:
+            self.error("keyword {found!r} cannot be used as a name")
+        return self.next()
 
     # -- expressions -------------------------------------------------------
 
     def parse_int(self) -> int:
         sign = 1
-        if self.at_sym("-"):
+        if self.tok == "-":
             self.next()
             sign = -1
-        t = self.peek()
-        if t.kind != "int":
+        if not _is_int(self.tok):
             self.error("expected integer literal")
-        return sign * int(self.next().text)
+        return sign * int(self.next())
 
     def parse_iexpr(self) -> IntExpr:
         e = self.parse_term()
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.next().text
+        while self.tok == "+" or self.tok == "-":
+            op = self.next()
             e = BinOp(op, e, self.parse_term())
         return e
 
     def parse_term(self) -> IntExpr:
         e = self.parse_factor()
-        while self.at_sym("*"):
+        while self.tok == "*":
             self.next()
             e = BinOp("*", e, self.parse_factor())
         return e
 
     def parse_factor(self) -> IntExpr:
-        if self.at_sym("-"):
+        tok = self.tok
+        if tok == "-":
             self.next()
             inner = self.parse_factor()
             if isinstance(inner, Lit):
                 return Lit(-inner.value)
             return BinOp("-", Lit(0), inner)
-        if self.at_sym("("):
+        if tok == "(":
             self.next()
             e = self.parse_iexpr()
             self.expect_sym(")")
             return e
-        t = self.peek()
-        if t.kind == "int":
-            return Lit(int(self.next().text))
-        if t.kind == "ident" and t.text not in _KEYWORDS:
-            return Name(self.next().text)
+        if _is_int(tok):
+            return Lit(int(self.next()))
+        if tok[:1] not in _NOT_NAME_START and tok not in _KEYWORDS:
+            return Name(self.next())
         self.error("expected integer expression")
 
     def parse_bexpr(self) -> BoolExpr:
         e = self.parse_bterm()
-        while self.at_sym("||"):
+        while self.tok == "||":
             self.next()
             e = Or(e, self.parse_bterm())
         return e
 
     def parse_bterm(self) -> BoolExpr:
         e = self.parse_bfactor()
-        while self.at_sym("&&"):
+        while self.tok == "&&":
             self.next()
             e = And(e, self.parse_bfactor())
         return e
 
     def parse_bfactor(self) -> BoolExpr:
-        if self.at_sym("!"):
+        tok = self.tok
+        if tok == "!":
             self.next()
             return negate(self.parse_bfactor())
-        if self.at_kw("true"):
+        if tok == "true" or tok == "false":
             self.next()
-            return BoolLit(True)
-        if self.at_kw("false"):
-            self.next()
-            return BoolLit(False)
+            return BoolLit(tok == "true")
         # A '(' may open either a nested bexpr or a parenthesized iexpr;
         # try the comparison reading first and backtrack.
         save = self.pos
         try:
             left = self.parse_iexpr()
-            t = self.peek()
-            if t.kind == "sym" and t.text in ("==", "!=", "<", "<=", ">", ">="):
-                op = self.next().text
+            if self.tok in ("==", "!=", "<", "<=", ">", ">="):
+                op = self.next()
                 return Cmp(op, left, self.parse_iexpr())
-            raise ParseError(t.line, t.col, "expected comparison operator")
-        except ParseError:
-            self.pos = save
-        self.expect_sym("(")
-        e = self.parse_bexpr()
-        self.expect_sym(")")
-        return e
+        except _Stuck:
+            pass
+        self.pos = save
+        self.tok = self.toks[save]
+        return self.parse_cond()
 
     # -- statements --------------------------------------------------------
+
+    def parse_cond(self) -> BoolExpr:
+        """A parenthesized condition."""
+        self.expect_sym("(")
+        cond = self.parse_bexpr()
+        self.expect_sym(")")
+        return cond
 
     def parse_block(self) -> tuple:
         self.expect_sym("{")
         out = []
-        while not self.at_sym("}"):
+        while self.tok != "}":
             out.append(self.parse_stmt())
-        self.expect_sym("}")
+        self.next()
         return tuple(out)
 
     def parse_stmt(self) -> Stmt:
-        if self.at_kw("if"):
+        if self.tok == "if":
             self.next()
-            self.expect_sym("(")
-            cond = self.parse_bexpr()
-            self.expect_sym(")")
+            cond = self.parse_cond()
             then_body = self.parse_block()
             else_body: tuple = ()
-            if self.at_kw("else"):
+            if self.tok == "else":
                 self.next()
                 else_body = self.parse_block()
             return If(cond, then_body, else_body)
-        if self.at_kw("while"):
+        if self.tok == "while":
             self.next()
-            self.expect_sym("(")
-            cond = self.parse_bexpr()
-            self.expect_sym(")")
+            cond = self.parse_cond()
             return While(cond, self.parse_block())
         label = Label(self.expect_ident())
         self.expect_sym(":")
@@ -544,83 +547,69 @@ class _Parser:
         return op
 
     def parse_op(self, label: Label) -> Simple:
-        if self.at_kw("store"):
+        kw = self.tok
+        if kw == "store":
             self.next()
             var = self.expect_ident()
             return Store(label, var, self.parse_iexpr())
-        if self.at_kw("lock"):
+        if kw == "lock" or kw == "unlock":
             self.next()
-            return LockInst(label, self.expect_ident())
-        if self.at_kw("unlock"):
+            return (LockInst if kw == "lock" else UnlockInst)(label, self.expect_ident())
+        if kw == "assume" or kw == "assert":
             self.next()
-            return UnlockInst(label, self.expect_ident())
-        if self.at_kw("assume"):
-            self.next()
-            self.expect_sym("(")
-            cond = self.parse_bexpr()
-            self.expect_sym(")")
-            return Assume(label, cond)
-        if self.at_kw("assert"):
-            self.next()
-            self.expect_sym("(")
-            cond = self.parse_bexpr()
-            self.expect_sym(")")
-            return AssertInst(label, cond)
+            return (Assume if kw == "assume" else AssertInst)(label, self.parse_cond())
         reg = self.expect_ident()
         self.expect_sym("=")
-        if self.at_kw("load"):
+        kw = self.tok
+        if kw == "load":
             self.next()
             return LoadInst(label, reg, self.expect_ident())
-        if self.at_kw("cas"):
+        if kw == "cas":
             self.next()
             var = self.expect_ident()
             expected = self.parse_factor()
             new = self.parse_factor()
             return Cas(label, reg, var, expected, new)
-        if self.at_kw("fadd"):
+        if kw == "fadd":
             self.next()
             var = self.expect_ident()
             return Fadd(label, reg, var, self.parse_factor())
         return Assign(label, reg, self.parse_iexpr())
 
     def parse_program(self) -> Program:
-        self.eat_kw("vars")
+        if self.tok != "vars":
+            self.error("expected 'vars'")
+        self.next()
         shared = []
         while True:
             name = self.expect_ident()
             self.expect_sym("=")
-            t = self.peek()
-            if t.kind != "int" and not self.at_sym("-"):
+            if not _is_int(self.tok) and self.tok != "-":
                 self.error("shared variables need an integer initializer")
             shared.append((name, self.parse_int()))
-            if self.at_sym(","):
-                self.next()
-                continue
-            break
+            if self.tok != ",":
+                break
+            self.next()
         self.expect_sym(";")
         mutexes: list = []
-        if self.at_kw("locks"):
+        if self.tok == "locks":
             self.next()
-            while True:
+            mutexes.append(self.expect_ident())
+            while self.tok == ",":
+                self.next()
                 mutexes.append(self.expect_ident())
-                if self.at_sym(","):
-                    self.next()
-                    continue
-                break
             self.expect_sym(";")
         threads = []
-        while self.at_kw("thread"):
+        while self.tok == "thread":
             self.next()
             tname = self.expect_ident()
             threads.append(Thread(tname, self.parse_block()))
         post = None
-        if self.at_kw("assert"):
+        if self.tok == "assert":
             self.next()
-            self.expect_sym("(")
-            post = self.parse_bexpr()
-            self.expect_sym(")")
+            post = self.parse_cond()
             self.expect_sym(";")
-        if self.peek().kind != "eof":
+        if self.tok:
             self.error("trailing input after program")
         if not threads:
             self.error("program needs at least one thread")
@@ -628,7 +617,13 @@ class _Parser:
 
 
 def parse(source: str) -> Program:
-    program = _Parser(source).parse_program()
+    parser = _Parser(source)
+    try:
+        program = parser.parse_program()
+    except _Stuck as stuck:
+        pos, message, args = stuck.args
+        raise ParseError(*_line_col(source, _token_offsets(source)[pos]),
+                         message.format(*args, found=parser.toks[pos])) from None
     _check_semantics(program)
     return program
 
@@ -646,16 +641,16 @@ def _check_semantics(p: Program):
         mutexes.add(name)
     tnames = set()
     labels = set()
-    for t in p.threads:
+    for t, (instrs, structured) in zip(p.threads, p._walked):
         if t.name in tnames:
             raise SemanticError(f"duplicate thread {t.name!r}")
         tnames.add(t.name)
-        regs = _registers(t.body)
+        regs = _registers(instrs)
         clash = regs & (shared | mutexes)
         if clash:
             raise SemanticError(f"register {sorted(clash)[0]!r} in thread "
                                 f"{t.name!r} shadows a shared name")
-        for instr in walk_simple(t.body):
+        for instr in instrs:
             if instr.label in labels:
                 raise SemanticError(f"duplicate label {instr.label}")
             labels.add(instr.label)
@@ -663,20 +658,21 @@ def _check_semantics(p: Program):
                 raise SemanticError(f"{instr.label}: undeclared variable {instr.var!r}")
             if isinstance(instr, (LockInst, UnlockInst)) and instr.mutex not in mutexes:
                 raise SemanticError(f"{instr.label}: undeclared mutex {instr.mutex!r}")
-            for e in _instr_exprs(instr):
-                bad = expr_names(e) - regs
+            for field in _EXPR_FIELDS.get(instr.__class__, ()):
+                bad = expr_names(getattr(instr, field)) - regs
                 if bad:
                     raise SemanticError(f"{instr.label}: expression references "
                                         f"{sorted(bad)[0]!r}, which is not a register "
                                         f"of thread {t.name!r}")
-        for st in _walk_structured(t.body):
+        for st in structured:
             bad = expr_names(st.cond) - regs
             if bad:
                 raise SemanticError(f"branch condition references {sorted(bad)[0]!r}, "
                                     f"which is not a register of thread {t.name!r}")
-        _must_hold(t.body, frozenset())
+        if any(isinstance(i, UnlockInst) for i in instrs):
+            _must_hold(t.body, frozenset())
     if p.postcondition is not None:
-        for ident in expr_names(p.postcondition):
+        for ident in sorted(expr_names(p.postcondition)):
             p.resolve_postcondition_name(ident)  # raises if unknown/ambiguous
 
 
@@ -704,29 +700,24 @@ def _must_hold(stmts, held: frozenset) -> frozenset:
     return held
 
 
-def _instr_exprs(instr: Simple):
-    if isinstance(instr, Store):
-        yield instr.value
-    elif isinstance(instr, Cas):
-        yield instr.expected
-        yield instr.new
-    elif isinstance(instr, Fadd):
-        yield instr.addend
-    elif isinstance(instr, Assign):
-        yield instr.value
-    elif isinstance(instr, (Assume, AssertInst)):
-        yield instr.cond
+# The fields of each instruction class that hold expressions.
+_EXPR_FIELDS = {Store: ("value",), Cas: ("expected", "new"), Fadd: ("addend",),
+                Assign: ("value",), Assume: ("cond",), AssertInst: ("cond",)}
 
 
-def _walk_structured(stmts):
+def _flatten(stmts, instrs: list, structured: list):
+    """Append the simple instructions of `stmts` to instrs and its branches
+    and loops to structured, each in program order."""
     for st in stmts:
         if isinstance(st, If):
-            yield st
-            yield from _walk_structured(st.then_body)
-            yield from _walk_structured(st.else_body)
+            structured.append(st)
+            _flatten(st.then_body, instrs, structured)
+            _flatten(st.else_body, instrs, structured)
         elif isinstance(st, While):
-            yield st
-            yield from _walk_structured(st.body)
+            structured.append(st)
+            _flatten(st.body, instrs, structured)
+        else:
+            instrs.append(st)
 
 
 # --------------------------------------------------------------------------
@@ -839,8 +830,7 @@ def unroll(p: Program, bound: int) -> Program:
 
 
 def has_loops(p: Program) -> bool:
-    return any(isinstance(s, While)
-               for t in p.threads for s in _walk_structured(t.body))
+    return any(isinstance(st, While) for _, structured in p._walked for st in structured)
 
 
 # --------------------------------------------------------------------------
@@ -887,7 +877,7 @@ class Cfg:
 
 def build_cfg(p: Program) -> Cfg:
     nodes: dict = {}
-    preds: dict = {lbl: [] for lbl in ()}
+    preds: dict = {}
     succs: dict = {}
     thread_of: dict = {}
     entries: dict = {}
@@ -901,11 +891,11 @@ def build_cfg(p: Program) -> Cfg:
         if label in nodes:
             raise SemanticError(f"duplicate label {label}")
         nodes[label] = instr
-        access = _access(instr)
+        access = _ACCESS_OF.get(instr.__class__)
         if access is not None:
-            accesses[label] = access
-        preds.setdefault(label, [])
-        succs.setdefault(label, [])
+            accesses[label] = Access(access[0], getattr(instr, access[1]))
+        preds[label] = []
+        succs[label] = []
         thread_of[label] = tname
 
     def add_edge(a: Label, b: Label):

@@ -74,8 +74,9 @@ class SbIndex:
             key_of = {lbl: (lbl.name, lbl.instance) for lbl in labels}
             members = frozenset(labels)
             for a in labels:
-                out._after[key_of[a]] = frozenset(
-                    key_of[b] for b in cfg.reachable(a) & members if b != a)
+                # a label alone in its group needs no reachability
+                after = cfg.reachable(a) & members if len(labels) > 1 else ()
+                out._after[key_of[a]] = frozenset(key_of[b] for b in after if b != a)
         return out
 
 

@@ -21,8 +21,8 @@ from typing import Dict, Optional
 
 from . import intervals, posets
 from .intervals import eval_expr, exclude_value, refine, val_meet
-from .litmus import (And, AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
-                     LoadInst, LockInst, Nop, Program, Store, UnlockInst,
+from .litmus import (AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
+                     LoadInst, LockInst, Nop, Or, Program, Store, UnlockInst,
                      expr_names, negate)
 from .interference import CTX
 from .posets import TOP_ID, Event, SbIndex
@@ -55,11 +55,12 @@ class AnalysisContext:
     table that every transfer and merge builds its posets and intervals
     through, and the node memo of `engine.seq_ai`.
 
-    `layouts[thread]` names the slots of that thread's states, and
+    `layouts[thread]` names the slots of that thread's states,
     `slots[thread]` maps each identifier of its expressions (a shared
-    variable or a register) to its memory slot, both once for the whole
-    analysis, so transfers index value tuples instead of looking up names
-    in each state.  `shared_slot_map(target layout, source layout)` lists
+    variable or a register) to its memory slot, and `initial_states[thread]`
+    is the state at its entry, all once for the whole analysis, so
+    transfers index value tuples instead of looking up names in each
+    state.  `shared_slot_map(target layout, source layout)` lists
     (memory slot in the target, poset slot, memory slot in the source) per
     shared variable; the layouts share their poset keys, so a poset slot is
     one for both.  A pair's map is built when an interference first reads
@@ -79,15 +80,29 @@ class AnalysisContext:
             for lbl, (kind, loc) in cfg.accesses.items() if kind != "load"}
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
         self.values = intervals.ValueTable()
-        self.layouts = {t: Layout(self.po_keys(), (*program.shared_names(), *regs),
-                                  self.posets, self.values)
-                        for t, regs in self.registers.items()}
-        self.slots = {t: {**{v: layout.mem_slot[v] for v in program.shared_names()},
-                          **{r: layout.mem_slot[program.register_key(t, r)]
-                             for r in program.thread_registers(t)}}
-                      for t, layout in self.layouts.items()}
+        shared = program.shared_names()
+        po_keys = (*shared, *program.mutexes)
+        init = dict(program.shared)
+        self.layouts: Dict[str, Layout] = {}
+        self.slots: Dict[str, dict] = {}
+        # every poset top, the shared variables at their initial values and
+        # the registers 0
+        self.initial_states: Dict[str, AbstractState] = {}
+        for t, regs in self.registers.items():
+            layout = self.layouts[t] = Layout(po_keys, (*shared, *regs), self.posets, self.values)
+            self.slots[t] = dict(zip((*shared, *program.thread_registers(t)),
+                                     map(layout.mem_slot.__getitem__, (*shared, *regs))))
+            self.initial_states[t] = AbstractState(
+                (TOP_ID,) * len(layout.mo_keys),
+                tuple([self.values.intern(intervals.singleton(init.get(k, 0)))
+                       for k in layout.mem_keys]),
+                layout)
         self.shared_slot_maps: dict = {}
-        self.initial_states = {t: self._entry_state(t) for t in self.registers}
+        # each label's position in its thread's reverse post-order, and per
+        # thread the positions a pass of engine.seq_ai starts with pending:
+        # all but the entry's, 0
+        self.rpo_index = {lbl: i for rpo in cfg.rpo.values() for i, lbl in enumerate(rpo)}
+        self.first_worklists = {t: tuple(range(1, len(rpo))) for t, rpo in cfg.rpo.items()}
         # (label, bump, interference sources) -> (pre-states, global reads,
         # merged states) of the node's latest visit; see engine.seq_ai
         self.node_memo: dict = {}
@@ -105,20 +120,6 @@ class AnalysisContext:
         if bump:
             ev = Event(ev.label, ev.instance + bump, ev.thread, ev.kind, ev.var)
         return ev
-
-    def po_keys(self) -> tuple:
-        return tuple(self.program.shared_names()) + tuple(self.program.mutexes)
-
-    def initial_state(self, tname: str) -> AbstractState:
-        """The state at the entry of thread `tname`, built once per analysis."""
-        return self.initial_states[tname]
-
-    def _entry_state(self, tname: str) -> AbstractState:
-        mo = {v: posets.TOP for v in self.po_keys()}
-        mem = {n: intervals.singleton(v) for n, v in self.program.shared}
-        for key in self.registers[tname]:
-            mem[key] = intervals.singleton(0)
-        return AbstractState.make(mo, mem, self.layouts[tname])
 
 
 def apply_interference(ctx: AnalysisContext, target: AbstractState,
@@ -377,15 +378,16 @@ def check_assert(states, cond, slots: dict) -> Verdict:
     return Verdict(not witnesses, tuple(witnesses))
 
 
-def _conjuncts(b) -> list:
-    """The operands of b's top-level And chain, left to right."""
+def _negated_disjuncts(b) -> list:
+    """The operands of the top-level And chain of negate(b), left to right:
+    the negations of the operands of b's top-level Or chain."""
     out, stack = [], [b]
     while stack:
         c = stack.pop()
-        if isinstance(c, And):
+        if isinstance(c, Or):
             stack += (c.right, c.left)
         else:
-            out.append(c)
+            out.append(negate(c))
     return out
 
 
@@ -433,7 +435,7 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
     if not all(exits.values()):
         return Verdict(True)
     owner = {k: t for t, keys in ctx.registers.items() for k in keys}
-    conjuncts = _conjuncts(negate(cond))
+    conjuncts = _negated_disjuncts(cond)
     names = [expr_names(c) for c in conjuncts]
     key_of = {n: ctx.program.resolve_postcondition_name(n) for n in set().union(*names)}
     key_sets = [{key_of[n] for n in ns} for ns in names]

@@ -16,7 +16,7 @@ from ramosaic.intervals import EMPTY, TOP, Interval, singleton, val_join
 from ramosaic.litmus import (Cas, Fadd, Label, LockInst, Store, UnlockInst,
                              build_cfg, parse, unroll)
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
-from ramosaic.posets import Event, SbIndex, TooLarge
+from ramosaic.posets import TOP_ID, Event, SbIndex, TooLarge
 from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
@@ -181,9 +181,14 @@ def test_context_slots_index_the_sorted_keys():
         ctx = AnalysisContext(p, build_cfg(p), TransferConfig())
         for t in p.threads:
             layout = ctx.layouts[t.name]
-            s = ctx.initial_state(t.name)
+            s = ctx.initial_states[t.name]
             assert s.layout is layout
-            assert list(s.mo_map()) == sorted(ctx.po_keys())
+            assert list(s.mo_map()) == sorted((*p.shared_names(), *p.mutexes))
+            # the entry state: every poset top, the shared variables at their
+            # initial values and the registers 0
+            assert set(s.mo) == {TOP_ID}
+            assert [s.val(k) for k in layout.mem_keys] == [
+                singleton(dict(p.shared).get(k, 0)) for k in layout.mem_keys]
             assert list(layout.mem_keys) == sorted((*p.shared_names(), *ctx.registers[t.name]))
             assert len(s.mem) == len(layout.mem_keys)
             assert {k: i for i, k in enumerate(s.mo_map())} == layout.mo_slot

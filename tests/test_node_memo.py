@@ -193,7 +193,7 @@ def test_bump_is_part_of_the_key():
     program = parse("vars x = 0;\nthread t { a: store x 1; }")
     cfg = build_cfg(program)
     ctx = AnalysisContext(program, cfg, TransferConfig())
-    pre = [ctx.initial_state("t")]
+    pre = [ctx.initial_states["t"]]
     a = Label("a")
     empty = StateSet(ctx.posets)
     first = engine._node_states(ctx, a, pre, empty, {}, 0)

@@ -141,7 +141,7 @@ def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
     tables, and `dump` puts the label in front."""
     for r, ctx in fixpoint_runs:
         assert len(set(map(id, ctx.layouts.values()))) == len(ctx.program.threads)
-        mo_keys = sorted(ctx.po_keys())
+        mo_keys = sorted((*ctx.program.shared_names(), *ctx.program.mutexes))
         lines = []
         for lbl in r.states.labels():
             tname = r.cfg.thread_of[lbl]

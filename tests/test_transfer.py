@@ -28,7 +28,7 @@ def _run(src, **tc_kw):
 
 def test_store_transfer_mp_first():
     p, cfg, ctx = _ctx_for(MP_SRC)
-    init = ctx.initial_state("t1")
+    init = ctx.initial_states["t1"]
     (out,) = transfer_node(ctx, Label("a"), [init], StateSet(ctx.posets), {})
     assert str(out.po("x")) == "{a.1}"
     assert out.po("y") == P.TOP
@@ -47,7 +47,7 @@ def test_second_store_forgets_older_in_abstract_mode():
 
 def test_apply_interference_mp():
     r, ctx = run_with_context(tmai, parse(MP_SRC))
-    target = ctx.initial_state("t2")
+    target = ctx.initial_states["t2"]
     (source,) = r.states.at(Label("b"))
     out = apply_interference(ctx, target, source, ctx.events[Label("b")])
     assert str(out.po("x")) == "{a.1}"
