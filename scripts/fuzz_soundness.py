@@ -12,9 +12,9 @@ carries turned off: concrete posets (`abstract_mo=False`) and rmw events
 that the newest-store abstraction may forget (`rmw_critical=False`).  An
 exception (a divergence, say) is reported with its seed, and with the driver
 when one raised it, like an unsound result, and the run goes on; the exit
-code is 1 when any check failed.  The summary line counts the failures and
-gives the seconds spent in each phase, over all drivers: enumerate,
-validate, analyze and soundness.
+code is 1 when any check failed.  The summary line counts the executions
+enumerated and validated and the failures, and gives the seconds spent in
+each phase, over all drivers: enumerate, validate, analyze and soundness.
 
     python3 scripts/fuzz_soundness.py [N_PROGRAMS] [START_SEED]
 """
@@ -58,13 +58,15 @@ def main(argv) -> int:
         finally:
             phases[phase] += time.perf_counter() - t
 
-    failures = 0
+    failures = enumerated = validated = 0
     for seed in range(start, start + count):
         program = random_program(seed)
         try:
             execs = timed("enumerate", enumerate_executions, program)
+            enumerated += len(execs)
             for e in execs[:25]:
                 timed("validate", validate_execution, program, e)
+                validated += 1
         except Exception as exc:  # a finding like any other: report it, keep going
             failures += 1
             print(f"seed {seed}: {type(exc).__name__}: {exc}")
@@ -88,7 +90,8 @@ def main(argv) -> int:
                 print(to_source(program))
     elapsed = time.perf_counter() - t0
     breakdown = ", ".join(f"{phase} {secs:.1f}s" for phase, secs in phases.items())
-    print(f"{count} programs, {failures} failures, {elapsed:.1f}s ({breakdown})")
+    print(f"{count} programs, {enumerated} executions enumerated, {validated} validated, "
+          f"{failures} failures, {elapsed:.1f}s ({breakdown})")
     return 1 if failures else 0
 
 

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import engine, oracle
+from . import engine
 from .litmus import ParseError, SemanticError, parse, unroll
 from .transfer import TransferConfig
 
@@ -87,6 +87,7 @@ def analyze_file(path: Path, args) -> tuple:
         result = engine.tmai(program, tc, max_iterations=args.max_iterations)
     elapsed = time.perf_counter() - start
     if args.oracle_check:
+        from . import oracle  # only here: plain analysis never loads the oracle
         report = oracle.check_soundness(program, result)
         report.raise_if_unsound()
     verdicts = {site: str(v) for site, v in sorted(result.verdicts.items())}
@@ -217,6 +218,7 @@ def main(argv=None) -> int:
 
 
 def oracle_main(argv=None) -> int:
+    from . import oracle
     ap = argparse.ArgumentParser(prog="ra-oracle",
                                  description="Enumerate release-acquire "
                                              "executions of a loop-free litmus file")

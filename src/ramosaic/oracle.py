@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .litmus import (AssertInst, Assign, Assume, BinOp, BoolExpr, BoolLit,
                      Cas, Cfg, Cmp, Fadd, Label, Lit, LoadInst, LockInst,
-                     Name, Program, Store, UnlockInst, And, Or, build_cfg,
-                     walk_simple)
+                     Name, Program, Store, UnlockInst, And, Or, build_cfg)
 from .posets import Event, LosetSet, SbIndex, TooLarge, alpha, beta_related, join, loset_set
 
 
@@ -125,6 +124,23 @@ def _topological_order(succ: List[List[int]]) -> Optional[List[int]]:
             if not indeg[b]:
                 heapq.heappush(ready, b)
     return order if len(order) == n else None
+
+
+def _least_order(anc: List[int]) -> List[int]:
+    """The label-least topological order of an acyclic happens-before given
+    as closed `anc` rows: each step takes the least node not yet placed
+    whose ancestors all are."""
+    pending = list(range(len(anc)))
+    order: List[int] = []
+    placed = 0
+    while pending:
+        for a in pending:
+            if anc[a] | placed == placed:
+                break
+        pending.remove(a)
+        order.append(a)
+        placed |= 1 << a
+    return order
 
 
 def _hb_masks(order: List[int], succ: List[List[int]]) -> List[int]:
@@ -370,7 +386,13 @@ def enumerate_executions(program: Program, guard: int = 14) -> Tuple[Execution, 
 
 
 def _combo_executions(tables: _Tables, combo):
-    """The executions along one combination of per-thread paths."""
+    """The executions along one combination of per-thread paths.
+
+    What stays fixed across the combination's choices is built once: the
+    table of variables that `_choice_orders` reads, with each variable's
+    memo of modification orders, the labels of the reads and the assert
+    sites.  A choice's `order` comes from its closed `anc` rows
+    (`_least_order`), without a copy of the graph."""
     cfg = tables.cfg
     labels = sorted((lbl for path in combo for lbl in path),
                     key=lambda l: (l.name, l.instance))
@@ -391,8 +413,11 @@ def _combo_executions(tables: _Tables, combo):
             thread_succ[a].append(b)
 
     reads = [i for i in nodes if isinstance(instrs[i], _READS)]
-    asserts = [i for i in nodes if kinds[i] == _ASSERT]
+    sites = [(i, str(labels[i])) for i in nodes if kinds[i] == _ASSERT]
     sorted_reads = sorted(reads)
+    read_labels = [labels[r] for r in sorted_reads]
+    source_label: Dict[Optional[int], Optional[Label]] = dict(enumerate(labels))
+    source_label[None] = None
     read_index = [len(reads)] * len(labels)  # past every read: never unassigned
     for k, r in enumerate(reads):
         read_index[r] = k
@@ -438,6 +463,24 @@ def _combo_executions(tables: _Tables, combo):
                     if l == held:
                         css[k] = (l, i)
 
+    one_serialization = all(len(css) == 1 for css in cs_by_mutex.values())
+    variables = []
+    for var in sorted(maybe_writes):
+        writes = maybe_writes[var]
+        var_reads = reads_of.get(var, [])
+        always = not any(isinstance(instrs[w], Cas) for w in writes)
+        # a variable is named by the string object of its first read, else of
+        # its first write that took effect, so that equal executions also
+        # pickle to equal bytes; None: that write depends on the choice
+        name = (instrs[var_reads[0]].var if var_reads
+                else instrs[writes[0]].var if always else None)
+        # no two complete choices of one mutex serialization read from the
+        # same sources, so with one serialization, a variable that has every
+        # read never sees a key twice
+        memo = None if one_serialization and len(var_reads) == len(reads) else {}
+        variables.append((name, writes, always, sum(1 << w for w in writes), var_reads,
+                          sum(1 << r for r in var_reads), memo))
+
     def cs_orders(css):
         for perm in itertools.permutations(css):
             if any(u is None for _, u in perm[:-1]):
@@ -466,47 +509,74 @@ def _combo_executions(tables: _Tables, combo):
                                          desc, anc, rf, prefix):
             if _stale_read(reads, overwriters, rf, desc, anc):
                 continue  # made stale by an edge added after its choice
+            valid_mos = _choice_orders(variables, desc, anc, rf, instrs, out, events)
+            if valid_mos is None:
+                continue
+            order = tuple([labels[i] for i in _least_order(anc)])
+            rf_t = tuple(zip(read_labels, [source_label[rf[r]] for r in sorted_reads]))
+            read_values = tuple(zip(read_labels, [got[r] for r in sorted_reads]))
+            registers = tuple([(key, regs[t].get(reg, 0))
+                               for key, (t, reg) in tables.register_slots])
+            violations = [site for i, site in sites if not got[i]]
+            if tables.postcondition is not None:
+                flat: Dict[str, int] = {}
+                for tr in regs:
+                    flat.update(tr)
+                if not _eval_bool(tables.postcondition, flat):
+                    violations.append("final")
+            violations = tuple(sorted(violations))
+            for mo in itertools.product(*valid_mos):
+                yield Execution(order, rf_t, mo, cs_order, read_values,
+                                registers, violations)
 
-            # the writes that took effect; a variable is named by the string
-            # object of its first read, else of its first such write, so that
-            # equal executions also pickle to equal bytes
-            actual: Dict[str, List[int]] = {}
-            for candidates in maybe_writes.values():
-                ws = [w for w in candidates if out[w] is not _NO_WRITE]
-                if ws:
-                    actual[instrs[ws[0]].var] = ws
-            valid_mos = []
-            for var in sorted(set(reads_of) | set(actual)):
-                writes = actual.get(var)
-                if not writes:
-                    continue
-                perms = _coherent_orders(writes, desc, anc, rf, reads_of.get(var, ()),
-                                         instrs, out)
-                if not perms:
-                    break
-                valid_mos.append([(var, tuple([events[w] for w in perm])) for perm in perms])
-            else:
-                full = [list(bs) for bs in succ]
-                for r in reads:
-                    if rf[r] is not None:
-                        full[rf[r]].append(r)
-                order = tuple(labels[i] for i in _topological_order(full))
-                rf_t = tuple((labels[r], None if rf[r] is None else labels[rf[r]])
-                             for r in sorted_reads)
-                read_values = tuple((labels[r], got[r]) for r in sorted_reads)
-                registers = tuple((key, regs[t].get(reg, 0))
-                                  for key, (t, reg) in tables.register_slots)
-                violations = [str(labels[i]) for i in asserts if not got[i]]
-                if tables.postcondition is not None:
-                    flat: Dict[str, int] = {}
-                    for tr in regs:
-                        flat.update(tr)
-                    if not _eval_bool(tables.postcondition, flat):
-                        violations.append("final")
-                violations = tuple(sorted(violations))
-                for mo in itertools.product(*valid_mos):
-                    yield Execution(order, rf_t, mo, cs_order, read_values,
-                                    registers, violations)
+
+def _choice_orders(variables, desc, anc, rf, instrs, out, events):
+    """The coherent modification orders of one complete choice: per variable
+    that a write took effect on, by name, its `(var, events)` orders; None
+    when some variable has none.
+
+    `variables` holds per variable its name (None when it is that of its
+    first write to take effect), its writes, whether none is a cas (then all
+    take effect, and their bitmask is fixed), that bitmask, its reads and
+    their bitmask, and a memo local to the path combination, or None when no
+    key can repeat there.  The memo is keyed on exactly what
+    `_coherent_orders` reads: the writes that took effect, happens-before
+    from writes to writes and from writes to the variable's reads, and each
+    read's source.  A successful rmw is one of those writes, so its cas
+    outcome is in the key too.  A lone write needs no search: it is the
+    order unless it happens before a read of the initial value."""
+    valid_mos = []
+    for name, writes, always, wmask, var_reads, rmask, memo in variables:
+        if always:
+            ws = writes
+        else:
+            ws = [w for w in writes if out[w] is not _NO_WRITE]
+            if not ws:
+                continue
+            wmask = sum(1 << w for w in ws)
+        if name is None:
+            name = instrs[ws[0]].var
+        if len(ws) == 1:
+            w = ws[0]
+            hides = desc[w] & rmask
+            if hides and any(rf[r] is None for r in var_reads if hides >> r & 1):
+                return None
+            orders = [(name, (events[w],))]
+        else:
+            orders = None
+            if memo is not None:
+                key = (wmask, tuple([anc[w] & wmask for w in ws]),
+                       tuple([desc[w] & rmask for w in ws]), tuple([rf[r] for r in var_reads]))
+                orders = memo.get(key)
+            if orders is None:
+                orders = [(name, tuple([events[w] for w in perm]))
+                          for perm in _coherent_orders(ws, desc, anc, rf, var_reads, instrs, out)]
+                if memo is not None:
+                    memo[key] = orders
+            if not orders:
+                return None
+        valid_mos.append(orders)
+    return valid_mos
 
 
 def _stale_read(reads, overwriters, rf, desc, anc) -> bool:
@@ -537,121 +607,150 @@ def _coherent_orders(writes, desc, anc, rf, var_reads, instrs, out) -> List[Tupl
             successful_rmws |= 1 << r
             rmw_after[rf[r]] = r
     candidates = sorted(writes)
-    out: List[Tuple[int, ...]] = []
+    orders: List[Tuple[int, ...]] = []
 
     def place(prefix: tuple, remaining: int, exposed: int, last: Optional[int]):
-        if not remaining:
-            out.append(prefix)
-            return
         # an rmw reading `last` must be the very next write; anything else
         # buries its source for good
         forced = rmw_after.get(last)
-        for w in candidates:
+        for w in candidates if forced is None else (forced,):
             if not remaining >> w & 1:
-                continue
-            if forced is not None and w != forced:
-                continue
-            if successful_rmws >> w & 1 and rf[w] != last:
                 continue
             if anc[w] & remaining:
                 continue  # a remaining write happens before w
             if desc[w] & exposed:
                 continue  # w would overwrite a value before it is read
-            place(prefix + (w,), remaining & ~(1 << w), exposed | readers.get(w, 0), w)
+            if successful_rmws >> w & 1 and rf[w] != last:
+                continue
+            rest = remaining & ~(1 << w)
+            if rest:
+                place(prefix + (w,), rest, exposed | readers.get(w, 0), w)
+            else:
+                orders.append(prefix + (w,))
 
     place((), sum(1 << w for w in writes), readers[None], None)
-    return out
+    return orders
 
 
 # --------------------------------------------------------------------------
 # Independent axiom validator (self-check)
 # --------------------------------------------------------------------------
 
+class _Validation:
+    """What `validate_execution` keeps per program: each statement's thread
+    and instruction, from one walk of the program, and the happens-before
+    graph of the last execution it validated, with the `order`, `rf` and
+    `cs_order` that determine it."""
+
+    def __init__(self, program: Program):
+        self.thread_of: Dict[Label, str] = {}
+        self.nodes: Dict[Label, object] = {}
+        for t, (instrs, _) in zip(program.threads, program._walked):
+            for st in instrs:
+                self.thread_of[st.label] = t.name
+                self.nodes[st.label] = st
+        self.graph_of = None  # (order, rf, cs_order) of `idx` and `rows`
+        self.idx: Dict[Label, int] = {}
+        self.rows: List[int] = []
+
+    def graph(self, e: Execution) -> Tuple[Dict[Label, int], List[int]]:
+        """Each label's index in `e.order`, and happens-before as bit rows:
+        `rows[i] >> j & 1` when node i happens before node j.  Built anew
+        unless `e.order`, `e.rf` and `e.cs_order` equal those of the last
+        graph built."""
+        last = self.graph_of
+        if last is not None and all(a is b or a == b for a, b in
+                                    zip(last, (e.order, e.rf, e.cs_order))):
+            return self.idx, self.rows
+        thread_of, nodes = self.thread_of, self.nodes
+        n = len(e.order)
+        idx = {lbl: i for i, lbl in enumerate(e.order)}
+        succ: List[List[int]] = [[] for _ in range(n)]
+        latest: Dict[str, int] = {}  # per thread: its statement met last
+        for i, lbl in enumerate(e.order):
+            t = thread_of.get(lbl)
+            if t is not None:
+                if t in latest:
+                    succ[latest[t]].append(i)
+                latest[t] = i
+        for r, w in e.rf:
+            if w is not None:
+                succ[idx[w]].append(idx[r])
+        for mutex, locks in e.cs_order:
+            for l1, l2 in zip(locks, locks[1:]):
+                u1 = _matching_unlock_on(e.order, thread_of, nodes, l1, mutex)
+                assert u1 is not None, "mid-order critical section never unlocks"
+                succ[idx[u1]].append(idx[l2])
+        rows = [0] * n
+        if all(a < b for a, bs in enumerate(succ) for b in bs):
+            for a in reversed(range(n)):
+                row = 0
+                for b in succ[a]:
+                    row |= 1 << b | rows[b]
+                rows[a] = row
+        else:
+            for a, bs in enumerate(succ):
+                for b in bs:
+                    rows[a] |= 1 << b
+            for k in range(n):  # Warshall's transitive closure over bit rows
+                bit, row_k = 1 << k, rows[k]
+                for i in range(n):
+                    if rows[i] & bit:
+                        rows[i] |= row_k
+            for i in range(n):
+                assert not rows[i] >> i & 1, "happens-before is cyclic"
+        self.graph_of, self.idx, self.rows = (e.order, e.rf, e.cs_order), idx, rows
+        return idx, rows
+
+
 def validate_execution(program: Program, e: Execution) -> None:
     """Recheck the axioms from the definitions, independently of the
     generator's incremental filters; raises AssertionError on failure.
 
     Thread and instruction of each label come from one walk of the
-    program's statements.  The CFG's synthetic nodes (entries, exits,
-    branch assumes) are not among them; they carry no memory access, so
-    leaving them out of program order keeps happens-before between the
-    statements as it is.  When every edge goes forward in `e.order`, one
-    reverse pass closes happens-before; otherwise Warshall's algorithm
-    does, and finds any cycle."""
-    thread_of: Dict[Label, str] = {}
-    nodes: Dict[Label, object] = {}
-    for t in program.threads:
-        for st in walk_simple(t.body):
-            thread_of[st.label] = t.name
-            nodes[st.label] = st
-    n = len(e.order)
-    idx = {lbl: i for i, lbl in enumerate(e.order)}
-    succ: List[List[int]] = [[] for _ in range(n)]
-
-    def edge(a: Label, b: Label) -> None:
-        succ[idx[a]].append(idx[b])
-
-    by_thread: Dict[str, List[Label]] = {}
-    for lbl in e.order:
-        if lbl in thread_of:
-            by_thread.setdefault(thread_of[lbl], []).append(lbl)
-    for seq in by_thread.values():
-        for a, b in zip(seq, seq[1:]):  # e.order lists them by index already
-            edge(a, b)
-    for r, w in e.rf:
-        if w is not None:
-            edge(w, r)
-    for mutex, locks in e.cs_order:
-        for l1, l2 in zip(locks, locks[1:]):
-            u1 = _matching_unlock_on(e.order, thread_of, nodes, l1, mutex)
-            assert u1 is not None, "mid-order critical section never unlocks"
-            edge(u1, l2)
-    rows = [0] * n  # rows[i] >> j & 1: node i happens before node j
-    if all(a < b for a, bs in enumerate(succ) for b in bs):
-        for a in reversed(range(n)):
-            row = 0
-            for b in succ[a]:
-                row |= 1 << b | rows[b]
-            rows[a] = row
-    else:
-        for a, bs in enumerate(succ):
-            for b in bs:
-                rows[a] |= 1 << b
-        for k in range(n):  # Warshall's transitive closure over bit rows
-            bit, row_k = 1 << k, rows[k]
-            for i in range(n):
-                if rows[i] & bit:
-                    rows[i] |= row_k
-        for i in range(n):
-            assert not rows[i] >> i & 1, "happens-before is cyclic"
-
-    def hb(a: Label, b: Label) -> bool:
-        return bool(rows[idx[a]] >> idx[b] & 1)
-
+    program's statements, made once per program and kept with it.  The
+    CFG's synthetic nodes (entries, exits, branch assumes) are not among
+    them; they carry no memory access, so leaving them out of program order
+    keeps happens-before between the statements as it is.  When every edge
+    goes forward in `e.order`, one reverse pass closes happens-before;
+    otherwise Warshall's algorithm does, and finds any cycle.  The graph
+    depends on `e.order`, `e.rf` and `e.cs_order` alone, so consecutive
+    executions that share them, as those of one reads-from choice do, share
+    it.  Modification order, staleness and rmw immediacy are checked for
+    every execution, the first two by bit tests on the rows."""
+    validation = vars(program).get("_oracle_validation")
+    if validation is None:
+        validation = vars(program)["_oracle_validation"] = _Validation(program)
+    idx, rows = validation.graph(e)
+    nodes = validation.nodes
     mo = e.mo_map()
     rf = e.rf_map()
-    # per variable: the writes in modification order, and each one's index
-    mo_labels = {var: [Label(ev.label, ev.instance) for ev in loset]
-                 for var, loset in mo.items()}
-    mo_index = {var: {lbl: i for i, lbl in enumerate(lbls)} for var, lbls in mo_labels.items()}
-    for lbls in mo_labels.values():
-        for j, b in enumerate(lbls):
-            for a in lbls[j + 1:]:
-                assert not hb(a, b), "modification order contradicts happens-before"
+    # per variable: the indices of its writes in modification order, and
+    # each write's position there
+    mo_nodes = {}
+    mo_index = {}
+    for var, loset in mo.items():
+        lbls = [ev[:2] for ev in loset]  # (name, instance): equal to the Label
+        ks = mo_nodes[var] = [idx[lbl] for lbl in lbls]
+        mo_index[var] = {lbl: i for i, lbl in enumerate(lbls)}
+        earlier = 0
+        for k in ks:
+            assert not rows[k] & earlier, "modification order contradicts happens-before"
+            earlier |= 1 << k
     for r, w in rf.items():
-        lbls = mo_labels.get(nodes[r].var, [])
+        var = nodes[r].var
+        ks = mo_nodes.get(var, ())
         if w is None:
-            for wl in lbls:
-                assert not hb(wl, r), "read of the initial value is stale"
+            for k in ks:
+                assert not rows[k] >> idx[r] & 1, "read of the initial value is stale"
         else:
-            for wl in lbls[mo_index.get(nodes[r].var, {})[w] + 1:]:
-                assert not hb(wl, r), "stale read"
+            for k in ks[mo_index.get(var, {})[w] + 1:]:
+                assert not rows[k] >> idx[r] & 1, "stale read"
     for var, loset in mo.items():
         index = mo_index[var]
         for i, ev in enumerate(loset):
-            lbl = Label(ev.label, ev.instance)
-            if ev.kind == "rmw" and lbl in rf:
-                w = rf[lbl]
+            if ev.kind == "rmw" and ev[:2] in rf:
+                w = rf[ev[:2]]
                 if w is None:
                     assert i == 0, "rmw reading the initial value is not first"
                 else:
@@ -689,6 +788,24 @@ def losets_by_write_set(execs, var: str) -> List[LosetSet]:
     return [loset_set(v) for _, v in sorted(groups.items(), key=lambda kv: sorted(kv[0]))]
 
 
+_UNSEEN = object()
+
+
+def _uncovered(regmap: Dict[str, int], exits) -> Optional[str]:
+    """The problem of the first thread whose exit states cover none of its
+    final registers in `regmap`, or None."""
+    for tname, keys, exit_states, covered in exits:
+        values = tuple([regmap[k] for k in keys])
+        ok = covered.get(values)
+        if ok is None:
+            ok = covered[values] = any(all(v in s.val(k) for k, v in zip(keys, values))
+                                       for s in exit_states)
+        if not ok:
+            return (f"final registers {list(zip(keys, values))} "
+                    f"of thread {tname} are not covered at exit")
+    return None
+
+
 @dataclass
 class SoundnessReport:
     problems: List[str]
@@ -722,23 +839,20 @@ def check_soundness(program: Program, result, guard: int = 14,
             problems.append(f"assertion {site} is violated by the oracle but "
                             f"the analyzer proves it")
 
-    exits = []  # (thread, register keys, exit states), for threads with registers
+    # per thread with registers: its register keys, its exit states, and
+    # whether they cover each projection of an outcome onto those keys
+    exits = []
     for t in program.threads:
         keys = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
         if keys:
-            exits.append((t.name, keys, result.states.at(cfg.exits[t.name])))
+            exits.append((t.name, keys, result.states.at(cfg.exits[t.name]), {}))
     uncovered: Dict[tuple, Optional[str]] = {}  # registers -> the message, if any
     for e in execs:
-        if e.registers not in uncovered:
-            uncovered[e.registers] = None
-            regmap = e.register_map()
-            for tname, keys, exit_states in exits:
-                if not any(all(regmap[k] in s.val(k) for k in keys) for s in exit_states):
-                    uncovered[e.registers] = (f"final registers {[(k, regmap[k]) for k in keys]} "
-                                              f"of thread {tname} are not covered at exit")
-                    break
-        if uncovered[e.registers] is not None:
-            problems.append(uncovered[e.registers])
+        message = uncovered.get(e.registers, _UNSEEN)
+        if message is _UNSEEN:
+            message = uncovered[e.registers] = _uncovered(e.register_map(), exits)
+        if message is not None:
+            problems.append(message)
 
     all_exit_states = [s for t in program.threads
                        for s in result.states.at(cfg.exits[t.name])]

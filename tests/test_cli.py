@@ -254,6 +254,15 @@ def test_console_scripts_installed():
     assert result.returncode == 0
 
 
+def test_import_leaves_the_oracle_unloaded():
+    """`ramosaic file.lit` never runs the oracle, so importing the CLI does
+    not load it; `--oracle-check` and `ra-oracle` import it when they run."""
+    result = subprocess.run([sys.executable, "-c",
+                             "import sys, ramosaic.cli; print('ramosaic.oracle' in sys.modules)"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0 and result.stdout.strip() == "False"
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     from ramosaic import engine
 

@@ -65,22 +65,23 @@ def test_value_phase_never_rejects(monkeypatch):
 def test_crossed_sources_are_cut(monkeypatch):
     """b reads c and d reads a, while a happens before b and c before d:
     coherence would need a before c and c before a in modification order.
-    The search cuts that choice before modification orders are built, which
-    only the choices that survive the search and `_stale_read` reach."""
+    The search cuts that choice before modification orders are built
+    (`_choice_orders`), which only the choices that survive the search and
+    `_stale_read` reach."""
     src = """
 vars x = 0;
 thread t1 { a: store x 1; b: r1 = load x; }
 thread t2 { c: store x 2; d: r2 = load x; }
 """
-    coherent_orders = oracle._coherent_orders
+    choice_orders = oracle._choice_orders
     seen = []
 
-    def recording(writes, desc, anc, rf, var_reads, instrs, out):
+    def recording(variables, desc, anc, rf, instrs, out, events):
         seen.append({instrs[r].label: instrs[w].label for r, w in enumerate(rf)
                      if isinstance(instrs[r], oracle._READS) and w is not None})
-        return coherent_orders(writes, desc, anc, rf, var_reads, instrs, out)
+        return choice_orders(variables, desc, anc, rf, instrs, out, events)
 
-    monkeypatch.setattr(oracle, "_coherent_orders", recording)
+    monkeypatch.setattr(oracle, "_choice_orders", recording)
     program = parse(src)
     assert enumerate_executions(program) == reference_executions(program)
     assert seen and {Label("b"): Label("c"), Label("d"): Label("a")} not in seen

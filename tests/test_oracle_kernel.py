@@ -181,27 +181,76 @@ def _stale_reads(topo, instrs, tids, rf):
 
 
 def test_search_yields_no_choice_stale_by_happens_before(monkeypatch):
-    """Every complete choice that reaches `_coherent_orders` is checked
-    along a linear extension of its happens-before rows (descending row
-    counts), with each node's thread taken from the CFG."""
-    coherent_orders = oracle._coherent_orders
+    """Every complete choice that reaches `_choice_orders`, the modification
+    orders of a choice, is checked along a linear extension of its
+    happens-before rows (descending row counts), with each node's thread
+    taken from the CFG."""
+    choice_orders = oracle._choice_orders
     thread_of = {}
     checked = []
 
-    def checking(writes, desc, anc, rf, var_reads, instrs, out):
+    def checking(variables, desc, anc, rf, instrs, out, events):
         counts = [row.bit_count() for row in desc]
         topo = sorted(range(len(desc)), key=counts.__getitem__, reverse=True)
         tids = [thread_of[instr.label] for instr in instrs]
         assert not _stale_reads(topo, instrs, tids, rf)
         checked.append(topo)
-        return coherent_orders(writes, desc, anc, rf, var_reads, instrs, out)
+        return choice_orders(variables, desc, anc, rf, instrs, out, events)
 
-    monkeypatch.setattr(oracle, "_coherent_orders", checking)
+    monkeypatch.setattr(oracle, "_choice_orders", checking)
     for seed in range(200):
         program = random_program(seed)
         thread_of = build_cfg(program).thread_of
         enumerate_executions(program)
     assert len(checked) > 1000
+
+
+def _fresh_orders(desc, anc, rf, instrs, out, events):
+    """The orders of one complete choice from a fresh `_coherent_orders` per
+    variable, by name, over the writes that took effect and the reads, both
+    taken from the instructions; None when some variable has none."""
+    writes, reads = {}, {}
+    for i, instr in enumerate(instrs):
+        if isinstance(instr, oracle._WRITES) and out[i] is not oracle._NO_WRITE:
+            writes.setdefault(instr.var, []).append(i)
+        if isinstance(instr, oracle._READS):
+            reads.setdefault(instr.var, []).append(i)
+    orders = []
+    for var in sorted(writes):
+        perms = oracle._coherent_orders(writes[var], desc, anc, rf, reads.get(var, []),
+                                        instrs, out)
+        if not perms:
+            return None
+        orders.append([(var, tuple(events[w] for w in perm)) for perm in perms])
+    return orders
+
+
+def _random_programs_and_the_corpus():
+    for seed in range(200):
+        yield random_program(seed), 14
+    for path in corpus_files():
+        yield unroll(parse(path.read_text()), 2), 40
+
+
+def test_memoized_orders_equal_a_fresh_search(monkeypatch):
+    """For every complete choice, memo hits and lone writes included, the
+    orders of each variable equal those of a fresh `_coherent_orders`."""
+    choice_orders = oracle._choice_orders
+    counts = {"choices": 0, "hits": 0}
+
+    def checking(variables, desc, anc, rf, instrs, out, events):
+        memoized = {id(orders) for *_, memo in variables if memo
+                    for orders in memo.values()}
+        got = choice_orders(variables, desc, anc, rf, instrs, out, events)
+        assert got == _fresh_orders(desc, anc, rf, instrs, out, events)
+        counts["choices"] += 1
+        counts["hits"] += any(id(orders) in memoized for orders in got or ())
+        return got
+
+    monkeypatch.setattr(oracle, "_choice_orders", checking)
+    for program, guard in _random_programs_and_the_corpus():
+        enumerate_executions(program, guard=guard)
+    assert counts["choices"] > 8000 and counts["hits"] > 2000
 
 
 # --------------------------------------------------------------------------
@@ -261,3 +310,21 @@ def test_validator_rejects_cyclic_hb():
     p, e = _only("vars x = 0;\nthread t { a: r = load x; b: store x 1; }")
     with pytest.raises(AssertionError, match="cyclic"):
         validate_execution(p, replace(e, rf=((Label("a"), Label("b")),)))
+
+
+def test_validator_reuse_cannot_hide_a_bad_execution():
+    """An execution that shares `order`, `rf` and `cs_order` with the one
+    validated just before it shares its happens-before graph; its
+    modification order is still checked against it."""
+    p, e = _only("vars x = 0;\nthread t { a: store x 1; b: store x 2; }")
+    ((var, order),) = e.mo
+    with pytest.raises(AssertionError, match="contradicts happens-before"):
+        validate_execution(p, replace(e, mo=((var, order[::-1]),)))
+
+    p, e = _only("vars x = 0;\nthread t1 { a: store x 1; }\n"
+                 "thread t2 { b: store x 2; c: r = load x; }",
+                 pick=lambda e: e.rf_map()[Label("c")] == Label("a"))
+    ((var, order),) = e.mo
+    assert [ev.label for ev in order] == ["b", "a"]
+    with pytest.raises(AssertionError, match="stale read"):
+        validate_execution(p, replace(e, mo=((var, order[::-1]),)))
