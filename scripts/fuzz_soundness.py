@@ -2,17 +2,16 @@
 """Cross-check the analyzer against the execution oracle on random programs.
 
 Each seeded program is enumerated exhaustively, its executions re-validated
-by the independent axiom checker, analyzed by five drivers, and compared:
+by the independent axiom checker, analyzed by three drivers, and compared:
 oracle-violated assertions must not be proved, final register values must be
 covered, and exit posets must abstract the observed modification orders.
-The drivers are `engine.tmai` and `engine.analyze_with_combinations` with
-the default flags, the latter also with no feasibility pruning
-(`prune=False`), and `engine.tmai` with each flag that the poset table
-carries turned off: concrete posets (`abstract_mo=False`) and rmw events
-that the newest-store abstraction may forget (`rmw_critical=False`).  An
-exception (a divergence, say) is reported with its seed, and with the driver
-when one raised it, like an unsound result, and the run goes on; the exit
-code is 1 when any check failed.  The summary line counts the executions
+The drivers are `engine.tmai` with the default flags and with each flag
+that the poset table carries turned off: concrete posets
+(`abstract_mo=False`) and rmw events that the newest-store abstraction may
+forget (`rmw_critical=False`).  An exception (a divergence, say) is
+reported with its seed, and with the driver when one raised it, like an
+unsound result, and the run goes on; the exit code is 1 when any check
+failed.  The summary line counts the executions
 enumerated and validated and the failures, and gives the seconds spent in
 each phase, over all drivers: enumerate, validate, analyze and soundness.
 
@@ -22,7 +21,7 @@ each phase, over all drivers: enumerate, validate, analyze and soundness.
 import sys
 import time
 
-from ramosaic.engine import analyze_with_combinations, tmai
+from ramosaic.engine import tmai
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.litmus import to_source
 from ramosaic.randprog import random_program
@@ -37,12 +36,7 @@ def tmai_no_rmw_critical(program):
     return tmai(program, TransferConfig(rmw_critical=False))
 
 
-def combinations_unpruned(program):
-    return analyze_with_combinations(program, prune=False)
-
-
-DRIVERS = (tmai, analyze_with_combinations, combinations_unpruned, tmai_concrete_mo,
-           tmai_no_rmw_critical)
+DRIVERS = (tmai, tmai_concrete_mo, tmai_no_rmw_critical)
 
 
 def main(argv) -> int:

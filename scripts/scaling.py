@@ -55,8 +55,7 @@ def run_once(source: str) -> tuple:
     lap()
     ctx = AnalysisContext(program, cfg, TransferConfig())
     lap()
-    passes = [(t.name, interfs[t.name]) for t in program.threads]
-    sigma, rounds, _, _ = engine._rounds(ctx, passes, 1000)
+    sigma, rounds, _, _ = engine._rounds(ctx, interfs, 1000)
     lap()
     engine._evaluate(ctx, sigma)
     lap()

@@ -1,6 +1,6 @@
 """Thread-modular abstract interpretation for release-acquire litmus programs."""
 
-from .engine import AnalysisResult, analyze_with_combinations, tmai
+from .engine import AnalysisResult, tmai
 from .litmus import Program, build_cfg, parse, unroll
 from .transfer import TransferConfig, Verdict
 
@@ -11,7 +11,6 @@ __all__ = [
     "Program",
     "TransferConfig",
     "Verdict",
-    "analyze_with_combinations",
     "build_cfg",
     "parse",
     "tmai",

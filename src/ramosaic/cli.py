@@ -64,8 +64,6 @@ def _config_dict(args) -> dict:
     return {
         "unroll": args.unroll,
         "widen_after": args.widen_after,
-        "mode": args.mode,
-        "prune": not args.no_prune,
         "abstract_mo": args.abstract_mo,
         "rmw_critical": args.rmw_critical,
         "max_iterations": args.max_iterations,
@@ -79,12 +77,7 @@ def analyze_file(path: Path, args) -> tuple:
                         rmw_critical=args.rmw_critical,
                         widening_threshold=args.widen_after)
     start = time.perf_counter()
-    if args.mode == "combinations":
-        result = engine.analyze_with_combinations(program, tc,
-                                                  max_iterations=args.max_iterations,
-                                                  prune=not args.no_prune)
-    else:
-        result = engine.tmai(program, tc, max_iterations=args.max_iterations)
+    result = engine.tmai(program, tc, max_iterations=args.max_iterations)
     elapsed = time.perf_counter() - start
     if args.oracle_check:
         from . import oracle  # only here: plain analysis never loads the oracle
@@ -170,10 +163,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="loop unrolling bound (default 2)")
     ap.add_argument("--widen-after", type=positive_int, default=3, metavar="N",
                     help="widen loop heads after N visits (default 3)")
-    ap.add_argument("--mode", choices=["per-load", "combinations"],
-                    default="per-load")
-    ap.add_argument("--no-prune", action="store_true",
-                    help="disable feasibility pruning in combinations mode")
     ap.add_argument("--abstract-mo", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="forget older same-thread stores in posets (default on)")

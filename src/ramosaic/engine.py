@@ -1,8 +1,7 @@
-"""Fixpoint driver: per-thread worklist analysis repeated over all threads
-against the global state set until nothing changes, with assertions evaluated
-on the fixpoint.  A combination-based variant runs each thread once per
-feasible interference combination instead of per-load; both are one round
-loop over a list of (thread, interference map) passes.
+"""Fixpoint driver: a worklist pass over each thread's CFG, repeated over
+all threads against the global state set until nothing changes, with
+assertions evaluated on the fixpoint.  Each load, rmw and lock reads every
+source of its thread's interference map.
 
 Rounds reuse node results.  `AnalysisContext.node_memo` keeps, per label,
 bump and interference sources, the pre-states of the node's last visit,
@@ -154,27 +153,17 @@ def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
     return verdicts
 
 
-def _fixpoint(ctx: AnalysisContext, passes: list, max_iterations: int) -> AnalysisResult:
-    """The rounds' fixpoint with its assertions evaluated."""
-    sigma, rounds, effective, widened = _rounds(ctx, passes, max_iterations)
-    return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
-                          frozenset(widened), ctx.cfg, ctx.sb)
-
-
-def _rounds(ctx: AnalysisContext, passes: list, max_iterations: int) -> tuple:
-    """Run every pass, a (thread, interference map) pair, once per round
-    until the state set stops changing.  Returns σ, the rounds run, the
-    rounds that changed σ and the widened labels.
+def _rounds(ctx: AnalysisContext, interfs: Dict[str, Dict[Label, tuple]],
+            max_iterations: int) -> tuple:
+    """Run one pass per thread, against that thread's interference map in
+    `interfs`, once per round until the state set stops changing.  Returns
+    σ, the rounds run, the rounds that changed σ and the widened labels.
 
     Every pass of a round reads the global set σ itself and returns its
-    local map.  A pass reads σ only at the interference sources of its map,
-    so σ takes the labels that no pass lists as a source right after each
-    pass, and the source labels after the round's last pass, in pass order
-    and then label order.  The sources do not change during a round, so
-    every pass reads σ as it stood when the round began (a Jacobi round),
-    and each label's merges come in pass order.  A round holds only its
-    passes' states at source labels; in combinations mode that frees each
-    combination's other labels before the next combination runs.
+    local map, and σ takes the local maps after the round's last pass, in
+    pass order and then label order.  So every pass reads σ as it stood
+    when the round began (a Jacobi round), and since a label belongs to
+    one thread, its merges come from one pass per round.
 
     The instruction-wise merge joins and replaces states, so the accumulator
     is not monotone and can in rare cases revisit an earlier value instead
@@ -185,8 +174,6 @@ def _rounds(ctx: AnalysisContext, passes: list, max_iterations: int) -> tuple:
     are equal exactly when the sets are.
     """
     sigma = StateSet(ctx.posets)
-    # the labels some pass reads σ at (ctx among them, which labels no state)
-    sources = {src for _, interfs in passes for srcs in interfs.values() for src in srcs}
     widened: set = set()
     rounds = 0
     effective = 0
@@ -197,17 +184,12 @@ def _rounds(ctx: AnalysisContext, passes: list, max_iterations: int) -> tuple:
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
         rounds += 1
-        held = []
-        for tname, interfs in passes:
-            local = seq_ai(ctx, tname, sigma, interfs, widened)
+        local_maps = [seq_ai(ctx, tname, sigma, thread_interfs, widened)
+                      for tname, thread_interfs in interfs.items()]
+        for local in local_maps:
             for lbl in sorted(local):
-                if lbl in sources:
-                    held.append((lbl, local[lbl]))
-                else:
-                    sigma.merge_all(lbl, local[lbl])
-        for lbl, states in held:
-            sigma.merge_all(lbl, states)
-        del held
+                sigma.merge_all(lbl, local[lbl])
+        del local_maps
         new = sigma.fingerprint()
         if new == fingerprint:
             break
@@ -224,19 +206,7 @@ def tmai(program: Program, tc: TransferConfig = TransferConfig(),
     its sources."""
     cfg = cfg or build_cfg(program)
     interfs = interference.get_interfs(program, cfg)
-    return _fixpoint(AnalysisContext(program, cfg, tc),
-                     [(t.name, interfs[t.name]) for t in program.threads], max_iterations)
-
-
-def analyze_with_combinations(program: Program, tc: TransferConfig = TransferConfig(),
-                              max_iterations: int = 1000, prune: bool = True,
-                              cap: int = 4096,
-                              cfg: Optional[Cfg] = None) -> AnalysisResult:
-    """Run each thread once per round per feasible interference combination,
-    with its loads pinned to the chosen sources, and union the results."""
-    cfg = cfg or build_cfg(program)
-    interfs = interference.get_interfs(program, cfg)
-    combos = interference.feasible_combinations(interfs, cfg, prune=prune, cap=cap)
-    passes = [(t.name, {**interfs[t.name], **{lbl: (chosen,) for lbl, chosen in combo.items()}})
-              for t in program.threads for combo in combos[t.name]]
-    return _fixpoint(AnalysisContext(program, cfg, tc), passes, max_iterations)
+    ctx = AnalysisContext(program, cfg, tc)
+    sigma, rounds, effective, widened = _rounds(ctx, interfs, max_iterations)
+    return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
+                          frozenset(widened), cfg, ctx.sb)

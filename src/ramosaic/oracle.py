@@ -336,7 +336,13 @@ def _acyclic_rf_assignments(reads, rf_candidates, overwriters, prior, desc, anc,
             if saved is not None:
                 desc[:], anc[:] = saved
 
-    yield from descend(0)
+    try:
+        yield from descend(0)
+    finally:
+        # descend and assign reach each other through their closure cells;
+        # emptying the cells breaks the cycle, so neither the prefix nor the
+        # program's CFG waits for the cyclic collector
+        del descend, assign
 
 
 class _Tables:
@@ -629,6 +635,7 @@ def _coherent_orders(writes, desc, anc, rf, var_reads, instrs, out) -> List[Tupl
                 orders.append(prefix + (w,))
 
     place((), sum(1 << w for w in writes), readers[None], None)
+    del place  # it reaches itself through its closure cell: break the cycle
     return orders
 
 

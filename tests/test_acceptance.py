@@ -11,9 +11,8 @@ import random
 import time
 
 from ramosaic import posets as P
-from ramosaic.engine import analyze_with_combinations, tmai
-from ramosaic.interference import CTX, feasible_combinations, get_interfs, is_feasible
-from ramosaic.litmus import Label, build_cfg, parse
+from ramosaic.engine import tmai
+from ramosaic.litmus import parse
 from ramosaic.oracle import (check_soundness, enumerate_executions,
                              losets_by_write_set, validate_execution)
 from ramosaic.posets import alpha, beta_related, loset_set
@@ -193,45 +192,6 @@ def test_galois_and_abstraction():
         for q in rng.sample(candidates, 25):
             if beta_related(p, q, SB):
                 assert P.less(a, q)
-
-
-@criterion(7, "feasibility pruning")
-def test_feasibility_pruning():
-    p = parse((BENCH_DIR / "why_ic.lit").read_text())
-    cfg = build_cfg(p)
-    combos = feasible_combinations(get_interfs(p, cfg), cfg)
-    assert {Label("c"): Label("b"), Label("d"): Label("a")} not in combos["t2"]
-    r = analyze_with_combinations(p)
-    assert r.verdicts["final"].proved
-    # no oracle-realizable rf assignment is pruned on the in-guard corpus
-    for f in sorted(BENCH_DIR.glob("*.lit")):
-        prog = parse(f.read_text())
-        pcfg = build_cfg(prog)
-        try:
-            execs = enumerate_executions(prog)
-        except Exception:
-            continue
-        for e in execs:
-            for t in prog.threads:
-                rf = {l: (w if w is not None else CTX)
-                      for l, w in e.rf if pcfg.thread_of[l] == t.name}
-                rf = _normalize_redundant(rf, pcfg)
-                assert is_feasible(rf, pcfg), (f.name, rf)
-
-
-def _normalize_redundant(rf, cfg):
-    out = dict(rf)
-    changed = True
-    while changed:
-        changed = False
-        for l1, s1 in out.items():
-            if s1 == CTX:
-                continue
-            for l2, s2 in out.items():
-                if l1 != l2 and s1 == s2 and l2 in cfg.reachable(l1) and out[l2] != CTX:
-                    out[l2] = CTX
-                    changed = True
-    return out
 
 
 @criterion(8, "expected-imprecision witness")

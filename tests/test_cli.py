@@ -116,8 +116,7 @@ def test_one_unlock_after_two_branch_locks_passes_the_oracle_check(tmp_path, cap
     assert "d: PossiblyViolated" in out
 
 
-@pytest.mark.parametrize("mode", ["per-load", "combinations"])
-def test_lock_after_a_release_on_either_branch_passes_the_oracle_check(mode, tmp_path, capsys):
+def test_lock_after_a_release_on_either_branch_passes_the_oracle_check(tmp_path, capsys):
     """t2's lock i reads from t1's unlock g or e; the oracle violates k
     when i follows e."""
     path = tmp_path / "release_on_either_branch.lit"
@@ -126,7 +125,7 @@ def test_lock_after_a_release_on_either_branch_passes_the_oracle_check(mode, tmp
                     "if (r == 1) { f: store y 7; g: unlock m; } else { e: unlock m; } }\n"
                     "thread t2 { s: store z 1; h: r2 = load x; i: lock m; j: r3 = load y; "
                     "k: assert(r2 != 1 || r3 != 0); }\n")
-    code, out, err = run_cli([path, "--mode", mode, "--oracle-check"], capsys)
+    code, out, err = run_cli([path, "--oracle-check"], capsys)
     assert (code, err) == (1, "")
     assert "k: PossiblyViolated" in out
 
@@ -138,9 +137,8 @@ def test_bench_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     assert "error: not UTF-8 text" in out and "FAIL" in out
 
 
-@pytest.mark.parametrize("mode", ["per-load", "combinations"])
-def test_bench_on_corpus(mode, capsys):
-    code, out, _ = run_cli([BENCH_DIR, "--mode", mode], capsys)
+def test_bench_on_corpus(capsys):
+    code, out, _ = run_cli([BENCH_DIR], capsys)
     assert code == 0
     assert "MISMATCH" not in out
     for f in BENCH_DIR.glob("*.lit"):
@@ -169,11 +167,8 @@ def test_json_report_stable(capsys):
     assert d1 == d2
     assert d1["overall"] == "Proved"
     assert d1["iterations_effective"] == 2
-
-
-def test_flag_combinations_mode(capsys):
-    code, out, _ = run_cli([BENCH_DIR / "why_ic.lit", "--mode", "combinations"], capsys)
-    assert code == 0
+    assert sorted(d1["config"]) == ["abstract_mo", "max_iterations", "rmw_critical",
+                                    "unroll", "widen_after"]
 
 
 def test_rmw_critical_flag_flips_fenced(capsys):

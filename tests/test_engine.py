@@ -1,18 +1,20 @@
 """Fixpoint driver behavior: the message-passing walkthrough, determinism,
-divergence guard, the combination-based engine, and loop widening."""
+divergence guard, the round loop, and loop widening."""
 
 import pytest
 
 from ramosaic import engine
-from ramosaic.engine import Divergence, analyze_with_combinations, seq_ai, tmai
+from ramosaic import posets as P
+from ramosaic.engine import Divergence, seq_ai, tmai
 from ramosaic.interference import CTX, get_interfs
+from ramosaic.intervals import Interval
 from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.oracle import check_soundness, enumerate_executions
 from ramosaic.randprog import random_program
-from ramosaic.states import StateSet
+from ramosaic.states import AbstractState, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import READS_SRC, SB_SRC, WHY_IC_SRC
+from conftest import READS_SRC, SB_SRC
 
 
 def test_mp_verdict_and_iterations(mp_program):
@@ -78,26 +80,6 @@ def test_divergence_guard(mp_program):
         tmai(mp_program, max_iterations=1)
 
 
-def test_combinations_matches_per_load_on_mp(mp_program):
-    a = tmai(mp_program)
-    b = analyze_with_combinations(mp_program)
-    assert {k: str(v) for k, v in a.verdicts.items()} == \
-        {k: str(v) for k, v in b.verdicts.items()}
-
-
-def test_combinations_proves_why_ic():
-    p = parse(WHY_IC_SRC)
-    r = analyze_with_combinations(p)
-    assert r.verdicts["final"].proved
-
-
-def test_combinations_single_thread_is_sequential():
-    src = "vars x = 0;\nthread t { a: store x 3; c: r = load x; z: assert(r == 3); }"
-    p = parse(src)
-    r = analyze_with_combinations(p)
-    assert r.verdicts[str(Label("z"))].proved
-
-
 def test_widening_terminates_unbounded_loop():
     src = """
 vars x = 0;
@@ -146,34 +128,36 @@ thread t2 { l: r1 = load x; c: assert(r1 != 2); }
     assert not tmai(parse(src)).verdicts["c"].proved
 
 
-def test_combinations_stops_on_revisited_state_set():
+def test_rounds_stop_on_revisited_state_set(monkeypatch):
     """Interacting merge chains can make the accumulator revisit an earlier
     value instead of settling; the driver must stop there (soundly) rather
-    than spin to the iteration cap."""
-    src = """
-vars x = 0;
-thread t0 { l1: store x 0; }
-thread t1 {
-  l2: r10 = load x;
-  l3: store x (r10 + 1);
-  l4: store x 1;
-  l5: store x 0;
-  l6: r11 = load x;
-}
-thread t2 {
-  l7: r20 = load x;
-  l8: r20 = (r20 + 1);
-  l9: r21 = load x;
-  l10: r22 = load x;
-}
-assert ((r10 <= 0 || r21 == 2));
-"""
-    p = parse(src)
-    r = analyze_with_combinations(p, max_iterations=200)
-    assert r.iterations_total < 200
-    from ramosaic.oracle import check_soundness
+    than spin to the iteration cap.  The pass is stubbed: it gives a at
+    label s in the first round, then alternates x and z.  Merging x adds
+    it beside a; merging z joins its memory with x's into a's memory, and
+    that state's posets join into a's, so the set is back to {a}.  Without
+    the stop, every round would change the set."""
+    program = parse("vars x = 0;\nthread t { s: store x 1; }")
+    cfg = build_cfg(program)
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    layout = ctx.initial_states["t"].layout
+    store = P.poset({ctx.events[Label("s")]})
 
-    assert check_soundness(p, r).ok
+    def state(mo_x, lo, hi):
+        return AbstractState.make({"x": mo_x}, {"x": Interval(lo, hi)}, layout)
+
+    a, x, z = state(P.poset(()), 0, 1), state(store, 0, 0), state(store, 1, 1)
+    given = []
+
+    def scripted_seq_ai(ctx, tname, global_ss, interfs, widened=None):
+        given.append(global_ss.dump())
+        step = len(given)
+        return {Label("s"): (a if step == 1 else x if step % 2 == 0 else z,)}
+
+    monkeypatch.setattr(engine, "seq_ai", scripted_seq_ai)
+    sigma, rounds, effective, _ = engine._rounds(ctx, get_interfs(program, cfg), 50)
+    assert (rounds, effective) == (3, 3)  # the third round changed the set, back to {a}
+    assert sigma.at(Label("s")) == (a,)
+    assert [len(dump.splitlines()) for dump in given] == [0, 1, 2]  # {}, {a}, {a, x}
 
 
 def _sources(program) -> frozenset:
@@ -183,7 +167,7 @@ def _sources(program) -> frozenset:
                      for srcs in per_thread.values() for src in srcs) - {CTX}
 
 
-@pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
+@pytest.mark.parametrize("driver", [tmai])
 def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
     """Every pass of a round reads the result's state set itself, and sees
     it at every interference source as the fingerprint of the round before
@@ -223,21 +207,18 @@ def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
     assert rounds == r.iterations_total + 1
 
 
-@pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
-def test_a_round_holds_only_the_states_of_source_labels(driver, monkeypatch):
-    """A round merges each label that no pass reads from right after the
-    pass that gives it, and the source labels after its last pass, in pass
-    order and then label order, so each label's merges come in pass
-    order."""
+def test_a_round_merges_its_passes_after_the_last(monkeypatch):
+    """A round runs one pass per thread, in program order, then merges the
+    passes' local maps into the state set, in pass order and then label
+    order, so each label's states are merged once per round."""
     program = parse(READS_SRC)
-    sources = _sources(program)
     log: list = []
     real_seq_ai = engine.seq_ai
     real_merge_all, real_fingerprint = StateSet.merge_all, StateSet.fingerprint
 
-    def recording_seq_ai(*args, **kwargs):
-        local = real_seq_ai(*args, **kwargs)
-        log.append(("pass", sorted(local)))
+    def recording_seq_ai(ctx, tname, *args, **kwargs):
+        local = real_seq_ai(ctx, tname, *args, **kwargs)
+        log.append(("pass", tname, sorted(local)))
         return local
 
     def recording_merge_all(self, lbl, states):
@@ -245,27 +226,24 @@ def test_a_round_holds_only_the_states_of_source_labels(driver, monkeypatch):
         return real_merge_all(self, lbl, states)
 
     def recording_fingerprint(self):
-        log.append(("round", None))
+        log.append(("round",))
         return real_fingerprint(self)
 
     monkeypatch.setattr(engine, "seq_ai", recording_seq_ai)
     monkeypatch.setattr(StateSet, "merge_all", recording_merge_all)
     monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
-    r = driver(program)
-    assert log[0] == ("round", None)
+    r = tmai(program)
+    assert log[0] == ("round",)
+    threads = [t.name for t in program.threads]
     rounds, events = 0, []
     for entry in log[1:]:
         if entry[0] != "round":
             events.append(entry)
             continue
-        want, held = [], []
-        for kind, labels in events:
-            if kind == "pass":
-                want += [("pass", labels)]
-                want += [("merge", lbl) for lbl in labels if lbl not in sources]
-                held += [("merge", lbl) for lbl in labels if lbl in sources]
-        assert held and want
-        assert events == want + held, rounds
+        passes = [e for e in events if e[0] == "pass"]
+        assert [tname for _, tname, _ in passes] == threads
+        merges = [("merge", lbl) for _, _, labels in passes for lbl in labels]
+        assert merges and events == passes + merges, rounds
         rounds, events = rounds + 1, []
     assert rounds == r.iterations_total
 
@@ -294,7 +272,7 @@ def test_failed_cas_publishes_no_write():
     assert check_soundness(program, r).ok
 
 
-@pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
+@pytest.mark.parametrize("driver", [tmai])
 def test_failed_cas_reads_no_write_after_itself(driver):
     """A failed cas at a must not read from a c or d state whose order
     already holds a's own event: that write comes after a.  Taking such a

@@ -294,9 +294,7 @@ def test_no_container_mixes_labels_and_plain_tuples(monkeypatch):
         contexts.clear()
         result = tmai(p)
         cfg = result.cfg
-        roots = [contexts[0], result, interference.get_interfs(p, cfg),
-                 interference.feasible_combinations(interference.get_interfs(p, cfg), cfg,
-                                                    cap=10 ** 6)]
+        roots = [contexts[0], result, interference.get_interfs(p, cfg)]
         if not cfg.loop_headers:
             try:
                 roots.append(enumerate_executions(p))

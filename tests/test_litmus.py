@@ -8,6 +8,7 @@ from ramosaic.litmus import (Assume, Cas, If, Label, LoadInst, ParseError,
                              build_cfg, has_loops, parse, to_source, unroll,
                              walk_simple)
 
+from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.randprog import random_program
 
 from conftest import corpus_files, peterson
@@ -250,6 +251,28 @@ def test_analysis_leaves_no_cyclic_garbage():
     try:
         for program in programs:
             tmai(program)
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == 0
+
+
+def test_oracle_leaves_no_cyclic_garbage():
+    """Enumerating a program's executions, validating them and checking an
+    analysis against them is freed by reference counting alone: the
+    search's recursive helpers do not keep themselves, and with them the
+    program's CFG, in reference cycles."""
+    programs = [random_program(seed) for seed in range(20)]
+    results = [tmai(program) for program in programs]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for program, result in zip(programs, results):
+            for e in enumerate_executions(program):
+                validate_execution(program, e)
+            check_soundness(program, result)
         found = gc.collect()
     finally:
         if enabled:

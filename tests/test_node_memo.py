@@ -12,7 +12,7 @@ import copy
 import pytest
 
 from ramosaic import engine, interference, transfer
-from ramosaic.engine import analyze_with_combinations, seq_ai, tmai
+from ramosaic.engine import seq_ai, tmai
 from ramosaic.interference import CTX
 from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.randprog import random_program
@@ -212,11 +212,9 @@ class _Forgetful(dict):
 def _digest(programs) -> list:
     out = []
     for p in programs:
-        for run in (lambda: tmai(p, max_iterations=100),
-                    lambda: analyze_with_combinations(p, max_iterations=100)):
-            r = run()
-            out.append((r.states.dump(), sorted((k, str(v)) for k, v in r.verdicts.items()),
-                        r.iterations_total, sorted(map(str, r.widened))))
+        r = tmai(p, max_iterations=100)
+        out.append((r.states.dump(), sorted((k, str(v)) for k, v in r.verdicts.items()),
+                    r.iterations_total, sorted(map(str, r.widened))))
     return out
 
 

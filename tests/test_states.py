@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ramosaic import posets as P
-from ramosaic.engine import analyze_with_combinations, tmai
+from ramosaic.engine import tmai
 from ramosaic.intervals import Interval, ValueTable, singleton, val_join
 from ramosaic.litmus import Label, parse, unroll
 from ramosaic.oracle import check_soundness
@@ -104,8 +104,7 @@ assert (r1 != 0 || r2 != 3);
 @pytest.fixture(scope="module")
 def fixpoint_runs():
     """(result, analysis context) of `tmai` over the corpus, `random_program(0..199)`
-    and the looped test programs, and of `analyze_with_combinations` over the
-    first two."""
+    and the looped test programs."""
     contexts = []
     init = AnalysisContext.__init__
 
@@ -119,7 +118,6 @@ def fixpoint_runs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AnalysisContext, "__init__", recording_init)
         runs = [(tmai(p, max_iterations=100), contexts.pop()) for p in programs + looped]
-        runs += [(analyze_with_combinations(p), contexts.pop()) for p in programs]
     return runs
 
 

@@ -1,15 +1,12 @@
-"""The analyzer's static facts (write events, the sequenced-before index,
-interference maps and the feasible combinations) read the CFG's access
-table and reach sets.  Each must equal what the per-module `isinstance`
-scans and pairwise reachability tests computed before, which are kept here
-as the references."""
+"""The analyzer's static facts (write events, the sequenced-before index and
+the interference maps) read the CFG's access table and reach sets.  Each
+must equal what the per-module `isinstance` scans computed before, which
+are kept here as the references."""
 
-import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ramosaic.engine import tmai
-from ramosaic.interference import (CTX, CombinationBudgetExceeded,
-                                   feasible_combinations, get_interfs)
+from ramosaic.interference import CTX, get_interfs
 from ramosaic.litmus import (Cas, Cfg, Fadd, Label, LoadInst, LockInst,
                              Program, Store, UnlockInst, build_cfg, parse,
                              unroll)
@@ -44,24 +41,6 @@ def sections_thread(n: int) -> Program:
 # --------------------------------------------------------------------------
 # The references, as the analyzer computed them before the access table
 # --------------------------------------------------------------------------
-
-def _reaches(cfg: Cfg, a: Label, b: Label) -> bool:
-    """True iff b is reachable from a along CFG edges (strict)."""
-    return b in cfg.reachable(a)
-
-
-def _ppo_closure(cfg: Cfg) -> Dict[Label, frozenset]:
-    """Each label's same-thread successors in program order, by a pairwise
-    reach test."""
-    all_labels = list(cfg.nodes)
-    return {lbl: frozenset(l for l in all_labels
-                           if cfg.thread_of[l] == cfg.thread_of[lbl] and _reaches(cfg, lbl, l))
-            for lbl in all_labels}
-
-
-def _ppo_holds(ppo: Dict[Label, frozenset], a: Label, b: Label) -> bool:
-    return a == b or b in ppo[a]
-
 
 def _events(cfg: Cfg) -> Dict[Label, Event]:
     events: Dict[Label, Event] = {}
@@ -117,71 +96,13 @@ def _get_interfs(program: Program, cfg: Cfg) -> Dict[str, Dict[Label, Tuple[Labe
     return out
 
 
-def _is_feasible(ic: Dict[Label, Label], ppo: Dict[Label, frozenset],
-                 var_of: Optional[Dict[Label, str]] = None) -> bool:
-    rf_pairs = [(s, l) for l, s in sorted(ic.items()) if s != CTX]
-    for s, l in rf_pairs:
-        for s2, l2 in rf_pairs:
-            if (s, l) == (s2, l2):
-                continue
-            if var_of is not None and var_of.get(s2) != var_of.get(s):
-                continue
-            if _ppo_holds(ppo, l, l2) and _ppo_holds(ppo, s2, s):
-                return False
-    return True
-
-
-def _write_vars(cfg: Cfg) -> Dict[Label, str]:
-    return {lbl: instr.var for lbl, instr in cfg.nodes.items()
-            if isinstance(instr, (Store, Cas, Fadd))}
-
-
-def _feasible_combinations(program: Program, cfg: Cfg, ppo: Dict[Label, frozenset],
-                           prune: bool = True,
-                           cap: int = 4096) -> Dict[str, Tuple[Dict[Label, Label], ...]]:
-    interfs = _get_interfs(program, cfg)
-    var_of = _write_vars(cfg)
-    out: Dict[str, Tuple[Dict[Label, Label], ...]] = {}
-    for t in program.threads:
-        per_load = {lbl: cands for lbl, cands in sorted(interfs[t.name].items())
-                    if not isinstance(cfg.nodes[lbl], LockInst)}
-        size = 1
-        for cands in per_load.values():
-            size *= len(cands)
-        if size > cap:
-            raise CombinationBudgetExceeded(
-                f"thread {t.name}: {size} interference combinations exceed cap {cap}")
-        loads = list(per_load)
-        combos = []
-        for choice in itertools.product(*(per_load[l] for l in loads)):
-            ic = dict(zip(loads, choice))
-            if not prune or _is_feasible(ic, ppo, var_of):
-                combos.append(ic)
-        out[t.name] = tuple(combos)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Equality over the corpus, random programs, loops and a long thread
 # --------------------------------------------------------------------------
 
-def _combinations_or_overflow(build):
-    try:
-        return build()
-    except CombinationBudgetExceeded as exc:
-        return str(exc)
-
-
 def _check(program: Program) -> None:
     cfg = build_cfg(program)
-    ppo = _ppo_closure(cfg)
-    interfs = get_interfs(program, cfg)
-    assert interfs == _get_interfs(program, cfg)
-    for prune in (True, False):
-        assert (_combinations_or_overflow(
-                    lambda: feasible_combinations(interfs, cfg, prune=prune))
-                == _combinations_or_overflow(
-                    lambda: _feasible_combinations(program, cfg, ppo, prune=prune)))
+    assert get_interfs(program, cfg) == _get_interfs(program, cfg)
     assert SbIndex.from_cfg(cfg)._after == _sb_after(cfg)
     ctx = AnalysisContext(program, cfg, TransferConfig())
     assert list(ctx.events.items()) == list(_events(cfg).items())

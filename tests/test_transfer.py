@@ -4,7 +4,7 @@ success/failure splitting, lock handling, and the simple operations."""
 import pytest
 
 from ramosaic import posets as P
-from ramosaic.engine import analyze_with_combinations, tmai
+from ramosaic.engine import tmai
 from ramosaic.intervals import singleton
 from ramosaic.litmus import Label, SemanticError, build_cfg, parse
 from ramosaic.oracle import check_soundness
@@ -307,7 +307,7 @@ assert (s != 1);
 
 
 @pytest.mark.parametrize("name", sorted(BRANCHY_LOCKS))
-@pytest.mark.parametrize("driver", [tmai, analyze_with_combinations])
+@pytest.mark.parametrize("driver", [tmai])
 def test_branchy_lock_shapes_are_sound(name, driver):
     program = parse(BRANCHY_LOCKS[name])
     check_soundness(program, driver(program)).raise_if_unsound()
@@ -358,8 +358,7 @@ def test_published_memo_answers_as_the_scan(monkeypatch, abstract_mo):
 
     monkeypatch.setattr(P.PosetTable, "published", checked)
     for src in (CAS_LOOP_SRC, READS_SRC):
-        for driver in (tmai, analyze_with_combinations):
-            driver(parse(src), TransferConfig(abstract_mo=abstract_mo))
+        tmai(parse(src), TransferConfig(abstract_mo=abstract_mo))
     assert all(got == scan for got, scan, _ in calls)
     assert {got for got, _, _ in calls} == {False, True}
     if not abstract_mo:
