@@ -3,11 +3,11 @@
 
 For each size of the N-thread Peterson filter lock and of the N-reader
 nr1w program (`perfbench/families.py`, `peterson` and `readers`), it
-prints the best of K wall times of each phase of a `tmai` run: parse, CFG
-(the graph and the interference map), context (`AnalysisContext`),
-fixpoint (the rounds) and evaluation (the assertion checks), then the
-fixpoint's states and rounds.  Every repeat runs all phases from the source
-again; the state and round counts must repeat too.
+prints the best of K wall times of each phase of a `tmai` run: parse, CFG,
+context (`AnalysisContext`, the interference map included), fixpoint (the
+rounds) and evaluation (the assertion checks), then the fixpoint's states
+and rounds.  Every repeat runs all phases from the source again; the state
+and round counts must repeat too.
 
     python3 scripts/scaling.py [--peterson 2,3,4,5] [--readers 4,8,16,32]
                                [--repeat K]
@@ -23,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from ramosaic import engine, interference
+from ramosaic import engine
 from ramosaic.litmus import build_cfg, parse
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
@@ -51,11 +51,10 @@ def run_once(source: str) -> tuple:
     program = parse(source)
     lap()
     cfg = build_cfg(program)
-    interfs = interference.get_interfs(program, cfg)
     lap()
     ctx = AnalysisContext(program, cfg, TransferConfig())
     lap()
-    sigma, rounds, _, _ = engine._rounds(ctx, interfs, 1000)
+    sigma, rounds, _ = engine._rounds(ctx, 1000)
     lap()
     engine._evaluate(ctx, sigma)
     lap()

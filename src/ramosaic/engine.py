@@ -1,12 +1,13 @@
 """Fixpoint driver: a worklist pass over each thread's CFG, repeated over
 all threads against the global state set until nothing changes, with
 assertions evaluated on the fixpoint.  Each load, rmw and lock reads every
-source of its thread's interference map.
+source that the analysis's one interference map, `AnalysisContext.interfs`,
+lists for it.
 
-Rounds reuse node results.  `AnalysisContext.node_memo` keeps, per label,
-bump and interference sources, the pre-states of the node's last visit,
-the states tuple the global set held at each of those sources other than
-ctx, and its merged states before widening.  A visit whose pre-states are
+Rounds reuse node results.  `AnalysisContext.node_memo` keeps, per label
+and bump, the pre-states of the node's last visit, the states tuple the
+global set held at each of its interference sources other than ctx, and its
+merged states before widening.  A visit whose pre-states are
 equal and whose sources give equal tuples now takes the merged states
 without running the transfer, as in demand-driven incremental computation
 (Hammer et al., "Adapton", PLDI'14).  The round that only confirms the
@@ -19,8 +20,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from . import interference, posets
-from .interference import CTX
+from . import posets
 from .intervals import val_widen
 from .litmus import AssertInst, Cfg, Label, Nop, Program, build_cfg
 from .states import AbstractState, StateBucket, StateSet, _mo_join
@@ -75,11 +75,12 @@ def _widen_states(ctx: AnalysisContext, old_states, new_states) -> list:
 
 
 def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
-                 global_ss: StateSet, interfs: Dict[Label, tuple], bump: int) -> tuple:
+                 global_ss: StateSet, bump: int) -> tuple:
     """The merged states of one visit of `lbl`, before widening, taken from
     the memo when the inputs are unchanged: the transfer is a function of
-    the pre-states, the key, the context and the global states at the key's
-    sources other than ctx, which are all it reads of the global set.
+    the pre-states, the key, the context and the global states at the
+    label's interference sources other than ctx, which are all it reads of
+    the global set.
 
     A nop or an assert with one predecessor passes that predecessor's
     states tuple on as it is: the tuple is a sorted normal form already,
@@ -87,24 +88,24 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     cfg = ctx.cfg
     if len(cfg.preds[lbl]) == 1 and isinstance(cfg.nodes[lbl], (Nop, AssertInst)):
         return pre_states
-    srcs = interfs.get(lbl)
-    key = (lbl, bump, srcs)
-    reads = tuple([global_ss.at(src) for src in srcs if src != CTX]) if srcs else ()
+    key = (lbl, bump)
+    # ctx is every label's first source
+    reads = tuple([global_ss.at(src) for src in ctx.interfs.get(lbl, ())[1:]])
     entry = ctx.node_memo.get(key)
     if entry is not None and entry[0] == pre_states and entry[1] == reads:
         return entry[2]
     bucket = StateBucket(ctx.posets)
-    for s in transfer_node(ctx, lbl, pre_states, global_ss, interfs, bump=bump):
+    for s in transfer_node(ctx, lbl, pre_states, global_ss, bump=bump):
         bucket.merge(s)
     states = bucket.states()
     ctx.node_memo[key] = (pre_states, reads, states)
     return states
 
 
-def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
-           interfs: Dict[Label, tuple], widened: Optional[set] = None) -> Dict[Label, tuple]:
+def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet) -> Dict[Label, tuple]:
     """Worklist pass over one thread's CFG in reverse post-order, reading
-    interference sources from the global state set."""
+    interference sources from the global state set; the loop headers it
+    widens join `ctx.widened`."""
     cfg = ctx.cfg
     rpo = cfg.rpo[tname]
     index = ctx.rpo_index
@@ -126,11 +127,10 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
             pre_states = tuple([s for p in preds for s in local.get(p, ())])
         bump = visits.get(lbl, 0)
         visits[lbl] = bump + 1
-        new = _node_states(ctx, lbl, pre_states, global_ss, interfs, bump)
+        new = _node_states(ctx, lbl, pre_states, global_ss, bump)
         if bump >= ctx.tc.widening_threshold and lbl in cfg.loop_headers:
             new = tuple(_widen_states(ctx, local.get(lbl, ()), new))
-            if widened is not None:
-                widened.add(lbl)
+            ctx.widened.add(lbl)
         if new != local.get(lbl, ()):
             local[lbl] = new
             for nxt in cfg.succs[lbl]:
@@ -153,11 +153,10 @@ def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
     return verdicts
 
 
-def _rounds(ctx: AnalysisContext, interfs: Dict[str, Dict[Label, tuple]],
-            max_iterations: int) -> tuple:
-    """Run one pass per thread, against that thread's interference map in
-    `interfs`, once per round until the state set stops changing.  Returns
-    σ, the rounds run, the rounds that changed σ and the widened labels.
+def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
+    """Run one pass per thread once per round until the state set stops
+    changing.  Returns σ, the rounds run and the rounds that changed σ;
+    the widened labels are left in `ctx.widened`.
 
     Every pass of a round reads the global set σ itself and returns its
     local map, and σ takes the local maps after the round's last pass, in
@@ -174,7 +173,6 @@ def _rounds(ctx: AnalysisContext, interfs: Dict[str, Dict[Label, tuple]],
     are equal exactly when the sets are.
     """
     sigma = StateSet(ctx.posets)
-    widened: set = set()
     rounds = 0
     effective = 0
     fingerprint = sigma.fingerprint()
@@ -184,8 +182,7 @@ def _rounds(ctx: AnalysisContext, interfs: Dict[str, Dict[Label, tuple]],
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
         rounds += 1
-        local_maps = [seq_ai(ctx, tname, sigma, thread_interfs, widened)
-                      for tname, thread_interfs in interfs.items()]
+        local_maps = [seq_ai(ctx, t.name, sigma) for t in ctx.program.threads]
         for local in local_maps:
             for lbl in sorted(local):
                 sigma.merge_all(lbl, local[lbl])
@@ -197,7 +194,7 @@ def _rounds(ctx: AnalysisContext, interfs: Dict[str, Dict[Label, tuple]],
         if new in seen:
             break
         fingerprint = new
-    return sigma, rounds, effective, widened
+    return sigma, rounds, effective
 
 
 def tmai(program: Program, tc: TransferConfig = TransferConfig(),
@@ -205,8 +202,7 @@ def tmai(program: Program, tc: TransferConfig = TransferConfig(),
     """Run each thread once per round, each load, rmw and lock against all
     its sources."""
     cfg = cfg or build_cfg(program)
-    interfs = interference.get_interfs(program, cfg)
     ctx = AnalysisContext(program, cfg, tc)
-    sigma, rounds, effective, widened = _rounds(ctx, interfs, max_iterations)
+    sigma, rounds, effective = _rounds(ctx, max_iterations)
     return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
-                          frozenset(widened), cfg, ctx.sb)
+                          frozenset(ctx.widened), cfg, ctx.sb)

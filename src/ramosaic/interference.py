@@ -1,9 +1,11 @@
-"""Per-thread interference maps.
+"""Interference sources, per thread and label.
 
-A load's or rmw's candidates are every other thread's writes of the same
-variable plus ctx, which stands for reading the propagated in-thread state;
-a lock's are the other threads' unlocks of its mutex.  The transfer tries
-every candidate and keeps the feasible results.
+A load's or rmw's candidates are ctx, which stands for reading the
+propagated in-thread state, then every other thread's writes of the same
+variable; a lock's are ctx, then the other threads' unlocks of its mutex.
+`transfer.AnalysisContext` builds its one map of label to sources from
+`get_interfs` when the analysis starts, and the transfer tries every
+candidate and keeps the feasible results.
 """
 
 from __future__ import annotations

@@ -19,6 +19,13 @@ Grammar (whitespace-insensitive, `#` starts a line comment)::
              | "lock" name | "unlock" name | reg "=" iexpr
              | "assume" "(" bexpr ")" | "assert" "(" bexpr ")"
     assert  := "assert" "(" bexpr ")" ";"
+
+Statements and expressions nest at most `MAX_NESTING` levels deep, counted
+together: every block, parenthesis, `!` and unary `-` that encloses a point
+is one level, and so is every operator node of the syntax tree above it,
+also in a left-associated chain such as `1 + 1 + 1`.  Deeper input is a
+`ParseError` at the token that opens the level too many, since the parser,
+the analysis and the printers walk the tree recursively.
 """
 
 from __future__ import annotations
@@ -40,6 +47,13 @@ class ParseError(Exception):
 
 class SemanticError(Exception):
     pass
+
+
+# See the module docstring.  The corpus nests at most 11 levels deep and
+# `randprog` 4.  Without the bound, about 490 nested `if`s, 330 parenthesized
+# integer expressions or 245 parenthesized conditions reach Python's default
+# recursion limit in the parser or the analysis.
+MAX_NESTING = 100
 
 
 # --------------------------------------------------------------------------
@@ -399,11 +413,20 @@ class _Stuck(Exception):
     ParseError of it, and `parse_bfactor` backtracks on it unformatted."""
 
 
+class _TooDeep(_Stuck):
+    """Nesting beyond `MAX_NESTING`, which no other reading of the input
+    avoids, so `parse_bfactor` does not backtrack on it."""
+
+
 class _Parser:
     def __init__(self, source: str):
         self.toks = _lex(source)
         self.pos = 0
         self.tok = self.toks[0]
+        # the levels open at the current token, and the height of the tree
+        # of the expression parsed last (0 for a leaf)
+        self.depth = 0
+        self.height = 0
 
     def next(self) -> str:
         tok = self.tok
@@ -415,6 +438,18 @@ class _Parser:
         """Stop at the current token; the message is formatted with args and
         with the token as `found` only if the error reaches `parse`."""
         raise _Stuck(self.pos, message, args)
+
+    def enter(self) -> None:
+        """Open a level at the current token; close it with `depth -= 1`."""
+        self.depth += 1
+        self.grow(0, self.pos)
+
+    def grow(self, height: int, at: int) -> None:
+        """The expression parsed last has `height` levels; the operator at
+        token `at` made the last of them."""
+        self.height = height
+        if self.depth + height > MAX_NESTING:
+            raise _TooDeep(at, "nested more than {} levels deep", (MAX_NESTING,))
 
     def expect_sym(self, sym: str) -> str:
         if self.tok != sym:
@@ -443,30 +478,41 @@ class _Parser:
     def parse_iexpr(self) -> IntExpr:
         e = self.parse_term()
         while self.tok == "+" or self.tok == "-":
+            at, height = self.pos, self.height
             op = self.next()
             e = BinOp(op, e, self.parse_term())
+            self.grow(max(height, self.height) + 1, at)
         return e
 
     def parse_term(self) -> IntExpr:
         e = self.parse_factor()
         while self.tok == "*":
+            at, height = self.pos, self.height
             self.next()
             e = BinOp("*", e, self.parse_factor())
+            self.grow(max(height, self.height) + 1, at)
         return e
 
     def parse_factor(self) -> IntExpr:
         tok = self.tok
         if tok == "-":
+            at = self.pos
+            self.enter()
             self.next()
             inner = self.parse_factor()
+            self.depth -= 1
             if isinstance(inner, Lit):
                 return Lit(-inner.value)
+            self.grow(self.height + 1, at)
             return BinOp("-", Lit(0), inner)
         if tok == "(":
+            self.enter()
             self.next()
             e = self.parse_iexpr()
             self.expect_sym(")")
+            self.depth -= 1
             return e
+        self.height = 0
         if _is_int(tok):
             return Lit(int(self.next()))
         if tok[:1] not in _NOT_NAME_START and tok not in _KEYWORDS:
@@ -476,36 +522,49 @@ class _Parser:
     def parse_bexpr(self) -> BoolExpr:
         e = self.parse_bterm()
         while self.tok == "||":
+            at, height = self.pos, self.height
             self.next()
             e = Or(e, self.parse_bterm())
+            self.grow(max(height, self.height) + 1, at)
         return e
 
     def parse_bterm(self) -> BoolExpr:
         e = self.parse_bfactor()
         while self.tok == "&&":
+            at, height = self.pos, self.height
             self.next()
             e = And(e, self.parse_bfactor())
+            self.grow(max(height, self.height) + 1, at)
         return e
 
     def parse_bfactor(self) -> BoolExpr:
         tok = self.tok
         if tok == "!":
+            self.enter()
             self.next()
-            return negate(self.parse_bfactor())
+            e = negate(self.parse_bfactor())
+            self.depth -= 1
+            return e
         if tok == "true" or tok == "false":
             self.next()
+            self.height = 0
             return BoolLit(tok == "true")
         # A '(' may open either a nested bexpr or a parenthesized iexpr;
         # try the comparison reading first and backtrack.
-        save = self.pos
+        save, depth = self.pos, self.depth
         try:
             left = self.parse_iexpr()
             if self.tok in ("==", "!=", "<", "<=", ">", ">="):
+                at, height = self.pos, self.height
                 op = self.next()
-                return Cmp(op, left, self.parse_iexpr())
+                right = self.parse_iexpr()
+                self.grow(max(height, self.height) + 1, at)
+                return Cmp(op, left, right)
+        except _TooDeep:
+            raise
         except _Stuck:
             pass
-        self.pos = save
+        self.pos, self.depth = save, depth
         self.tok = self.toks[save]
         return self.parse_cond()
 
@@ -513,17 +572,21 @@ class _Parser:
 
     def parse_cond(self) -> BoolExpr:
         """A parenthesized condition."""
+        self.enter()
         self.expect_sym("(")
         cond = self.parse_bexpr()
         self.expect_sym(")")
+        self.depth -= 1
         return cond
 
     def parse_block(self) -> tuple:
+        self.enter()
         self.expect_sym("{")
         out = []
         while self.tok != "}":
             out.append(self.parse_stmt())
         self.next()
+        self.depth -= 1
         return tuple(out)
 
     def parse_stmt(self) -> Stmt:

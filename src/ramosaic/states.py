@@ -23,26 +23,24 @@ from .posets import MoPoset
 
 
 class Layout:
-    """The names behind the value tuples of one thread's states: the poset
-    keys (shared variables and mutexes) and the memory keys (shared
-    variables and the thread's registers), each sorted, with the index of
-    every key, and the `PosetTable` and `ValueTable` whose ids the states
-    hold.  An analysis builds one per thread over its one pair of tables;
-    its states point to it and hold values only.  The shared variables are
-    the keys of both kinds, since registers and mutexes never share a name;
-    `shared_slots` holds (variable, memory slot, poset slot) for each."""
+    """The names behind the value tuples of one thread's states: the sorted
+    poset keys (shared variables and mutexes) and the memory keys, the
+    sorted shared variables (the keys of both kinds, since registers and
+    mutexes never share a name) and then the sorted registers, with the
+    index of every key, and the `PosetTable` and `ValueTable` whose ids the
+    states hold.  An analysis builds one per thread over its one pair of
+    tables, so a shared variable has one memory slot and one poset slot in
+    all of them; its states point to it and hold values only."""
 
-    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "shared_slots", "table",
-                 "values")
+    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "table", "values")
 
     def __init__(self, mo_keys, mem_keys, table: posets.PosetTable,
                  values: intervals.ValueTable):
         self.mo_keys = tuple(sorted(mo_keys))
-        self.mem_keys = tuple(sorted(mem_keys))
         self.mo_slot = {k: i for i, k in enumerate(self.mo_keys)}
+        self.mem_keys = (*sorted(k for k in mem_keys if k in self.mo_slot),
+                         *sorted(k for k in mem_keys if k not in self.mo_slot))
         self.mem_slot = {k: i for i, k in enumerate(self.mem_keys)}
-        self.shared_slots = tuple((k, i, self.mo_slot[k])
-                                  for i, k in enumerate(self.mem_keys) if k in self.mo_slot)
         self.table = table
         self.values = values
 
@@ -123,10 +121,11 @@ class AbstractState:
         return tuple(map(self.layout.table.signatures.__getitem__, self.mo))
 
     def fmt(self) -> str:
+        """The poset map and the memory, each in sorted key order."""
         layout = self.layout
         pos = " ".join(f"{v}:{layout.table.posets[p]}" for v, p in zip(layout.mo_keys, self.mo))
         values = layout.values.values
-        vals = " ".join(f"{k}:{values[v]}" for k, v in zip(layout.mem_keys, self.mem))
+        vals = " ".join(f"{k}:{values[v]}" for k, v in sorted(zip(layout.mem_keys, self.mem)))
         return f"{pos} | {vals}"
 
 

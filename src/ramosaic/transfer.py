@@ -24,7 +24,7 @@ from .intervals import eval_expr, exclude_value, refine, val_meet
 from .litmus import (AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
                      LoadInst, LockInst, Nop, Or, Program, Store, UnlockInst,
                      expr_names, negate)
-from .interference import CTX
+from .interference import CTX, get_interfs
 from .posets import TOP_ID, Event, SbIndex
 from .states import AbstractState, Layout, StateSet
 
@@ -50,21 +50,23 @@ class Verdict:
 
 
 class AnalysisContext:
-    """Per-program analysis data: CFG, sb index, events, the slot layouts
-    of states, and the analysis's caches: the poset table and the value
-    table that every transfer and merge builds its posets and intervals
-    through, and the node memo of `engine.seq_ai`.
+    """Per-program analysis data: CFG, sb index, events, the interference
+    map, the slot layouts of states, the labels widened so far, and the
+    analysis's caches: the poset table and the value table that every
+    transfer and merge builds its posets and intervals through, and the
+    node memo of `engine.seq_ai`.
 
+    `interfs[label]` lists, for each load, rmw and lock, ctx and then the
+    labels it may read from (`interference.get_interfs`).
     `layouts[thread]` names the slots of that thread's states,
     `slots[thread]` maps each identifier of its expressions (a shared
     variable or a register) to its memory slot, and `initial_states[thread]`
     is the state at its entry, all once for the whole analysis, so
     transfers index value tuples instead of looking up names in each
-    state.  `shared_slot_map(target layout, source layout)` lists
-    (memory slot in the target, poset slot, memory slot in the source) per
-    shared variable; the layouts share their poset keys, so a poset slot is
-    one for both.  A pair's map is built when an interference first reads
-    it, and `shared_slot_maps` memoizes it on the pair.
+    state.  Every layout puts the sorted shared variables first in its
+    memory and shares its poset keys with the others, so one tuple,
+    `shared_slots`, gives (memory slot, poset slot) per shared variable for
+    the states of every thread.
     """
 
     def __init__(self, program: Program, cfg: Cfg, tc: TransferConfig):
@@ -78,6 +80,9 @@ class AnalysisContext:
         self.events: Dict[Label, Event] = {
             lbl: Event(lbl.name, lbl.instance, cfg.thread_of[lbl], kind, loc)
             for lbl, (kind, loc) in cfg.accesses.items() if kind != "load"}
+        self.interfs: Dict[Label, tuple] = {
+            lbl: srcs for per_thread in get_interfs(program, cfg).values()
+            for lbl, srcs in per_thread.items()}
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
         self.values = intervals.ValueTable()
         shared = program.shared_names()
@@ -97,23 +102,18 @@ class AnalysisContext:
                 tuple([self.values.intern(intervals.singleton(init.get(k, 0)))
                        for k in layout.mem_keys]),
                 layout)
-        self.shared_slot_maps: dict = {}
+        # the same pairs in every thread's layout
+        self.shared_slots = tuple((layout.mem_slot[v], layout.mo_slot[v]) for v in sorted(shared))
         # each label's position in its thread's reverse post-order, and per
         # thread the positions a pass of engine.seq_ai starts with pending:
         # all but the entry's, 0
         self.rpo_index = {lbl: i for rpo in cfg.rpo.values() for i, lbl in enumerate(rpo)}
         self.first_worklists = {t: tuple(range(1, len(rpo))) for t, rpo in cfg.rpo.items()}
-        # (label, bump, interference sources) -> (pre-states, global reads,
-        # merged states) of the node's latest visit; see engine.seq_ai
+        # (label, bump) -> (pre-states, global reads, merged states) of the
+        # node's latest visit; see engine.seq_ai
         self.node_memo: dict = {}
-
-    def shared_slot_map(self, lt: Layout, ls: Layout) -> tuple:
-        key = (lt, ls)
-        out = self.shared_slot_maps.get(key)
-        if out is None:
-            out = self.shared_slot_maps[key] = tuple(
-                (i, j, ls.mem_slot[v]) for v, i, j in lt.shared_slots)
-        return out
+        # the loop headers that engine.seq_ai has widened
+        self.widened: set = set()
 
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
         ev = self.events[lbl]
@@ -159,12 +159,8 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
     new_mem = list(target.mem)
     joins = ctx.values.joins
     loaded = None
-    lt, ls = target.layout, source.layout
-    slot_map = ctx.shared_slot_maps.get((lt, ls))
-    if slot_map is None:
-        slot_map = ctx.shared_slot_map(lt, ls)
-    for i, j, si in slot_map:
-        sv = smem[si]
+    for i, j in ctx.shared_slots:
+        sv = smem[i]
         if j == k:
             new_mem[i] = loaded = sv
             continue
@@ -183,12 +179,12 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState,
     return AbstractState(tuple(new_mo), tuple(new_mem), target.layout)
 
 
-def _load_bases(ctx, s, interfs, global_ss, var, reg=None):
-    """Yield the state after reading `var`, a variable or a mutex, once per
-    interference choice: s itself for ctx, and s after each source state's
-    write otherwise.  A variable's value read is in its memory slot; with
-    `reg`, a memory slot, each base holds it there too."""
-    for src in interfs:
+def _load_bases(ctx, s, lbl, global_ss, var, reg=None):
+    """Yield the state after the read of `var`, a variable or a mutex, at
+    `lbl`, once per interference source: s itself for ctx, and s after each
+    source state's write otherwise.  A variable's value read is in its
+    memory slot; with `reg`, a memory slot, each base holds it there too."""
+    for src in ctx.interfs[lbl]:
         if src == CTX:
             yield s if reg is None else s.slot_update(mem=((reg, s.mem[s.layout.mem_slot[var]]),))
             continue
@@ -207,7 +203,7 @@ def _load_bases(ctx, s, interfs, global_ss, var, reg=None):
 
 
 def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
-                  global_ss: StateSet, interf_map, bump: int = 0) -> list:
+                  global_ss: StateSet, bump: int = 0) -> list:
     instr = ctx.cfg.nodes[lbl]
     tname = ctx.cfg.thread_of[lbl]
     out: list = []
@@ -250,16 +246,15 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
 
     if isinstance(instr, LoadInst):
         k = slots[instr.reg]
-        interfs = interf_map.get(lbl, (CTX,))
         for s in pre_states:
-            out.extend(_load_bases(ctx, s, interfs, global_ss, instr.var, k))
+            out.extend(_load_bases(ctx, s, lbl, global_ss, instr.var, k))
         return out
 
     if isinstance(instr, (Cas, Fadd)):
-        return _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump)
+        return _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, bump)
 
     if isinstance(instr, LockInst):
-        return _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump)
+        return _transfer_lock(ctx, lbl, instr, pre_states, global_ss, bump)
 
     if isinstance(instr, UnlockInst):
         return _transfer_unlock(ctx, lbl, instr, pre_states, bump)
@@ -267,7 +262,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
     raise TypeError(instr)
 
 
-def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> list:
+def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, bump) -> list:
     tname = ctx.cfg.thread_of[lbl]
     slots = ctx.slots[tname]
     values = ctx.values
@@ -277,10 +272,9 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
     j = slots[var]
     k = slots[instr.reg]
     ev = ctx.event_at(lbl, bump)
-    interfs = interf_map.get(lbl, (CTX,))
     out: list = []
     for s in pre_states:
-        for base in _load_bases(ctx, s, interfs, global_ss, var):
+        for base in _load_bases(ctx, s, lbl, global_ss, var):
             loaded_id = base.mem[j]
             loaded = values.values[loaded_id]
             # a base whose order already holds this rmw read from a write
@@ -316,17 +310,16 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> l
     return out
 
 
-def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, interf_map, bump) -> list:
+def _transfer_lock(ctx, lbl, instr, pre_states, global_ss, bump) -> list:
     """A lock reads from the thread's own context or from a release of
     another thread, as a load reads from a store; the bases whose mutex
     order still ends in a lock do not hold a free mutex and are dropped,
     and the rest append the lock event."""
     i = ctx.layouts[ctx.cfg.thread_of[lbl]].mo_slot[instr.mutex]
     ev = ctx.event_at(lbl, bump)
-    interfs = interf_map.get(lbl, (CTX,))
     out: list = []
     for s in pre_states:
-        for base in _load_bases(ctx, s, interfs, global_ss, instr.mutex):
+        for base in _load_bases(ctx, s, lbl, global_ss, instr.mutex):
             pm = base.mo[i]
             if any(e.kind == "lock" for e in ctx.posets.lasts(pm)):
                 continue

@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from ramosaic.cli import main, oracle_main
+from ramosaic.litmus import MAX_NESTING, ParseError, parse
 
-from conftest import BENCH_DIR
+from conftest import BENCH_DIR, corpus_files
 
 
 def run_cli(args, capsys):
@@ -38,6 +39,50 @@ def test_parse_error_exits_two(tmp_path, capsys):
     bad.write_text("vars x = ;\n")
     code, _, err = run_cli([bad], capsys)
     assert code == 2
+
+
+def _nth_offset(source: str, token: str, n: int) -> int:
+    offset = -1
+    for _ in range(n):
+        offset = source.index(token, offset + 1)
+    return offset
+
+
+# shape -> (source of size n, the largest n that parses, (token, occurrence)
+# of the level too many).  The thread's block is a level, and so is the
+# postcondition's parenthesis.
+DEEP = {
+    "sum": (lambda n: "vars x = 0;\nthread t { a: r = " + "+".join(["1"] * n) + "; }\n",
+            MAX_NESTING, ("+", MAX_NESTING)),
+    "conjunction": (lambda n: "vars x = 0;\nthread t { a: r = 1; }\nassert("
+                    + " && ".join(["r == 1"] * n) + ");\n",
+                    MAX_NESTING - 1, ("&&", MAX_NESTING - 1)),
+    "if": (lambda n: "vars x = 0;\nthread t {\n" + "if (true) {\n" * n + "a: r = 1;\n"
+           + "}\n" * n + "}\n", MAX_NESTING - 1, ("(", MAX_NESTING)),
+}
+
+
+@pytest.mark.parametrize("shape, size", [("sum", 1000), ("conjunction", 1000), ("if", 500)])
+@pytest.mark.parametrize("entry, prog", [(main, "ramosaic"), (oracle_main, "ra-oracle")])
+def test_input_nested_too_deeply_is_a_parse_error(entry, prog, shape, size, tmp_path, capsys):
+    """Nesting beyond MAX_NESTING is a parse error (exit 2) at the token
+    that opens the level too many; these sizes once ran the parser or the
+    analysis past Python's recursion limit (exit 3).  The largest size
+    within the bound still parses, and so does the corpus."""
+    build, largest, (token, occurrence) = DEEP[shape]
+    path = tmp_path / "deep.lit"
+    source = build(size)
+    path.write_text(source)
+    assert entry([str(path)]) == 2
+    offset = _nth_offset(source, token, occurrence)
+    line, col = source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+    err = capsys.readouterr().err.strip()
+    assert err == f"{prog}: {path}: {line}:{col}: nested more than {MAX_NESTING} levels deep"
+    parse(build(largest))
+    with pytest.raises(ParseError, match=f"{line}:{col}: nested"):
+        parse(build(largest + 1))
+    for f in corpus_files():
+        parse(f.read_text())
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three

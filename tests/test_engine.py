@@ -36,8 +36,7 @@ def test_mp_final_states(mp_program):
 def test_seq_ai_mp_thread1(mp_program):
     cfg = build_cfg(mp_program)
     ctx = AnalysisContext(mp_program, cfg, TransferConfig())
-    interfs = get_interfs(mp_program, cfg)
-    local = seq_ai(ctx, "t1", StateSet(ctx.posets), interfs["t1"])
+    local = seq_ai(ctx, "t1", StateSet(ctx.posets))
     (sa,) = local[Label("a")]
     (sb,) = local[Label("b")]
     assert str(sa.po("x")) == "{a.1}"
@@ -47,13 +46,11 @@ def test_seq_ai_mp_thread1(mp_program):
 def test_seq_ai_thread2_against_thread1(mp_program):
     cfg = build_cfg(mp_program)
     ctx = AnalysisContext(mp_program, cfg, TransferConfig())
-    interfs = get_interfs(mp_program, cfg)
     sigma = StateSet(ctx.posets)
     for t in mp_program.threads:
-        for lbl, states in sorted(seq_ai(ctx, t.name, StateSet(ctx.posets),
-                                         interfs[t.name]).items()):
+        for lbl, states in sorted(seq_ai(ctx, t.name, StateSet(ctx.posets)).items()):
             sigma.merge_all(lbl, states)
-    local = seq_ai(ctx, "t2", sigma, interfs["t2"])
+    local = seq_ai(ctx, "t2", sigma)
     r1r2 = {(str(s.val("t2.r1")), str(s.val("t2.r2"))) for s in local[Label("d")]}
     assert ("[1,1]", "[1,1]") in r1r2
 
@@ -148,13 +145,13 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
     a, x, z = state(P.poset(()), 0, 1), state(store, 0, 0), state(store, 1, 1)
     given = []
 
-    def scripted_seq_ai(ctx, tname, global_ss, interfs, widened=None):
+    def scripted_seq_ai(ctx, tname, global_ss):
         given.append(global_ss.dump())
         step = len(given)
         return {Label("s"): (a if step == 1 else x if step % 2 == 0 else z,)}
 
     monkeypatch.setattr(engine, "seq_ai", scripted_seq_ai)
-    sigma, rounds, effective, _ = engine._rounds(ctx, get_interfs(program, cfg), 50)
+    sigma, rounds, effective = engine._rounds(ctx, 50)
     assert (rounds, effective) == (3, 3)  # the third round changed the set, back to {a}
     assert sigma.at(Label("s")) == (a,)
     assert [len(dump.splitlines()) for dump in given] == [0, 1, 2]  # {}, {a}, {a, x}

@@ -47,7 +47,8 @@ def apply_interference_by_less(ctx, target, source, src_event, reg=None):
     src_slot = source.layout.mem_slot
     values = ctx.values
     new_mem = list(target.mem)
-    for v, i, j in target.layout.shared_slots:
+    for v in ctx.program.shared_names():
+        i, j = target.layout.mem_slot[v], target.layout.mo_slot[v]
         sv = source.mem[src_slot[v]]
         if v == var:
             new_mem[i] = sv
@@ -119,8 +120,8 @@ def checked():
             calls["assert"][1].append((cond, len(states)))
         return got
 
-    def node_states_checked(ctx, lbl, pre_states, global_ss, interfs, bump):
-        got = real_node_states(ctx, lbl, pre_states, global_ss, interfs, bump)
+    def node_states_checked(ctx, lbl, pre_states, global_ss, bump):
+        got = real_node_states(ctx, lbl, pre_states, global_ss, bump)
         if isinstance(ctx.cfg.nodes[lbl], (Nop, AssertInst)):
             bucket = StateBucket(ctx.posets)
             for s in pre_states:

@@ -175,21 +175,27 @@ def test_slot_update_equals_make_from_updated_maps():
     assert checked > 1500
 
 
-def test_context_slots_index_the_sorted_keys():
-    for seed in range(20):
-        p = random_program(seed)
+def test_context_slots_name_the_layouts_keys():
+    """Every layout of an analysis holds the sorted shared variables first
+    in its memory, then the thread's sorted registers, so the context's one
+    `shared_slots` tuple gives each shared variable's memory slot and poset
+    slot, by name, in the layout of every thread."""
+    programs = [random_program(seed) for seed in range(20)]
+    programs.append(parse(LOOPED_SRC))
+    for p in programs:
         ctx = AnalysisContext(p, build_cfg(p), TransferConfig())
+        shared = sorted(p.shared_names())
         for t in p.threads:
             layout = ctx.layouts[t.name]
             s = ctx.initial_states[t.name]
             assert s.layout is layout
             assert list(s.mo_map()) == sorted((*p.shared_names(), *p.mutexes))
+            assert list(layout.mem_keys) == [*shared, *sorted(ctx.registers[t.name])]
             # the entry state: every poset top, the shared variables at their
             # initial values and the registers 0
             assert set(s.mo) == {TOP_ID}
             assert [s.val(k) for k in layout.mem_keys] == [
                 singleton(dict(p.shared).get(k, 0)) for k in layout.mem_keys]
-            assert list(layout.mem_keys) == sorted((*p.shared_names(), *ctx.registers[t.name]))
             assert len(s.mem) == len(layout.mem_keys)
             assert {k: i for i, k in enumerate(s.mo_map())} == layout.mo_slot
             assert {k: i for i, k in enumerate(layout.mem_keys)} == layout.mem_slot
@@ -197,37 +203,8 @@ def test_context_slots_index_the_sorted_keys():
             names = {**{v: v for v in p.shared_names()},
                      **{r: p.register_key(t.name, r) for r in p.thread_registers(t.name)}}
             assert {n: layout.mem_keys[i] for n, i in ctx.slots[t.name].items()} == names
-            assert sorted(layout.shared_slots) == sorted(
-                (v, layout.mem_slot[v], layout.mo_slot[v]) for v in p.shared_names())
-
-
-def test_shared_slot_maps_are_built_per_pair_on_first_use():
-    """A fresh context holds no pair's map; every pair the fixpoint reads
-    gets the map of the formula that once built all pairs up front, and
-    a lookup of any pair of layouts gives that map too."""
-    programs = [random_program(seed) for seed in range(20)]
-    programs.append(parse(LOOPED_SRC))
-    built_pairs = 0
-    for p in programs:
-        contexts = []
-        init = AnalysisContext.__init__
-
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            assert len(self.shared_slot_maps) == 0
-            contexts.append(self)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(AnalysisContext, "__init__", recording_init)
-            tmai(p)
-        (ctx,) = contexts
-        eager = {(lt, ls): tuple((i, j, ls.mem_slot[v]) for v, i, j in lt.shared_slots)
-                 for lt in ctx.layouts.values() for ls in ctx.layouts.values()}
-        built = dict(ctx.shared_slot_maps)
-        assert all(built[pair] == eager[pair] for pair in built)
-        built_pairs += len(built)
-        assert {pair: ctx.shared_slot_map(*pair) for pair in eager} == eager
-    assert built_pairs > 0
+            assert ctx.shared_slots == tuple((layout.mem_slot[v], layout.mo_slot[v])
+                                             for v in shared)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The node memo: a pass over a thread's CFG reuses a node's merged states
-from an earlier pass when its pre-states, its interference sources, its
-bump and the global states at those sources are unchanged, and the memo
-never changes what the analysis computes.
+from an earlier pass when its pre-states, its bump and the global states
+at its interference sources are unchanged, and the memo never changes what
+the analysis computes.
 
 States hold the poset ids of their analysis's table, so a pass over the
 states of an earlier run goes through that run's context, or through a
@@ -11,25 +11,24 @@ import copy
 
 import pytest
 
-from ramosaic import engine, interference, transfer
+from ramosaic import engine, transfer
 from ramosaic.engine import seq_ai, tmai
-from ramosaic.interference import CTX
 from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.randprog import random_program
 from ramosaic.states import StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import (LOOPED_SOURCES, MP_SRC, READS_SRC, corpus_files, peterson,
+from conftest import (LOOPED_SOURCES, READS_SRC, corpus_files, peterson,
                       run_with_context)
 
 
 def _setup(src: str):
-    """The program, its CFG, its interference maps, the states of its
-    `tmai` fixpoint and the context of that run."""
+    """The program, its CFG, the states of its `tmai` fixpoint and the
+    context of that run."""
     program = parse(src)
     cfg = build_cfg(program)
     result, ctx = run_with_context(tmai, program, cfg=cfg)
-    return program, cfg, interference.get_interfs(program, cfg), result.states, ctx
+    return program, cfg, result.states, ctx
 
 
 def _fresh(ctx: AnalysisContext) -> AnalysisContext:
@@ -39,8 +38,8 @@ def _fresh(ctx: AnalysisContext) -> AnalysisContext:
     return out
 
 
-def _fresh_pass(ctx, tname, global_ss, interfs) -> dict:
-    return seq_ai(_fresh(ctx), tname, global_ss, interfs)
+def _fresh_pass(ctx, tname, global_ss) -> dict:
+    return seq_ai(_fresh(ctx), tname, global_ss)
 
 
 def test_confirming_round_recomputes_nothing(monkeypatch):
@@ -86,8 +85,8 @@ def test_confirming_round_reads_the_identical_tuples():
     assert result.iterations_total == 4
     sigma = result.states
     checked = 0
-    for (lbl, bump, srcs), (pre_states, reads, states) in ctx.node_memo.items():
-        now = [sigma.at(src) for src in srcs or () if src != CTX]
+    for (lbl, bump), (pre_states, reads, states) in ctx.node_memo.items():
+        now = [sigma.at(src) for src in ctx.interfs.get(lbl, ())[1:]]
         assert len(reads) == len(now)
         assert all(a is b for a, b in zip(reads, now)), lbl
         checked += len(now)
@@ -140,15 +139,15 @@ def test_changed_reads_recompute(tname, node, source):
     the same context against the full set: the node's pre-states are equal
     in both passes and only its reads differ, yet the second pass equals
     one with an empty memo."""
-    program, cfg, interfs, full, base = _setup(READS_SRC)
+    program, cfg, full, base = _setup(READS_SRC)
     partial = StateSet(full.table)
     for lbl in full.labels():
         if lbl != Label(source):
             partial.merge_all(lbl, full.at(lbl))
     ctx = _fresh(base)
-    before = seq_ai(ctx, tname, partial, interfs[tname])
-    after = seq_ai(ctx, tname, full, interfs[tname])
-    assert after == _fresh_pass(base, tname, full, interfs[tname])
+    before = seq_ai(ctx, tname, partial)
+    after = seq_ai(ctx, tname, full)
+    assert after == _fresh_pass(base, tname, full)
     assert after[Label(node)] != before[Label(node)]
     for pred in cfg.preds[Label(node)]:
         assert after.get(pred) == before.get(pred)
@@ -159,32 +158,15 @@ def test_cas_reads_both_outcomes_and_lock_frees_with_unlock_states():
     succeeds and fails, and some pre-state of l2 holds t1's lock, which
     only a read of u1's states releases; l2's transfer reads u1 once per
     pre-state, after the memo's one read of each source."""
-    program, cfg, interfs, full, base = _setup(READS_SRC)
+    program, cfg, full, base = _setup(READS_SRC)
     assert len({s.val("t3.q") for s in full.at(Label("c"))}) == 2
     counting = _CountingSet(full)
-    local = _fresh_pass(base, "t2", counting, interfs["t2"])
+    local = _fresh_pass(base, "t2", counting)
     l1 = base.events[Label("l1")]
     assert any(l1 in s.po("m").lasts() for s in local[Label("a")])
     # one read of u1 is the memo's; the rest are the transfer's, one per
     # pre-state of l2, which no loop visits twice
     assert counting.reads[Label("u1")] - 1 >= 2
-
-
-def test_pinned_maps_keep_separate_entries():
-    """Two maps that pin the load d differently, to the initial value and
-    to a's store, give different results through one context, each equal
-    to a pass with an empty memo."""
-    program, cfg, interfs, full, base = _setup(MP_SRC)
-    ctx = _fresh(base)
-    d = Label("d")
-    results = []
-    for chosen in ((CTX,), (Label("a"),)):
-        pinned = dict(interfs["t2"])
-        pinned[d] = chosen
-        got = seq_ai(ctx, "t2", full, pinned)
-        assert got == _fresh_pass(base, "t2", full, pinned)
-        results.append(got[d])
-    assert results[0] != results[1]
 
 
 def test_bump_is_part_of_the_key():
@@ -196,10 +178,11 @@ def test_bump_is_part_of_the_key():
     pre = [ctx.initial_states["t"]]
     a = Label("a")
     empty = StateSet(ctx.posets)
-    first = engine._node_states(ctx, a, pre, empty, {}, 0)
-    second = engine._node_states(ctx, a, pre, empty, {}, 1)
-    assert second == engine._node_states(_fresh(ctx), a, pre, empty, {}, 1)
+    first = engine._node_states(ctx, a, pre, empty, 0)
+    second = engine._node_states(ctx, a, pre, empty, 1)
+    assert second == engine._node_states(_fresh(ctx), a, pre, empty, 1)
     assert first != second
+    assert set(ctx.node_memo) == {(a, 0), (a, 1)}
 
 
 class _Forgetful(dict):

@@ -133,10 +133,10 @@ def test_no_fixpoint_state_has_a_bottom_poset(fixpoint_runs):
 
 def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
     """Every state points to the one layout its analysis built for the
-    label's thread, which holds the analysis's poset and value tables, the
-    names that `po`, `val` and `fmt` give its slots are the sorted keys,
-    `po` and `val` read the poset and the interval of each id off the
-    tables, and `dump` puts the label in front."""
+    label's thread, which holds the analysis's poset and value tables,
+    `po` and `val` read the poset and the interval of each slot's id off
+    the tables by the slot's key, `fmt` prints the keys in sorted order,
+    and `dump` puts the label in front."""
     for r, ctx in fixpoint_runs:
         assert len(set(map(id, ctx.layouts.values()))) == len(ctx.program.threads)
         mo_keys = sorted((*ctx.program.shared_names(), *ctx.program.mutexes))
@@ -145,11 +145,13 @@ def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
             tname = r.cfg.thread_of[lbl]
             layout = ctx.layouts[tname]
             mem_keys = sorted((*ctx.program.shared_names(), *ctx.registers[tname]))
+            assert sorted(layout.mo_keys) == mo_keys and sorted(layout.mem_keys) == mem_keys
             for s in r.states.at(lbl):
                 assert s.layout is layout and layout.table is ctx.posets
                 assert layout.values is ctx.values
-                assert [s.po(v) for v in mo_keys] == [ctx.posets.posets[p] for p in s.mo]
-                assert [s.val(k) for k in mem_keys] == [ctx.values.values[v] for v in s.mem]
+                assert [s.po(v) for v in layout.mo_keys] == [ctx.posets.posets[p] for p in s.mo]
+                assert [s.val(k) for k in layout.mem_keys] == [ctx.values.values[v]
+                                                               for v in s.mem]
                 pos = " ".join(f"{v}:{s.po(v)}" for v in mo_keys)
                 vals = " ".join(f"{k}:{s.val(k)}" for k in mem_keys)
                 assert s.fmt() == f"{pos} | {vals}"

@@ -29,7 +29,7 @@ def _run(src, **tc_kw):
 def test_store_transfer_mp_first():
     p, cfg, ctx = _ctx_for(MP_SRC)
     init = ctx.initial_states["t1"]
-    (out,) = transfer_node(ctx, Label("a"), [init], StateSet(ctx.posets), {})
+    (out,) = transfer_node(ctx, Label("a"), [init], StateSet(ctx.posets))
     assert str(out.po("x")) == "{a.1}"
     assert out.po("y") == P.TOP
     assert out.val("x") == singleton(1)
@@ -206,7 +206,7 @@ thread t { c: r = load y; a: store x r; }
 """
     r, ctx = run_with_context(tmai, parse(src))
     for pre in r.states.at(Label("c")):
-        for out in transfer_node(ctx, Label("a"), [pre], StateSet(ctx.posets), {}):
+        for out in transfer_node(ctx, Label("a"), [pre], StateSet(ctx.posets)):
             assert out.po("y") == pre.po("y")
             assert out.po("z") == pre.po("z")
 
