@@ -2,7 +2,9 @@
 """Print one sha256 over the analyzer's fixpoints, for byte-identity checks.
 
 It runs `engine.tmai` on every corpus file (unrolled 2, as the CLI does by
-default) and on `random_program(0..N-1)`.  Each run hashes the input's
+default), on `random_program(0..N-1)` and on the scaling-family members
+Peterson-3..5 and nr1w_10/12 (`perfbench/families.py`, each built with
+`random.Random(1)`, as `scripts/scaling.py` builds them).  Each run hashes the input's
 name, the driver's name (`tmai`), the fixpoint's `StateSet.dump()`, the
 sorted verdicts and `iterations_total`.  Two versions of the analyzer that
 print the same line compute the same states, in the same order within each
@@ -13,6 +15,8 @@ with exit code 3 and names the input that raised it.
 """
 
 import hashlib
+import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -20,16 +24,30 @@ from ramosaic.engine import tmai
 from ramosaic.litmus import parse, unroll
 from ramosaic.randprog import random_program
 
-CORPUS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "benchmarks"
 CLI_UNROLL = 2
+FAMILY_SIZES = (("peterson", (3, 4, 5)), ("readers", (10, 12)))
+
+# Loaded by file path, so that importing this script leaves sys.path as it
+# is.  The module is registered before it runs: its dataclasses look it up.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_families", ROOT / "perfbench" / "families.py")
+families = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(families)
 
 
 def inputs(n: int):
-    """(name, thunk building the program), corpus first."""
+    """(name, thunk building the program): the corpus, the random programs,
+    then the family members."""
     for path in sorted(CORPUS.glob("*.lit")):
         yield path.name, lambda path=path: unroll(parse(path.read_text()), CLI_UNROLL)
     for seed in range(n):
         yield f"random_program({seed})", lambda seed=seed: random_program(seed)
+    for family, sizes in FAMILY_SIZES:
+        for size in sizes:
+            member = getattr(families, family)(size, random.Random(1))
+            yield member.name, lambda member=member: parse(member.source)
 
 
 def main(argv) -> int:

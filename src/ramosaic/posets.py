@@ -331,7 +331,9 @@ class PosetTable:
     ids: they run the module functions above once per distinct operands,
     with the table's sb index and flags, and answer repeats from dicts on
     int keys; `meets` is the meet memo itself, which the interference
-    kernel reads directly.
+    kernel reads directly.  `meet` is commutative, so the memo stores each
+    result under both operand orders and the module function runs once per
+    unordered pair.
 
     When an id is made, the table also records, in lists indexed by id,
     `sort_keys[i]`, the poset's sorted events and sorted pairs, and
@@ -390,11 +392,11 @@ class PosetTable:
         return out
 
     def meet(self, p1: int, p2: int) -> int:
-        key = (p1, p2)
-        out = self.meets.get(key)
+        meets = self.meets
+        out = meets.get((p1, p2))
         if out is None:
             posets = self.posets
-            out = self.meets[key] = self.intern(
+            out = meets[p1, p2] = meets[p2, p1] = self.intern(
                 meet(posets[p1], posets[p2], self.sb, self.abstract, self.rmw_critical))
         return out
 

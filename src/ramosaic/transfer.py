@@ -7,6 +7,11 @@ variable by variable: when one side's poset strictly extends the other's,
 that side has observed every store the other has (and more), so its value for
 the variable is the current one; incomparable or equal views fall back to the
 interval hull.  The loaded variable always takes the source's value.
+`apply_interference` does this for one target state and all the states at
+one source label in a batch: the target's append, and the list of slots
+whose target poset is not top and so need a meet, are computed once, and
+each meet is a lookup in the poset table's memo, which holds every meet
+under both operand orders.
 
 Memories hold ids of the analysis's `intervals.ValueTable`: expressions read
 the intervals at the slots they name, and the transfers intern only what they
@@ -66,7 +71,8 @@ class AnalysisContext:
     state.  Every layout puts the sorted shared variables first in its
     memory and shares its poset keys with the others, so one tuple,
     `shared_slots`, gives (memory slot, poset slot) per shared variable for
-    the states of every thread.
+    the states of every thread, and `read_slots[k]` splits it for a read of
+    the variable or mutex at poset slot k, for `apply_interference`.
     """
 
     def __init__(self, program: Program, cfg: Cfg, tc: TransferConfig):
@@ -104,6 +110,12 @@ class AnalysisContext:
                 layout)
         # the same pairs in every thread's layout
         self.shared_slots = tuple((layout.mem_slot[v], layout.mo_slot[v]) for v in sorted(shared))
+        # per poset slot read by interference: the memory slot that takes
+        # the source's value (None for a mutex, which has none) and the
+        # shared_slots pairs of the other shared variables
+        mem_of = {j: i for i, j in self.shared_slots}
+        self.read_slots = tuple((mem_of.get(k), tuple(ij for ij in self.shared_slots if ij[1] != k))
+                                for k in range(len(po_keys)))
         # each label's position in its thread's reverse post-order, and per
         # thread the positions a pass of engine.seq_ai starts with pending:
         # all but the entry's, 0
@@ -122,84 +134,99 @@ class AnalysisContext:
         return ev
 
 
-def apply_interference(ctx: AnalysisContext, target: AbstractState,
-                       source: AbstractState, src_event: Event,
-                       reg: Optional[int] = None) -> Optional[AbstractState]:
-    """The target state after reading from the source's write `src_event`,
-    or None when the views are inconsistent.  With `reg`, a memory slot of
+def apply_interference(ctx: AnalysisContext, target: AbstractState, sources,
+                       src_event: Event, reg: Optional[int] = None,
+                       cas: bool = False) -> list:
+    """The target state after reading from the write `src_event` of each
+    source state in turn, in order, with the sources whose views are
+    inconsistent with the target's left out.  With `reg`, a memory slot of
     the target, the loaded value is also written there: a load's register.
-    Both states hold ids of `ctx.posets` and `ctx.values`."""
+    With `cas`, `src_event` is a cas, and a source state published it only
+    when its poset holds the event or a loop-bumped instance of it; a failed
+    cas leaves the poset as it was, so its states give nothing.  All states
+    hold ids of `ctx.posets` and `ctx.values`.
+
+    The target's part is done once for the batch: the append of
+    `src_event` to its poset, and the slots whose poset is not top, the
+    only ones that need a meet (the meet of top and p is p)."""
     table = ctx.posets
     k = target.layout.mo_slot[src_event.var]
-    tmo, smo = target.mo, source.mo
+    tmo = target.mo
     appended = table.append(tmo[k], src_event)
     if not appended:  # bottom
-        return None
-    meets = table.meets
-    new_mo = []
-    for i, ps in enumerate(smo):
-        pt = appended if i == k else tmo[i]
-        if pt == TOP_ID:  # the meet of top and p is p
-            met = ps
-        else:
+        return []
+    # no state holds bottom, so a slot whose target poset is top takes the
+    # source's poset as it is
+    met_slots = [(i, appended if i == k else pt) for i, pt in enumerate(tmo)
+                 if pt != TOP_ID or i == k]
+    loaded_slot, views = ctx.read_slots[k]
+    tmem = target.mem
+    meets, meet, published = table.meets, table.meet, table.published
+    values = ctx.values
+    joins = values.joins
+    layout = target.layout
+    out = []
+    for source in sources:
+        smo = source.mo
+        if cas and not published(smo[k], src_event):
+            continue
+        new_mo = list(smo)
+        for i, pt in met_slots:
+            ps = smo[i]
             met = meets.get((pt, ps))
             if met is None:
-                met = table.meet(pt, ps)
-        if not met:
-            return None
-        new_mo.append(met)
-    # Registers keep the target's values; shared variables go by the views.
-    # With every meet non-bottom, the source's poset is `less` than the
-    # target's exactly when it equals their meet, and the other way round;
-    # one poset strictly below the other is `less` one way only, and the
-    # same poset on both sides is neither view ahead.  Equal posets and
-    # equal intervals have equal ids, so the tests compare ids and a hull
-    # is a lookup in the value table's join memo.
-    smem = source.mem
-    new_mem = list(target.mem)
-    joins = ctx.values.joins
-    loaded = None
-    for i, j in ctx.shared_slots:
-        sv = smem[i]
-        if j == k:
-            new_mem[i] = loaded = sv
-            continue
-        tv = new_mem[i]
-        if tv != sv:
-            met = new_mo[j]
-            src_below = met == smo[j]
-            if src_below != (met == tmo[j]):
-                if src_below:  # the source's view is ahead
-                    new_mem[i] = sv
-                continue  # otherwise the target's is
-            joined = joins.get((tv, sv))
-            new_mem[i] = ctx.values.join(tv, sv) if joined is None else joined
-    if reg is not None:
-        new_mem[reg] = loaded
-    return AbstractState(tuple(new_mo), tuple(new_mem), target.layout)
+                met = meet(pt, ps)
+            if not met:
+                break
+            new_mo[i] = met
+        else:
+            # Registers keep the target's values; shared variables go by the
+            # views.  With every meet non-bottom, the source's poset is
+            # `less` than the target's exactly when it equals their meet,
+            # and the other way round; one poset strictly below the other is
+            # `less` one way only, and the same poset on both sides is
+            # neither view ahead.  Equal posets and equal intervals have
+            # equal ids, so the tests compare ids and a hull is a lookup in
+            # the value table's join memo.
+            smem = source.mem
+            new_mem = list(tmem)
+            for i, j in views:
+                sv = smem[i]
+                tv = tmem[i]
+                if tv != sv:
+                    met = new_mo[j]
+                    src_below = met == smo[j]
+                    if src_below != (met == tmo[j]):
+                        if src_below:  # the source's view is ahead
+                            new_mem[i] = sv
+                        continue  # otherwise the target's is
+                    joined = joins.get((tv, sv))
+                    new_mem[i] = values.join(tv, sv) if joined is None else joined
+            if loaded_slot is not None:
+                new_mem[loaded_slot] = smem[loaded_slot]
+                if reg is not None:
+                    new_mem[reg] = smem[loaded_slot]
+            out.append(AbstractState(tuple(new_mo), tuple(new_mem), layout))
+    return out
 
 
-def _load_bases(ctx, s, lbl, global_ss, var, reg=None):
-    """Yield the state after the read of `var`, a variable or a mutex, at
-    `lbl`, once per interference source: s itself for ctx, and s after each
-    source state's write otherwise.  A variable's value read is in its
-    memory slot; with `reg`, a memory slot, each base holds it there too."""
+def _load_bases(ctx, s, lbl, global_ss, var, reg=None) -> list:
+    """The states after the read of `var`, a variable or a mutex, at `lbl`,
+    per interference source in order: s itself for ctx, and s after each
+    source state's write otherwise, one kernel call per source label.  A
+    variable's value read is in its memory slot; with `reg`, a memory slot,
+    each base holds it there too."""
+    out = []
     for src in ctx.interfs[lbl]:
         if src == CTX:
-            yield s if reg is None else s.slot_update(mem=((reg, s.mem[s.layout.mem_slot[var]]),))
+            out.append(s if reg is None
+                       else s.slot_update(mem=((reg, s.mem[s.layout.mem_slot[var]]),)))
             continue
-        ev = ctx.events[src]
-        cas = isinstance(ctx.cfg.nodes[src], Cas)
-        i = s.layout.mo_slot[var]  # the layouts share their poset keys
-        for src_state in global_ss.at(src):
-            # a state at a cas published its write when its poset holds
-            # the event or a loop-bumped instance of it; a failed cas
-            # leaves the poset as it was, so its states publish nothing
-            if cas and not ctx.posets.published(src_state.mo[i], ev):
-                continue
-            r = apply_interference(ctx, s, src_state, ev, reg)
-            if r is not None:
-                yield r
+        sources = global_ss.at(src)
+        if sources:
+            out += apply_interference(ctx, s, sources, ctx.events[src], reg,
+                                      isinstance(ctx.cfg.nodes[src], Cas))
+    return out
 
 
 def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,

@@ -1,13 +1,15 @@
 """The fixpoint's shortcuts against the code they replaced, kept here as the
-reference: the view test read off the meets against two `posets.less`
-tests and a second build for the loaded register, the assertion check on
-projections against a `refine` over each state's full memory, and nodes
-that pass their predecessor's states on against a fresh bucket merge.
+reference: the batched interference kernel against, per source state, the
+view test with two `posets.less` tests and a second build for the loaded
+register, the assertion check on projections against a `refine` over each
+state's full memory, and nodes that pass their predecessor's states on
+against a fresh bucket merge.
 
-Every call the analyses make is checked, over the corpus,
-`random_program(0..499)`, Peterson-3 and -4 and the looped programs.  The
-random programs assert only a postcondition, so the assertion check also
-runs on drawn conditions at every label of their fixpoints."""
+Every call the analyses make is checked, each (target, source) pair of an
+interference batch on its own, over the corpus, `random_program(0..499)`,
+Peterson-3 and -4 and the looped programs.  The random programs assert
+only a postcondition, so the assertion check also runs on drawn conditions
+at every label of their fixpoints."""
 
 import random
 
@@ -67,6 +69,12 @@ def apply_interference_by_less(ctx, target, source, src_event, reg=None):
     return out
 
 
+def _published_by_scan(p, ev) -> bool:
+    """p holds ev or an instance of ev's label and thread bumped past it."""
+    return any(e.label == ev.label and e.thread == ev.thread and e.instance >= ev.instance
+               for e in p.events)
+
+
 def check_assert_full(states, cond, slots) -> Verdict:
     """One `refine` over the full memory of every state."""
     neg = negate(cond)
@@ -103,12 +111,22 @@ def checked():
     real_check = engine.check_assert
     real_node_states = engine._node_states
 
-    def apply_checked(ctx, target, source, src_event, reg=None):
-        got = real_apply(ctx, target, source, src_event, reg)
-        want = apply_interference_by_less(ctx, target, source, src_event, reg)
-        calls["interference"][0] += 1
-        if not _same_state(got, want):
-            calls["interference"][1].append((target.fmt(), source.fmt(), src_event))
+    def apply_checked(ctx, target, sources, src_event, reg=None, cas=False):
+        """The batch against the reference on each (target, source) pair
+        whose source published the event, concatenated in order."""
+        got = real_apply(ctx, target, sources, src_event, reg, cas)
+        want = []
+        k = target.layout.mo_slot[src_event.var]
+        for source in sources:
+            if cas and not _published_by_scan(ctx.posets.posets[source.mo[k]], src_event):
+                continue
+            calls["interference"][0] += 1
+            out = apply_interference_by_less(ctx, target, source, src_event, reg)
+            if out is not None:
+                want.append(out)
+        if len(got) != len(want) or not all(map(_same_state, got, want)):
+            calls["interference"][1].append((target.fmt(), [s.fmt() for s in sources],
+                                             src_event))
         return got
 
     def check_checked(states, cond, slots):

@@ -45,7 +45,7 @@ def _fresh_pass(ctx, tname, global_ss) -> dict:
 def test_confirming_round_recomputes_nothing(monkeypatch):
     """Peterson-4's last round changes no label, so every node's inputs are
     those of the round before and every node is a memo hit."""
-    passes: list = []  # per seq_ai call: [transfer_node calls, apply_interference calls]
+    passes: list = []  # per seq_ai call: [transfer_node calls, interference batches]
     real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
     real_apply = transfer.apply_interference
 

@@ -34,12 +34,18 @@ def _assert_interned(result) -> None:
 
 
 class _CountedLookups(dict):
-    """A memo that counts the lookups made through `get`."""
+    """A memo that counts the lookups made through `get` and keeps their
+    keys."""
 
     lookups = 0
 
+    def __init__(self):
+        super().__init__()
+        self.asked = set()
+
     def get(self, key, default=None):
         self.lookups += 1
+        self.asked.add(key)
         return super().get(key, default)
 
 
@@ -68,6 +74,38 @@ def test_meet_runs_once_per_distinct_operands(monkeypatch):
     (memo,) = memos
     assert memo.lookups > 10 * len(misses)
     _assert_interned(result)
+
+
+def test_meet_runs_once_per_unordered_pair(monkeypatch):
+    """`posets.meet` is commutative, so the table stores each result under
+    both operand orders: on Peterson-4, which asks for some meets in both
+    orders, the module function runs once per unordered pair of operands,
+    and the memo answers each pair it holds in both orders alike."""
+    calls = collections.Counter()
+    memos = []
+    module_meet, init = posets.meet, AnalysisContext.__init__
+
+    def counted_meet(p1, p2, *flags):
+        calls[frozenset((p1, p2))] += 1
+        return module_meet(p1, p2, *flags)
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.posets.meets = _CountedLookups()
+        memos.append(self.posets.meets)
+
+    monkeypatch.setattr(posets, "meet", counted_meet)
+    monkeypatch.setattr(AnalysisContext, "__init__", counting_init)
+    result = tmai(parse(peterson(4)))
+    assert result.states.total_states() == 1520 and result.iterations_total == 4
+    (memo,) = memos
+    table = result.states.table
+    swapped = {(a, b) for a, b in memo.asked if a != b and (b, a) in memo.asked}
+    assert len(swapped) > 50, len(swapped)
+    assert max(calls.values()) == 1
+    assert len(calls) == len({frozenset((table.posets[a], table.posets[b]))
+                              for a, b in memo.asked})
+    assert all(memo[b, a] == met for (a, b), met in memo.items())
 
 
 def test_eighty_lock_sections():

@@ -6,13 +6,13 @@ import pytest
 from ramosaic import posets as P
 from ramosaic.engine import tmai
 from ramosaic.intervals import singleton
-from ramosaic.litmus import Label, SemanticError, build_cfg, parse
+from ramosaic.litmus import Cas, Label, SemanticError, build_cfg, parse
 from ramosaic.oracle import check_soundness
 from ramosaic.states import StateSet
 from ramosaic.transfer import (AnalysisContext, TransferConfig,
                                apply_interference, check_assert, transfer_node)
 
-from conftest import MP_SRC, READS_SRC, run_with_context
+from conftest import MP_SRC, READS_SRC, peterson, run_with_context
 
 
 def _ctx_for(src, **tc_kw):
@@ -49,7 +49,7 @@ def test_apply_interference_mp():
     r, ctx = run_with_context(tmai, parse(MP_SRC))
     target = ctx.initial_states["t2"]
     (source,) = r.states.at(Label("b"))
-    out = apply_interference(ctx, target, source, ctx.events[Label("b")])
+    (out,) = apply_interference(ctx, target, [source], ctx.events[Label("b")])
     assert str(out.po("x")) == "{a.1}"
     assert str(out.po("y")) == "{b.1}"
     # the source has observed strictly more of x, so its value is current
@@ -63,7 +63,69 @@ def test_apply_interference_infeasible_on_reappend():
     carried = [t for t in targets if not t.po("x").is_top]
     assert carried
     for t in carried:
-        assert apply_interference(ctx, t, source_a, ctx.events[Label("a")]) is None
+        assert apply_interference(ctx, t, [source_a], ctx.events[Label("a")]) == []
+
+
+# t3 reads y from w1 and from both outcomes of the cas c, which publishes
+# its event only when it succeeds on y = 1.
+BATCH_SRC = """
+vars x = 0, y = 0;
+thread t1 { w1: store y 1; w2: store x 1; }
+thread t2 { c: q = cas y 1 2; }
+thread t3 { a: r = load y; b: p = load x; }
+"""
+
+
+def _singles(ctx, target, sources, ev, reg=None, cas=False) -> list:
+    return [out for s in sources for out in apply_interference(ctx, target, [s], ev, reg, cas)]
+
+
+def test_batch_equals_the_single_source_calls_in_order():
+    """One kernel call over a source label's states gives what one call per
+    source state gives, concatenated in order: for a cas whose failed state
+    published nothing, for a target whose poset already holds the event
+    (the append is bottom), and for every target and source label of the
+    loads, rmws and locks of Peterson-4, `READS_SRC` and this program."""
+    r, ctx = run_with_context(tmai, parse(BATCH_SRC))
+    reg = ctx.slots["t3"]["r"]
+    k = ctx.layouts["t3"].mo_slot["y"]
+    cas_ev, w1_ev = ctx.events[Label("c")], ctx.events[Label("w1")]
+
+    target = ctx.initial_states["t3"]
+    cas_states = r.states.at(Label("c"))
+    published = [ctx.posets.published(s.mo[k], cas_ev) for s in cas_states]
+    assert sorted(published) == [False, True]
+    batch = apply_interference(ctx, target, cas_states, cas_ev, reg, cas=True)
+    assert len(batch) == 1 and batch == _singles(ctx, target, cas_states, cas_ev, reg, True)
+    assert ctx.values.values[batch[0].mem[reg]] == singleton(2)
+
+    # a state of t3 that read y from w1 cannot read w1 again
+    held = next(s for s in r.states.at(Label("a"))
+                if w1_ev in ctx.posets.posets[s.mo[k]].events)
+    sources = r.states.at(Label("w1")) + r.states.at(Label("w2"))
+    assert ctx.posets.append(held.mo[k], w1_ev) == P.BOTTOM_ID
+    assert apply_interference(ctx, held, sources, w1_ev, reg) == []
+    assert _singles(ctx, held, sources, w1_ev, reg) == []
+
+    pairs = dropped = 0
+    for src in (BATCH_SRC, READS_SRC, peterson(4)):
+        r, ctx = run_with_context(tmai, parse(src))
+        for lbl, srcs in ctx.interfs.items():
+            thread = ctx.cfg.thread_of[lbl]
+            var = ctx.cfg.accesses[lbl][1]
+            instr = ctx.cfg.nodes[lbl]
+            reg = ctx.slots[thread][instr.reg] if hasattr(instr, "reg") else None
+            targets = [t for pred in ctx.cfg.preds[lbl] for t in r.states.at(pred)]
+            for target in targets or [ctx.initial_states[thread]]:
+                for s_lbl in srcs[1:]:
+                    sources = r.states.at(s_lbl)
+                    ev, cas = ctx.events[s_lbl], isinstance(ctx.cfg.nodes[s_lbl], Cas)
+                    batch = apply_interference(ctx, target, sources, ev, reg, cas)
+                    assert batch == _singles(ctx, target, sources, ev, reg, cas), (src, lbl, s_lbl)
+                    assert var == ev.var
+                    pairs += len(sources)
+                    dropped += len(sources) - len(batch)
+    assert pairs > 2000 and dropped > 150, (pairs, dropped)
 
 
 def test_load_ctx_and_interference():
@@ -194,7 +256,7 @@ thread t2 { w: store y 1; }
     target = AbstractState.make({"x": chain(ea, eb), "y": P.TOP}, mem, layout)
     source = AbstractState.make({"x": chain(eb, ea), "y": P.TOP},
                                 {"x": singleton(0), "y": singleton(1)}, layout)
-    assert apply_interference(ctx, target, source, ctx.events[Label("w")]) is None
+    assert apply_interference(ctx, target, [source], ctx.events[Label("w")]) == []
 
 
 def test_frame_property():
