@@ -168,6 +168,11 @@ def less(p1: MoPoset, p2: MoPoset) -> bool:
     return p1.events >= p2.events and p2.pairs <= p1.pairs
 
 
+def _critical_kinds(rmw_critical: bool) -> tuple:
+    """The kinds of event that every execution orders totally."""
+    return ("lock", "unlock", "rmw") if rmw_critical else ("lock", "unlock")
+
+
 def consistent(p1: MoPoset, p2: MoPoset, sb: SbIndex = EMPTY_SB,
                abstract: bool = False, rmw_critical: bool = False) -> bool:
     """No conflicting pair between the two orders; bottom conflicts with all.
@@ -196,7 +201,7 @@ def consistent(p1: MoPoset, p2: MoPoset, sb: SbIndex = EMPTY_SB,
         elif any((b, a) in pb.pairs for a, b in pa.pairs):
             return False
 
-    kinds = ("lock", "unlock", "rmw") if rmw_critical else ("lock", "unlock")
+    kinds = _critical_kinds(rmw_critical)
     c1 = [e for e in p1.events if e.kind in kinds]
     c2 = [e for e in p2.events if e.kind in kinds]
     if not (c1 and c2):
@@ -236,7 +241,12 @@ def append(p: MoPoset, st: Event, sb: SbIndex = EMPTY_SB,
 
     Abstract mode forgets events strictly sequenced before st, except rmw
     events in rmw-critical mode and lock/unlock events, whose history the
-    lock discipline checks need.
+    lock discipline checks need.  For each critical event (of a kind that
+    `consistent` orders totally) that the forgetting would leave with no
+    predecessor, it keeps the mo-latest of the forgotten ones: `consistent`
+    reads a critical event with no predecessor as first in modification
+    order, which one that had a predecessor, such as the store an rmw
+    read, is not.
     """
     if p.bottom:
         return BOTTOM
@@ -250,6 +260,13 @@ def append(p: MoPoset, st: Event, sb: SbIndex = EMPTY_SB,
         drop = {a for a in events
                 if a != st and sb.strict(a.key, st.key) and _forgettable(a, rmw_critical)}
         if drop:
+            kinds = _critical_kinds(rmw_critical)
+            for e in events - drop:
+                if e.kind in kinds:
+                    preds = {a for a, b in pairs if b == e}
+                    if preds and preds <= drop:
+                        drop -= {a for a in preds
+                                 if not any((a, b) in pairs for b in preds)}
             events -= drop
             pairs = {(a, b) for a, b in pairs if a not in drop and b not in drop}
     return MoPoset(False, frozenset(events), frozenset(pairs))
@@ -312,12 +329,14 @@ TOP_ID = 1
 
 
 def _critical(p: MoPoset):
-    """The critical events of one poset (lock/unlock/rmw), with their order
-    pairs when it has any."""
+    """The critical events of one poset (lock/unlock/rmw), with, when it has
+    any, their order pairs and the critical events that have a predecessor
+    (of any kind), since `consistent` reads one without as first."""
     events = frozenset(e for e in p.events if e.kind in ("lock", "unlock", "rmw"))
     if not events:
         return events
-    return events, frozenset(ab for ab in p.pairs if ab[0] in events and ab[1] in events)
+    return (events, frozenset(ab for ab in p.pairs if ab[0] in events and ab[1] in events),
+            frozenset(b for _, b in p.pairs if b in events))
 
 
 class PosetTable:
@@ -337,9 +356,10 @@ class PosetTable:
 
     When an id is made, the table also records, in lists indexed by id,
     `sort_keys[i]`, the poset's sorted events and sorted pairs, and
-    `signatures[i]`, an int naming its critical events and the order among
-    them: equal ints for equal critical histories.  `lasts` is computed
-    once per id and `published` once per id and event.
+    `signatures[i]`, an int naming its critical events, the order among
+    them and which of them have a predecessor: equal ints for equal
+    critical histories.  `lasts` is computed once per id and `published`
+    once per id and event.
 
     A table holds every poset it has seen, so it belongs to one analysis:
     its `AnalysisContext`, the layouts of its states and the state sets

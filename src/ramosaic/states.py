@@ -114,10 +114,11 @@ class AbstractState:
         return tuple(map(self.layout.table.sort_keys.__getitem__, self.mo))
 
     def critical_signature(self) -> tuple:
-        """Per poset, the table's int naming its lock/unlock/rmw events and
-        the order among them; poset joins must not drop either, since
-        consistency checks read them as authoritative history: an rmw with
-        no predecessor is read as the first in modification order."""
+        """Per poset, the table's int naming its lock/unlock/rmw events, the
+        order among them and which of them have a predecessor; poset joins
+        must not drop any of these, since consistency checks read them as
+        authoritative history: an rmw with no predecessor is read as the
+        first in modification order."""
         return tuple(map(self.layout.table.signatures.__getitem__, self.mo))
 
     def fmt(self) -> str:
@@ -138,10 +139,10 @@ class StateBucket:
 
     The memory-equality rule joins posets, which intersects away events and
     order pairs; it is therefore restricted to states that agree on their
-    critical events (lock/unlock/rmw) per variable and on the order among
-    them, which later consistency checks rely on.  The poset-map index
-    stays a unique key; the memory index maps to the states sharing that
-    memory with differing critical signatures.
+    critical events (lock/unlock/rmw) per variable, on the order among them
+    and on which of them have a predecessor, which later consistency checks
+    rely on.  The poset-map index stays a unique key; the memory index maps
+    to the states sharing that memory with differing critical signatures.
     """
 
     __slots__ = ("_table", "_by_mo", "_by_mem", "_sorted", "_frozen")

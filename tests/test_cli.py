@@ -175,6 +175,36 @@ def test_lock_after_a_release_on_either_branch_passes_the_oracle_check(tmp_path,
     assert "k: PossiblyViolated" in out
 
 
+def test_rmw_that_read_a_forgotten_store_passes_the_oracle_check(tmp_path, capsys):
+    """d reads c's -5 while a reads the initial 0, so b may read -5 with
+    r0 = 0.  Forgetting c, sequenced before d, left d with no predecessor,
+    which read as first in y's modification order, so the meet with t0's
+    state after a, first as well, was refused and `final` was proved."""
+    path = tmp_path / "forgotten_store.lit"
+    path.write_text("vars x = 0, y = 0;\n"
+                    "thread t0 { a: r0 = fadd y 1; b: r1 = load x; }\n"
+                    "thread t1 { c: store y -5; d: r2 = fadd y 1; e: store x r2; }\n"
+                    "assert (!(r0 == 0 && r1 == -5));\n")
+    code, out, err = run_cli([path, "--oracle-check"], capsys)
+    assert (code, err) == (1, "")
+    assert "final: PossiblyViolated" in out
+
+
+def test_rmw_whose_store_was_forgotten_later_passes_the_oracle_check(tmp_path, capsys):
+    """u reads c's 5 and t1 syncs with it through z; forgetting c when t1
+    stores h left u with no predecessor, first in y's order like a, which
+    read the initial 0, so b never read i's 1 with r0 = 0."""
+    path = tmp_path / "forgotten_later.lit"
+    path.write_text("vars x = 0, y = 0, z = 0;\n"
+                    "thread t0 { a: r0 = fadd y 1; b: r1 = load x; }\n"
+                    "thread t1 { c: store y 5; g: r3 = load z; h: store y 7; i: store x r3; }\n"
+                    "thread t2 { u: r2 = cas y 5 6; if (r2 == 5) { k: store z 1; } }\n"
+                    "assert (!(r0 == 0 && r1 == 1));\n")
+    code, out, err = run_cli([path, "--oracle-check"], capsys)
+    assert (code, err) == (1, "")
+    assert "final: PossiblyViolated" in out
+
+
 def test_bench_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     (tmp_path / "latin1.lit").write_bytes(NOT_UTF8)
     code, out, _ = run_cli([tmp_path], capsys)

@@ -82,6 +82,27 @@ def test_append_keeps_critical_rmw():
     assert out == poset({A})
 
 
+def test_append_keeps_the_store_a_critical_event_read():
+    """Forgetting every predecessor of a critical event would make it read
+    as first in modification order, so the mo-latest forgotten one stays:
+    the store the rmw read, both for the appended rmw and for an rmw of
+    another thread that the append would leave with none."""
+    w = Event("w", 1, "t1", "store", "y")
+    r = Event("r", 1, "t1", "rmw", "y")
+    w2 = Event("w2", 1, "t1", "store", "y")
+    u = Event("u", 1, "t2", "rmw", "y")
+    d = Event("d", 1, "t2", "store", "y")
+    sb = SbIndex({(w.key, r.key), (w.key, w2.key)})
+    assert P.append(poset({w}), r, sb, abstract=True, rmw_critical=True) == P.chain(w, r)
+    assert P.append(poset({w}), r, sb, abstract=True, rmw_critical=False) == poset({r})
+    # a predecessor that stays is enough
+    assert (P.append(poset({w, d}, {(d, w)}), r, sb, abstract=True, rmw_critical=True)
+            == P.chain(d, r))
+    assert (P.append(P.chain(w, u), w2, sb, abstract=True, rmw_critical=True)
+            == P.chain(w, u, w2))
+    assert P.append(P.chain(w, d), w2, sb, abstract=True, rmw_critical=True) == P.chain(d, w2)
+
+
 def test_meet_examples():
     assert P.meet(poset({A}), poset({B})) == poset({A, B})
     assert P.meet(P.chain(A, B), P.chain(B, A)).bottom

@@ -279,9 +279,11 @@ def _copy(p):
 
 
 def _critical(p):
-    """The lock/unlock/rmw events of p and the order pairs among them."""
+    """The lock/unlock/rmw events of p, the order pairs among them and those
+    of them that have a predecessor."""
     events = {e for e in p.events if e.kind in ("lock", "unlock", "rmw")}
-    return events, {(a, b) for a, b in p.pairs if a in events and b in events}
+    return (events, {(a, b) for a, b in p.pairs if a in events and b in events},
+            {b for _, b in p.pairs if b in events})
 
 
 def _published_by_scan(p, ev):

@@ -85,6 +85,17 @@ def test_memory_rule_guarded_by_critical_order():
     assert len(ss.at(L)) == 2
 
 
+def test_memory_rule_guarded_by_a_critical_predecessor():
+    """States whose rmw has a predecessor in one and none in the other stay
+    separate: the join would drop the predecessor, and the rmw would read
+    as first in modification order."""
+    u = Event("u", 1, "t1", "rmw", "x")
+    ss = StateSet(TABLE)
+    ss.merge_all(L, [state(poset({B, u}, {(B, u)}), singleton(1), singleton(0))])
+    ss.merge_all(L, [state(poset({u}), singleton(1), singleton(0))])
+    assert len(ss.at(L)) == 2
+
+
 def test_rmw_order_survives_the_merge():
     """b, a, d, c is an execution: r1 = 0 and r2 = 3.  When the states at d
     that order the rmws b<a<d and a<b<d were joined, the join dropped b<a,
