@@ -4,12 +4,13 @@
 It runs `engine.tmai` on every corpus file (unrolled 2, as the CLI does by
 default), on `random_program(0..N-1)` and on the scaling-family members
 Peterson-3..5 and nr1w_10/12 (`perfbench/families.py`, each built with
-`random.Random(1)`, as `scripts/scaling.py` builds them).  Each run hashes the input's
-name, the driver's name (`tmai`), the fixpoint's `StateSet.dump()`, the
-sorted verdicts and `iterations_total`.  Two versions of the analyzer that
-print the same line compute the same states, in the same order within each
-label, the same verdicts and the same round counts.  An exception stops the run
-with exit code 3 and names the input that raised it.
+`random.Random(1)`, as `scripts/scaling.py` builds them).  Each run hashes
+the input's name, the driver's name (`tmai`), the fixpoint's
+`StateSet.dump()`, the sorted verdicts and `iterations_total`.  Two
+versions of the analyzer that print the same line compute the same states,
+in the same order within each label, the same verdicts and the same round
+counts.  An exception stops the run with exit code 3 and names the input
+that raised it.
 
     python3 scripts/state_digest.py [N]      # N defaults to 200
 """
