@@ -4,14 +4,14 @@ assertions evaluated on the fixpoint.  Each load, rmw and lock reads every
 source that the analysis's one interference map, `AnalysisContext.interfs`,
 lists for it.
 
-Rounds reuse node results.  `AnalysisContext.node_memo` keeps, per label
-and bump, the pre-states of the node's last visit, the states tuple the
-global set held at each of its interference sources other than ctx, and its
-merged states before widening.  A visit whose pre-states are
-equal and whose sources give equal tuples now takes the merged states
-without running the transfer, as in demand-driven incremental computation
-(Hammer et al., "Adapton", PLDI'14).  The round that only confirms the
-fixpoint therefore runs no transfer.
+Rounds work only where their inputs changed, as in demand-driven
+incremental computation (Hammer et al., "Adapton", PLDI'14): a pass whose
+reads of the global set are unchanged is reused (`_rounds`), and so is a
+node whose pre-states and reads are (`AnalysisContext.node_memo`, which
+keeps per label and bump the node's last pre-states, the states tuples
+the global set held at its interference sources other than ctx, and its
+merged states before widening).  The round that only confirms the
+fixpoint runs no pass and merges no state.
 """
 
 from __future__ import annotations
@@ -153,6 +153,25 @@ def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
     return verdicts
 
 
+def _shared_buckets(cfg: Cfg) -> Dict[Label, Label]:
+    """The labels whose σ bucket is another label's, each with that label:
+    a nop or assert with one predecessor ends every pass holding that
+    predecessor's states tuple (`_node_states`), so it shares its bucket,
+    down a chain to the first label that is not such a node.  Not a loop
+    header, which widening may change, nor a label right after its
+    thread's entry, which σ never holds."""
+    owners: Dict[Label, Label] = {}
+    for tname, rpo in cfg.rpo.items():
+        entry = cfg.entries[tname]
+        # in reverse post-order a label's one predecessor comes first
+        for lbl in rpo:
+            preds = cfg.preds[lbl]
+            if (len(preds) == 1 and preds[0] != entry and lbl not in cfg.loop_headers
+                    and isinstance(cfg.nodes[lbl], (Nop, AssertInst))):
+                owners[lbl] = owners.get(preds[0], preds[0])
+    return owners
+
+
 def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     """Run one pass per thread once per round until the state set stops
     changing.  Returns σ, the rounds run and the rounds that changed σ;
@@ -164,6 +183,13 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     when the round began (a Jacobi round), and since a label belongs to
     one thread, its merges come from one pass per round.
 
+    A pass reads σ only at the interference sources of its thread's
+    loads, rmws and locks, so when σ gives the tuples there that it gave
+    the thread's last pass, that pass's local map is reused
+    (`ctx.passes_reused`; `ctx.passes_run` counts the others).  The labels
+    of `_shared_buckets` are not merged themselves, and a tuple a bucket
+    holds as it is merges nothing (`StateBucket.merge_all`).
+
     The instruction-wise merge joins and replaces states, so the accumulator
     is not monotone and can in rare cases revisit an earlier value instead
     of settling (interacting merge chains).  Every merge output covers its
@@ -172,7 +198,15 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     nothing and a revisit are both found by the sets' fingerprints, which
     are equal exactly when the sets are.
     """
+    cfg, interfs = ctx.cfg, ctx.interfs
+    shared = _shared_buckets(cfg)
     sigma = StateSet(ctx.posets)
+    for lbl, owner in shared.items():
+        sigma.share(lbl, owner)
+    # per thread: the labels its pass reads σ at; its last pass's reads and merges
+    reads = {t.name: sorted({src for lbl in cfg.rpo[t.name] for src in interfs.get(lbl, ())[1:]})
+             for t in ctx.program.threads}
+    last: Dict[str, tuple] = {}
     rounds = 0
     effective = 0
     fingerprint = sigma.fingerprint()
@@ -182,11 +216,22 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
         rounds += 1
-        local_maps = [seq_ai(ctx, t.name, sigma) for t in ctx.program.threads]
-        for local in local_maps:
-            for lbl in sorted(local):
-                sigma.merge_all(lbl, local[lbl])
-        del local_maps
+        merges: list = []
+        for tname, srcs in reads.items():
+            now = tuple([sigma.at(src) for src in srcs])
+            prev = last.pop(tname, None)
+            if prev is not None and prev[0] == now:
+                ctx.passes_reused += 1
+            else:
+                ctx.passes_run += 1
+                prev = None  # free the old map's states before the pass
+                local = seq_ai(ctx, tname, sigma)
+                prev = (now, [(lbl, local[lbl]) for lbl in sorted(local) if lbl not in shared])
+            last[tname] = prev
+            merges += prev[1]
+        for lbl, states in merges:
+            sigma.merge_all(lbl, states)
+        del merges
         new = sigma.fingerprint()
         if new == fingerprint:
             break

@@ -13,6 +13,7 @@ analysis names its posets by small int ids and memoizes the operators.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
@@ -349,10 +350,12 @@ class PosetTable:
     are, and states hold ids.  `append`, `meet` and `join` take and return
     ids: they run the module functions above once per distinct operands,
     with the table's sb index and flags, and answer repeats from dicts on
-    int keys; `meets` is the meet memo itself, which the interference
-    kernel reads directly.  `meet` is commutative, so the memo stores each
-    result under both operand orders and the module function runs once per
-    unordered pair.
+    int keys.  `meets` is the meet memo itself, one row per id, made when
+    first asked for: `meets[p1][p2]` is the id of the meet of `p1` and
+    `p2`, so the interference kernel fetches a row once per batch and
+    looks each meet up by the other id alone.  `meet` is commutative, so
+    the memo stores each result in both rows, under both operand orders,
+    and the module function runs once per unordered pair.
 
     When an id is made, the table also records, in lists indexed by id,
     `sort_keys[i]`, the poset's sorted events and sorted pairs, and
@@ -378,7 +381,7 @@ class PosetTable:
         self.posets: list = []
         self.sort_keys: list = []
         self.signatures: list = []
-        self.meets: dict = {}
+        self.meets: collections.defaultdict = collections.defaultdict(dict)
         self._ids: dict = {}
         self._signature_ids: dict = {}
         self._append: dict = {}
@@ -413,10 +416,11 @@ class PosetTable:
 
     def meet(self, p1: int, p2: int) -> int:
         meets = self.meets
-        out = meets.get((p1, p2))
+        row = meets[p1]
+        out = row.get(p2)
         if out is None:
             posets = self.posets
-            out = meets[p1, p2] = meets[p2, p1] = self.intern(
+            out = row[p2] = meets[p2][p1] = self.intern(
                 meet(posets[p1], posets[p2], self.sb, self.abstract, self.rmw_critical))
         return out
 

@@ -15,6 +15,7 @@ a label's set, so buckets keep hash indexes on each.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Sequence, Tuple
 
 from . import intervals, posets
@@ -196,6 +197,33 @@ class StateBucket:
             self._frozen = None
             return
 
+    def merge_all(self, states: Sequence[AbstractState]) -> None:
+        """Merge the states in turn.  A tuple that the bucket then holds
+        exactly, in `states()` order, becomes its `states()` tuple, and
+        merging that tuple returns at once; any other is merged every time,
+        since the merge is not idempotent across calls."""
+        if states is self._sorted:
+            return
+        for s in states:
+            self.merge(s)
+        if type(states) is tuple and self._holds_exactly(states):
+            self._sorted = states
+
+    def _holds_exactly(self, states: tuple) -> bool:
+        """The bucket holds these states and no other, sorted by their
+        (distinct) sort keys."""
+        by_mo = self._by_mo
+        if len(by_mo) != len(states):
+            return False
+        for s in states:
+            held = by_mo.get(s.mo)
+            if held is None or held.mem != s.mem:
+                return False
+        if len(states) < 2:
+            return True
+        keys = list(map(AbstractState.sort_key, states))
+        return all(map(operator.lt, keys, keys[1:]))
+
     def _remove(self, s: AbstractState) -> None:
         del self._by_mo[s.mo]
         group = self._by_mem[s.mem]
@@ -231,22 +259,32 @@ class StateBucket:
 class StateSet:
     """Map from label to its normal-form set of states.  The buckets join
     and order posets through `table`, the table of the analysis whose
-    states they hold: the ids of another table name other posets."""
+    states they hold: the ids of another table name other posets.  Labels
+    that share a bucket (`share`) read as separate buckets with equal
+    content."""
 
     def __init__(self, table: posets.PosetTable):
         self.table = table
         self._by_label: Dict[Label, StateBucket] = {}
+
+    def _bucket(self, label: Label) -> StateBucket:
+        bucket = self._by_label.get(label)
+        if bucket is None:
+            bucket = self._by_label[label] = StateBucket(self.table)
+        return bucket
 
     def merge_all(self, label: Label, states: Sequence[AbstractState]) -> None:
         """Merge the states, all of one analysis, into the label's bucket.
         Raises ValueError when the first holds the ids of another table."""
         if states and states[0].layout.table is not self.table:
             raise ValueError("the states hold poset ids of another analysis's table")
-        bucket = self._by_label.get(label)
-        if bucket is None:
-            bucket = self._by_label[label] = StateBucket(self.table)
-        for s in states:
-            bucket.merge(s)
+        self._bucket(label).merge_all(states)
+
+    def share(self, label: Label, owner: Label) -> None:
+        """From now on `label` holds `owner`'s bucket itself."""
+        if len(self._by_label.get(label, ())):
+            raise ValueError(f"{label} already holds states")
+        self._by_label[label] = self._bucket(owner)
 
     def at(self, label: Label) -> tuple:
         bucket = self._by_label.get(label)
@@ -257,7 +295,12 @@ class StateSet:
 
     def copy(self) -> "StateSet":
         out = StateSet(self.table)
-        out._by_label = {k: v.copy() for k, v in self._by_label.items()}
+        copies: dict = {}
+        for k, v in self._by_label.items():
+            c = copies.get(id(v))
+            if c is None:
+                c = copies[id(v)] = v.copy()
+            out._by_label[k] = c
         return out
 
     def total_states(self) -> int:

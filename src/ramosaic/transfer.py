@@ -9,9 +9,10 @@ the variable is the current one; incomparable or equal views fall back to the
 interval hull.  The loaded variable always takes the source's value.
 `apply_interference` does this for one target state and all the states at
 one source label in a batch: the target's append, and the list of slots
-whose target poset is not top and so need a meet, are computed once, and
-each meet is a lookup in the poset table's memo, which holds every meet
-under both operand orders.
+whose target poset is not top and so need a meet, each with its row of the
+poset table's meet memo, are computed once, and each meet is a lookup of
+the source's poset id in that row; the memo holds every meet under both
+operand orders.
 
 Memories hold ids of the analysis's `intervals.ValueTable`: expressions read
 the intervals at the slots they name, and the transfers intern only what they
@@ -126,6 +127,10 @@ class AnalysisContext:
         self.node_memo: dict = {}
         # the loop headers that engine.seq_ai has widened
         self.widened: set = set()
+        # the passes engine._rounds ran, and those whose local map it took
+        # from the thread's last pass, its reads of the global set unchanged
+        self.passes_run = 0
+        self.passes_reused = 0
 
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
         ev = self.events[lbl]
@@ -148,7 +153,8 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState, sources,
 
     The target's part is done once for the batch: the append of
     `src_event` to its poset, and the slots whose poset is not top, the
-    only ones that need a meet (the meet of top and p is p)."""
+    only ones that need a meet (the meet of top and p is p), with the
+    meet memo's row of each."""
     table = ctx.posets
     k = target.layout.mo_slot[src_event.var]
     tmo = target.mo
@@ -156,12 +162,18 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState, sources,
     if not appended:  # bottom
         return []
     # no state holds bottom, so a slot whose target poset is top takes the
-    # source's poset as it is
-    met_slots = [(i, appended if i == k else pt) for i, pt in enumerate(tmo)
-                 if pt != TOP_ID or i == k]
+    # source's poset as it is; each met slot carries its meet memo row
+    meets = table.meets
+    met_slots = []
+    for i, pt in enumerate(tmo):
+        if i == k:
+            pt = appended
+        elif pt == TOP_ID:
+            continue
+        met_slots.append((i, pt, meets[pt]))
     loaded_slot, views = ctx.read_slots[k]
     tmem = target.mem
-    meets, meet, published = table.meets, table.meet, table.published
+    meet, published = table.meet, table.published
     values = ctx.values
     joins = values.joins
     layout = target.layout
@@ -171,9 +183,9 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState, sources,
         if cas and not published(smo[k], src_event):
             continue
         new_mo = list(smo)
-        for i, pt in met_slots:
+        for i, pt, row in met_slots:
             ps = smo[i]
-            met = meets.get((pt, ps))
+            met = row.get(ps)
             if met is None:
                 met = meet(pt, ps)
             if not met:

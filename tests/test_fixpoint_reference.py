@@ -2,14 +2,16 @@
 reference: the batched interference kernel against, per source state, the
 view test with two `posets.less` tests and a second build for the loaded
 register, the assertion check on projections against a `refine` over each
-state's full memory, and nodes that pass their predecessor's states on
-against a fresh bucket merge.
+state's full memory, nodes that pass their predecessor's states on against
+a fresh bucket merge, and the round loop that reuses passes, shares
+buckets and skips merges against the plain one.
 
 Every call the analyses make is checked, each (target, source) pair of an
-interference batch on its own, over the corpus, `random_program(0..499)`,
+interference batch on its own, over the corpus, `random_program(0..999)`,
 Peterson-3 and -4 and the looped programs.  The random programs assert
 only a postcondition, so the assertion check also runs on drawn conditions
-at every label of their fixpoints."""
+at every label of the fixpoints of `random_program(0..499)`.  The plain
+round loop runs every program but `random_program(500..999)`."""
 
 import random
 
@@ -20,9 +22,9 @@ from ramosaic import posets as P
 from ramosaic.engine import tmai
 from ramosaic.intervals import refine, val_join
 from ramosaic.litmus import (And, AssertInst, BinOp, BoolLit, Cmp, Lit, Name, Nop, Or,
-                             negate, parse, unroll)
+                             build_cfg, negate, parse, unroll)
 from ramosaic.randprog import random_program
-from ramosaic.states import AbstractState, StateBucket
+from ramosaic.states import AbstractState, StateBucket, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig, Verdict
 
 from conftest import LOOPED_SOURCES, corpus_files, peterson
@@ -96,17 +98,104 @@ def drawn_conditions(rng: random.Random, idents: list) -> tuple:
             And(Cmp(op(), BinOp("+", Name(a), Lit(1)), Name(b)), Cmp(op(), Name(b), Lit(k))))
 
 
+class _PairMemoTable(P.PosetTable):
+    """The poset table with the meet memo as it was before it had rows:
+    one dict keyed by operand pairs, each meet stored under both orders."""
+
+    __slots__ = ("pair_meets",)
+
+    def __init__(self, *args):
+        self.pair_meets = {}
+        super().__init__(*args)
+
+    def meet(self, p1: int, p2: int) -> int:
+        memo = self.pair_meets
+        out = memo.get((p1, p2))
+        if out is None:
+            posets = self.posets
+            out = memo[p1, p2] = memo[p2, p1] = self.intern(
+                P.meet(posets[p1], posets[p2], self.sb, self.abstract, self.rmw_critical))
+        return out
+
+
+def interference_per_pair(ctx, target, sources, src_event, reg=None, cas=False):
+    """The batch as the reference rule on each source state that published
+    the event, in order."""
+    k = target.layout.mo_slot[src_event.var]
+    out = []
+    for source in sources:
+        if cas and not _published_by_scan(ctx.posets.posets[source.mo[k]], src_event):
+            continue
+        s = apply_interference_by_less(ctx, target, source, src_event, reg)
+        if s is not None:
+            out.append(s)
+    return out
+
+
+def plain_rounds(ctx, max_iterations: int) -> tuple:
+    """The round loop with no reuse: every pass runs in every round, and
+    each label's local tuple is merged, state by state, into a bucket of
+    the label's own."""
+    sigma = StateSet(ctx.posets)
+    rounds = effective = 0
+    fingerprint = sigma.fingerprint()
+    seen = set()
+    while True:
+        if rounds >= max_iterations:
+            raise engine.Divergence(f"no fixpoint after {max_iterations} rounds")
+        seen.add(fingerprint)
+        rounds += 1
+        local_maps = [engine.seq_ai(ctx, t.name, sigma) for t in ctx.program.threads]
+        for local in local_maps:
+            for lbl in sorted(local):
+                bucket = sigma._by_label.setdefault(lbl, StateBucket(ctx.posets))
+                for s in local[lbl]:
+                    bucket.merge(s)
+        new = sigma.fingerprint()
+        if new == fingerprint:
+            break
+        effective += 1
+        if new in seen:
+            break
+        fingerprint = new
+    return sigma, rounds, effective
+
+
+def _digest(states, verdicts, rounds, effective, widened) -> tuple:
+    return (states.dump(),
+            sorted((site, v.proved, [w.fmt() if isinstance(w, AbstractState) else w
+                                     for w in v.witnesses]) for site, v in verdicts.items()),
+            rounds, effective, sorted(map(str, widened)))
+
+
+def plain_digest(program, max_iterations: int = 100) -> tuple:
+    """The digest of the plain round loop with the reference interference
+    rule and the pair-keyed meet memo."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "PosetTable", _PairMemoTable)
+        mp.setattr(transfer, "apply_interference", interference_per_pair)
+        ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
+        assert isinstance(ctx.posets, _PairMemoTable)
+        sigma, rounds, effective = plain_rounds(ctx, max_iterations)
+        return _digest(sigma, engine._evaluate(ctx, sigma), rounds, effective, ctx.widened)
+
+
 def _same_state(a, b) -> bool:
     if a is None or b is None:
         return a is b
     return a == b and a.layout is b.layout
 
 
+def _result_digest(r) -> tuple:
+    return _digest(r.states, r.verdicts, r.iterations_total, r.iterations_effective, r.widened)
+
+
 @pytest.fixture(scope="module")
 def checked():
     """Run the analyses with each replaced step checked against its
     reference; per check, the number of calls and the calls that differ."""
-    calls = {"interference": [0, []], "assert": [0, []], "pass": [0, []]}
+    calls = {"interference": [0, []], "assert": [0, []], "pass": [0, []],
+             "runs": []}  # (program, digest) of every run with a plain twin
     real_apply = transfer.apply_interference
     real_check = engine.check_assert
     real_node_states = engine._node_states
@@ -159,10 +248,14 @@ def checked():
         mp.setattr(engine, "check_assert", check_checked)
         mp.setattr(engine, "_node_states", node_states_checked)
         for analyze, program in runs:
-            analyze(program, max_iterations=100)
-        for seed in range(500):
+            r = analyze(program, max_iterations=100)
+            calls["runs"].append((program, _result_digest(r)))
+        for seed in range(1000):
             program = random_program(seed)
             result = tmai(program, max_iterations=100)
+            if seed >= 500:  # these add checked kernel and pass-through calls
+                continue
+            calls["runs"].append((program, _result_digest(result)))
             ctx = AnalysisContext(program, result.cfg, TransferConfig())
             rng = random.Random(seed)
             for lbl in result.states.labels():
@@ -186,3 +279,21 @@ def test_pass_through_nodes_match_a_fresh_merge(checked):
     n, mismatches = checked["pass"]
     assert n > 4_000 and not mismatches, (n, mismatches[:5])
 
+
+
+def test_rounds_match_the_plain_round_loop(checked):
+    """Reused passes, shared buckets and skipped merges, with the meet
+    memo's rows, give the dumps, verdicts, rounds, effective rounds and
+    widened labels of the plain round loop with the per-pair reference
+    rule and the pair-keyed meet memo.  The inputs hold a widened loop
+    header and a thread with no instruction, whose exit follows its entry
+    and so keeps a bucket of its own."""
+    runs = checked["runs"]
+    assert len(runs) > 500
+    mismatches = [i for i, (program, want) in enumerate(runs) if plain_digest(program) != want]
+    assert not mismatches, mismatches[:5]
+    assert any(want[4] for _, want in runs)
+    empty = random_program(69)
+    cfg = build_cfg(empty)
+    assert cfg.rpo["t1"] == (cfg.entries["t1"], cfg.exits["t1"])
+    assert cfg.exits["t1"] in tmai(empty).states.labels()

@@ -15,7 +15,7 @@ from ramosaic import engine, transfer
 from ramosaic.engine import seq_ai, tmai
 from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.randprog import random_program
-from ramosaic.states import StateSet
+from ramosaic.states import StateBucket, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
 from conftest import (LOOPED_SOURCES, READS_SRC, corpus_files, peterson,
@@ -42,37 +42,61 @@ def _fresh_pass(ctx, tname, global_ss) -> dict:
     return seq_ai(_fresh(ctx), tname, global_ss)
 
 
-def test_confirming_round_recomputes_nothing(monkeypatch):
-    """Peterson-4's last round changes no label, so every node's inputs are
-    those of the round before and every node is a memo hit."""
-    passes: list = []  # per seq_ai call: [transfer_node calls, interference batches]
-    real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
-    real_apply = transfer.apply_interference
+def _work_per_round(program) -> tuple:
+    """Per round of one `tmai` run: [passes run, transfer_node calls,
+    interference batches, bucket merges]; with the result and the run's
+    context."""
+    rounds: list = []
+    contexts: list = []
+    real_transfer_node, real_apply = engine.transfer_node, transfer.apply_interference
+    real_merge, real_fingerprint = StateBucket.merge, StateSet.fingerprint
+    init = AnalysisContext.__init__
 
-    def counted_seq_ai(*args, **kwargs):
-        passes.append([0, 0])
-        return real_seq_ai(*args, **kwargs)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
 
-    def counted_transfer_node(*args, **kwargs):
-        passes[-1][0] += 1
-        return real_transfer_node(*args, **kwargs)
+    def counted(k, real):
+        def call(*args, **kwargs):
+            rounds[-1][k] += 1
+            return real(*args, **kwargs)
+        return call
 
-    def counted_apply(*args, **kwargs):
-        passes[-1][1] += 1
-        return real_apply(*args, **kwargs)
+    def recording_fingerprint(self):
+        # called once before the first round and once after each round
+        (ctx,) = contexts
+        if rounds:
+            rounds[-1][0] = ctx.passes_run - sum(r[0] for r in rounds[:-1])
+        rounds.append([0, 0, 0, 0])
+        return real_fingerprint(self)
 
-    monkeypatch.setattr(engine, "seq_ai", counted_seq_ai)
-    monkeypatch.setattr(engine, "transfer_node", counted_transfer_node)
-    monkeypatch.setattr(transfer, "apply_interference", counted_apply)
-    program = parse(peterson(4))
-    result = tmai(program)
-    assert result.states.total_states() == 1520 and result.iterations_total == 4
-    n = len(program.threads)
-    assert len(passes) == 4 * n
-    rounds = [[sum(p[k] for p in passes[i:i + n]) for k in (0, 1)]
-              for i in range(0, len(passes), n)]
-    assert rounds[-1] == [0, 0], rounds
-    assert all(calls > 0 for calls, _ in rounds[:-1]), rounds
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AnalysisContext, "__init__", recording_init)
+        mp.setattr(engine, "transfer_node", counted(1, real_transfer_node))
+        mp.setattr(transfer, "apply_interference", counted(2, real_apply))
+        mp.setattr(StateBucket, "merge", counted(3, real_merge))
+        mp.setattr(StateSet, "fingerprint", recording_fingerprint)
+        result = tmai(program)
+    rounds.pop()  # opened by the fingerprint after the last round
+    (ctx,) = contexts
+    return rounds, result, ctx
+
+
+def test_confirming_round_recomputes_nothing():
+    """The last round of Peterson-3 and -4 changes no label, so every pass
+    reads what it read in the round before: the round runs no pass, hence
+    no transfer and no interference batch, and merges no state, since each
+    bucket holds the very tuple its label's last pass gave.  The rounds
+    before it run transfers, and the context's counters account for every
+    pass."""
+    for n, total in ((3, 303), (4, 1520)):
+        rounds, result, ctx = _work_per_round(parse(peterson(n)))
+        assert result.states.total_states() == total and result.iterations_total == 4
+        assert len(rounds) == 4
+        assert rounds[-1] == [0, 0, 0, 0], (n, rounds)
+        assert all(calls > 0 for _, calls, _, _ in rounds[:-1]), (n, rounds)
+        assert ctx.passes_run + ctx.passes_reused == 4 * n
+        assert ctx.passes_run == sum(r[0] for r in rounds)
 
 
 def test_confirming_round_reads_the_identical_tuples():

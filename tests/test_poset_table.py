@@ -33,54 +33,37 @@ def _assert_interned(result) -> None:
             assert all(0 <= p < len(table.posets) for p in s.mo)
 
 
-class _CountedLookups(dict):
-    """A memo that counts the lookups made through `get` and keeps their
-    keys."""
+class _CountedRow(dict):
+    """One row of a `_CountedMemo`: counts the lookups made through `get`
+    in the memo, and keeps their (row, key) pairs."""
 
-    lookups = 0
-
-    def __init__(self):
+    def __init__(self, memo, owner: int):
         super().__init__()
-        self.asked = set()
+        self.memo, self.owner = memo, owner
 
     def get(self, key, default=None):
-        self.lookups += 1
-        self.asked.add(key)
+        self.memo.lookups += 1
+        self.memo.asked.add((self.owner, key))
         return super().get(key, default)
 
 
-def test_meet_runs_once_per_distinct_operands(monkeypatch):
-    """Interference reads the meet memo directly and the table's `meet`
-    reads it too, so the memo's lookups count every meet asked for but the
-    ones with a top operand, which need none."""
-    misses = collections.Counter()
-    memos = []
-    module_meet, init = posets.meet, AnalysisContext.__init__
+class _CountedMemo(dict):
+    """A meet memo that makes a counting row for each id first asked for."""
 
-    def counted_meet(p1, p2, *flags):
-        misses[p1, p2] += 1
-        return module_meet(p1, p2, *flags)
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+        self.asked = set()
 
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.posets.meets = _CountedLookups()
-        memos.append(self.posets.meets)
-
-    monkeypatch.setattr(posets, "meet", counted_meet)
-    monkeypatch.setattr(AnalysisContext, "__init__", counting_init)
-    result = tmai(parse(peterson(4)))
-    assert result.states.total_states() == 1520 and result.iterations_total == 4
-    assert max(misses.values()) == 1
-    (memo,) = memos
-    assert memo.lookups > 10 * len(misses)
-    _assert_interned(result)
+    def __missing__(self, owner: int) -> _CountedRow:
+        row = self[owner] = _CountedRow(self, owner)
+        return row
 
 
-def test_meet_runs_once_per_unordered_pair(monkeypatch):
-    """`posets.meet` is commutative, so the table stores each result under
-    both operand orders: on Peterson-4, which asks for some meets in both
-    orders, the module function runs once per unordered pair of operands,
-    and the memo answers each pair it holds in both orders alike."""
+def _counted_meets(monkeypatch) -> tuple:
+    """Count the calls of `posets.meet` per key, frozenset of the operand
+    ids, and give each analysis's table a `_CountedMemo`; the counter and
+    the list of memos."""
     calls = collections.Counter()
     memos = []
     module_meet, init = posets.meet, AnalysisContext.__init__
@@ -91,21 +74,45 @@ def test_meet_runs_once_per_unordered_pair(monkeypatch):
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.posets.meets = _CountedLookups()
+        assert not self.posets.meets
+        self.posets.meets = _CountedMemo()
         memos.append(self.posets.meets)
 
     monkeypatch.setattr(posets, "meet", counted_meet)
     monkeypatch.setattr(AnalysisContext, "__init__", counting_init)
+    return calls, memos
+
+
+def test_meet_runs_once_per_distinct_operands(monkeypatch):
+    """Interference reads the rows of the meet memo directly and the
+    table's `meet` reads them too, so the memo's lookups count every meet
+    asked for but the ones with a top operand, which need none."""
+    misses, memos = _counted_meets(monkeypatch)
+    result = tmai(parse(peterson(4)))
+    assert result.states.total_states() == 1520 and result.iterations_total == 4
+    assert max(misses.values()) == 1
+    (memo,) = memos
+    assert memo.lookups > 10 * len(misses)
+    _assert_interned(result)
+
+
+def test_meet_runs_once_per_unordered_pair(monkeypatch):
+    """`posets.meet` is commutative, so the table stores each result in
+    both operands' rows: on Peterson-4, which asks for some meets in both
+    orders, the module function runs once per unordered pair of operands,
+    and the memo answers each pair it holds in both orders alike."""
+    calls, memos = _counted_meets(monkeypatch)
     result = tmai(parse(peterson(4)))
     assert result.states.total_states() == 1520 and result.iterations_total == 4
     (memo,) = memos
     table = result.states.table
+    assert 0 < len(memo) < len(table.posets)
     swapped = {(a, b) for a, b in memo.asked if a != b and (b, a) in memo.asked}
     assert len(swapped) > 50, len(swapped)
     assert max(calls.values()) == 1
     assert len(calls) == len({frozenset((table.posets[a], table.posets[b]))
                               for a, b in memo.asked})
-    assert all(memo[b, a] == met for (a, b), met in memo.items())
+    assert all(memo[b][a] == met for a, row in memo.items() for b, met in row.items())
 
 
 def test_eighty_lock_sections():

@@ -349,6 +349,103 @@ def test_merging_a_merged_tuple_again_changes_the_set():
     assert ss.dump() == "l | x:{a.1} | x:[1,5]\nl | x:{a.1, c.1} | x:[1,1]"
 
 
+def _counting_merges(monkeypatch) -> list:
+    """Count the calls of `StateBucket.merge` in the one-element list."""
+    calls = [0]
+    real = StateBucket.merge
+
+    def counted(self, s):
+        calls[0] += 1
+        return real(self, s)
+
+    monkeypatch.setattr(StateBucket, "merge", counted)
+    return calls
+
+
+S1 = state(poset({A}), singleton(1), singleton(0))
+S2 = state(poset({B}), singleton(2), singleton(2))
+S3 = state(P.chain(A, B), singleton(3), singleton(1))
+
+
+def test_merging_a_buckets_own_tuple_is_a_no_op(monkeypatch):
+    """The bucket's `states()` tuple merges no state and keeps the bucket's
+    tuple and frozenset themselves."""
+    ss = StateSet(TABLE)
+    ss.merge_all(L, [S1, S2, S3])
+    held, frozen = ss.at(L), ss.fingerprint()
+    calls = _counting_merges(monkeypatch)
+    ss.merge_all(L, held)
+    assert calls == [0]
+    assert ss.at(L) is held
+    assert dict(ss.fingerprint())[L] is dict(frozen)[L]
+
+
+def test_a_tuple_held_exactly_becomes_the_states_tuple(monkeypatch):
+    """A tuple in `states()` order that the bucket holds exactly after the
+    merge is the bucket's `states()` tuple from then on, so merging it again
+    merges no state; the same states as a list or out of order are merged
+    every time, and the bucket keeps its own order."""
+    t = StateSet(TABLE)
+    t.merge_all(L, [S3, S2, S1])
+    t = t.at(L)
+    assert len(t) == 3
+    ss = StateSet(TABLE)
+    ss.merge_all(L, [S1])
+    ss.merge_all(L, t)
+    assert ss.at(L) is t
+    calls = _counting_merges(monkeypatch)
+    ss.merge_all(L, t)
+    assert calls == [0] and ss.at(L) is t
+    for other in (list(t), t[::-1]):
+        ss = StateSet(TABLE)
+        ss.merge_all(L, other)
+        ss.merge_all(L, other)
+        assert ss.at(L) == t and ss.at(L) is not other
+    assert calls == [12]
+
+
+def _shared_and_separate() -> tuple:
+    """A set whose labels l and m share a bucket, and one that merges the
+    same states into two buckets, both with a third label n."""
+    m, n = Label("m"), Label("n")
+    shared, separate = StateSet(TABLE), StateSet(TABLE)
+    shared.share(m, L)
+    for ss, labels in ((shared, (L,)), (separate, (L, m))):
+        for lbl in labels:
+            ss.merge_all(lbl, [S1, S2])
+            ss.merge_all(lbl, [S3])
+        ss.merge_all(n, [S2])
+    return shared, separate
+
+
+def test_a_shared_bucket_reads_as_two_buckets_with_equal_content():
+    shared, separate = _shared_and_separate()
+    m = Label("m")
+    assert shared._by_label[m] is shared._by_label[L]
+    for lbl in (L, m, Label("n"), Label("o")):
+        assert shared.at(lbl) == separate.at(lbl)
+    assert shared.at(m) is shared.at(L)
+    assert shared.labels() == separate.labels() == (L, m, Label("n"))
+    assert shared.counts() == separate.counts()
+    assert shared.total_states() == separate.total_states() == 2 * len(shared.at(L)) + 1
+    assert shared.dump() == separate.dump()
+    assert shared.fingerprint() == separate.fingerprint()
+    with pytest.raises(ValueError):
+        separate.share(m, L)
+
+
+def test_copy_keeps_a_shared_bucket_shared():
+    shared, _ = _shared_and_separate()
+    m = Label("m")
+    before = shared.dump()
+    copy = shared.copy()
+    assert copy._by_label[m] is copy._by_label[L] is not shared._by_label[L]
+    assert copy.dump() == before
+    copy.merge_all(m, [state(P.TOP, singleton(0), singleton(0))])
+    assert copy.at(L) is copy.at(m) and copy.at(L) != shared.at(L)
+    assert shared.dump() == before
+
+
 def test_dump_format():
     ss = StateSet(TABLE)
     ss.merge_all(L, [state(poset({A}), Interval(1, 2), singleton(0))])
