@@ -6,9 +6,8 @@ nr1w program (`perfbench/families.py`, `peterson` and `readers`), it
 prints the best of K wall times of each phase of a `tmai` run: parse, CFG,
 context (`AnalysisContext`, the interference map included), fixpoint (the
 rounds) and evaluation (the assertion checks), then the fixpoint's states
-and rounds, and the thread passes that the rounds ran and those they
-reused unchanged from the thread's last pass.  Every repeat runs all
-phases from the source again; the counts must repeat too.
+and rounds.  Every repeat runs all phases from the source again; the state
+and round counts must repeat too.
 
     python3 scripts/scaling.py [--peterson 2,3,4,5] [--readers 4,8,16,32]
                                [--repeat K]
@@ -39,8 +38,7 @@ PHASES = ("parse", "cfg", "context", "fixpoint", "evaluate")
 
 
 def run_once(source: str) -> tuple:
-    """(seconds per phase, states, rounds, passes run, passes reused) of one
-    `tmai` run of source."""
+    """(seconds per phase, states, rounds) of one `tmai` run of source."""
     times = []
     clock = time.perf_counter()
 
@@ -60,7 +58,7 @@ def run_once(source: str) -> tuple:
     lap()
     engine._evaluate(ctx, sigma)
     lap()
-    return times, sigma.total_states(), rounds, ctx.passes_run, ctx.passes_reused
+    return times, sigma.total_states(), rounds
 
 
 def measure(member: families.Member, repeat: int) -> tuple:
@@ -88,13 +86,13 @@ def main(argv) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     print(f"{'member':<12}" + "".join(f"{p + '_ms':>12}" for p in PHASES)
-          + f"{'states':>9}{'rounds':>8}{'passes':>8}{'reused':>8}")
+          + f"{'states':>9}{'rounds':>8}")
     for build, ns in ((families.peterson, args.peterson), (families.readers, args.readers)):
         for n in ns:
             member = build(n, random.Random(1))
-            best, (states, rounds, run, reused) = measure(member, args.repeat)
+            best, (states, rounds) = measure(member, args.repeat)
             print(f"{member.name:<12}" + "".join(f"{t * 1e3:>12.3f}" for t in best)
-                  + f"{states:>9}{rounds:>8}{run:>8}{reused:>8}", flush=True)
+                  + f"{states:>9}{rounds:>8}", flush=True)
     return 0
 
 

@@ -219,7 +219,7 @@ def oracle_main(argv=None) -> int:
     args = ap.parse_args(argv)
     path = Path(args.path)
     if not path.exists():
-        print(f"ra-oracle: {path}: no such file", file=sys.stderr)
+        print(f"ra-oracle: {path}: no such file or directory", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         program = unroll(parse(read_source(path)), args.unroll)
@@ -228,7 +228,7 @@ def oracle_main(argv=None) -> int:
         print(f"ra-oracle: {path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:
-        print(f"ra-oracle: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"ra-oracle: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.outcomes:
         for regs in sorted(oracle.outcomes(execs)):

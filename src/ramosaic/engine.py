@@ -5,13 +5,14 @@ source that the analysis's one interference map, `AnalysisContext.interfs`,
 lists for it.
 
 Rounds work only where their inputs changed, as in demand-driven
-incremental computation (Hammer et al., "Adapton", PLDI'14): a pass whose
-reads of the global set are unchanged is reused (`_rounds`), and so is a
-node whose pre-states and reads are (`AnalysisContext.node_memo`, which
-keeps per label and bump the node's last pre-states, the states tuples
-the global set held at its interference sources other than ctx, and its
-merged states before widening).  The round that only confirms the
-fixpoint runs no pass and merges no state.
+incremental computation (Hammer et al., "Adapton", PLDI'14): every round
+runs every thread's pass, and a node whose pre-states and reads of the
+global set are unchanged takes its merged states from
+`AnalysisContext.node_memo`, which keeps per label and bump the node's
+last pre-states, the states tuples the global set held at its
+interference sources other than ctx, and its merged states before
+widening.  The round that only confirms the fixpoint runs its passes as
+memo hits and merges no state.
 """
 
 from __future__ import annotations
@@ -92,7 +93,10 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     # ctx is every label's first source
     reads = tuple([global_ss.at(src) for src in ctx.interfs.get(lbl, ())[1:]])
     entry = ctx.node_memo.get(key)
-    if entry is not None and entry[0] == pre_states and entry[1] == reads:
+    # a predecessor that was a memo hit passes on the stored tuple itself,
+    # so an unchanged node's pre-states are mostly found by identity
+    if (entry is not None and (entry[0] is pre_states or entry[0] == pre_states)
+            and entry[1] == reads):
         return entry[2]
     bucket = StateBucket(ctx.posets)
     for s in transfer_node(ctx, lbl, pre_states, global_ss, bump=bump):
@@ -183,12 +187,11 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     when the round began (a Jacobi round), and since a label belongs to
     one thread, its merges come from one pass per round.
 
-    A pass reads σ only at the interference sources of its thread's
-    loads, rmws and locks, so when σ gives the tuples there that it gave
-    the thread's last pass, that pass's local map is reused
-    (`ctx.passes_reused`; `ctx.passes_run` counts the others).  The labels
-    of `_shared_buckets` are not merged themselves, and a tuple a bucket
-    holds as it is merges nothing (`StateBucket.merge_all`).
+    A node whose inputs are unchanged is a hit of the node memo
+    (`_node_states`), so a pass whose reads of σ are those of its
+    thread's last pass computes nothing.  The labels of `_shared_buckets`
+    are not merged themselves, and a tuple a bucket holds as it is merges
+    nothing (`StateBucket.merge_all`).
 
     The instruction-wise merge joins and replaces states, so the accumulator
     is not monotone and can in rare cases revisit an earlier value instead
@@ -198,15 +201,10 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     nothing and a revisit are both found by the sets' fingerprints, which
     are equal exactly when the sets are.
     """
-    cfg, interfs = ctx.cfg, ctx.interfs
-    shared = _shared_buckets(cfg)
+    shared = _shared_buckets(ctx.cfg)
     sigma = StateSet(ctx.posets)
     for lbl, owner in shared.items():
         sigma.share(lbl, owner)
-    # per thread: the labels its pass reads σ at; its last pass's reads and merges
-    reads = {t.name: sorted({src for lbl in cfg.rpo[t.name] for src in interfs.get(lbl, ())[1:]})
-             for t in ctx.program.threads}
-    last: Dict[str, tuple] = {}
     rounds = 0
     effective = 0
     fingerprint = sigma.fingerprint()
@@ -216,22 +214,12 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
         rounds += 1
-        merges: list = []
-        for tname, srcs in reads.items():
-            now = tuple([sigma.at(src) for src in srcs])
-            prev = last.pop(tname, None)
-            if prev is not None and prev[0] == now:
-                ctx.passes_reused += 1
-            else:
-                ctx.passes_run += 1
-                prev = None  # free the old map's states before the pass
-                local = seq_ai(ctx, tname, sigma)
-                prev = (now, [(lbl, local[lbl]) for lbl in sorted(local) if lbl not in shared])
-            last[tname] = prev
-            merges += prev[1]
-        for lbl, states in merges:
-            sigma.merge_all(lbl, states)
-        del merges
+        local_maps = [seq_ai(ctx, t.name, sigma) for t in ctx.program.threads]
+        for local in local_maps:
+            for lbl in sorted(local):
+                if lbl not in shared:
+                    sigma.merge_all(lbl, local[lbl])
+        del local_maps
         new = sigma.fingerprint()
         if new == fingerprint:
             break

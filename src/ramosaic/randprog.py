@@ -14,16 +14,18 @@ from .litmus import Program, parse
 
 _VARS = ["x", "y", "z"]
 _CMP = ["==", "!=", "<", "<="]
+# at most this many threads, and this many operations drawn per thread
+_MAX_THREADS = 3
+_MAX_EVENTS = 6
 
 
-def random_program(seed: int, max_threads: int = 3, max_events: int = 6,
-                   allow_locks: bool = True) -> Program:
+def random_program(seed: int) -> Program:
     rng = random.Random(seed)
-    n_threads = rng.randint(2, max_threads)
+    n_threads = rng.randint(2, _MAX_THREADS)
     n_vars = rng.randint(1, 2)
     variables = _VARS[:n_vars]
     lines = ["vars " + ", ".join(f"{v} = 0" for v in variables) + ";"]
-    use_lock = allow_locks and rng.random() < 0.25
+    use_lock = rng.random() < 0.25
     if use_lock:
         lines.append("locks m;")
     label_n = 0
@@ -41,7 +43,7 @@ def random_program(seed: int, max_threads: int = 3, max_events: int = 6,
     for t in range(n_threads):
         regs: list = []
         body: list = []
-        n_ops = rng.randint(1, max_events)
+        n_ops = rng.randint(1, _MAX_EVENTS)
         budget = min(n_ops, 14 - total_events - (2 if use_lock and t < 2 else 0))
         if budget < 1:
             break

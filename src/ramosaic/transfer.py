@@ -127,10 +127,6 @@ class AnalysisContext:
         self.node_memo: dict = {}
         # the loop headers that engine.seq_ai has widened
         self.widened: set = set()
-        # the passes engine._rounds ran, and those whose local map it took
-        # from the thread's last pass, its reads of the global set unchanged
-        self.passes_run = 0
-        self.passes_reused = 0
 
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
         ev = self.events[lbl]

@@ -31,7 +31,13 @@ def test_violated_file_exits_one(capsys):
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli([BENCH_DIR / "missing.lit"], capsys)
     assert code == 2
-    assert "no such file" in err
+    assert err.strip() == f"ramosaic: {BENCH_DIR / 'missing.lit'}: no such file or directory"
+
+
+def test_oracle_on_a_missing_file_exits_two(capsys):
+    path = BENCH_DIR / "missing.lit"
+    assert oracle_main([str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"ra-oracle: {path}: no such file or directory"
 
 
 def test_parse_error_exits_two(tmp_path, capsys):
@@ -131,6 +137,16 @@ def test_oracle_names_the_file_on_an_input_error(source, message, tmp_path, caps
     assert oracle_main([str(path)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"ra-oracle: {path}: {message}") and len(err.splitlines()) == 1
+
+
+def test_oracle_names_the_file_on_an_internal_error(capsys):
+    """An error inside the oracle exits 3 with the file named first, as the
+    analyzer reports it: Peterson-3 has more shared-memory events than the
+    oracle's guard allows."""
+    path = BENCH_DIR / "peterson3.lit"
+    assert oracle_main([str(path)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"ra-oracle: {path}: TooLarge: ") and len(err.splitlines()) == 1
 
 
 UNHELD_UNLOCK = ("vars x = 0; locks m;\n"

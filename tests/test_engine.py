@@ -130,8 +130,8 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
     value instead of settling; the driver must stop there (soundly) rather
     than spin to the iteration cap.  Both passes are stubbed, and each
     thread's load reads the other's store, so every round changes what
-    each pass reads and no pass is reused: each gives a at its store in
-    the first round, then alternates x and z.  Merging x adds it beside a;
+    each pass reads: each gives a at its store in the first round, then
+    alternates x and z.  Merging x adds it beside a;
     merging z joins its memory with x's into a's memory, and that state's
     posets join into a's, so each store's set is back to {a}.  Without the
     stop, every round would change the set."""
@@ -167,7 +167,6 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
     assert (rounds, effective) == (3, 3)  # the third round changed the set, back to {a}
     for lbl, a, _, _ in scripts.values():
         assert sigma.at(lbl) == (a,)
-    assert (ctx.passes_run, ctx.passes_reused) == (6, 0)
     # {}, {a}, {a, x} at both stores, as each round began
     assert [(t, len(dump.splitlines())) for t, dump in given] == [
         ("t", 0), ("u", 0), ("t", 2), ("u", 2), ("t", 4), ("u", 4)]
@@ -221,22 +220,20 @@ def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
 
 
 def test_a_round_merges_its_passes_after_the_last(monkeypatch):
-    """A round runs the passes whose reads changed, in program order, then
-    merges every thread's last local map into the state set, in thread
-    order and then label order, so each bucket is merged once per round:
-    a label that shares its predecessor's bucket is not merged itself."""
+    """A round runs one pass per thread, in program order, then merges the
+    passes' local maps into the state set, in pass order and then label
+    order, so each bucket is merged once per round: a label that shares
+    its predecessor's bucket is not merged itself."""
     program = parse(READS_SRC)
     shared = engine._shared_buckets(build_cfg(program))
     assert Label("t1.exit") in shared and Label("t3.exit") in shared
     log: list = []
-    latest: dict = {}  # thread -> the labels of its last pass's local map
     real_seq_ai = engine.seq_ai
     real_merge_all, real_fingerprint = StateSet.merge_all, StateSet.fingerprint
 
     def recording_seq_ai(ctx, tname, *args, **kwargs):
         local = real_seq_ai(ctx, tname, *args, **kwargs)
-        log.append(("pass", tname))
-        latest[tname] = sorted(local)
+        log.append(("pass", tname, sorted(local)))
         return local
 
     def recording_merge_all(self, lbl, states):
@@ -244,32 +241,29 @@ def test_a_round_merges_its_passes_after_the_last(monkeypatch):
         log.append(("merge", lbl, id(self._by_label[lbl])))
 
     def recording_fingerprint(self):
-        log.append(("round", dict(latest)))
+        log.append(("round",))
         return real_fingerprint(self)
 
     monkeypatch.setattr(engine, "seq_ai", recording_seq_ai)
     monkeypatch.setattr(StateSet, "merge_all", recording_merge_all)
     monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
     r = tmai(program)
-    assert log[0] == ("round", {})
+    assert log[0] == ("round",)
     threads = [t.name for t in program.threads]
-    rounds, events, reused = 0, [], 0
+    rounds, events = 0, []
     for entry in log[1:]:
         if entry[0] != "round":
             events.append(entry)
             continue
         passes = [e for e in events if e[0] == "pass"]
-        ran = [tname for _, tname in passes]
-        assert ran == [t for t in threads if t in ran]
-        reused += len(threads) - len(ran)
+        assert [tname for _, tname, _ in passes] == threads
         merges = events[len(passes):]
-        assert [e[:2] for e in merges] == [("merge", lbl) for t in threads
-                                           for lbl in entry[1][t] if lbl not in shared], rounds
-        assert events == passes + merges
+        assert [e[:2] for e in merges] == [("merge", lbl) for _, _, labels in passes
+                                           for lbl in labels if lbl not in shared], rounds
+        assert merges and events == passes + merges
         assert len({bucket for _, _, bucket in merges}) == len(merges)
         rounds, events = rounds + 1, []
     assert rounds == r.iterations_total
-    assert reused > 0
     for lbl, owner in shared.items():
         assert r.states.at(lbl) == r.states.at(owner) != ()
 
@@ -337,12 +331,7 @@ def test_scaling_script_runs_the_phases_of_tmai():
     assert sys.path == search_path  # no later import can find perfbench/'s modules
     for member in (scaling.families.peterson(3, random.Random(1)),
                    scaling.families.readers(4, random.Random(1))):
-        times, states, rounds, run, reused = scaling.run_once(member.source)
-        program = parse(member.source)
-        result = tmai(program)
+        times, states, rounds = scaling.run_once(member.source)
+        result = tmai(parse(member.source))
         assert (states, rounds) == (result.states.total_states(), result.iterations_total)
-        # every thread's pass runs in the first round and in no other round
-        # that only confirms the fixpoint
-        n = len(program.threads)
-        assert run + reused == rounds * n and n <= run <= (rounds - 1) * n
         assert len(times) == len(scaling.PHASES) and min(times) >= 0

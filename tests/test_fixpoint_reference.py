@@ -3,8 +3,8 @@ reference: the batched interference kernel against, per source state, the
 view test with two `posets.less` tests and a second build for the loaded
 register, the assertion check on projections against a `refine` over each
 state's full memory, nodes that pass their predecessor's states on against
-a fresh bucket merge, and the round loop that reuses passes, shares
-buckets and skips merges against the plain one.
+a fresh bucket merge, and the round loop that shares buckets and skips
+merges against the plain one.
 
 Every call the analyses make is checked, each (target, source) pair of an
 interference batch on its own, over the corpus, `random_program(0..999)`,

@@ -43,18 +43,12 @@ def _fresh_pass(ctx, tname, global_ss) -> dict:
 
 
 def _work_per_round(program) -> tuple:
-    """Per round of one `tmai` run: [passes run, transfer_node calls,
-    interference batches, bucket merges]; with the result and the run's
-    context."""
+    """Per round of one `tmai` run: [passes, transfer_node calls,
+    interference batches, bucket merges]; with the result."""
     rounds: list = []
-    contexts: list = []
-    real_transfer_node, real_apply = engine.transfer_node, transfer.apply_interference
+    real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
+    real_apply = transfer.apply_interference
     real_merge, real_fingerprint = StateBucket.merge, StateSet.fingerprint
-    init = AnalysisContext.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        contexts.append(self)
 
     def counted(k, real):
         def call(*args, **kwargs):
@@ -64,39 +58,92 @@ def _work_per_round(program) -> tuple:
 
     def recording_fingerprint(self):
         # called once before the first round and once after each round
-        (ctx,) = contexts
-        if rounds:
-            rounds[-1][0] = ctx.passes_run - sum(r[0] for r in rounds[:-1])
         rounds.append([0, 0, 0, 0])
         return real_fingerprint(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(AnalysisContext, "__init__", recording_init)
+        mp.setattr(engine, "seq_ai", counted(0, real_seq_ai))
         mp.setattr(engine, "transfer_node", counted(1, real_transfer_node))
         mp.setattr(transfer, "apply_interference", counted(2, real_apply))
         mp.setattr(StateBucket, "merge", counted(3, real_merge))
         mp.setattr(StateSet, "fingerprint", recording_fingerprint)
         result = tmai(program)
     rounds.pop()  # opened by the fingerprint after the last round
-    (ctx,) = contexts
-    return rounds, result, ctx
+    return rounds, result
 
 
 def test_confirming_round_recomputes_nothing():
     """The last round of Peterson-3 and -4 changes no label, so every pass
-    reads what it read in the round before: the round runs no pass, hence
-    no transfer and no interference batch, and merges no state, since each
-    bucket holds the very tuple its label's last pass gave.  The rounds
-    before it run transfers, and the context's counters account for every
-    pass."""
+    reads what it read in the round before: the round runs every thread's
+    pass, but every node is a memo hit, so it runs no transfer and no
+    interference batch, and it merges no state, since each bucket holds
+    the very tuple its label's last pass gave.  The rounds before it run
+    transfers."""
     for n, total in ((3, 303), (4, 1520)):
-        rounds, result, ctx = _work_per_round(parse(peterson(n)))
+        rounds, result = _work_per_round(parse(peterson(n)))
         assert result.states.total_states() == total and result.iterations_total == 4
         assert len(rounds) == 4
-        assert rounds[-1] == [0, 0, 0, 0], (n, rounds)
+        assert rounds[-1] == [n, 0, 0, 0], (n, rounds)
+        assert all(passes == n for passes, _, _, _ in rounds), (n, rounds)
         assert all(calls > 0 for _, calls, _, _ in rounds[:-1]), (n, rounds)
-        assert ctx.passes_run + ctx.passes_reused == 4 * n
-        assert ctx.passes_run == sum(r[0] for r in rounds)
+
+
+# a message-passing chain: t1 reads nothing, t2's reads settle in the
+# second round and t3's in the third, so rounds 2 and 3 each run a pass on
+# unchanged reads beside one whose reads changed
+CHAIN_SRC = """
+vars x = 0, y = 0;
+thread t1 { s1: store x 1; }
+thread t2 { a: r = load x; s2: store y r; }
+thread t3 { b: q = load y; c: assert(q <= 1); }
+"""
+
+
+def test_a_pass_with_unchanged_reads_makes_no_transfer():
+    """A pass to which σ gives, at its thread's interference sources, the
+    tuples it gave the thread's pass in the round before makes no
+    `transfer_node` call.  On the chain this happens in a round where
+    another thread's pass, whose reads changed, makes some: the node memo
+    does per node what reusing the whole pass would do."""
+    passes: list = []  # per pass: [round, thread, reads of σ, transfer_node calls]
+    rounds = [0]
+    real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
+    real_fingerprint = StateSet.fingerprint
+
+    def recording_seq_ai(ctx, tname, global_ss):
+        sources = sorted({src for lbl in ctx.cfg.rpo[tname]
+                          for src in ctx.interfs.get(lbl, ())[1:]})
+        passes.append([rounds[0], tname, [global_ss.at(src) for src in sources], 0])
+        return real_seq_ai(ctx, tname, global_ss)
+
+    def counted_transfer_node(*args, **kwargs):
+        passes[-1][3] += 1
+        return real_transfer_node(*args, **kwargs)
+
+    def recording_fingerprint(self):
+        rounds[0] += 1
+        return real_fingerprint(self)
+
+    mixed = 0
+    for src in (READS_SRC, peterson(4), CHAIN_SRC):
+        passes.clear()
+        rounds[0] = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "seq_ai", recording_seq_ai)
+            mp.setattr(engine, "transfer_node", counted_transfer_node)
+            mp.setattr(StateSet, "fingerprint", recording_fingerprint)
+            program = parse(src)
+            result = tmai(program)
+        last: dict = {}  # thread -> its pass of the round before
+        for rnd in range(1, result.iterations_total + 1):
+            now = [p for p in passes if p[0] == rnd]
+            assert [p[1] for p in now] == [t.name for t in program.threads]
+            unchanged = [p for p in now if p[1] in last and last[p[1]][2] == p[2]]
+            assert all(p[3] == 0 for p in unchanged), (src, rnd, now)
+            if unchanged and any(p[3] > 0 for p in now):
+                mixed += 1
+            last = {p[1]: p for p in now}
+    assert mixed > 0
 
 
 def test_confirming_round_reads_the_identical_tuples():
