@@ -169,9 +169,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--rmw-critical", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="treat rmw events as critical (default on)")
-    ap.add_argument("--max-iterations", type=positive_int, default=1000)
-    ap.add_argument("--dump-states", action="store_true")
-    ap.add_argument("--json", action="store_true")
+    ap.add_argument("--max-iterations", type=positive_int, default=1000, metavar="N",
+                    help="give up after N rounds of the fixpoint (default 1000): "
+                         "exit 3 with Divergence")
+    ap.add_argument("--dump-states", action="store_true",
+                    help="print every label's states at the fixpoint")
+    ap.add_argument("--json", action="store_true",
+                    help="print the report as JSON; for a directory, the table")
     ap.add_argument("--oracle-check", action="store_true",
                     help="cross-check the result against the execution oracle")
     return ap

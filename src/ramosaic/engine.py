@@ -12,7 +12,7 @@ global set are unchanged takes its merged states from
 last pre-states, the states tuples the global set held at its
 interference sources other than ctx, and its merged states before
 widening.  The round that only confirms the fixpoint runs its passes as
-memo hits and merges no state.
+memo hits, and its merges change no bucket.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from . import posets
 from .intervals import val_widen
-from .litmus import AssertInst, Cfg, Label, Nop, Program, build_cfg
+from .litmus import AssertInst, Cfg, Label, Program, build_cfg
 from .states import AbstractState, StateBucket, StateSet, _mo_join
 from .transfer import (AnalysisContext, TransferConfig, Verdict, check_assert,
                        check_final_assert, transfer_node)
@@ -81,17 +81,9 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     the memo when the inputs are unchanged: the transfer is a function of
     the pre-states, the key, the context and the global states at the
     label's interference sources other than ctx, which are all it reads of
-    the global set.
-
-    A nop or an assert with one predecessor passes that predecessor's
-    states tuple on as it is: the tuple is a sorted normal form already,
-    which a merge would rebuild unchanged."""
-    cfg = ctx.cfg
-    if len(cfg.preds[lbl]) == 1 and isinstance(cfg.nodes[lbl], (Nop, AssertInst)):
-        return pre_states
+    the global set."""
     key = (lbl, bump)
-    # ctx is every label's first source
-    reads = tuple([global_ss.at(src) for src in ctx.interfs.get(lbl, ())[1:]])
+    reads = tuple(map(global_ss.at, ctx.memo_sources[lbl]))
     entry = ctx.node_memo.get(key)
     # a predecessor that was a memo hit passes on the stored tuple itself,
     # so an unchanged node's pre-states are mostly found by identity
@@ -108,11 +100,13 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
 
 def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet) -> Dict[Label, tuple]:
     """Worklist pass over one thread's CFG in reverse post-order, reading
-    interference sources from the global state set; the loop headers it
-    widens join `ctx.widened`."""
+    interference sources from the global state set; a label of
+    `ctx.pass_through` takes its predecessor's tuple itself, and the loop
+    headers it widens join `ctx.widened`."""
     cfg = ctx.cfg
     rpo = cfg.rpo[tname]
     index = ctx.rpo_index
+    pass_through = ctx.pass_through
     entry = rpo[0]
     local: Dict[Label, tuple] = {entry: (ctx.initial_states[tname],)}
     visits: Dict[Label, int] = {}
@@ -129,12 +123,15 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet) -> Dict[Label,
             pre_states = local.get(preds[0], ())
         else:
             pre_states = tuple([s for p in preds for s in local.get(p, ())])
-        bump = visits.get(lbl, 0)
-        visits[lbl] = bump + 1
-        new = _node_states(ctx, lbl, pre_states, global_ss, bump)
-        if bump >= ctx.tc.widening_threshold and lbl in cfg.loop_headers:
-            new = tuple(_widen_states(ctx, local.get(lbl, ()), new))
-            ctx.widened.add(lbl)
+        if lbl in pass_through:
+            new = pre_states
+        else:
+            bump = visits.get(lbl, 0)
+            visits[lbl] = bump + 1
+            new = _node_states(ctx, lbl, pre_states, global_ss, bump)
+            if bump >= ctx.tc.widening_threshold and lbl in cfg.loop_headers:
+                new = tuple(_widen_states(ctx, local.get(lbl, ()), new))
+                ctx.widened.add(lbl)
         if new != local.get(lbl, ()):
             local[lbl] = new
             for nxt in cfg.succs[lbl]:
@@ -157,22 +154,23 @@ def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
     return verdicts
 
 
-def _shared_buckets(cfg: Cfg) -> Dict[Label, Label]:
+def _shared_buckets(ctx: AnalysisContext) -> Dict[Label, Label]:
     """The labels whose σ bucket is another label's, each with that label:
-    a nop or assert with one predecessor ends every pass holding that
-    predecessor's states tuple (`_node_states`), so it shares its bucket,
-    down a chain to the first label that is not such a node.  Not a loop
-    header, which widening may change, nor a label right after its
-    thread's entry, which σ never holds."""
+    a label of `ctx.pass_through` ends every pass holding its
+    predecessor's states tuple, so it shares that predecessor's bucket,
+    down a chain to the first label that passes nothing through.  Not a
+    label right after its thread's entry: σ never holds the entry.  No
+    loop header passes through, since `build_cfg` gives each a back edge."""
+    cfg = ctx.cfg
     owners: Dict[Label, Label] = {}
     for tname, rpo in cfg.rpo.items():
         entry = cfg.entries[tname]
         # in reverse post-order a label's one predecessor comes first
         for lbl in rpo:
-            preds = cfg.preds[lbl]
-            if (len(preds) == 1 and preds[0] != entry and lbl not in cfg.loop_headers
-                    and isinstance(cfg.nodes[lbl], (Nop, AssertInst))):
-                owners[lbl] = owners.get(preds[0], preds[0])
+            if lbl in ctx.pass_through:
+                pred = cfg.preds[lbl][0]
+                if pred != entry:
+                    owners[lbl] = owners.get(pred, pred)
     return owners
 
 
@@ -190,8 +188,9 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     A node whose inputs are unchanged is a hit of the node memo
     (`_node_states`), so a pass whose reads of σ are those of its
     thread's last pass computes nothing.  The labels of `_shared_buckets`
-    are not merged themselves, and a tuple a bucket holds as it is merges
-    nothing (`StateBucket.merge_all`).
+    are not merged themselves, and a state a bucket holds leaves the
+    bucket, its `states()` tuple and frozenset included, as it is
+    (`StateBucket.merge`).
 
     The instruction-wise merge joins and replaces states, so the accumulator
     is not monotone and can in rare cases revisit an earlier value instead
@@ -201,7 +200,7 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     nothing and a revisit are both found by the sets' fingerprints, which
     are equal exactly when the sets are.
     """
-    shared = _shared_buckets(ctx.cfg)
+    shared = _shared_buckets(ctx)
     sigma = StateSet(ctx.posets)
     for lbl, owner in shared.items():
         sigma.share(lbl, owner)

@@ -15,7 +15,6 @@ a label's set, so buckets keep hash indexes on each.
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, Sequence, Tuple
 
 from . import intervals, posets
@@ -197,33 +196,6 @@ class StateBucket:
             self._frozen = None
             return
 
-    def merge_all(self, states: Sequence[AbstractState]) -> None:
-        """Merge the states in turn.  A tuple that the bucket then holds
-        exactly, in `states()` order, becomes its `states()` tuple, and
-        merging that tuple returns at once; any other is merged every time,
-        since the merge is not idempotent across calls."""
-        if states is self._sorted:
-            return
-        for s in states:
-            self.merge(s)
-        if type(states) is tuple and self._holds_exactly(states):
-            self._sorted = states
-
-    def _holds_exactly(self, states: tuple) -> bool:
-        """The bucket holds these states and no other, sorted by their
-        (distinct) sort keys."""
-        by_mo = self._by_mo
-        if len(by_mo) != len(states):
-            return False
-        for s in states:
-            held = by_mo.get(s.mo)
-            if held is None or held.mem != s.mem:
-                return False
-        if len(states) < 2:
-            return True
-        keys = list(map(AbstractState.sort_key, states))
-        return all(map(operator.lt, keys, keys[1:]))
-
     def _remove(self, s: AbstractState) -> None:
         del self._by_mo[s.mo]
         group = self._by_mem[s.mem]
@@ -278,7 +250,9 @@ class StateSet:
         Raises ValueError when the first holds the ids of another table."""
         if states and states[0].layout.table is not self.table:
             raise ValueError("the states hold poset ids of another analysis's table")
-        self._bucket(label).merge_all(states)
+        bucket = self._bucket(label)
+        for s in states:
+            bucket.merge(s)
 
     def share(self, label: Label, owner: Label) -> None:
         """From now on `label` holds `owner`'s bucket itself."""

@@ -63,7 +63,11 @@ class AnalysisContext:
     node memo of `engine.seq_ai`.
 
     `interfs[label]` lists, for each load, rmw and lock, ctx and then the
-    labels it may read from (`interference.get_interfs`).
+    labels it may read from (`interference.get_interfs`), and
+    `memo_sources[label]`, for every label, those other than ctx, whose σ
+    tuples key the node memo.  `pass_through` holds the nops and asserts
+    with one predecessor, whose states are that predecessor's tuple as it
+    is: a sorted normal form already, which a merge would rebuild unchanged.
     `layouts[thread]` names the slots of that thread's states,
     `slots[thread]` maps each identifier of its expressions (a shared
     variable or a register) to its memory slot, and `initial_states[thread]`
@@ -90,6 +94,12 @@ class AnalysisContext:
         self.interfs: Dict[Label, tuple] = {
             lbl: srcs for per_thread in get_interfs(program, cfg).values()
             for lbl, srcs in per_thread.items()}
+        # ctx is every label's first source
+        self.memo_sources: Dict[Label, tuple] = {
+            lbl: self.interfs.get(lbl, ())[1:] for lbl in cfg.nodes}
+        self.pass_through = frozenset(
+            lbl for lbl, instr in cfg.nodes.items()
+            if len(cfg.preds[lbl]) == 1 and isinstance(instr, (Nop, AssertInst)))
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
         self.values = intervals.ValueTable()
         shared = program.shared_names()

@@ -360,3 +360,14 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert code == 3
     assert "RuntimeError: boom" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_running_out_of_rounds_exits_three_as_the_help_says(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("--max-iterations N give up after N rounds of the fixpoint (default 1000): "
+            "exit 3 with Divergence") in help_text
+    code, _, err = run_cli([BENCH_DIR / "mp.lit", "--max-iterations", "1"], capsys)
+    assert code == 3
+    assert err.strip() == f"ramosaic: {BENCH_DIR / 'mp.lit'}: Divergence: no fixpoint after 1 rounds"

@@ -225,7 +225,8 @@ def test_a_round_merges_its_passes_after_the_last(monkeypatch):
     order, so each bucket is merged once per round: a label that shares
     its predecessor's bucket is not merged itself."""
     program = parse(READS_SRC)
-    shared = engine._shared_buckets(build_cfg(program))
+    shared = engine._shared_buckets(AnalysisContext(program, build_cfg(program),
+                                                    TransferConfig()))
     assert Label("t1.exit") in shared and Label("t3.exit") in shared
     log: list = []
     real_seq_ai = engine.seq_ai

@@ -3,8 +3,8 @@ reference: the batched interference kernel against, per source state, the
 view test with two `posets.less` tests and a second build for the loaded
 register, the assertion check on projections against a `refine` over each
 state's full memory, nodes that pass their predecessor's states on against
-a fresh bucket merge, and the round loop that shares buckets and skips
-merges against the plain one.
+a fresh bucket merge, and the round loop that shares buckets against the
+plain one.
 
 Every call the analyses make is checked, each (target, source) pair of an
 interference batch on its own, over the corpus, `random_program(0..999)`,
@@ -198,7 +198,7 @@ def checked():
              "runs": []}  # (program, digest) of every run with a plain twin
     real_apply = transfer.apply_interference
     real_check = engine.check_assert
-    real_node_states = engine._node_states
+    real_seq_ai = engine.seq_ai
 
     def apply_checked(ctx, target, sources, src_event, reg=None, cas=False):
         """The batch against the reference on each (target, source) pair
@@ -227,17 +227,26 @@ def checked():
             calls["assert"][1].append((cond, len(states)))
         return got
 
-    def node_states_checked(ctx, lbl, pre_states, global_ss, bump):
-        got = real_node_states(ctx, lbl, pre_states, global_ss, bump)
-        if isinstance(ctx.cfg.nodes[lbl], (Nop, AssertInst)):
+    def seq_ai_checked(ctx, tname, global_ss):
+        """The pass, with the tuple of each nop or assert with one
+        predecessor checked against a fresh merge of that predecessor's
+        tuple, and, past the entry, to be that very tuple."""
+        local = real_seq_ai(ctx, tname, global_ss)
+        cfg = ctx.cfg
+        entry = cfg.entries[tname]
+        for lbl in cfg.rpo[tname]:
+            preds = cfg.preds[lbl]
+            if len(preds) != 1 or not isinstance(cfg.nodes[lbl], (Nop, AssertInst)):
+                continue
+            pre = (ctx.initial_states[tname],) if preds[0] == entry else local.get(preds[0], ())
+            got = local.get(lbl, ())
             bucket = StateBucket(ctx.posets)
-            for s in pre_states:
+            for s in pre:
                 bucket.merge(s)
-            one_pred = len(ctx.cfg.preds[lbl]) == 1
-            calls["pass"][0] += one_pred
-            if got != bucket.states() or (one_pred and got is not pre_states):
-                calls["pass"][1].append((lbl, len(pre_states)))
-        return got
+            calls["pass"][0] += 1
+            if got != bucket.states() or (preds[0] != entry and got and got is not pre):
+                calls["pass"][1].append((lbl, len(pre)))
+        return local
 
     corpus = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
     runs = [(tmai, p) for p in corpus]
@@ -246,7 +255,7 @@ def checked():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "apply_interference", apply_checked)
         mp.setattr(engine, "check_assert", check_checked)
-        mp.setattr(engine, "_node_states", node_states_checked)
+        mp.setattr(engine, "seq_ai", seq_ai_checked)
         for analyze, program in runs:
             r = analyze(program, max_iterations=100)
             calls["runs"].append((program, _result_digest(r)))
@@ -282,12 +291,12 @@ def test_pass_through_nodes_match_a_fresh_merge(checked):
 
 
 def test_rounds_match_the_plain_round_loop(checked):
-    """Reused passes, shared buckets and skipped merges, with the meet
-    memo's rows, give the dumps, verdicts, rounds, effective rounds and
-    widened labels of the plain round loop with the per-pair reference
-    rule and the pair-keyed meet memo.  The inputs hold a widened loop
-    header and a thread with no instruction, whose exit follows its entry
-    and so keeps a bucket of its own."""
+    """The shared buckets, with the meet memo's rows, give the dumps,
+    verdicts, rounds, effective rounds and widened labels of the plain
+    round loop with the per-pair reference rule and the pair-keyed meet
+    memo.  The inputs hold a widened loop header and a thread with no
+    instruction, whose exit follows its entry and so keeps a bucket of its
+    own."""
     runs = checked["runs"]
     assert len(runs) > 500
     mismatches = [i for i, (program, want) in enumerate(runs) if plain_digest(program) != want]

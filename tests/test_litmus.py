@@ -11,7 +11,7 @@ from ramosaic.litmus import (Assume, Cas, If, Label, LoadInst, ParseError,
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.randprog import random_program
 
-from conftest import corpus_files, peterson
+from conftest import LOOPED_SOURCES, corpus_files, peterson
 
 
 def test_parse_mp(mp_program):
@@ -220,6 +220,30 @@ def test_cfg_loop_headers():
     src = "vars x = 0;\nthread t { i: r = 0; while (r < 1) { s: store x 1; } }"
     cfg = build_cfg(parse(src))
     assert len(cfg.loop_headers) == 1
+
+
+@pytest.mark.parametrize("src", [
+    "vars x = 0;\nthread t { i: r = 0; while (r < 1) { } }",
+    "vars x = 0;\nthread t { while (r < 1) { a: r = 1; } }",
+    """vars x = 0;
+thread t {
+  i: r = 0; j: q = 0;
+  if (r == 0) { while (r < 1) { } } else { a: store x 1; }
+  while (q < 1) { while (r < 2) { } while (r < 3) { b: r = r + 1; } }
+}""",
+    *LOOPED_SOURCES])
+def test_every_loop_header_has_a_back_edge(src):
+    """Every loop header has at least two predecessors, one of them at or
+    after it in reverse post-order, also when the body is empty: so no
+    header is a nop with one predecessor, which would pass that
+    predecessor's states on unwidened (`AnalysisContext.pass_through`)."""
+    cfg = build_cfg(parse(src))
+    assert cfg.loop_headers
+    for head in cfg.loop_headers:
+        rpo = cfg.rpo[cfg.thread_of[head]]
+        preds = cfg.preds[head]
+        assert len(preds) >= 2, head
+        assert any(rpo.index(p) >= rpo.index(head) for p in preds), head
 
 
 def test_cas_and_fadd_parse():

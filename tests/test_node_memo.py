@@ -15,7 +15,7 @@ from ramosaic import engine, transfer
 from ramosaic.engine import seq_ai, tmai
 from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.randprog import random_program
-from ramosaic.states import StateBucket, StateSet
+from ramosaic.states import StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
 from conftest import (LOOPED_SOURCES, READS_SRC, corpus_files, peterson,
@@ -44,11 +44,14 @@ def _fresh_pass(ctx, tname, global_ss) -> dict:
 
 def _work_per_round(program) -> tuple:
     """Per round of one `tmai` run: [passes, transfer_node calls,
-    interference batches, bucket merges]; with the result."""
+    interference batches]; per fingerprint, taken before the first round
+    and after each, σ's (label, `states()` tuple, frozenset) triples; and
+    the result."""
     rounds: list = []
+    buckets: list = []
     real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
     real_apply = transfer.apply_interference
-    real_merge, real_fingerprint = StateBucket.merge, StateSet.fingerprint
+    real_fingerprint = StateSet.fingerprint
 
     def counted(k, real):
         def call(*args, **kwargs):
@@ -57,35 +60,39 @@ def _work_per_round(program) -> tuple:
         return call
 
     def recording_fingerprint(self):
-        # called once before the first round and once after each round
-        rounds.append([0, 0, 0, 0])
+        rounds.append([0, 0, 0])
+        buckets.append([(lbl, b.states(), b.frozen()) for lbl, b in self._by_label.items()])
         return real_fingerprint(self)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "seq_ai", counted(0, real_seq_ai))
         mp.setattr(engine, "transfer_node", counted(1, real_transfer_node))
         mp.setattr(transfer, "apply_interference", counted(2, real_apply))
-        mp.setattr(StateBucket, "merge", counted(3, real_merge))
         mp.setattr(StateSet, "fingerprint", recording_fingerprint)
         result = tmai(program)
     rounds.pop()  # opened by the fingerprint after the last round
-    return rounds, result
+    return rounds, buckets, result
 
 
 def test_confirming_round_recomputes_nothing():
     """The last round of Peterson-3 and -4 changes no label, so every pass
     reads what it read in the round before: the round runs every thread's
     pass, but every node is a memo hit, so it runs no transfer and no
-    interference batch, and it merges no state, since each bucket holds
-    the very tuple its label's last pass gave.  The rounds before it run
-    transfers."""
+    interference batch, and its merges change no bucket, since each
+    bucket holds the states its label's last pass gave: every bucket keeps
+    its `states()` tuple and frozenset themselves.  The rounds before it
+    run transfers."""
     for n, total in ((3, 303), (4, 1520)):
-        rounds, result = _work_per_round(parse(peterson(n)))
+        rounds, buckets, result = _work_per_round(parse(peterson(n)))
         assert result.states.total_states() == total and result.iterations_total == 4
-        assert len(rounds) == 4
-        assert rounds[-1] == [n, 0, 0, 0], (n, rounds)
-        assert all(passes == n for passes, _, _, _ in rounds), (n, rounds)
-        assert all(calls > 0 for _, calls, _, _ in rounds[:-1]), (n, rounds)
+        assert len(rounds) == 4 and len(buckets) == 5
+        assert rounds[-1] == [n, 0, 0], (n, rounds)
+        assert all(passes == n for passes, _, _ in rounds), (n, rounds)
+        assert all(calls > 0 for _, calls, _ in rounds[:-1]), (n, rounds)
+        before, after = buckets[-2], buckets[-1]
+        assert before and len(before) == len(after)
+        for (lbl, states, frozen), (lbl2, states2, frozen2) in zip(before, after):
+            assert lbl == lbl2 and states is states2 and frozen is frozen2, lbl
 
 
 # a message-passing chain: t1 reads nothing, t2's reads settle in the

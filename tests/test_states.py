@@ -349,59 +349,24 @@ def test_merging_a_merged_tuple_again_changes_the_set():
     assert ss.dump() == "l | x:{a.1} | x:[1,5]\nl | x:{a.1, c.1} | x:[1,1]"
 
 
-def _counting_merges(monkeypatch) -> list:
-    """Count the calls of `StateBucket.merge` in the one-element list."""
-    calls = [0]
-    real = StateBucket.merge
-
-    def counted(self, s):
-        calls[0] += 1
-        return real(self, s)
-
-    monkeypatch.setattr(StateBucket, "merge", counted)
-    return calls
-
-
 S1 = state(poset({A}), singleton(1), singleton(0))
 S2 = state(poset({B}), singleton(2), singleton(2))
 S3 = state(P.chain(A, B), singleton(3), singleton(1))
 
 
-def test_merging_a_buckets_own_tuple_is_a_no_op(monkeypatch):
-    """The bucket's `states()` tuple merges no state and keeps the bucket's
-    tuple and frozenset themselves."""
+def test_merging_states_a_bucket_holds_keeps_its_tuple_and_frozenset():
+    """Merging the bucket's own `states()` tuple, or the same states as a
+    list, changes nothing, so the bucket gives the identical `states()`
+    tuple and fingerprint frozenset as before: the node memo and the
+    fingerprint test these by identity."""
     ss = StateSet(TABLE)
     ss.merge_all(L, [S1, S2, S3])
-    held, frozen = ss.at(L), ss.fingerprint()
-    calls = _counting_merges(monkeypatch)
-    ss.merge_all(L, held)
-    assert calls == [0]
-    assert ss.at(L) is held
-    assert dict(ss.fingerprint())[L] is dict(frozen)[L]
-
-
-def test_a_tuple_held_exactly_becomes_the_states_tuple(monkeypatch):
-    """A tuple in `states()` order that the bucket holds exactly after the
-    merge is the bucket's `states()` tuple from then on, so merging it again
-    merges no state; the same states as a list or out of order are merged
-    every time, and the bucket keeps its own order."""
-    t = StateSet(TABLE)
-    t.merge_all(L, [S3, S2, S1])
-    t = t.at(L)
-    assert len(t) == 3
-    ss = StateSet(TABLE)
-    ss.merge_all(L, [S1])
-    ss.merge_all(L, t)
-    assert ss.at(L) is t
-    calls = _counting_merges(monkeypatch)
-    ss.merge_all(L, t)
-    assert calls == [0] and ss.at(L) is t
-    for other in (list(t), t[::-1]):
-        ss = StateSet(TABLE)
-        ss.merge_all(L, other)
-        ss.merge_all(L, other)
-        assert ss.at(L) == t and ss.at(L) is not other
-    assert calls == [12]
+    held, frozen = ss.at(L), dict(ss.fingerprint())[L]
+    assert len(held) == 3
+    for again in (held, list(held), held[::-1]):
+        ss.merge_all(L, again)
+        assert ss.at(L) is held
+        assert dict(ss.fingerprint())[L] is frozen
 
 
 def _shared_and_separate() -> tuple:
