@@ -12,6 +12,7 @@ executions, in the same order.
     python3 scripts/exec_digest.py [N]      # N defaults to 200
 """
 
+import argparse
 import hashlib
 import pickle
 import sys
@@ -26,8 +27,19 @@ CORPUS = Path(__file__).resolve().parent.parent / "benchmarks"
 CLI_UNROLL = 2
 
 
+def non_negative(text: str) -> int:
+    """A count: an integer of at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    return n
+
+
 def main(argv) -> int:
-    n = int(argv[1]) if len(argv) > 1 else 200
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("n", nargs="?", type=non_negative, default=200, metavar="N",
+                    help="random programs to enumerate after the corpus (default 200)")
+    n = ap.parse_args(argv[1:]).n
     digest = hashlib.sha256()
     count = 0
 

@@ -18,6 +18,7 @@ each phase, over all drivers: enumerate, validate, analyze and soundness.
     python3 scripts/fuzz_soundness.py [N_PROGRAMS] [START_SEED]
 """
 
+import argparse
 import sys
 import time
 
@@ -39,9 +40,22 @@ def tmai_no_rmw_critical(program):
 DRIVERS = (tmai, tmai_concrete_mo, tmai_no_rmw_critical)
 
 
+def non_negative(text: str) -> int:
+    """A count or a seed: an integer of at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    return n
+
+
 def main(argv) -> int:
-    count = int(argv[1]) if len(argv) > 1 else 200
-    start = int(argv[2]) if len(argv) > 2 else 0
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("count", nargs="?", type=non_negative, default=200, metavar="N_PROGRAMS",
+                    help="random programs to check (default 200)")
+    ap.add_argument("start", nargs="?", type=non_negative, default=0, metavar="START_SEED",
+                    help="the seed of the first (default 0)")
+    args = ap.parse_args(argv[1:])
+    count, start = args.count, args.start
     t0 = time.perf_counter()
     phases = dict.fromkeys(("enumerate", "validate", "analyze", "soundness"), 0.0)
 

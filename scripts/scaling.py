@@ -85,6 +85,9 @@ def main(argv) -> int:
     args = ap.parse_args(argv[1:])
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
+    for flag, ns, least in (("--peterson", args.peterson, 2), ("--readers", args.readers, 1)):
+        if any(n < least for n in ns):
+            ap.error(f"{flag} sizes must be at least {least}")
     print(f"{'member':<12}" + "".join(f"{p + '_ms':>12}" for p in PHASES)
           + f"{'states':>9}{'rounds':>8}")
     for build, ns in ((families.peterson, args.peterson), (families.readers, args.readers)):

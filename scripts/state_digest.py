@@ -15,6 +15,7 @@ that raised it.
     python3 scripts/state_digest.py [N]      # N defaults to 200
 """
 
+import argparse
 import hashlib
 import importlib.util
 import random
@@ -51,8 +52,19 @@ def inputs(n: int):
             yield member.name, lambda member=member: parse(member.source)
 
 
+def non_negative(text: str) -> int:
+    """A count: an integer of at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {n}")
+    return n
+
+
 def main(argv) -> int:
-    n = int(argv[1]) if len(argv) > 1 else 200
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("n", nargs="?", type=non_negative, default=200, metavar="N",
+                    help="random programs to add to the corpus (default 200)")
+    n = ap.parse_args(argv[1:]).n
     digest = hashlib.sha256()
     count = 0
     for name, build in inputs(n):

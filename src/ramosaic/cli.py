@@ -170,8 +170,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     default=True,
                     help="treat rmw events as critical (default on)")
     ap.add_argument("--max-iterations", type=positive_int, default=1000, metavar="N",
-                    help="give up after N rounds of the fixpoint (default 1000): "
-                         "exit 3 with Divergence")
+                    help="give up after N rounds of the fixpoint (default 1000), the "
+                         "last pass over the labels that no other thread reads "
+                         "counting as one: exit 3 with Divergence")
     ap.add_argument("--dump-states", action="store_true",
                     help="print every label's states at the fixpoint")
     ap.add_argument("--json", action="store_true",

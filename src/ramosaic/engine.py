@@ -4,15 +4,22 @@ assertions evaluated on the fixpoint.  Each load, rmw and lock reads every
 source that the analysis's one interference map, `AnalysisContext.interfs`,
 lists for it.
 
+Only the heads iterate: the labels from which some other thread's
+interference source is reachable.  The rounds run every thread's pass over
+its heads until the state set repeats; then one last pass per thread
+computes its tails, `AnalysisContext.tails`, once, against the converged
+set.  No tail comes before a head, so the tails change nothing the rounds
+compute.
+
 Rounds work only where their inputs changed, as in demand-driven
-incremental computation (Hammer et al., "Adapton", PLDI'14): every round
-runs every thread's pass, and a node whose pre-states and reads of the
-global set are unchanged takes its merged states from
-`AnalysisContext.node_memo`, which keeps per label and bump the node's
-last pre-states, the states tuples the global set held at its
+incremental computation (Hammer et al., "Adapton", PLDI'14): a node whose
+pre-states and reads of the global set are unchanged takes its merged
+states from `AnalysisContext.node_memo`, which keeps per label and bump the
+node's last pre-states, the states tuples the global set held at its
 interference sources other than ctx, and its merged states before
-widening.  The round that only confirms the fixpoint runs its passes as
-memo hits, and its merges change no bucket.
+widening.  The round that only confirms the heads' fixpoint, and the heads
+of the last pass, run as memo hits, and that round's merges change no
+bucket.
 """
 
 from __future__ import annotations
@@ -98,21 +105,25 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     return states
 
 
-def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet) -> Dict[Label, tuple]:
+def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
+           heads_only: bool = False) -> Dict[Label, tuple]:
     """Worklist pass over one thread's CFG in reverse post-order, reading
     interference sources from the global state set; a label of
     `ctx.pass_through` takes its predecessor's tuple itself, and the loop
-    headers it widens join `ctx.widened`."""
+    headers it widens join `ctx.widened`.  With `heads_only` the pass
+    leaves out `ctx.tails`, which no head follows, so the heads' visits,
+    and their results, are those of a pass over all labels."""
     cfg = ctx.cfg
     rpo = cfg.rpo[tname]
     index = ctx.rpo_index
     pass_through = ctx.pass_through
+    succs = ctx.head_succs if heads_only else cfg.succs
     entry = rpo[0]
     local: Dict[Label, tuple] = {entry: (ctx.initial_states[tname],)}
     visits: Dict[Label, int] = {}
     # the RPO positions of the pending labels, popped in order: a heap, and
     # a set for membership; the first worklist is sorted, so a heap already
-    heap = list(ctx.first_worklists[tname])
+    heap = list((ctx.head_worklists if heads_only else ctx.first_worklists)[tname])
     pending = set(heap)
     while heap:
         i = heapq.heappop(heap)
@@ -134,7 +145,7 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet) -> Dict[Label,
                 ctx.widened.add(lbl)
         if new != local.get(lbl, ()):
             local[lbl] = new
-            for nxt in cfg.succs[lbl]:
+            for nxt in succs[lbl]:
                 j = index[nxt]
                 if j not in pending:
                     pending.add(j)
@@ -175,15 +186,26 @@ def _shared_buckets(ctx: AnalysisContext) -> Dict[Label, Label]:
 
 
 def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
-    """Run one pass per thread once per round until the state set stops
-    changing.  Returns σ, the rounds run and the rounds that changed σ;
-    the widened labels are left in `ctx.widened`.
+    """Run one pass per thread over its heads once per round until the
+    state set stops changing, then one last pass per thread over all its
+    labels.  Returns σ, the rounds run and the rounds that changed σ; the
+    widened labels are left in `ctx.widened`.
 
     Every pass of a round reads the global set σ itself and returns its
     local map, and σ takes the local maps after the round's last pass, in
     pass order and then label order.  So every pass reads σ as it stood
     when the round began (a Jacobi round), and since a label belongs to
     one thread, its merges come from one pass per round.
+
+    The rounds skip `ctx.tails`: no other thread reads what a tail
+    computes, and no head follows one, so leaving them out changes neither
+    the heads' states nor the reads of σ nor the stop test.  Once σ has
+    converged, the last pass computes each tail once, against that σ: its
+    heads read what they read in the round before and are node-memo hits,
+    and it merges only the tails that own a bucket, each thread's right
+    after its pass, since no pass reads a tail.  It counts as a round,
+    against `max_iterations` too, and as an effective one when it changes
+    σ; a thread none of whose tails owns a bucket runs no last pass.
 
     A node whose inputs are unchanged is a hit of the node memo
     (`_node_states`), so a pass whose reads of σ are those of its
@@ -213,7 +235,8 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
         rounds += 1
-        local_maps = [seq_ai(ctx, t.name, sigma) for t in ctx.program.threads]
+        local_maps = [seq_ai(ctx, t.name, sigma, heads_only=True)
+                      for t in ctx.program.threads]
         for local in local_maps:
             for lbl in sorted(local):
                 if lbl not in shared:
@@ -226,13 +249,26 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
         if new in seen:
             break
         fingerprint = new
+    # the tails that own a bucket; σ never holds an entry
+    owned = ctx.tails - shared.keys() - set(ctx.cfg.entries.values())
+    last = [t.name for t in ctx.program.threads if not owned.isdisjoint(ctx.cfg.rpo[t.name])]
+    if last:
+        if rounds >= max_iterations:
+            raise Divergence(f"no fixpoint after {max_iterations} rounds")
+        rounds += 1
+        for tname in last:
+            local = seq_ai(ctx, tname, sigma)
+            for lbl in sorted(owned.intersection(local)):
+                sigma.merge_all(lbl, local[lbl])
+        if sigma.fingerprint() != new:
+            effective += 1
     return sigma, rounds, effective
 
 
 def tmai(program: Program, tc: TransferConfig = TransferConfig(),
          max_iterations: int = 1000, cfg: Optional[Cfg] = None) -> AnalysisResult:
-    """Run each thread once per round, each load, rmw and lock against all
-    its sources."""
+    """Run each thread's heads once per round and then its tails once, each
+    load, rmw and lock against all its sources."""
     cfg = cfg or build_cfg(program)
     ctx = AnalysisContext(program, cfg, tc)
     sigma, rounds, effective = _rounds(ctx, max_iterations)

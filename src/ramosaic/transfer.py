@@ -65,9 +65,13 @@ class AnalysisContext:
     `interfs[label]` lists, for each load, rmw and lock, ctx and then the
     labels it may read from (`interference.get_interfs`), and
     `memo_sources[label]`, for every label, those other than ctx, whose σ
-    tuples key the node memo.  `pass_through` holds the nops and asserts
-    with one predecessor, whose states are that predecessor's tuple as it
-    is: a sorted normal form already, which a merge would rebuild unchanged.
+    tuples key the node memo.  `tails` holds the labels from which no
+    label's memo source is reachable: no other thread reads what they
+    compute, and `head_worklists` and `head_succs` leave them out of a
+    pass over the other labels, the heads.  `pass_through` holds the nops
+    and asserts with one predecessor, whose states are that predecessor's
+    tuple as it is: a sorted normal form already, which a merge would
+    rebuild unchanged.
     `layouts[thread]` names the slots of that thread's states,
     `slots[thread]` maps each identifier of its expressions (a shared
     variable or a register) to its memory slot, and `initial_states[thread]`
@@ -127,11 +131,27 @@ class AnalysisContext:
         mem_of = {j: i for i, j in self.shared_slots}
         self.read_slots = tuple((mem_of.get(k), tuple(ij for ij in self.shared_slots if ij[1] != k))
                                 for k in range(len(po_keys)))
+        # the heads: the labels from which some interference source is
+        # reachable, the sources included, found by one walk back from them;
+        # the tails are the rest, and no tail precedes a head
+        heads = {src for srcs in self.memo_sources.values() for src in srcs}
+        stack = list(heads)
+        while stack:
+            for pred in cfg.preds[stack.pop()]:
+                if pred not in heads:
+                    heads.add(pred)
+                    stack.append(pred)
+        self.tails = frozenset(cfg.nodes.keys() - heads)
         # each label's position in its thread's reverse post-order, and per
         # thread the positions a pass of engine.seq_ai starts with pending:
-        # all but the entry's, 0
+        # all but the entry's, 0; for a pass over the heads alone, only the
+        # heads' positions, with each head's successors that are heads
         self.rpo_index = {lbl: i for rpo in cfg.rpo.values() for i, lbl in enumerate(rpo)}
         self.first_worklists = {t: tuple(range(1, len(rpo))) for t, rpo in cfg.rpo.items()}
+        self.head_worklists = {t: tuple(i for i in range(1, len(rpo)) if rpo[i] in heads)
+                               for t, rpo in cfg.rpo.items()}
+        self.head_succs = {lbl: tuple(s for s in cfg.succs[lbl] if s in heads)
+                           for lbl in heads}
         # (label, bump) -> (pre-states, global reads, merged states) of the
         # node's latest visit; see engine.seq_ai
         self.node_memo: dict = {}

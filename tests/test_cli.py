@@ -366,7 +366,8 @@ def test_running_out_of_rounds_exits_three_as_the_help_says(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert ("--max-iterations N give up after N rounds of the fixpoint (default 1000): "
+    assert ("--max-iterations N give up after N rounds of the fixpoint (default 1000), "
+            "the last pass over the labels that no other thread reads counting as one: "
             "exit 3 with Divergence") in help_text
     code, _, err = run_cli([BENCH_DIR / "mp.lit", "--max-iterations", "1"], capsys)
     assert code == 3

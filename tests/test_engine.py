@@ -14,7 +14,7 @@ from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import READS_SRC, SB_SRC
+from conftest import BENCH_DIR, READS_SRC, SB_SRC, peterson
 
 
 def test_mp_verdict_and_iterations(mp_program):
@@ -134,7 +134,9 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
     alternates x and z.  Merging x adds it beside a;
     merging z joins its memory with x's into a's memory, and that state's
     posets join into a's, so each store's set is back to {a}.  Without the
-    stop, every round would change the set."""
+    stop, every round would change the set.  The loads are tails, so the
+    last pass runs after the revisit, against {a}, and merges what it gives
+    at the loads but not at the stores."""
     program = parse("vars x = 0;\n"
                     "thread t { s: store x 1; l: r = load x; }\n"
                     "thread u { w: store x 2; m: q = load x; }")
@@ -142,8 +144,10 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
     ctx = AnalysisContext(program, cfg, TransferConfig())
     assert ctx.interfs[Label("l")][1:] == (Label("w"),)
     assert ctx.interfs[Label("m")][1:] == (Label("s"),)
+    assert {Label("l"), Label("m")} <= ctx.tails
+    assert not {Label("s"), Label("w")} & ctx.tails
 
-    def script(tname, store):
+    def script(tname, store, load):
         layout = ctx.initial_states[tname].layout
         regs = {k: Interval(0, 0) for k in layout.mem_keys if k != "x"}
 
@@ -151,25 +155,33 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
             return AbstractState.make({"x": mo_x}, {"x": Interval(lo, hi), **regs}, layout)
 
         written = P.poset({ctx.events[Label(store)]})
-        return Label(store), state(P.poset(()), 0, 1), state(written, 0, 0), state(written, 1, 1)
+        return (Label(store), Label(load),
+                state(P.poset(()), 0, 1), state(written, 0, 0), state(written, 1, 1))
 
-    scripts = {"t": script("t", "s"), "u": script("u", "w")}
+    scripts = {"t": script("t", "s", "l"), "u": script("u", "w", "m")}
     given = []
 
-    def scripted_seq_ai(ctx, tname, global_ss):
-        given.append((tname, global_ss.dump()))
-        step = sum(name == tname for name, _ in given)
-        lbl, a, x, z = scripts[tname]
-        return {lbl: (a if step == 1 else x if step % 2 == 0 else z,)}
+    def scripted_seq_ai(ctx, tname, global_ss, heads_only=False):
+        given.append((tname, heads_only, global_ss.dump()))
+        step = sum(name == tname for name, _, _ in given)
+        lbl, load, a, x, z = scripts[tname]
+        local = {lbl: (a if step == 1 else x if step % 2 == 0 else z,)}
+        if not heads_only:
+            local[load] = (a,)
+        return local
 
     monkeypatch.setattr(engine, "seq_ai", scripted_seq_ai)
     sigma, rounds, effective = engine._rounds(ctx, 50)
-    assert (rounds, effective) == (3, 3)  # the third round changed the set, back to {a}
-    for lbl, a, _, _ in scripts.values():
-        assert sigma.at(lbl) == (a,)
-    # {}, {a}, {a, x} at both stores, as each round began
-    assert [(t, len(dump.splitlines())) for t, dump in given] == [
-        ("t", 0), ("u", 0), ("t", 2), ("u", 2), ("t", 4), ("u", 4)]
+    # the third round changed the set, back to {a}; the last pass changed it
+    assert (rounds, effective) == (4, 4)
+    for lbl, load, a, _, _ in scripts.values():
+        assert sigma.at(lbl) == sigma.at(load) == (a,)
+    # {}, {a}, {a, x} at both stores, as each round began, then {a} again
+    # at the stores for the last pass; t's tails, l and the exit that
+    # shares its bucket, are merged before u's last pass, which reads none
+    assert [(t, heads_only, len(dump.splitlines())) for t, heads_only, dump in given] == [
+        ("t", True, 0), ("u", True, 0), ("t", True, 2), ("u", True, 2),
+        ("t", True, 4), ("u", True, 4), ("t", False, 2), ("u", False, 4)]
 
 
 def _sources(program) -> frozenset:
@@ -220,21 +232,25 @@ def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
 
 
 def test_a_round_merges_its_passes_after_the_last(monkeypatch):
-    """A round runs one pass per thread, in program order, then merges the
-    passes' local maps into the state set, in pass order and then label
-    order, so each bucket is merged once per round: a label that shares
-    its predecessor's bucket is not merged itself."""
+    """A round runs one pass per thread over its heads, in program order,
+    then merges the passes' local maps into the state set, in pass order
+    and then label order, so each bucket is merged once per round: a label
+    that shares its predecessor's bucket is not merged itself.  The last
+    round runs one pass over all labels for each thread with a tail that
+    owns a bucket, t3 here, and merges just those tails after it."""
     program = parse(READS_SRC)
-    shared = engine._shared_buckets(AnalysisContext(program, build_cfg(program),
-                                                    TransferConfig()))
+    ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
+    shared = engine._shared_buckets(ctx)
     assert Label("t1.exit") in shared and Label("t3.exit") in shared
+    owned = sorted(ctx.tails - shared.keys() - set(ctx.cfg.entries.values()))
+    assert owned == [Label("c")]
     log: list = []
     real_seq_ai = engine.seq_ai
     real_merge_all, real_fingerprint = StateSet.merge_all, StateSet.fingerprint
 
-    def recording_seq_ai(ctx, tname, *args, **kwargs):
-        local = real_seq_ai(ctx, tname, *args, **kwargs)
-        log.append(("pass", tname, sorted(local)))
+    def recording_seq_ai(ctx, tname, global_ss, heads_only=False):
+        local = real_seq_ai(ctx, tname, global_ss, heads_only)
+        log.append(("pass", tname, heads_only, sorted(local)))
         return local
 
     def recording_merge_all(self, lbl, states):
@@ -256,17 +272,78 @@ def test_a_round_merges_its_passes_after_the_last(monkeypatch):
         if entry[0] != "round":
             events.append(entry)
             continue
-        passes = [e for e in events if e[0] == "pass"]
-        assert [tname for _, tname, _ in passes] == threads
-        merges = events[len(passes):]
-        assert [e[:2] for e in merges] == [("merge", lbl) for _, _, labels in passes
+        rounds, round_events, events = rounds + 1, events, []
+        if rounds == r.iterations_total:
+            assert round_events == [("pass", "t3", False, [Label("c"), Label("t3.exit")]),
+                                    ("merge", Label("c"), id(r.states._by_label[Label("c")]))]
+            continue
+        passes = [e for e in round_events if e[0] == "pass"]
+        assert [(tname, heads_only) for _, tname, heads_only, _ in passes] == \
+            [(t, True) for t in threads]
+        assert not any(ctx.tails.intersection(labels) for _, _, _, labels in passes)
+        merges = round_events[len(passes):]
+        assert [e[:2] for e in merges] == [("merge", lbl) for _, _, _, labels in passes
                                            for lbl in labels if lbl not in shared], rounds
-        assert merges and events == passes + merges
+        assert merges and round_events == passes + merges
         assert len({bucket for _, _, bucket in merges}) == len(merges)
-        rounds, events = rounds + 1, []
     assert rounds == r.iterations_total
     for lbl, owner in shared.items():
         assert r.states.at(lbl) == r.states.at(owner) != ()
+
+
+def test_tails_of_peterson_4_are_its_suffixes():
+    """The tails of Peterson-4 are exactly each thread's load of cs, the
+    assertion after it and its exit: every other label reaches a store
+    that another thread reads."""
+    program = parse(peterson(4))
+    ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
+    assert ctx.tails == {Label(f"{name}{i}") if name != "exit" else Label(f"t{i}.exit")
+                         for i in range(1, 5) for name in ("x", "h", "exit")}
+
+
+def _transfers(program) -> tuple:
+    """The result of one `tmai` run, and per transfer_node call, the label
+    and whether the pass that made it ran over the heads alone."""
+    calls = []
+    heads_only_now = [None]
+    real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
+
+    def recording_seq_ai(ctx, tname, global_ss, heads_only=False):
+        heads_only_now[0] = heads_only
+        return real_seq_ai(ctx, tname, global_ss, heads_only)
+
+    def recording_transfer_node(ctx, lbl, *args, **kwargs):
+        calls.append((lbl, heads_only_now[0]))
+        return real_transfer_node(ctx, lbl, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "seq_ai", recording_seq_ai)
+        mp.setattr(engine, "transfer_node", recording_transfer_node)
+        result = tmai(program)
+    return result, calls
+
+
+def test_each_load_of_cs_is_transferred_once():
+    """Each x_i of Peterson-4 runs transfer_node in one visit, in the last
+    pass, against the converged state set; the heads before it are memo
+    hits there."""
+    result, calls = _transfers(parse(peterson(4)))
+    assert result.iterations_total == 4
+    for i in range(1, 5):
+        assert [c for c in calls if c[0] == Label(f"x{i}")] == [(Label(f"x{i}"), False)]
+    assert all(heads_only for lbl, heads_only in calls if not lbl.name.startswith("x"))
+
+
+def test_readers_run_no_transfer_before_the_last_pass():
+    """No reader of nr1w_10 writes, so every reader label is a tail: the
+    rounds transfer only the writer's store, and each reader's load runs
+    once, in the last pass."""
+    program = parse((BENCH_DIR / "nr1w_10.lit").read_text())
+    result, calls = _transfers(program)
+    assert not result.verdicts["final"].proved
+    assert [c for c in calls if c[1]] == [(Label("a"), True)]
+    assert sorted(c for c in calls if not c[1]) == sorted((Label(f"b{i}"), False)
+                                                          for i in range(1, 11))
 
 
 def test_unrolled_spin_wait_verdict():

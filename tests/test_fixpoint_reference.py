@@ -3,8 +3,10 @@ reference: the batched interference kernel against, per source state, the
 view test with two `posets.less` tests and a second build for the loaded
 register, the assertion check on projections against a `refine` over each
 state's full memory, nodes that pass their predecessor's states on against
-a fresh bucket merge, and the round loop that shares buckets against the
-plain one.
+a fresh bucket merge, passes over the heads against passes over all labels,
+and the round loop that shares buckets, iterates only the heads and
+computes the tails in a last pass against the plain one, which iterates
+every label.
 
 Every call the analyses make is checked, each (target, source) pair of an
 interference batch on its own, over the corpus, `random_program(0..999)`,
@@ -13,6 +15,7 @@ only a postcondition, so the assertion check also runs on drawn conditions
 at every label of the fixpoints of `random_program(0..499)`.  The plain
 round loop runs every program but `random_program(500..999)`."""
 
+import copy
 import random
 
 import pytest
@@ -21,8 +24,8 @@ from ramosaic import engine, transfer
 from ramosaic import posets as P
 from ramosaic.engine import tmai
 from ramosaic.intervals import refine, val_join
-from ramosaic.litmus import (And, AssertInst, BinOp, BoolLit, Cmp, Lit, Name, Nop, Or,
-                             build_cfg, negate, parse, unroll)
+from ramosaic.litmus import (And, AssertInst, BinOp, BoolLit, Cmp, Label, Lit, Name, Nop,
+                             Or, build_cfg, negate, parse, unroll)
 from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateBucket, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig, Verdict
@@ -133,17 +136,23 @@ def interference_per_pair(ctx, target, sources, src_event, reg=None, cas=False):
 
 
 def plain_rounds(ctx, max_iterations: int) -> tuple:
-    """The round loop with no reuse: every pass runs in every round, and
-    each label's local tuple is merged, state by state, into a bucket of
-    the label's own."""
+    """The round loop with no reuse: every pass runs over all labels in
+    every round, and each label's local tuple is merged, state by state,
+    into a bucket of the label's own.  Returns σ, its rounds and effective
+    rounds, those after which the heads' part of σ first repeated, and the
+    local maps of the last round."""
     sigma = StateSet(ctx.posets)
     rounds = effective = 0
     fingerprint = sigma.fingerprint()
     seen = set()
+    heads_stop = None
+    heads_fingerprint = _heads_fingerprint(ctx, sigma)
+    heads_seen = set()
     while True:
         if rounds >= max_iterations:
             raise engine.Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
+        heads_seen.add(heads_fingerprint)
         rounds += 1
         local_maps = [engine.seq_ai(ctx, t.name, sigma) for t in ctx.program.threads]
         for local in local_maps:
@@ -151,6 +160,13 @@ def plain_rounds(ctx, max_iterations: int) -> tuple:
                 bucket = sigma._by_label.setdefault(lbl, StateBucket(ctx.posets))
                 for s in local[lbl]:
                     bucket.merge(s)
+        new = _heads_fingerprint(ctx, sigma)
+        if heads_stop is None:
+            if new == heads_fingerprint:
+                heads_stop = (rounds, effective)
+            elif new in heads_seen:
+                heads_stop = (rounds, effective + 1)
+            heads_fingerprint = new
         new = sigma.fingerprint()
         if new == fingerprint:
             break
@@ -158,7 +174,12 @@ def plain_rounds(ctx, max_iterations: int) -> tuple:
         if new in seen:
             break
         fingerprint = new
-    return sigma, rounds, effective
+    assert heads_stop is not None  # the heads repeat no later than all of σ
+    return sigma, rounds, effective, heads_stop, local_maps
+
+
+def _heads_fingerprint(ctx, sigma) -> frozenset:
+    return frozenset(item for item in sigma.fingerprint() if item[0] not in ctx.tails)
 
 
 def _digest(states, verdicts, rounds, effective, widened) -> tuple:
@@ -170,13 +191,35 @@ def _digest(states, verdicts, rounds, effective, widened) -> tuple:
 
 def plain_digest(program, max_iterations: int = 100) -> tuple:
     """The digest of the plain round loop with the reference interference
-    rule and the pair-keyed meet memo."""
+    rule and the pair-keyed meet memo, with the schedule that iterates only
+    the heads: σ at every label whose bucket a head owns as the plain loop
+    leaves it, and at every other label a fresh merge of the label's tuple
+    in the plain loop's last round; the rounds and effective rounds after
+    which the heads repeat, plus one for a last pass when some tail owns a
+    bucket, effective when it gives states."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "PosetTable", _PairMemoTable)
         mp.setattr(transfer, "apply_interference", interference_per_pair)
         ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
         assert isinstance(ctx.posets, _PairMemoTable)
-        sigma, rounds, effective = plain_rounds(ctx, max_iterations)
+        plain, _, _, (rounds, effective), last_round = plain_rounds(ctx, max_iterations)
+        last_local = {lbl: states for local in last_round for lbl, states in local.items()}
+        shared = engine._shared_buckets(ctx)
+        sigma = StateSet(ctx.posets)
+        owned_tails = []
+        for lbl in ctx.cfg.nodes:
+            if lbl in ctx.cfg.entries.values():
+                continue
+            owner = shared.get(lbl, lbl)
+            if owner not in ctx.tails:
+                sigma.merge_all(lbl, plain.at(lbl))
+            else:
+                sigma.merge_all(lbl, last_local.get(lbl, ()))
+                if owner == lbl:
+                    owned_tails.append(lbl)
+        if owned_tails:
+            rounds += 1
+            effective += any(sigma.at(lbl) for lbl in owned_tails)
         return _digest(sigma, engine._evaluate(ctx, sigma), rounds, effective, ctx.widened)
 
 
@@ -194,7 +237,7 @@ def _result_digest(r) -> tuple:
 def checked():
     """Run the analyses with each replaced step checked against its
     reference; per check, the number of calls and the calls that differ."""
-    calls = {"interference": [0, []], "assert": [0, []], "pass": [0, []],
+    calls = {"interference": [0, []], "assert": [0, []], "pass": [0, []], "heads": [0, []],
              "runs": []}  # (program, digest) of every run with a plain twin
     real_apply = transfer.apply_interference
     real_check = engine.check_assert
@@ -227,16 +270,17 @@ def checked():
             calls["assert"][1].append((cond, len(states)))
         return got
 
-    def seq_ai_checked(ctx, tname, global_ss):
-        """The pass, with the tuple of each nop or assert with one
-        predecessor checked against a fresh merge of that predecessor's
-        tuple, and, past the entry, to be that very tuple."""
-        local = real_seq_ai(ctx, tname, global_ss)
+    def check_pass_through(ctx, tname, local, heads_only):
+        """The tuple of each nop or assert with one predecessor that the
+        pass computed against a fresh merge of that predecessor's tuple,
+        and, past the entry, to be that very tuple."""
         cfg = ctx.cfg
         entry = cfg.entries[tname]
         for lbl in cfg.rpo[tname]:
             preds = cfg.preds[lbl]
             if len(preds) != 1 or not isinstance(cfg.nodes[lbl], (Nop, AssertInst)):
+                continue
+            if heads_only and lbl in ctx.tails:
                 continue
             pre = (ctx.initial_states[tname],) if preds[0] == entry else local.get(preds[0], ())
             got = local.get(lbl, ())
@@ -246,6 +290,23 @@ def checked():
             calls["pass"][0] += 1
             if got != bucket.states() or (preds[0] != entry and got and got is not pre):
                 calls["pass"][1].append((lbl, len(pre)))
+
+    def seq_ai_checked(ctx, tname, global_ss, heads_only=False):
+        """The pass, with its pass-through labels checked; a pass over the
+        heads alone is also checked to give, at every label, the tuple of
+        a pass over all labels, with an empty node memo, at the heads, and
+        nothing at the tails, and that pass's pass-through labels are
+        checked too."""
+        local = real_seq_ai(ctx, tname, global_ss, heads_only)
+        check_pass_through(ctx, tname, local, heads_only)
+        if heads_only:
+            fresh = copy.copy(ctx)
+            fresh.node_memo, fresh.widened = {}, set()
+            full = real_seq_ai(fresh, tname, global_ss)
+            check_pass_through(fresh, tname, full, False)
+            calls["heads"][0] += 1
+            if local != {lbl: states for lbl, states in full.items() if lbl not in ctx.tails}:
+                calls["heads"][1].append(tname)
         return local
 
     corpus = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
@@ -290,13 +351,21 @@ def test_pass_through_nodes_match_a_fresh_merge(checked):
 
 
 
+def test_a_pass_over_the_heads_matches_a_full_pass(checked):
+    n, mismatches = checked["heads"]
+    assert n > 4_000 and not mismatches, (n, mismatches[:5])
+
+
 def test_rounds_match_the_plain_round_loop(checked):
-    """The shared buckets, with the meet memo's rows, give the dumps,
-    verdicts, rounds, effective rounds and widened labels of the plain
-    round loop with the per-pair reference rule and the pair-keyed meet
-    memo.  The inputs hold a widened loop header and a thread with no
-    instruction, whose exit follows its entry and so keeps a bucket of its
-    own."""
+    """The rounds over the heads and the last pass, with the shared buckets
+    and the meet memo's rows, give the plain round loop's states at the
+    heads, byte for byte, with the per-pair reference rule and the
+    pair-keyed meet memo.  Each tail holds a fresh merge of its tuple in
+    the plain loop's last round, and the verdicts, the widened labels, and
+    the rounds, those after which the plain loop's heads repeat plus the
+    last pass, follow.  The inputs hold a widened loop header and a thread
+    with no instruction, whose exit follows its entry and so keeps a bucket
+    of its own."""
     runs = checked["runs"]
     assert len(runs) > 500
     mismatches = [i for i, (program, want) in enumerate(runs) if plain_digest(program) != want]
@@ -306,3 +375,70 @@ def test_rounds_match_the_plain_round_loop(checked):
     cfg = build_cfg(empty)
     assert cfg.rpo["t1"] == (cfg.entries["t1"], cfg.exits["t1"])
     assert cfg.exits["t1"] in tmai(empty).states.labels()
+
+
+# a reader that spins on a load after its last store, which w reads,
+# counting its spins: the loop is a tail, so only the last pass visits it,
+# and widens it
+SPIN_AFTER_STORE_SRC = """
+vars y = 0, d = 0;
+thread w { o: v = load d; a: store d 7; b: store y 1; }
+thread t {
+  s: store d 1;
+  l0: r = load y;
+  i0: k = 0;
+  while (r != 1) { l1: r = load y; i1: k = k + 1; }
+  g: q = load d;
+  z: assert(k >= 0);
+  u: assert(q == 7);
+}
+"""
+
+
+def test_a_spin_after_the_last_store_is_widened_in_the_last_pass(monkeypatch):
+    """The loop is widened in the last pass, not before, and the run ends
+    with the verdicts and the widened header of the plain round loop."""
+    program = parse(SPIN_AFTER_STORE_SRC)
+    widened_before = []
+    real_seq_ai = engine.seq_ai
+
+    def recording_seq_ai(ctx, tname, global_ss, heads_only=False):
+        widened_before.append((heads_only, set(ctx.widened)))
+        return real_seq_ai(ctx, tname, global_ss, heads_only)
+
+    monkeypatch.setattr(engine, "seq_ai", recording_seq_ai)
+    r = tmai(program)
+    header = next(lbl for lbl in r.cfg.loop_headers)
+    assert r.widened == {header}
+    assert widened_before[-1] == (False, set())
+    assert all(heads_only for heads_only, _ in widened_before[:-1])
+    assert {site: v.proved for site, v in r.verdicts.items()} == {"z": True, "u": False}
+    monkeypatch.undo()
+    assert plain_digest(program) == _result_digest(tmai(program))
+    ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
+    plain, *_ = plain_rounds(ctx, 100)
+    assert ctx.widened == {header}
+    assert {site: v.proved for site, v in engine._evaluate(ctx, plain).items()} == \
+        {site: v.proved for site, v in r.verdicts.items()}
+
+
+def test_tails_that_all_share_a_head_bucket_keep_the_plain_round_counts():
+    """Every tail of this load-buffering program shares a head's bucket, so
+    no last pass runs, and the rounds are those of the plain loop."""
+    program = parse("vars x = 0, y = 0;\n"
+                    "thread t1 { a: r1 = load y; b: store x 1; c: assert(r1 <= 1); }\n"
+                    "thread t2 { d: r2 = load x; e: store y 1; }\n"
+                    "assert (r1 == 0 || r2 == 0);\n")
+    cfg = build_cfg(program)
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    shared = engine._shared_buckets(ctx)
+    assert ctx.tails - set(cfg.entries.values()) == {Label("c"), cfg.exits["t1"], cfg.exits["t2"]}
+    assert all(shared[lbl] not in ctx.tails for lbl in ctx.tails - set(cfg.entries.values()))
+    r = tmai(program)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "PosetTable", _PairMemoTable)
+        mp.setattr(transfer, "apply_interference", interference_per_pair)
+        plain_ctx = AnalysisContext(program, cfg, TransferConfig())
+        sigma, rounds, effective, _, _ = plain_rounds(plain_ctx, 100)
+    assert r.states.dump() == sigma.dump()
+    assert (r.iterations_total, r.iterations_effective) == (rounds, effective) == (4, 3)

@@ -75,29 +75,41 @@ def _work_per_round(program) -> tuple:
 
 
 def test_confirming_round_recomputes_nothing():
-    """The last round of Peterson-3 and -4 changes no label, so every pass
+    """The third round of Peterson-3 and -4 changes no head, so every pass
     reads what it read in the round before: the round runs every thread's
-    pass, but every node is a memo hit, so it runs no transfer and no
-    interference batch, and its merges change no bucket, since each
-    bucket holds the states its label's last pass gave: every bucket keeps
-    its `states()` tuple and frozenset themselves.  The rounds before it
-    run transfers."""
+    pass over its heads, but every node is a memo hit, so it runs no
+    transfer and no interference batch, and its merges change no bucket,
+    since each bucket holds the states its label's last pass gave: every
+    bucket keeps its `states()` tuple and frozenset themselves.  The rounds
+    before it run transfers.  The last pass then runs every thread's pass
+    over all labels; its heads are memo hits too, so it transfers only the
+    load of cs, once per thread, and its merges change only the tails'
+    buckets."""
     for n, total in ((3, 303), (4, 1520)):
         rounds, buckets, result = _work_per_round(parse(peterson(n)))
         assert result.states.total_states() == total and result.iterations_total == 4
         assert len(rounds) == 4 and len(buckets) == 5
-        assert rounds[-1] == [n, 0, 0], (n, rounds)
+        assert rounds[2] == [n, 0, 0], (n, rounds)
+        assert rounds[3][:2] == [n, n] and rounds[3][2] > 0, (n, rounds)
         assert all(passes == n for passes, _, _ in rounds), (n, rounds)
-        assert all(calls > 0 for _, calls, _ in rounds[:-1]), (n, rounds)
-        before, after = buckets[-2], buckets[-1]
+        assert all(calls > 0 for _, calls, _ in rounds[:2]), (n, rounds)
+        before, after = buckets[-3], buckets[-2]
         assert before and len(before) == len(after)
         for (lbl, states, frozen), (lbl2, states2, frozen2) in zip(before, after):
             assert lbl == lbl2 and states is states2 and frozen is frozen2, lbl
+        last = {lbl: (states, frozen) for lbl, states, frozen in buckets[-1]}
+        grown = [lbl for lbl, states, frozen in after
+                 if last[lbl][0] is not states or last[lbl][1] is not frozen]
+        # h_i and the exit share x_i's bucket
+        assert sorted(grown) == sorted(Label(f"{name}{i}") if name != "exit" else
+                                       Label(f"t{i}.exit") for i in range(1, n + 1)
+                                       for name in ("x", "h", "exit")), n
 
 
 # a message-passing chain: t1 reads nothing, t2's reads settle in the
-# second round and t3's in the third, so rounds 2 and 3 each run a pass on
-# unchanged reads beside one whose reads changed
+# second round, and t3, which writes nothing, is all tails: round 2 runs a
+# pass on unchanged reads beside one whose reads changed, and only the
+# last pass transfers t3's nodes
 CHAIN_SRC = """
 vars x = 0, y = 0;
 thread t1 { s1: store x 1; }
@@ -109,30 +121,37 @@ thread t3 { b: q = load y; c: assert(q <= 1); }
 def test_a_pass_with_unchanged_reads_makes_no_transfer():
     """A pass to which σ gives, at its thread's interference sources, the
     tuples it gave the thread's pass in the round before makes no
-    `transfer_node` call.  On the chain this happens in a round where
-    another thread's pass, whose reads changed, makes some: the node memo
-    does per node what reusing the whole pass would do."""
-    passes: list = []  # per pass: [round, thread, reads of σ, transfer_node calls]
+    `transfer_node` call at a head.  On the chain this happens in a round
+    where another thread's pass, whose reads changed, makes some: the node
+    memo does per node what reusing the whole pass would do.  The rounds
+    run every thread's pass over its heads alone, in program order, and
+    the last round runs passes over all labels, which transfer the tails."""
+    # per pass: [round, thread, heads_only, reads of σ, transfer_node calls
+    # at heads, at tails]
+    passes: list = []
     rounds = [0]
     real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
     real_fingerprint = StateSet.fingerprint
 
-    def recording_seq_ai(ctx, tname, global_ss):
+    def recording_seq_ai(ctx, tname, global_ss, heads_only=False):
         sources = sorted({src for lbl in ctx.cfg.rpo[tname]
                           for src in ctx.interfs.get(lbl, ())[1:]})
-        passes.append([rounds[0], tname, [global_ss.at(src) for src in sources], 0])
-        return real_seq_ai(ctx, tname, global_ss)
+        passes.append([rounds[0], tname, heads_only, [global_ss.at(src) for src in sources],
+                       0, 0])
+        return real_seq_ai(ctx, tname, global_ss, heads_only)
 
-    def counted_transfer_node(*args, **kwargs):
-        passes[-1][3] += 1
-        return real_transfer_node(*args, **kwargs)
+    def counted_transfer_node(ctx, lbl, *args, **kwargs):
+        passes[-1][5 if lbl in ctx.tails else 4] += 1
+        return real_transfer_node(ctx, lbl, *args, **kwargs)
 
     def recording_fingerprint(self):
         rounds[0] += 1
         return real_fingerprint(self)
 
     mixed = 0
-    for src in (READS_SRC, peterson(4), CHAIN_SRC):
+    # the threads with a tail that owns a bucket, which alone run a last pass
+    for src, last_threads in ((READS_SRC, ["t3"]), (peterson(4), ["t1", "t2", "t3", "t4"]),
+                              (CHAIN_SRC, ["t3"])):
         passes.clear()
         rounds[0] = 0
         with pytest.MonkeyPatch.context() as mp:
@@ -141,13 +160,21 @@ def test_a_pass_with_unchanged_reads_makes_no_transfer():
             mp.setattr(StateSet, "fingerprint", recording_fingerprint)
             program = parse(src)
             result = tmai(program)
+        threads = [t.name for t in program.threads]
         last: dict = {}  # thread -> its pass of the round before
         for rnd in range(1, result.iterations_total + 1):
             now = [p for p in passes if p[0] == rnd]
-            assert [p[1] for p in now] == [t.name for t in program.threads]
-            unchanged = [p for p in now if p[1] in last and last[p[1]][2] == p[2]]
-            assert all(p[3] == 0 for p in unchanged), (src, rnd, now)
-            if unchanged and any(p[3] > 0 for p in now):
+            final = rnd == result.iterations_total
+            assert all(p[2] is not final for p in now), (src, rnd, now)
+            if final:
+                assert [p[1] for p in now] == last_threads, (src, now)
+                assert all(p[5] > 0 for p in now), (src, now)
+            else:
+                assert [p[1] for p in now] == threads
+                assert all(p[5] == 0 for p in now), (src, rnd, now)
+            unchanged = [p for p in now if p[1] in last and last[p[1]][3] == p[3]]
+            assert all(p[4] == 0 for p in unchanged), (src, rnd, now)
+            if unchanged and any(p[4] > 0 for p in now):
                 mixed += 1
             last = {p[1]: p for p in now}
     assert mixed > 0
@@ -174,7 +201,8 @@ def test_confirming_round_reads_the_identical_tuples():
 def test_unchanged_buckets_keep_their_frozensets(monkeypatch):
     """A bucket that no merge changed gives its earlier frozenset itself,
     in the set it sits in and in a copy of that set, so the fingerprint of
-    the confirming round hashes no bucket again."""
+    the round that confirms the heads hashes no bucket again, and that of
+    the last pass hashes only the tails' buckets, which it fills."""
     snapshots: list = []
     fingerprints: list = []
     real_fingerprint = StateSet.fingerprint
@@ -186,14 +214,18 @@ def test_unchanged_buckets_keep_their_frozensets(monkeypatch):
         return out
 
     monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
-    result = tmai(parse(peterson(4)))
+    program = parse(peterson(4))
+    result, ctx = run_with_context(tmai, program)
     assert result.iterations_total == 4 and len(fingerprints) == 5
-    before, after = fingerprints[-2], fingerprints[-1]
+    before, after, last = fingerprints[-3:]
     assert before and before.keys() == after.keys()
-    snapshot = snapshots[-2]._by_label
-    for lbl, states in before.items():
-        assert after[lbl] is states
-        assert snapshot[lbl].frozen() is states
+    assert not ctx.tails & before.keys()
+    assert last.keys() - after.keys() == ctx.tails
+    for snapshot, (older, newer) in ((snapshots[-3], (before, after)),
+                                     (snapshots[-2], (after, last))):
+        for lbl, states in older.items():
+            assert newer[lbl] is states
+            assert snapshot._by_label[lbl].frozen() is states
 
 
 class _CountingSet(StateSet):
