@@ -2,13 +2,14 @@
 """Cross-check the analyzer against the execution oracle on random programs.
 
 Each seeded program is enumerated exhaustively, its executions re-validated
-by the independent axiom checker, analyzed by three drivers, and compared:
+by the independent axiom checker, analyzed by four drivers, and compared:
 oracle-violated assertions must not be proved, final register values must be
 covered, and exit posets must abstract the observed modification orders.
-The drivers are `engine.tmai` with the default flags and with each flag
+The drivers are `engine.tmai` with the default flags, with each flag
 that the poset table carries turned off: concrete posets
 (`abstract_mo=False`) and rmw events that the newest-store abstraction may
-forget (`rmw_critical=False`).  An exception (a divergence, say) is
+forget (`rmw_critical=False`), and with full tails (`project_tails=False`),
+whose exit states keep every poset and register.  An exception (a divergence, say) is
 reported with its seed, and with the driver when one raised it, like an
 unsound result, and the run goes on; the exit code is 1 when any check
 failed.  The summary line counts the executions
@@ -37,7 +38,11 @@ def tmai_no_rmw_critical(program):
     return tmai(program, TransferConfig(rmw_critical=False))
 
 
-DRIVERS = (tmai, tmai_concrete_mo, tmai_no_rmw_critical)
+def tmai_full_tails(program):
+    return tmai(program, TransferConfig(project_tails=False))
+
+
+DRIVERS = (tmai, tmai_concrete_mo, tmai_no_rmw_critical, tmai_full_tails)
 
 
 def non_negative(text: str) -> int:

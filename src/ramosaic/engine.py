@@ -9,7 +9,14 @@ interference source is reachable.  The rounds run every thread's pass over
 its heads until the state set repeats; then one last pass per thread
 computes its tails, `AnalysisContext.tails`, once, against the converged
 set.  No tail comes before a head, so the tails change nothing the rounds
-compute.
+compute.  A thread with no head runs no pass in the other rounds.
+
+Past each thread's boundary (`AnalysisContext.boundaries`), the tail after
+which no access and no loop is reachable, the states keep only the memory
+slots a later check reads and no poset, as an exact set of live tuples;
+`--dump-states` prints each dropped poset and slot as `_`.  The result
+records the full states each boundary computed (`AnalysisResult.boundaries`)
+for `oracle.check_soundness`.
 
 Rounds work only where their inputs changed, as in demand-driven
 incremental computation (Hammer et al., "Adapton", PLDI'14): a node whose
@@ -25,8 +32,8 @@ bucket.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict, NamedTuple, Optional
 
 from . import posets
 from .intervals import val_widen
@@ -40,6 +47,15 @@ class Divergence(Exception):
     pass
 
 
+class Boundary(NamedTuple):
+    """A projected thread's boundary: its label, the memory keys its states
+    keep, and the full states it recorded (`AnalysisContext.boundaries`)."""
+
+    label: Label
+    live: frozenset
+    states: tuple
+
+
 @dataclass
 class AnalysisResult:
     states: StateSet
@@ -49,6 +65,7 @@ class AnalysisResult:
     widened: frozenset
     cfg: Cfg
     sb: posets.SbIndex
+    boundaries: Dict[str, Boundary] = field(default_factory=dict)  # by thread
 
     @property
     def all_proved(self) -> bool:
@@ -236,7 +253,7 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
         seen.add(fingerprint)
         rounds += 1
         local_maps = [seq_ai(ctx, t.name, sigma, heads_only=True)
-                      for t in ctx.program.threads]
+                      for t in ctx.program.threads if ctx.head_worklists[t.name]]
         for local in local_maps:
             for lbl in sorted(local):
                 if lbl not in shared:
@@ -272,5 +289,9 @@ def tmai(program: Program, tc: TransferConfig = TransferConfig(),
     cfg = cfg or build_cfg(program)
     ctx = AnalysisContext(program, cfg, tc)
     sigma, rounds, effective = _rounds(ctx, max_iterations)
+    boundaries = {}
+    for lbl, layout in ctx.boundaries.items():
+        live = frozenset(map(layout.mem_keys.__getitem__, layout.live))
+        boundaries[cfg.thread_of[lbl]] = Boundary(lbl, live, ctx.boundary_states.get(lbl, ()))
     return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
-                          frozenset(ctx.widened), cfg, ctx.sb)
+                          frozenset(ctx.widened), cfg, ctx.sb, boundaries)

@@ -153,20 +153,23 @@ class ValueTable:
     intervals are, and a memory of ids hashes and compares as a tuple of
     ints.  `join(a, b)` is the id of the hull of `a` and `b`, memoized on
     the id pair in `joins`, which the interference kernel reads directly,
-    as it reads `PosetTable.meets`."""
+    as it reads `PosetTable.meets`.  `sort_keys[i]` orders the intervals by
+    their bounds, None being the infinite ones."""
 
-    __slots__ = ("values", "ids", "joins")
+    __slots__ = ("values", "ids", "joins", "sort_keys")
 
     def __init__(self):
         self.values: list = []
         self.ids: dict = {}
         self.joins: dict = {}
+        self.sort_keys: list = []
 
     def intern(self, iv: Interval) -> int:
         i = self.ids.get(iv)
         if i is None:
             i = self.ids[iv] = len(self.values)
             self.values.append(iv)
+            self.sort_keys.append((iv.lo is not None, iv.lo or 0, iv.hi is None, iv.hi or 0))
         return i
 
     def join(self, a: int, b: int) -> int:

@@ -300,6 +300,11 @@ class Program:
                 owners.setdefault(r, []).append(t.name)
         return owners
 
+    @cached_property
+    def postcondition_names(self) -> frozenset:
+        """The identifiers that the postcondition names, none without one."""
+        return frozenset(expr_names(self.postcondition) if self.postcondition else ())
+
     def thread_registers(self, tname: str) -> tuple:
         return self._registers_of[tname]
 
@@ -735,7 +740,7 @@ def _check_semantics(p: Program):
         if any(isinstance(i, UnlockInst) for i in instrs):
             _must_hold(t.body, frozenset())
     if p.postcondition is not None:
-        for ident in sorted(expr_names(p.postcondition)):
+        for ident in sorted(p.postcondition_names):
             p.resolve_postcondition_name(ident)  # raises if unknown/ambiguous
 
 

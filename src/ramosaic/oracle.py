@@ -799,17 +799,17 @@ _UNSEEN = object()
 
 
 def _uncovered(regmap: Dict[str, int], exits) -> Optional[str]:
-    """The problem of the first thread whose exit states cover none of its
-    final registers in `regmap`, or None."""
-    for tname, keys, exit_states, covered in exits:
+    """The problem of the first thread whose exit states, or boundary
+    states, cover none of its final registers in `regmap`, or None."""
+    for tname, where, keys, states, covered in exits:
         values = tuple([regmap[k] for k in keys])
         ok = covered.get(values)
         if ok is None:
             ok = covered[values] = any(all(v in s.val(k) for k, v in zip(keys, values))
-                                       for s in exit_states)
+                                       for s in states)
         if not ok:
             return (f"final registers {list(zip(keys, values))} "
-                    f"of thread {tname} are not covered at exit")
+                    f"of thread {tname} are not covered at {where}")
     return None
 
 
@@ -832,7 +832,13 @@ def check_soundness(program: Program, result, guard: int = 14,
     must not be proved, reachable final register values must be covered, and
     the per-variable abstraction of the oracle's modification orders must be
     below the analyzer's joined exit posets under the soundness relation.
-    The CFG and sb index come from the result when it carries them."""
+    The CFG and sb index come from the result when it carries them.
+
+    A thread that the result projects past its boundary (`boundaries`) has
+    no posets at its exit and only its live registers: its exit states
+    answer for those, and the full states its boundary recorded answer for
+    the dropped registers, which no instruction from the boundary on
+    writes, and for its posets."""
     cfg = getattr(result, "cfg", None) or build_cfg(program)
     sb = getattr(result, "sb", None) or SbIndex.from_cfg(cfg)
     if execs is None:
@@ -846,13 +852,24 @@ def check_soundness(program: Program, result, guard: int = 14,
             problems.append(f"assertion {site} is violated by the oracle but "
                             f"the analyzer proves it")
 
-    # per thread with registers: its register keys, its exit states, and
-    # whether they cover each projection of an outcome onto those keys
+    # per thread with registers: where the states are, the register keys
+    # they answer for, the states, and whether they cover each projection
+    # of an outcome onto those keys; and the states whose posets join
+    boundaries = getattr(result, "boundaries", {})
     exits = []
+    poset_states = []
     for t in program.threads:
         keys = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
-        if keys:
-            exits.append((t.name, keys, result.states.at(cfg.exits[t.name]), {}))
+        exit_states = result.states.at(cfg.exits[t.name])
+        b = boundaries.get(t.name)
+        if b is None:
+            parts = (("exit", keys, exit_states),)
+            poset_states += exit_states
+        else:
+            parts = (("exit", [k for k in keys if k in b.live], exit_states),
+                     (f"its boundary {b.label}", [k for k in keys if k not in b.live], b.states))
+            poset_states += b.states
+        exits += [(t.name, where, part, states, {}) for where, part, states in parts if part]
     uncovered: Dict[tuple, Optional[str]] = {}  # registers -> the message, if any
     for e in execs:
         message = uncovered.get(e.registers, _UNSEEN)
@@ -861,13 +878,11 @@ def check_soundness(program: Program, result, guard: int = 14,
         if message is not None:
             problems.append(message)
 
-    all_exit_states = [s for t in program.threads
-                       for s in result.states.at(cfg.exits[t.name])]
-    if execs and all_exit_states:
+    if execs and poset_states:
         distinct_mo = list({e.mo: e for e in execs}.values())
         for var in program.shared_names():
             joined = None
-            for s in all_exit_states:
+            for s in poset_states:
                 joined = s.po(var) if joined is None else join(joined, s.po(var))
             for group in losets_by_write_set(distinct_mo, var):
                 concrete = alpha(group)

@@ -11,6 +11,11 @@ at several labels.
 
 The normal form makes both the poset map and the memory a unique key within
 a label's set, so buckets keep hash indexes on each.
+
+A projected state, past its thread's boundary (`transfer.AnalysisContext`),
+has dropped every poset and the memory slots no later check reads: each
+holds None, and prints as `_`.  The projected states of a label are an exact
+set of memories, which a merge never joins.
 """
 
 from __future__ import annotations
@@ -30,9 +35,13 @@ class Layout:
     index of every key, and the `PosetTable` and `ValueTable` whose ids the
     states hold.  An analysis builds one per thread over its one pair of
     tables, so a shared variable has one memory slot and one poset slot in
-    all of them; its states point to it and hold values only."""
+    all of them; its states point to it and hold values only.
 
-    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "table", "values")
+    A projected layout (`projected`) has the same slots, and `live`, the
+    sorted memory slots its states keep; `live` is None for a full one."""
+
+    __slots__ = ("mo_keys", "mem_keys", "mo_slot", "mem_slot", "table", "values",
+                 "live", "dropped_mo")
 
     def __init__(self, mo_keys, mem_keys, table: posets.PosetTable,
                  values: intervals.ValueTable):
@@ -43,6 +52,26 @@ class Layout:
         self.mem_slot = {k: i for i, k in enumerate(self.mem_keys)}
         self.table = table
         self.values = values
+        self.live = None
+        self.dropped_mo = (None,) * len(self.mo_keys)
+
+    def projected(self, live) -> "Layout":
+        """This layout for states that keep only the memory slots `live`
+        and no poset."""
+        out = Layout.__new__(Layout)
+        (out.mo_keys, out.mem_keys, out.mo_slot, out.mem_slot, out.table, out.values,
+         out.dropped_mo) = (self.mo_keys, self.mem_keys, self.mo_slot, self.mem_slot,
+                            self.table, self.values, self.dropped_mo)
+        out.live = tuple(sorted(live))
+        return out
+
+    def project(self, mem: tuple) -> "AbstractState":
+        """The projected state of this projected layout with the live slots
+        of `mem`, a memory of the full layout."""
+        out = [None] * len(mem)
+        for i in self.live:
+            out[i] = mem[i]
+        return AbstractState(self.dropped_mo, tuple(out), self)
 
 
 class AbstractState:
@@ -110,8 +139,13 @@ class AbstractState:
         """Orders the states of one label's bucket.  They differ in their
         poset maps, the bucket's unique key, so the sorted events and pairs
         of each poset decide the order alone; the table sorts each poset
-        once, when it gives it an id."""
-        return tuple(map(self.layout.table.sort_keys.__getitem__, self.mo))
+        once, when it gives it an id.  Projected states differ in their
+        live values, whose bounds order them."""
+        layout = self.layout
+        if layout.live is not None:
+            keys = layout.values.sort_keys
+            return tuple([keys[v] for v in self.mem if v is not None])
+        return tuple(map(layout.table.sort_keys.__getitem__, self.mo))
 
     def critical_signature(self) -> tuple:
         """Per poset, the table's int naming its lock/unlock/rmw events, the
@@ -124,9 +158,11 @@ class AbstractState:
     def fmt(self) -> str:
         """The poset map and the memory, each in sorted key order."""
         layout = self.layout
-        pos = " ".join(f"{v}:{layout.table.posets[p]}" for v, p in zip(layout.mo_keys, self.mo))
-        values = layout.values.values
-        vals = " ".join(f"{k}:{values[v]}" for k, v in sorted(zip(layout.mem_keys, self.mem)))
+        poset_of, values = layout.table.posets, layout.values.values
+        pos = " ".join(f"{v}:{'_' if p is None else poset_of[p]}"
+                       for v, p in zip(layout.mo_keys, self.mo))
+        vals = " ".join(f"{k}:{'_' if v is None else values[v]}"
+                        for k, v in sorted(zip(layout.mem_keys, self.mem)))
         return f"{pos} | {vals}"
 
 
@@ -143,6 +179,8 @@ class StateBucket:
     and on which of them have a predecessor, which later consistency checks
     rely on.  The poset-map index stays a unique key; the memory index maps
     to the states sharing that memory with differing critical signatures.
+    A bucket of projected states keys the first index by memory, and leaves
+    the second empty.
     """
 
     __slots__ = ("_table", "_by_mo", "_by_mem", "_sorted", "_frozen")
@@ -162,8 +200,16 @@ class StateBucket:
         bucket holds, the bucket is left as it is, its cached `states()`
         tuple and frozenset included: re-inserting that state would rebuild
         the same content, since no two states share a poset map or a memory
-        and critical signature."""
+        and critical signature.  A projected state is added as it is, unless
+        the bucket holds it: its posets are dropped, and a hull of its live
+        values would lose the proofs that rest on their correlation."""
         cur = s
+        if cur.layout.live is not None:
+            if cur.mem not in self._by_mo:
+                self._by_mo[cur.mem] = cur
+                self._sorted = None
+                self._frozen = None
+            return
         while True:
             other = self._by_mo.get(cur.mo)
             if other is not None:

@@ -40,6 +40,8 @@ class TransferConfig:
     abstract_mo: bool = True
     rmw_critical: bool = True
     widening_threshold: int = 3
+    # project each thread's states past its boundary (AnalysisContext)
+    project_tails: bool = True
 
     def __post_init__(self):
         if self.widening_threshold < 1:
@@ -82,6 +84,24 @@ class AnalysisContext:
     `shared_slots`, gives (memory slot, poset slot) per shared variable for
     the states of every thread, and `read_slots[k]` splits it for a read of
     the variable or mutex at poset slot k, for `apply_interference`.
+
+    With `tc.project_tails`, `boundaries` maps each thread's boundary, if
+    it has one, to the projected layout of its output states.  The boundary
+    is the first tail outside loops after which no access (load, store,
+    rmw, lock or unlock) and no loop is reachable in its thread, and which
+    every label after it comes through; not a label of `pass_through`,
+    which computes nothing.  Its states, and so those of every label after
+    it, keep only the live memory slots: the register the boundary writes,
+    the registers and shared variables that it, when it is not an access,
+    or a later instruction names, and the thread's registers that the
+    postcondition names; they drop every poset.  No other thread reads
+    them, and no later instruction reads a poset or a dropped slot.
+    `boundary_states[label]` holds the full states of the boundary's last
+    visit, those it projected or, at a boundary load that computes none
+    (`transfer_node`), its pre-states: the states that
+    `oracle.check_soundness` reads in place of the projected ones.  The
+    register the boundary writes is live since a load's pre-states hold its
+    value from before the write.
     """
 
     def __init__(self, program: Program, cfg: Cfg, tc: TransferConfig):
@@ -108,21 +128,20 @@ class AnalysisContext:
         self.values = intervals.ValueTable()
         shared = program.shared_names()
         po_keys = (*shared, *program.mutexes)
-        init = dict(program.shared)
         self.layouts: Dict[str, Layout] = {}
         self.slots: Dict[str, dict] = {}
         # every poset top, the shared variables at their initial values and
         # the registers 0
         self.initial_states: Dict[str, AbstractState] = {}
+        zero = self.values.intern(intervals.singleton(0))
+        init = {k: self.values.intern(intervals.singleton(v)) for k, v in program.shared}
         for t, regs in self.registers.items():
             layout = self.layouts[t] = Layout(po_keys, (*shared, *regs), self.posets, self.values)
             self.slots[t] = dict(zip((*shared, *program.thread_registers(t)),
                                      map(layout.mem_slot.__getitem__, (*shared, *regs))))
             self.initial_states[t] = AbstractState(
                 (TOP_ID,) * len(layout.mo_keys),
-                tuple([self.values.intern(intervals.singleton(init.get(k, 0)))
-                       for k in layout.mem_keys]),
-                layout)
+                tuple([init.get(k, zero) for k in layout.mem_keys]), layout)
         # the same pairs in every thread's layout
         self.shared_slots = tuple((layout.mem_slot[v], layout.mo_slot[v]) for v in sorted(shared))
         # per poset slot read by interference: the memory slot that takes
@@ -142,6 +161,8 @@ class AnalysisContext:
                     heads.add(pred)
                     stack.append(pred)
         self.tails = frozenset(cfg.nodes.keys() - heads)
+        self.boundaries = self._boundaries() if tc.project_tails else {}
+        self.boundary_states: Dict[Label, tuple] = {}
         # each label's position in its thread's reverse post-order, and per
         # thread the positions a pass of engine.seq_ai starts with pending:
         # all but the entry's, 0; for a pass over the heads alone, only the
@@ -158,11 +179,82 @@ class AnalysisContext:
         # the loop headers that engine.seq_ai has widened
         self.widened: set = set()
 
+    def _boundaries(self) -> Dict[Label, Layout]:
+        """Each thread's boundary, if it has one, with its projected layout."""
+        cfg, program = self.cfg, self.program
+        nodes, preds, tails, pass_through = cfg.nodes, cfg.preds, self.tails, self.pass_through
+        out = {}
+        for tname, rpo in cfg.rpo.items():
+            for lbl in rpo[1:]:
+                if lbl in tails and lbl not in pass_through:
+                    after = self._quiet_after(lbl)
+                    if after is not None and all(p == lbl or p in after
+                                                 for a in after for p in preds[a]):
+                        break
+            else:
+                continue
+            names = set(program.thread_registers(tname)).intersection(program.postcondition_names)
+            reg = getattr(nodes[lbl], "reg", None)
+            if reg is not None:
+                names.add(reg)
+            for a in (lbl, *after):
+                if nodes[a].__class__ in _NAMING:
+                    names.update(_names(nodes[a]))
+            slots = self.slots[tname]
+            out[lbl] = self.layouts[tname].projected([slots[n] for n in names])
+        return out
+
+    def _quiet_after(self, lbl: Label) -> Optional[set]:
+        """The labels reachable from `lbl`, or None when an access, a loop
+        header or `lbl` itself is among them; a walk of its own, since
+        `Cfg.reachable` computes the sets of every label at once."""
+        cfg = self.cfg
+        after: set = set()
+        stack = list(cfg.succs[lbl])
+        while stack:
+            a = stack.pop()
+            if a not in after:
+                if a == lbl or a in cfg.accesses or a in cfg.loop_headers:
+                    return None
+                after.add(a)
+                stack += cfg.succs[a]
+        return after
+
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
         ev = self.events[lbl]
         if bump:
             ev = Event(ev.label, ev.instance + bump, ev.thread, ev.kind, ev.var)
         return ev
+
+
+# the instructions other than accesses that name identifiers
+_NAMING = frozenset({Assign, Assume, AssertInst})
+
+
+def _names(instr) -> set:
+    """The identifiers that an instruction of `_NAMING` names."""
+    if isinstance(instr, Assign):
+        return {instr.reg, *expr_names(instr.value)}
+    return expr_names(instr.cond)
+
+
+def _met_slots(table, tmo: tuple, k: int, src_event: Event) -> Optional[list]:
+    """For a read of `src_event` at poset slot k by a state with posets
+    `tmo`: (slot, target poset, the meet memo's row of it) for every slot
+    that needs a meet, the appended slot k and those not top (the meet of
+    top and p is p); None when the append gives bottom."""
+    appended = table.append(tmo[k], src_event)
+    if not appended:  # bottom
+        return None
+    meets = table.meets
+    met_slots = []
+    for i, pt in enumerate(tmo):
+        if i == k:
+            pt = appended
+        elif pt == TOP_ID:
+            continue
+        met_slots.append((i, pt, meets[pt]))
+    return met_slots
 
 
 def apply_interference(ctx: AnalysisContext, target: AbstractState, sources,
@@ -177,26 +269,13 @@ def apply_interference(ctx: AnalysisContext, target: AbstractState, sources,
     cas leaves the poset as it was, so its states give nothing.  All states
     hold ids of `ctx.posets` and `ctx.values`.
 
-    The target's part is done once for the batch: the append of
-    `src_event` to its poset, and the slots whose poset is not top, the
-    only ones that need a meet (the meet of top and p is p), with the
-    meet memo's row of each."""
+    The target's part is done once for the batch (`_met_slots`)."""
     table = ctx.posets
     k = target.layout.mo_slot[src_event.var]
     tmo = target.mo
-    appended = table.append(tmo[k], src_event)
-    if not appended:  # bottom
+    met_slots = _met_slots(table, tmo, k, src_event)
+    if met_slots is None:
         return []
-    # no state holds bottom, so a slot whose target poset is top takes the
-    # source's poset as it is; each met slot carries its meet memo row
-    meets = table.meets
-    met_slots = []
-    for i, pt in enumerate(tmo):
-        if i == k:
-            pt = appended
-        elif pt == TOP_ID:
-            continue
-        met_slots.append((i, pt, meets[pt]))
     loaded_slot, views = ctx.read_slots[k]
     tmem = target.mem
     meet, published = table.meet, table.published
@@ -269,6 +348,82 @@ def _load_bases(ctx, s, lbl, global_ss, var, reg=None) -> list:
 
 def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
                   global_ss: StateSet, bump: int = 0) -> list:
+    """The states after `lbl` from its pre-states.  At a boundary they are
+    projected, and the full states they come from are kept in
+    `ctx.boundary_states`.  A boundary load whose live slots hold no shared
+    variable but the one it reads computes no full state: it gives each
+    projected state once (`_load_exists`), and keeps its pre-states."""
+    projected = ctx.boundaries.get(lbl)
+    if projected is None:
+        return _transfer(ctx, lbl, pre_states, global_ss, bump)
+    instr = ctx.cfg.nodes[lbl]
+    if isinstance(instr, LoadInst):
+        j = projected.mem_slot[instr.var]
+        if all(i == j or i >= len(ctx.shared_slots) for i in projected.live):
+            ctx.boundary_states[lbl] = tuple(pre_states)
+            return _load_exists(ctx, lbl, instr, projected, pre_states, global_ss)
+    full = ctx.boundary_states[lbl] = tuple(_transfer(ctx, lbl, pre_states, global_ss, bump))
+    return [projected.project(s.mem) for s in full]
+
+
+def _load_exists(ctx, lbl, instr, projected: Layout, pre_states, global_ss) -> list:
+    """The projected states after a boundary load.  Such a state is a
+    pre-state's live registers with the loaded value in the load's register
+    (and in the variable's slot when that is live), so for each pair of the
+    pre-state's other live values and a loaded value the first source state
+    that the pre-state may read from, its meets all non-bottom, gives it, and
+    the others are not tried."""
+    table = ctx.posets
+    meet, published = table.meet, table.published
+    reg = ctx.slots[ctx.cfg.thread_of[lbl]][instr.reg]
+    j = projected.mem_slot[instr.var]
+    k = projected.mo_slot[instr.var]
+    # the live slots but the loaded ones key the values found so far
+    rest = tuple(i for i in projected.live if i not in (reg, j))
+    loaded = (reg, j) if j in projected.live else (reg,)
+    # ctx, the first source, reads the pre-state's own value
+    sources = [(ctx.events[src], states, isinstance(ctx.cfg.nodes[src], Cas))
+               for src in ctx.interfs[lbl][1:] for states in (global_ss.at(src),) if states]
+    empty = [None] * len(projected.mem_keys)
+    found: dict = {}
+    out = []
+    for s in pre_states:
+        mem = s.mem
+        done = found.setdefault(tuple([mem[i] for i in rest]), set())
+        values = [] if mem[j] in done else [mem[j]]
+        done.add(mem[j])
+        for event, states, cas in sources:
+            met_slots = _met_slots(table, s.mo, k, event)
+            if met_slots is None:
+                continue
+            for source in states:
+                value = source.mem[j]
+                if value in done:
+                    continue
+                smo = source.mo
+                if cas and not published(smo[k], event):
+                    continue
+                for i, pt, row in met_slots:
+                    met = row.get(smo[i])
+                    if met is None:
+                        met = meet(pt, smo[i])
+                    if not met:
+                        break
+                else:
+                    done.add(value)
+                    values.append(value)
+        for value in values:
+            new = empty[:]
+            for i in rest:
+                new[i] = mem[i]
+            for i in loaded:
+                new[i] = value
+            out.append(AbstractState(projected.dropped_mo, tuple(new), projected))
+    return out
+
+
+def _transfer(ctx: AnalysisContext, lbl: Label, pre_states, global_ss: StateSet,
+              bump: int) -> list:
     instr = ctx.cfg.nodes[lbl]
     tname = ctx.cfg.thread_of[lbl]
     out: list = []
@@ -276,7 +431,6 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
     if isinstance(instr, (Nop, AssertInst)):
         return list(pre_states)
 
-    layout = ctx.layouts[tname]
     slots = ctx.slots[tname]
     values = ctx.values
 
@@ -284,7 +438,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
         for s in pre_states:
             m = refine(s.mem, instr.cond, slots, values)
             if m is not None:
-                out.append(AbstractState(s.mo, m, layout))
+                out.append(AbstractState(s.mo, m, s.layout))
         return out
 
     if isinstance(instr, Assign):
@@ -298,7 +452,7 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
 
     if isinstance(instr, Store):
         ev = ctx.event_at(lbl, bump)
-        i, j = layout.mo_slot[instr.var], slots[instr.var]
+        i, j = ctx.layouts[tname].mo_slot[instr.var], slots[instr.var]
         for s in pre_states:
             p = ctx.posets.append(s.mo[i], ev)
             if not p:  # bottom

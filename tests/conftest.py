@@ -20,6 +20,16 @@ def pytest_collection_modifyitems(items):
         item.add_marker(pytest.mark.filterwarnings(_LIBCST_TYPEDDICT))
 
 
+def full_tails(program, **kwargs):
+    """`engine.tmai` with the default flags but projection off, so every
+    label, past each thread's boundary too, holds full states: posets and
+    every register."""
+    from ramosaic.engine import tmai
+    from ramosaic.transfer import TransferConfig
+
+    return tmai(program, TransferConfig(project_tails=False), **kwargs)
+
+
 MP_SRC = """
 vars x = 0, y = 0;
 thread t1 { a: store x 1; b: store y 1; }

@@ -196,7 +196,7 @@ def test_galois_and_abstraction():
 
 @criterion(8, "expected-imprecision witness")
 def test_expected_imprecision_witness():
-    p = parse((BENCH_DIR / "lamport_fp.lit").read_text())
+    p = parse((BENCH_DIR / "rmw_reads_init.lit").read_text())
     execs = enumerate_executions(p)
     assert not any(e.violations for e in execs)  # the oracle proves safety
     r = tmai(p)

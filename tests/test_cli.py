@@ -269,9 +269,15 @@ def test_rmw_critical_flag_flips_fenced(capsys):
 
 
 def test_dump_states(capsys):
+    """c, before t2's boundary d, holds full states, and d and t2's exit
+    print the dropped posets and memory slots as `_`.  t1 has no boundary:
+    its exit passes on the states of its store b, which t2 reads."""
     code, out, _ = run_cli([BENCH_DIR / "mp.lit", "--dump-states"], capsys)
     assert code == 0
-    assert "d | x:{a.1} y:{b.1}" in out
+    assert "c | x:{a.1} y:{b.1} | t2.r1:[1,1] t2.r2:[0,0] x:[1,1] y:[1,1]" in out
+    assert "d | x:_ y:_ | t2.r1:[1,1] t2.r2:[1,1] x:_ y:_" in out
+    assert "t2.exit | x:_ y:_ | t2.r1:[1,1] t2.r2:[1,1] x:_ y:_" in out
+    assert "t1.exit | x:{a.1} y:{b.1} | x:[1,1] y:[1,1]" in out
 
 
 def test_json_dump_states_is_one_document(capsys):
@@ -284,7 +290,7 @@ def test_json_dump_states_is_one_document(capsys):
     _, text, _ = run_cli([path, "--dump-states"], capsys)
     lines = text.splitlines()
     overall = next(i for i, line in enumerate(lines) if line.startswith("overall: "))
-    assert "d | x:{a.1} y:{b.1}" in text
+    assert "d | x:_ y:_ | t2.r1:[1,1] t2.r2:[1,1] x:_ y:_" in text
     assert report.pop("states") == lines[overall + 1:]
     _, plain, _ = run_cli([path, "--json"], capsys)
     plain = json.loads(plain)

@@ -14,7 +14,7 @@ from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import BENCH_DIR, READS_SRC, SB_SRC, peterson
+from conftest import BENCH_DIR, READS_SRC, SB_SRC, peterson, run_with_context
 
 
 def test_mp_verdict_and_iterations(mp_program):
@@ -107,7 +107,7 @@ thread t {
 }
 """
     p = parse(src)
-    r = tmai(p, TransferConfig(widening_threshold=2), max_iterations=60)
+    r = tmai(p, TransferConfig(widening_threshold=2, project_tails=False), max_iterations=60)
     (s,) = r.states.at(Label("f"))
     assert s.val("x").lo == 99
 
@@ -232,12 +232,13 @@ def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
 
 
 def test_a_round_merges_its_passes_after_the_last(monkeypatch):
-    """A round runs one pass per thread over its heads, in program order,
-    then merges the passes' local maps into the state set, in pass order
-    and then label order, so each bucket is merged once per round: a label
-    that shares its predecessor's bucket is not merged itself.  The last
-    round runs one pass over all labels for each thread with a tail that
-    owns a bucket, t3 here, and merges just those tails after it."""
+    """A round runs one pass per thread with a head over its heads, in
+    program order, then merges the passes' local maps into the state set,
+    in pass order and then label order, so each bucket is merged once per
+    round: a label that shares its predecessor's bucket is not merged
+    itself.  The last round runs one pass over all labels for each thread
+    with a tail that owns a bucket, t3 here, and merges just those tails
+    after it.  t3 has no head, so it runs no other pass."""
     program = parse(READS_SRC)
     ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
     shared = engine._shared_buckets(ctx)
@@ -266,7 +267,8 @@ def test_a_round_merges_its_passes_after_the_last(monkeypatch):
     monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
     r = tmai(program)
     assert log[0] == ("round",)
-    threads = [t.name for t in program.threads]
+    threads = [t.name for t in program.threads if ctx.head_worklists[t.name]]
+    assert threads == ["t1", "t2"]
     rounds, events = 0, []
     for entry in log[1:]:
         if entry[0] != "round":
@@ -336,14 +338,78 @@ def test_each_load_of_cs_is_transferred_once():
 
 def test_readers_run_no_transfer_before_the_last_pass():
     """No reader of nr1w_10 writes, so every reader label is a tail: the
-    rounds transfer only the writer's store, and each reader's load runs
-    once, in the last pass."""
+    rounds transfer only the writer's store, and each reader's load, its
+    boundary, runs once, in the last pass.  The writer's exit passes its
+    store's states on, so the writer has no boundary."""
     program = parse((BENCH_DIR / "nr1w_10.lit").read_text())
     result, calls = _transfers(program)
     assert not result.verdicts["final"].proved
     assert [c for c in calls if c[1]] == [(Label("a"), True)]
     assert sorted(c for c in calls if not c[1]) == sorted((Label(f"b{i}"), False)
                                                           for i in range(1, 11))
+    assert {t: b.label for t, b in result.boundaries.items()} == {
+        f"rd{i}": Label(f"b{i}") for i in range(1, 11)}
+
+
+def test_threads_with_no_head_run_no_pass_in_the_rounds(monkeypatch):
+    """The rounds run no pass for a thread with no head, which would
+    return an empty map: on nr1w_10 the two head rounds run the writer's
+    pass alone, and the last pass the ten readers', 12 `seq_ai` calls
+    where a pass per thread in each round made 32.  A head pass of each
+    reader against the final state set indeed gives nothing, so σ and the
+    verdicts are what the passes would give."""
+    program = parse((BENCH_DIR / "nr1w_10.lit").read_text())
+    calls = []
+    real_seq_ai = engine.seq_ai
+
+    def counting_seq_ai(ctx, tname, global_ss, heads_only=False):
+        calls.append((tname, heads_only))
+        return real_seq_ai(ctx, tname, global_ss, heads_only)
+
+    monkeypatch.setattr(engine, "seq_ai", counting_seq_ai)
+    result, ctx = run_with_context(tmai, program)
+    monkeypatch.undo()
+    readers = [f"rd{i}" for i in range(1, 11)]
+    assert result.iterations_total == 3
+    assert calls == [("w", True)] * 2 + [(t, False) for t in readers]
+    assert not any(ctx.head_worklists[t] for t in readers)
+    snapshot = result.states.dump()
+    for t in readers:
+        assert seq_ai(ctx, t, result.states, heads_only=True) == {}
+    assert result.states.dump() == snapshot
+    assert {site: str(v) for site, v in result.verdicts.items()} == {"final": "PossiblyViolated"}
+
+
+@pytest.mark.parametrize("seed", [25, 77, 89])
+def test_no_boundary_comes_before_an_unlock(seed):
+    """A boundary placed after a thread's last read, with an unlock still
+    to come, proved these `final` sites, which the oracle violates: the
+    unlock found no lock in the dropped mutex poset, and every state died.
+    No access follows a boundary, and the default driver keeps the sites
+    unproved and passes the oracle check."""
+    program = random_program(seed)
+    execs = enumerate_executions(program)
+    assert any("final" in e.violations for e in execs)
+    result = tmai(program)
+    assert any(kind == "unlock" for kind, _ in result.cfg.accesses.values())
+    assert result.boundaries
+    for b in result.boundaries.values():
+        assert result.cfg.accesses.keys().isdisjoint(result.cfg.reachable(b.label))
+    assert not result.verdicts["final"].proved
+    check_soundness(program, result, execs=execs).raise_if_unsound()
+
+
+@pytest.mark.parametrize("seed", [148, 199, 348])
+def test_projected_states_keep_their_correlations(seed):
+    """Joining the projected states of a label by hull lost the proofs of
+    these `final` sites, which the oracle finds safe; kept as an exact set
+    of live tuples, they prove them and pass the oracle check."""
+    program = random_program(seed)
+    execs = enumerate_executions(program)
+    assert not any(e.violations for e in execs)
+    result = tmai(program)
+    assert result.boundaries and result.verdicts["final"].proved
+    check_soundness(program, result, execs=execs).raise_if_unsound()
 
 
 def test_unrolled_spin_wait_verdict():

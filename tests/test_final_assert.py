@@ -17,15 +17,17 @@ from ramosaic.randprog import random_program
 
 def brute_force_proved(program, ss) -> bool:
     """Reference: refine the negated postcondition over the full product of
-    every thread's exit states, each restricted to that thread's registers,
-    as one memory of every thread's registers.  A thread without exit
-    states makes the product empty.  The memories are interned in a table
-    of their own."""
+    every thread's exit states, each restricted to that thread's registers
+    that the postcondition names, the ones a projected exit state keeps, as
+    one memory of those registers.  A thread without exit states makes the
+    product empty.  The memories are interned in a table of their own."""
     cfg = build_cfg(program)
     neg = negate(program.postcondition)
+    named = {program.resolve_postcondition_name(n) for n in expr_names(neg)}
     keys, per_thread = [], []
     for t in program.threads:
         regs = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
+        regs = [k for k in regs if k in named]
         keys += regs
         per_thread.append([tuple(s.val(k) for k in regs) for s in ss.at(cfg.exits[t.name])])
     slots = {n: keys.index(program.resolve_postcondition_name(n)) for n in expr_names(neg)}

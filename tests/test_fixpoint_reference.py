@@ -10,7 +10,10 @@ every label.
 
 Every call the analyses make is checked, each (target, source) pair of an
 interference batch on its own, over the corpus, `random_program(0..999)`,
-Peterson-3 and -4 and the looped programs.  The random programs assert
+Peterson-3 and -4 and the looped programs.  The analyses run with full
+tails (`TransferConfig.project_tails` off), so every label holds full
+states, and the default, which projects them past each thread's boundary,
+must prove every site that they prove.  The random programs assert
 only a postcondition, so the assertion check also runs on drawn conditions
 at every label of the fixpoints of `random_program(0..499)`.  The plain
 round loop runs every program but `random_program(500..999)`."""
@@ -31,6 +34,8 @@ from ramosaic.states import AbstractState, StateBucket, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig, Verdict
 
 from conftest import LOOPED_SOURCES, corpus_files, peterson
+
+FULL_TAILS = TransferConfig(project_tails=False)
 
 
 def apply_interference_by_less(ctx, target, source, src_event, reg=None):
@@ -200,7 +205,7 @@ def plain_digest(program, max_iterations: int = 100) -> tuple:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "PosetTable", _PairMemoTable)
         mp.setattr(transfer, "apply_interference", interference_per_pair)
-        ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
+        ctx = AnalysisContext(program, build_cfg(program), FULL_TAILS)
         assert isinstance(ctx.posets, _PairMemoTable)
         plain, _, _, (rounds, effective), last_round = plain_rounds(ctx, max_iterations)
         last_local = {lbl: states for local in last_round for lbl, states in local.items()}
@@ -310,23 +315,22 @@ def checked():
         return local
 
     corpus = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
-    runs = [(tmai, p) for p in corpus]
-    runs += [(tmai, parse(peterson(n))) for n in (3, 4)]
-    runs += [(tmai, parse(src)) for src in LOOPED_SOURCES]
+    runs = corpus + [parse(peterson(n)) for n in (3, 4)]
+    runs += [parse(src) for src in LOOPED_SOURCES]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transfer, "apply_interference", apply_checked)
         mp.setattr(engine, "check_assert", check_checked)
         mp.setattr(engine, "seq_ai", seq_ai_checked)
-        for analyze, program in runs:
-            r = analyze(program, max_iterations=100)
+        for program in runs:
+            r = tmai(program, FULL_TAILS, max_iterations=100)
             calls["runs"].append((program, _result_digest(r)))
         for seed in range(1000):
             program = random_program(seed)
-            result = tmai(program, max_iterations=100)
+            result = tmai(program, FULL_TAILS, max_iterations=100)
             if seed >= 500:  # these add checked kernel and pass-through calls
                 continue
             calls["runs"].append((program, _result_digest(result)))
-            ctx = AnalysisContext(program, result.cfg, TransferConfig())
+            ctx = AnalysisContext(program, result.cfg, FULL_TAILS)
             rng = random.Random(seed)
             for lbl in result.states.labels():
                 slots = ctx.slots[result.cfg.thread_of[lbl]]
@@ -374,7 +378,21 @@ def test_rounds_match_the_plain_round_loop(checked):
     empty = random_program(69)
     cfg = build_cfg(empty)
     assert cfg.rpo["t1"] == (cfg.entries["t1"], cfg.exits["t1"])
-    assert cfg.exits["t1"] in tmai(empty).states.labels()
+    assert cfg.exits["t1"] in tmai(empty, FULL_TAILS).states.labels()
+
+
+def test_projection_loses_no_proof(checked):
+    """The default, which projects past each thread's boundary, proves every
+    site that the full-tails run proves on the same inputs, and some more:
+    corpus `lamport_fp`'s `i` among them."""
+    gained = []
+    for program, want in checked["runs"]:
+        full = {site: proved for site, proved, _ in want[1]}
+        got = {site: v.proved for site, v in tmai(program, max_iterations=100).verdicts.items()}
+        assert got.keys() == full.keys()
+        assert all(got[site] for site, proved in full.items() if proved), program
+        gained += [site for site, proved in full.items() if got[site] and not proved]
+    assert "i" in gained and len(gained) >= 4, gained
 
 
 # a reader that spins on a load after its last store, which w reads,
@@ -407,15 +425,15 @@ def test_a_spin_after_the_last_store_is_widened_in_the_last_pass(monkeypatch):
         return real_seq_ai(ctx, tname, global_ss, heads_only)
 
     monkeypatch.setattr(engine, "seq_ai", recording_seq_ai)
-    r = tmai(program)
+    r = tmai(program, FULL_TAILS)
     header = next(lbl for lbl in r.cfg.loop_headers)
     assert r.widened == {header}
     assert widened_before[-1] == (False, set())
     assert all(heads_only for heads_only, _ in widened_before[:-1])
     assert {site: v.proved for site, v in r.verdicts.items()} == {"z": True, "u": False}
     monkeypatch.undo()
-    assert plain_digest(program) == _result_digest(tmai(program))
-    ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
+    assert plain_digest(program) == _result_digest(tmai(program, FULL_TAILS))
+    ctx = AnalysisContext(program, build_cfg(program), FULL_TAILS)
     plain, *_ = plain_rounds(ctx, 100)
     assert ctx.widened == {header}
     assert {site: v.proved for site, v in engine._evaluate(ctx, plain).items()} == \
@@ -423,22 +441,23 @@ def test_a_spin_after_the_last_store_is_widened_in_the_last_pass(monkeypatch):
 
 
 def test_tails_that_all_share_a_head_bucket_keep_the_plain_round_counts():
-    """Every tail of this load-buffering program shares a head's bucket, so
-    no last pass runs, and the rounds are those of the plain loop."""
+    """With full tails, every tail of this load-buffering program shares a
+    head's bucket, so no last pass runs, and the rounds are those of the
+    plain loop."""
     program = parse("vars x = 0, y = 0;\n"
                     "thread t1 { a: r1 = load y; b: store x 1; c: assert(r1 <= 1); }\n"
                     "thread t2 { d: r2 = load x; e: store y 1; }\n"
                     "assert (r1 == 0 || r2 == 0);\n")
     cfg = build_cfg(program)
-    ctx = AnalysisContext(program, cfg, TransferConfig())
+    ctx = AnalysisContext(program, cfg, FULL_TAILS)
     shared = engine._shared_buckets(ctx)
     assert ctx.tails - set(cfg.entries.values()) == {Label("c"), cfg.exits["t1"], cfg.exits["t2"]}
     assert all(shared[lbl] not in ctx.tails for lbl in ctx.tails - set(cfg.entries.values()))
-    r = tmai(program)
+    r = tmai(program, FULL_TAILS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "PosetTable", _PairMemoTable)
         mp.setattr(transfer, "apply_interference", interference_per_pair)
-        plain_ctx = AnalysisContext(program, cfg, TransferConfig())
+        plain_ctx = AnalysisContext(program, cfg, FULL_TAILS)
         sigma, rounds, effective, _, _ = plain_rounds(plain_ctx, 100)
     assert r.states.dump() == sigma.dump()
     assert (r.iterations_total, r.iterations_effective) == (rounds, effective) == (4, 3)

@@ -21,7 +21,7 @@ from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import LOOPED_SOURCES, corpus_files
+from conftest import LOOPED_SOURCES, corpus_files, full_tails
 
 LOOPED_SRC = LOOPED_SOURCES[0]
 
@@ -154,7 +154,7 @@ def test_slot_update_equals_make_from_updated_maps():
     values = [EMPTY, TOP, singleton(0), Interval(-1, 4), Interval(None, 2)]
     checked = 0
     for seed in range(60):
-        ss = tmai(random_program(seed)).states
+        ss = full_tails(random_program(seed)).states
         states = [s for lbl in ss.labels() for s in ss.at(lbl)]
         for s in states:
             donor = rng.choice(states)  # same poset keys in every state
@@ -343,6 +343,7 @@ def test_validation_and_soundness_reuse_the_analysis_cfg(monkeypatch):
     class Bare:  # a result without its cfg and sb index
         states = result.states
         verdicts = result.verdicts
+        boundaries = result.boundaries
 
     assert check_soundness(p, Bare(), execs=execs).ok
     assert len(calls) == 1

@@ -198,6 +198,7 @@ assert (r1 == 1 || r2 == 1);
 
     class Lying:
         states = r.states
+        boundaries = r.boundaries
         verdicts = {"final": type(r.verdicts["final"])(True, ())}
 
     rep = check_soundness(p, Lying())

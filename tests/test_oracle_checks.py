@@ -13,7 +13,7 @@ from ramosaic.engine import tmai
 from ramosaic.intervals import singleton
 from ramosaic.litmus import Label, UnlockInst, parse, unroll, walk_simple
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
-from ramosaic.posets import BOTTOM_ID, alpha, beta_related, join
+from ramosaic.posets import BOTTOM_ID, Event, alpha, beta_related, chain, join
 from ramosaic.randprog import random_program
 
 from conftest import BENCH_DIR, MP_SRC, WHY_IC_SRC
@@ -110,7 +110,10 @@ thread t3 { e: store y 1; }
 
 def _reference_check_soundness(program, result, execs) -> list:
     """The per-execution check, as `check_soundness` did it before it
-    answered once per distinct outcome; returns the problems."""
+    answered once per distinct outcome; returns the problems.  A thread
+    that the result projects answers for its live registers at its exit,
+    and for its dropped registers and its posets with the states its
+    boundary recorded."""
     cfg, sb = result.cfg, result.sb
     problems = []
     for site in {site for e in execs for site in e.violations}:
@@ -118,23 +121,30 @@ def _reference_check_soundness(program, result, execs) -> list:
         if v is None or v.proved:
             problems.append(f"assertion {site} is violated by the oracle but "
                             f"the analyzer proves it")
-    exits = []
+    exits, poset_states = [], []
     for t in program.threads:
         keys = [program.register_key(t.name, r) for r in program.thread_registers(t.name)]
-        if keys:
-            exits.append((t.name, keys, result.states.at(cfg.exits[t.name])))
+        exit_states = result.states.at(cfg.exits[t.name])
+        b = result.boundaries.get(t.name)
+        if b is None:
+            exits.append((t.name, "exit", keys, exit_states))
+            poset_states += exit_states
+            continue
+        exits.append((t.name, "exit", [k for k in keys if k in b.live], exit_states))
+        exits.append((t.name, f"its boundary {b.label}", [k for k in keys if k not in b.live],
+                      b.states))
+        poset_states += b.states
     for e in execs:
         regmap = e.register_map()
-        for tname, keys, exit_states in exits:
-            if not any(all(regmap[k] in s.val(k) for k in keys) for s in exit_states):
+        for tname, where, keys, states in exits:
+            if keys and not any(all(regmap[k] in s.val(k) for k in keys) for s in states):
                 problems.append(f"final registers {[(k, regmap[k]) for k in keys]} "
-                                f"of thread {tname} are not covered at exit")
+                                f"of thread {tname} are not covered at {where}")
                 break
-    all_exit_states = [s for t in program.threads for s in result.states.at(cfg.exits[t.name])]
-    if execs and all_exit_states:
+    if execs and poset_states:
         for var in program.shared_names():
             joined = None
-            for s in all_exit_states:
+            for s in poset_states:
                 joined = s.po(var) if joined is None else join(joined, s.po(var))
             for group in oracle.losets_by_write_set(execs, var):
                 if not beta_related(alpha(group), joined, sb):
@@ -145,8 +155,9 @@ def _reference_check_soundness(program, result, execs) -> list:
 
 
 class _Lie:
-    """An analysis result whose exit states are rewritten by
-    `rewrite(thread, states)`; everything else is the real result's."""
+    """An analysis result whose exit states, and the states its boundaries
+    recorded, are rewritten by `rewrite(thread, states)`; everything else
+    is the real result's."""
 
     def __init__(self, result, rewrite):
         self.cfg, self.sb, self.verdicts = result.cfg, result.sb, result.verdicts
@@ -159,6 +170,8 @@ class _Lie:
                 return tuple(rewrite(exits[lbl], states)) if lbl in exits else states
 
         self.states = States()
+        self.boundaries = {t: b._replace(states=tuple(rewrite(t, b.states)))
+                           for t, b in result.boundaries.items()}
 
 
 def _pin(key: str, value: int):
@@ -211,6 +224,57 @@ def test_check_soundness_matches_on_random_programs():
         for lie in (result, _Lie(result, _bottom_posets)):
             assert (check_soundness(program, lie, execs=execs).problems
                     == _reference_check_soundness(program, lie, execs))
+
+
+# every thread's boundary is its last load, which no other thread reads
+# from; t2's, d, keeps r2 alone: r1 is dropped there
+DROPS_R1_SRC = """
+vars x = 0, y = 0;
+thread t1 { a: store x 1; b: store x 2; e: r0 = load y; }
+thread t2 { c: r1 = load x; d: r2 = load x; }
+"""
+
+
+def _with_boundary_states(result, rewrite):
+    """The result with the states its boundaries recorded rewritten by
+    `rewrite(thread, states)`, its exit states as they are."""
+    return replace(result, boundaries={t: b._replace(states=tuple(rewrite(t, b.states)))
+                                       for t, b in result.boundaries.items()})
+
+
+def test_check_soundness_reads_the_states_the_boundaries_recorded():
+    """Both threads are projected, so no exit state holds a poset and t2's
+    exit states do not hold r1: the check reads the recorded states for
+    those.  Recorded states that order x's stores b before a, a poset too
+    strong, or that lost the value 2 of the dropped r1 fail it, though
+    the exit states are the real ones."""
+    program = parse(DROPS_R1_SRC)
+    execs = enumerate_executions(program)
+    result = tmai(program)
+    assert set(result.boundaries) == {"t1", "t2"}
+    assert result.boundaries["t2"].label == Label("d")
+    assert result.boundaries["t2"].live == {"t2.r2"}
+    for t in ("t1", "t2"):
+        assert all(s.mo == (None, None) for s in result.states.at(result.cfg.exits[t]))
+    assert {str(s.val("t2.r1")) for s in result.boundaries["t2"].states} >= {"[2,2]"}
+    assert check_soundness(program, result, execs=execs).ok
+
+    b_before_a = result.states.table.intern(chain(Event("b", 1, "t1", "store", "x"),
+                                                  Event("a", 1, "t1", "store", "x")))
+
+    def too_strong(thread, states):
+        return [s.slot_update(mo=((0, b_before_a),)) for s in states]
+
+    problems = check_soundness(program, _with_boundary_states(result, too_strong), execs=execs).problems
+    assert problems == ["joined exit poset for 'x' is not a sound abstraction of the oracle orders"]
+
+    def without_r1_2(thread, states):
+        return [s for s in states if thread != "t2" or 2 not in s.val("t2.r1")]
+
+    problems = check_soundness(program, _with_boundary_states(result, without_r1_2), execs=execs).problems
+    assert problems and all("of thread t2 are not covered at its boundary d" in p
+                            for p in problems)
+    assert all("('t2.r1', 2)" in p for p in problems)
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,10 @@ import collections
 import time
 
 from ramosaic import posets
-from ramosaic.engine import tmai
 from ramosaic.litmus import parse
 from ramosaic.transfer import AnalysisContext
 
-from conftest import peterson
+from conftest import full_tails, peterson
 
 
 def lock_sections(n: int) -> str:
@@ -88,7 +87,7 @@ def test_meet_runs_once_per_distinct_operands(monkeypatch):
     table's `meet` reads them too, so the memo's lookups count every meet
     asked for but the ones with a top operand, which need none."""
     misses, memos = _counted_meets(monkeypatch)
-    result = tmai(parse(peterson(4)))
+    result = full_tails(parse(peterson(4)))
     assert result.states.total_states() == 1520 and result.iterations_total == 4
     assert max(misses.values()) == 1
     (memo,) = memos
@@ -102,7 +101,7 @@ def test_meet_runs_once_per_unordered_pair(monkeypatch):
     orders, the module function runs once per unordered pair of operands,
     and the memo answers each pair it holds in both orders alike."""
     calls, memos = _counted_meets(monkeypatch)
-    result = tmai(parse(peterson(4)))
+    result = full_tails(parse(peterson(4)))
     assert result.states.total_states() == 1520 and result.iterations_total == 4
     (memo,) = memos
     table = result.states.table
@@ -121,7 +120,7 @@ def test_eighty_lock_sections():
     did, took about 9 s on a 2-vCPU VM, against under 2 s once per poset."""
     program = parse(lock_sections(80))
     start = time.perf_counter()
-    result = tmai(program)
+    result = full_tails(program)
     elapsed = time.perf_counter() - start
     assert result.states.total_states() == 403
     assert result.iterations_total == 3

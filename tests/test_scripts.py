@@ -34,8 +34,8 @@ def test_bad_arguments_are_usage_errors(name, args, capsys):
     assert err.startswith("usage: ") and ": error: " in err
 
 
-@pytest.mark.parametrize("name, line", [("state_digest", "21 files "),
-                                        ("exec_digest", "1086 executions ")])
+@pytest.mark.parametrize("name, line", [("state_digest", "22 files "),
+                                        ("exec_digest", "1091 executions ")])
 def test_a_count_of_zero_covers_the_corpus_alone(name, line, capsys):
     assert _load(name).main([f"{name}.py", "0"]) == 0
     assert capsys.readouterr().out.startswith(line)

@@ -14,7 +14,7 @@ from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, Layout, StateBucket, StateSet, _mo_join
 from ramosaic.transfer import AnalysisContext
 
-from conftest import LOOPED_SOURCES, MP_SRC, corpus_files
+from conftest import LOOPED_SOURCES, MP_SRC, corpus_files, full_tails
 
 A = Event("a", 1, "t1", "store", "x")
 B = Event("b", 1, "t2", "store", "x")
@@ -114,8 +114,8 @@ assert (r1 != 0 || r2 != 3);
 
 @pytest.fixture(scope="module")
 def fixpoint_runs():
-    """(result, analysis context) of `tmai` over the corpus, `random_program(0..199)`
-    and the looped test programs."""
+    """(result, analysis context) of `tmai` with full tails over the corpus,
+    `random_program(0..199)` and the looped test programs."""
     contexts = []
     init = AnalysisContext.__init__
 
@@ -128,7 +128,7 @@ def fixpoint_runs():
     looped = [parse(src) for src in LOOPED_SOURCES]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AnalysisContext, "__init__", recording_init)
-        runs = [(tmai(p, max_iterations=100), contexts.pop()) for p in programs + looped]
+        runs = [(full_tails(p, max_iterations=100), contexts.pop()) for p in programs + looped]
     return runs
 
 
@@ -168,6 +168,63 @@ def test_fixpoint_states_carry_their_threads_layout(fixpoint_runs):
                 assert s.fmt() == f"{pos} | {vals}"
                 lines.append(f"{lbl} | {pos} | {vals}")
         assert r.states.dump() == "\n".join(lines)
+
+
+def test_projected_states_keep_only_the_live_slots():
+    """With the default flags, every state at a thread's boundary or past
+    it points to the boundary's projected layout, holds None for every
+    poset and for exactly the dropped memory slots, and prints each of
+    them as `_`; every other state has its thread's full layout.  The
+    corpus and `random_program(0..199)` give boundaries with dropped
+    registers and with none."""
+    programs = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
+    programs += [random_program(seed) for seed in range(200)]
+    dropped_somewhere = projected_states = 0
+    for program in programs:
+        contexts = []
+        init = AnalysisContext.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            contexts.append(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AnalysisContext, "__init__", recording_init)
+            r = tmai(program)
+        (ctx,) = contexts
+        past = {lbl: b for b in ctx.boundaries for lbl in (b, *r.cfg.reachable(b))}
+        assert {r.cfg.thread_of[b] for b in ctx.boundaries} == set(r.boundaries)
+        for lbl in r.states.labels():
+            full = ctx.layouts[r.cfg.thread_of[lbl]]
+            for s in r.states.at(lbl):
+                if lbl not in past:
+                    assert s.layout is full
+                    continue
+                layout = ctx.boundaries[past[lbl]]
+                assert s.layout is layout and layout.mem_keys == full.mem_keys
+                assert s.mo == (None,) * len(full.mo_keys)
+                assert [i for i, v in enumerate(s.mem) if v is not None] == list(layout.live)
+                pos = " ".join(f"{v}:_" for v in full.mo_keys)
+                vals = " ".join(f"{k}:{'_' if s.mem[i] is None else s.val(k)}"
+                                for i, k in sorted(enumerate(full.mem_keys), key=lambda ik: ik[1]))
+                assert s.fmt() == f"{pos} | {vals}"
+                projected_states += 1
+                dropped_somewhere += None in s.mem
+    assert projected_states > 1000 and dropped_somewhere > 100
+
+
+def test_a_bucket_of_projected_states_joins_nothing():
+    """Projected states that share their memory collapse into one, and any
+    two others stay apart, however close: the hull of x = 1 and x = 3 would
+    also hold x = 2."""
+    layout = LAYOUT.projected([LAYOUT.mem_slot["x"]])
+    one, three = (layout.project((VALUES.intern(singleton(v)), VALUES.intern(singleton(0))))
+                  for v in (1, 3))
+    bucket = StateBucket(TABLE)
+    for s in (three, one, three, layout.project(one.mem)):
+        bucket.merge(s)
+    assert bucket.states() == (one, three)
+    assert [s.fmt() for s in bucket.states()] == ["x:_ | t.r:_ x:[1,1]", "x:_ | t.r:_ x:[3,3]"]
 
 
 def test_merge_idempotent():

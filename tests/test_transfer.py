@@ -12,7 +12,7 @@ from ramosaic.states import StateSet
 from ramosaic.transfer import (AnalysisContext, TransferConfig,
                                apply_interference, check_assert, transfer_node)
 
-from conftest import MP_SRC, READS_SRC, peterson, run_with_context
+from conftest import MP_SRC, READS_SRC, full_tails, peterson, run_with_context
 
 
 def _ctx_for(src, **tc_kw):
@@ -23,7 +23,9 @@ def _ctx_for(src, **tc_kw):
 
 
 def _run(src, **tc_kw):
-    return tmai(parse(src), TransferConfig(**tc_kw))
+    """The fixpoint with full states at every label, also past the
+    boundaries, whose posets the tests read."""
+    return tmai(parse(src), TransferConfig(project_tails=False, **tc_kw))
 
 
 def test_store_transfer_mp_first():
@@ -137,7 +139,7 @@ def test_load_ctx_and_interference():
 
 def test_load_only_ctx_when_interference_infeasible():
     # at d the only interference (from a) re-appends a known event
-    r = tmai(parse(MP_SRC))
+    r = full_tails(parse(MP_SRC))
     states_d = r.states.at(Label("d"))
     carried = [s for s in states_d if str(s.po("y")) == "{b.1}"]
     (s,) = carried
@@ -189,7 +191,7 @@ def test_fadd_against_oracle_single_thread():
     p = parse(src)
     (exe,) = enumerate_executions(p)
     regs = exe.register_map()
-    r = tmai(p)
+    r = full_tails(p)
     (s,) = r.states.at(Label("b"))
     assert regs["t.r"] in s.val("t.r")
     assert regs["t.q"] in s.val("t.q")
@@ -266,7 +268,7 @@ vars x = 0, y = 0, z = 0;
 thread w { wy: store y 5; }
 thread t { c: r = load y; a: store x r; }
 """
-    r, ctx = run_with_context(tmai, parse(src))
+    r, ctx = run_with_context(full_tails, parse(src))
     for pre in r.states.at(Label("c")):
         for out in transfer_node(ctx, Label("a"), [pre], StateSet(ctx.posets)):
             assert out.po("y") == pre.po("y")
@@ -381,7 +383,7 @@ def test_rmw_critical_totality_on_fenced_corpus():
     from conftest import BENCH_DIR
 
     for name in ("dijkstra_fen.lit", "cas_mutex_fen.lit", "lock_mutex.lit"):
-        r = tmai(parse((BENCH_DIR / name).read_text()))
+        r = full_tails(parse((BENCH_DIR / name).read_text()))
         for lbl in r.states.labels():
             for s in r.states.at(lbl):
                 for po in s.mo_map().values():
