@@ -1,14 +1,24 @@
 """Interval domain over arbitrary-precision integers, plus memories of
 interned intervals.
 
-The domain sits behind a small contract (join / widen / meet / eval / refine)
-so a relational domain could be slotted in later without touching the
-transfer functions.
+The domain sits behind a small contract (join / widen / meet / eval /
+refine, and eval and refine compiled) so a relational domain could be
+slotted in later without touching the transfer functions.  `eval_expr` and
+`refine` walk an expression's tree on every call; they are the reference,
+and the assertion checks, which decide each distinct projection of the
+states once, take them.  The transfers take the same functions compiled
+once per analysis for one slot map and one value table (`compile_expr`,
+`compile_cond`).  A memory's intervals are
+hash-consed in its analysis's `ValueTable` (Filliâtre and Conchon,
+"Type-safe modular hash-consing", ML'06), so an operator or a comparison is
+a pure function of its operands' value ids, and each compiled one memoizes
+its result on them, in a memo of its own.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .litmus import And, BinOp, BoolExpr, BoolLit, Cmp, IntExpr, Lit, Name, Or
 
@@ -287,3 +297,136 @@ def refine(mem: tuple, cond: BoolExpr, slots: dict, table: ValueTable) -> Option
     if isinstance(cond, Cmp):
         return _refine_cmp(mem, cond, slots, table)
     raise TypeError(cond)
+
+
+# --------------------------------------------------------------------------
+# Compiled expressions and conditions: the functions above, compiled once per
+# analysis for one slot map and one value table, taking and giving value ids.
+# --------------------------------------------------------------------------
+
+_ARITH = {"+": add, "-": sub, "*": mul}
+
+
+def compile_expr(e: IntExpr, slots: dict, table: ValueTable) -> Callable[[tuple], int]:
+    """`e` as a function from a memory to the id of its value, the id of
+    `eval_expr(e, mem, slots, table)`.  A literal is interned once, a name
+    reads its slot, and a BinOp memoizes its result on its operands' ids."""
+    if isinstance(e, Lit):
+        i = table.intern(singleton(e.value))
+        return lambda mem: i
+    if isinstance(e, Name):
+        return itemgetter(slots[e.ident])
+    if isinstance(e, BinOp):
+        op = _ARITH[e.op]
+        left = compile_expr(e.left, slots, table)
+        right = compile_expr(e.right, slots, table)
+        values, intern = table.values, table.intern
+        memo: dict = {}
+
+        def binop(mem):
+            key = (left(mem), right(mem))
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = intern(op(values[key[0]], values[key[1]]))
+            return out
+        return binop
+    raise TypeError(e)
+
+
+def compile_cond(cond: BoolExpr, slots: dict, table: ValueTable) -> Callable[[tuple], Optional[tuple]]:
+    """`cond` as a function from a memory to `refine(mem, cond, slots,
+    table)`, which it equals."""
+    return _compile_cond(cond, slots, table)[0]
+
+
+def _compile_cond(cond, slots, table) -> tuple:
+    """(the compiled `cond`, the sorted slots it may tighten: its
+    comparisons' name operands)."""
+    if isinstance(cond, BoolLit):
+        return ((lambda mem: mem) if cond.value else (lambda mem: None)), ()
+    if isinstance(cond, Cmp):
+        return _compile_cmp(cond, slots, table)
+    left, lw = _compile_cond(cond.left, slots, table)
+    right, rw = _compile_cond(cond.right, slots, table)
+    written = tuple(sorted({*lw, *rw}))
+    if isinstance(cond, And):
+        def conj(mem):
+            m = left(mem)
+            return None if m is None else right(m)
+        return conj, written
+    if isinstance(cond, Or):
+        join = table.join
+
+        # the branches agree on every slot neither tightens, so the hull of
+        # their memories joins only the others
+        def disj(mem):
+            a = left(mem)
+            b = right(mem)
+            if a is None:
+                return b
+            if b is None:
+                return a
+            out = list(a)
+            for k in written:
+                x, y = a[k], b[k]
+                if x != y:
+                    out[k] = join(x, y)
+            return tuple(out)
+        return disj, written
+    raise TypeError(cond)
+
+
+def _compile_cmp(cond: Cmp, slots: dict, table: ValueTable) -> tuple:
+    """A comparison, memoized on the ids of its operands' values, which
+    decide it: a name operand's value is its slot's.  The memo holds None
+    when the comparison is infeasible, and otherwise the (slot, id) writes
+    that tighten the name operands, none when nothing tightens."""
+    values, intern = table.values, table.intern
+    op = cond.op
+    sat, tighten_left, tighten_right = _SATISFIABLE[op], _TIGHTEN[op], _TIGHTEN[FLIP[op]]
+    kl = slots[cond.left.ident] if isinstance(cond.left, Name) else None
+    kr = slots[cond.right.ident] if isinstance(cond.right, Name) else None
+
+    def decide(a: int, b: int) -> Optional[tuple]:
+        # as `_refine_cmp`: both operands evaluated first, the left one
+        # tightened, then the right one, read after the left's write.  A
+        # name operand's tightening is empty exactly when the comparison is
+        # unsatisfiable, so only a comparison without one asks `sat`.
+        lv, rv = values[a], values[b]
+        if lv.is_empty or rv.is_empty:
+            return None
+        if kl is None and kr is None:
+            return () if sat(lv, rv) else None
+        writes = {}
+        if kl is not None:
+            nv = tighten_left(lv, rv)
+            if nv.is_empty:
+                return None
+            if nv != lv:
+                writes[kl] = intern(nv)
+        if kr is not None:
+            old = values[writes.get(kr, b)]
+            nv = tighten_right(old, lv)
+            if nv.is_empty:
+                return None
+            if nv != old:
+                writes[kr] = intern(nv)
+        return tuple(writes.items())
+
+    left = compile_expr(cond.left, slots, table)
+    right = compile_expr(cond.right, slots, table)
+    memo: dict = {}
+
+    def cmp(mem):
+        key = (left(mem), right(mem))
+        try:
+            writes = memo[key]
+        except KeyError:
+            writes = memo[key] = decide(*key)
+        if not writes:
+            return None if writes is None else mem
+        out = list(mem)
+        for k, v in writes:
+            out[k] = v
+        return tuple(out)
+    return cmp, tuple(sorted({k for k in (kl, kr) if k is not None}))

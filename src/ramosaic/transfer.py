@@ -16,7 +16,10 @@ operand orders.
 
 Memories hold ids of the analysis's `intervals.ValueTable`: expressions read
 the intervals at the slots they name, and the transfers intern only what they
-write.
+write.  The transfers compile each condition and expression once per
+analysis (`AnalysisContext.compiled`, `intervals.compile_cond` and
+`compile_expr`), and its compiled comparisons and operators memoize their
+results on value ids.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from . import intervals, posets
-from .intervals import eval_expr, exclude_value, refine, val_meet
+from .intervals import compile_cond, compile_expr, exclude_value, refine, val_meet
 from .litmus import (AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
                      LoadInst, LockInst, Nop, Or, Program, Store, UnlockInst,
                      expr_names, negate)
@@ -74,6 +77,8 @@ class AnalysisContext:
     and asserts with one predecessor, whose states are that predecessor's
     tuple as it is: a sorted normal form already, which a merge would
     rebuild unchanged.
+    `compiled(lbl)` gives the condition or expressions of the instruction at
+    `lbl`, compiled on its first use and kept for the analysis.
     `layouts[thread]` names the slots of that thread's states,
     `slots[thread]` maps each identifier of its expressions (a shared
     variable or a register) to its memory slot, and `initial_states[thread]`
@@ -178,6 +183,11 @@ class AnalysisContext:
         self.node_memo: dict = {}
         # the loop headers that engine.seq_ai has widened
         self.widened: set = set()
+        self._compiled: dict = {}
+        # write label -> (its states, the value ids they hold in its
+        # variable's slot), for `_load_exists`: a bucket gives the identical
+        # states tuple until it changes
+        self.held_values: dict = {}
 
     def _boundaries(self) -> Dict[Label, Layout]:
         """Each thread's boundary, if it has one, with its projected layout."""
@@ -219,6 +229,25 @@ class AnalysisContext:
                 after.add(a)
                 stack += cfg.succs[a]
         return after
+
+    def compiled(self, lbl: Label):
+        """The compiled condition of an assume, the compiled value of a
+        store or assign, the compiled addend of an fadd, or the compiled
+        (expected, new) pair of a cas at `lbl`."""
+        out = self._compiled.get(lbl)
+        if out is None:
+            instr = self.cfg.nodes[lbl]
+            slots = self.slots[self.cfg.thread_of[lbl]]
+            if isinstance(instr, Assume):
+                out = compile_cond(instr.cond, slots, self.values)
+            elif isinstance(instr, Cas):
+                out = (compile_expr(instr.expected, slots, self.values),
+                       compile_expr(instr.new, slots, self.values))
+            else:
+                out = compile_expr(instr.addend if isinstance(instr, Fadd) else instr.value,
+                                   slots, self.values)
+            self._compiled[lbl] = out
+        return out
 
     def event_at(self, lbl: Label, bump: int = 0) -> Event:
         ev = self.events[lbl]
@@ -372,7 +401,10 @@ def _load_exists(ctx, lbl, instr, projected: Layout, pre_states, global_ss) -> l
     (and in the variable's slot when that is live), so for each pair of the
     pre-state's other live values and a loaded value the first source state
     that the pre-state may read from, its meets all non-bottom, gives it, and
-    the others are not tried."""
+    the others are not tried.  The values each source label's states hold
+    are gathered once per analysis and states tuple (`held_values`), and a
+    label none of whose values is new for the pre-state's other live values
+    is skipped, its target part (`_met_slots`) included."""
     table = ctx.posets
     meet, published = table.meet, table.published
     reg = ctx.slots[ctx.cfg.thread_of[lbl]][instr.reg]
@@ -382,8 +414,15 @@ def _load_exists(ctx, lbl, instr, projected: Layout, pre_states, global_ss) -> l
     rest = tuple(i for i in projected.live if i not in (reg, j))
     loaded = (reg, j) if j in projected.live else (reg,)
     # ctx, the first source, reads the pre-state's own value
-    sources = [(ctx.events[src], states, isinstance(ctx.cfg.nodes[src], Cas))
-               for src in ctx.interfs[lbl][1:] for states in (global_ss.at(src),) if states]
+    sources = []
+    for src in ctx.interfs[lbl][1:]:
+        states = global_ss.at(src)
+        if states:
+            held = ctx.held_values.get(src)
+            if held is None or held[0] is not states:
+                held = ctx.held_values[src] = (states, {source.mem[j] for source in states})
+            sources.append((ctx.events[src], states, isinstance(ctx.cfg.nodes[src], Cas),
+                            held[1]))
     empty = [None] * len(projected.mem_keys)
     found: dict = {}
     out = []
@@ -392,7 +431,9 @@ def _load_exists(ctx, lbl, instr, projected: Layout, pre_states, global_ss) -> l
         done = found.setdefault(tuple([mem[i] for i in rest]), set())
         values = [] if mem[j] in done else [mem[j]]
         done.add(mem[j])
-        for event, states, cas in sources:
+        for event, states, cas, held in sources:
+            if held <= done:
+                continue
             met_slots = _met_slots(table, s.mo, k, event)
             if met_slots is None:
                 continue
@@ -432,35 +473,36 @@ def _transfer(ctx: AnalysisContext, lbl: Label, pre_states, global_ss: StateSet,
         return list(pre_states)
 
     slots = ctx.slots[tname]
-    values = ctx.values
+    values = ctx.values.values
 
     if isinstance(instr, Assume):
+        cond = ctx.compiled(lbl)
         for s in pre_states:
-            m = refine(s.mem, instr.cond, slots, values)
+            m = cond(s.mem)
             if m is not None:
                 out.append(AbstractState(s.mo, m, s.layout))
         return out
 
     if isinstance(instr, Assign):
-        k = slots[instr.reg]
+        expr, k = ctx.compiled(lbl), slots[instr.reg]
         for s in pre_states:
-            val = eval_expr(instr.value, s.mem, slots, values)
-            if val.is_empty:
+            val = expr(s.mem)
+            if values[val].is_empty:
                 continue
-            out.append(s.slot_update(mem=((k, values.intern(val)),)))
+            out.append(s.slot_update(mem=((k, val),)))
         return out
 
     if isinstance(instr, Store):
-        ev = ctx.event_at(lbl, bump)
+        expr, ev = ctx.compiled(lbl), ctx.event_at(lbl, bump)
         i, j = ctx.layouts[tname].mo_slot[instr.var], slots[instr.var]
         for s in pre_states:
             p = ctx.posets.append(s.mo[i], ev)
             if not p:  # bottom
                 continue
-            val = eval_expr(instr.value, s.mem, slots, values)
-            if val.is_empty:
+            val = expr(s.mem)
+            if values[val].is_empty:
                 continue
-            out.append(s.slot_update(mo=((i, p),), mem=((j, values.intern(val)),)))
+            out.append(s.slot_update(mo=((i, p),), mem=((j, val),)))
         return out
 
     if isinstance(instr, LoadInst):
@@ -484,8 +526,9 @@ def _transfer(ctx: AnalysisContext, lbl: Label, pre_states, global_ss: StateSet,
 def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, bump) -> list:
     tname = ctx.cfg.thread_of[lbl]
     slots = ctx.slots[tname]
-    values = ctx.values
-    intern = values.intern
+    values = ctx.values.values
+    intern = ctx.values.intern
+    compiled = ctx.compiled(lbl)
     var = instr.var
     i = ctx.layouts[tname].mo_slot[var]
     j = slots[var]
@@ -495,28 +538,27 @@ def _transfer_rmw(ctx, lbl, instr, pre_states, global_ss, bump) -> list:
     for s in pre_states:
         for base in _load_bases(ctx, s, lbl, global_ss, var):
             loaded_id = base.mem[j]
-            loaded = values.values[loaded_id]
+            loaded = values[loaded_id]
             # a base whose order already holds this rmw read from a write
             # after it: infeasible for the failed cas as for the success
             if loaded.is_empty or ev in ctx.posets.posets[base.mo[i]].events:
                 continue
             if isinstance(instr, Fadd):
-                addend = eval_expr(instr.addend, base.mem, slots, values)
-                stored = intervals.add(loaded, addend)
+                stored = intervals.add(loaded, values[compiled(base.mem)])
                 p = ctx.posets.append(base.mo[i], ev)
                 if not p or stored.is_empty:
                     continue
                 out.append(base.slot_update(mo=((i, p),),
                                             mem=((j, intern(stored)), (k, loaded_id))))
                 continue
-            expected = eval_expr(instr.expected, base.mem, slots, values)
+            expected = values[compiled[0](base.mem)]
             succ = val_meet(loaded, expected)
             if not succ.is_empty:
-                stored = eval_expr(instr.new, base.mem, slots, values)
+                stored = compiled[1](base.mem)
                 p = ctx.posets.append(base.mo[i], ev)
-                if p and not stored.is_empty:
+                if p and not values[stored].is_empty:
                     out.append(base.slot_update(mo=((i, p),),
-                                                mem=((j, intern(stored)), (k, intern(succ)))))
+                                                mem=((j, stored), (k, intern(succ)))))
             certain_success = (loaded.is_singleton() and expected.is_singleton()
                                and loaded.lo == expected.lo)
             if not certain_success:
@@ -575,7 +617,9 @@ def check_assert(states, cond, slots: dict) -> Verdict:
     `refine` reads only the slots the condition names, so feasibility is
     decided once per distinct projection of the states onto those slots,
     as value ids, on the first state with that projection; the witnesses
-    are the states whose projection is feasible, in order."""
+    are the states whose projection is feasible, in order.  So each
+    projection is refined once, and compiling the condition would only
+    add its cost."""
     neg = negate(cond)
     named = sorted({slots[n] for n in expr_names(neg)})
     feasible: dict = {}
@@ -642,6 +686,10 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
     concatenation of its threads' projections, as value ids, and each name
     maps to its position there once.  A thread without exit states leaves
     no complete execution, so the postcondition is proved.
+
+    The conjuncts take the tree-walking `intervals.refine`, not a compiled
+    condition: a component's distinct combinations are few, so compiling
+    them would cost more than it saves.
     """
     exits = {t: ss.at(ctx.cfg.exits[t]) for t in ctx.registers}
     if not all(exits.values()):

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "benchmarks"
 
 # Hypothesis's report of a failing example imports libcst when it is
 # installed, and that import warns that mypy_extensions.TypedDict is
@@ -62,6 +63,19 @@ thread t1 { l1: lock m; s1: store x 1; u1: unlock m; w1: store y 1; }
 thread t2 { a: r = load x; l2: lock m; s2: store x 2; u2: unlock m; }
 thread t3 { c: q = cas y 1 2; }
 """
+
+
+def perfbench_families():
+    """`perfbench/families.py`, loaded by file path as `scripts/scaling.py`
+    loads it, so that no later import finds perfbench's modules."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.spec_from_file_location("perfbench_families",
+                                                  ROOT / "perfbench" / "families.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_with_context(driver, program, *args, **kwargs):

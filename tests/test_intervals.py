@@ -1,11 +1,11 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ramosaic import intervals as iv
-from ramosaic.intervals import (EMPTY, FLIP, TOP, Interval, ValueTable, eval_expr, refine,
-                                singleton)
-from ramosaic.litmus import Cmp, Lit, Name, build_cfg, parse
+from ramosaic.intervals import (EMPTY, FLIP, TOP, Interval, ValueTable, compile_cond,
+                                compile_expr, eval_expr, refine, singleton)
+from ramosaic.litmus import And, BinOp, BoolLit, Cmp, Lit, Name, Or, build_cfg, parse
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
 finite = st.integers(min_value=-20, max_value=20)
@@ -222,3 +222,87 @@ def test_refine_is_symmetric_under_the_flipped_operator(op, a, b, right):
     left, right = Name("r"), Name(right) if isinstance(right, str) else Lit(right)
     assert (refine(mem, Cmp(op, left, right), SLOTS, VALUES)
             == refine(mem, Cmp(FLIP[op], right, left), SLOTS, VALUES))
+
+
+# --------------------------------------------------------------------------
+# The compiled kernel against the tree-walking reference
+# --------------------------------------------------------------------------
+
+KERNEL_SLOTS = {"x": 0, "r": 1, "r2": 2}
+names = st.sampled_from(sorted(KERNEL_SLOTS)).map(Name)
+int_exprs = st.recursive(st.one_of(finite.map(Lit), names),
+                         lambda inner: st.builds(BinOp, st.sampled_from("+-*"), inner, inner),
+                         max_leaves=4)
+ops = st.sampled_from(sorted(FLIP))
+comparisons = st.one_of(st.builds(Cmp, ops, names, names),  # `r == r` among them
+                        st.builds(Cmp, ops, names, finite.map(Lit)),
+                        st.builds(Cmp, ops, int_exprs, int_exprs))
+conditions = st.recursive(st.one_of(comparisons, st.booleans().map(BoolLit)),
+                          lambda inner: st.one_of(st.builds(And, inner, inner),
+                                                  st.builds(Or, inner, inner)),
+                          max_leaves=6)
+# memories of x, r and r2, with empty, top and half-unbounded intervals
+memories = st.lists(st.tuples(intervals_(), intervals_(), intervals_()), min_size=1, max_size=4)
+
+
+def _interned(table: ValueTable, mems) -> list:
+    return [tuple(map(table.intern, m)) for m in mems]
+
+
+@given(conditions, memories)
+# a name compared with itself: the right operand is tightened from the
+# left's result, so `r < r` on [0,5] gives [1,4]
+@example(Cmp("<", Name("r"), Name("r")), [(singleton(0), Interval(0, 5), TOP)])
+@example(Cmp(">=", Name("r"), Name("r")), [(singleton(0), Interval(None, 5), TOP)])
+def test_compiled_condition_equals_refine(cond, mems):
+    """`compile_cond` gives `refine`'s memory, or None with it; each memory
+    is tried twice, so the second call answers from the memos."""
+    table = ValueTable()
+    compiled = compile_cond(cond, KERNEL_SLOTS, table)
+    ids = _interned(table, mems)
+    for mem in ids + ids:
+        assert compiled(mem) == refine(mem, cond, KERNEL_SLOTS, table)
+
+
+@given(int_exprs, memories)
+def test_compiled_expression_equals_eval_expr(e, mems):
+    """`compile_expr` gives the id of `eval_expr`'s interval, twice."""
+    table = ValueTable()
+    compiled = compile_expr(e, KERNEL_SLOTS, table)
+    ids = _interned(table, mems)
+    for mem in ids + ids:
+        assert compiled(mem) == table.intern(eval_expr(e, mem, KERNEL_SLOTS, table))
+
+
+@given(conditions, memories)
+def test_two_analyses_share_no_memo(cond, mems):
+    """One condition compiled for two value tables, which give the same
+    intervals other ids, answers each table in its own ids: a memo shared
+    through ids would give the second table the first one's intervals."""
+    first, second = ValueTable(), ValueTable()
+    for iv_ in reversed([iv_ for m in mems for iv_ in m]):
+        second.intern(iv_)
+    results = []
+    for table in (first, second):
+        compiled = compile_cond(cond, KERNEL_SLOTS, table)
+        out = []
+        for mem in _interned(table, mems) * 2:
+            got = compiled(mem)
+            assert got == refine(mem, cond, KERNEL_SLOTS, table)
+            out.append(None if got is None else tuple(table.values[i] for i in got))
+        results.append(out)
+    assert results[0] == results[1]
+
+
+def test_a_comparison_decides_each_value_id_once(monkeypatch):
+    """`r <= 3` is decided once per id of r's slot, whatever the other
+    slots hold."""
+    decided = []
+    real = iv._TIGHTEN["<="]
+    monkeypatch.setitem(iv._TIGHTEN, "<=", lambda lv, rv: decided.append(lv) or real(lv, rv))
+    table = ValueTable()
+    compiled = compile_cond(Cmp("<=", Name("r"), Lit(3)), KERNEL_SLOTS, table)
+    for x in range(4):
+        (mem,) = _interned(table, [(singleton(x), Interval(0, 9), singleton(x))])
+        assert table.values[compiled(mem)[KERNEL_SLOTS["r"]]] == Interval(0, 3)
+    assert decided == [Interval(0, 9)]

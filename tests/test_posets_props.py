@@ -83,30 +83,57 @@ def test_widen_is_upper_bound():
         assert P.less(p1, w) and P.less(p2, w)
 
 
+def widen_chain(chain) -> int:
+    """Widen along `chain` and count the steps that change the accumulator.
+    Each step's result is an upper bound of both operands and keeps only
+    events and pairs of the accumulator, so each change strictly shrinks
+    its events or its pairs, and a chain of non-bottom posets settles
+    within as many changes as its first poset has events and pairs."""
+    acc, changes = chain[0], 0
+    for nxt in chain[1:]:
+        widened = P.widen(acc, nxt)
+        assert P.less(acc, widened) and P.less(nxt, widened)
+        assert widened.events <= acc.events and widened.pairs <= acc.pairs
+        if widened != acc:
+            changes += 1
+        acc = widened
+    assert changes <= len(chain[0].events) + len(chain[0].pairs)
+    return changes
+
+
 def test_widening_chains_stabilize():
-    """Iterated widening over an ascending chain settles within the number
-    of distinct instruction labels plus one steps."""
+    """Iterated widening over an ascending chain shrinks at every change
+    (`widen_chain`).  The chains are drawn over the sorted events and
+    pairs, so they do not depend on the hash seed."""
     rng = random.Random(7)
-    n_labels = len({e.label for e in UNIVERSE})
     for _ in range(300):
         base = random_poset(rng, allow_bottom=False)
         chain = [base]
         cur = base
         for _ in range(10):
             # move up: drop events and pairs
-            events = [e for e in cur.events if rng.random() > 0.3]
-            pairs = {(a, b) for a, b in cur.pairs
+            events = [e for e in sorted(cur.events) if rng.random() > 0.3]
+            pairs = {(a, b) for a, b in sorted(cur.pairs)
                      if a in events and b in events and rng.random() > 0.3}
             cur = poset(events, pairs)
             chain.append(cur)
-        acc = chain[0]
-        changes = 0
-        for nxt in chain[1:]:
-            widened = P.widen(acc, nxt)
-            if widened != acc:
-                changes += 1
-            acc = widened
-        assert changes <= n_labels + 1
+        widen_chain(chain)
+
+
+def test_widening_a_total_order_that_loses_one_pair_per_step():
+    """A closed total order of five events, one per label, that loses one
+    pair per step and stays closed: each of its 8 steps changes the
+    widening, more than the distinct labels plus one (6), which is no
+    bound on the changes, and within its 5 events and 10 pairs."""
+    cur = P.chain(*(e for e in UNIVERSE if e.instance == 1))
+    chain = [cur]
+    for _ in range(8):
+        pair = next(ab for ab in sorted(cur.pairs)
+                    if poset(cur.events, cur.pairs - {ab}).pairs == cur.pairs - {ab})
+        cur = poset(cur.events, cur.pairs - {pair})
+        chain.append(cur)
+    assert (len(chain[0].events), len(chain[0].pairs)) == (5, 10)
+    assert widen_chain(chain) == 8 > len({e.label for e in UNIVERSE}) + 1
 
 
 def _all_posets_over(events):

@@ -1,18 +1,24 @@
 """Transfer-function behavior on the message-passing walkthrough, rmw
 success/failure splitting, lock handling, and the simple operations."""
 
+import collections
+import random
+
 import pytest
 
+from ramosaic import engine, intervals, transfer
 from ramosaic import posets as P
 from ramosaic.engine import tmai
 from ramosaic.intervals import singleton
-from ramosaic.litmus import Cas, Label, SemanticError, build_cfg, parse
+from ramosaic.litmus import Cas, Label, SemanticError, build_cfg, parse, unroll
 from ramosaic.oracle import check_soundness
+from ramosaic.randprog import random_program
 from ramosaic.states import StateSet
 from ramosaic.transfer import (AnalysisContext, TransferConfig,
                                apply_interference, check_assert, transfer_node)
 
-from conftest import MP_SRC, READS_SRC, full_tails, peterson, run_with_context
+from conftest import (MP_SRC, READS_SRC, corpus_files, full_tails, perfbench_families, peterson,
+                      run_with_context)
 
 
 def _ctx_for(src, **tc_kw):
@@ -427,3 +433,114 @@ def test_published_memo_answers_as_the_scan(monkeypatch, abstract_mo):
     assert {got for got, _, _ in calls} == {False, True}
     if not abstract_mo:
         assert any(got and bumped_only for got, _, bumped_only in calls)
+
+
+def test_transfers_run_compiled_conditions_and_expressions(monkeypatch):
+    """While the rounds run, no transfer walks an expression tree: the
+    reference `refine` and `eval_expr` are never called, and each label's
+    condition or expressions are compiled once per analysis, over the
+    corpus and `random_program(0..99)`, which hold assumes, assigns,
+    stores, cas and fadd."""
+    def tree_walk(*args):
+        raise AssertionError("a transfer called the tree-walking reference")
+
+    for name in ("refine", "eval_expr", "_refine_cmp"):
+        monkeypatch.setattr(intervals, name, tree_walk)
+    monkeypatch.setattr(transfer, "refine", tree_walk)
+    compiles = []
+    for name in ("compile_cond", "compile_expr"):
+        real = getattr(transfer, name)
+        monkeypatch.setattr(transfer, name,
+                            lambda *args, real=real: compiles.append(args[2]) or real(*args))
+    programs = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
+    programs += [random_program(seed) for seed in range(100)]
+    kinds = set()
+    for program in programs:
+        compiles.clear()
+        ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
+        engine._rounds(ctx, 1000)
+        kinds.update(type(ctx.cfg.nodes[lbl]).__name__ for lbl in ctx._compiled)
+        assert all(table is ctx.values for table in compiles)
+        assert len(compiles) == sum(2 if isinstance(ctx.cfg.nodes[lbl], Cas) else 1
+                                    for lbl in ctx._compiled)
+        again = AnalysisContext(program, build_cfg(program), TransferConfig())
+        assert all(again.compiled(lbl) is not f for lbl, f in ctx._compiled.items())
+    assert kinds == {"Assume", "Assign", "Store", "Cas", "Fadd"}
+
+
+def test_boundary_loads_scan_each_source_label_once():
+    """Every state at Peterson-6's g_j holds j's id in cs, so once a
+    pre-state of the boundary load x_i has found that value, no later one
+    scans g_j: `_met_slots` runs at most once per boundary and source
+    label, 30 calls, where a scan of every source label for every
+    pre-state makes 2 430, 81 per pair.  The verdicts equal those of full
+    tails, the labels before the boundaries hold the same states, and each
+    projected label holds the live values of the full states."""
+    families = perfbench_families()
+    program = parse(families.peterson(6, random.Random(1)).source)
+    scans = collections.Counter()
+    boundary = [None]
+    real_exists, real_met_slots = transfer._load_exists, transfer._met_slots
+
+    def recording_exists(ctx, lbl, *args):
+        boundary[0] = lbl
+        try:
+            return real_exists(ctx, lbl, *args)
+        finally:
+            boundary[0] = None
+
+    def counting_met_slots(table, tmo, k, src_event):
+        if boundary[0] is not None:
+            scans[boundary[0], src_event.label] += 1
+        return real_met_slots(table, tmo, k, src_event)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_load_exists", recording_exists)
+        mp.setattr(transfer, "_met_slots", counting_met_slots)
+        result = tmai(program)
+    assert {b for b, _ in scans} == {Label(f"x{i}") for i in range(1, 7)}
+    assert max(scans.values()) == 1 and sum(scans.values()) == 30
+    full = full_tails(program)
+    assert ({site: str(v) for site, v in result.verdicts.items()}
+            == {site: str(v) for site, v in full.verdicts.items()})
+    assert result.states.labels() == full.states.labels()
+    for lbl in full.states.labels():
+        ours, theirs = result.states.at(lbl), full.states.at(lbl)
+        live = ours[0].layout.live
+        if live is None:
+            assert [s.fmt() for s in ours] == [s.fmt() for s in theirs]
+        else:
+            assert ({tuple(s.val(s.layout.mem_keys[i]) for i in live) for s in ours}
+                    == {tuple(s.val(s.layout.mem_keys[i]) for i in live) for s in theirs})
+
+
+# t reads x past its last access; w stores at `a` the y it read, 0 or 1
+HELD_SRC = """
+vars x = 0, y = 0;
+thread w { l: r = load y; a: store x r; }
+thread v { b: store y 1; }
+thread t { c: q = load x; }
+assert (q == 0);
+"""
+
+
+def test_a_boundary_load_gathers_the_values_of_changed_source_states_again():
+    """The values a source label's states hold are kept per states tuple:
+    when the label's states change, a boundary load gathers them again,
+    and does not skip the label on the values of the states it held."""
+    r, ctx = run_with_context(tmai, parse(HELD_SRC))
+    c, a = Label("c"), Label("a")
+    x, q = ctx.slots["w"]["x"], ctx.slots["t"]["q"]
+    values = ctx.values.values
+    stored = r.states.at(a)
+    assert c in ctx.boundaries and sorted(values[s.mem[x]].lo for s in stored) == [0, 1]
+    only_zero = StateSet(ctx.posets)
+    only_zero.merge_all(a, [s for s in stored if values[s.mem[x]] == singleton(0)])
+
+    def loaded(sigma):
+        out = transfer_node(ctx, c, [ctx.initial_states["t"]], sigma)
+        return sorted(values[s.mem[q]].lo for s in out)
+
+    ctx.held_values.clear()
+    assert loaded(only_zero) == [0]
+    assert loaded(r.states) == [0, 1]
