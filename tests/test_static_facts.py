@@ -1,15 +1,16 @@
-"""The analyzer's static facts (write events, the sequenced-before index and
-the interference maps) read the CFG's access table and reach sets.  Each
-must equal what the per-module `isinstance` scans computed before, which
-are kept here as the references."""
+"""The analyzer's static facts (write events, the sequenced-before index,
+the interference maps and each thread's boundary) read the CFG's access
+table and reach sets.  Each must equal what the per-module `isinstance`
+scans computed before, or a brute-force scan of its definition, which are
+kept here as the references."""
 
 from typing import Dict, Tuple
 
 from ramosaic.engine import tmai
 from ramosaic.interference import CTX, get_interfs
-from ramosaic.litmus import (Cas, Cfg, Fadd, Label, LoadInst, LockInst,
-                             Program, Store, UnlockInst, build_cfg, parse,
-                             unroll)
+from ramosaic.litmus import (AssertInst, Assign, Assume, Cas, Cfg, Fadd,
+                             Label, LoadInst, LockInst, Nop, Program, Store,
+                             UnlockInst, build_cfg, expr_names, parse, unroll)
 from ramosaic.posets import Event, SbIndex
 from ramosaic.randprog import random_program
 from ramosaic.transfer import AnalysisContext, TransferConfig
@@ -96,6 +97,55 @@ def _get_interfs(program: Program, cfg: Cfg) -> Dict[str, Dict[Label, Tuple[Labe
     return out
 
 
+def _walk(cfg: Cfg, a: Label) -> set:
+    """The labels reachable from `a` along CFG edges, `a` only through a
+    loop."""
+    seen, stack = set(), list(cfg.succs[a])
+    while stack:
+        b = stack.pop()
+        if b not in seen:
+            seen.add(b)
+            stack.extend(cfg.succs[b])
+    return seen
+
+
+def _boundaries(program: Program, cfg: Cfg) -> Dict[Label, list]:
+    """Each thread's boundary -> the sorted memory keys its states keep.
+    Scans every label of the thread in reverse post-order, the entry aside,
+    and takes the first that is a tail (no interference source is reachable
+    from it, and it is none), not a nop or assert with one predecessor, and
+    from which neither itself, an access nor a loop header is reachable,
+    while every label reachable from it has all its predecessors reachable
+    from it or equal to it."""
+    reach = {a: _walk(cfg, a) for a in cfg.nodes}
+    sources = {src for per_thread in _get_interfs(program, cfg).values()
+               for srcs in per_thread.values() for src in srcs if src is not CTX}
+    shared = set(program.shared_names())
+    out = {}
+    for tname, rpo in cfg.rpo.items():
+        found = [
+            lbl for lbl in rpo[1:]
+            if lbl not in sources and not reach[lbl] & sources
+            and not (isinstance(cfg.nodes[lbl], (Nop, AssertInst)) and len(cfg.preds[lbl]) == 1)
+            and lbl not in reach[lbl]
+            and not any(a in cfg.accesses or a in cfg.loop_headers for a in reach[lbl])
+            and all(p == lbl or p in reach[lbl] for a in reach[lbl] for p in cfg.preds[a])]
+        if not found:
+            continue
+        lbl = found[0]
+        names = set(program.thread_registers(tname)) & program.postcondition_names
+        for a in (lbl, *reach[lbl]):
+            instr = cfg.nodes[a]
+            if isinstance(instr, (LoadInst, Cas, Fadd)) and a == lbl:
+                names.add(instr.reg)
+            elif isinstance(instr, Assign):
+                names |= {instr.reg, *expr_names(instr.value)}
+            elif isinstance(instr, (Assume, AssertInst)):
+                names |= expr_names(instr.cond)
+        out[lbl] = sorted(n if n in shared else program.register_key(tname, n) for n in names)
+    return out
+
+
 # --------------------------------------------------------------------------
 # Equality over the corpus, random programs, loops and a long thread
 # --------------------------------------------------------------------------
@@ -106,6 +156,8 @@ def _check(program: Program) -> None:
     assert SbIndex.from_cfg(cfg)._after == _sb_after(cfg)
     ctx = AnalysisContext(program, cfg, TransferConfig())
     assert list(ctx.events.items()) == list(_events(cfg).items())
+    assert {lbl: sorted(layout.mem_keys[i] for i in layout.live)
+            for lbl, layout in ctx.boundaries.items()} == _boundaries(program, cfg)
 
 
 def test_static_facts_on_the_corpus():
