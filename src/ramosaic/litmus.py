@@ -322,12 +322,6 @@ class Program:
         return self.register_key(owners[0], ident)
 
 
-def walk_simple(stmts) -> List[Simple]:
-    instrs: list = []
-    _flatten(stmts, instrs, [])
-    return instrs
-
-
 _WRITES_REGISTER = (LoadInst, Cas, Fadd, Assign)
 
 
@@ -918,29 +912,17 @@ class Cfg:
     accesses: dict  # Label -> Access, for the nodes that touch memory
     loop_headers: frozenset = frozenset()
 
-    def reachable(self, a: Label) -> frozenset:
-        """The labels reachable from a along CFG edges (strict)."""
-        return self._reach_sets()[a]
-
-    def _reach_sets(self) -> dict:
-        if not hasattr(self, "_reach_cache"):
-            # Union the successors' sets in reverse RPO.  Reverse RPO puts
-            # the successors first on a loop-free CFG, so one pass settles
-            # it; with loops, passes repeat until no set grows.
-            order = [lbl for rpo in self.rpo.values() for lbl in reversed(rpo)]
-            cache = dict.fromkeys(self.nodes, frozenset())
-            grew = True
-            while grew:
-                grew = False
-                for lbl in order:
-                    reach = cache[lbl]
-                    for s in self.succs[lbl]:
-                        reach = reach.union(cache[s], (s,))
-                    if len(reach) > len(cache[lbl]):
-                        cache[lbl] = reach
-                        grew = bool(self.loop_headers)
-            self._reach_cache = cache
-        return self._reach_cache
+    def reachable(self, a: Label) -> set:
+        """The labels reachable from a along CFG edges (strict: a itself
+        only through a loop), found by one walk from a."""
+        seen: set = set()
+        stack = list(self.succs[a])
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack += self.succs[b]
+        return seen
 
 
 def build_cfg(p: Program) -> Cfg:

@@ -95,12 +95,14 @@ class AnalysisContext:
     is the first tail outside loops after which no access (load, store,
     rmw, lock or unlock) and no loop is reachable in its thread, and which
     every label after it comes through; not a label of `pass_through`,
-    which computes nothing.  Its states, and so those of every label after
-    it, keep only the live memory slots: the register the boundary writes,
-    the registers and shared variables that it, when it is not an access,
-    or a later instruction names, and the thread's registers that the
-    postcondition names; they drop every poset.  No other thread reads
-    them, and no later instruction reads a poset or a dropped slot.
+    which computes nothing.  The search tests the candidates in reverse
+    post-order, each on its one `cfg.reachable` walk.  The boundary's
+    states, and so those of every label after it, keep only the live
+    memory slots: the register the boundary writes, the registers and
+    shared variables that it, when it is not an access, or a later
+    instruction names, and the thread's registers that the postcondition
+    names; they drop every poset.  No other thread reads them, and no
+    later instruction reads a poset or a dropped slot.
     `boundary_states[label]` holds the full states of the boundary's last
     visit, those it projected or, at a boundary load that computes none
     (`transfer_node`), its pre-states: the states that
@@ -193,13 +195,22 @@ class AnalysisContext:
         """Each thread's boundary, if it has one, with its projected layout."""
         cfg, program = self.cfg, self.program
         nodes, preds, tails, pass_through = cfg.nodes, cfg.preds, self.tails, self.pass_through
+        accesses, loop_headers = cfg.accesses.keys(), cfg.loop_headers
         out = {}
         for tname, rpo in cfg.rpo.items():
-            for lbl in rpo[1:]:
+            # every label that a boundary does not reach reaches it, and in
+            # a loop-free thread precedes it in reverse post-order: there the
+            # search starts at the last access, so that a long tail of loads
+            # is not walked once per load
+            start = len(rpo) - 1 if loop_headers.isdisjoint(rpo) else 1
+            while start > 1 and rpo[start] not in accesses:
+                start -= 1
+            for lbl in rpo[start:]:
                 if lbl in tails and lbl not in pass_through:
-                    after = self._quiet_after(lbl)
-                    if after is not None and all(p == lbl or p in after
-                                                 for a in after for p in preds[a]):
+                    after = cfg.reachable(lbl)
+                    if (lbl not in after and accesses.isdisjoint(after)
+                            and loop_headers.isdisjoint(after)
+                            and all(p == lbl or p in after for a in after for p in preds[a])):
                         break
             else:
                 continue
@@ -213,22 +224,6 @@ class AnalysisContext:
             slots = self.slots[tname]
             out[lbl] = self.layouts[tname].projected([slots[n] for n in names])
         return out
-
-    def _quiet_after(self, lbl: Label) -> Optional[set]:
-        """The labels reachable from `lbl`, or None when an access, a loop
-        header or `lbl` itself is among them; a walk of its own, since
-        `Cfg.reachable` computes the sets of every label at once."""
-        cfg = self.cfg
-        after: set = set()
-        stack = list(cfg.succs[lbl])
-        while stack:
-            a = stack.pop()
-            if a not in after:
-                if a == lbl or a in cfg.accesses or a in cfg.loop_headers:
-                    return None
-                after.add(a)
-                stack += cfg.succs[a]
-        return after
 
     def compiled(self, lbl: Label):
         """The compiled condition of an assume, the compiled value of a

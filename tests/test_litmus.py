@@ -5,8 +5,7 @@ import pytest
 from ramosaic.engine import tmai
 from ramosaic.litmus import (Assume, Cas, If, Label, LoadInst, ParseError,
                              SemanticError, Store, While,
-                             build_cfg, has_loops, parse, to_source, unroll,
-                             walk_simple)
+                             build_cfg, has_loops, parse, to_source, unroll)
 
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.randprog import random_program
@@ -17,7 +16,7 @@ from conftest import LOOPED_SOURCES, corpus_files, peterson
 def test_parse_mp(mp_program):
     p = mp_program
     assert [t.name for t in p.threads] == ["t1", "t2"]
-    instrs = [i for t in p.threads for i in walk_simple(t.body)]
+    instrs = [i for walked, _ in p._walked for i in walked]
     assert len(instrs) == 4
     assert p.postcondition is not None
     assert p.shared == (("x", 0), ("y", 0))
@@ -248,7 +247,7 @@ def test_every_loop_header_has_a_back_edge(src):
 
 def test_cas_and_fadd_parse():
     p = parse("vars x = 0;\nthread t { a: r = cas x 0 1; b: q = fadd x -1; }")
-    a, b = list(walk_simple(p.threads[0].body))
+    (a, b), _ = p._walked[0]
     assert isinstance(a, Cas) and isinstance(b, LoadInst) is False
     assert b.addend.value == -1
 

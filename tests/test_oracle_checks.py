@@ -11,7 +11,7 @@ import pytest
 from ramosaic import oracle
 from ramosaic.engine import tmai
 from ramosaic.intervals import singleton
-from ramosaic.litmus import Label, UnlockInst, parse, unroll, walk_simple
+from ramosaic.litmus import Label, UnlockInst, parse, unroll
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.posets import BOTTOM_ID, Event, alpha, beta_related, chain, join
 from ramosaic.randprog import random_program
@@ -287,8 +287,8 @@ def _reference_validate(program, e) -> None:
     """The validator as it was before its one-pass closure: Warshall's
     closure over every order, label scans of the modification orders."""
     thread_of, nodes = {}, {}
-    for t in program.threads:
-        for st in walk_simple(t.body):
+    for t, (instrs, _) in zip(program.threads, program._walked):
+        for st in instrs:
             thread_of[st.label] = t.name
             nodes[st.label] = st
     n = len(e.order)

@@ -1,6 +1,6 @@
 """The analyzer's static facts (write events, the sequenced-before index,
 the interference maps and each thread's boundary) read the CFG's access
-table and reach sets.  Each must equal what the per-module `isinstance`
+table and `Cfg.reachable`.  Each must equal what the per-module `isinstance`
 scans computed before, or a brute-force scan of its definition, which are
 kept here as the references."""
 
