@@ -2,12 +2,14 @@
 """Print the oracle's execution count and one sha256 over its executions,
 for byte-identity checks of the enumerator.
 
-For every corpus file, in sorted order, unrolled 2 (as the CLI does by
-default) and at the default guard, it hashes `b"TooLarge"` when the
-enumerator refuses the file, else each execution's `pickle.dumps`.  Then
-it hashes each execution's `pickle.dumps` for `random_program(0..N-1)`.
-Two versions of the oracle that print the same line enumerate the same
-executions, in the same order.
+For each file of `CORPUS_FILES`, unrolled 2 (as the CLI does by default)
+and at the default guard, it hashes `b"TooLarge"` when the enumerator
+refuses the file, else each execution's `pickle.dumps`.  Then it hashes
+each execution's `pickle.dumps` for `random_program(0..N-1)`.  Two
+versions of the oracle that print the same line enumerate the same
+executions, in the same order.  The file list is fixed rather than globbed,
+so that a file added to `benchmarks/` leaves the line as it is: the line
+moves only when the oracle does.
 
     python3 scripts/exec_digest.py [N]      # N defaults to 200
 """
@@ -24,6 +26,12 @@ from ramosaic.posets import TooLarge
 from ramosaic.randprog import random_program
 
 CORPUS = Path(__file__).resolve().parent.parent / "benchmarks"
+CORPUS_FILES = (
+    "cas_mutex_fen.lit", "co_2p2w_15.lit", "co_2p2w_5.lit", "dijkstra_fen.lit",
+    "dijkstra_unfenced.lit", "iriw.lit", "keyb_isr.lit", "lamport_fp.lit", "lb.lit",
+    "lock_mutex.lit", "mp.lit", "nr1w_10.lit", "peterson3.lit", "rmw_reads_init.lit",
+    "sb.lit", "why_ic.lit", "wrc.lit",
+)
 CLI_UNROLL = 2
 
 
@@ -49,9 +57,9 @@ def main(argv) -> int:
             digest.update(pickle.dumps(e))
         count += len(execs)
 
-    for path in sorted(CORPUS.glob("*.lit")):
+    for name in CORPUS_FILES:
         try:
-            execs = enumerate_executions(unroll(parse(path.read_text()), CLI_UNROLL))
+            execs = enumerate_executions(unroll(parse((CORPUS / name).read_text()), CLI_UNROLL))
         except TooLarge:
             digest.update(b"TooLarge")
             continue

@@ -910,18 +910,20 @@ class Cfg:
     exits: dict  # thread -> Label
     rpo: dict  # thread -> tuple[Label, ...]
     accesses: dict  # Label -> Access, for the nodes that touch memory
-    loop_headers: frozenset = frozenset()
+    loop_headers: frozenset
+    back_edges: dict  # Label -> the exit of the loop its back edge closes
 
     def reachable(self, a: Label) -> set:
-        """The labels reachable from a along CFG edges (strict: a itself
-        only through a loop), found by one walk from a."""
-        seen: set = set()
-        stack = list(self.succs[a])
+        """The labels that follow a within one iteration: a back edge leads
+        on to its loop's exit, so a never reaches itself."""
+        succs, back_edges = self.succs, self.back_edges
+        seen, stack = set(), [a]
         while stack:
             b = stack.pop()
-            if b not in seen:
-                seen.add(b)
-                stack += self.succs[b]
+            for c in (back_edges[b],) if b in back_edges else succs[b]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
         return seen
 
 
@@ -935,6 +937,7 @@ def build_cfg(p: Program) -> Cfg:
     rpo: dict = {}
     accesses: dict = {}
     loop_headers: set = set()
+    back_edges: dict = {}
     synth = itertools.count(1)
 
     def add_node(label: Label, instr: Simple, tname: str):
@@ -986,11 +989,12 @@ def build_cfg(p: Program) -> Cfg:
                     loop_headers.add(head_l)
                     for lbl in incoming:
                         add_edge(lbl, head_l)
+                    add_edge(head_l, exit_l)  # first, for the body to come first in rpo
                     add_edge(head_l, body_l)
-                    add_edge(head_l, exit_l)
                     b_out = lower(st.body, [body_l], tname)
                     for lbl in b_out:
-                        add_edge(lbl, head_l)  # back edge
+                        add_edge(lbl, head_l)
+                        back_edges[lbl] = exit_l
                     incoming = [exit_l]
                 else:
                     add_node(st.label, st, tname)
@@ -1012,6 +1016,7 @@ def build_cfg(p: Program) -> Cfg:
     for t in p.threads:
         # Post-order depth-first search with an explicit stack, so that a
         # long thread does not exhaust the interpreter's recursion limit.
+        # Its reverse is the thread's program order, a loop's body first.
         order: list = []
         entry = entries[t.name]
         seen = {entry}
@@ -1031,4 +1036,4 @@ def build_cfg(p: Program) -> Cfg:
     return Cfg(p, nodes,
                {k: tuple(v) for k, v in preds.items()},
                {k: tuple(v) for k, v in succs.items()},
-               thread_of, entries, exits, rpo, accesses, frozenset(loop_headers))
+               thread_of, entries, exits, rpo, accesses, frozenset(loop_headers), back_edges)

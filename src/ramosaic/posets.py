@@ -65,7 +65,7 @@ class SbIndex:
     @classmethod
     def from_cfg(cls, cfg: Cfg) -> "SbIndex":
         """One frozenset per label: the members of its (thread, variable)
-        group that the label reaches, itself excluded."""
+        group that follow it within one iteration (`Cfg.reachable`)."""
         groups: dict = {}
         for lbl, (kind, loc) in cfg.accesses.items():
             if kind != "load":
@@ -77,7 +77,7 @@ class SbIndex:
             for a in labels:
                 # a label alone in its group needs no reachability
                 after = cfg.reachable(a) & members if len(labels) > 1 else ()
-                out._after[key_of[a]] = frozenset(key_of[b] for b in after if b != a)
+                out._after[key_of[a]] = frozenset(key_of[b] for b in after)
         return out
 
 

@@ -95,14 +95,12 @@ class AnalysisContext:
     is the first tail outside loops after which no access (load, store,
     rmw, lock or unlock) and no loop is reachable in its thread, and which
     every label after it comes through; not a label of `pass_through`,
-    which computes nothing.  The search tests the candidates in reverse
-    post-order, each on its one `cfg.reachable` walk.  The boundary's
-    states, and so those of every label after it, keep only the live
-    memory slots: the register the boundary writes, the registers and
-    shared variables that it, when it is not an access, or a later
-    instruction names, and the thread's registers that the postcondition
-    names; they drop every poset.  No other thread reads them, and no
-    later instruction reads a poset or a dropped slot.
+    which computes nothing.  The boundary's states, and so those of every
+    label after it, keep only the live memory slots: the register the
+    boundary writes, the registers and shared variables that it, when it is
+    not an access, or a later instruction names, and the thread's registers
+    that the postcondition names; they drop every poset.  No other thread
+    reads them, and no later instruction reads a poset or a dropped slot.
     `boundary_states[label]` holds the full states of the boundary's last
     visit, those it projected or, at a boundary load that computes none
     (`transfer_node`), its pre-states: the states that
@@ -195,22 +193,19 @@ class AnalysisContext:
         """Each thread's boundary, if it has one, with its projected layout."""
         cfg, program = self.cfg, self.program
         nodes, preds, tails, pass_through = cfg.nodes, cfg.preds, self.tails, self.pass_through
-        accesses, loop_headers = cfg.accesses.keys(), cfg.loop_headers
+        accesses, loop_exits = cfg.accesses.keys(), set(cfg.back_edges.values())
         out = {}
         for tname, rpo in cfg.rpo.items():
-            # every label that a boundary does not reach reaches it, and in
-            # a loop-free thread precedes it in reverse post-order: there the
-            # search starts at the last access, so that a long tail of loads
-            # is not walked once per load
-            start = len(rpo) - 1 if loop_headers.isdisjoint(rpo) else 1
-            while start > 1 and rpo[start] not in accesses:
+            # every label that a boundary does not reach reaches it, and so
+            # precedes it in reverse post-order, a loop's body before its exit:
+            # no label from the last access or loop exit on reaches either
+            start = len(rpo) - 1
+            while start > 1 and rpo[start] not in accesses and rpo[start] not in loop_exits:
                 start -= 1
             for lbl in rpo[start:]:
                 if lbl in tails and lbl not in pass_through:
                     after = cfg.reachable(lbl)
-                    if (lbl not in after and accesses.isdisjoint(after)
-                            and loop_headers.isdisjoint(after)
-                            and all(p == lbl or p in after for a in after for p in preds[a])):
+                    if all(p == lbl or p in after for a in after for p in preds[a]):
                         break
             else:
                 continue

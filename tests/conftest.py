@@ -124,6 +124,60 @@ def corpus_files():
     return sorted(BENCH_DIR.glob("*.lit"))
 
 
+def one_iteration_reach(cfg) -> dict:
+    """Label -> the labels that follow it within one iteration, by brute
+    force from the CFG's edges alone, for checking `Cfg.reachable`.  A
+    depth-first search from each thread's entry takes each edge to a label
+    on its stack for a back edge; the loop's exit is the successor of that
+    loop header that the stack did not go on through.  Each label's reach is
+    then a plain search that takes each back edge to its loop's exit."""
+    onward = {lbl: list(succs) for lbl, succs in cfg.succs.items()}
+    for entry in cfg.entries.values():
+        seen = {entry}
+        stack = [(entry, iter(cfg.succs[entry]))]
+        while stack:
+            lbl, pending = stack[-1]
+            path = [l for l, _ in stack]
+            for nxt in pending:
+                if nxt in path:
+                    body = path[path.index(nxt) + 1]
+                    (exit_l,) = [s for s in cfg.succs[nxt] if s != body]
+                    onward[lbl] = [exit_l if s == nxt else s for s in onward[lbl]]
+                elif nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(cfg.succs[nxt])))
+                    break
+            else:
+                stack.pop()
+    reach = {}
+    for a in cfg.nodes:
+        found, todo = set(), list(onward[a])
+        while todo:
+            b = todo.pop()
+            if b not in found:
+                found.add(b)
+                todo.extend(onward[b])
+        reach[a] = found
+    return reach
+
+
+def sb_after(cfg) -> dict:
+    """`SbIndex.from_cfg`'s index by brute force: the key `(name, instance)`
+    of each store, rmw, lock and unlock -> the keys of those of its thread
+    and variable or mutex that follow it within one iteration."""
+    from ramosaic.litmus import Cas, Fadd, LockInst, Store, UnlockInst
+
+    reach = one_iteration_reach(cfg)
+    groups: dict = {}
+    for lbl, instr in cfg.nodes.items():
+        if isinstance(instr, (Store, Cas, Fadd)):
+            groups.setdefault((cfg.thread_of[lbl], instr.var), set()).add(lbl)
+        elif isinstance(instr, (LockInst, UnlockInst)):
+            groups.setdefault((cfg.thread_of[lbl], instr.mutex), set()).add(lbl)
+    return {(a.name, a.instance): frozenset((b.name, b.instance) for b in reach[a] & members)
+            for members in groups.values() for a in members}
+
+
 # The looped programs that the tests analyze, gathered for checks that run
 # over all of them.
 LOOPED_SOURCES = (

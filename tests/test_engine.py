@@ -112,17 +112,74 @@ thread t {
     assert s.val("x").lo == 99
 
 
-@pytest.mark.xfail(strict=True, reason="SbIndex.from_cfg follows back edges, so s1 and "
-                   "s2 are each sequenced before the other and the append of s2 is refused")
-def test_native_loop_keeps_the_second_store_of_its_body():
-    """The oracle, on this program unrolled 3, violates c.  Natively, s2
-    and t1's exit get no states, and c is proved."""
-    src = """
+# (source, static trip count of t1's loop); t2 asserts that it never reads
+# a value that t1 stores
+NATIVE_LOOPS = {
+    "two_body_stores": ("""
 vars x = 0;
 thread t1 { i: r = 0; while (r < 2) { s1: store x 1; s2: store x 2; f: r = r + 1; } }
 thread t2 { l: r1 = load x; c: assert(r1 != 2); }
-"""
-    assert not tmai(parse(src)).verdicts["c"].proved
+""", 2),
+    "store_after_the_loop": ("""
+vars x = 0;
+thread t1 { i: r = 0; while (r < 2) { s1: store x 1; s2: store x 2; f: r = r + 1; } e: store x 3; }
+thread t2 { l: r1 = load x; c: assert(r1 != 3); }
+""", 2),
+    "if_in_the_loop": ("""
+vars x = 0;
+thread t1 { i: r = 0; while (r < 2) { s1: store x 1; if (r == 0) { s2: store x 2; } f: r = r + 1; } }
+thread t2 { l: r1 = load x; c: assert(r1 != 2); }
+""", 2),
+    "five_iterations": ("""
+vars x = 0;
+thread t1 { i: r = 0; while (r < 5) { s: store x r; f: r = r + 1; } }
+thread t2 { l: r1 = load x; c: assert(r1 != 4); }
+""", 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NATIVE_LOOPS))
+def test_native_loop_keeps_the_second_store_of_its_body(name):
+    """Native analysis proves no site that the oracle violates on the
+    program unrolled past its loop's trip count, so that no run is cut.
+    When each body store was sequenced before the other, the append of the
+    second was refused, and it and everything after it got no states."""
+    src, trips = NATIVE_LOOPS[name]
+    program = parse(src)
+    violated = {site for e in enumerate_executions(unroll(program, trips + 1))
+                for site in e.violations}
+    assert violated
+    verdicts = tmai(program).verdicts
+    assert not [site for site in violated if verdicts[site].proved]
+
+
+def test_the_code_after_a_loop_runs_once_per_pass(monkeypatch):
+    """Reverse post-order puts the loop's body before its exit, so a pass
+    runs the store after the loop once, when the loop has settled: its
+    event is e.1, not the e.3 of a third visit."""
+    program = parse("vars x = 0;\n"
+                    "thread t1 { i: r = 0; while (r < 2) { s: store x 1; f: r = r + 1; } "
+                    "e: store x 3; }\n"
+                    "thread t2 { l: r1 = load x; }\n")
+    calls = {"e": 0, "passes": 0}
+    node_states, run_pass = engine._node_states, engine.seq_ai
+
+    def counting_node_states(ctx, lbl, *args, **kwargs):
+        calls["e"] += lbl == Label("e")
+        return node_states(ctx, lbl, *args, **kwargs)
+
+    def counting_seq_ai(ctx, tname, *args, **kwargs):
+        calls["passes"] += tname == "t1"
+        return run_pass(ctx, tname, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_node_states", counting_node_states)
+    monkeypatch.setattr(engine, "seq_ai", counting_seq_ai)
+    result, ctx = run_with_context(tmai, program)
+    assert calls["passes"] >= 2 and calls["e"] == calls["passes"]
+    k = ctx.layouts["t1"].mo_slot["x"]
+    events = {str(ev) for s in result.states.at(Label("e"))
+              for ev in ctx.posets.posets[s.mo[k]].events}
+    assert events == {"e.1"}
 
 
 def test_rounds_stop_on_revisited_state_set(monkeypatch):

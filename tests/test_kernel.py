@@ -13,15 +13,14 @@ from hypothesis import given, strategies as st
 from ramosaic import engine, interference, oracle
 from ramosaic.engine import tmai
 from ramosaic.intervals import EMPTY, TOP, Interval, singleton, val_join
-from ramosaic.litmus import (Cas, Fadd, Label, LockInst, Store, UnlockInst,
-                             build_cfg, parse, unroll)
+from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.posets import TOP_ID, Event, SbIndex, TooLarge
 from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import LOOPED_SOURCES, corpus_files, full_tails
+from conftest import LOOPED_SOURCES, corpus_files, full_tails, sb_after
 
 LOOPED_SRC = LOOPED_SOURCES[0]
 
@@ -285,31 +284,13 @@ def test_no_container_mixes_labels_and_plain_tuples(monkeypatch):
 # The sequenced-before index keeps one frozenset per label
 # --------------------------------------------------------------------------
 
-def _pair_set(cfg) -> set:
-    """The ordered pairs of same-thread, same-variable writes that the
-    index stored before, built as it was then."""
-    groups: dict = {}
-    for lbl, instr in cfg.nodes.items():
-        if isinstance(instr, (Store, Cas, Fadd)):
-            groups.setdefault((cfg.thread_of[lbl], instr.var), []).append(lbl)
-        elif isinstance(instr, (LockInst, UnlockInst)):
-            groups.setdefault((cfg.thread_of[lbl], instr.mutex), []).append(lbl)
-    pairs = set()
-    for labels in groups.values():
-        members = frozenset(labels)
-        for a in labels:
-            pairs.update(((a.name, a.instance), (b.name, b.instance))
-                         for b in (cfg.reachable(a) & members) - {a})
-    return pairs
-
-
 def test_sb_index_answers_as_the_pair_set():
     programs = [p for _, p in _corpus_programs()]
     programs += [random_program(seed) for seed in range(60)]
     programs.append(parse(LOOPED_SRC))
     for p in programs:
         cfg = build_cfg(p)
-        pairs = _pair_set(cfg)
+        pairs = {(a, b) for a, after in sb_after(cfg).items() for b in after}
         keys = [(lbl.name, lbl.instance) for lbl in cfg.nodes]
         for index in (SbIndex.from_cfg(cfg), SbIndex(pairs)):
             for a in keys:

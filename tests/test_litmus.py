@@ -10,7 +10,7 @@ from ramosaic.litmus import (Assume, Cas, If, Label, LoadInst, ParseError,
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.randprog import random_program
 
-from conftest import LOOPED_SOURCES, corpus_files, peterson
+from conftest import LOOPED_SOURCES, corpus_files, one_iteration_reach, peterson
 
 
 def test_parse_mp(mp_program):
@@ -303,16 +303,6 @@ def test_oracle_leaves_no_cyclic_garbage():
     assert found == 0
 
 
-def _searched_reach(cfg, a):
-    seen, stack = set(), list(cfg.succs[a])
-    while stack:
-        b = stack.pop()
-        if b not in seen:
-            seen.add(b)
-            stack.extend(cfg.succs[b])
-    return seen
-
-
 def test_reachable_through_nested_loops_and_branches():
     src = """
 vars x = 0;
@@ -327,8 +317,14 @@ thread u { e: store x 5; }
 """
     for p in (parse(src), unroll(parse(src), 2)):
         cfg = build_cfg(p)
+        reach = one_iteration_reach(cfg)
         for a in cfg.nodes:
-            assert cfg.reachable(a) == _searched_reach(cfg, a)
+            assert cfg.reachable(a) == reach[a]
+    # within one iteration a body label reaches the rest of its body and
+    # what follows the loop, and no earlier label of the body
+    cfg = build_cfg(parse(src))
+    named = {a: {b.name for b in cfg.reachable(Label(a)) if b.name in set("abcde")} for a in "abcd"}
+    assert named == {"a": {"b", "c", "d"}, "b": {"c", "d"}, "c": {"d"}, "d": set()}
 
 
 def test_sb_index_from_cfg_pairs():

@@ -1,5 +1,6 @@
 """The scripts under scripts/ turn bad arguments into usage errors: exit 2
-with a message on standard error, before any output, not a traceback."""
+with a message on standard error, before any output, not a traceback.  The
+digests cover the inputs they pin, and no others."""
 
 import importlib.util
 from pathlib import Path
@@ -39,3 +40,17 @@ def test_bad_arguments_are_usage_errors(name, args, capsys):
 def test_a_count_of_zero_covers_the_corpus_alone(name, line, capsys):
     assert _load(name).main([f"{name}.py", "0"]) == 0
     assert capsys.readouterr().out.startswith(line)
+
+
+def test_a_file_added_to_the_corpus_leaves_the_oracle_pin(tmp_path, capsys):
+    """The oracle pin reads a fixed list of corpus files, so a new corpus
+    file moves its line only when the enumerator changes."""
+    module = _load("exec_digest")
+    assert module.main(["exec_digest.py", "0"]) == 0
+    line = capsys.readouterr().out
+    for name in module.CORPUS_FILES:
+        (tmp_path / name).write_text((module.CORPUS / name).read_text())
+    (tmp_path / "zz_added.lit").write_text((module.CORPUS / "sb.lit").read_text())
+    module.CORPUS = tmp_path
+    assert module.main(["exec_digest.py", "0"]) == 0
+    assert capsys.readouterr().out == line

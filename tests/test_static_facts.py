@@ -2,7 +2,7 @@
 the interference maps and each thread's boundary) read the CFG's access
 table and `Cfg.reachable`.  Each must equal what the per-module `isinstance`
 scans computed before, or a brute-force scan of its definition, which are
-kept here as the references."""
+kept here and in `conftest.sb_after` as the references."""
 
 from typing import Dict, Tuple
 
@@ -15,7 +15,7 @@ from ramosaic.posets import Event, SbIndex
 from ramosaic.randprog import random_program
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import LOOPED_SOURCES, corpus_files
+from conftest import LOOPED_SOURCES, corpus_files, sb_after
 
 TWO_SECTIONS_IN_A_LOOP = """
 vars x = 0;
@@ -31,6 +31,13 @@ thread t {
 thread u {
   while (q < 2) { l3: lock m; s3: store x 3; u3: unlock m; g: q = q + 1; }
 }
+"""
+
+# t's last access comes before its loop, which no boundary precedes
+LOOP_AFTER_THE_LAST_ACCESS = """
+vars x = 0;
+thread t { l: r = load x; while (q < 2) { g: q = q + 1; } h: q = r + q; }
+thread u { w: store x 1; }
 """
 
 
@@ -56,23 +63,6 @@ def _events(cfg: Cfg) -> Dict[Label, Event]:
         elif isinstance(instr, UnlockInst):
             events[lbl] = Event(lbl.name, lbl.instance, tname, "unlock", instr.mutex)
     return events
-
-
-def _sb_after(cfg: Cfg) -> dict:
-    groups: dict = {}
-    for lbl, instr in cfg.nodes.items():
-        if isinstance(instr, (Store, Cas, Fadd)):
-            groups.setdefault((cfg.thread_of[lbl], instr.var), []).append(lbl)
-        elif isinstance(instr, (LockInst, UnlockInst)):
-            groups.setdefault((cfg.thread_of[lbl], instr.mutex), []).append(lbl)
-    after = {}
-    for labels in groups.values():
-        key_of = {lbl: (lbl.name, lbl.instance) for lbl in labels}
-        members = frozenset(labels)
-        for a in labels:
-            after[key_of[a]] = frozenset(
-                key_of[b] for b in cfg.reachable(a) & members if b != a)
-    return after
 
 
 def _get_interfs(program: Program, cfg: Cfg) -> Dict[str, Dict[Label, Tuple[Label, ...]]]:
@@ -153,7 +143,7 @@ def _boundaries(program: Program, cfg: Cfg) -> Dict[Label, list]:
 def _check(program: Program) -> None:
     cfg = build_cfg(program)
     assert get_interfs(program, cfg) == _get_interfs(program, cfg)
-    assert SbIndex.from_cfg(cfg)._after == _sb_after(cfg)
+    assert SbIndex.from_cfg(cfg)._after == sb_after(cfg)
     ctx = AnalysisContext(program, cfg, TransferConfig())
     assert list(ctx.events.items()) == list(_events(cfg).items())
     assert {lbl: sorted(layout.mem_keys[i] for i in layout.live)
@@ -173,7 +163,7 @@ def test_static_facts_on_random_programs():
 
 
 def test_static_facts_on_looped_programs():
-    for src in (*LOOPED_SOURCES, TWO_SECTIONS_IN_A_LOOP):
+    for src in (*LOOPED_SOURCES, TWO_SECTIONS_IN_A_LOOP, LOOP_AFTER_THE_LAST_ACCESS):
         _check(parse(src))
         _check(unroll(parse(src), 2))
 
@@ -182,10 +172,44 @@ def test_static_facts_on_a_thread_of_300_sections():
     _check(sections_thread(300))
 
 
+def test_a_long_tail_after_a_loop_is_walked_once(monkeypatch):
+    """The boundary search starts past the thread's last loop and at its
+    last access, so the loads after the loop are not walked once each."""
+    loads = " ".join(f"l{i}: r{i} = load x;" for i in range(600))
+    program = parse("vars x = 0;\n"
+                    f"thread t {{ while (q < 2) {{ g: q = q + 1; }} {loads} }}\n"
+                    "thread u { w: store x 1; }\n")
+    cfg = build_cfg(program)
+    walked = []
+    reachable = Cfg.reachable
+
+    def counting(self, a):
+        walked.append(self.thread_of[a])
+        return reachable(self, a)
+
+    monkeypatch.setattr(Cfg, "reachable", counting)
+    ctx = AnalysisContext(program, cfg, TransferConfig())
+    assert walked.count("t") <= 2
+    assert Label("l599") in ctx.boundaries
+    monkeypatch.undo()
+    _check(program)
+
+
+def test_two_sections_in_a_loop_are_analyzed_natively():
+    """Within one iteration t's first section precedes its second, not the
+    other way round, so every lock finds an unlock to read from: every
+    unlock and each thread's exit has states."""
+    program = parse(TWO_SECTIONS_IN_A_LOOP)
+    cfg = build_cfg(program)
+    states = tmai(program, cfg=cfg).states
+    unlocks = [lbl for lbl, (kind, _) in cfg.accesses.items() if kind == "unlock"]
+    assert len(unlocks) == 3
+    assert all(states.at(lbl) for lbl in (*unlocks, *cfg.exits.values()))
+
+
 def test_two_sections_in_a_loop_are_analyzed_when_unrolled():
-    """Inside t's loop each of its two sections reaches the other, which
-    no lock pairing could match.  Unrolled, every lock reads from the
-    unlocks before it: each unlock and each thread's exit has states."""
+    """Unrolled, every lock reads from the unlocks before it: each unlock
+    and each thread's exit has states."""
     unrolled = unroll(parse(TWO_SECTIONS_IN_A_LOOP), 2)
     cfg = build_cfg(unrolled)
     states = tmai(unrolled, cfg=cfg).states
