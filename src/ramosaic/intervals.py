@@ -1,18 +1,17 @@
 """Interval domain over arbitrary-precision integers, plus memories of
 interned intervals.
 
-The domain sits behind a small contract (join / widen / meet / eval /
-refine, and eval and refine compiled) so a relational domain could be
-slotted in later without touching the transfer functions.  `eval_expr` and
-`refine` walk an expression's tree on every call; they are the reference,
-and the assertion checks, which decide each distinct projection of the
-states once, take them.  The transfers take the same functions compiled
-once per analysis for one slot map and one value table (`compile_expr`,
-`compile_cond`).  A memory's intervals are
-hash-consed in its analysis's `ValueTable` (Filliâtre and Conchon,
-"Type-safe modular hash-consing", ML'06), so an operator or a comparison is
-a pure function of its operands' value ids, and each compiled one memoizes
-its result on them, in a memo of its own.
+The domain sits behind a small contract (join / widen / meet, and
+expressions and conditions compiled) so a relational domain could be
+slotted in later without touching the transfer functions.  Every
+evaluation goes through `compile_expr` and `compile_cond`, which compile an
+expression or a condition once for one slot map and one value table: the
+transfers once per analysis, the assertion checks once per site or
+component.  A memory's intervals are hash-consed in its analysis's
+`ValueTable` (Filliâtre and Conchon, "Type-safe modular hash-consing",
+ML'06), so an operator or a comparison is a pure function of its operands'
+value ids, and each compiled one memoizes its result on them, in a memo of
+its own.
 """
 
 from __future__ import annotations
@@ -203,24 +202,6 @@ class ValueTable:
         return tuple(out)
 
 
-def eval_expr(e: IntExpr, mem: tuple, slots: dict, table: ValueTable) -> Interval:
-    """The value of `e`; only the slots `e` names are read off the table."""
-    if isinstance(e, Lit):
-        return singleton(e.value)
-    if isinstance(e, Name):
-        return table.values[mem[slots[e.ident]]]
-    if isinstance(e, BinOp):
-        l = eval_expr(e.left, mem, slots, table)
-        r = eval_expr(e.right, mem, slots, table)
-        if e.op == "+":
-            return add(l, r)
-        if e.op == "-":
-            return sub(l, r)
-        if e.op == "*":
-            return mul(l, r)
-    raise TypeError(e)
-
-
 def exclude_value(iv: Interval, k: int) -> Interval:
     """!= refinement: trims only when the excluded value is a bound."""
     if iv.is_empty:
@@ -258,59 +239,18 @@ _TIGHTEN = {
 FLIP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _refine_cmp(mem: tuple, cond: Cmp, slots: dict, table: ValueTable) -> Optional[tuple]:
-    """A name operand is tightened against the other operand's value, both
-    evaluated before either is tightened; a right operand as the left one
-    of the flipped comparison.  Only a tightened slot is interned."""
-    lv = eval_expr(cond.left, mem, slots, table)
-    rv = eval_expr(cond.right, mem, slots, table)
-    if lv.is_empty or rv.is_empty or not _SATISFIABLE[cond.op](lv, rv):
-        return None
-    for side, op, bound in ((cond.left, cond.op, rv), (cond.right, FLIP[cond.op], lv)):
-        if isinstance(side, Name):
-            k = slots[side.ident]
-            old = table.values[mem[k]]
-            nv = _TIGHTEN[op](old, bound)
-            if nv.is_empty:
-                return None
-            if nv != old:
-                mem = (*mem[:k], table.intern(nv), *mem[k + 1:])
-    return mem
-
-
-def refine(mem: tuple, cond: BoolExpr, slots: dict, table: ValueTable) -> Optional[tuple]:
-    """Constrain mem, a tuple of ids of `table`, to satisfy cond; None when
-    infeasible."""
-    if isinstance(cond, BoolLit):
-        return mem if cond.value else None
-    if isinstance(cond, And):
-        m = refine(mem, cond.left, slots, table)
-        return refine(m, cond.right, slots, table) if m is not None else None
-    if isinstance(cond, Or):
-        a = refine(mem, cond.left, slots, table)
-        b = refine(mem, cond.right, slots, table)
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return table.mem_join(a, b)
-    if isinstance(cond, Cmp):
-        return _refine_cmp(mem, cond, slots, table)
-    raise TypeError(cond)
-
-
 # --------------------------------------------------------------------------
-# Compiled expressions and conditions: the functions above, compiled once per
-# analysis for one slot map and one value table, taking and giving value ids.
+# Compiled expressions and conditions, for one slot map and one value table,
+# taking and giving value ids.
 # --------------------------------------------------------------------------
 
 _ARITH = {"+": add, "-": sub, "*": mul}
 
 
 def compile_expr(e: IntExpr, slots: dict, table: ValueTable) -> Callable[[tuple], int]:
-    """`e` as a function from a memory to the id of its value, the id of
-    `eval_expr(e, mem, slots, table)`.  A literal is interned once, a name
-    reads its slot, and a BinOp memoizes its result on its operands' ids."""
+    """`e` as a function from a memory to the id of its value.  A literal
+    is interned once, a name reads its slot, and a BinOp memoizes its
+    result on its operands' ids."""
     if isinstance(e, Lit):
         i = table.intern(singleton(e.value))
         return lambda mem: i
@@ -334,8 +274,10 @@ def compile_expr(e: IntExpr, slots: dict, table: ValueTable) -> Callable[[tuple]
 
 
 def compile_cond(cond: BoolExpr, slots: dict, table: ValueTable) -> Callable[[tuple], Optional[tuple]]:
-    """`cond` as a function from a memory to `refine(mem, cond, slots,
-    table)`, which it equals."""
+    """`cond` as a function from a memory, a tuple of ids of `table`, to
+    that memory constrained to satisfy `cond`, or None when infeasible.
+    `&&` constrains by its operands in order, and `||` takes the hull of
+    its operands' memories."""
     return _compile_cond(cond, slots, table)[0]
 
 
@@ -388,8 +330,9 @@ def _compile_cmp(cond: Cmp, slots: dict, table: ValueTable) -> tuple:
     kr = slots[cond.right.ident] if isinstance(cond.right, Name) else None
 
     def decide(a: int, b: int) -> Optional[tuple]:
-        # as `_refine_cmp`: both operands evaluated first, the left one
-        # tightened, then the right one, read after the left's write.  A
+        # both operands evaluated first, a name operand tightened against
+        # the other's value: the left one, then the right one, as the left
+        # one of the flipped comparison, read after the left's write.  A
         # name operand's tightening is empty exactly when the comparison is
         # unsatisfiable, so only a comparison without one asks `sat`.
         lv, rv = values[a], values[b]

@@ -18,8 +18,9 @@ Memories hold ids of the analysis's `intervals.ValueTable`: expressions read
 the intervals at the slots they name, and the transfers intern only what they
 write.  The transfers compile each condition and expression once per
 analysis (`AnalysisContext.compiled`, `intervals.compile_cond` and
-`compile_expr`), and its compiled comparisons and operators memoize their
-results on value ids.
+`compile_expr`), the assertion checks each negated condition once per
+site and each postcondition component's conjuncts once, and the compiled
+comparisons and operators memoize their results on value ids.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from . import intervals, posets
-from .intervals import compile_cond, compile_expr, exclude_value, refine, val_meet
+from .intervals import compile_cond, compile_expr, exclude_value, val_meet
 from .litmus import (AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
                      LoadInst, LockInst, Nop, Or, Program, Store, UnlockInst,
                      expr_names, negate)
@@ -603,25 +604,15 @@ def _transfer_unlock(ctx, lbl, instr, pre_states, bump) -> list:
 
 
 def check_assert(states, cond, slots: dict) -> Verdict:
-    """Proved iff the negated condition is infeasible in every state.
-    `refine` reads only the slots the condition names, so feasibility is
-    decided once per distinct projection of the states onto those slots,
-    as value ids, on the first state with that projection; the witnesses
-    are the states whose projection is feasible, in order.  So each
-    projection is refined once, and compiling the condition would only
-    add its cost."""
-    neg = negate(cond)
-    named = sorted({slots[n] for n in expr_names(neg)})
-    feasible: dict = {}
-    witnesses = []
-    for s in states:
-        ids = tuple([s.mem[i] for i in named])
-        ok = feasible.get(ids)
-        if ok is None:
-            ok = feasible[ids] = refine(s.mem, neg, slots, s.layout.values) is not None
-        if ok:
-            witnesses.append(s)
-    return Verdict(not witnesses, tuple(witnesses))
+    """Proved iff the negated condition, compiled once per call, is
+    infeasible in every state; the witnesses are the states where it is
+    feasible, in order.  Each compiled comparison memoizes on its operands'
+    value ids, so states that agree on the named slots are decided once."""
+    if not states:
+        return Verdict(True)
+    feasible = compile_cond(negate(cond), slots, states[0].layout.values)
+    witnesses = tuple(s for s in states if feasible(s.mem) is not None)
+    return Verdict(not witnesses, witnesses)
 
 
 def _negated_disjuncts(b) -> list:
@@ -667,19 +658,16 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
     states, one component of threads at a time.
 
     The postcondition may only mention registers, which are disjoint across
-    threads.  `refine` on a conjunct of the negated postcondition reads and
-    writes only the slots that conjunct names, so conjuncts that share no
-    thread cannot affect each other: the negation is feasible iff each
+    threads.  A conjunct of the negated postcondition reads and writes
+    only the slots that it names, so conjuncts that share no thread
+    cannot affect each other: the negation is feasible iff each
     component of threads linked by shared conjuncts has a combination of
     their exit states, projected onto the named registers, that satisfies
     the component's conjuncts in order.  A component's memory is the
     concatenation of its threads' projections, as value ids, and each name
     maps to its position there once.  A thread without exit states leaves
-    no complete execution, so the postcondition is proved.
-
-    The conjuncts take the tree-walking `intervals.refine`, not a compiled
-    condition: a component's distinct combinations are few, so compiling
-    them would cost more than it saves.
+    no complete execution, so the postcondition is proved.  A component's
+    conjuncts are compiled once, for its slot map.
     """
     exits = {t: ss.at(ctx.cfg.exits[t]) for t in ctx.registers}
     if not all(exits.values()):
@@ -700,10 +688,11 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
             options.append(list(dict.fromkeys(tuple([s.mem[i] for i in mem_slots])
                                               for s in exits[t])))
         slots = {n: keys.index(key_of[n]) for i in idx for n in names[i]}
+        compiled = [compile_cond(conjuncts[i], slots, ctx.values) for i in idx]
         for combo in itertools.product(*options):
             mem: Optional[tuple] = tuple(itertools.chain.from_iterable(combo))
-            for i in idx:
-                mem = refine(mem, conjuncts[i], slots, ctx.values)
+            for feasible in compiled:
+                mem = feasible(mem)
                 if mem is None:
                     break
             if mem is not None:

@@ -10,9 +10,11 @@ import pytest
 from ramosaic import oracle
 from ramosaic.cli import main
 from ramosaic.engine import tmai
-from ramosaic.intervals import ValueTable, refine
+from ramosaic.intervals import ValueTable
 from ramosaic.litmus import build_cfg, expr_names, negate, parse
 from ramosaic.randprog import random_program
+
+from intervals_reference import refine
 
 
 def brute_force_proved(program, ss) -> bool:

@@ -1,8 +1,8 @@
 """The fixpoint's shortcuts against the code they replaced, kept here as the
 reference: the batched interference kernel against, per source state, the
 view test with two `posets.less` tests and a second build for the loaded
-register, the assertion check on projections against a `refine` over each
-state's full memory, nodes that pass their predecessor's states on against
+register, the compiled assertion check against the reference `refine` over
+each state's full memory, nodes that pass their predecessor's states on against
 a fresh bucket merge, passes over the heads against passes over all labels,
 and the round loop that shares buckets, iterates only the heads and
 computes the tails in a last pass against the plain one, which iterates
@@ -26,7 +26,7 @@ import pytest
 from ramosaic import engine, transfer
 from ramosaic import posets as P
 from ramosaic.engine import tmai
-from ramosaic.intervals import refine, val_join
+from ramosaic.intervals import val_join
 from ramosaic.litmus import (And, AssertInst, BinOp, BoolLit, Cmp, Label, Lit, Name, Nop,
                              Or, build_cfg, negate, parse, unroll)
 from ramosaic.randprog import random_program
@@ -34,6 +34,7 @@ from ramosaic.states import AbstractState, StateBucket, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig, Verdict
 
 from conftest import LOOPED_SOURCES, corpus_files, peterson
+from intervals_reference import refine
 
 FULL_TAILS = TransferConfig(project_tails=False)
 

@@ -4,9 +4,12 @@ from hypothesis import example, given, strategies as st
 
 from ramosaic import intervals as iv
 from ramosaic.intervals import (EMPTY, FLIP, TOP, Interval, ValueTable, compile_cond,
-                                compile_expr, eval_expr, refine, singleton)
-from ramosaic.litmus import And, BinOp, BoolLit, Cmp, Lit, Name, Or, build_cfg, parse
+                                compile_expr, singleton)
+from ramosaic.litmus import And, BinOp, BoolLit, Cmp, Lit, Name, Or, _Parser, build_cfg, parse
+from ramosaic.oracle import _eval_bool
 from ramosaic.transfer import AnalysisContext, TransferConfig
+
+from intervals_reference import eval_expr, refine
 
 finite = st.integers(min_value=-20, max_value=20)
 
@@ -134,23 +137,20 @@ def _at(mem: tuple, name: str) -> Interval:
     return VALUES.values[mem[SLOTS[name]]]
 
 
-def test_eval_examples():
-    from ramosaic.litmus import _Parser
+def _evaluated(expr_src, mem) -> Interval:
+    return VALUES.values[compile_expr(_Parser(expr_src).parse_iexpr(), SLOTS, VALUES)(mem)]
 
+
+def test_eval_examples():
     mem = _mem(r=Interval(0, 2))
-    assert eval_expr(_Parser("r + 1").parse_iexpr(), mem, SLOTS, VALUES) == Interval(1, 3)
-    assert eval_expr(_Parser("5").parse_iexpr(), mem, SLOTS, VALUES) == singleton(5)
-    mem = _mem(r=Interval(0, 1), r2=Interval(0, 1))
-    assert eval_expr(_Parser("r - r2").parse_iexpr(), mem, SLOTS, VALUES) == Interval(-1, 1)
-    mem = _mem(r=Interval(-1, 2), r2=Interval(-3, 3))
-    assert eval_expr(_Parser("r * r2").parse_iexpr(), mem, SLOTS, VALUES) == Interval(-6, 6)
+    assert _evaluated("r + 1", mem) == Interval(1, 3)
+    assert _evaluated("5", mem) == singleton(5)
+    assert _evaluated("r - r2", _mem(r=Interval(0, 1), r2=Interval(0, 1))) == Interval(-1, 1)
+    assert _evaluated("r * r2", _mem(r=Interval(-1, 2), r2=Interval(-3, 3))) == Interval(-6, 6)
 
 
 def _refined(cond_src, r):
-    from ramosaic.litmus import _Parser
-
-    cond = _Parser(cond_src).parse_bexpr()
-    return refine(_mem(r=r), cond, SLOTS, VALUES)
+    return compile_cond(_Parser(cond_src).parse_bexpr(), SLOTS, VALUES)(_mem(r=r))
 
 
 def test_refine_examples():
@@ -172,43 +172,21 @@ def test_refine_conjunction_disjunction():
 
 
 def test_refine_soundness_against_enumeration():
-    """Every concrete value satisfying the condition survives refinement."""
-    from ramosaic.litmus import _Parser
-
+    """Every concrete value satisfying the condition, as the oracle
+    evaluates it, survives the compiled condition."""
     rng = random.Random(7)
     conds = ["r == 2", "r != 2", "r < 3", "r <= 3", "r > 1", "r >= 1",
              "r == 2 || r >= 4", "r >= 1 && r != 5", "r < 2 || r2 > 3",
              "r == r2", "r != r2", "r <= r2"]
-    ops = {"==": lambda a, b: a == b, "!=": lambda a, b: a != b,
-           "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-           ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
-
-    def holds(c, vals):
-        from ramosaic import litmus
-
-        if isinstance(c, litmus.Cmp):
-            def ev(e):
-                if isinstance(e, litmus.Lit):
-                    return e.value
-                if isinstance(e, litmus.Name):
-                    return vals[e.ident]
-                raise TypeError(e)
-            return ops[c.op](ev(c.left), ev(c.right))
-        if isinstance(c, litmus.And):
-            return holds(c.left, vals) and holds(c.right, vals)
-        if isinstance(c, litmus.Or):
-            return holds(c.left, vals) or holds(c.right, vals)
-        return c.value
-
     for _ in range(120):
         cond = _Parser(rng.choice(conds)).parse_bexpr()
         lo1, lo2 = rng.randint(-2, 4), rng.randint(-2, 4)
         a = Interval(lo1, lo1 + rng.randint(0, 5))
         b = Interval(lo2, lo2 + rng.randint(0, 5))
-        out = refine(_mem(r=a, r2=b), cond, SLOTS, VALUES)
+        out = compile_cond(cond, SLOTS, VALUES)(_mem(r=a, r2=b))
         for va in range(a.lo, a.hi + 1):
             for vb in range(b.lo, b.hi + 1):
-                if holds(cond, {"r": va, "r2": vb}):
+                if _eval_bool(cond, {"r": va, "r2": vb}):
                     assert out is not None
                     assert va in _at(out, "r") and vb in _at(out, "r2")
 
@@ -216,12 +194,13 @@ def test_refine_soundness_against_enumeration():
 @given(st.sampled_from(sorted(FLIP)), intervals_(), intervals_(),
        st.one_of(st.just("r"), st.just("r2"), finite))
 def test_refine_is_symmetric_under_the_flipped_operator(op, a, b, right):
-    """`r op e` and `e flip(op) r` refine alike, for e another name, the
-    same name or a literal, over intervals with unbounded or empty ends."""
+    """`r op e` and `e flip(op) r` compile to conditions that constrain
+    alike, for e another name, the same name or a literal, over intervals
+    with unbounded or empty ends."""
     mem = _mem(r=a, r2=b)
     left, right = Name("r"), Name(right) if isinstance(right, str) else Lit(right)
-    assert (refine(mem, Cmp(op, left, right), SLOTS, VALUES)
-            == refine(mem, Cmp(FLIP[op], right, left), SLOTS, VALUES))
+    assert (compile_cond(Cmp(op, left, right), SLOTS, VALUES)(mem)
+            == compile_cond(Cmp(FLIP[op], right, left), SLOTS, VALUES)(mem))
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from ramosaic import engine, intervals, transfer
 from ramosaic import posets as P
 from ramosaic.engine import tmai
 from ramosaic.intervals import singleton
-from ramosaic.litmus import Cas, Label, SemanticError, build_cfg, parse, unroll
+from ramosaic.litmus import AssertInst, Cas, Label, SemanticError, build_cfg, negate, parse, unroll
 from ramosaic.oracle import check_soundness
 from ramosaic.randprog import random_program
 from ramosaic.states import StateSet
@@ -436,36 +436,47 @@ def test_published_memo_answers_as_the_scan(monkeypatch, abstract_mo):
 
 
 def test_transfers_run_compiled_conditions_and_expressions(monkeypatch):
-    """While the rounds run, no transfer walks an expression tree: the
-    reference `refine` and `eval_expr` are never called, and each label's
-    condition or expressions are compiled once per analysis, over the
-    corpus and `random_program(0..99)`, which hold assumes, assigns,
-    stores, cas and fadd."""
-    def tree_walk(*args):
-        raise AssertionError("a transfer called the tree-walking reference")
-
-    for name in ("refine", "eval_expr", "_refine_cmp"):
-        monkeypatch.setattr(intervals, name, tree_walk)
-    monkeypatch.setattr(transfer, "refine", tree_walk)
-    compiles = []
+    """The compiled functions are the package's only evaluator, over whole
+    `tmai` runs of the corpus, `random_program(0..99)` and Peterson-3, all
+    against the analysis's value table.  The rounds compile each label's
+    condition or expressions once, and anew for another analysis; then
+    each assertion site with states compiles its negated condition once,
+    in label order, and each conjunct of the negated postcondition is
+    compiled at most once, all of them unless the postcondition is proved."""
+    assert not any(hasattr(intervals, n) for n in ("refine", "eval_expr", "_refine_cmp"))
+    compiles, marks = [], []
     for name in ("compile_cond", "compile_expr"):
         real = getattr(transfer, name)
         monkeypatch.setattr(transfer, name,
-                            lambda *args, real=real: compiles.append(args[2]) or real(*args))
+                            lambda *args, real=real: compiles.append(args) or real(*args))
+    real_evaluate = engine._evaluate
+    monkeypatch.setattr(engine, "_evaluate", lambda ctx, ss: marks.append(
+        (ctx, ss, len(compiles))) or real_evaluate(ctx, ss))
     programs = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
-    programs += [random_program(seed) for seed in range(100)]
-    kinds = set()
+    programs += [random_program(seed) for seed in range(100)] + [parse(peterson(3))]
+    kinds, sites, finals = set(), 0, 0
     for program in programs:
-        compiles.clear()
-        ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
-        engine._rounds(ctx, 1000)
-        kinds.update(type(ctx.cfg.nodes[lbl]).__name__ for lbl in ctx._compiled)
-        assert all(table is ctx.values for table in compiles)
-        assert len(compiles) == sum(2 if isinstance(ctx.cfg.nodes[lbl], Cas) else 1
-                                    for lbl in ctx._compiled)
-        again = AnalysisContext(program, build_cfg(program), TransferConfig())
+        del compiles[:], marks[:]
+        result = tmai(program)
+        ((ctx, ss, n),) = marks
+        cfg = ctx.cfg
+        kinds.update(type(cfg.nodes[lbl]).__name__ for lbl in ctx._compiled)
+        assert all(args[2] is ctx.values for args in compiles)
+        assert n == sum(2 if isinstance(cfg.nodes[lbl], Cas) else 1 for lbl in ctx._compiled)
+        asserts = [negate(cfg.nodes[lbl].cond) for lbl in sorted(cfg.nodes)
+                   if isinstance(cfg.nodes[lbl], AssertInst) and ss.at(lbl)]
+        conjuncts = [args[0] for args in compiles[n + len(asserts):]]
+        assert [args[0] for args in compiles[n:n + len(asserts)]] == asserts
+        assert len(set(map(id, conjuncts))) == len(conjuncts)
+        final = transfer._negated_disjuncts(program.postcondition) if conjuncts else []
+        assert all(c in final for c in conjuncts)
+        if final and not result.verdicts["final"].proved:
+            assert sorted(map(repr, conjuncts)) == sorted(map(repr, final))
+        sites, finals = sites + len(asserts), finals + len(conjuncts)
+        again = AnalysisContext(program, cfg, TransferConfig())
         assert all(again.compiled(lbl) is not f for lbl, f in ctx._compiled.items())
     assert kinds == {"Assume", "Assign", "Store", "Cas", "Fadd"}
+    assert sites and finals
 
 
 def test_boundary_loads_scan_each_source_label_once():
