@@ -162,7 +162,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--unroll", type=positive_int, default=2, metavar="N",
                     help="loop unrolling bound (default 2)")
     ap.add_argument("--widen-after", type=positive_int, default=3, metavar="N",
-                    help="widen loop heads after N visits (default 3)")
+                    help="widen a loop head after N visits (default 3); applies only to "
+                         "loops analyzed natively, and this command unrolls every "
+                         "loop first, so here the flag has no effect")
     ap.add_argument("--abstract-mo", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="forget older same-thread stores in posets (default on)")

@@ -19,21 +19,24 @@ the intervals at the slots they name, and the transfers intern only what they
 write.  The transfers compile each condition and expression once per
 analysis (`AnalysisContext.compiled`, `intervals.compile_cond` and
 `compile_expr`), the assertion checks each negated condition once per
-site and each postcondition component's conjuncts once, and the compiled
-comparisons and operators memoize their results on value ids.
+site and each slot shape of the postcondition's conjuncts once per check,
+so components that differ only in the registers they name share one
+compiled conjunct; the compiled comparisons and operators memoize their
+results on value ids.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Dict, Optional
 
 from . import intervals, posets
 from .intervals import compile_cond, compile_expr, exclude_value, val_meet
-from .litmus import (AssertInst, Assign, Assume, Cas, Cfg, Fadd, Label,
-                     LoadInst, LockInst, Nop, Or, Program, Store, UnlockInst,
-                     expr_names, negate)
+from .litmus import (AssertInst, Assign, Assume, BoolLit, Cas, Cfg, Fadd,
+                     Label, Lit, LoadInst, LockInst, Name, Nop, Or, Program,
+                     Store, UnlockInst, expr_names, negate)
 from .interference import CTX, get_interfs
 from .posets import TOP_ID, Event, SbIndex
 from .states import AbstractState, Layout, StateSet
@@ -167,13 +170,13 @@ class AnalysisContext:
                     heads.add(pred)
                     stack.append(pred)
         self.tails = frozenset(cfg.nodes.keys() - heads)
-        self.boundaries = self._boundaries() if tc.project_tails else {}
-        self.boundary_states: Dict[Label, tuple] = {}
         # each label's position in its thread's reverse post-order, and per
         # thread the positions a pass of engine.seq_ai starts with pending:
         # all but the entry's, 0; for a pass over the heads alone, only the
         # heads' positions, with each head's successors that are heads
         self.rpo_index = {lbl: i for rpo in cfg.rpo.values() for i, lbl in enumerate(rpo)}
+        self.boundaries = self._boundaries() if tc.project_tails else {}
+        self.boundary_states: Dict[Label, tuple] = {}
         self.first_worklists = {t: tuple(range(1, len(rpo))) for t, rpo in cfg.rpo.items()}
         self.head_worklists = {t: tuple(i for i in range(1, len(rpo)) if rpo[i] in heads)
                                for t, rpo in cfg.rpo.items()}
@@ -194,6 +197,7 @@ class AnalysisContext:
         """Each thread's boundary, if it has one, with its projected layout."""
         cfg, program = self.cfg, self.program
         nodes, preds, tails, pass_through = cfg.nodes, cfg.preds, self.tails, self.pass_through
+        index = self.rpo_index
         accesses, loop_exits = cfg.accesses.keys(), set(cfg.back_edges.values())
         out = {}
         for tname, rpo in cfg.rpo.items():
@@ -203,13 +207,22 @@ class AnalysisContext:
             start = len(rpo) - 1
             while start > 1 and rpo[start] not in accesses and rpo[start] not in loop_exits:
                 start -= 1
-            for lbl in rpo[start:]:
-                if lbl in tails and lbl not in pass_through:
-                    after = cfg.reachable(lbl)
-                    if all(p == lbl or p in after for a in after for p in preds[a]):
-                        break
-            else:
+            # from there on every edge leads forward in reverse post-order, so
+            # a label is a boundary iff no edge leads over it, from before it
+            # to after it: then every path to the exit passes it, and the
+            # labels after it are the ones it reaches, whose predecessors are
+            # it or among them.  One backward scan keeps the first such tail.
+            found, low = None, len(rpo)
+            for i in range(len(rpo) - 1, start - 1, -1):
+                lbl = rpo[i]
+                if low >= i and lbl in tails and lbl not in pass_through:
+                    found = i
+                for p in preds[lbl]:
+                    if index[p] < low:
+                        low = index[p]
+            if found is None:
                 continue
+            lbl, after = rpo[found], rpo[found + 1:]
             names = set(program.thread_registers(tname)).intersection(program.postcondition_names)
             reg = getattr(nodes[lbl], "reg", None)
             if reg is not None:
@@ -628,11 +641,11 @@ def _negated_disjuncts(b) -> list:
     return out
 
 
-def _components(key_sets, owner) -> list:
-    """Group conjuncts, given as the sets of register keys they name, into
-    components of threads that share a conjunct; a conjunct that names no
-    register is a component of its own.  Returns [(threads, conjunct
-    indices in their original order)]."""
+def _components(conjuncts, resolve, owner) -> list:
+    """Group conjuncts into components of threads that share a conjunct; a
+    conjunct that names no register is a component of its own.  `resolve`
+    maps a name to its register key, once per name.  Returns [(threads,
+    [(conjunct, {name: key})] in their original order)]."""
     parent: Dict[str, str] = {}
 
     def find(t: str) -> str:
@@ -641,16 +654,41 @@ def _components(key_sets, owner) -> list:
             t = parent[t]
         return t
 
-    for keys in key_sets:
-        threads = [owner[k] for k in keys]
+    key_of: Dict[str, str] = {}
+    entries = []
+    for c in conjuncts:
+        keys = {}
+        for n in expr_names(c):
+            if n not in key_of:
+                key_of[n] = resolve(n)
+            keys[n] = key_of[n]
+        threads = [owner[k] for k in keys.values()]
         for t in threads[1:]:
             parent[find(t)] = find(threads[0])
+        entries.append((c, keys, threads))
     groups: dict = {}
-    for i, keys in enumerate(key_sets):
-        root = find(owner[next(iter(keys))]) if keys else i
-        groups.setdefault(root, []).append(i)
-    return [(sorted({owner[k] for i in idx for k in key_sets[i]}), idx)
-            for idx in groups.values()]
+    for i, (c, keys, threads) in enumerate(entries):
+        groups.setdefault(find(threads[0]) if threads else i, []).append((c, keys))
+    return [(sorted({owner[k] for _, keys in part for k in keys.values()}), part)
+            for part in groups.values()]
+
+
+def _shape(e, slots: dict):
+    """`e` with each name replaced by its slot: what `compile_cond` and
+    `compile_expr` read of `e` and `slots`, so equal shapes compile to
+    functions that agree on every memory."""
+    if isinstance(e, Name):
+        return slots[e.ident]
+    if isinstance(e, (Lit, BoolLit)):
+        return e.__class__, e.value
+    return e.__class__, getattr(e, "op", None), _shape(e.left, slots), _shape(e.right, slots)
+
+
+_MEM = attrgetter("mem")
+
+
+def _joined(combo: tuple) -> tuple:
+    return tuple(itertools.chain.from_iterable(combo))
 
 
 def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
@@ -664,41 +702,51 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
     component of threads linked by shared conjuncts has a combination of
     their exit states, projected onto the named registers, that satisfies
     the component's conjuncts in order.  A component's memory is the
-    concatenation of its threads' projections, as value ids, and each name
-    maps to its position there once.  A thread without exit states leaves
-    no complete execution, so the postcondition is proved.  A component's
-    conjuncts are compiled once, for its slot map.
+    concatenation of its threads' distinct projections, as value ids, and
+    each name maps to its position there once.  A thread without exit
+    states leaves no complete execution, so the postcondition is proved.
+
+    A conjunct is compiled once per call for each slot shape (`_shape`):
+    components whose conjuncts differ only in the names share one compiled
+    comparison and its memo of decisions on value ids.
     """
     exits = {t: ss.at(ctx.cfg.exits[t]) for t in ctx.registers}
     if not all(exits.values()):
         return Verdict(True)
     owner = {k: t for t, keys in ctx.registers.items() for k in keys}
-    conjuncts = _negated_disjuncts(cond)
-    names = [expr_names(c) for c in conjuncts]
-    key_of = {n: ctx.program.resolve_postcondition_name(n) for n in set().union(*names)}
-    key_sets = [{key_of[n] for n in ns} for ns in names]
+    parts = _components(_negated_disjuncts(cond), ctx.program.resolve_postcondition_name, owner)
+    table, shared = ctx.values, {}
     witness: Dict[str, int] = {}
-    for threads, idx in _components(key_sets, owner):
-        named = set().union(*(key_sets[i] for i in idx))
+    for threads, part in parts:
+        named = {k for _, keys in part for k in keys.values()}
         keys, options = [], []
         for t in threads:
             tkeys = [k for k in ctx.registers[t] if k in named]
-            mem_slots = [ctx.layouts[t].mem_slot[k] for k in tkeys]
+            project = itemgetter(*[ctx.layouts[t].mem_slot[k] for k in tkeys])
+            distinct = dict.fromkeys(map(project, map(_MEM, exits[t])))
+            # itemgetter of one slot reads the id itself
+            options.append(list(distinct) if len(tkeys) > 1 else [(v,) for v in distinct])
             keys += tkeys
-            options.append(list(dict.fromkeys(tuple([s.mem[i] for i in mem_slots])
-                                              for s in exits[t])))
-        slots = {n: keys.index(key_of[n]) for i in idx for n in names[i]}
-        compiled = [compile_cond(conjuncts[i], slots, ctx.values) for i in idx]
-        for combo in itertools.product(*options):
-            mem: Optional[tuple] = tuple(itertools.chain.from_iterable(combo))
+        slot_of = {k: i for i, k in enumerate(keys)}
+        compiled = []
+        for c, names in part:
+            slots = {n: slot_of[k] for n, k in names.items()}
+            shape = _shape(c, slots)
+            feasible = shared.get(shape)
+            if feasible is None:
+                feasible = shared[shape] = compile_cond(c, slots, table)
+            compiled.append(feasible)
+        # a one-thread component's projections are its memories
+        for combo in options[0] if len(options) == 1 else map(_joined, itertools.product(*options)):
+            mem: Optional[tuple] = combo
             for feasible in compiled:
                 mem = feasible(mem)
                 if mem is None:
                     break
             if mem is not None:
-                witness.update(zip(keys, itertools.chain.from_iterable(combo)))
+                witness.update(zip(keys, combo))
                 break
         else:
             return Verdict(True)
-    values = ctx.values.values
+    values = table.values
     return Verdict(False, (tuple(sorted((k, str(values[v])) for k, v in witness.items())),))

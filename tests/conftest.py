@@ -97,6 +97,60 @@ def run_with_context(driver, program, *args, **kwargs):
     return result, ctx
 
 
+
+def slot_shape(cond, slots: dict):
+    """`cond` with each name replaced by `#i`, i its slot in `slots`: the
+    conditions that `intervals.compile_cond` compiles alike."""
+    from dataclasses import replace
+
+    from ramosaic.litmus import Name
+
+    if isinstance(cond, Name):
+        return Name(f"#{slots[cond.ident]}")
+    if hasattr(cond, "left"):
+        return replace(cond, left=slot_shape(cond.left, slots), right=slot_shape(cond.right, slots))
+    return cond
+
+
+def record_final_check(monkeypatch) -> tuple:
+    """Two lists that grow on each `transfer.check_final_assert` call: the
+    (conjunct, slot map) pairs whose shape it takes, the outer calls of
+    the recursive `transfer._shape` only, component by component; and the
+    (condition, slot map) pairs that `transfer.compile_cond` compiles,
+    during that check only."""
+    from ramosaic import engine, transfer
+
+    shaped, compiled = [], []
+    depth, checking = [0], [False]
+    real_shape, real_compile, real_check = transfer._shape, transfer.compile_cond, engine.check_final_assert
+
+    def shape(cond, slots):
+        if not depth[0]:
+            shaped.append((cond, slots))
+        depth[0] += 1
+        try:
+            return real_shape(cond, slots)
+        finally:
+            depth[0] -= 1
+
+    def compile_cond(cond, slots, table):
+        if checking[0]:
+            compiled.append((cond, slots))
+        return real_compile(cond, slots, table)
+
+    def check(*args):
+        checking[0] = True
+        try:
+            return real_check(*args)
+        finally:
+            checking[0] = False
+
+    monkeypatch.setattr(transfer, "_shape", shape)
+    monkeypatch.setattr(transfer, "compile_cond", compile_cond)
+    monkeypatch.setattr(engine, "check_final_assert", check)
+    return shaped, compiled
+
+
 @pytest.fixture
 def mp_program():
     from ramosaic.litmus import parse

@@ -40,6 +40,21 @@ thread t { l: r = load x; while (q < 2) { g: q = q + 1; } h: q = r + q; }
 thread u { w: store x 1; }
 """
 
+# t's last access is a store that u reads, so no label before t's branches
+# is a boundary; an edge that leads over a label, from the branch whose
+# condition fails to the join, keeps the label from being one
+BRANCHES_AFTER_A_SOURCE = tuple(
+    "vars x = 0;\n"
+    f"thread t {{ i: r = 1; a: store x 1; {tail} }}\n"
+    "thread u { w: s = load x; }\n"
+    for tail in (
+        "if (r == 1) { b: q = 1; } else { e: q = 2; } c: q = q + 1;",
+        "if (r == 1) { b: q = 1; } c: q = q + 1;",
+        "if (r == 1) { if (q == 0) { b: q = 1; } d: q = q + 2; } else { e: q = 2; }",
+        "if (r == 1) { b: q = 1; } if (q == 1) { e: q = 2; } c: q = q + 1;",
+        "while (q < 2) { g: q = q + 1; } if (q == 2) { b: r = 2; } c: q = r;",
+    ))
+
 
 def sections_thread(n: int) -> Program:
     body = " ".join(f"l{i}: lock m; s{i}: store x {i}; u{i}: unlock m;" for i in range(n))
@@ -164,6 +179,12 @@ def test_static_facts_on_random_programs():
 
 def test_static_facts_on_looped_programs():
     for src in (*LOOPED_SOURCES, TWO_SECTIONS_IN_A_LOOP, LOOP_AFTER_THE_LAST_ACCESS):
+        _check(parse(src))
+        _check(unroll(parse(src), 2))
+
+
+def test_static_facts_on_branches_after_the_last_access():
+    for src in BRANCHES_AFTER_A_SOURCE:
         _check(parse(src))
         _check(unroll(parse(src), 2))
 

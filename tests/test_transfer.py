@@ -10,7 +10,8 @@ from ramosaic import engine, intervals, transfer
 from ramosaic import posets as P
 from ramosaic.engine import tmai
 from ramosaic.intervals import singleton
-from ramosaic.litmus import AssertInst, Cas, Label, SemanticError, build_cfg, negate, parse, unroll
+from ramosaic.litmus import (AssertInst, Cas, Label, SemanticError, build_cfg, expr_names, negate,
+                             parse, unroll)
 from ramosaic.oracle import check_soundness
 from ramosaic.randprog import random_program
 from ramosaic.states import StateSet
@@ -18,7 +19,7 @@ from ramosaic.transfer import (AnalysisContext, TransferConfig,
                                apply_interference, check_assert, transfer_node)
 
 from conftest import (MP_SRC, READS_SRC, corpus_files, full_tails, perfbench_families, peterson,
-                      run_with_context)
+                      record_final_check, run_with_context, slot_shape)
 
 
 def _ctx_for(src, **tc_kw):
@@ -441,8 +442,10 @@ def test_transfers_run_compiled_conditions_and_expressions(monkeypatch):
     against the analysis's value table.  The rounds compile each label's
     condition or expressions once, and anew for another analysis; then
     each assertion site with states compiles its negated condition once,
-    in label order, and each conjunct of the negated postcondition is
-    compiled at most once, all of them unless the postcondition is proved."""
+    in label order.  The postcondition check takes the slot shape of the
+    conjuncts of the negated postcondition, component by component, all of
+    them unless the postcondition is proved, and compiles the first
+    conjunct of each distinct shape (`conftest.slot_shape`) once."""
     assert not any(hasattr(intervals, n) for n in ("refine", "eval_expr", "_refine_cmp"))
     compiles, marks = [], []
     for name in ("compile_cond", "compile_expr"):
@@ -452,11 +455,12 @@ def test_transfers_run_compiled_conditions_and_expressions(monkeypatch):
     real_evaluate = engine._evaluate
     monkeypatch.setattr(engine, "_evaluate", lambda ctx, ss: marks.append(
         (ctx, ss, len(compiles))) or real_evaluate(ctx, ss))
+    shaped, final_compiles = record_final_check(monkeypatch)
     programs = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
     programs += [random_program(seed) for seed in range(100)] + [parse(peterson(3))]
-    kinds, sites, finals = set(), 0, 0
+    kinds, sites, finals, shared = set(), 0, 0, 0
     for program in programs:
-        del compiles[:], marks[:]
+        del compiles[:], marks[:], shaped[:], final_compiles[:]
         result = tmai(program)
         ((ctx, ss, n),) = marks
         cfg = ctx.cfg
@@ -465,18 +469,23 @@ def test_transfers_run_compiled_conditions_and_expressions(monkeypatch):
         assert n == sum(2 if isinstance(cfg.nodes[lbl], Cas) else 1 for lbl in ctx._compiled)
         asserts = [negate(cfg.nodes[lbl].cond) for lbl in sorted(cfg.nodes)
                    if isinstance(cfg.nodes[lbl], AssertInst) and ss.at(lbl)]
-        conjuncts = [args[0] for args in compiles[n + len(asserts):]]
         assert [args[0] for args in compiles[n:n + len(asserts)]] == asserts
-        assert len(set(map(id, conjuncts))) == len(conjuncts)
-        final = transfer._negated_disjuncts(program.postcondition) if conjuncts else []
-        assert all(c in final for c in conjuncts)
+        assert [args[:2] for args in compiles[n + len(asserts):]] == final_compiles
+        firsts: dict = {}
+        for cond, slots in shaped:
+            assert slots.keys() == expr_names(cond)
+            firsts.setdefault(slot_shape(cond, slots), (cond, slots))
+        assert final_compiles == list(firsts.values())
+        final = transfer._negated_disjuncts(program.postcondition) if shaped else []
+        assert all(cond in final for cond, _ in shaped)
         if final and not result.verdicts["final"].proved:
-            assert sorted(map(repr, conjuncts)) == sorted(map(repr, final))
-        sites, finals = sites + len(asserts), finals + len(conjuncts)
+            assert sorted(repr(cond) for cond, _ in shaped) == sorted(map(repr, final))
+        sites, finals = sites + len(asserts), finals + len(final_compiles)
+        shared += len(shaped) - len(final_compiles)
         again = AnalysisContext(program, cfg, TransferConfig())
         assert all(again.compiled(lbl) is not f for lbl, f in ctx._compiled.items())
     assert kinds == {"Assume", "Assign", "Store", "Cas", "Fadd"}
-    assert sites and finals
+    assert sites and finals and shared
 
 
 def test_boundary_loads_scan_each_source_label_once():
