@@ -7,13 +7,17 @@ prints the best of K wall times of each phase of a `tmai` run: parse, CFG,
 context (`AnalysisContext`, the interference map included), fixpoint (the
 rounds) and evaluation (the assertion checks), then the fixpoint's states
 and rounds.  Every repeat runs all phases from the source again; the state
-and round counts must repeat too.
+and round counts must repeat too.  For the readers family it then prints,
+between each two consecutive sizes, what each phase costs per added
+reader: the difference of the two members' best times over the difference
+of their sizes, in microseconds per thread.
 
     python3 scripts/scaling.py [--peterson 2,3,4,5] [--readers 4,8,16,32]
                                [--repeat K]
 
 An empty size list skips its family.  Times are wall-clock milliseconds of one
-process, so compare them only within one machine.
+process (the per-reader costs microseconds), so compare them only within one
+machine.
 """
 
 import argparse
@@ -90,12 +94,21 @@ def main(argv) -> int:
             ap.error(f"{flag} sizes must be at least {least}")
     print(f"{'member':<12}" + "".join(f"{p + '_ms':>12}" for p in PHASES)
           + f"{'states':>9}{'rounds':>8}")
+    readers = []  # (size, best times) of the readers family
     for build, ns in ((families.peterson, args.peterson), (families.readers, args.readers)):
         for n in ns:
             member = build(n, random.Random(1))
             best, (states, rounds) = measure(member, args.repeat)
             print(f"{member.name:<12}" + "".join(f"{t * 1e3:>12.3f}" for t in best)
                   + f"{states:>9}{rounds:>8}", flush=True)
+            if build is families.readers:
+                readers.append((n, best))
+    steps = [(a, b) for a, b in zip(readers, readers[1:]) if a[0] != b[0]]
+    if steps:
+        print(f"\n{'per reader':<12}" + "".join(f"{p + '_us':>12}" for p in PHASES))
+    for (m, low), (n, high) in steps:
+        print(f"{f'{m}->{n}':<12}"
+              + "".join(f"{(h - l) / (n - m) * 1e6:>12.2f}" for l, h in zip(low, high)))
     return 0
 
 

@@ -26,7 +26,7 @@ node's last pre-states, the states tuples the global set held at its
 interference sources other than ctx, and its merged states before
 widening.  The round that only confirms the heads' fixpoint, and the heads
 of the last pass, run as memo hits, and that round's merges change no
-bucket.
+bucket.  A tail, which only the last pass transfers, skips the memo.
 """
 
 from __future__ import annotations
@@ -105,9 +105,11 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     the memo when the inputs are unchanged: the transfer is a function of
     the pre-states, the key, the context and the global states at the
     label's interference sources other than ctx, which are all it reads of
-    the global set."""
+    the global set.  A tail is transferred once, in the last pass, so it
+    neither reads nor fills the memo."""
     key = (lbl, bump)
-    reads = tuple(map(global_ss.at, ctx.memo_sources[lbl]))
+    head = lbl not in ctx.tails
+    reads = tuple(map(global_ss.at, ctx.memo_sources.get(lbl, ()))) if head else None
     entry = ctx.node_memo.get(key)
     # a predecessor that was a memo hit passes on the stored tuple itself,
     # so an unchanged node's pre-states are mostly found by identity
@@ -118,8 +120,16 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     for s in transfer_node(ctx, lbl, pre_states, global_ss, bump=bump):
         bucket.merge(s)
     states = bucket.states()
-    ctx.node_memo[key] = (pre_states, reads, states)
+    if head:
+        ctx.node_memo[key] = (pre_states, reads, states)
     return states
+
+
+def _pre_states(preds: tuple, local: dict) -> tuple:
+    """The states that the labels `preds` hold in `local`, in order."""
+    if len(preds) == 1:
+        return local.get(preds[0], ())
+    return tuple([s for p in preds for s in local.get(p, ())])
 
 
 def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
@@ -132,31 +142,36 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
     and their results, are those of a pass over all labels."""
     cfg = ctx.cfg
     rpo = cfg.rpo[tname]
-    index = ctx.rpo_index
-    pass_through = ctx.pass_through
-    succs = ctx.head_succs if heads_only else cfg.succs
+    preds, pass_through = cfg.preds, ctx.pass_through
     entry = rpo[0]
     local: Dict[Label, tuple] = {entry: (ctx.initial_states[tname],)}
+    order = ctx.head_worklists[tname] if heads_only else range(1, len(rpo))
+    if tname not in ctx.looped:
+        # every label follows its predecessors: one visit each, in order
+        for lbl in map(rpo.__getitem__, order):
+            new = _pre_states(preds[lbl], local)
+            if lbl not in pass_through:
+                new = _node_states(ctx, lbl, new, global_ss, 0)
+            if new:
+                local[lbl] = new
+        del local[entry]
+        return local
+    index = ctx.rpo_index
+    succs = ctx.head_succs if heads_only else cfg.succs
     visits: Dict[Label, int] = {}
     # the RPO positions of the pending labels, popped in order: a heap, and
     # a set for membership; the first worklist is sorted, so a heap already
-    heap = list((ctx.head_worklists if heads_only else ctx.first_worklists)[tname])
+    heap = list(order)
     pending = set(heap)
     while heap:
         i = heapq.heappop(heap)
         pending.discard(i)
         lbl = rpo[i]
-        preds = cfg.preds[lbl]
-        if len(preds) == 1:
-            pre_states = local.get(preds[0], ())
-        else:
-            pre_states = tuple([s for p in preds for s in local.get(p, ())])
-        if lbl in pass_through:
-            new = pre_states
-        else:
+        new = _pre_states(preds[lbl], local)
+        if lbl not in pass_through:
             bump = visits.get(lbl, 0)
             visits[lbl] = bump + 1
-            new = _node_states(ctx, lbl, pre_states, global_ss, bump)
+            new = _node_states(ctx, lbl, new, global_ss, bump)
             if bump >= ctx.tc.widening_threshold and lbl in cfg.loop_headers:
                 new = tuple(_widen_states(ctx, local.get(lbl, ()), new))
                 ctx.widened.add(lbl)
@@ -189,16 +204,13 @@ def _shared_buckets(ctx: AnalysisContext) -> Dict[Label, Label]:
     down a chain to the first label that passes nothing through.  Not a
     label right after its thread's entry: σ never holds the entry.  No
     loop header passes through, since `build_cfg` gives each a back edge."""
-    cfg = ctx.cfg
     owners: Dict[Label, Label] = {}
-    for tname, rpo in cfg.rpo.items():
-        entry = cfg.entries[tname]
-        # in reverse post-order a label's one predecessor comes first
-        for lbl in rpo:
-            if lbl in ctx.pass_through:
-                pred = cfg.preds[lbl][0]
-                if pred != entry:
-                    owners[lbl] = owners.get(pred, pred)
+    # in reverse post-order a label's one predecessor comes first, and the
+    # entry at 0
+    for lbl in sorted(ctx.pass_through, key=ctx.rpo_index.__getitem__):
+        pred = ctx.cfg.preds[lbl][0]
+        if ctx.rpo_index[pred]:
+            owners[lbl] = owners.get(pred, pred)
     return owners
 
 
@@ -289,9 +301,9 @@ def tmai(program: Program, tc: TransferConfig = TransferConfig(),
     cfg = cfg or build_cfg(program)
     ctx = AnalysisContext(program, cfg, tc)
     sigma, rounds, effective = _rounds(ctx, max_iterations)
-    boundaries = {}
-    for lbl, layout in ctx.boundaries.items():
-        live = frozenset(map(layout.mem_keys.__getitem__, layout.live))
-        boundaries[cfg.thread_of[lbl]] = Boundary(lbl, live, ctx.boundary_states.get(lbl, ()))
+    boundaries = {cfg.thread_of[lbl]: Boundary(lbl, frozenset(map(layout.mem_keys.__getitem__,
+                                                                  layout.live)),
+                                               ctx.boundary_states.get(lbl, ()))
+                  for lbl, layout in ctx.boundaries.items()}
     return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
                           frozenset(ctx.widened), cfg, ctx.sb, boundaries)

@@ -733,9 +733,10 @@ def _check_semantics(p: Program):
                                     f"which is not a register of thread {t.name!r}")
         if any(isinstance(i, UnlockInst) for i in instrs):
             _must_hold(t.body, frozenset())
-    if p.postcondition is not None:
-        for ident in sorted(p.postcondition_names):
-            p.resolve_postcondition_name(ident)  # raises if unknown/ambiguous
+    owners = p._register_owners
+    for ident in sorted(p.postcondition_names):
+        if len(owners.get(ident, ())) != 1:
+            p.resolve_postcondition_name(ident)  # raises: unknown or ambiguous
 
 
 def _must_hold(stmts, held: frozenset) -> frozenset:
@@ -947,78 +948,78 @@ def build_cfg(p: Program) -> Cfg:
         access = _ACCESS_OF.get(instr.__class__)
         if access is not None:
             accesses[label] = Access(access[0], getattr(instr, access[1]))
-        preds[label] = []
-        succs[label] = []
+        preds[label] = succs[label] = ()
         thread_of[label] = tname
 
     def add_edge(a: Label, b: Label):
-        succs[a].append(b)
-        preds[b].append(a)
+        succs[a] += (b,)
+        preds[b] += (a,)
+
+    def lower(stmts, incoming, tname):
+        for st in stmts:
+            if isinstance(st, If):
+                k = next(synth)
+                then_l = Label(f"%if{k}.t")
+                else_l = Label(f"%if{k}.f")
+                join_l = Label(f"%if{k}.j")
+                add_node(then_l, Assume(then_l, st.cond), tname)
+                add_node(else_l, Assume(else_l, negate(st.cond)), tname)
+                add_node(join_l, Nop(join_l), tname)
+                for lbl in incoming:
+                    add_edge(lbl, then_l)
+                    add_edge(lbl, else_l)
+                t_out = lower(st.then_body, [then_l], tname)
+                e_out = lower(st.else_body, [else_l], tname)
+                for lbl in t_out + e_out:
+                    add_edge(lbl, join_l)
+                incoming = [join_l]
+            elif isinstance(st, While):
+                k = next(synth)
+                head_l = Label(f"%wh{k}.h")
+                body_l = Label(f"%wh{k}.b")
+                exit_l = Label(f"%wh{k}.x")
+                add_node(head_l, Nop(head_l), tname)
+                add_node(body_l, Assume(body_l, st.cond), tname)
+                add_node(exit_l, Assume(exit_l, negate(st.cond)), tname)
+                loop_headers.add(head_l)
+                for lbl in incoming:
+                    add_edge(lbl, head_l)
+                add_edge(head_l, exit_l)  # first, for the body to come first in rpo
+                add_edge(head_l, body_l)
+                b_out = lower(st.body, [body_l], tname)
+                for lbl in b_out:
+                    add_edge(lbl, head_l)
+                    back_edges[lbl] = exit_l
+                incoming = [exit_l]
+            else:
+                add_node(st.label, st, tname)
+                for lbl in incoming:
+                    add_edge(lbl, st.label)
+                incoming = [st.label]
+        return incoming
 
     for t in p.threads:
-        entry = Label(f"{t.name}.entry")
+        entry = entries[t.name] = Label(f"{t.name}.entry")
+        exit_l = exits[t.name] = Label(f"{t.name}.exit")
         add_node(entry, Nop(entry), t.name)
-        entries[t.name] = entry
-
-        def lower(stmts, incoming, tname=t.name):
-            for st in stmts:
-                if isinstance(st, If):
-                    k = next(synth)
-                    then_l = Label(f"%if{k}.t")
-                    else_l = Label(f"%if{k}.f")
-                    join_l = Label(f"%if{k}.j")
-                    add_node(then_l, Assume(then_l, st.cond), tname)
-                    add_node(else_l, Assume(else_l, negate(st.cond)), tname)
-                    add_node(join_l, Nop(join_l), tname)
-                    for lbl in incoming:
-                        add_edge(lbl, then_l)
-                        add_edge(lbl, else_l)
-                    t_out = lower(st.then_body, [then_l], tname)
-                    e_out = lower(st.else_body, [else_l], tname)
-                    for lbl in t_out + e_out:
-                        add_edge(lbl, join_l)
-                    incoming = [join_l]
-                elif isinstance(st, While):
-                    k = next(synth)
-                    head_l = Label(f"%wh{k}.h")
-                    body_l = Label(f"%wh{k}.b")
-                    exit_l = Label(f"%wh{k}.x")
-                    add_node(head_l, Nop(head_l), tname)
-                    add_node(body_l, Assume(body_l, st.cond), tname)
-                    add_node(exit_l, Assume(exit_l, negate(st.cond)), tname)
-                    loop_headers.add(head_l)
-                    for lbl in incoming:
-                        add_edge(lbl, head_l)
-                    add_edge(head_l, exit_l)  # first, for the body to come first in rpo
-                    add_edge(head_l, body_l)
-                    b_out = lower(st.body, [body_l], tname)
-                    for lbl in b_out:
-                        add_edge(lbl, head_l)
-                        back_edges[lbl] = exit_l
-                    incoming = [exit_l]
-                else:
-                    add_node(st.label, st, tname)
-                    for lbl in incoming:
-                        add_edge(lbl, st.label)
-                    incoming = [st.label]
-            return incoming
-
-        tail = lower(t.body, [entry])
-        # lower reaches itself through its closure cell; emptying the cell
-        # breaks the cycle, so no CFG waits for the cyclic collector
-        del lower
-        exit_l = Label(f"{t.name}.exit")
+        tail = lower(t.body, [entry], t.name)
         add_node(exit_l, Nop(exit_l), t.name)
         for lbl in tail:
             add_edge(lbl, exit_l)
-        exits[t.name] = exit_l
+    # lower reaches itself through its closure cell; emptying the cell
+    # breaks the cycle, so no CFG waits for the cyclic collector
+    del lower
 
     for t in p.threads:
+        entry = entries[t.name]
+        if not any(isinstance(st, (If, While)) for st in t.body):
+            # a straight line is its own program order
+            rpo[t.name] = (entry, *[st.label for st in t.body], exits[t.name])
+            continue
         # Post-order depth-first search with an explicit stack, so that a
         # long thread does not exhaust the interpreter's recursion limit.
         # Its reverse is the thread's program order, a loop's body first.
         order: list = []
-        entry = entries[t.name]
         seen = {entry}
         stack = [(entry, iter(succs[entry]))]
         while stack:
@@ -1033,7 +1034,5 @@ def build_cfg(p: Program) -> Cfg:
                 order.append(lbl)
         rpo[t.name] = tuple(reversed(order))
 
-    return Cfg(p, nodes,
-               {k: tuple(v) for k, v in preds.items()},
-               {k: tuple(v) for k, v in succs.items()},
-               thread_of, entries, exits, rpo, accesses, frozenset(loop_headers), back_edges)
+    return Cfg(p, nodes, preds, succs, thread_of, entries, exits, rpo, accesses,
+               frozenset(loop_headers), back_edges)

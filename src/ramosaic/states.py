@@ -33,9 +33,10 @@ class Layout:
     sorted shared variables (the keys of both kinds, since registers and
     mutexes never share a name) and then the sorted registers, with the
     index of every key, and the `PosetTable` and `ValueTable` whose ids the
-    states hold.  An analysis builds one per thread over its one pair of
-    tables, so a shared variable has one memory slot and one poset slot in
-    all of them; its states point to it and hold values only.
+    states hold.  An analysis builds the layout of its shared variables and
+    mutexes once, over its one pair of tables, and each thread's from it
+    (`with_registers`), so a shared variable has one memory slot and one
+    poset slot in all of them; its states point to it and hold values only.
 
     A projected layout (`projected`) has the same slots, and `live`, the
     sorted memory slots its states keep; `live` is None for a full one."""
@@ -55,13 +56,25 @@ class Layout:
         self.live = None
         self.dropped_mo = (None,) * len(self.mo_keys)
 
+    def _copy(self) -> "Layout":
+        out = Layout.__new__(Layout)
+        (out.mo_keys, out.mem_keys, out.mo_slot, out.mem_slot, out.table, out.values,
+         out.live, out.dropped_mo) = (self.mo_keys, self.mem_keys, self.mo_slot, self.mem_slot,
+                                      self.table, self.values, self.live, self.dropped_mo)
+        return out
+
+    def with_registers(self, regs) -> "Layout":
+        """This layout, its poset keys and slots themselves, with the
+        register keys `regs`, sorted, after its memory keys."""
+        out = self._copy()
+        out.mem_keys = (*self.mem_keys, *regs)
+        out.mem_slot = dict(zip(out.mem_keys, range(len(out.mem_keys))))
+        return out
+
     def projected(self, live) -> "Layout":
         """This layout for states that keep only the memory slots `live`
         and no poset."""
-        out = Layout.__new__(Layout)
-        (out.mo_keys, out.mem_keys, out.mo_slot, out.mem_slot, out.table, out.values,
-         out.dropped_mo) = (self.mo_keys, self.mem_keys, self.mo_slot, self.mem_slot,
-                            self.table, self.values, self.dropped_mo)
+        out = self._copy()
         out.live = tuple(sorted(live))
         return out
 
@@ -96,15 +109,6 @@ class AbstractState:
 
     def __repr__(self) -> str:
         return f"AbstractState({self.fmt()})"
-
-    @staticmethod
-    def make(mo: Dict[str, MoPoset], mem: Dict[str, intervals.Interval],
-             layout: Layout) -> "AbstractState":
-        """The state with the given maps, whose keys are the layout's; the
-        posets and intervals are interned in the layout's tables."""
-        return AbstractState(tuple([layout.table.intern(mo[k]) for k in layout.mo_keys]),
-                             tuple([layout.values.intern(mem[k]) for k in layout.mem_keys]),
-                             layout)
 
     def slot_update(self, mo: tuple = (), mem: tuple = ()) -> "AbstractState":
         """This state with the values at the given slots replaced:
@@ -311,7 +315,7 @@ class StateSet:
         return bucket.states() if bucket is not None else ()
 
     def labels(self) -> tuple:
-        return tuple(sorted(l for l, b in self._by_label.items() if len(b)))
+        return tuple(sorted([l for l, b in self._by_label.items() if b._by_mo]))
 
     def copy(self) -> "StateSet":
         out = StateSet(self.table)
@@ -324,10 +328,10 @@ class StateSet:
         return out
 
     def total_states(self) -> int:
-        return sum(len(v) for v in self._by_label.values())
+        return sum([len(v._by_mo) for v in self._by_label.values()])
 
     def counts(self) -> Dict[str, int]:
-        return {str(lbl): len(self._by_label[lbl]) for lbl in self.labels()}
+        return {str(lbl): len(b._by_mo) for lbl, b in sorted(self._by_label.items()) if b._by_mo}
 
     def fingerprint(self) -> frozenset:
         """The set's (label, frozenset of states) pairs over its non-empty
@@ -337,7 +341,7 @@ class StateSet:
         are equal.  A bucket that no merge changed keeps its frozenset, and
         the hash cached in it, across rounds and copies, so only changed
         buckets are hashed again."""
-        return frozenset([(lbl, b.frozen()) for lbl, b in self._by_label.items() if len(b)])
+        return frozenset([(lbl, b.frozen()) for lbl, b in self._by_label.items() if b._by_mo])
 
     def dump(self) -> str:
         lines = []

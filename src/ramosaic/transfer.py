@@ -33,7 +33,7 @@ from operator import attrgetter, itemgetter
 from typing import Dict, Optional
 
 from . import intervals, posets
-from .intervals import compile_cond, compile_expr, exclude_value, val_meet
+from .intervals import compile_cond, compile_expr, exclude_value, singleton, val_meet
 from .litmus import (AssertInst, Assign, Assume, BoolLit, Cas, Cfg, Fadd,
                      Label, Lit, LoadInst, LockInst, Name, Nop, Or, Program,
                      Store, UnlockInst, expr_names, negate)
@@ -73,23 +73,25 @@ class AnalysisContext:
 
     `interfs[label]` lists, for each load, rmw and lock, ctx and then the
     labels it may read from (`interference.get_interfs`), and
-    `memo_sources[label]`, for every label, those other than ctx, whose σ
-    tuples key the node memo.  `tails` holds the labels from which no
-    label's memo source is reachable: no other thread reads what they
-    compute, and `head_worklists` and `head_succs` leave them out of a
-    pass over the other labels, the heads.  `pass_through` holds the nops
-    and asserts with one predecessor, whose states are that predecessor's
-    tuple as it is: a sorted normal form already, which a merge would
-    rebuild unchanged.
+    `memo_sources[label]` those other than ctx, whose σ tuples key the node
+    memo.  `tails` holds the labels from which no memo source is reachable:
+    no other thread reads what they compute, and `head_worklists` and
+    `head_succs` leave them out of a pass over the other labels, the heads.
+    A tail is transferred once, in the last pass, so only heads enter the
+    memo.  `pass_through` holds the nops and asserts with one predecessor,
+    whose states are that predecessor's tuple as it is: a sorted normal
+    form already, which a merge would rebuild unchanged.  `looped` names
+    the threads with a loop, whose passes need a worklist.
     `compiled(lbl)` gives the condition or expressions of the instruction at
     `lbl`, compiled on its first use and kept for the analysis.
-    `layouts[thread]` names the slots of that thread's states,
-    `slots[thread]` maps each identifier of its expressions (a shared
-    variable or a register) to its memory slot, and `initial_states[thread]`
-    is the state at its entry, all once for the whole analysis, so
-    transfers index value tuples instead of looking up names in each
-    state.  Every layout puts the sorted shared variables first in its
-    memory and shares its poset keys with the others, so one tuple,
+
+    The layout of the shared variables and mutexes is built once per
+    analysis: the sorted poset keys and their slots, the sorted shared
+    variables as the first memory slots, and their initial values.  Each
+    thread's layout (`layouts[thread]`) adds its sorted registers to that
+    prefix, and `slots[thread]` maps each identifier of its expressions (a
+    shared variable or a register) to its memory slot;
+    `initial_states[thread]` is its state at entry.  So one tuple,
     `shared_slots`, gives (memory slot, poset slot) per shared variable for
     the states of every thread, and `read_slots[k]` splits it for a read of
     the variable or mutex at poset slot k, for `apply_interference`.
@@ -118,47 +120,44 @@ class AnalysisContext:
         self.cfg = cfg
         self.tc = tc
         self.sb = SbIndex.from_cfg(cfg)
-        self.registers = {t.name: tuple(program.register_key(t.name, r)
-                                        for r in program.thread_registers(t.name))
+        self.registers = {t.name: tuple([program.register_key(t.name, r)
+                                         for r in program.thread_registers(t.name)])
                           for t in program.threads}
         self.events: Dict[Label, Event] = {
             lbl: Event(lbl.name, lbl.instance, cfg.thread_of[lbl], kind, loc)
             for lbl, (kind, loc) in cfg.accesses.items() if kind != "load"}
-        self.interfs: Dict[Label, tuple] = {
-            lbl: srcs for per_thread in get_interfs(program, cfg).values()
-            for lbl, srcs in per_thread.items()}
-        # ctx is every label's first source
-        self.memo_sources: Dict[Label, tuple] = {
-            lbl: self.interfs.get(lbl, ())[1:] for lbl in cfg.nodes}
+        self.interfs: Dict[Label, tuple] = {}
+        for per_thread in get_interfs(program, cfg).values():
+            self.interfs.update(per_thread)
+        # ctx is every reading label's first source
+        self.memo_sources: Dict[Label, tuple] = {k: srcs[1:] for k, srcs in self.interfs.items()}
         self.pass_through = frozenset(
             lbl for lbl, instr in cfg.nodes.items()
             if len(cfg.preds[lbl]) == 1 and isinstance(instr, (Nop, AssertInst)))
         self.posets = posets.PosetTable(self.sb, tc.abstract_mo, tc.rmw_critical)
         self.values = intervals.ValueTable()
+        # the shared prefix and its initial values, once; registers start at 0
         shared = program.shared_names()
-        po_keys = (*shared, *program.mutexes)
+        prefix = Layout((*shared, *program.mutexes), shared, self.posets, self.values)
+        init = tuple([self.values.intern(singleton(v)) for _, v in sorted(program.shared)])
+        zero = self.values.intern(singleton(0))
+        top = (TOP_ID,) * len(prefix.mo_keys)
         self.layouts: Dict[str, Layout] = {}
         self.slots: Dict[str, dict] = {}
-        # every poset top, the shared variables at their initial values and
-        # the registers 0
         self.initial_states: Dict[str, AbstractState] = {}
-        zero = self.values.intern(intervals.singleton(0))
-        init = {k: self.values.intern(intervals.singleton(v)) for k, v in program.shared}
         for t, regs in self.registers.items():
-            layout = self.layouts[t] = Layout(po_keys, (*shared, *regs), self.posets, self.values)
-            self.slots[t] = dict(zip((*shared, *program.thread_registers(t)),
-                                     map(layout.mem_slot.__getitem__, (*shared, *regs))))
-            self.initial_states[t] = AbstractState(
-                (TOP_ID,) * len(layout.mo_keys),
-                tuple([init.get(k, zero) for k in layout.mem_keys]), layout)
+            layout = self.layouts[t] = prefix.with_registers(regs)
+            slots = self.slots[t] = prefix.mem_slot.copy()
+            slots.update(zip(program.thread_registers(t), range(len(init), len(layout.mem_keys))))
+            self.initial_states[t] = AbstractState(top, (*init, *(zero,) * len(regs)), layout)
         # the same pairs in every thread's layout
-        self.shared_slots = tuple((layout.mem_slot[v], layout.mo_slot[v]) for v in sorted(shared))
+        self.shared_slots = tuple((i, prefix.mo_slot[v]) for i, v in enumerate(prefix.mem_keys))
         # per poset slot read by interference: the memory slot that takes
         # the source's value (None for a mutex, which has none) and the
         # shared_slots pairs of the other shared variables
         mem_of = {j: i for i, j in self.shared_slots}
         self.read_slots = tuple((mem_of.get(k), tuple(ij for ij in self.shared_slots if ij[1] != k))
-                                for k in range(len(po_keys)))
+                                for k in range(len(top)))
         # the heads: the labels from which some interference source is
         # reachable, the sources included, found by one walk back from them;
         # the tails are the rest, and no tail precedes a head
@@ -171,15 +170,15 @@ class AnalysisContext:
                     stack.append(pred)
         self.tails = frozenset(cfg.nodes.keys() - heads)
         # each label's position in its thread's reverse post-order, and per
-        # thread the positions a pass of engine.seq_ai starts with pending:
-        # all but the entry's, 0; for a pass over the heads alone, only the
-        # heads' positions, with each head's successors that are heads
+        # thread the positions a pass of engine.seq_ai over the heads alone
+        # starts with pending, with each head's successors that are heads;
+        # a thread's entry, at 0, is a head when any label of it is
         self.rpo_index = {lbl: i for rpo in cfg.rpo.values() for i, lbl in enumerate(rpo)}
+        self.looped = frozenset(map(cfg.thread_of.__getitem__, cfg.loop_headers))
         self.boundaries = self._boundaries() if tc.project_tails else {}
         self.boundary_states: Dict[Label, tuple] = {}
-        self.first_worklists = {t: tuple(range(1, len(rpo))) for t, rpo in cfg.rpo.items()}
         self.head_worklists = {t: tuple(i for i in range(1, len(rpo)) if rpo[i] in heads)
-                               for t, rpo in cfg.rpo.items()}
+                               if rpo[0] in heads else () for t, rpo in cfg.rpo.items()}
         self.head_succs = {lbl: tuple(s for s in cfg.succs[lbl] if s in heads)
                            for lbl in heads}
         # (label, bump) -> (pre-states, global reads, merged states) of the
@@ -195,7 +194,7 @@ class AnalysisContext:
 
     def _boundaries(self) -> Dict[Label, Layout]:
         """Each thread's boundary, if it has one, with its projected layout."""
-        cfg, program = self.cfg, self.program
+        cfg, program, post = self.cfg, self.program, self.program.postcondition_names
         nodes, preds, tails, pass_through = cfg.nodes, cfg.preds, self.tails, self.pass_through
         index = self.rpo_index
         accesses, loop_exits = cfg.accesses.keys(), set(cfg.back_edges.values())
@@ -222,16 +221,15 @@ class AnalysisContext:
                         low = index[p]
             if found is None:
                 continue
-            lbl, after = rpo[found], rpo[found + 1:]
-            names = set(program.thread_registers(tname)).intersection(program.postcondition_names)
+            lbl = rpo[found]
+            names = set(post.intersection(program.thread_registers(tname)))
             reg = getattr(nodes[lbl], "reg", None)
             if reg is not None:
                 names.add(reg)
-            for a in (lbl, *after):
+            for a in rpo[found:]:
                 if nodes[a].__class__ in _NAMING:
                     names.update(_names(nodes[a]))
-            slots = self.slots[tname]
-            out[lbl] = self.layouts[tname].projected([slots[n] for n in names])
+            out[lbl] = self.layouts[tname].projected(map(self.slots[tname].__getitem__, names))
         return out
 
     def compiled(self, lbl: Label):
@@ -687,10 +685,6 @@ def _shape(e, slots: dict):
 _MEM = attrgetter("mem")
 
 
-def _joined(combo: tuple) -> tuple:
-    return tuple(itertools.chain.from_iterable(combo))
-
-
 def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
     """Evaluate the postcondition over the combinations of per-thread exit
     states, one component of threads at a time.
@@ -737,7 +731,8 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
                 feasible = shared[shape] = compile_cond(c, slots, table)
             compiled.append(feasible)
         # a one-thread component's projections are its memories
-        for combo in options[0] if len(options) == 1 else map(_joined, itertools.product(*options)):
+        for combo in options[0] if len(options) == 1 else (
+                tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*options)):
             mem: Optional[tuple] = combo
             for feasible in compiled:
                 mem = feasible(mem)

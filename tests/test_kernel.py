@@ -10,17 +10,17 @@ from typing import Optional
 import pytest
 from hypothesis import given, strategies as st
 
-from ramosaic import engine, interference, oracle
+from ramosaic import engine, interference, oracle, posets
 from ramosaic.engine import tmai
 from ramosaic.intervals import EMPTY, TOP, Interval, singleton, val_join
 from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.posets import TOP_ID, Event, SbIndex, TooLarge
 from ramosaic.randprog import random_program
-from ramosaic.states import AbstractState, StateSet
+from ramosaic.states import Layout, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import LOOPED_SOURCES, corpus_files, full_tails, sb_after
+from conftest import LOOPED_SOURCES, corpus_files, full_tails, make_state, sb_after
 
 LOOPED_SRC = LOOPED_SOURCES[0]
 
@@ -168,7 +168,7 @@ def test_slot_update_equals_make_from_updated_maps():
                 mem[s.layout.mem_keys[i]] = iv
             ids_up = tuple((i, s.layout.values.intern(iv)) for i, iv in mem_up)
             updated = s.slot_update(mo=mo_up, mem=ids_up)
-            assert updated == AbstractState.make(mo, mem, s.layout)
+            assert updated == make_state(mo, mem, s.layout)
             assert updated.layout is s.layout
             checked += 1
     assert checked > 1500
@@ -204,6 +204,44 @@ def test_context_slots_name_the_layouts_keys():
             assert {n: layout.mem_keys[i] for n, i in ctx.slots[t.name].items()} == names
             assert ctx.shared_slots == tuple((layout.mem_slot[v], layout.mo_slot[v])
                                              for v in shared)
+
+
+def test_threads_share_the_analysis_layout_prefix():
+    """An analysis builds the poset keys, the poset slots and the shared
+    variables' memory slots once: every thread's layout holds the one
+    `mo_keys` tuple and `mo_slot` dict and the same shared prefix of
+    `mem_keys`, and its slots, its entry state and the projected layout of
+    its boundary equal those of a layout built from scratch, on the
+    corpus and on `random_program(0..199)`."""
+    programs = [p for _, p in _corpus_programs()] + [random_program(s) for s in range(200)]
+    for p in programs:
+        ctx = AnalysisContext(p, build_cfg(p), TransferConfig())
+        shared = p.shared_names()
+        layouts = [ctx.layouts[t.name] for t in p.threads]
+        first = layouts[0]
+        for t, layout in zip(p.threads, layouts):
+            assert layout.mo_keys is first.mo_keys and layout.mo_slot is first.mo_slot
+            assert layout.mem_keys[:len(shared)] == tuple(sorted(shared))
+            regs = ctx.registers[t.name]
+            fresh = Layout((*shared, *p.mutexes), (*shared, *regs), ctx.posets, ctx.values)
+            assert (layout.mo_keys, layout.mo_slot, layout.mem_keys, layout.mem_slot) == \
+                (fresh.mo_keys, fresh.mo_slot, fresh.mem_keys, fresh.mem_slot)
+            assert ctx.slots[t.name] == dict(zip(
+                (*shared, *p.thread_registers(t.name)),
+                map(fresh.mem_slot.__getitem__, (*shared, *regs))))
+            init = {k: singleton(0) for k in fresh.mem_keys}
+            init.update((k, singleton(v)) for k, v in p.shared)
+            assert ctx.initial_states[t.name] == make_state(
+                dict.fromkeys(fresh.mo_keys, posets.TOP), init, fresh)
+        for lbl, projected in ctx.boundaries.items():
+            full = ctx.layouts[ctx.cfg.thread_of[lbl]]
+            fresh = Layout(full.mo_keys, full.mem_keys, ctx.posets, ctx.values)
+            fresh = fresh.projected(projected.live)
+            assert (projected.mo_keys, projected.mem_keys, projected.mo_slot, projected.mem_slot,
+                    projected.live, projected.dropped_mo) == \
+                (fresh.mo_keys, fresh.mem_keys, fresh.mo_slot, fresh.mem_slot, fresh.live,
+                 fresh.dropped_mo)
+            assert projected.mo_keys is full.mo_keys and projected.mem_slot is full.mem_slot
 
 
 # --------------------------------------------------------------------------

@@ -283,19 +283,35 @@ def test_cas_reads_both_outcomes_and_lock_frees_with_unlock_states():
 
 def test_bump_is_part_of_the_key():
     """The same store node with the same inputs at two loop visits appends
-    two different instances of its event.  The tails are full, since the
-    store is its thread's boundary, whose states drop their posets."""
-    program = parse("vars x = 0;\nthread t { a: store x 1; }")
+    two different instances of its event.  u reads the store, so it is a
+    head, which the memo keeps."""
+    program = parse("vars x = 0;\nthread t { a: store x 1; }\nthread u { b: r = load x; }")
     cfg = build_cfg(program)
-    ctx = AnalysisContext(program, cfg, TransferConfig(project_tails=False))
+    ctx = AnalysisContext(program, cfg, TransferConfig())
     pre = [ctx.initial_states["t"]]
     a = Label("a")
+    assert a not in ctx.tails
     empty = StateSet(ctx.posets)
     first = engine._node_states(ctx, a, pre, empty, 0)
     second = engine._node_states(ctx, a, pre, empty, 1)
     assert second == engine._node_states(_fresh(ctx), a, pre, empty, 1)
     assert first != second
     assert set(ctx.node_memo) == {(a, 0), (a, 1)}
+
+
+def test_tails_skip_the_memo():
+    """A tail is transferred once, in the last pass, so the memo keeps
+    heads alone: over the corpus and `random_program(0..199)` no memo key
+    is a tail, while the runs transfer tails and keep heads."""
+    programs = [unroll(parse(f.read_text()), 2) for f in corpus_files()]
+    programs += [random_program(seed) for seed in range(200)]
+    tails = heads = 0
+    for program in programs:
+        result, ctx = run_with_context(tmai, program)
+        assert not any(lbl in ctx.tails for lbl, _ in ctx.node_memo)
+        tails += sum(bool(result.states.at(lbl)) for lbl in ctx.tails)
+        heads += len(ctx.node_memo)
+    assert tails > 1000 and heads > 1000
 
 
 class _Forgetful(dict):
