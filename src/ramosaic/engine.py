@@ -125,13 +125,6 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     return states
 
 
-def _pre_states(preds: tuple, local: dict) -> tuple:
-    """The states that the labels `preds` hold in `local`, in order."""
-    if len(preds) == 1:
-        return local.get(preds[0], ())
-    return tuple([s for p in preds for s in local.get(p, ())])
-
-
 def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
            heads_only: bool = False) -> Dict[Label, tuple]:
     """Worklist pass over one thread's CFG in reverse post-order, reading
@@ -142,36 +135,31 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
     and their results, are those of a pass over all labels."""
     cfg = ctx.cfg
     rpo = cfg.rpo[tname]
-    preds, pass_through = cfg.preds, ctx.pass_through
+    index = ctx.rpo_index
+    pass_through = ctx.pass_through
+    succs = ctx.head_succs if heads_only else cfg.succs
     entry = rpo[0]
     local: Dict[Label, tuple] = {entry: (ctx.initial_states[tname],)}
-    order = ctx.head_worklists[tname] if heads_only else range(1, len(rpo))
-    if tname not in ctx.looped:
-        # every label follows its predecessors: one visit each, in order
-        for lbl in map(rpo.__getitem__, order):
-            new = _pre_states(preds[lbl], local)
-            if lbl not in pass_through:
-                new = _node_states(ctx, lbl, new, global_ss, 0)
-            if new:
-                local[lbl] = new
-        del local[entry]
-        return local
-    index = ctx.rpo_index
-    succs = ctx.head_succs if heads_only else cfg.succs
     visits: Dict[Label, int] = {}
     # the RPO positions of the pending labels, popped in order: a heap, and
     # a set for membership; the first worklist is sorted, so a heap already
-    heap = list(order)
+    heap = list(ctx.head_worklists[tname] if heads_only else range(1, len(rpo)))
     pending = set(heap)
     while heap:
         i = heapq.heappop(heap)
         pending.discard(i)
         lbl = rpo[i]
-        new = _pre_states(preds[lbl], local)
-        if lbl not in pass_through:
+        preds = cfg.preds[lbl]
+        if len(preds) == 1:
+            pre_states = local.get(preds[0], ())
+        else:
+            pre_states = tuple([s for p in preds for s in local.get(p, ())])
+        if lbl in pass_through:
+            new = pre_states
+        else:
             bump = visits.get(lbl, 0)
             visits[lbl] = bump + 1
-            new = _node_states(ctx, lbl, new, global_ss, bump)
+            new = _node_states(ctx, lbl, pre_states, global_ss, bump)
             if bump >= ctx.tc.widening_threshold and lbl in cfg.loop_headers:
                 new = tuple(_widen_states(ctx, local.get(lbl, ()), new))
                 ctx.widened.add(lbl)
@@ -301,9 +289,9 @@ def tmai(program: Program, tc: TransferConfig = TransferConfig(),
     cfg = cfg or build_cfg(program)
     ctx = AnalysisContext(program, cfg, tc)
     sigma, rounds, effective = _rounds(ctx, max_iterations)
-    boundaries = {cfg.thread_of[lbl]: Boundary(lbl, frozenset(map(layout.mem_keys.__getitem__,
-                                                                  layout.live)),
-                                               ctx.boundary_states.get(lbl, ()))
-                  for lbl, layout in ctx.boundaries.items()}
+    boundaries = {}
+    for lbl, layout in ctx.boundaries.items():
+        live = frozenset(map(layout.mem_keys.__getitem__, layout.live))
+        boundaries[cfg.thread_of[lbl]] = Boundary(lbl, live, ctx.boundary_states.get(lbl, ()))
     return AnalysisResult(sigma, _evaluate(ctx, sigma), rounds, effective,
                           frozenset(ctx.widened), cfg, ctx.sb, boundaries)

@@ -733,10 +733,9 @@ def _check_semantics(p: Program):
                                     f"which is not a register of thread {t.name!r}")
         if any(isinstance(i, UnlockInst) for i in instrs):
             _must_hold(t.body, frozenset())
-    owners = p._register_owners
-    for ident in sorted(p.postcondition_names):
-        if len(owners.get(ident, ())) != 1:
-            p.resolve_postcondition_name(ident)  # raises: unknown or ambiguous
+    if p.postcondition is not None:
+        for ident in sorted(p.postcondition_names):
+            p.resolve_postcondition_name(ident)  # raises if unknown/ambiguous
 
 
 def _must_hold(stmts, held: frozenset) -> frozenset:
@@ -1010,12 +1009,7 @@ def build_cfg(p: Program) -> Cfg:
     # breaks the cycle, so no CFG waits for the cyclic collector
     del lower
 
-    for t in p.threads:
-        entry = entries[t.name]
-        if not any(isinstance(st, (If, While)) for st in t.body):
-            # a straight line is its own program order
-            rpo[t.name] = (entry, *[st.label for st in t.body], exits[t.name])
-            continue
+    for tname, entry in entries.items():
         # Post-order depth-first search with an explicit stack, so that a
         # long thread does not exhaust the interpreter's recursion limit.
         # Its reverse is the thread's program order, a loop's body first.
@@ -1032,7 +1026,7 @@ def build_cfg(p: Program) -> Cfg:
             else:
                 stack.pop()
                 order.append(lbl)
-        rpo[t.name] = tuple(reversed(order))
+        rpo[tname] = tuple(reversed(order))
 
     return Cfg(p, nodes, preds, succs, thread_of, entries, exits, rpo, accesses,
                frozenset(loop_headers), back_edges)

@@ -129,6 +129,17 @@ class MoPoset(NamedTuple):
         tails = {a for a, _ in self.pairs}
         return frozenset(e for e in self.events if e not in tails)
 
+    def check(self):
+        """Audit: irreflexive, acyclic, transitively closed, endpoints covered."""
+        if self.bottom:
+            assert not self.events and not self.pairs
+            return
+        for a, b in self.pairs:
+            assert a != b, f"reflexive pair {a}"
+            assert (b, a) not in self.pairs, f"cycle {a},{b}"
+            assert a in self.events and b in self.events
+        assert self.pairs == _closure(self.pairs), "order not transitively closed"
+
 
 BOTTOM = MoPoset(True, frozenset(), frozenset())
 TOP = MoPoset(False, frozenset(), frozenset())

@@ -64,8 +64,9 @@ class Layout:
         return out
 
     def with_registers(self, regs) -> "Layout":
-        """This layout, its poset keys and slots themselves, with the
-        register keys `regs`, sorted, after its memory keys."""
+        """This layout, its poset keys and slots themselves, and after its
+        memory keys the register keys `regs`, which must come sorted and
+        none of them a key of this layout, as `__init__` would make them."""
         out = self._copy()
         out.mem_keys = (*self.mem_keys, *regs)
         out.mem_slot = dict(zip(out.mem_keys, range(len(out.mem_keys))))
@@ -109,6 +110,15 @@ class AbstractState:
 
     def __repr__(self) -> str:
         return f"AbstractState({self.fmt()})"
+
+    @staticmethod
+    def make(mo: Dict[str, MoPoset], mem: Dict[str, intervals.Interval],
+             layout: Layout) -> "AbstractState":
+        """The state with the given maps, whose keys are the layout's; the
+        posets and intervals are interned in the layout's tables."""
+        return AbstractState(tuple([layout.table.intern(mo[k]) for k in layout.mo_keys]),
+                             tuple([layout.values.intern(mem[k]) for k in layout.mem_keys]),
+                             layout)
 
     def slot_update(self, mo: tuple = (), mem: tuple = ()) -> "AbstractState":
         """This state with the values at the given slots replaced:
@@ -315,7 +325,7 @@ class StateSet:
         return bucket.states() if bucket is not None else ()
 
     def labels(self) -> tuple:
-        return tuple(sorted([l for l, b in self._by_label.items() if b._by_mo]))
+        return tuple(sorted(l for l, b in self._by_label.items() if len(b)))
 
     def copy(self) -> "StateSet":
         out = StateSet(self.table)
@@ -328,10 +338,10 @@ class StateSet:
         return out
 
     def total_states(self) -> int:
-        return sum([len(v._by_mo) for v in self._by_label.values()])
+        return sum(len(v) for v in self._by_label.values())
 
     def counts(self) -> Dict[str, int]:
-        return {str(lbl): len(b._by_mo) for lbl, b in sorted(self._by_label.items()) if b._by_mo}
+        return {str(lbl): len(self._by_label[lbl]) for lbl in self.labels()}
 
     def fingerprint(self) -> frozenset:
         """The set's (label, frozenset of states) pairs over its non-empty
@@ -341,7 +351,7 @@ class StateSet:
         are equal.  A bucket that no merge changed keeps its frozenset, and
         the hash cached in it, across rounds and copies, so only changed
         buckets are hashed again."""
-        return frozenset([(lbl, b.frozen()) for lbl, b in self._by_label.items() if b._by_mo])
+        return frozenset([(lbl, b.frozen()) for lbl, b in self._by_label.items() if len(b)])
 
     def dump(self) -> str:
         lines = []

@@ -80,17 +80,15 @@ class AnalysisContext:
     A tail is transferred once, in the last pass, so only heads enter the
     memo.  `pass_through` holds the nops and asserts with one predecessor,
     whose states are that predecessor's tuple as it is: a sorted normal
-    form already, which a merge would rebuild unchanged.  `looped` names
-    the threads with a loop, whose passes need a worklist.
+    form already, which a merge would rebuild unchanged.
     `compiled(lbl)` gives the condition or expressions of the instruction at
-    `lbl`, compiled on its first use and kept for the analysis.
-
-    The layout of the shared variables and mutexes is built once per
-    analysis: the sorted poset keys and their slots, the sorted shared
-    variables as the first memory slots, and their initial values.  Each
-    thread's layout (`layouts[thread]`) adds its sorted registers to that
-    prefix, and `slots[thread]` maps each identifier of its expressions (a
-    shared variable or a register) to its memory slot;
+    `lbl`, compiled on its first use and kept for the analysis.  The layout
+    of the shared variables and mutexes is built once per analysis: the
+    sorted poset keys and their slots, the sorted shared variables as the
+    first memory slots, and their initial values.  Each thread's layout
+    (`layouts[thread]`) adds its sorted registers to that prefix,
+    `slots[thread]` maps each identifier of its expressions (a shared
+    variable or a register) to its memory slot, and
     `initial_states[thread]` is its state at entry.  So one tuple,
     `shared_slots`, gives (memory slot, poset slot) per shared variable for
     the states of every thread, and `read_slots[k]` splits it for a read of
@@ -120,8 +118,8 @@ class AnalysisContext:
         self.cfg = cfg
         self.tc = tc
         self.sb = SbIndex.from_cfg(cfg)
-        self.registers = {t.name: tuple([program.register_key(t.name, r)
-                                         for r in program.thread_registers(t.name)])
+        self.registers = {t.name: tuple(program.register_key(t.name, r)
+                                        for r in program.thread_registers(t.name))
                           for t in program.threads}
         self.events: Dict[Label, Event] = {
             lbl: Event(lbl.name, lbl.instance, cfg.thread_of[lbl], kind, loc)
@@ -139,7 +137,8 @@ class AnalysisContext:
         # the shared prefix and its initial values, once; registers start at 0
         shared = program.shared_names()
         prefix = Layout((*shared, *program.mutexes), shared, self.posets, self.values)
-        init = tuple([self.values.intern(singleton(v)) for _, v in sorted(program.shared)])
+        init = dict(program.shared)
+        init = tuple([self.values.intern(singleton(init[v])) for v in prefix.mem_keys])
         zero = self.values.intern(singleton(0))
         top = (TOP_ID,) * len(prefix.mo_keys)
         self.layouts: Dict[str, Layout] = {}
@@ -148,7 +147,7 @@ class AnalysisContext:
         for t, regs in self.registers.items():
             layout = self.layouts[t] = prefix.with_registers(regs)
             slots = self.slots[t] = prefix.mem_slot.copy()
-            slots.update(zip(program.thread_registers(t), range(len(init), len(layout.mem_keys))))
+            slots.update(zip(program.thread_registers(t), map(layout.mem_slot.__getitem__, regs)))
             self.initial_states[t] = AbstractState(top, (*init, *(zero,) * len(regs)), layout)
         # the same pairs in every thread's layout
         self.shared_slots = tuple((i, prefix.mo_slot[v]) for i, v in enumerate(prefix.mem_keys))
@@ -174,7 +173,6 @@ class AnalysisContext:
         # starts with pending, with each head's successors that are heads;
         # a thread's entry, at 0, is a head when any label of it is
         self.rpo_index = {lbl: i for rpo in cfg.rpo.values() for i, lbl in enumerate(rpo)}
-        self.looped = frozenset(map(cfg.thread_of.__getitem__, cfg.loop_headers))
         self.boundaries = self._boundaries() if tc.project_tails else {}
         self.boundary_states: Dict[Label, tuple] = {}
         self.head_worklists = {t: tuple(i for i in range(1, len(rpo)) if rpo[i] in heads)
@@ -685,6 +683,10 @@ def _shape(e, slots: dict):
 _MEM = attrgetter("mem")
 
 
+def _joined(combo: tuple) -> tuple:
+    return tuple(itertools.chain.from_iterable(combo))
+
+
 def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
     """Evaluate the postcondition over the combinations of per-thread exit
     states, one component of threads at a time.
@@ -731,8 +733,7 @@ def check_final_assert(ctx: AnalysisContext, ss: StateSet, cond) -> Verdict:
                 feasible = shared[shape] = compile_cond(c, slots, table)
             compiled.append(feasible)
         # a one-thread component's projections are its memories
-        for combo in options[0] if len(options) == 1 else (
-                tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*options)):
+        for combo in options[0] if len(options) == 1 else map(_joined, itertools.product(*options)):
             mem: Optional[tuple] = combo
             for feasible in compiled:
                 mem = feasible(mem)

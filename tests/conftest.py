@@ -98,15 +98,6 @@ def run_with_context(driver, program, *args, **kwargs):
 
 
 
-def make_state(mo: dict, mem: dict, layout):
-    """The state of `layout` with the posets `mo` and the intervals `mem`,
-    by key, interned in the layout's tables."""
-    from ramosaic.states import AbstractState
-
-    return AbstractState(tuple([layout.table.intern(mo[k]) for k in layout.mo_keys]),
-                         tuple([layout.values.intern(mem[k]) for k in layout.mem_keys]), layout)
-
-
 def slot_shape(cond, slots: dict):
     """`cond` with each name replaced by `#i`, i its slot in `slots`: the
     conditions that `intervals.compile_cond` compiles alike."""

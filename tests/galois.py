@@ -7,20 +7,7 @@ check its operators against them."""
 import itertools
 
 from ramosaic.posets import (BOTTOM, LOSET_BOTTOM, LosetSet, MoPoset, SbIndex,
-                             TooLarge, _closure, _forgettable, _loset_pairs)
-
-
-def audit(p: MoPoset) -> None:
-    """A poset's order is irreflexive, acyclic and transitively closed, its
-    pairs' ends are its events, and bottom carries neither."""
-    if p.bottom:
-        assert not p.events and not p.pairs
-        return
-    for a, b in p.pairs:
-        assert a != b, f"reflexive pair {a}"
-        assert (b, a) not in p.pairs, f"cycle {a},{b}"
-        assert a in p.events and b in p.events
-    assert p.pairs == _closure(p.pairs), "order not transitively closed"
+                             TooLarge, _forgettable, _loset_pairs)
 
 
 def abs_alpha(p: MoPoset, sb: SbIndex, rmw_critical: bool = False) -> MoPoset:

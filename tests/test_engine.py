@@ -11,10 +11,10 @@ from ramosaic.intervals import Interval
 from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.oracle import check_soundness, enumerate_executions
 from ramosaic.randprog import random_program
-from ramosaic.states import StateSet
+from ramosaic.states import AbstractState, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import BENCH_DIR, READS_SRC, SB_SRC, make_state, peterson, run_with_context
+from conftest import BENCH_DIR, READS_SRC, SB_SRC, peterson, run_with_context
 
 
 def test_mp_verdict_and_iterations(mp_program):
@@ -209,7 +209,7 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
         regs = {k: Interval(0, 0) for k in layout.mem_keys if k != "x"}
 
         def state(mo_x, lo, hi):
-            return make_state({"x": mo_x}, {"x": Interval(lo, hi), **regs}, layout)
+            return AbstractState.make({"x": mo_x}, {"x": Interval(lo, hi), **regs}, layout)
 
         written = P.poset({ctx.events[Label(store)]})
         return (Label(store), Label(load),

@@ -17,10 +17,10 @@ from ramosaic.litmus import Label, build_cfg, parse, unroll
 from ramosaic.oracle import check_soundness, enumerate_executions, validate_execution
 from ramosaic.posets import TOP_ID, Event, SbIndex, TooLarge
 from ramosaic.randprog import random_program
-from ramosaic.states import Layout, StateSet
+from ramosaic.states import AbstractState, Layout, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig
 
-from conftest import LOOPED_SOURCES, corpus_files, full_tails, make_state, sb_after
+from conftest import LOOPED_SOURCES, corpus_files, full_tails, sb_after
 
 LOOPED_SRC = LOOPED_SOURCES[0]
 
@@ -168,7 +168,7 @@ def test_slot_update_equals_make_from_updated_maps():
                 mem[s.layout.mem_keys[i]] = iv
             ids_up = tuple((i, s.layout.values.intern(iv)) for i, iv in mem_up)
             updated = s.slot_update(mo=mo_up, mem=ids_up)
-            assert updated == make_state(mo, mem, s.layout)
+            assert updated == AbstractState.make(mo, mem, s.layout)
             assert updated.layout is s.layout
             checked += 1
     assert checked > 1500
@@ -231,7 +231,7 @@ def test_threads_share_the_analysis_layout_prefix():
                 map(fresh.mem_slot.__getitem__, (*shared, *regs))))
             init = {k: singleton(0) for k in fresh.mem_keys}
             init.update((k, singleton(v)) for k, v in p.shared)
-            assert ctx.initial_states[t.name] == make_state(
+            assert ctx.initial_states[t.name] == AbstractState.make(
                 dict.fromkeys(fresh.mo_keys, posets.TOP), init, fresh)
         for lbl, projected in ctx.boundaries.items():
             full = ctx.layouts[ctx.cfg.thread_of[lbl]]

@@ -14,7 +14,7 @@ from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, Layout, StateBucket, StateSet, _mo_join
 from ramosaic.transfer import AnalysisContext
 
-from conftest import LOOPED_SOURCES, MP_SRC, corpus_files, full_tails, make_state
+from conftest import LOOPED_SOURCES, MP_SRC, corpus_files, full_tails
 
 A = Event("a", 1, "t1", "store", "x")
 B = Event("b", 1, "t2", "store", "x")
@@ -36,7 +36,7 @@ def merge_state_list(states: list, s: AbstractState) -> None:
 
 
 def state(mo_x, x, r):
-    return make_state({"x": mo_x}, {"x": x, "t.r": r}, LAYOUT)
+    return AbstractState.make({"x": mo_x}, {"x": x, "t.r": r}, LAYOUT)
 
 
 def test_insert_into_empty():
@@ -393,7 +393,7 @@ def test_merging_a_merged_tuple_again_changes_the_set():
     layout = Layout(("x",), ("x",), TABLE, VALUES)
 
     def st_(mo_x, x):
-        return make_state({"x": mo_x}, {"x": x}, layout)
+        return AbstractState.make({"x": mo_x}, {"x": x}, layout)
 
     a = st_(P.chain(A, B), singleton(1))
     b = st_(poset({A}), singleton(5))
@@ -526,7 +526,7 @@ def test_cached_keys_do_not_change_equality():
     per-id lists, leave `==` and `hash` to the values: two states built
     through two layouts of one table are equal and hash alike."""
     s = state(poset({A}), singleton(1), singleton(0))
-    t = make_state({"x": poset({A})}, {"x": singleton(1), "t.r": singleton(0)},
+    t = AbstractState.make({"x": poset({A})}, {"x": singleton(1), "t.r": singleton(0)},
                            Layout(("x",), ("x", "t.r"), TABLE, VALUES))
     s.sort_key(), s.critical_signature()
     assert s.layout is not t.layout

@@ -19,7 +19,7 @@ from ramosaic.transfer import (AnalysisContext, TransferConfig,
                                apply_interference, check_assert, transfer_node)
 
 from conftest import (MP_SRC, READS_SRC, corpus_files, full_tails, perfbench_families, peterson,
-                      make_state, record_final_check, run_with_context, slot_shape)
+                      record_final_check, run_with_context, slot_shape)
 
 
 def _ctx_for(src, **tc_kw):
@@ -249,6 +249,7 @@ def test_interference_infeasible_on_conflicting_posets():
     """Interference application fails whenever any variable's posets carry
     opposite orderings."""
     from ramosaic.posets import Event, chain
+    from ramosaic.states import AbstractState
     from ramosaic.intervals import singleton
 
     src = """
@@ -261,8 +262,8 @@ thread t2 { w: store y 1; }
     eb = Event("b", 1, "t1", "store", "x")
     mem = {"x": singleton(0), "y": singleton(0)}
     layout = ctx.layouts["t2"]
-    target = make_state({"x": chain(ea, eb), "y": P.TOP}, mem, layout)
-    source = make_state({"x": chain(eb, ea), "y": P.TOP},
+    target = AbstractState.make({"x": chain(ea, eb), "y": P.TOP}, mem, layout)
+    source = AbstractState.make({"x": chain(eb, ea), "y": P.TOP},
                                 {"x": singleton(0), "y": singleton(1)}, layout)
     assert apply_interference(ctx, target, [source], ctx.events[Label("w")]) == []
 
