@@ -2,14 +2,16 @@
 all threads against the global state set until nothing changes, with
 assertions evaluated on the fixpoint.  Each load, rmw and lock reads every
 source that the analysis's one interference map, `AnalysisContext.interfs`,
-lists for it.
+lists for it, after its own thread's state (ctx).
 
 Only the heads iterate: the labels from which some other thread's
 interference source is reachable.  The rounds run every thread's pass over
-its heads until the state set repeats; then one last pass per thread
-computes its tails, `AnalysisContext.tails`, once, against the converged
-set.  No tail comes before a head, so the tails change nothing the rounds
-compute.  A thread with no head runs no pass in the other rounds.
+its heads until the state set repeats; then every thread runs one last
+pass, which computes its tails, `AnalysisContext.tails`, once, against the
+converged set.  No tail comes before a head, so the tails change nothing
+the rounds compute.  Every thread has a tail, its exit, and each tail
+holds a fresh merge of its tuple in that pass.  A thread with no head runs
+no pass in the other rounds.
 
 Past each thread's boundary (`AnalysisContext.boundaries`), the tail after
 which no access and no loop is reachable, the states keep only the memory
@@ -23,10 +25,9 @@ incremental computation (Hammer et al., "Adapton", PLDI'14): a node whose
 pre-states and reads of the global set are unchanged takes its merged
 states from `AnalysisContext.node_memo`, which keeps per label and bump the
 node's last pre-states, the states tuples the global set held at its
-interference sources other than ctx, and its merged states before
-widening.  The round that only confirms the heads' fixpoint, and the heads
-of the last pass, run as memo hits, and that round's merges change no
-bucket.  A tail, which only the last pass transfers, skips the memo.
+interference sources, and its merged states before widening.  The round
+that only confirms the heads' fixpoint, and the heads of the last pass,
+run as memo hits, and that round's merges change no bucket.  A tail, which only the last pass transfers, skips the memo.
 """
 
 from __future__ import annotations
@@ -104,12 +105,12 @@ def _node_states(ctx: AnalysisContext, lbl: Label, pre_states: tuple,
     """The merged states of one visit of `lbl`, before widening, taken from
     the memo when the inputs are unchanged: the transfer is a function of
     the pre-states, the key, the context and the global states at the
-    label's interference sources other than ctx, which are all it reads of
-    the global set.  A tail is transferred once, in the last pass, so it
-    neither reads nor fills the memo."""
+    label's interference sources, which are all it reads of the global
+    set.  A tail is transferred once, in the last pass, so it neither reads
+    nor fills the memo."""
     key = (lbl, bump)
     head = lbl not in ctx.tails
-    reads = tuple(map(global_ss.at, ctx.memo_sources.get(lbl, ()))) if head else None
+    reads = tuple(map(global_ss.at, ctx.interfs.get(lbl, ()))) if head else None
     entry = ctx.node_memo.get(key)
     # a predecessor that was a memo hit passes on the stored tuple itself,
     # so an unchanged node's pre-states are mostly found by identity
@@ -185,28 +186,11 @@ def _evaluate(ctx: AnalysisContext, ss: StateSet) -> Dict[str, Verdict]:
     return verdicts
 
 
-def _shared_buckets(ctx: AnalysisContext) -> Dict[Label, Label]:
-    """The labels whose σ bucket is another label's, each with that label:
-    a label of `ctx.pass_through` ends every pass holding its
-    predecessor's states tuple, so it shares that predecessor's bucket,
-    down a chain to the first label that passes nothing through.  Not a
-    label right after its thread's entry: σ never holds the entry.  No
-    loop header passes through, since `build_cfg` gives each a back edge."""
-    owners: Dict[Label, Label] = {}
-    # in reverse post-order a label's one predecessor comes first, and the
-    # entry at 0
-    for lbl in sorted(ctx.pass_through, key=ctx.rpo_index.__getitem__):
-        pred = ctx.cfg.preds[lbl][0]
-        if ctx.rpo_index[pred]:
-            owners[lbl] = owners.get(pred, pred)
-    return owners
-
-
 def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     """Run one pass per thread over its heads once per round until the
-    state set stops changing, then one last pass per thread over all its
-    labels.  Returns σ, the rounds run and the rounds that changed σ; the
-    widened labels are left in `ctx.widened`.
+    state set stops changing, then one last pass for every thread over all
+    its labels.  Returns σ, the rounds run and the rounds that changed σ;
+    the widened labels are left in `ctx.widened`.
 
     Every pass of a round reads the global set σ itself and returns its
     local map, and σ takes the local maps after the round's last pass, in
@@ -219,30 +203,28 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     the heads' states nor the reads of σ nor the stop test.  Once σ has
     converged, the last pass computes each tail once, against that σ: its
     heads read what they read in the round before and are node-memo hits,
-    and it merges only the tails that own a bucket, each thread's right
-    after its pass, since no pass reads a tail.  It counts as a round,
-    against `max_iterations` too, and as an effective one when it changes
-    σ; a thread none of whose tails owns a bucket runs no last pass.
+    and it merges only the tails, each thread's right after its pass,
+    since no pass reads a tail.  No tail holds a state before then, so
+    each holds a fresh merge of its tuple in the last pass, and the pass
+    changes σ exactly when it merges a state.  It counts as a round,
+    against `max_iterations` too, and as an effective one when it merges a
+    state; it takes no fingerprint.
 
     A node whose inputs are unchanged is a hit of the node memo
     (`_node_states`), so a pass whose reads of σ are those of its
-    thread's last pass computes nothing.  The labels of `_shared_buckets`
-    are not merged themselves, and a state a bucket holds leaves the
-    bucket, its `states()` tuple and frozenset included, as it is
+    thread's last pass computes nothing.  A state a bucket holds leaves
+    the bucket, its `states()` tuple and frozenset included, as it is
     (`StateBucket.merge`).
 
     The instruction-wise merge joins and replaces states, so the accumulator
     is not monotone and can in rare cases revisit an earlier value instead
     of settling (interacting merge chains).  Every merge output covers its
     inputs, so any revisited set already covers everything produced since;
-    a repeat is therefore a sound stopping point.  A round that changes
-    nothing and a revisit are both found by the sets' fingerprints, which
-    are equal exactly when the sets are.
+    a repeat is therefore a sound stopping point.  A head round that
+    changes nothing and a revisit are both found by the sets'
+    fingerprints, which are equal exactly when the sets are.
     """
-    shared = _shared_buckets(ctx)
     sigma = StateSet(ctx.posets)
-    for lbl, owner in shared.items():
-        sigma.share(lbl, owner)
     rounds = 0
     effective = 0
     fingerprint = sigma.fingerprint()
@@ -256,8 +238,7 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
                       for t in ctx.program.threads if ctx.head_worklists[t.name]]
         for local in local_maps:
             for lbl in sorted(local):
-                if lbl not in shared:
-                    sigma.merge_all(lbl, local[lbl])
+                sigma.merge_all(lbl, local[lbl])
         del local_maps
         new = sigma.fingerprint()
         if new == fingerprint:
@@ -266,19 +247,17 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
         if new in seen:
             break
         fingerprint = new
-    # the tails that own a bucket; σ never holds an entry
-    owned = ctx.tails - shared.keys() - set(ctx.cfg.entries.values())
-    last = [t.name for t in ctx.program.threads if not owned.isdisjoint(ctx.cfg.rpo[t.name])]
-    if last:
-        if rounds >= max_iterations:
-            raise Divergence(f"no fixpoint after {max_iterations} rounds")
-        rounds += 1
-        for tname in last:
-            local = seq_ai(ctx, tname, sigma)
-            for lbl in sorted(owned.intersection(local)):
-                sigma.merge_all(lbl, local[lbl])
-        if sigma.fingerprint() != new:
-            effective += 1
+    if rounds >= max_iterations:
+        raise Divergence(f"no fixpoint after {max_iterations} rounds")
+    rounds += 1
+    merged = False
+    for t in ctx.program.threads:
+        # a pass's map holds no entry and no empty tuple
+        local = seq_ai(ctx, t.name, sigma)
+        for lbl in sorted(ctx.tails.intersection(local)):
+            sigma.merge_all(lbl, local[lbl])
+            merged = True
+    effective += merged
     return sigma, rounds, effective
 
 

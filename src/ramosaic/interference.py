@@ -4,8 +4,8 @@ A load's or rmw's candidates are ctx, which stands for reading the
 propagated in-thread state, then every other thread's writes of the same
 variable; a lock's are ctx, then the other threads' unlocks of its mutex.
 `transfer.AnalysisContext` builds its one map of label to sources from
-`get_interfs` when the analysis starts, and the transfer tries every
-candidate and keeps the feasible results.
+`get_interfs` when the analysis starts, leaving ctx out, and the transfer
+tries ctx and then every other candidate and keeps the feasible results.
 """
 
 from __future__ import annotations

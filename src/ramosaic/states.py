@@ -289,11 +289,10 @@ class StateBucket:
 
 
 class StateSet:
-    """Map from label to its normal-form set of states.  The buckets join
-    and order posets through `table`, the table of the analysis whose
-    states they hold: the ids of another table name other posets.  Labels
-    that share a bucket (`share`) read as separate buckets with equal
-    content."""
+    """Map from label to its normal-form set of states, one bucket per
+    label.  The buckets join and order posets through `table`, the table
+    of the analysis whose states they hold: the ids of another table name
+    other posets."""
 
     def __init__(self, table: posets.PosetTable):
         self.table = table
@@ -314,12 +313,6 @@ class StateSet:
         for s in states:
             bucket.merge(s)
 
-    def share(self, label: Label, owner: Label) -> None:
-        """From now on `label` holds `owner`'s bucket itself."""
-        if len(self._by_label.get(label, ())):
-            raise ValueError(f"{label} already holds states")
-        self._by_label[label] = self._bucket(owner)
-
     def at(self, label: Label) -> tuple:
         bucket = self._by_label.get(label)
         return bucket.states() if bucket is not None else ()
@@ -329,19 +322,16 @@ class StateSet:
 
     def copy(self) -> "StateSet":
         out = StateSet(self.table)
-        copies: dict = {}
-        for k, v in self._by_label.items():
-            c = copies.get(id(v))
-            if c is None:
-                c = copies[id(v)] = v.copy()
-            out._by_label[k] = c
+        out._by_label = {k: v.copy() for k, v in self._by_label.items()}
         return out
 
     def total_states(self) -> int:
         return sum(len(v) for v in self._by_label.values())
 
     def counts(self) -> Dict[str, int]:
-        return {str(lbl): len(self._by_label[lbl]) for lbl in self.labels()}
+        """The size of each non-empty bucket, by label name in label order."""
+        by_label = self._by_label
+        return {str(lbl): n for lbl in sorted(by_label) if (n := len(by_label[lbl]))}
 
     def fingerprint(self) -> frozenset:
         """The set's (label, frozenset of states) pairs over its non-empty

@@ -37,7 +37,7 @@ from .intervals import compile_cond, compile_expr, exclude_value, singleton, val
 from .litmus import (AssertInst, Assign, Assume, BoolLit, Cas, Cfg, Fadd,
                      Label, Lit, LoadInst, LockInst, Name, Nop, Or, Program,
                      Store, UnlockInst, expr_names, negate)
-from .interference import CTX, get_interfs
+from .interference import get_interfs
 from .posets import TOP_ID, Event, SbIndex
 from .states import AbstractState, Layout, StateSet
 
@@ -71,10 +71,10 @@ class AnalysisContext:
     transfer and merge builds its posets and intervals through, and the
     node memo of `engine.seq_ai`.
 
-    `interfs[label]` lists, for each load, rmw and lock, ctx and then the
-    labels it may read from (`interference.get_interfs`), and
-    `memo_sources[label]` those other than ctx, whose σ tuples key the node
-    memo.  `tails` holds the labels from which no memo source is reachable:
+    `interfs[label]` lists, for each load, rmw and lock, the other threads'
+    labels it may read from (`interference.get_interfs` without ctx, which
+    every read tries first); their σ tuples key the node memo.  `tails`
+    holds the labels from which no interference source is reachable:
     no other thread reads what they compute, and `head_worklists` and
     `head_succs` leave them out of a pass over the other labels, the heads.
     A tail is transferred once, in the last pass, so only heads enter the
@@ -100,11 +100,13 @@ class AnalysisContext:
     rmw, lock or unlock) and no loop is reachable in its thread, and which
     every label after it comes through; not a label of `pass_through`,
     which computes nothing.  The boundary's states, and so those of every
-    label after it, keep only the live memory slots: the register the
-    boundary writes, the registers and shared variables that it, when it is
-    not an access, or a later instruction names, and the thread's registers
-    that the postcondition names; they drop every poset.  No other thread
-    reads them, and no later instruction reads a poset or a dropped slot.
+    label after it, keep only the live memory slots, all registers: the
+    register the boundary writes, the registers that it, when it is not an
+    access, or a later instruction names (an expression names only its
+    thread's registers, `litmus._check_semantics`), and the thread's
+    registers that the postcondition names; they drop every poset.  No
+    other thread reads them, and no later instruction reads a poset or a
+    dropped slot.
     `boundary_states[label]` holds the full states of the boundary's last
     visit, those it projected or, at a boundary load that computes none
     (`transfer_node`), its pre-states: the states that
@@ -124,11 +126,10 @@ class AnalysisContext:
         self.events: Dict[Label, Event] = {
             lbl: Event(lbl.name, lbl.instance, cfg.thread_of[lbl], kind, loc)
             for lbl, (kind, loc) in cfg.accesses.items() if kind != "load"}
-        self.interfs: Dict[Label, tuple] = {}
-        for per_thread in get_interfs(program, cfg).values():
-            self.interfs.update(per_thread)
-        # ctx is every reading label's first source
-        self.memo_sources: Dict[Label, tuple] = {k: srcs[1:] for k, srcs in self.interfs.items()}
+        # the sources but ctx, which every read tries first (`_load_bases`)
+        self.interfs: Dict[Label, tuple] = {
+            lbl: srcs[1:] for per_thread in get_interfs(program, cfg).values()
+            for lbl, srcs in per_thread.items()}
         self.pass_through = frozenset(
             lbl for lbl, instr in cfg.nodes.items()
             if len(cfg.preds[lbl]) == 1 and isinstance(instr, (Nop, AssertInst)))
@@ -160,7 +161,7 @@ class AnalysisContext:
         # the heads: the labels from which some interference source is
         # reachable, the sources included, found by one walk back from them;
         # the tails are the rest, and no tail precedes a head
-        heads = {src for srcs in self.memo_sources.values() for src in srcs}
+        heads = {src for srcs in self.interfs.values() for src in srcs}
         stack = list(heads)
         while stack:
             for pred in cfg.preds[stack.pop()]:
@@ -362,12 +363,8 @@ def _load_bases(ctx, s, lbl, global_ss, var, reg=None) -> list:
     source state's write otherwise, one kernel call per source label.  A
     variable's value read is in its memory slot; with `reg`, a memory slot,
     each base holds it there too."""
-    out = []
+    out = [s if reg is None else s.slot_update(mem=((reg, s.mem[s.layout.mem_slot[var]]),))]
     for src in ctx.interfs[lbl]:
-        if src == CTX:
-            out.append(s if reg is None
-                       else s.slot_update(mem=((reg, s.mem[s.layout.mem_slot[var]]),)))
-            continue
         sources = global_ss.at(src)
         if sources:
             out += apply_interference(ctx, s, sources, ctx.events[src], reg,
@@ -379,43 +376,41 @@ def transfer_node(ctx: AnalysisContext, lbl: Label, pre_states,
                   global_ss: StateSet, bump: int = 0) -> list:
     """The states after `lbl` from its pre-states.  At a boundary they are
     projected, and the full states they come from are kept in
-    `ctx.boundary_states`.  A boundary load whose live slots hold no shared
-    variable but the one it reads computes no full state: it gives each
-    projected state once (`_load_exists`), and keeps its pre-states."""
+    `ctx.boundary_states`.  A boundary load computes no full state, since
+    its live slots are registers: it gives each projected state once
+    (`_load_exists`), and keeps its pre-states."""
     projected = ctx.boundaries.get(lbl)
     if projected is None:
         return _transfer(ctx, lbl, pre_states, global_ss, bump)
     instr = ctx.cfg.nodes[lbl]
     if isinstance(instr, LoadInst):
-        j = projected.mem_slot[instr.var]
-        if all(i == j or i >= len(ctx.shared_slots) for i in projected.live):
-            ctx.boundary_states[lbl] = tuple(pre_states)
-            return _load_exists(ctx, lbl, instr, projected, pre_states, global_ss)
+        ctx.boundary_states[lbl] = tuple(pre_states)
+        return _load_exists(ctx, lbl, instr, projected, pre_states, global_ss)
     full = ctx.boundary_states[lbl] = tuple(_transfer(ctx, lbl, pre_states, global_ss, bump))
     return [projected.project(s.mem) for s in full]
 
 
 def _load_exists(ctx, lbl, instr, projected: Layout, pre_states, global_ss) -> list:
     """The projected states after a boundary load.  Such a state is a
-    pre-state's live registers with the loaded value in the load's register
-    (and in the variable's slot when that is live), so for each pair of the
-    pre-state's other live values and a loaded value the first source state
-    that the pre-state may read from, its meets all non-bottom, gives it, and
-    the others are not tried.  The values each source label's states hold
-    are gathered once per analysis and states tuple (`held_values`), and a
-    label none of whose values is new for the pre-state's other live values
-    is skipped, its target part (`_met_slots`) included."""
+    pre-state's live registers with the loaded value in the load's register,
+    so for each pair of the pre-state's other live values and a loaded value
+    the first source state that the pre-state may read from, its meets all
+    non-bottom, gives it, and the others are not tried.  The values each
+    source label's states hold are gathered once per analysis and states
+    tuple (`held_values`), and a label none of whose values is new for the
+    pre-state's other live values is skipped, its target part
+    (`_met_slots`) included."""
     table = ctx.posets
     meet, published = table.meet, table.published
     reg = ctx.slots[ctx.cfg.thread_of[lbl]][instr.reg]
     j = projected.mem_slot[instr.var]
     k = projected.mo_slot[instr.var]
-    # the live slots but the loaded ones key the values found so far
-    rest = tuple(i for i in projected.live if i not in (reg, j))
-    loaded = (reg, j) if j in projected.live else (reg,)
+    # the live slots, all registers, but the loaded one key the values
+    # found so far
+    rest = tuple(i for i in projected.live if i != reg)
     # ctx, the first source, reads the pre-state's own value
     sources = []
-    for src in ctx.interfs[lbl][1:]:
+    for src in ctx.interfs[lbl]:
         states = global_ss.at(src)
         if states:
             held = ctx.held_values.get(src)
@@ -457,8 +452,7 @@ def _load_exists(ctx, lbl, instr, projected: Layout, pre_states, global_ss) -> l
             new = empty[:]
             for i in rest:
                 new[i] = mem[i]
-            for i in loaded:
-                new[i] = value
+            new[reg] = value
             out.append(AbstractState(projected.dropped_mo, tuple(new), projected))
     return out
 

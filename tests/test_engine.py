@@ -199,8 +199,8 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
                     "thread u { w: store x 2; m: q = load x; }")
     cfg = build_cfg(program)
     ctx = AnalysisContext(program, cfg, TransferConfig())
-    assert ctx.interfs[Label("l")][1:] == (Label("w"),)
-    assert ctx.interfs[Label("m")][1:] == (Label("s"),)
+    assert ctx.interfs[Label("l")] == (Label("w"),)
+    assert ctx.interfs[Label("m")] == (Label("s"),)
     assert {Label("l"), Label("m")} <= ctx.tails
     assert not {Label("s"), Label("w")} & ctx.tails
 
@@ -234,11 +234,11 @@ def test_rounds_stop_on_revisited_state_set(monkeypatch):
     for lbl, load, a, _, _ in scripts.values():
         assert sigma.at(lbl) == sigma.at(load) == (a,)
     # {}, {a}, {a, x} at both stores, as each round began, then {a} again
-    # at the stores for the last pass; t's tails, l and the exit that
-    # shares its bucket, are merged before u's last pass, which reads none
+    # at the stores for the last pass; t's tail l is merged before u's last
+    # pass, which reads none
     assert [(t, heads_only, len(dump.splitlines())) for t, heads_only, dump in given] == [
         ("t", True, 0), ("u", True, 0), ("t", True, 2), ("u", True, 2),
-        ("t", True, 4), ("u", True, 4), ("t", False, 2), ("u", False, 4)]
+        ("t", True, 4), ("u", True, 4), ("t", False, 2), ("u", False, 3)]
 
 
 def _sources(program) -> frozenset:
@@ -253,7 +253,8 @@ def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
     """Every pass of a round reads the result's state set itself, and sees
     it at every interference source as the fingerprint of the round before
     saw it: the merges of the round's earlier passes are not visible there
-    to its later ones."""
+    to its later ones.  Only the head rounds take a fingerprint, so the
+    last pass's passes see σ as the last head round left it."""
     program = parse(READS_SRC)
     sources = sorted(_sources(program))
     log: list = []  # ("round", states) at each fingerprint, ("pass", set, states) per pass
@@ -285,30 +286,31 @@ def test_every_pass_reads_the_state_set_as_its_round_began(driver, monkeypatch):
         assert entry[1] is r.states
         assert entry[2] == began, (rounds, passes)
         passes += 1
-    assert rounds == r.iterations_total + 1
+    assert passes == len(program.threads)  # the last pass runs every thread
+    assert rounds == r.iterations_total
 
 
 def test_a_round_merges_its_passes_after_the_last(monkeypatch):
     """A round runs one pass per thread with a head over its heads, in
     program order, then merges the passes' local maps into the state set,
     in pass order and then label order, so each bucket is merged once per
-    round: a label that shares its predecessor's bucket is not merged
-    itself.  The last round runs one pass over all labels for each thread
-    with a tail that owns a bucket, t3 here, and merges just those tails
-    after it.  t3 has no head, so it runs no other pass."""
+    round.  Only the head rounds end with a fingerprint.  Then the last
+    pass runs one pass over all labels for every thread, t3 included,
+    which has no head and so runs no other pass, and merges each thread's
+    tails right after its pass: each exit takes a fresh merge of its own
+    last-pass tuple, in a bucket of its own."""
     program = parse(READS_SRC)
     ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
-    shared = engine._shared_buckets(ctx)
-    assert Label("t1.exit") in shared and Label("t3.exit") in shared
-    owned = sorted(ctx.tails - shared.keys() - set(ctx.cfg.entries.values()))
-    assert owned == [Label("c")]
     log: list = []
+    locals_: dict = {}
     real_seq_ai = engine.seq_ai
     real_merge_all, real_fingerprint = StateSet.merge_all, StateSet.fingerprint
 
     def recording_seq_ai(ctx, tname, global_ss, heads_only=False):
         local = real_seq_ai(ctx, tname, global_ss, heads_only)
         log.append(("pass", tname, heads_only, sorted(local)))
+        if not heads_only:
+            locals_.update(local)
         return local
 
     def recording_merge_all(self, lbl, states):
@@ -326,28 +328,36 @@ def test_a_round_merges_its_passes_after_the_last(monkeypatch):
     assert log[0] == ("round",)
     threads = [t.name for t in program.threads if ctx.head_worklists[t.name]]
     assert threads == ["t1", "t2"]
-    rounds, events = 0, []
+    segments = [[]]
     for entry in log[1:]:
-        if entry[0] != "round":
-            events.append(entry)
-            continue
-        rounds, round_events, events = rounds + 1, events, []
-        if rounds == r.iterations_total:
-            assert round_events == [("pass", "t3", False, [Label("c"), Label("t3.exit")]),
-                                    ("merge", Label("c"), id(r.states._by_label[Label("c")]))]
-            continue
+        if entry[0] == "round":
+            segments.append([])
+        else:
+            segments[-1].append(entry)
+    # the head rounds, each closed by a fingerprint, then the last pass
+    *head_rounds, last = segments
+    assert len(segments) == r.iterations_total
+    for rounds, round_events in enumerate(head_rounds, 1):
         passes = [e for e in round_events if e[0] == "pass"]
         assert [(tname, heads_only) for _, tname, heads_only, _ in passes] == \
             [(t, True) for t in threads]
         assert not any(ctx.tails.intersection(labels) for _, _, _, labels in passes)
         merges = round_events[len(passes):]
         assert [e[:2] for e in merges] == [("merge", lbl) for _, _, _, labels in passes
-                                           for lbl in labels if lbl not in shared], rounds
+                                           for lbl in labels], rounds
         assert merges and round_events == passes + merges
         assert len({bucket for _, _, bucket in merges}) == len(merges)
-    assert rounds == r.iterations_total
-    for lbl, owner in shared.items():
-        assert r.states.at(lbl) == r.states.at(owner) != ()
+    tails = {"t1": [Label("t1.exit")], "t2": [Label("t2.exit")],
+             "t3": [Label("c"), Label("t3.exit")]}
+    want = []
+    for t in program.threads:
+        want.append(("pass", t.name, False, sorted(ctx.cfg.rpo[t.name][1:])))
+        want += [("merge", lbl, id(r.states._by_label[lbl])) for lbl in tails[t.name]]
+    assert last == want
+    buckets = r.states._by_label
+    assert len(set(map(id, buckets.values()))) == len(buckets)
+    for lbl in (lbl for labels in tails.values() for lbl in labels):
+        assert r.states.at(lbl) == locals_[lbl] != ()
 
 
 def test_tails_of_peterson_4_are_its_suffixes():
@@ -411,8 +421,8 @@ def test_readers_run_no_transfer_before_the_last_pass():
 def test_threads_with_no_head_run_no_pass_in_the_rounds(monkeypatch):
     """The rounds run no pass for a thread with no head, which would
     return an empty map: on nr1w_10 the two head rounds run the writer's
-    pass alone, and the last pass the ten readers', 12 `seq_ai` calls
-    where a pass per thread in each round made 32.  A head pass of each
+    pass alone, and the last pass every thread's, 13 `seq_ai` calls where
+    a pass per thread in each round made 33.  A head pass of each
     reader against the final state set indeed gives nothing, so σ and the
     verdicts are what the passes would give."""
     program = parse((BENCH_DIR / "nr1w_10.lit").read_text())
@@ -428,7 +438,7 @@ def test_threads_with_no_head_run_no_pass_in_the_rounds(monkeypatch):
     monkeypatch.undo()
     readers = [f"rd{i}" for i in range(1, 11)]
     assert result.iterations_total == 3
-    assert calls == [("w", True)] * 2 + [(t, False) for t in readers]
+    assert calls == [("w", True)] * 2 + [(t, False) for t in ["w", *readers]]
     assert not any(ctx.head_worklists[t] for t in readers)
     snapshot = result.states.dump()
     for t in readers:

@@ -4,9 +4,8 @@ view test with two `posets.less` tests and a second build for the loaded
 register, the compiled assertion check against the reference `refine` over
 each state's full memory, nodes that pass their predecessor's states on against
 a fresh bucket merge, passes over the heads against passes over all labels,
-and the round loop that shares buckets, iterates only the heads and
-computes the tails in a last pass against the plain one, which iterates
-every label.
+and the round loop that iterates only the heads and computes the tails in
+a last pass against the plain one, which iterates every label.
 
 Every call the analyses make is checked, each (target, source) pair of an
 interference batch on its own, over the corpus, `random_program(0..999)`,
@@ -33,7 +32,7 @@ from ramosaic.randprog import random_program
 from ramosaic.states import AbstractState, StateBucket, StateSet
 from ramosaic.transfer import AnalysisContext, TransferConfig, Verdict
 
-from conftest import LOOPED_SOURCES, corpus_files, peterson
+from conftest import BENCH_DIR, LOOPED_SOURCES, corpus_files, peterson
 from intervals_reference import refine
 
 FULL_TAILS = TransferConfig(project_tails=False)
@@ -198,11 +197,10 @@ def _digest(states, verdicts, rounds, effective, widened) -> tuple:
 def plain_digest(program, max_iterations: int = 100) -> tuple:
     """The digest of the plain round loop with the reference interference
     rule and the pair-keyed meet memo, with the schedule that iterates only
-    the heads: σ at every label whose bucket a head owns as the plain loop
-    leaves it, and at every other label a fresh merge of the label's tuple
-    in the plain loop's last round; the rounds and effective rounds after
-    which the heads repeat, plus one for a last pass when some tail owns a
-    bucket, effective when it gives states."""
+    the heads: σ at every head as the plain loop leaves it, and at every
+    tail a fresh merge of the tail's tuple in the plain loop's last round;
+    the rounds and effective rounds after which the heads repeat, plus one
+    for the last pass, effective when it gives states."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "PosetTable", _PairMemoTable)
         mp.setattr(transfer, "apply_interference", interference_per_pair)
@@ -210,22 +208,11 @@ def plain_digest(program, max_iterations: int = 100) -> tuple:
         assert isinstance(ctx.posets, _PairMemoTable)
         plain, _, _, (rounds, effective), last_round = plain_rounds(ctx, max_iterations)
         last_local = {lbl: states for local in last_round for lbl, states in local.items()}
-        shared = engine._shared_buckets(ctx)
         sigma = StateSet(ctx.posets)
-        owned_tails = []
-        for lbl in ctx.cfg.nodes:
-            if lbl in ctx.cfg.entries.values():
-                continue
-            owner = shared.get(lbl, lbl)
-            if owner not in ctx.tails:
-                sigma.merge_all(lbl, plain.at(lbl))
-            else:
-                sigma.merge_all(lbl, last_local.get(lbl, ()))
-                if owner == lbl:
-                    owned_tails.append(lbl)
-        if owned_tails:
-            rounds += 1
-            effective += any(sigma.at(lbl) for lbl in owned_tails)
+        for lbl in ctx.cfg.nodes.keys() - ctx.cfg.entries.values():
+            sigma.merge_all(lbl, last_local.get(lbl, ()) if lbl in ctx.tails else plain.at(lbl))
+        rounds += 1
+        effective += any(sigma.at(lbl) for lbl in ctx.tails)
         return _digest(sigma, engine._evaluate(ctx, sigma), rounds, effective, ctx.widened)
 
 
@@ -362,15 +349,14 @@ def test_a_pass_over_the_heads_matches_a_full_pass(checked):
 
 
 def test_rounds_match_the_plain_round_loop(checked):
-    """The rounds over the heads and the last pass, with the shared buckets
-    and the meet memo's rows, give the plain round loop's states at the
-    heads, byte for byte, with the per-pair reference rule and the
-    pair-keyed meet memo.  Each tail holds a fresh merge of its tuple in
-    the plain loop's last round, and the verdicts, the widened labels, and
-    the rounds, those after which the plain loop's heads repeat plus the
-    last pass, follow.  The inputs hold a widened loop header and a thread
-    with no instruction, whose exit follows its entry and so keeps a bucket
-    of its own."""
+    """The rounds over the heads and the last pass, with the meet memo's
+    rows, give the plain round loop's states at the heads, byte for byte,
+    with the per-pair reference rule and the pair-keyed meet memo.  Each
+    tail holds a fresh merge of its tuple in the plain loop's last round,
+    and the verdicts, the widened labels, and the rounds, those after which
+    the plain loop's heads repeat plus the last pass, follow.  The inputs
+    hold a widened loop header and a thread with no instruction, whose
+    exit, right after its entry, holds the entry state."""
     runs = checked["runs"]
     assert len(runs) > 500
     mismatches = [i for i, (program, want) in enumerate(runs) if plain_digest(program) != want]
@@ -415,8 +401,10 @@ thread t {
 
 
 def test_a_spin_after_the_last_store_is_widened_in_the_last_pass(monkeypatch):
-    """The loop is widened in the last pass, not before, and the run ends
-    with the verdicts and the widened header of the plain round loop."""
+    """The loop is widened in t's last pass, not before, and the run ends
+    with the verdicts and the widened header of the plain round loop.  The
+    last pass runs w and then t over all labels, after the passes over the
+    heads."""
     program = parse(SPIN_AFTER_STORE_SRC)
     widened_before = []
     real_seq_ai = engine.seq_ai
@@ -429,8 +417,8 @@ def test_a_spin_after_the_last_store_is_widened_in_the_last_pass(monkeypatch):
     r = tmai(program, FULL_TAILS)
     header = next(lbl for lbl in r.cfg.loop_headers)
     assert r.widened == {header}
-    assert widened_before[-1] == (False, set())
-    assert all(heads_only for heads_only, _ in widened_before[:-1])
+    assert widened_before[-2:] == [(False, set()), (False, set())]
+    assert all(heads_only for heads_only, _ in widened_before[:-2])
     assert {site: v.proved for site, v in r.verdicts.items()} == {"z": True, "u": False}
     monkeypatch.undo()
     assert plain_digest(program) == _result_digest(tmai(program, FULL_TAILS))
@@ -441,24 +429,42 @@ def test_a_spin_after_the_last_store_is_widened_in_the_last_pass(monkeypatch):
         {site: v.proved for site, v in r.verdicts.items()}
 
 
-def test_tails_that_all_share_a_head_bucket_keep_the_plain_round_counts():
-    """With full tails, every tail of this load-buffering program shares a
-    head's bucket, so no last pass runs, and the rounds are those of the
-    plain loop."""
-    program = parse("vars x = 0, y = 0;\n"
-                    "thread t1 { a: r1 = load y; b: store x 1; c: assert(r1 <= 1); }\n"
-                    "thread t2 { d: r2 = load x; e: store y 1; }\n"
-                    "assert (r1 == 0 || r2 == 0);\n")
+def test_threads_that_end_in_a_head_run_one_last_pass():
+    """With full tails, each thread of `lb.lit` ends in a store that the
+    other thread reads, so its one tail past the entry is its exit.  Each
+    thread still runs one last pass, after the passes over the heads; each
+    exit holds, in a bucket of its own, a fresh merge of its store's tuple
+    in that pass; and the rounds are those of the plain loop plus the last
+    pass, which is effective."""
+    program = parse((BENCH_DIR / "lb.lit").read_text())
     cfg = build_cfg(program)
     ctx = AnalysisContext(program, cfg, FULL_TAILS)
-    shared = engine._shared_buckets(ctx)
-    assert ctx.tails - set(cfg.entries.values()) == {Label("c"), cfg.exits["t1"], cfg.exits["t2"]}
-    assert all(shared[lbl] not in ctx.tails for lbl in ctx.tails - set(cfg.entries.values()))
-    r = tmai(program, FULL_TAILS)
+    exits = {t: cfg.exits[t] for t in ("t1", "t2")}
+    assert ctx.tails - set(cfg.entries.values()) == set(exits.values())
+    assert (cfg.preds[exits["t1"]], cfg.preds[exits["t2"]]) == ((Label("a"),), (Label("b"),))
+    passes = []
+    real_seq_ai = engine.seq_ai
+
+    def recording_seq_ai(ctx, tname, global_ss, heads_only=False):
+        local = real_seq_ai(ctx, tname, global_ss, heads_only)
+        passes.append((tname, heads_only, local))
+        return local
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "seq_ai", recording_seq_ai)
+        r = tmai(program, FULL_TAILS)
+    heads_passes = [(t, heads_only) for t, heads_only, _ in passes[:-2]]
+    assert heads_passes == [("t1", True), ("t2", True)] * (r.iterations_total - 1)
+    for (tname, heads_only, local), (want, exit_) in zip(passes[-2:], exits.items()):
+        assert (tname, heads_only) == (want, False)
+        pred = cfg.preds[exit_][0]
+        assert local[exit_] is local[pred]
+        assert r.states.at(exit_) == local[pred] != ()
+        assert r.states._by_label[exit_] is not r.states._by_label[pred]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "PosetTable", _PairMemoTable)
         mp.setattr(transfer, "apply_interference", interference_per_pair)
         plain_ctx = AnalysisContext(program, cfg, FULL_TAILS)
-        sigma, rounds, effective, _, _ = plain_rounds(plain_ctx, 100)
-    assert r.states.dump() == sigma.dump()
-    assert (r.iterations_total, r.iterations_effective) == (rounds, effective) == (4, 3)
+        _, rounds, effective, _, _ = plain_rounds(plain_ctx, 100)
+    assert (r.iterations_total, r.iterations_effective) == (rounds + 1, effective + 1) == (5, 4)
+    assert plain_digest(program) == _result_digest(r)

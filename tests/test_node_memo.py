@@ -43,10 +43,10 @@ def _fresh_pass(ctx, tname, global_ss) -> dict:
 
 
 def _work_per_round(program) -> tuple:
-    """Per round of one `tmai` run: [passes, transfer_node calls,
-    interference batches]; per fingerprint, taken before the first round
-    and after each, σ's (label, `states()` tuple, frozenset) triples; and
-    the result."""
+    """Per round of one `tmai` run, the last pass included: [passes,
+    transfer_node calls, interference batches]; per fingerprint, taken
+    before the first round and after each head round, σ's (label,
+    `states()` tuple, frozenset) triples; and the result."""
     rounds: list = []
     buckets: list = []
     real_seq_ai, real_transfer_node = engine.seq_ai, engine.transfer_node
@@ -70,7 +70,6 @@ def _work_per_round(program) -> tuple:
         mp.setattr(transfer, "apply_interference", counted(2, real_apply))
         mp.setattr(StateSet, "fingerprint", recording_fingerprint)
         result = tmai(program)
-    rounds.pop()  # opened by the fingerprint after the last round
     return rounds, buckets, result
 
 
@@ -83,28 +82,27 @@ def test_confirming_round_recomputes_nothing():
     bucket keeps its `states()` tuple and frozenset themselves.  The rounds
     before it run transfers.  The last pass then runs every thread's pass
     over all labels; its heads are memo hits too, so it transfers only the
-    load of cs, once per thread, and its merges change only the tails'
-    buckets.  That load is its thread's boundary, whose existence test
-    runs no interference batch."""
+    load of cs, once per thread, and its merges fill only the tails'
+    buckets, which held no state before it.  That load is its thread's
+    boundary, whose existence test runs no interference batch."""
     for n, total in ((3, 105), (4, 296)):
         rounds, buckets, result = _work_per_round(parse(peterson(n)))
         assert result.states.total_states() == total and result.iterations_total == 4
-        assert len(rounds) == 4 and len(buckets) == 5
+        assert len(rounds) == 4 and len(buckets) == 4
         assert rounds[2] == [n, 0, 0], (n, rounds)
         assert rounds[3] == [n, n, 0], (n, rounds)
         assert all(passes == n for passes, _, _ in rounds), (n, rounds)
         assert all(calls > 0 for _, calls, _ in rounds[:2]), (n, rounds)
-        before, after = buckets[-3], buckets[-2]
+        before, after = buckets[-2], buckets[-1]
         assert before and len(before) == len(after)
         for (lbl, states, frozen), (lbl2, states2, frozen2) in zip(before, after):
             assert lbl == lbl2 and states is states2 and frozen is frozen2, lbl
-        last = {lbl: (states, frozen) for lbl, states, frozen in buckets[-1]}
-        grown = [lbl for lbl, states, frozen in after
-                 if last[lbl][0] is not states or last[lbl][1] is not frozen]
-        # h_i and the exit share x_i's bucket
-        assert sorted(grown) == sorted(Label(f"{name}{i}") if name != "exit" else
-                                       Label(f"t{i}.exit") for i in range(1, n + 1)
-                                       for name in ("x", "h", "exit")), n
+        last = result.states._by_label
+        for lbl, states, frozen in after:
+            assert last[lbl].states() is states and last[lbl].frozen() is frozen, lbl
+        assert sorted(last.keys() - {lbl for lbl, _, _ in after}) == sorted(
+            Label(f"{name}{i}") if name != "exit" else Label(f"t{i}.exit")
+            for i in range(1, n + 1) for name in ("x", "h", "exit")), n
 
 
 # a message-passing chain: t1 reads nothing, t2's reads settle in the
@@ -126,8 +124,9 @@ def test_a_pass_with_unchanged_reads_makes_no_transfer():
     where another thread's pass, whose reads changed, makes some: the node
     memo does per node what reusing the whole pass would do.  The rounds
     run every thread's pass over its heads alone, in program order, and
-    the last round runs passes over all labels, which transfer the tails.
-    A thread with no head runs no pass but the last."""
+    the last round runs a pass over all labels for every thread, which
+    transfers each tail that is not a pass-through label, once here, and
+    no head.  A thread with no head runs no pass but the last."""
     # per pass: [round, thread, heads_only, reads of σ, transfer_node calls
     # at heads, at tails]
     passes: list = []
@@ -137,7 +136,7 @@ def test_a_pass_with_unchanged_reads_makes_no_transfer():
 
     def recording_seq_ai(ctx, tname, global_ss, heads_only=False):
         sources = sorted({src for lbl in ctx.cfg.rpo[tname]
-                          for src in ctx.interfs.get(lbl, ())[1:]})
+                          for src in ctx.interfs.get(lbl, ())})
         passes.append([rounds[0], tname, heads_only, [global_ss.at(src) for src in sources],
                        0, 0])
         return real_seq_ai(ctx, tname, global_ss, heads_only)
@@ -151,9 +150,7 @@ def test_a_pass_with_unchanged_reads_makes_no_transfer():
         return real_fingerprint(self)
 
     mixed = 0
-    # the threads with a tail that owns a bucket, which alone run a last pass
-    for src, last_threads in ((READS_SRC, ["t3"]), (peterson(4), ["t1", "t2", "t3", "t4"]),
-                              (CHAIN_SRC, ["t3"])):
+    for src in (READS_SRC, peterson(4), CHAIN_SRC):
         passes.clear()
         rounds[0] = 0
         with pytest.MonkeyPatch.context() as mp:
@@ -169,8 +166,10 @@ def test_a_pass_with_unchanged_reads_makes_no_transfer():
             final = rnd == result.iterations_total
             assert all(p[2] is not final for p in now), (src, rnd, now)
             if final:
-                assert [p[1] for p in now] == last_threads, (src, now)
-                assert all(p[5] > 0 for p in now), (src, now)
+                assert [p[1] for p in now] == [t.name for t in program.threads], (src, now)
+                assert [p[4:] for p in now] == [
+                    [0, len(ctx.tails.intersection(ctx.cfg.rpo[p[1]][1:]) - ctx.pass_through)]
+                    for p in now], (src, now)
             else:
                 assert [p[1] for p in now] == threads
                 assert all(p[5] == 0 for p in now), (src, rnd, now)
@@ -193,7 +192,7 @@ def test_confirming_round_reads_the_identical_tuples():
     sigma = result.states
     checked = 0
     for (lbl, bump), (pre_states, reads, states) in ctx.node_memo.items():
-        now = [sigma.at(src) for src in ctx.interfs.get(lbl, ())[1:]]
+        now = [sigma.at(src) for src in ctx.interfs.get(lbl, ())]
         assert len(reads) == len(now)
         assert all(a is b for a, b in zip(reads, now)), lbl
         checked += len(now)
@@ -203,8 +202,9 @@ def test_confirming_round_reads_the_identical_tuples():
 def test_unchanged_buckets_keep_their_frozensets(monkeypatch):
     """A bucket that no merge changed gives its earlier frozenset itself,
     in the set it sits in and in a copy of that set, so the fingerprint of
-    the round that confirms the heads hashes no bucket again, and that of
-    the last pass hashes only the tails' buckets, which it fills."""
+    the round that confirms the heads hashes no bucket again.  The last
+    pass takes no fingerprint: it only fills the tails' buckets, which
+    held no state, and leaves every other bucket's frozenset as it was."""
     snapshots: list = []
     fingerprints: list = []
     real_fingerprint = StateSet.fingerprint
@@ -218,13 +218,15 @@ def test_unchanged_buckets_keep_their_frozensets(monkeypatch):
     monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
     program = parse(peterson(4))
     result, ctx = run_with_context(tmai, program)
-    assert result.iterations_total == 4 and len(fingerprints) == 5
-    before, after, last = fingerprints[-3:]
+    assert result.iterations_total == 4 and len(fingerprints) == 4
+    monkeypatch.undo()
+    before, after = fingerprints[-2:]
+    last = dict(result.states.fingerprint())
     assert before and before.keys() == after.keys()
     assert not ctx.tails & before.keys()
     assert last.keys() - after.keys() == ctx.tails
-    for snapshot, (older, newer) in ((snapshots[-3], (before, after)),
-                                     (snapshots[-2], (after, last))):
+    for snapshot, (older, newer) in ((snapshots[-2], (before, after)),
+                                     (snapshots[-1], (after, last))):
         for lbl, states in older.items():
             assert newer[lbl] is states
             assert snapshot._by_label[lbl].frozen() is states

@@ -426,46 +426,16 @@ def test_merging_states_a_bucket_holds_keeps_its_tuple_and_frozenset():
         assert dict(ss.fingerprint())[L] is frozen
 
 
-def _shared_and_separate() -> tuple:
-    """A set whose labels l and m share a bucket, and one that merges the
-    same states into two buckets, both with a third label n."""
+def test_counts_lists_the_non_empty_buckets_in_label_order():
+    """`counts` gives each non-empty bucket's size under its label's name,
+    in the order of `labels()`, as `--json` prints them."""
+    ss = StateSet(TABLE)
     m, n = Label("m"), Label("n")
-    shared, separate = StateSet(TABLE), StateSet(TABLE)
-    shared.share(m, L)
-    for ss, labels in ((shared, (L,)), (separate, (L, m))):
-        for lbl in labels:
-            ss.merge_all(lbl, [S1, S2])
-            ss.merge_all(lbl, [S3])
-        ss.merge_all(n, [S2])
-    return shared, separate
-
-
-def test_a_shared_bucket_reads_as_two_buckets_with_equal_content():
-    shared, separate = _shared_and_separate()
-    m = Label("m")
-    assert shared._by_label[m] is shared._by_label[L]
-    for lbl in (L, m, Label("n"), Label("o")):
-        assert shared.at(lbl) == separate.at(lbl)
-    assert shared.at(m) is shared.at(L)
-    assert shared.labels() == separate.labels() == (L, m, Label("n"))
-    assert shared.counts() == separate.counts()
-    assert shared.total_states() == separate.total_states() == 2 * len(shared.at(L)) + 1
-    assert shared.dump() == separate.dump()
-    assert shared.fingerprint() == separate.fingerprint()
-    with pytest.raises(ValueError):
-        separate.share(m, L)
-
-
-def test_copy_keeps_a_shared_bucket_shared():
-    shared, _ = _shared_and_separate()
-    m = Label("m")
-    before = shared.dump()
-    copy = shared.copy()
-    assert copy._by_label[m] is copy._by_label[L] is not shared._by_label[L]
-    assert copy.dump() == before
-    copy.merge_all(m, [state(P.TOP, singleton(0), singleton(0))])
-    assert copy.at(L) is copy.at(m) and copy.at(L) != shared.at(L)
-    assert shared.dump() == before
+    ss.merge_all(n, [S2])
+    ss.merge_all(m, [])
+    ss.merge_all(L, [S1, S2, S3])
+    assert list(ss.counts().items()) == [(str(lbl), len(ss.at(lbl))) for lbl in ss.labels()]
+    assert ss.counts() == {"l": 3, "n": 1}
 
 
 def test_dump_format():

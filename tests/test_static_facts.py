@@ -189,6 +189,28 @@ def test_static_facts_on_branches_after_the_last_access():
         _check(unroll(parse(src), 2))
 
 
+def test_no_boundary_keeps_a_shared_slot_live():
+    """An expression names only registers of its thread
+    (`litmus._check_semantics`), so every live slot of a boundary holds a
+    register, and `transfer_node` runs each boundary load as an existence
+    test (`_load_exists`) on that ground; over the corpus, as parsed and
+    unrolled by 2, and `random_program(0..499)`."""
+    programs = [random_program(seed) for seed in range(500)]
+    for f in corpus_files():
+        program = parse(f.read_text())
+        programs += [program, unroll(program, 2)]
+    boundaries = loads = 0
+    for program in programs:
+        ctx = AnalysisContext(program, build_cfg(program), TransferConfig())
+        registers = {r for regs in ctx.registers.values() for r in regs}
+        for lbl, layout in ctx.boundaries.items():
+            assert all(i >= len(ctx.shared_slots) for i in layout.live), lbl
+            assert {layout.mem_keys[i] for i in layout.live} <= registers, lbl
+            boundaries += 1
+            loads += isinstance(ctx.cfg.nodes[lbl], LoadInst)
+    assert boundaries > 600 and loads > 350, (boundaries, loads)
+
+
 def test_static_facts_on_a_thread_of_300_sections():
     _check(sections_thread(300))
 

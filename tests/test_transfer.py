@@ -126,7 +126,7 @@ def test_batch_equals_the_single_source_calls_in_order():
             reg = ctx.slots[thread][instr.reg] if hasattr(instr, "reg") else None
             targets = [t for pred in ctx.cfg.preds[lbl] for t in r.states.at(pred)]
             for target in targets or [ctx.initial_states[thread]]:
-                for s_lbl in srcs[1:]:
+                for s_lbl in srcs:
                     sources = r.states.at(s_lbl)
                     ev, cas = ctx.events[s_lbl], isinstance(ctx.cfg.nodes[s_lbl], Cas)
                     batch = apply_interference(ctx, target, sources, ev, reg, cas)
