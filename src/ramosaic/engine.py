@@ -132,24 +132,26 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
     interference sources from the global state set; a label of
     `ctx.pass_through` takes its predecessor's tuple itself, and the loop
     headers it widens join `ctx.widened`.  With `heads_only` the pass
-    leaves out `ctx.tails`, which no head follows, so the heads' visits,
-    and their results, are those of a pass over all labels."""
+    skips the labels of `ctx.tails`, which no head follows, so the heads'
+    visits, and their results, are those of a pass over all labels."""
     cfg = ctx.cfg
     rpo = cfg.rpo[tname]
     index = ctx.rpo_index
     pass_through = ctx.pass_through
-    succs = ctx.head_succs if heads_only else cfg.succs
+    skip = ctx.tails if heads_only else ()
     entry = rpo[0]
     local: Dict[Label, tuple] = {entry: (ctx.initial_states[tname],)}
     visits: Dict[Label, int] = {}
     # the RPO positions of the pending labels, popped in order: a heap, and
     # a set for membership; the first worklist is sorted, so a heap already
-    heap = list(ctx.head_worklists[tname] if heads_only else range(1, len(rpo)))
+    heap = list(range(1, len(rpo)))
     pending = set(heap)
     while heap:
         i = heapq.heappop(heap)
         pending.discard(i)
         lbl = rpo[i]
+        if lbl in skip:
+            continue
         preds = cfg.preds[lbl]
         if len(preds) == 1:
             pre_states = local.get(preds[0], ())
@@ -166,7 +168,7 @@ def seq_ai(ctx: AnalysisContext, tname: str, global_ss: StateSet,
                 ctx.widened.add(lbl)
         if new != local.get(lbl, ()):
             local[lbl] = new
-            for nxt in succs[lbl]:
+            for nxt in cfg.succs[lbl]:
                 j = index[nxt]
                 if j not in pending:
                     pending.add(j)
@@ -229,13 +231,15 @@ def _rounds(ctx: AnalysisContext, max_iterations: int) -> tuple:
     effective = 0
     fingerprint = sigma.fingerprint()
     seen: set = set()
+    # a thread whose entry is a tail has no head
+    with_heads = [t.name for t in ctx.program.threads
+                  if ctx.cfg.entries[t.name] not in ctx.tails]
     while True:
         if rounds >= max_iterations:
             raise Divergence(f"no fixpoint after {max_iterations} rounds")
         seen.add(fingerprint)
         rounds += 1
-        local_maps = [seq_ai(ctx, t.name, sigma, heads_only=True)
-                      for t in ctx.program.threads if ctx.head_worklists[t.name]]
+        local_maps = [seq_ai(ctx, t, sigma, heads_only=True) for t in with_heads]
         for local in local_maps:
             for lbl in sorted(local):
                 sigma.merge_all(lbl, local[lbl])

@@ -285,7 +285,8 @@ def _acyclic_rf_assignments(reads, rf_candidates, overwriters, prior, desc, anc,
     fixed once its reads are assigned, so a pruned choice has no execution
     in any completion, and the choices that survive come out in the same
     order as without the prunes.  An edge added later can still make an
-    earlier choice stale; `_stale_read` drops those complete choices.
+    earlier choice stale; `_coherent_orders` finds no order for such a
+    complete choice, as it decides coherence for every one.
 
     Yields once per complete choice, with the choice in `rf`, happens-before
     in `desc` and `anc`, and every thread run to its end in `prefix`; all
@@ -469,7 +470,6 @@ def _combo_executions(tables: _Tables, combo):
                     if l == held:
                         css[k] = (l, i)
 
-    one_serialization = all(len(css) == 1 for css in cs_by_mutex.values())
     variables = []
     for var in sorted(maybe_writes):
         writes = maybe_writes[var]
@@ -480,12 +480,8 @@ def _combo_executions(tables: _Tables, combo):
         # pickle to equal bytes; None: that write depends on the choice
         name = (instrs[var_reads[0]].var if var_reads
                 else instrs[writes[0]].var if always else None)
-        # no two complete choices of one mutex serialization read from the
-        # same sources, so with one serialization, a variable that has every
-        # read never sees a key twice
-        memo = None if one_serialization and len(var_reads) == len(reads) else {}
         variables.append((name, writes, always, sum(1 << w for w in writes), var_reads,
-                          sum(1 << r for r in var_reads), memo))
+                          sum(1 << r for r in var_reads), {}))
 
     def cs_orders(css):
         for perm in itertools.permutations(css):
@@ -513,8 +509,6 @@ def _combo_executions(tables: _Tables, combo):
 
         for _ in _acyclic_rf_assignments(reads, rf_candidates, overwriters, prior,
                                          desc, anc, rf, prefix):
-            if _stale_read(reads, overwriters, rf, desc, anc):
-                continue  # made stale by an edge added after its choice
             valid_mos = _choice_orders(variables, desc, anc, rf, instrs, out, events)
             if valid_mos is None:
                 continue
@@ -539,18 +533,17 @@ def _combo_executions(tables: _Tables, combo):
 def _choice_orders(variables, desc, anc, rf, instrs, out, events):
     """The coherent modification orders of one complete choice: per variable
     that a write took effect on, by name, its `(var, events)` orders; None
-    when some variable has none.
+    when some variable has none.  This is the one judge of a complete
+    choice's coherence, stale reads included.
 
     `variables` holds per variable its name (None when it is that of its
     first write to take effect), its writes, whether none is a cas (then all
     take effect, and their bitmask is fixed), that bitmask, its reads and
-    their bitmask, and a memo local to the path combination, or None when no
-    key can repeat there.  The memo is keyed on exactly what
-    `_coherent_orders` reads: the writes that took effect, happens-before
-    from writes to writes and from writes to the variable's reads, and each
-    read's source.  A successful rmw is one of those writes, so its cas
-    outcome is in the key too.  A lone write needs no search: it is the
-    order unless it happens before a read of the initial value."""
+    their bitmask, and a memo local to the path combination.  The memo is
+    keyed on exactly what `_coherent_orders` reads: the writes that took
+    effect, happens-before from writes to writes and from writes to the
+    variable's reads, and each read's source.  A successful rmw is one of
+    those writes, so its cas outcome is in the key too."""
     valid_mos = []
     for name, writes, always, wmask, var_reads, rmask, memo in variables:
         if always:
@@ -560,39 +553,19 @@ def _choice_orders(variables, desc, anc, rf, instrs, out, events):
             if not ws:
                 continue
             wmask = sum(1 << w for w in ws)
-        if name is None:
-            name = instrs[ws[0]].var
-        if len(ws) == 1:
-            w = ws[0]
-            hides = desc[w] & rmask
-            if hides and any(rf[r] is None for r in var_reads if hides >> r & 1):
-                return None
-            orders = [(name, (events[w],))]
-        else:
-            orders = None
-            if memo is not None:
-                key = (wmask, tuple([anc[w] & wmask for w in ws]),
-                       tuple([desc[w] & rmask for w in ws]), tuple([rf[r] for r in var_reads]))
-                orders = memo.get(key)
-            if orders is None:
-                orders = [(name, tuple([events[w] for w in perm]))
-                          for perm in _coherent_orders(ws, desc, anc, rf, var_reads, instrs, out)]
-                if memo is not None:
-                    memo[key] = orders
-            if not orders:
-                return None
+        key = (wmask, tuple([anc[w] & wmask for w in ws]),
+               tuple([desc[w] & rmask for w in ws]), tuple([rf[r] for r in var_reads]))
+        orders = memo.get(key)
+        if orders is None:
+            if name is None:
+                name = instrs[ws[0]].var
+            orders = memo[key] = [(name, tuple([events[w] for w in perm]))
+                                  for perm in _coherent_orders(ws, desc, anc, rf, var_reads,
+                                                               instrs, out)]
+        if not orders:
+            return None
         valid_mos.append(orders)
     return valid_mos
-
-
-def _stale_read(reads, overwriters, rf, desc, anc) -> bool:
-    """Whether happens-before (as `desc` and `anc` rows) puts a write of some
-    read's `overwriters` after that read's source and before the read."""
-    for r, ws in zip(reads, overwriters):
-        hidden = anc[r] & ws
-        if hidden and (rf[r] is None or hidden & ~(1 << rf[r]) & desc[rf[r]]):
-            return True
-    return False
 
 
 def _coherent_orders(writes, desc, anc, rf, var_reads, instrs, out) -> List[Tuple[int, ...]]:

@@ -249,8 +249,6 @@ def append(p: MoPoset, st: Event, sb: SbIndex = EMPTY_SB,
     order, which one that had a predecessor, such as the store an rmw
     read, is not.
     """
-    if p.bottom:
-        return BOTTOM
     if st in p.events or not valid_extension(p, st, sb, abstract):
         return BOTTOM
     events = set(p.events)
@@ -281,8 +279,6 @@ def meet(p1: MoPoset, p2: MoPoset, sb: SbIndex = EMPTY_SB,
     two, so the closed union is additionally audited for cycles; no partial
     order extends both sides in that case, hence bottom is the exact glb.
     """
-    if p1.bottom or p2.bottom:
-        return BOTTOM
     if not consistent(p1, p2, sb, abstract, rmw_critical):
         return BOTTOM
     # both orders are stored closed, so when one contains the other the

@@ -75,8 +75,8 @@ class AnalysisContext:
     labels it may read from (`interference.get_interfs` without ctx, which
     every read tries first); their σ tuples key the node memo.  `tails`
     holds the labels from which no interference source is reachable:
-    no other thread reads what they compute, and `head_worklists` and
-    `head_succs` leave them out of a pass over the other labels, the heads.
+    no other thread reads what they compute, and a pass over the other
+    labels, the heads, skips them.
     A tail is transferred once, in the last pass, so only heads enter the
     memo.  `pass_through` holds the nops and asserts with one predecessor,
     whose states are that predecessor's tuple as it is: a sorted normal
@@ -169,17 +169,10 @@ class AnalysisContext:
                     heads.add(pred)
                     stack.append(pred)
         self.tails = frozenset(cfg.nodes.keys() - heads)
-        # each label's position in its thread's reverse post-order, and per
-        # thread the positions a pass of engine.seq_ai over the heads alone
-        # starts with pending, with each head's successors that are heads;
-        # a thread's entry, at 0, is a head when any label of it is
+        # each label's position in its thread's reverse post-order
         self.rpo_index = {lbl: i for rpo in cfg.rpo.values() for i, lbl in enumerate(rpo)}
         self.boundaries = self._boundaries() if tc.project_tails else {}
         self.boundary_states: Dict[Label, tuple] = {}
-        self.head_worklists = {t: tuple(i for i in range(1, len(rpo)) if rpo[i] in heads)
-                               if rpo[0] in heads else () for t, rpo in cfg.rpo.items()}
-        self.head_succs = {lbl: tuple(s for s in cfg.succs[lbl] if s in heads)
-                           for lbl in heads}
         # (label, bump) -> (pre-states, global reads, merged states) of the
         # node's latest visit; see engine.seq_ai
         self.node_memo: dict = {}

@@ -326,7 +326,7 @@ def test_a_round_merges_its_passes_after_the_last(monkeypatch):
     monkeypatch.setattr(StateSet, "fingerprint", recording_fingerprint)
     r = tmai(program)
     assert log[0] == ("round",)
-    threads = [t.name for t in program.threads if ctx.head_worklists[t.name]]
+    threads = [t.name for t in program.threads if ctx.cfg.entries[t.name] not in ctx.tails]
     assert threads == ["t1", "t2"]
     segments = [[]]
     for entry in log[1:]:
@@ -439,7 +439,7 @@ def test_threads_with_no_head_run_no_pass_in_the_rounds(monkeypatch):
     readers = [f"rd{i}" for i in range(1, 11)]
     assert result.iterations_total == 3
     assert calls == [("w", True)] * 2 + [(t, False) for t in ["w", *readers]]
-    assert not any(ctx.head_worklists[t] for t in readers)
+    assert all(ctx.cfg.entries[t] in ctx.tails for t in readers)
     snapshot = result.states.dump()
     for t in readers:
         assert seq_ai(ctx, t, result.states, heads_only=True) == {}

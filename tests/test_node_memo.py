@@ -159,7 +159,8 @@ def test_a_pass_with_unchanged_reads_makes_no_transfer():
             mp.setattr(StateSet, "fingerprint", recording_fingerprint)
             program = parse(src)
             result, ctx = run_with_context(tmai, program)
-        threads = [t.name for t in program.threads if ctx.head_worklists[t.name]]
+        threads = [t.name for t in program.threads
+                   if ctx.cfg.entries[t.name] not in ctx.tails]
         last: dict = {}  # thread -> its pass of the round before
         for rnd in range(1, result.iterations_total + 1):
             now = [p for p in passes if p[0] == rnd]

@@ -20,11 +20,11 @@ from conftest import BENCH_DIR, MP_SRC, WHY_IC_SRC
 from oracle_reference import reference_executions
 
 
-def _surviving_choices(monkeypatch) -> list:
-    """Wrap the reads-from search and `_stale_read`; the list gets one entry
-    per complete choice that the search yields and `_stale_read` keeps:
-    whether `_Prefix` had run every thread to its end."""
-    search, stale_read = oracle._acyclic_rf_assignments, oracle._stale_read
+def _complete_choices(monkeypatch) -> list:
+    """Wrap the reads-from search and `_choice_orders`; the list gets one
+    entry per complete choice that the search yields, as `_choice_orders`
+    judges it: whether `_Prefix` had run every thread to its end."""
+    search, choice_orders = oracle._acyclic_rf_assignments, oracle._choice_orders
     ran_to_end = []
     calls = []
 
@@ -36,26 +36,24 @@ def _surviving_choices(monkeypatch) -> list:
             yield
 
     def recording(*args):
-        stale = stale_read(*args)
-        if not stale:
-            calls.append(ran_to_end[-1])
-        return stale
+        calls.append(ran_to_end[-1])
+        return choice_orders(*args)
 
     monkeypatch.setattr(oracle, "_acyclic_rf_assignments", searching)
-    monkeypatch.setattr(oracle, "_stale_read", recording)
+    monkeypatch.setattr(oracle, "_choice_orders", recording)
     return calls
 
 
 def test_value_phase_never_rejects(monkeypatch):
     """Guards and reads from failed cas instructions are cut in the search,
     whose prefix runs are the value phase: every complete choice it yields
-    has run each thread to its end.  On peterson3 at most 5 346 of them
-    survive `_stale_read`, where 46 656 choices reached a separate value
-    phase before the value prune and 26 973 of them died there."""
-    calls = _surviving_choices(monkeypatch)
+    has run each thread to its end.  On peterson3 5 346 of them reach
+    `_choice_orders`, where 46 656 choices reached a separate value phase
+    before the value prune and 26 973 of them died there."""
+    calls = _complete_choices(monkeypatch)
     program = unroll(parse((BENCH_DIR / "peterson3.lit").read_text()), 2)
     assert len(enumerate_executions(program, guard=40)) == 9720
-    assert all(calls) and 0 < len(calls) <= 5346
+    assert all(calls) and len(calls) == 5346
     del calls[:]
     for seed in range(200):
         enumerate_executions(random_program(seed))
@@ -66,8 +64,8 @@ def test_crossed_sources_are_cut(monkeypatch):
     """b reads c and d reads a, while a happens before b and c before d:
     coherence would need a before c and c before a in modification order.
     The search cuts that choice before modification orders are built
-    (`_choice_orders`), which only the choices that survive the search and
-    `_stale_read` reach."""
+    (`_choice_orders`), which every complete choice the search yields
+    reaches."""
     src = """
 vars x = 0;
 thread t1 { a: store x 1; b: r1 = load x; }

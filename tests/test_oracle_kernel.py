@@ -1,7 +1,8 @@
 """The integer-indexed enumeration kernel against the reference enumerator,
-its stale-read prune, the oracle over the whole corpus, and the independent
-validator against tampered executions."""
+its stale-read prune and its judge of complete choices, the oracle over the
+whole corpus, and the independent validator against tampered executions."""
 
+import hashlib
 import pickle
 from dataclasses import replace
 
@@ -180,9 +181,11 @@ def _stale_reads(topo, instrs, tids, rf):
     return stale
 
 
-def test_search_yields_no_choice_stale_by_happens_before(monkeypatch):
-    """Every complete choice that reaches `_choice_orders`, the modification
-    orders of a choice, is checked along a linear extension of its
+def test_every_choice_stale_by_happens_before_gets_no_order(monkeypatch):
+    """The search cuts a choice that is stale so far, but an edge added
+    after a read's choice can still make it stale; `_choice_orders`, the one
+    judge of a complete choice, finds no order for such a choice.  Every
+    complete choice is checked along a linear extension of its
     happens-before rows (descending row counts), with each node's thread
     taken from the CFG."""
     choice_orders = oracle._choice_orders
@@ -193,16 +196,18 @@ def test_search_yields_no_choice_stale_by_happens_before(monkeypatch):
         counts = [row.bit_count() for row in desc]
         topo = sorted(range(len(desc)), key=counts.__getitem__, reverse=True)
         tids = [thread_of[instr.label] for instr in instrs]
-        assert not _stale_reads(topo, instrs, tids, rf)
-        checked.append(topo)
-        return choice_orders(variables, desc, anc, rf, instrs, out, events)
+        stale = bool(_stale_reads(topo, instrs, tids, rf))
+        got = choice_orders(variables, desc, anc, rf, instrs, out, events)
+        assert got is None or not stale
+        checked.append(stale)
+        return got
 
     monkeypatch.setattr(oracle, "_choice_orders", checking)
     for seed in range(200):
         program = random_program(seed)
         thread_of = build_cfg(program).thread_of
         enumerate_executions(program)
-    assert len(checked) > 1000
+    assert len(checked) > 1000 and any(checked)
 
 
 def _fresh_orders(desc, anc, rf, instrs, out, events):
@@ -233,14 +238,13 @@ def _random_programs_and_the_corpus():
 
 
 def test_memoized_orders_equal_a_fresh_search(monkeypatch):
-    """For every complete choice, memo hits and lone writes included, the
-    orders of each variable equal those of a fresh `_coherent_orders`."""
+    """For every complete choice, memo hits included, the orders of each
+    variable equal those of a fresh `_coherent_orders`."""
     choice_orders = oracle._choice_orders
     counts = {"choices": 0, "hits": 0}
 
     def checking(variables, desc, anc, rf, instrs, out, events):
-        memoized = {id(orders) for *_, memo in variables if memo
-                    for orders in memo.values()}
+        memoized = {id(orders) for *_, memo in variables for orders in memo.values()}
         got = choice_orders(variables, desc, anc, rf, instrs, out, events)
         assert got == _fresh_orders(desc, anc, rf, instrs, out, events)
         counts["choices"] += 1
@@ -265,9 +269,18 @@ def test_corpus_ground_truth(path):
     check_soundness(program, tmai(program), execs=execs).raise_if_unsound()
     if any(e.violations for e in execs):
         assert expected_verdict(path) == "violated"
-    sizes = {"peterson3": 9720, "co_2p2w_15": 1}
-    if path.stem in sizes:
-        assert len(execs) == sizes[path.stem]
+    # beyond the default guard, so the pinned digest of scripts/exec_digest.py
+    # does not cover them: the count and a sha256 over each execution's
+    # pickle pin them byte for byte
+    pins = {"peterson3": (9720, "2e192c3cca0c88fba388f910b63c83b5"
+                                "9305c5dfe33463cd916bbe723f22451a"),
+            "co_2p2w_15": (1, "a337fdc33317ffec2e543426a2ccebe1"
+                              "4cd2e7ed5cdf8dafbfdcb7b6b4f5f6be")}
+    if path.stem in pins:
+        digest = hashlib.sha256()
+        for e in execs:
+            digest.update(pickle.dumps(e))
+        assert (len(execs), digest.hexdigest()) == pins[path.stem]
 
 
 # --------------------------------------------------------------------------
